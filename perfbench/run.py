@@ -3,7 +3,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload design_query --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload design_query --seed 1 --seconds 25 --trace 0
 
 One client asks one design question (an *op*) at a time, closed loop, in
 one process, through the public ``repro.explore`` API. The workloads:
@@ -17,6 +17,18 @@ one process, through the public ``repro.explore`` API. The workloads:
   two-worker process pool.
 
 ``--trace 0`` times the workload and prints the end-to-end metrics.
+The run cycles the op pool for ``--seconds``. The host is shared: other
+tenants slow every op by up to 2x in phases that can outlast a run, so
+raw times measure the neighbours. A fixed calibration kernel
+(``hostspeed.py``, one variant per workload) therefore runs between
+every two ops, and each op's time is divided by the host slowdown the
+kernels either side of it read, which gives the op's time at the
+reference machine's speed. Each op's latency is the lower quartile of
+these over its repetitions;
+``query_p50_ms`` and ``query_tail_ms`` are the median and the slowest
+of the per-op latencies, and ``configs_per_s`` is one pass of the pool
+at them. ``setup_s`` is scaled the same way. The report line keeps the
+raw times.
 ``--trace 1`` replays the ops of all three workloads as explicit calls
 into each layer, records spans around them, and prints the per-layer
 metrics (workload-prefixed, so every traced run reports every layer);
@@ -62,13 +74,6 @@ IMPORT_PROBE = (
     "import time; t = time.perf_counter(); import repro.explore; "
     "print(time.perf_counter() - t)"
 )
-
-#: ``query_tail_ms`` percentile per workload: the highest whole
-#: percentile leaving at least ten ops beyond it in a 20-second run on
-#: the reference machine (2 cores). It is fixed rather than derived from
-#: each run's op count: runs cycle the op pool in whole passes, so a
-#: fixed percentile always lands inside the same kind of op.
-TAIL_PERCENTILE = {"design_query": 70, "pruned_export": 90, "fleet_uplink": 70}
 
 END_TO_END = {
     "query_p50_ms": "ms",
@@ -147,7 +152,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seconds <= 0:
@@ -225,12 +230,6 @@ def peak_rss_mb() -> dict[str, float]:
     return {"main": main, "largest_child": worker}
 
 
-def percentile(values: list[float], pct: int) -> float:
-    """The ``pct``-th percentile, interpolated between order statistics
-    (every pool holds at least three ops, so a run has at least three)."""
-    return statistics.quantiles(values, n=100, method="inclusive")[pct - 1]
-
-
 def check_answers(pool, answers: list[tuple[int, str | None]]) -> list[str]:
     """Compare op digests against reference digests (computed untimed,
     once per pool slot). Returns one description per failed answer."""
@@ -262,6 +261,13 @@ def timed_op(op) -> tuple[str | None, int]:
     return (None if answer is None else workloads.digest(answer)), elapsed
 
 
+def lower_quartile(values: list[float]) -> float:
+    """The first quartile (the value itself for a single repetition)."""
+    if len(values) == 1:
+        return values[0]
+    return statistics.quantiles(values, n=4, method="inclusive")[0]
+
+
 def fallback_count(caught) -> int:
     return sum(
         1
@@ -272,9 +278,16 @@ def fallback_count(caught) -> int:
 
 
 def timed_run(args: argparse.Namespace) -> tuple[dict, dict, int, int]:
+    import hostspeed
     import workloads
 
+    # The calibration kernel runs before the first set-up and after every
+    # set-up and every op, so each of them sits between two kernel runs.
+    variant = hostspeed.WORKLOAD_KERNEL[args.workload]
+    hostspeed.timed_kernel(variant)
+    kernels_ns = [hostspeed.timed_kernel(variant)]
     setups = []
+    setups_ref = []
     for _ in range(SETUP_REPS):
         import_s = probe_import()
         begin = time.perf_counter()
@@ -284,8 +297,11 @@ def timed_run(args: argparse.Namespace) -> tuple[dict, dict, int, int]:
         timed_op(pool[0])
         warmup_s = time.perf_counter() - begin
         setups.append(import_s + inputs_s + warmup_s)
+        kernels_ns.append(hostspeed.timed_kernel(variant))
+        setups_ref.append(setups[-1] / hostspeed.slowdown(variant, *kernels_ns[-2:]))
     first_op_s = time.perf_counter() - START
 
+    kernels_ns = kernels_ns[-1:]
     records: list[tuple[int, str | None, int]] = []
     cycles = 0
     with warnings.catch_warnings(record=True) as caught:
@@ -294,6 +310,7 @@ def timed_run(args: argparse.Namespace) -> tuple[dict, dict, int, int]:
         while cycles == 0 or time.perf_counter() - begin < args.seconds:
             for slot, op in enumerate(pool):
                 records.append((slot, *timed_op(op)))
+                kernels_ns.append(hostspeed.timed_kernel(variant))
             cycles += 1
         measured_s = time.perf_counter() - begin
     rss = peak_rss_mb()
@@ -301,19 +318,23 @@ def timed_run(args: argparse.Namespace) -> tuple[dict, dict, int, int]:
     failures = check_answers(pool, [(slot, got) for slot, got, _ in records])
     failed = len(failures)
     latencies_ms = [elapsed / 1e6 for _, _, elapsed in records]
-    tail_pct = TAIL_PERCENTILE[args.workload]
-    tail_ms = percentile(latencies_ms, tail_pct)
+    per_slot_ms: list[list[float]] = [[] for _ in pool]
+    per_slot_ref_ms: list[list[float]] = [[] for _ in pool]
+    for index, (slot, _, elapsed) in enumerate(records):
+        per_slot_ms[slot].append(elapsed / 1e6)
+        factor = hostspeed.slowdown(variant, kernels_ns[index], kernels_ns[index + 1])
+        per_slot_ref_ms[slot].append(elapsed / 1e6 / factor)
+    op_ms = [lower_quartile(values) for values in per_slot_ref_ms]
     paths: dict[str, int] = defaultdict(int)
     for slot, op in enumerate(pool):
         for path in workloads.op_paths(op):
             paths[path] += cycles
-    configs = sum(pool[slot].full_configs for slot, _, _ in records)
     metrics = {
-        "query_p50_ms": statistics.median(latencies_ms),
-        "query_tail_ms": tail_ms,
-        "configs_per_s": configs / (sum(latencies_ms) / 1e3),
+        "query_p50_ms": statistics.median(op_ms),
+        "query_tail_ms": max(op_ms),
+        "configs_per_s": sum(op.full_configs for op in pool) / (sum(op_ms) / 1e3),
         "peak_rss_mb": max(rss.values()),
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.median(setups_ref),
     }
     report = {
         "workload": args.workload,
@@ -323,22 +344,28 @@ def timed_run(args: argparse.Namespace) -> tuple[dict, dict, int, int]:
         "cycles": cycles,
         "measured_s": measured_s,
         "op_seconds_total": sum(latencies_ms) / 1e3,
-        "configs_answered": configs,
-        "query_tail_percentile": tail_pct,
-        "ops_beyond_tail": sum(1 for value in latencies_ms if value > tail_ms),
+        "configs_answered": sum(pool[slot].full_configs for slot, _, _ in records),
+        "all_ops_p50_ms": statistics.median(latencies_ms),
         "ops_failed_frac": failed / len(records),
         "failures": failures,
         "peak_rss_mb": rss,
         "setup_reps_s": setups,
+        "setup_reps_reference_s": setups_ref,
         "script_start_to_first_op_s": first_op_s,
         "engine_paths": dict(paths),
         "executor_fallbacks": fallback_count(caught),
+        "kernel": variant,
+        "host_slowdown_median": statistics.median(kernels_ns)
+        / (hostspeed.KERNEL_REF_MS[variant] * 1e6),
+        "per_slot_reference_ms": {op.label: op_ms[index] for index, op in enumerate(pool)},
         "per_slot_median_ms": {
-            op.label: statistics.median(
-                elapsed / 1e6 for slot, _, elapsed in records if slot == index
-            )
-            for index, op in enumerate(pool)
+            op.label: statistics.median(per_slot_ms[index]) for index, op in enumerate(pool)
         },
+        "per_slot_fastest_ms": {
+            op.label: min(per_slot_ms[index]) for index, op in enumerate(pool)
+        },
+        "ops_in_order": [[slot, elapsed / 1e6] for slot, _, elapsed in records],
+        "kernels_ms": [elapsed / 1e6 for elapsed in kernels_ns],
         "provenance": provenance(),
     }
     return metrics, report, len(records), failed

@@ -17,6 +17,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
+import hostspeed  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 from spans import Span, Tracer  # noqa: E402
@@ -79,6 +80,17 @@ def test_self_time_subtracts_covered_child_intervals():
     totals = tracer.totals("w/")
     assert totals["op"]["calls"] == 1 and abs(totals["op"]["self_s"] - 60e-9) < 1e-15
     assert tracer.totals("other/") == {}
+
+
+def test_host_slowdown_and_lower_quartile():
+    assert set(hostspeed.WORKLOAD_KERNEL) == set(workloads.WORKLOADS)
+    for variant, reference_ms in hostspeed.KERNEL_REF_MS.items():
+        reference_ns = reference_ms * 1e6
+        assert hostspeed.slowdown(variant, reference_ns, reference_ns) == 1.0
+        assert hostspeed.slowdown(variant, reference_ns, 3 * reference_ns) == 2.0
+        assert hostspeed.timed_kernel(variant) > 0
+    assert run.lower_quartile([7.0]) == 7.0
+    assert run.lower_quartile([1.0, 2.0, 3.0, 4.0, 5.0]) == 2.0
 
 
 def test_metric_tables_match_benchmark_json():

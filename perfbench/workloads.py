@@ -425,15 +425,16 @@ def _rngs(
 
 #: design_query: (domain, blocks, shape), alternating domains. Throughput
 #: spaces stop at 8 blocks because ``pareto()`` on rows full of rate ties
-#: costs rows x frontier. Five slots, so the median op falls inside one
-#: kind of op rather than between two; the shapes keep a pass near 2.7 s
-#: on the reference machine, so a 20-second run holds 35-40 ops.
+#: costs rows x frontier; energy spaces stop at 9 blocks so a pass stays
+#: near 1.3 s on the reference machine and a 25-second run repeats every
+#: op 10-25 times (the metrics take the lower quartile of each op's
+#: repetitions).
 QUERY_SLOTS = (
     ("energy", 8, 0),
     ("throughput", 7, 3),
     ("energy", 9, 2),
     ("throughput", 8, 5),
-    ("energy", 10, 4),
+    ("throughput", 6, 9),
 )
 
 #: pruned_export: (domain, blocks, pruning bar or None). Two of the five
