@@ -27,21 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-try:  # numpy backs the optional columnar batch path; scalar folds never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as np
 
 from repro.core.block import Block, Implementation
 from repro.core.pipeline import InCameraPipeline, PipelineConfig, _digest
 from repro.errors import PipelineError
 from repro.hw.network import LinkModel
-
-
-def _require_numpy() -> Any:
-    if _np is None:  # pragma: no cover - guarded by supports_batch_evaluation
-        raise PipelineError("batch cost evaluation requires numpy")
-    return _np
 
 
 def implementation_fingerprint(impl: Implementation) -> tuple:
@@ -83,7 +74,6 @@ def option_fps_column(impls: Sequence[Implementation]) -> Any:
     vectorized throughput pruner index this column with a choice array,
     so bound and cost read the exact same floats.
     """
-    np = _require_numpy()
     return np.array([impl.fps for impl in impls])
 
 
@@ -95,7 +85,6 @@ def option_energy_columns(impls: Sequence[Implementation]) -> tuple[Any, Any]:
     energy pruner both index the energy column, so bound and cost read
     the exact same floats.
     """
-    np = _require_numpy()
     return (
         np.array([impl.energy_per_frame for impl in impls]),
         np.array([impl.active_seconds for impl in impls]),
@@ -195,7 +184,6 @@ class ThroughputCostModel:
 
     def initial_state_batch(self, n: int) -> tuple[Any, Any]:
         """Array-shaped :meth:`initial_state` for ``n`` configurations."""
-        np = _require_numpy()
         return (np.full(n, float("inf")), np.full(n, "none", dtype=object))
 
     def extend_state_batch(
@@ -212,7 +200,6 @@ class ThroughputCostModel:
         row's implementation. The running-min update mirrors the scalar
         branch ``if impl.fps < state[0]`` exactly.
         """
-        np = _require_numpy()
         fps_cur, labels_cur = state
         option_fps = option_fps_column(impls)
         option_labels = np.array(
@@ -384,7 +371,6 @@ class EnergyCostModel:
 
     def initial_state_batch(self, n: int) -> tuple[Any, tuple, Any]:
         """Array-shaped :meth:`initial_state` for ``n`` configurations."""
-        np = _require_numpy()
         return (np.ones(n), (), np.zeros(n))
 
     def extend_state_batch(
@@ -455,7 +441,6 @@ class EnergyCostModel:
         columns (``transmit_rate``, ``block_energies``) are shared by
         reference across members.
         """
-        np = _require_numpy()
         rate, energies, active = state
         tx = np.array([pair[0] for pair in link_costs_stack])
         sec = np.array([pair[1] for pair in link_costs_stack])

@@ -110,7 +110,6 @@ from repro.explore.engine import (
     evaluation_path,
     explore,
     explore_brute_force,
-    iter_evaluations,
 )
 from repro.explore.enumerate import (
     PRUNED_SUBTREE,
@@ -129,8 +128,6 @@ from repro.explore.vectorized import (
     CohortShard,
     PrefixStateCache,
     iter_scenario_shards,
-    supports_batch_evaluation,
-    uses_stock_batch_semantics,
 )
 from repro.explore.prune import (
     compute_fps_prefix_pruner,
@@ -216,7 +213,6 @@ __all__ = [
     "explore_brute_force",
     "explore_joint",
     "iter_configs",
-    "iter_evaluations",
     "iter_scenario_shards",
     "joint_candidates",
     "load_builtin",
@@ -230,8 +226,6 @@ __all__ = [
     "search_joint_assignment",
     "shared_capacity_prefix_pruner",
     "shared_capacity_suffix_bounds",
-    "supports_batch_evaluation",
     "supports_prefix_evaluation",
     "throughput_depth_bounds",
-    "uses_stock_batch_semantics",
 ]

@@ -33,13 +33,15 @@ and members hand their consumers lazy member-tagged
 ``collect=False`` with columnar sinks a fleet of N links materializes
 only frontier/heap survivors, never N x rows Python objects
 (``dedup="materialize"`` keeps the per-member materialized finalize
-for comparison). Scalar state payloads (non-batch models, numpy-less
-installs) fall back to the per-member scalar finalize transparently.
+for comparison). Scalar ``(config, state)`` payloads (what
+:func:`~repro.explore.incremental.evaluate_chunk_states` returns for a
+non-stock model) close through the per-member scalar finalize.
 
 Sharding contract: on a parallel executor, shard-eligible scenarios
-(stock batch semantics with a batch-capable — or absent — pruner)
-stream compact :class:`~repro.explore.vectorized.CohortShard`
-descriptors through the interleaver instead of materialized config
+(stock models, see
+:func:`~repro.explore.incremental.uses_stock_cost_semantics`) stream
+compact :class:`~repro.explore.vectorized.CohortShard` descriptors
+through the interleaver instead of materialized config
 lists; workers regenerate each chunk's rows locally from the flat
 index ranges (O(depth) array rebuilds), so a process pool pickles a
 few integers per chunk rather than per-config tuples. Results remain
@@ -89,16 +91,14 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
-try:  # numpy backs the lazy dedup folds; everything else is scalar-safe
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as np
 
 from repro.core.cost import platform_axis_fingerprint
 from repro.core.report import TextTable, campaign_summary_table
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore.engine import (
     DEFAULT_CHUNK_SIZE,
+    _check_dedup_mode,
     _chunked,
     _evaluate_scratch,
     _gc_paused,
@@ -253,7 +253,7 @@ class _StateFinalizer:
     group and finalized here is bit-identical to evaluating the
     configuration solo against this scenario's link (the invariant
     suite compares them byte for byte), and a future cost-field change
-    lands here automatically instead of in a third hand-inlined copy.
+    lands here automatically instead of in a hand-inlined copy.
     """
 
     def __init__(self, scenario: Scenario):
@@ -781,11 +781,8 @@ class _StreamingStats:
         running best — and NaN metric values never improve on a non-NaN
         best (every comparison against NaN is False), matching the
         scalar scan branch for branch. Falls back to the row path when
-        numpy is unavailable or the metric is not columnar.
+        the metric is not columnar.
         """
-        if _np is None:
-            self.update(batch.rows())
-            return
         try:
             values = batch.metric_column(self._metric)
             feasible = batch.metric_column("feasible")
@@ -805,19 +802,19 @@ class _StreamingStats:
                 winner = 0
             else:
                 winner = int(
-                    _np.nanargmax(values) if maximize else _np.nanargmin(values)
+                    np.nanargmax(values) if maximize else np.nanargmin(values)
                 )
         else:
             current = self.best[self._metric]
             improved = (values > current) if maximize else (values < current)
-            if bool(_np.any(improved)):
+            if bool(np.any(improved)):
                 winner = int(
-                    _np.nanargmax(values) if maximize else _np.nanargmin(values)
+                    np.nanargmax(values) if maximize else np.nanargmin(values)
                 )
         if winner is not None:
             self.best = batch.row(winner)
         self.n_evaluated += n
-        self.n_feasible += int(_np.count_nonzero(feasible))
+        self.n_feasible += int(np.count_nonzero(feasible))
         if self.frontier is not None:
             self.frontier.add_batch(batch)
 
@@ -918,11 +915,7 @@ class Campaign:
         pacing changes.
         """
         executor = resolve_executor(executor)
-        if dedup not in (False, True, "lazy", "materialize"):
-            raise ConfigurationError(
-                "dedup must be False, True, 'lazy' or 'materialize', "
-                f"got {dedup!r}"
-            )
+        _check_dedup_mode(dedup)
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
         if max_pending_runs is not None and max_pending_runs < 1:
@@ -1015,16 +1008,10 @@ class Campaign:
             for scenario in scenarios
         ]
         # Cohort sharding on parallel executors: shard-eligible
-        # scenarios (stock batch semantics, batch-capable pruner) ship
-        # compact (depth, flat-index-range) descriptors instead of
-        # pickled config lists; workers rebuild the rows locally.
-        # Scratch-mode scenarios carry a custom model and are never
-        # shard-eligible, but guard anyway so the pairing is explicit.
-        shard_flags = [
-            specs[index][2] != _MODE_SCRATCH
-            and _shard_eligible(scenarios[index], models[index], executor, "auto")
-            for index in range(len(scenarios))
-        ]
+        # scenarios (stock models) ship compact (depth, flat-index-range)
+        # descriptors instead of pickled config lists; workers rebuild
+        # the rows locally.
+        shard_flags = [_shard_eligible(model, executor, "auto") for model in models]
         # Same pause rule as solo explore(): engine-only allocations
         # (the dedup states and finalized costs are engine-owned and
         # acyclic, so the states mode keeps the pause).

@@ -9,18 +9,25 @@ and returns an :class:`~repro.explore.result.ExplorationResult`. Row
 order is the enumeration order regardless of worker count, so parallel
 and serial runs are interchangeable.
 
+One rule picks the evaluation path. A model whose every cost step is
+stock (:func:`~repro.explore.incremental.uses_stock_cost_semantics`)
+takes the columnar core (:mod:`repro.explore.vectorized`): serial runs
+fold whole depth cohorts, parallel runs ship
+:class:`~repro.explore.vectorized.CohortShard` descriptors, campaign
+dedup closes shared columnar states. Every other model — and
+``evaluation="scalar"`` — takes the one generic scalar walk: the
+memoized :class:`~repro.explore.incremental.PrefixEvaluator` if its
+``evaluate()`` is stock, per-config ``evaluate()`` calls if not.
+
 The path is streaming end-to-end: configurations flow from the
-enumerator into fixed-size chunks, each chunk is evaluated with a
-chunk-local :class:`~repro.explore.incremental.PrefixEvaluator`
-(amortized O(1) block extensions per configuration instead of
-O(depth)), and chunks travel through the executor's ``imap`` with a
-bounded in-flight window — nothing ever materializes the full
-configuration list, so peak intermediate memory is set by the chunk
-size, not the design-space size. For stock-model, unhooked runs (every
-allocation the engine's own, all acyclic) the cyclic GC is paused while
-results accumulate: bulk-appending millions of small cost objects
-otherwise triggers quadratically many full collections over the growing
-result. Runs involving user code (custom models, per-config prune
+enumerator into fixed-size chunks (or cohorts), and chunks travel
+through the executor's ``imap`` with a bounded in-flight window —
+nothing ever materializes the full configuration list, so peak
+intermediate memory is set by the chunk size, not the design-space
+size. For stock-model, unhooked runs (every allocation the engine's
+own, all acyclic) the cyclic GC is paused while results accumulate:
+bulk-appending millions of small cost objects otherwise triggers
+quadratically many full collections over the growing result. Runs involving user code (custom models, per-config prune
 hooks) keep the GC live so user cycles stay collectable.
 
 ``explore_brute_force()`` keeps the pre-streaming semantics — eager
@@ -50,6 +57,7 @@ from repro.explore.incremental import (
     PrefixEvaluator,
     evaluate_chunk,
     supports_prefix_evaluation,
+    uses_stock_cost_semantics,
 )
 from repro.explore.result import ExplorationResult, cost_row
 from repro.explore.scenario import Scenario
@@ -59,18 +67,18 @@ from repro.explore.sink import (
     uses_columnar_writes,
     write_sink_batch,
 )
-from repro.explore.vectorized import (
-    BatchPrefixEvaluator,
-    iter_scenario_shards,
-    supports_batch_evaluation,
-    uses_stock_batch_semantics,
-)
+from repro.explore.vectorized import BatchPrefixEvaluator, iter_scenario_shards
 
 #: Valid values of the ``evaluation=`` knob on :func:`explore` and
 #: :func:`iter_evaluation_chunks`: ``"auto"`` picks the fastest
 #: applicable path, ``"batch"`` requires the columnar path (raising for
 #: models that cannot take it), ``"scalar"`` forces the scalar fold.
 EVALUATION_MODES = ("auto", "batch", "scalar")
+
+#: Valid values of the campaign ``dedup=`` knob (``Campaign.run`` /
+#: ``iter_runs``, and :func:`evaluation_path`): off, lazy columnar
+#: dedup (``True`` is ``"lazy"``), or per-member materialized finalize.
+DEDUP_MODES = (False, True, "lazy", "materialize")
 
 #: Configurations per streamed chunk when neither the caller nor the
 #: executor pins one. Large enough to amortize chunk setup (one cold
@@ -133,14 +141,23 @@ def _check_evaluation_mode(evaluation: str, model: Any) -> None:
         raise ConfigurationError(
             f"evaluation must be one of {EVALUATION_MODES}, got {evaluation!r}"
         )
-    if evaluation == "batch" and not supports_batch_evaluation(model):
+    if evaluation == "batch" and not uses_stock_cost_semantics(model):
         raise ConfigurationError(
             "evaluation='batch' requires a batch-capable cost model "
-            "(stock evaluate() and matched scalar/batch cost steps, with "
-            "numpy importable) — none of the columnar paths (batch-cohort, "
-            "batch-cohort-pruned, batch-shard, batch-chunk) can run this "
-            "model; use evaluation='auto' to fall back to the scalar "
-            "paths (scalar-memoized / scalar-scratch)"
+            "(every cost step stock: evaluate(), the scalar steps and "
+            "their batch twins) — none of the columnar paths "
+            "(batch-cohort, batch-cohort-pruned, batch-shard) can run "
+            "this model; use evaluation='auto' to fall back to the "
+            "scalar paths (scalar-memoized / scalar-scratch)"
+        )
+
+
+def _check_dedup_mode(dedup: Any) -> None:
+    """Validate the campaign ``dedup=`` knob (see :data:`DEDUP_MODES`)."""
+    if dedup not in DEDUP_MODES:
+        raise ConfigurationError(
+            "dedup must be False, True, 'lazy' or 'materialize', "
+            f"got {dedup!r}"
         )
 
 
@@ -189,7 +206,7 @@ def iter_evaluation_chunks(
         else:
             size = DEFAULT_CHUNK_SIZE
     allow_batch = evaluation != "scalar"
-    if scenario is not None and _shard_eligible(scenario, model, executor, evaluation):
+    if scenario is not None and _shard_eligible(model, executor, evaluation):
         chunk_fn = partial(evaluate_chunk, model, pass_rates, allow_batch=allow_batch)
         shards = iter_scenario_shards(scenario, size)
         return executor.imap(chunk_fn, shards, chunk_size=1)
@@ -200,7 +217,7 @@ def iter_evaluation_chunks(
         # identical to the chunk-local path — memoization only reuses
         # states a from-scratch walk would recompute bit-for-bit, and
         # the columnar fold performs the same operations elementwise.
-        if allow_batch and supports_batch_evaluation(model):
+        if allow_batch and uses_stock_cost_semantics(model):
             batch_evaluator = BatchPrefixEvaluator(model, pass_rates)
             return (batch_evaluator.evaluate_many(chunk) for chunk in chunks)
         evaluator = PrefixEvaluator(model, pass_rates)
@@ -211,22 +228,6 @@ def iter_evaluation_chunks(
         scratch = partial(_evaluate_scratch, model, pass_rates)
         chunk_fn = partial(_run_scratch_chunk, scratch)
     return executor.imap(chunk_fn, chunks, chunk_size=1)
-
-
-def iter_evaluations(
-    model: Any,
-    configs: Iterator[PipelineConfig],
-    executor: SweepExecutor | None = None,
-    pass_rates: dict[str, float] | None = None,
-    chunk_size: int | None = None,
-    approx_total: int | None = None,
-) -> Iterator[Any]:
-    """Flattened :func:`iter_evaluation_chunks`: one cost per config,
-    in configuration order."""
-    for costs in iter_evaluation_chunks(
-        model, configs, executor, pass_rates, chunk_size, approx_total
-    ):
-        yield from costs
 
 
 def _run_scratch_chunk(evaluate: Any, configs: list[PipelineConfig]) -> list[Any]:
@@ -250,9 +251,9 @@ def evaluation_path(
     - ``"batch-shard"`` — parallel, workers receive compact
       :class:`~repro.explore.vectorized.CohortShard` descriptors and
       regenerate state columns locally (nothing per-row is pickled);
-    - ``"batch-chunk"`` — columnar folds per pickled config chunk (the
-      parallel fallback for batch-capable models off the stock shapes);
-    - ``"scalar-memoized"`` — the scalar prefix walk;
+    - ``"scalar-memoized"`` — the generic scalar prefix walk, for
+      ``evaluation="scalar"`` and for models that override any cost
+      step but keep the stock ``evaluate()``;
     - ``"scalar-scratch"`` — per-config ``evaluate()`` for models that
       override it.
 
@@ -260,85 +261,69 @@ def evaluation_path(
     scenario takes *inside* a ``Campaign.run(dedup=...)`` instead:
 
     - ``"batch-dedup"`` — the scenario is campaign-dedupable (it has a
-      :func:`~repro.explore.campaign.scenario_compute_key`) and batch
-      capable: group members close shared columnar states under a
+      :func:`~repro.explore.campaign.scenario_compute_key`) and its
+      model is stock: group members close shared columnar states under a
       multi-link broadcast finalize and hand consumers lazy
       :class:`~repro.explore.vectorized.BatchRows` views.
 
     A dedupable scenario falls back to the solo paths above whenever
     dedup is off/``"materialize"``, ``evaluation="scalar"`` is forced,
-    or the model cannot batch (then shared states are finalized and
+    or the model is not stock (then shared states are finalized and
     materialized per member, the scalar dedup walk).
 
     Purely informational, for self-describing perf repros; raises
     exactly like :func:`explore` for an invalid or unsatisfiable
-    ``evaluation=``.
+    ``evaluation=``, and like ``Campaign.run`` for an invalid
+    ``dedup=``.
     """
     model = scenario.cost_model()
     _check_evaluation_mode(evaluation, model)
+    _check_dedup_mode(dedup)
     resolved = resolve_executor(executor)
     if dedup not in (False, "materialize") and evaluation != "scalar":
         # Imported here: campaign builds on the engine, not vice versa.
         from repro.explore.campaign import scenario_compute_key
 
-        if scenario_compute_key(scenario) is not None and supports_batch_evaluation(
+        if scenario_compute_key(scenario) is not None and uses_stock_cost_semantics(
             model
         ):
             return "batch-dedup"
-    if _cohort_eligible(scenario, model, resolved, evaluation):
+    if _cohort_eligible(model, resolved, evaluation):
         if scenario.prune is not None or scenario.prefix_pruner() is not None:
             return "batch-cohort-pruned"
         return "batch-cohort"
-    if _shard_eligible(scenario, model, resolved, evaluation):
+    if _shard_eligible(model, resolved, evaluation):
         return "batch-shard"
-    if evaluation != "scalar" and supports_batch_evaluation(model):
-        return "batch-chunk"
     if supports_prefix_evaluation(model):
         return "scalar-memoized"
     return "scalar-scratch"
 
 
-def _pruning_batch_ready(scenario: Scenario) -> bool:
-    """Whether the scenario's config-level filters can ride the fused
-    columnar walks: per-config hooks always can (they run as scalar
-    emission-time filters over compacted cohorts / driver-side shard
-    filters), a prefix pruner only through its batch form."""
-    pruner = scenario.prefix_pruner()
-    return pruner is None or pruner.batch_capable
-
-
-def _cohort_eligible(
-    scenario: Scenario, model: Any, executor: SweepExecutor, evaluation: str
-) -> bool:
+def _cohort_eligible(model: Any, executor: SweepExecutor, evaluation: str) -> bool:
     """Whether :func:`explore` may stream whole depth cohorts as
-    columnar batches: serial run and fully stock batch semantics (the
-    cohort walk replicates state arrays, so it must know their layout).
-    Depth pruning composes with cohorts; prefix pruners fuse in as
-    mask compaction when they carry batch forms (both auto-derived
-    pruners do), and per-config hooks filter compacted cohorts at
-    emission time."""
+    columnar batches: serial run and a stock model (the cohort walk
+    replicates state arrays, so it must know their layout). Depth
+    pruning composes with cohorts; the scenario's auto-derived prefix
+    pruner fuses in as mask compaction through its batch form, and
+    per-config hooks filter compacted cohorts at emission time."""
     return (
         evaluation != "scalar"
         and executor.is_serial
-        and uses_stock_batch_semantics(model)
-        and _pruning_batch_ready(scenario)
+        and uses_stock_cost_semantics(model)
     )
 
 
-def _shard_eligible(
-    scenario: Scenario, model: Any, executor: SweepExecutor, evaluation: str
-) -> bool:
+def _shard_eligible(model: Any, executor: SweepExecutor, evaluation: str) -> bool:
     """Whether a parallel run may ship
     :class:`~repro.explore.vectorized.CohortShard` descriptors instead
-    of pickled config chunks: parallel executor and fully stock batch
-    semantics (workers regenerate stock-shaped state columns), with any
-    pruning batch-ready — the driver resolves pruner masks and hooks
-    into explicit survivor indices, so workers never see either."""
+    of pickled config chunks: parallel executor and a stock model
+    (workers regenerate stock-shaped state columns). The submitting
+    process resolves pruner masks and hooks into explicit survivor
+    indices, so workers never see either."""
     return (
         evaluation != "scalar"
         and not executor.is_serial
-        and uses_stock_batch_semantics(model)
-        and _pruning_batch_ready(scenario)
+        and uses_stock_cost_semantics(model)
     )
 
 
@@ -393,9 +378,8 @@ def explore(
         bounds fuse in as mask compaction, per-config hooks as
         emission-time filters), parallel stock runs ship
         :class:`~repro.explore.vectorized.CohortShard` descriptors that
-        workers fold locally, and batch-capable models off the stock
-        shapes fold pickled chunks columnar — falling back to the
-        scalar prefix walk for custom models. ``"batch"`` requires a
+        workers fold locally — falling back to the scalar prefix walk
+        for models that override any cost step. ``"batch"`` requires a
         batch path (raising :class:`ConfigurationError` when the model
         cannot take one); ``"scalar"`` forces the scalar fold. Every
         path produces bit-identical results (:func:`evaluation_path`
@@ -422,7 +406,7 @@ def explore(
     )
     label = f"scenario {scenario.name!r}"
     resolved = resolve_executor(executor)
-    if _cohort_eligible(scenario, model, resolved, evaluation):
+    if _cohort_eligible(model, resolved, evaluation):
         size = chunk_size if chunk_size is not None else resolved.chunk_size
         if size is not None and size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {size}")

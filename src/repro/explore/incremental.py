@@ -37,7 +37,7 @@ from repro.core.cost import (
     ThroughputCostModel,
 )
 from repro.core.pipeline import PipelineConfig
-from repro.errors import ConfigurationError, PipelineError
+from repro.errors import ConfigurationError
 
 
 def supports_prefix_evaluation(model: Any) -> bool:
@@ -58,26 +58,41 @@ def supports_prefix_evaluation(model: Any) -> bool:
     return False
 
 
-def uses_stock_cost_semantics(model: Any) -> bool:
-    """Whether *every* cost-defining step of the model is the stock
-    implementation — ``evaluate``, ``initial_state``, ``extend_state``
-    and ``finalize``.
+#: Every cost-defining step of the stock models: ``evaluate``, the
+#: scalar fold steps and their columnar batch twins.
+_COST_STEPS = (
+    "evaluate",
+    "initial_state",
+    "extend_state",
+    "finalize",
+    "initial_state_batch",
+    "extend_state_batch",
+    "finalize_batch",
+    "finalize_batch_multi",
+)
 
+
+def uses_stock_cost_semantics(model: Any) -> bool:
+    """Whether *every* cost-defining step of the model (see
+    :data:`_COST_STEPS`) is the stock implementation.
+
+    The one gate for everything that assumes the stock cost semantics
+    and state shapes: the columnar paths (cohort walk, shards, batch
+    chunk folds and batch dedup replicate and gather struct-of-arrays
+    states), the bounds ``Scenario.auto_prune`` /
+    ``auto_prune_configs`` derive from the raw ``Implementation``/link
+    tables, and :class:`~repro.explore.vectorized.PrefixStateCache`.
     Stricter than :func:`supports_prefix_evaluation`: a subclass that
-    customizes ``extend_state``/``finalize`` while keeping the stock
-    ``evaluate`` is still prefix-eligible (the walk uses its overridden
-    steps), but its cost semantics are no longer the raw
-    ``Implementation``/link tables — so anything that derives *bounds*
-    from those tables (``Scenario.auto_prune`` /
-    ``auto_prune_configs``) must require this check, not mere
-    prefix-eligibility, or a sound-looking bound could prune
-    configurations the model rates feasible.
+    customizes any step while keeping the stock ``evaluate`` still
+    takes the generic scalar prefix walk through its own steps, but
+    nothing that assumes the stock tables or shapes.
     """
-    steps = ("evaluate", "initial_state", "extend_state", "finalize")
     for base in (ThroughputCostModel, EnergyCostModel):
         if isinstance(model, base):
             cls = type(model)
-            return all(getattr(cls, name) is getattr(base, name) for name in steps)
+            return all(
+                getattr(cls, name) is getattr(base, name) for name in _COST_STEPS
+            )
     return False
 
 
@@ -144,25 +159,20 @@ class PrefixEvaluator:
         self._platforms: tuple[str, ...] = ()
         self._states: list[Any] = []  # state after in-camera block i
         self._link_costs: dict[int, Any] = {}  # cut depth -> finalize arg
-        #: (block index, platform) -> slowest-block label. Keyed by
-        #: position, not id(impl): one Implementation object may be
-        #: registered on several blocks, and the label names the block.
-        self._labels: dict[tuple[int, str], str] = {}
 
     def _reset(self, pipeline) -> None:
         self._pipeline = pipeline
         self._platforms = ()
         self._states = []
         self._link_costs = {}
-        self._labels = {}
 
     def _invalidate_path(self) -> None:
         """Drop the memoized path after a mid-walk exception: the state
         stack no longer corresponds to ``_platforms``, and a later
         evaluation on this evaluator must not extend from it. The
-        per-depth link/label caches stay — they are value-correct
-        regardless of the path. Cleared in place: the evaluation loops
-        hold local aliases of the stack."""
+        per-depth link cache stays — it is value-correct regardless of
+        the path. Cleared in place: the walk holds a local alias of the
+        stack."""
         self._platforms = ()
         del self._states[:]
 
@@ -185,26 +195,26 @@ class PrefixEvaluator:
     ) -> list[ConfigCost | EnergyCost]:
         """Evaluate a configuration sequence (one executor chunk).
 
-        Semantically ``[self.evaluate(c) for c in configs]`` — the loop
-        from :meth:`evaluate` is inlined here with the evaluator state
-        held in locals, because per-config attribute loads and method
-        dispatch dominate once the amortized extension count drops to
-        O(1). The two stock models additionally get fully specialized
-        loops (their ``extend_state``/``finalize`` bodies inlined);
-        eligible subclasses run the generic memoized walk through their
-        overridden steps. The property tests pin every path to
-        from-scratch ``model.evaluate`` results, so they cannot drift
-        apart.
+        Semantically ``[self.evaluate(c) for c in configs]``: one
+        memoized walk through the model's ``extend_state``/``finalize``
+        steps (stock or overridden), pinned by the property tests to
+        from-scratch ``model.evaluate`` results.
         """
         if not self._memoized:
             evaluate = self.evaluate
             return [evaluate(config) for config in configs]
-        model_type = type(self.model)
-        if model_type is ThroughputCostModel:
-            return self._throughput_many(configs)
-        if model_type is EnergyCostModel:
-            return self._energy_many(configs)
-        return self._generic_many(configs)
+        finalize = self.model.finalize
+        out: list[ConfigCost | EnergyCost] = []
+        append_out = out.append
+        for config, state in self._walk_states(configs):
+            n = len(config.platforms)
+            # Re-read the cache each iteration: a pipeline switch inside
+            # the walk replaces it.
+            link_cost = self._link_costs.get(n)
+            if link_cost is None:
+                link_cost = self._link_cost(n, config)
+            append_out(finalize(state, config, link_cost))
+        return out
 
     def _walk_states(
         self, configs: Iterable[PipelineConfig]
@@ -213,7 +223,7 @@ class PrefixEvaluator:
         state) pair per configuration, through the model's overridable
         ``initial_state``/``extend_state`` steps.
 
-        The shared core of :meth:`_generic_many` (which finalizes each
+        The shared core of :meth:`evaluate_many` (which finalizes each
         pair as it arrives) and :meth:`states_many` (which returns the
         pairs themselves) — one copy of the common-prefix matching and
         state-stack bookkeeping, so the two paths cannot drift.
@@ -283,23 +293,6 @@ class PrefixEvaluator:
             self._invalidate_path()
             raise
 
-    def _generic_many(
-        self, configs: Iterable[PipelineConfig]
-    ) -> list[ConfigCost | EnergyCost]:
-        """Memoized walk through the model's extend/finalize methods."""
-        finalize = self.model.finalize
-        out: list[ConfigCost | EnergyCost] = []
-        append_out = out.append
-        for config, state in self._walk_states(configs):
-            n = len(config.platforms)
-            # Re-read the cache each iteration: a pipeline switch inside
-            # the walk replaces it.
-            link_cost = self._link_costs.get(n)
-            if link_cost is None:
-                link_cost = self._link_cost(n, config)
-            append_out(finalize(state, config, link_cost))
-        return out
-
     def states_many(
         self, configs: Iterable[PipelineConfig]
     ) -> list[tuple[PipelineConfig, Any]]:
@@ -328,151 +321,6 @@ class PrefixEvaluator:
             )
         return list(self._walk_states(configs))
 
-    # The two loops below are _generic_many with the stock models'
-    # extend_state/finalize bodies inlined (identical expressions in
-    # identical order, so results stay bit-identical — pinned by the
-    # property tests). At amortized O(1) extensions per configuration,
-    # the per-block method dispatch they remove is the remaining cost.
-
-    def _throughput_many(
-        self, configs: Iterable[PipelineConfig]
-    ) -> list[ConfigCost]:
-        new = object.__new__
-        set_field = object.__setattr__
-        labels = self._labels
-        out: list[ConfigCost] = []
-        append_out = out.append
-        try:
-            for config in configs:
-                if config.pipeline is not self._pipeline:
-                    self._reset(config.pipeline)
-                    labels = self._labels
-                platforms = config.platforms
-                prev = self._platforms
-                states = self._states
-                n = len(platforms)
-                if n and len(prev) >= n - 1 and prev[: n - 1] == platforms[: n - 1]:
-                    common = (
-                        n
-                        if len(prev) >= n and prev[n - 1] == platforms[n - 1]
-                        else n - 1
-                    )
-                else:
-                    common = 0
-                    for mine, theirs in zip(prev, platforms):
-                        if mine != theirs:
-                            break
-                        common += 1
-                if len(states) > common:
-                    del states[common:]
-                state = states[common - 1] if common else (float("inf"), "none")
-                if common < n:
-                    blocks = config.pipeline.blocks
-                    append = states.append
-                    for i in range(common, n):
-                        block = blocks[i]
-                        impl = block.implementations[platforms[i]]
-                        if impl.fps < state[0]:
-                            key = (i, platforms[i])
-                            label = labels.get(key)
-                            if label is None:
-                                label = f"{block.name}({impl.platform})"
-                                labels[key] = label
-                            state = (impl.fps, label)
-                        append(state)
-                self._platforms = platforms
-                communication_fps = self._link_costs.get(n)
-                if communication_fps is None:
-                    communication_fps = self._link_cost(n, config)
-                cost = new(ConfigCost)
-                set_field(cost, "config", config)
-                set_field(cost, "compute_fps", state[0])
-                set_field(cost, "communication_fps", communication_fps)
-                set_field(cost, "slowest_block", state[1])
-                append_out(cost)
-        except KeyError:
-            self._invalidate_path()
-            config.in_camera_blocks()
-            raise
-        except BaseException:
-            self._invalidate_path()
-            raise
-        return out
-
-    def _energy_many(self, configs: Iterable[PipelineConfig]) -> list[EnergyCost]:
-        new = object.__new__
-        set_field = object.__setattr__
-        pass_rates = self.pass_rates
-        out: list[EnergyCost] = []
-        append_out = out.append
-        try:
-            for config in configs:
-                if config.pipeline is not self._pipeline:
-                    self._reset(config.pipeline)
-                platforms = config.platforms
-                prev = self._platforms
-                states = self._states
-                n = len(platforms)
-                if n and len(prev) >= n - 1 and prev[: n - 1] == platforms[: n - 1]:
-                    common = (
-                        n
-                        if len(prev) >= n and prev[n - 1] == platforms[n - 1]
-                        else n - 1
-                    )
-                else:
-                    common = 0
-                    for mine, theirs in zip(prev, platforms):
-                        if mine != theirs:
-                            break
-                        common += 1
-                if len(states) > common:
-                    del states[common:]
-                state = states[common - 1] if common else (1.0, (), 0.0)
-                if common < n:
-                    blocks = config.pipeline.blocks
-                    append = states.append
-                    rate, energies, active = state
-                    for i in range(common, n):
-                        block = blocks[i]
-                        impl = block.implementations[platforms[i]]
-                        energy = rate * impl.energy_per_frame
-                        active = active + rate * impl.active_seconds
-                        block_rate = (
-                            pass_rates.get(block.name, block.pass_rate)
-                            if pass_rates is not None
-                            else block.pass_rate
-                        )
-                        if not 0.0 <= block_rate <= 1.0:
-                            raise PipelineError(
-                                f"pass rate for {block.name!r} must be in [0,1], "
-                                f"got {block_rate}"
-                            )
-                        rate = rate * block_rate
-                        energies = energies + ((block.name, energy),)
-                        state = (rate, energies, active)
-                        append(state)
-                self._platforms = platforms
-                link_cost = self._link_costs.get(n)
-                if link_cost is None:
-                    link_cost = self._link_cost(n, config)
-                rate, energies, active = state
-                cost = new(EnergyCost)
-                set_field(cost, "config", config)
-                set_field(cost, "sensor_energy", config.pipeline.sensor_energy_per_frame)
-                set_field(cost, "block_energies", dict(energies))
-                set_field(cost, "transmit_energy", rate * link_cost[0])
-                set_field(cost, "transmit_rate", rate)
-                set_field(cost, "active_seconds", active + rate * link_cost[1])
-                append_out(cost)
-        except KeyError:
-            self._invalidate_path()
-            config.in_camera_blocks()
-            raise
-        except BaseException:
-            self._invalidate_path()
-            raise
-        return out
-
 
 def evaluate_chunk(
     model: ThroughputCostModel | EnergyCostModel,
@@ -491,10 +339,10 @@ def evaluate_chunk(
     why interleaving a fleet (under any scheduling policy) cannot
     change any scenario's values.
 
-    Batch-capable models fold the chunk columnar (bit-identical values,
-    see :mod:`repro.explore.vectorized`) unless ``allow_batch`` is
-    False; everything else takes the scalar :class:`PrefixEvaluator`.
-    ``prefix_cache`` (an optional
+    Stock models (:func:`uses_stock_cost_semantics`) fold the chunk
+    columnar (bit-identical values, see :mod:`repro.explore.vectorized`)
+    unless ``allow_batch`` is False; everything else takes the scalar
+    :class:`PrefixEvaluator`. ``prefix_cache`` (an optional
     :class:`~repro.explore.vectorized.PrefixStateCache`) lets fleet
     chunks share batched prefix states across scenarios.
 
@@ -502,21 +350,16 @@ def evaluate_chunk(
     :class:`~repro.explore.vectorized.CohortShard` descriptor instead
     of a config sequence: workers then regenerate the rows locally from
     the flat indices (O(depth) array work, nothing per-row pickled) —
-    the shard-eligibility gate guarantees a batch-capable stock model.
+    the shard-eligibility gate guarantees a stock model.
     """
-    from repro.explore.vectorized import CohortShard, batch_prefix_evaluator
+    from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
 
     if isinstance(configs, CohortShard):
-        batch = batch_prefix_evaluator(model, pass_rates, prefix_cache)
-        if batch is None:
-            raise ConfigurationError(
-                "CohortShard evaluation requires a batch-capable cost model"
-            )
+        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
         return batch.evaluate_shard(configs)
-    if allow_batch:
-        batch = batch_prefix_evaluator(model, pass_rates, prefix_cache)
-        if batch is not None:
-            return batch.evaluate_many(configs)
+    if allow_batch and uses_stock_cost_semantics(model):
+        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
+        return batch.evaluate_many(configs)
     return PrefixEvaluator(model, pass_rates).evaluate_many(configs)
 
 
@@ -533,7 +376,7 @@ def evaluate_chunk_states(
     pipeline's chunks through this when several scenarios will finalize
     the same compute-side states under their own links.
 
-    Batch-capable models return the states columnar as a
+    Stock models return the states columnar as a
     :class:`~repro.explore.vectorized.BatchChunkStates` (the finalizer
     branches on the type) whose segments carry the decoded choice
     matrix and per-level platform names alongside each depth-cohort
@@ -545,17 +388,12 @@ def evaluate_chunk_states(
     :class:`~repro.explore.vectorized.CohortShard` the worker decodes
     locally.
     """
-    from repro.explore.vectorized import CohortShard, batch_prefix_evaluator
+    from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
 
     if isinstance(configs, CohortShard):
-        batch = batch_prefix_evaluator(model, pass_rates, prefix_cache)
-        if batch is None:
-            raise ConfigurationError(
-                "CohortShard evaluation requires a batch-capable cost model"
-            )
+        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
         return batch.states_shard(configs)
-    if allow_batch:
-        batch = batch_prefix_evaluator(model, pass_rates, prefix_cache)
-        if batch is not None:
-            return batch.states_chunk(configs)
+    if allow_batch and uses_stock_cost_semantics(model):
+        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
+        return batch.states_chunk(configs)
     return PrefixEvaluator(model, pass_rates).states_many(configs)

@@ -69,6 +69,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.report import TextTable, joint_fleet_summary_table
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore.campaign import Campaign, CampaignResult
@@ -79,11 +81,6 @@ from repro.explore.result import best_row
 from repro.explore.scenario import Scenario
 from repro.explore.sink import ResultSink
 from repro.units import bytes_to_bits
-
-try:  # the sink's columnar fast path; the row path needs nothing
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 @dataclass(frozen=True)
@@ -291,8 +288,7 @@ class JointCandidateSink(ResultSink):
 
     def write_batch(self, batch: Any) -> None:
         """One cohort batch -> at most one materialized winner row."""
-        if _np is None or len(batch) == 0:
-            self.write_rows(batch.rows())
+        if len(batch) == 0:
             return
         try:
             fps = batch.metric_column("total_fps")
@@ -303,7 +299,7 @@ class JointCandidateSink(ResultSink):
         mask = feasible.astype(bool)
         if not bool(mask.any()):
             return
-        masked = _np.where(mask, fps, -_np.inf)
+        masked = np.where(mask, fps, -np.inf)
         best = masked.max()
         # argmax of the masked column returns the FIRST index attaining
         # the maximum — exactly the stream-order tie rule.

@@ -28,10 +28,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-try:  # numpy backs the optional batch pruner forms; scalar pruning never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as np
 
 from repro.core.cost import option_energy_columns, option_fps_column
 from repro.core.pipeline import InCameraPipeline
@@ -142,30 +139,28 @@ def compute_fps_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
         floor = state if state < fps else fps
         return PRUNED_SUBTREE if floor < target else floor
 
-    initial_batch = extend_batch = None
-    if _np is not None:
-        # Batch form: state is one float column (the running min fps per
-        # cohort row). The bound is depth-monotone — a row the mask
-        # keeps is feasible-so-far at every remaining depth — so the
-        # compacted cohort is already the exact survivor set and no
-        # emit_mask is needed.
-        fps_columns = [
-            option_fps_column(
-                [block.implementations[name] for name in sorted(block.implementations)]
-            )
-            for block in scenario.pipeline.blocks
-        ]
+    # Batch form: state is one float column (the running min fps per
+    # cohort row). The bound is depth-monotone — a row the mask
+    # keeps is feasible-so-far at every remaining depth — so the
+    # compacted cohort is already the exact survivor set and no
+    # emit_mask is needed.
+    fps_columns = [
+        option_fps_column(
+            [block.implementations[name] for name in sorted(block.implementations)]
+        )
+        for block in scenario.pipeline.blocks
+    ]
 
-        def initial_batch(n: int) -> tuple:
-            return (_np.full(n, float("inf")),)
+    def initial_batch(n: int) -> tuple:
+        return (np.full(n, float("inf")),)
 
-        def extend_batch(block_index: int, choices, state: tuple):
-            (floor,) = state
-            fps = fps_columns[block_index][choices]
-            # Elementwise twin of the scalar `state if state < fps else
-            # fps` branch (not np.minimum: NaN/tie semantics differ).
-            floor = _np.where(floor < fps, floor, fps)
-            return (floor,), ~(floor < target)
+    def extend_batch(block_index: int, choices, state: tuple):
+        (floor,) = state
+        fps = fps_columns[block_index][choices]
+        # Elementwise twin of the scalar `state if state < fps else
+        # fps` branch (not np.minimum: NaN/tie semantics differ).
+        floor = np.where(floor < fps, floor, fps)
+        return (floor,), ~(floor < target)
 
     return PrefixPruner(
         initial=float("inf"),
@@ -304,53 +299,51 @@ def energy_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
 
         return extend_at_depth
 
-    initial_batch = extend_batch = emit_mask = None
-    if _np is not None:
-        # Batch form of the dual bound. The dual tails are *not*
-        # depth-monotone (a prefix cut in the depth-``d`` walk can
-        # survive the depth-``d+1`` walk on late-collapsing payload
-        # chains), so the batch state carries one accumulated violation
-        # column per target cut depth: ``viol_d[i]`` is True iff the
-        # scalar depth-``d`` DFS would have cut row ``i``'s prefix at
-        # some level walked so far (the |= accumulation mirrors the
-        # scalar walk's earliest-cut short-circuit). A row is compacted
-        # away only when violated for *every* remaining depth — the
-        # exact generic-extend soundness contract — and the emit mask
-        # for depth ``d`` is simply ``~viol_d``, reproducing the
-        # depth-aware survivor set byte-for-byte.
-        energy_columns = [
-            option_energy_columns(
-                [pipeline.blocks[depth - 1].implementations[name] for name in options]
-            )[0]
-            for depth, options in enumerate(option_lists, start=1)
-        ]
+    # Batch form of the dual bound. The dual tails are *not*
+    # depth-monotone (a prefix cut in the depth-``d`` walk can
+    # survive the depth-``d+1`` walk on late-collapsing payload
+    # chains), so the batch state carries one accumulated violation
+    # column per target cut depth: ``viol_d[i]`` is True iff the
+    # scalar depth-``d`` DFS would have cut row ``i``'s prefix at
+    # some level walked so far (the |= accumulation mirrors the
+    # scalar walk's earliest-cut short-circuit). A row is compacted
+    # away only when violated for *every* remaining depth — the
+    # exact generic-extend soundness contract — and the emit mask
+    # for depth ``d`` is simply ``~viol_d``, reproducing the
+    # depth-aware survivor set byte-for-byte.
+    energy_columns = [
+        option_energy_columns(
+            [pipeline.blocks[depth - 1].implementations[name] for name in options]
+        )[0]
+        for depth, options in enumerate(option_lists, start=1)
+    ]
 
-        def initial_batch(n: int) -> tuple:
-            return (
-                _np.ones(n),
-                _np.full(n, sensor),
-                *(_np.zeros(n, dtype=bool) for _ in range(n_depths)),
+    def initial_batch(n: int) -> tuple:
+        return (
+            np.ones(n),
+            np.full(n, sensor),
+            *(np.zeros(n, dtype=bool) for _ in range(n_depths)),
+        )
+
+    def extend_batch(block_index: int, choices, state: tuple):
+        rate, energy = state[0], state[1]
+        viols = list(state[2:])
+        energy = energy + rate * energy_columns[block_index][choices]
+        rate = rate * rates[block_index]
+        prefix_len = block_index + 1
+        keep = np.zeros(len(rate), dtype=bool)
+        for d in range(prefix_len, n_depths + 1):
+            # tails_for_depth[d][prefix_len] is the scalar walk's
+            # tail[block_index + 1]; same floats, same order.
+            viol = viols[d - 1] | (
+                energy + rate * tails_for_depth[d][prefix_len] > budget
             )
+            viols[d - 1] = viol
+            keep |= ~viol
+        return (rate, energy, *viols), keep
 
-        def extend_batch(block_index: int, choices, state: tuple):
-            rate, energy = state[0], state[1]
-            viols = list(state[2:])
-            energy = energy + rate * energy_columns[block_index][choices]
-            rate = rate * rates[block_index]
-            prefix_len = block_index + 1
-            keep = _np.zeros(len(rate), dtype=bool)
-            for d in range(prefix_len, n_depths + 1):
-                # tails_for_depth[d][prefix_len] is the scalar walk's
-                # tail[block_index + 1]; same floats, same order.
-                viol = viols[d - 1] | (
-                    energy + rate * tails_for_depth[d][prefix_len] > budget
-                )
-                viols[d - 1] = viol
-                keep |= ~viol
-            return (rate, energy, *viols), keep
-
-        def emit_mask(depth: int, state: tuple):
-            return ~state[1 + depth]
+    def emit_mask(depth: int, state: tuple):
+        return ~state[1 + depth]
 
     return PrefixPruner(
         initial=(1.0, sensor),

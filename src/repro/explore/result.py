@@ -22,10 +22,7 @@ import json
 import math
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
-try:  # numpy backs the columnar batch fast paths; scalar folds never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    _np = None
+import numpy as np
 
 from repro.core.cost import ConfigCost, EnergyCost
 from repro.core.report import TextTable
@@ -407,13 +404,9 @@ class ParetoFrontier:
         through the scalar :meth:`add`, which re-checks them against the
         *current* frontier, including earlier survivors of this batch.
 
-        Falls back to the row path when numpy is unavailable or an axis
-        is not columnar (:meth:`BatchRows.metric_column` raises
-        ``KeyError``).
+        Falls back to the row path when an axis is not columnar
+        (:meth:`BatchRows.metric_column` raises ``KeyError``).
         """
-        if _np is None:
-            self.add(batch.rows())
-            return
         m = len(batch)
         if m == 0:
             return
@@ -424,20 +417,20 @@ class ParetoFrontier:
             return
         keys = []
         for column, flag in zip(columns, self._flags):
-            column = _np.asarray(column, dtype=float)
+            column = np.asarray(column, dtype=float)
             keys.append(column if flag else -column)
         # NaN axis values raise positionally in the scalar fold; limit
         # the vectorized pass to the rows before the first NaN and let
         # add() produce the exact error for the offender.
-        bad = _np.zeros(m, dtype=bool)
+        bad = np.zeros(m, dtype=bool)
         for key in keys:
-            bad |= _np.isnan(key)
-        limit = int(_np.argmax(bad)) if bad.any() else m
+            bad |= np.isnan(key)
+        limit = int(np.argmax(bad)) if bad.any() else m
         base = self.n_seen
-        survivors = _np.ones(limit, dtype=bool)
+        survivors = np.ones(limit, dtype=bool)
         if self._keys and limit:
-            frontier = _np.array(self._keys, dtype=float)  # (n_front, axes)
-            candidates = _np.stack([key[:limit] for key in keys], axis=1)
+            frontier = np.array(self._keys, dtype=float)  # (n_front, axes)
+            candidates = np.stack([key[:limit] for key in keys], axis=1)
             # Chunk the (n_front, block, axes) broadcast to ~4M elements.
             step = max(1, 4_000_000 // (frontier.shape[0] * frontier.shape[1]))
             for lo in range(0, limit, step):
@@ -446,7 +439,7 @@ class ParetoFrontier:
                 gt = frontier[:, None, :] > block[None, :, :]
                 dominated = (geq.all(axis=2) & gt.any(axis=2)).any(axis=0)
                 survivors[lo : lo + step] = ~dominated
-        for idx in _np.nonzero(survivors)[0].tolist():
+        for idx in np.nonzero(survivors)[0].tolist():
             self.n_seen = base + idx  # add() restores idx+1 itself
             self.add([batch.row(idx)])
         self.n_seen = base + limit
@@ -539,11 +532,8 @@ class TopK:
         strict ``>`` mask is a superset of the rows the scalar fold
         would admit). Masked-in candidates still fold through the scalar
         :meth:`add` against the current root. Falls back to the row path
-        when numpy is unavailable or the metric is not columnar.
+        when the metric is not columnar.
         """
-        if _np is None:
-            self.add(batch.rows())
-            return
         m = len(batch)
         if m == 0:
             return
@@ -552,11 +542,11 @@ class TopK:
         except KeyError:
             self.add(batch.rows())
             return
-        values = _np.asarray(column, dtype=float)
+        values = np.asarray(column, dtype=float)
         if not self.maximize:
             values = -values
-        bad = _np.isnan(values)
-        limit = int(_np.argmax(bad)) if bad.any() else m
+        bad = np.isnan(values)
+        limit = int(np.argmax(bad)) if bad.any() else m
         base = self.n_seen
         k, heap = self.k, self._heap
         start = 0
@@ -568,7 +558,7 @@ class TopK:
                 start += 1
             if start < limit:
                 root_value = heap[0][0][0]
-                for off in _np.nonzero(values[start:limit] > root_value)[0].tolist():
+                for off in np.nonzero(values[start:limit] > root_value)[0].tolist():
                     idx = start + off
                     self.n_seen = base + idx
                     self.add([batch.row(idx)])

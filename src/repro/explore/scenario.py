@@ -174,15 +174,15 @@ class Scenario:
             if not uses_stock_cost_semantics(self.model):
                 # The derived bounds encode the *stock* models' cost
                 # semantics (impl fps / link rates); a model overriding
-                # any cost step — evaluate(), or extend_state/finalize
-                # even with the stock evaluate kept — may rate
+                # any cost step — evaluate(), a scalar step or its batch
+                # twin, even with the stock evaluate kept — may rate
                 # configurations differently, and a bound against the
                 # wrong semantics could silently drop feasible designs.
                 # Fail fast instead.
                 raise ConfigurationError(
                     "auto_prune/auto_prune_configs derive bounds from the "
                     "stock cost-model semantics; a model overriding "
-                    "evaluate/initial_state/extend_state/finalize cannot "
+                    "evaluate or any scalar/batch cost step cannot "
                     "be soundly bounded — use explicit prune/prune_depth "
                     "hooks instead"
                 )

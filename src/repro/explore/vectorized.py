@@ -46,10 +46,10 @@ Pruned and parallel runs ride the same columnar core:
   prefix plan in O(depth) array operations
   (:meth:`BatchPrefixEvaluator.evaluate_shard`).
 
-Custom models fall back automatically: :func:`supports_batch_evaluation`
-admits a model only when every customized scalar step has a matching
-batch override (and numpy is importable); everything else rides the
-scalar :class:`~repro.explore.incremental.PrefixEvaluator`.
+Only models whose every cost step is stock
+(:func:`~repro.explore.incremental.uses_stock_cost_semantics`) take
+these paths; any other model rides the generic scalar
+:class:`~repro.explore.incremental.PrefixEvaluator` walk.
 
 :class:`PrefixStateCache` extends campaign dedup from whole-space
 sharing to trie-keyed *partial* sharing: each depth-``j`` prefix of a
@@ -63,10 +63,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable, Iterator, Sequence
 
-try:  # the batch path is optional; everything degrades to scalar without it
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 from repro.core.cost import (
     ConfigCost,
@@ -78,80 +75,12 @@ from repro.core.cost import (
 from repro.core.pipeline import InCameraPipeline, PipelineConfig, _digest
 from repro.errors import ConfigurationError
 from repro.explore.enumerate import _normalize_hooks, enumeration_plan
-from repro.explore.incremental import depth_link_cost, supports_prefix_evaluation
+from repro.explore.incremental import depth_link_cost, uses_stock_cost_semantics
 from repro.explore.result import cost_row
-
-#: (scalar step, batch counterpart) pairs the capability probe checks.
-_STEP_PAIRS = (
-    ("initial_state", "initial_state_batch"),
-    ("extend_state", "extend_state_batch"),
-    ("finalize", "finalize_batch"),
-)
-
-
-def supports_batch_evaluation(model: Any) -> bool:
-    """Whether a model is safe to evaluate through the columnar batch
-    path — the batch-capability probe next to
-    :func:`~repro.explore.incremental.supports_prefix_evaluation`.
-
-    Requires numpy, a prefix-eligible model (stock ``evaluate``), and
-    per-step consistency: for each (scalar, batch) step pair, a subclass
-    that overrides the scalar step must override the batch counterpart
-    too — otherwise the stock batch kernel would silently bypass the
-    customized scalar semantics. Overriding only the batch step (a
-    faster kernel with identical semantics) stays eligible, as does the
-    fully stock model.
-    """
-    if np is None or not supports_prefix_evaluation(model):
-        return False
-    for base in (ThroughputCostModel, EnergyCostModel):
-        if isinstance(model, base):
-            cls = type(model)
-            for scalar_name, batch_name in _STEP_PAIRS:
-                scalar_stock = getattr(cls, scalar_name) is getattr(base, scalar_name)
-                batch_stock = getattr(cls, batch_name) is getattr(base, batch_name)
-                if not scalar_stock and batch_stock:
-                    return False
-            return True
-    return False
-
-
-def uses_stock_batch_semantics(model: Any) -> bool:
-    """Whether every scalar *and* batch cost step is the stock
-    implementation.
-
-    Stricter than :func:`supports_batch_evaluation`, for the paths that
-    assume the stock state *shapes*: cohort enumeration replicates state
-    arrays across options and the prefix-state cache gathers rows by
-    index, both of which require knowing the struct-of-arrays layout. A
-    subclass with matching scalar+batch overrides is still batch-capable
-    (per-chunk folds never reshape states) but takes neither shortcut.
-    """
-    if np is None or not supports_prefix_evaluation(model):
-        return False
-    steps = ("evaluate",) + tuple(name for pair in _STEP_PAIRS for name in pair)
-    for base in (ThroughputCostModel, EnergyCostModel):
-        if isinstance(model, base):
-            cls = type(model)
-            return all(getattr(cls, name) is getattr(base, name) for name in steps)
-    return False
-
-
-def batch_prefix_evaluator(
-    model: Any,
-    pass_rates: dict[str, float] | None = None,
-    prefix_cache: "PrefixStateCache | None" = None,
-) -> "BatchPrefixEvaluator | None":
-    """A :class:`BatchPrefixEvaluator` for the model, or None when it is
-    not batch-capable (the chunk entry points' one-line dispatch)."""
-    if not supports_batch_evaluation(model):
-        return None
-    return BatchPrefixEvaluator(model, pass_rates, prefix_cache=prefix_cache)
-
 
 # -- stock state-shape helpers ------------------------------------------
 # Only the fully stock models reach these (gated by
-# uses_stock_batch_semantics): throughput states are (fps array, label
+# uses_stock_cost_semantics): throughput states are (fps array, label
 # array), energy states (rate array, ((name, energy array), ...), active
 # array).
 
@@ -187,10 +116,10 @@ def _materialize_costs(
 ) -> list[ConfigCost | EnergyCost]:
     """Cost objects for every row of a finalized column mapping.
 
-    Mirrors the stock ``finalize`` field-for-field (same
-    ``object.__new__`` construction the scalar hot loops use); array
-    values pass through ``tolist()`` so every field is a plain Python
-    float/str, indistinguishable from scalar evaluation.
+    Mirrors the stock ``finalize`` field-for-field, with the same
+    ``object.__new__`` construction; array values pass through
+    ``tolist()`` so every field is a plain Python float/str,
+    indistinguishable from scalar evaluation.
     """
     new = object.__new__
     set_field = object.__setattr__
@@ -643,8 +572,9 @@ class BatchPrefixEvaluator:
     evaluator (and to brute force) — asserted row-for-row by the
     invariant suite.
 
-    ``prefix_cache`` plugs in a :class:`PrefixStateCache` (ignored for
-    models with custom batch steps, whose state shapes are unknown).
+    ``prefix_cache`` plugs in a :class:`PrefixStateCache`. Only stock
+    models (:func:`~repro.explore.incremental.uses_stock_cost_semantics`)
+    are accepted: every path here assumes the stock state shapes.
     """
 
     def __init__(
@@ -657,19 +587,16 @@ class BatchPrefixEvaluator:
             raise ConfigurationError(
                 "pass_rates only apply to EnergyCostModel evaluation"
             )
-        if not supports_batch_evaluation(model):
+        if not uses_stock_cost_semantics(model):
             raise ConfigurationError(
-                "model is not batch-capable (numpy missing, custom evaluate(), "
-                "or a customized scalar step without its batch counterpart); "
-                "use the scalar PrefixEvaluator"
+                "model is not batch-capable (it overrides a cost step, so "
+                "the stock columnar kernels would bypass it); use the "
+                "scalar PrefixEvaluator"
             )
         self.model = model
         self.pass_rates = pass_rates
         self._energy = isinstance(model, EnergyCostModel)
-        self._stock = uses_stock_batch_semantics(model)
-        # Cache entries assume the stock state layout; a model with
-        # custom (matched) batch steps folds every chunk from the root.
-        self.prefix_cache = prefix_cache if self._stock else None
+        self.prefix_cache = prefix_cache
         self._plans: dict[int, _PipelinePlan] = {}
 
     def _plan_for(self, pipeline: InCameraPipeline) -> _PipelinePlan:
@@ -799,12 +726,6 @@ class BatchPrefixEvaluator:
         trusted configs — mixed-radix decode from the least significant
         (deepest) level, the inverse of the enumeration's
         ``flat = flat * k + choice`` accumulation."""
-        if not self._stock:
-            raise ConfigurationError(
-                "shard evaluation needs fully stock batch cost semantics "
-                "(custom batch steps have unknown state shapes); ship "
-                "config chunks through evaluate_many instead"
-            )
         plan = self._plan_for(shard.pipeline)
         levels = plan.levels
         depth = shard.depth
@@ -896,12 +817,6 @@ class BatchPrefixEvaluator:
           enumeration order with the scalar path's short-circuit
           semantics (hooks see only rows every other filter kept).
         """
-        if not self._stock:
-            raise ConfigurationError(
-                "cohort enumeration needs fully stock batch cost semantics "
-                "(custom batch steps have unknown state shapes); evaluate "
-                "chunks through evaluate_many instead"
-            )
         pruner = scenario.prefix_pruner()
         if pruner is not None and not pruner.batch_capable:
             raise ConfigurationError(

@@ -29,14 +29,13 @@ import pytest
 
 from repro.datasets.rng import make_rng
 from repro.explore import (
+    BatchPrefixEvaluator,
     Campaign,
     PrefixStateCache,
     explore,
-    supports_batch_evaluation,
 )
-from repro.explore.incremental import PrefixEvaluator
+from repro.explore.incremental import PrefixEvaluator, uses_stock_cost_semantics
 from repro.explore.result import cost_row
-from repro.explore.vectorized import batch_prefix_evaluator
 
 SEEDS = range(12)
 
@@ -71,13 +70,12 @@ def test_batch_fold_equals_scalar_fold_on_shuffled_configs(gen, seed):
     rng = make_rng(seed)
     scenario = gen.scenario(rng, name=f"fold-{seed}")
     model = scenario.cost_model()
-    assert supports_batch_evaluation(model)
+    assert uses_stock_cost_semantics(model)
     configs = list(scenario.iter_configs())
     order = rng.permutation(len(configs))
     configs = [configs[int(i)] for i in order]
 
-    batch = batch_prefix_evaluator(model, pass_rates=scenario.pass_rates)
-    assert batch is not None
+    batch = BatchPrefixEvaluator(model, pass_rates=scenario.pass_rates)
     scalar = PrefixEvaluator(model, pass_rates=scenario.pass_rates)
     got = [cost_row(scenario, cost) for cost in batch.evaluate_many(configs)]
     want = [cost_row(scenario, scalar.evaluate(config)) for config in configs]
@@ -111,9 +109,9 @@ def test_prefix_cache_changes_counters_never_rows(gen, seed):
     model = scenario.cost_model()
     configs = list(scenario.iter_configs())
 
-    plain = batch_prefix_evaluator(model, pass_rates=scenario.pass_rates)
+    plain = BatchPrefixEvaluator(model, pass_rates=scenario.pass_rates)
     cache = PrefixStateCache()
-    cached = batch_prefix_evaluator(
+    cached = BatchPrefixEvaluator(
         model, pass_rates=scenario.pass_rates, prefix_cache=cache
     )
     want = [cost_row(scenario, c) for c in plain.evaluate_many(configs)]
@@ -123,7 +121,7 @@ def test_prefix_cache_changes_counters_never_rows(gen, seed):
     # A second evaluator sharing the cache (a dedup sibling) reuses the
     # stored prefixes — and still produces identical rows.
     misses_after_first = cache.misses
-    sibling = batch_prefix_evaluator(
+    sibling = BatchPrefixEvaluator(
         model, pass_rates=scenario.pass_rates, prefix_cache=cache
     )
     second = [cost_row(scenario, c) for c in sibling.evaluate_many(configs)]

@@ -29,6 +29,7 @@ from repro.explore import (
     Campaign,
     FleetSpec,
     SweepExecutor,
+    evaluation_path,
     explore,
     scenario_compute_key,
 )
@@ -267,3 +268,7 @@ def test_invalid_dedup_mode_raises():
     ]
     with pytest.raises(ConfigurationError):
         Campaign(fleet).run(dedup="eager")
+    # evaluation_path validates dedup= with the same modes.
+    for bogus in ("eager", None):
+        with pytest.raises(ConfigurationError, match="dedup must be"):
+            evaluation_path(fleet[0], dedup=bogus)

@@ -604,8 +604,14 @@ def test_auto_pruning_rejects_custom_models():
             fps, label = super().extend_state(state, block, impl)
             return (2.0 * fps, label)
 
+    class BatchOnly(ThroughputCostModel):
+        # Only a batch kernel overridden: still off the stock semantics
+        # the bounds assume.
+        def extend_state_batch(self, state, block, impls, choices):
+            return super().extend_state_batch(state, block, impls, choices)
+
     base = fig10_scenario()
-    for model in (Doubler(base.link), Pipelined(base.link)):
+    for model in (Doubler(base.link), Pipelined(base.link), BatchOnly(base.link)):
         for knob in ({"auto_prune": True}, {"auto_prune_configs": True}):
             with pytest.raises(ConfigurationError, match="soundly bounded"):
                 fig10_scenario(model=model, **knob)

@@ -1,7 +1,7 @@
 """The columnar batch evaluation core (`repro.explore.vectorized`).
 
 Unit coverage for the pieces the invariant suite exercises end-to-end:
-the batch-capability probes and their subclass-override matrix, the
+the cost-semantics probes and their subclass-override matrix, the
 ``evaluation=`` knob and path report, :class:`BatchRows` laziness and
 columnar metrics, the columnar sink folds (``add_batch`` ==  scalar
 ``add``, including NaN positions and ties), the partial prefix cache,
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.block import Block, Implementation
@@ -32,21 +33,15 @@ from repro.explore import (
     TopKSink,
     evaluation_path,
     explore,
-    supports_batch_evaluation,
-    uses_stock_batch_semantics,
+    explore_brute_force,
+    supports_prefix_evaluation,
 )
 from repro.explore.engine import iter_evaluation_chunks
+from repro.explore.incremental import evaluate_chunk, uses_stock_cost_semantics
 from repro.explore.result import ParetoFrontier, cost_row
 from repro.explore.sink import uses_columnar_writes
-from repro.explore.vectorized import (
-    BatchChunkStates,
-    BatchRows,
-    batch_prefix_evaluator,
-    np,
-)
+from repro.explore.vectorized import BatchChunkStates, CohortShard
 from repro.hw.network import LinkModel
-
-pytestmark = pytest.mark.skipif(np is None, reason="numpy unavailable")
 
 
 def build_pipeline(n_blocks: int = 3) -> InCameraPipeline:
@@ -87,20 +82,20 @@ def build_scenario(**overrides) -> Scenario:
     return Scenario(**kwargs)
 
 
-# -- capability probes ---------------------------------------------------
+# -- the cost-semantics probe ---------------------------------------------
 
 
 class _ScalarOnlyOverride(ThroughputCostModel):
-    """Customizes a scalar step without its batch counterpart: the stock
-    batch kernel would silently bypass it."""
+    """Customizes a scalar step only: the stock batch kernel would
+    silently bypass it."""
 
     def extend_state(self, state, block, impl):
         return super().extend_state(state, block, impl)
 
 
 class _MatchedOverride(ThroughputCostModel):
-    """Customizes a scalar step and its batch counterpart: batch-capable,
-    but the state shapes are its own business."""
+    """Customizes a scalar step and its batch twin: not stock, so it
+    takes the generic scalar walk through its own scalar step."""
 
     def extend_state(self, state, block, impl):
         return super().extend_state(state, block, impl)
@@ -110,7 +105,8 @@ class _MatchedOverride(ThroughputCostModel):
 
 
 class _BatchOnlyOverride(ThroughputCostModel):
-    """A faster batch kernel with stock scalar semantics: eligible."""
+    """Customizes only a batch kernel: not stock either, so the kernel
+    is never called and the stock scalar steps run."""
 
     def extend_state_batch(self, state, block, impls, choices):
         return super().extend_state_batch(state, block, impls, choices)
@@ -121,55 +117,56 @@ class _CustomEvaluate(ThroughputCostModel):
         return super().evaluate(config)
 
 
+_STEP_OVERRIDES = (_ScalarOnlyOverride, _MatchedOverride, _BatchOnlyOverride)
+
+
 def test_probes_on_stock_models():
     for model in (ThroughputCostModel(LINK), EnergyCostModel(LINK)):
-        assert supports_batch_evaluation(model)
-        assert uses_stock_batch_semantics(model)
+        assert supports_prefix_evaluation(model)
+        assert uses_stock_cost_semantics(model)
 
 
 def test_probes_on_override_matrix():
-    assert not supports_batch_evaluation(_ScalarOnlyOverride(LINK))
-    assert supports_batch_evaluation(_MatchedOverride(LINK))
-    assert supports_batch_evaluation(_BatchOnlyOverride(LINK))
-    assert not supports_batch_evaluation(_CustomEvaluate(LINK))
-    # Any override at all disqualifies the stock-shape shortcuts.
-    for model in (
-        _ScalarOnlyOverride(LINK),
-        _MatchedOverride(LINK),
-        _BatchOnlyOverride(LINK),
-        _CustomEvaluate(LINK),
-    ):
-        assert not uses_stock_batch_semantics(model)
-    assert not supports_batch_evaluation(object())
-    assert not uses_stock_batch_semantics(object())
+    for cls in _STEP_OVERRIDES:
+        assert supports_prefix_evaluation(cls(LINK))
+    assert not supports_prefix_evaluation(_CustomEvaluate(LINK))
+    # Any override at all leaves the stock cost semantics.
+    for cls in (*_STEP_OVERRIDES, _CustomEvaluate):
+        assert not uses_stock_cost_semantics(cls(LINK))
+    assert not supports_prefix_evaluation(object())
+    assert not uses_stock_cost_semantics(object())
 
 
 def test_batch_prefix_evaluator_dispatch():
-    assert batch_prefix_evaluator(_ScalarOnlyOverride(LINK)) is None
-    assert isinstance(
-        batch_prefix_evaluator(ThroughputCostModel(LINK)), BatchPrefixEvaluator
-    )
-    with pytest.raises(ConfigurationError, match="not batch-capable"):
-        BatchPrefixEvaluator(_ScalarOnlyOverride(LINK))
+    assert BatchPrefixEvaluator(ThroughputCostModel(LINK)).prefix_cache is None
+    for cls in _STEP_OVERRIDES:
+        with pytest.raises(ConfigurationError, match="not batch-capable"):
+            BatchPrefixEvaluator(cls(LINK))
     with pytest.raises(ConfigurationError, match="pass_rates only apply"):
         BatchPrefixEvaluator(ThroughputCostModel(LINK), pass_rates={"B0": 0.5})
 
 
 def test_matched_override_refuses_cohort_enumeration():
-    evaluator = BatchPrefixEvaluator(_MatchedOverride(LINK))
-    with pytest.raises(ConfigurationError, match="stock batch cost semantics"):
-        next(evaluator.iter_scenario_batches(build_scenario()))
+    pipeline = build_pipeline()
+    shard = CohortShard(pipeline, 2, 0, 4)
+    with pytest.raises(ConfigurationError, match="not batch-capable"):
+        evaluate_chunk(_MatchedOverride(LINK), None, shard)
+    # The stock model decodes the same shard.
+    assert len(evaluate_chunk(ThroughputCostModel(LINK), None, shard)) == 4
 
 
 def test_matched_override_still_folds_chunks_bit_identically():
     scenario = build_scenario()
-    model = _MatchedOverride(LINK)
     configs = list(scenario.iter_configs())
-    batch = BatchPrefixEvaluator(model)
-    scalar = PrefixEvaluator(model)
-    got = [cost_row(scenario, c) for c in batch.evaluate_many(configs)]
-    want = [cost_row(scenario, scalar.evaluate(c)) for c in configs]
-    assert json.dumps(got) == json.dumps(want)
+    for cls in (_MatchedOverride, _BatchOnlyOverride):
+        model = cls(LINK)
+        scalar = PrefixEvaluator(model)
+        got = [cost_row(scenario, c) for c in evaluate_chunk(model, None, configs)]
+        want = [cost_row(scenario, scalar.evaluate(c)) for c in configs]
+        assert json.dumps(got) == json.dumps(want), cls.__name__
+        custom = build_scenario(model=model, link=None)
+        oracle = explore_brute_force(custom)
+        assert json.dumps(explore(custom).rows) == json.dumps(oracle.rows)
 
 
 # -- the evaluation= knob and path report --------------------------------
@@ -193,10 +190,12 @@ def test_evaluation_path_values():
     pruned = build_scenario(auto_prune=True, auto_prune_configs=True)
     assert evaluation_path(pruned) == "batch-cohort-pruned"
     assert evaluation_path(pruned, SweepExecutor(workers=2)) == "batch-shard"
-    # A batch-capable model off the stock shapes still chunks.
-    matched = build_scenario(model=_MatchedOverride(LINK), link=None)
-    assert evaluation_path(matched) == "batch-chunk"
-    assert evaluation_path(matched, SweepExecutor(workers=2)) == "batch-chunk"
+    # A model overriding any cost step, batch twin included, takes the
+    # generic scalar walk, serially and on a pool.
+    for cls in (_MatchedOverride, _BatchOnlyOverride):
+        custom = build_scenario(model=cls(LINK), link=None)
+        assert evaluation_path(custom) == "scalar-memoized"
+        assert evaluation_path(custom, SweepExecutor(workers=2)) == "scalar-memoized"
 
 
 def test_evaluation_mode_validation():
@@ -209,6 +208,10 @@ def test_evaluation_mode_validation():
         iter_evaluation_chunks(
             _ScalarOnlyOverride(LINK), iter(()), evaluation="batch"
         )
+    for cls in (_MatchedOverride, _BatchOnlyOverride):
+        custom = build_scenario(model=cls(LINK), link=None)
+        with pytest.raises(ConfigurationError, match="batch-capable cost model"):
+            explore(custom, evaluation="batch")
 
 
 def test_explore_modes_agree_on_rows():
@@ -507,6 +510,15 @@ def test_prefix_state_cache_stats_snapshot():
 
 
 def test_prefix_cache_ignored_for_custom_batch_models():
+    """Models off the stock semantics never reach the columnar core, so
+    their chunks leave a fleet-shared prefix cache untouched."""
+    scenario = build_scenario()
+    configs = list(scenario.iter_configs())
     cache = PrefixStateCache()
-    evaluator = BatchPrefixEvaluator(_MatchedOverride(LINK), prefix_cache=cache)
-    assert evaluator.prefix_cache is None
+    model = _MatchedOverride(LINK)
+    got = evaluate_chunk(model, None, configs, prefix_cache=cache)
+    assert cache.stats == {"hits": 0, "misses": 0, "entries": 0, "width_capped": 0}
+    want = PrefixEvaluator(model).evaluate_many(configs)
+    assert json.dumps([cost_row(scenario, c) for c in got]) == json.dumps(
+        [cost_row(scenario, c) for c in want]
+    )
