@@ -12,20 +12,19 @@ runs, and the summary report answers the fleet question (which products
 are feasible, with which design, at what cost) in one table.
 
 Also demonstrates the streaming consumption path: ``iter_runs()`` under
-the shortest-scenario-first policy prints each scenario's verdict *the
-moment its last chunk lands* — a dashboard needs no drained fleet — and
-the export-only re-run (CSV sinks, ``collect=False``) streams every row
-to disk while the online Pareto frontier keeps ``pareto_size`` exact
-with no result caches in memory: the memory profile of a million-config
-fleet is the chunk window, not the design-space size.
+the ``weighted_completion`` policy (shortest scenario first at equal
+weights) prints each scenario's verdict *the moment its last chunk
+lands* — a dashboard needs no drained fleet — and the export-only
+re-run (CSV sinks, ``collect=False``) streams every row to disk while
+the online Pareto frontier keeps ``pareto_size`` exact with no result
+caches in memory: the memory profile of a million-config fleet is the
+chunk window, not the design-space size.
 
-The final section shows the adaptive campaign layer on a
-generator-built fleet: a :class:`~repro.explore.FleetSpec` (two codec
-entries x four link tiers x a pass-rate variant) expands to a
-dedup-heavy fleet that runs under the ``adaptive_latency`` policy —
-chunk scheduling driven by *measured* per-chunk latencies fed back
-through the policy's ``observe`` channel — with ``dedup=True`` riding
-the lazy columnar group finalize: each dedup cell costs one evaluation
+The final section shows campaign dedup on a generator-built fleet: a
+:class:`~repro.explore.FleetSpec` (two codec entries x four link tiers
+x a pass-rate variant) expands to a dedup-heavy fleet that runs under
+the default round-robin policy with ``dedup=True`` riding the lazy
+columnar group finalize: each dedup cell costs one evaluation
 pass and one multi-link broadcast close (``cache_stats`` reports the
 skipped evaluations and the per-group materialization accounting; rows
 stay byte-identical to solo runs either way).
@@ -94,7 +93,7 @@ def main() -> None:
     print(f"\nEvaluation path(s) under the fleet executor: {', '.join(paths)}")
     print("Streaming fleet (shortest scenario first):")
     runs = []
-    for run in campaign.iter_runs(executor, policy="shortest_scenario_first"):
+    for run in campaign.iter_runs(executor, policy="weighted_completion"):
         runs.append(run)
         metric = "total_fps" if run.scenario.domain == "throughput" else "total_energy_j"
         unit = "FPS" if metric == "total_fps" else "J/frame"
@@ -135,13 +134,12 @@ def main() -> None:
             "frontiers match the collected run exactly)."
         )
 
-    # The adaptive campaign layer on a generator-built dedup-heavy
-    # fleet: a compact FleetSpec (two codec entries x four link tiers x
-    # a 0.7 pass-rate variant on the energy entry) expands to twelve
-    # campaign-legal scenarios in three dedup cells — each cell shares
-    # ONE evaluation pass, closed for all its links by a single
-    # multi-link broadcast finalize, scheduled by measured chunk
-    # latencies instead of count_configs estimates.
+    # Campaign dedup on a generator-built dedup-heavy fleet: a compact
+    # FleetSpec (two codec entries x four link tiers x a 0.7 pass-rate
+    # variant on the energy entry) expands to twelve campaign-legal
+    # scenarios in three dedup cells — each cell shares ONE evaluation
+    # pass, closed for all its links by a single multi-link broadcast
+    # finalize.
     spec = FleetSpec(
         entries=("compression-throughput", "compression-energy"),
         links=("25g", "400g", "wifi", "low-power"),
@@ -153,12 +151,12 @@ def main() -> None:
         path = evaluation_path(scenario, executor, dedup=True)
         print(f"  {scenario.name}: {path}")
     result = Campaign(sweep, name="link-sweep").run(
-        executor, policy="adaptive_latency", dedup=True
+        executor, policy="round_robin", dedup=True
     )
     stats = result.cache_stats
     total = stats["evaluations_computed"] + stats["evaluations_skipped"]
     print(
-        f"\nLink sweep under adaptive_latency + dedup: {len(sweep)} scenarios, "
+        f"\nLink sweep under round_robin + dedup: {len(sweep)} scenarios, "
         f"{total} configs costed with {stats['evaluations_computed']} "
         f"evaluations ({stats['evaluations_skipped']} skipped — "
         f"{total / stats['evaluations_computed']:.1f}x fewer)."

@@ -113,9 +113,9 @@ def campaign_summary_table(
 
     One row per scenario — evaluated configuration count, feasible
     count, best configuration and its domain metric (total FPS or total
-    joules/frame), Pareto-frontier size (always an integer: export-only
-    campaigns maintain the frontier online, see
-    :class:`repro.explore.result.ParetoFrontier`), and completion
+    joules/frame), Pareto-frontier size (export-only campaigns maintain
+    the frontier online, see :class:`repro.explore.result.ParetoFrontier`;
+    ``"-"`` when one opted out with ``frontier=False``), and completion
     wall-time — rendered in the same fixed-width format every benchmark
     table uses, so campaign summaries archive alongside the paper
     tables. Rows are plain dicts (built by

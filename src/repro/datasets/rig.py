@@ -3,7 +3,7 @@
 This is the reproduction's stand-in for the Google-Jump-style 16x4K rig of
 the paper's VR case study. Cameras sit on a ring of radius ``radius`` facing
 outward; the scene is a distant textured cylinder plus billboard objects at
-finite distances, so adjacent cameras observe *real parallax* — exactly the
+finite distances, so adjacent cameras see *real parallax* — exactly the
 signal the depth-estimation block (B3) extracts.
 
 Two scales coexist deliberately:

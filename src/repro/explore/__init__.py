@@ -40,13 +40,10 @@ turns that exercise into one reusable engine:
   *one* shared executor with per-scenario results byte-identical to
   solo :func:`explore` runs, cross-scenario evaluation dedup
   (``dedup=True`` shares link-independent compute states across a
-  fleet), ``iter_runs`` streaming with ``max_pending_runs``
-  backpressure, plus the fleet summary report;
-* :mod:`.scheduling` — the campaign chunk-scheduling policies
-  (round-robin, shortest-first, priority-weighted, the
-  measured-latency-driven :class:`AdaptiveLatency`, and the
-  WSPT :class:`WeightedCompletionTime`) and the ``observe`` feedback
-  channel that reports every measured chunk latency back to them;
+  fleet), ``iter_runs`` streaming, plus the fleet summary report;
+* :mod:`.scheduling` — the campaign chunk-scheduling policies: the
+  default :class:`RoundRobin` and the WSPT
+  :class:`WeightedCompletionTime`;
 * :mod:`.joint` — :func:`explore_joint`, the joint-fleet domain: N
   member scenarios share one uplink of fixed capacity, feasibility
   couples them through aggregate demand, and the max-min-FPS joint
@@ -73,16 +70,12 @@ from repro.explore.campaign import (
     CampaignResult,
     PipelineCostCache,
     ScenarioRun,
-    run_campaign,
     scenario_compute_key,
 )
 from repro.explore.scheduling import (
     SCHEDULING_POLICIES,
-    AdaptiveLatency,
-    PriorityWeighted,
     RoundRobin,
     SchedulingPolicy,
-    ShortestScenarioFirst,
     WeightedCompletionTime,
     resolve_policy,
 )
@@ -158,7 +151,6 @@ from repro.explore.sink import (
 )
 
 __all__ = [
-    "AdaptiveLatency",
     "BatchPrefixEvaluator",
     "BatchRows",
     "CATALOG",
@@ -187,7 +179,6 @@ __all__ = [
     "PrefixEvaluator",
     "PrefixPruner",
     "PrefixStateCache",
-    "PriorityWeighted",
     "PruneHook",
     "ResultSink",
     "RoundRobin",
@@ -196,7 +187,6 @@ __all__ = [
     "ScenarioCatalog",
     "ScenarioRun",
     "SchedulingPolicy",
-    "ShortestScenarioFirst",
     "SweepExecutor",
     "TopK",
     "TopKSink",
@@ -221,7 +211,6 @@ __all__ = [
     "pareto_filter",
     "register_scenario",
     "resolve_policy",
-    "run_campaign",
     "scenario_compute_key",
     "search_joint_assignment",
     "shared_capacity_prefix_pruner",

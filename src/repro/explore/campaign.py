@@ -8,11 +8,8 @@ scenarios across **one** :class:`~repro.explore.executor.SweepExecutor`
 by interleaving their configuration chunks through ``imap`` under a
 pluggable :class:`~repro.explore.scheduling.SchedulingPolicy`
 (round-robin by default; policies live in
-:mod:`repro.explore.scheduling` and the driver feeds every collected
-chunk's *measured* evaluation latency back through their ``observe``
-channel — :class:`~repro.explore.scheduling.AdaptiveLatency` schedules
-on it), so every worker stays busy until the whole fleet is done and a
-campaign of N scenarios costs one pool, not N.
+:mod:`repro.explore.scheduling`), so every worker stays busy until the
+whole fleet is done and a campaign of N scenarios costs one pool, not N.
 
 Dedup contract: with ``dedup=True``, scenarios whose
 :func:`scenario_compute_key`s match (the same pipeline and platform
@@ -24,8 +21,11 @@ replays exactly the solo evaluation's float operations, per-scenario
 results stay byte-identical to ``dedup=False`` and to solo
 ``explore()`` — the invariant suite asserts it over seeded random
 fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
-By default the group finalize is *columnar and lazy* end to end: each
-shared :class:`~repro.explore.vectorized.BatchChunkStates` segment is
+Dedup groups only form for scenarios without a pre-built ``model``,
+whose cost models are always stock, so the leader's states are always
+columnar. By default the group finalize is *columnar and lazy* end to
+end: each shared :class:`~repro.explore.vectorized.BatchChunkStates`
+segment is
 closed for all members at once by one ``finalize_batch_multi``
 broadcast (an ``(n_members, n_rows)`` sweep of the member link terms)
 and members hand their consumers lazy member-tagged
@@ -33,9 +33,7 @@ and members hand their consumers lazy member-tagged
 ``collect=False`` with columnar sinks a fleet of N links materializes
 only frontier/heap survivors, never N x rows Python objects
 (``dedup="materialize"`` keeps the per-member materialized finalize
-for comparison). Scalar ``(config, state)`` payloads (what
-:func:`~repro.explore.incremental.evaluate_chunk_states` returns for a
-non-stock model) close through the per-member scalar finalize.
+for comparison).
 
 Sharding contract: on a parallel executor, shard-eligible scenarios
 (stock models, see
@@ -47,12 +45,6 @@ index ranges (O(depth) array rebuilds), so a process pool pickles a
 few integers per chunk rather than per-config tuples. Results remain
 byte-identical to the materialized stream — the shard decode replays
 enumeration order exactly.
-
-Backpressure contract: ``iter_runs(max_pending_runs=k)`` bounds how far
-the fleet may be fed into the executor ahead of the consumer — once
-``k`` scenarios are fully submitted without their runs having been
-consumed, chunk submission pauses (the pool drains its in-flight window
-and genuinely idles) until the consumer pulls the next run.
 
 Correctness contract: chunks are tagged with their scenario and each is
 evaluated by a chunk-local
@@ -112,7 +104,6 @@ from repro.explore.executor import (
 from repro.explore.incremental import (
     depth_link_cost,
     evaluate_chunk,
-    evaluate_chunk_states,
     supports_prefix_evaluation,
 )
 from repro.explore.result import (
@@ -125,24 +116,21 @@ from repro.explore.result import (
 from repro.explore.scenario import Scenario
 from repro.explore.vectorized import (
     BatchChunkStates,
+    BatchPrefixEvaluator,
     BatchRows,
+    CohortShard,
     PrefixStateCache,
     _materialize_costs,
     iter_scenario_shards,
 )
 
-# Scheduling policies grew into their own module (repro.explore.
-# scheduling) when the measured-latency feedback channel landed; the
-# re-exports keep every existing `from repro.explore.campaign import
-# RoundRobin`-style import working.
+# Scheduling policies live in their own module (repro.explore.
+# scheduling); the re-export keeps `from repro.explore.campaign import
+# SCHEDULING_POLICIES` working.
 from repro.explore.scheduling import (
     SCHEDULING_POLICIES,  # noqa: F401  (re-exported API)
-    AdaptiveLatency,  # noqa: F401  (re-exported API)
-    PriorityWeighted,  # noqa: F401  (re-exported API)
     RoundRobin,
     SchedulingPolicy,
-    ShortestScenarioFirst,  # noqa: F401  (re-exported API)
-    observe_policy,
     resolve_policy,
 )
 from repro.explore.sink import (
@@ -175,24 +163,28 @@ _ChunkSpec = tuple[Any, "dict[str, float] | None", str, Any]
 
 def _evaluate_tagged_chunk(
     tagged: tuple[int, _ChunkSpec, list[Any]],
-) -> tuple[int, Any, float]:
+) -> tuple[int, Any]:
     """Evaluate one scenario-tagged chunk (module-level for process-pool
     picklability). The tagged item carries *its own* scenario's (model,
     pass_rates, mode, prefix_cache) spec — not the whole fleet's — so a
     process backend serializes one model per task, same as solo
     ``explore()``; the index travels with the results so the collector
-    can route them back to their scenario, and the measured wall-clock
-    evaluation seconds (clocked inside the worker, so pool queueing is
-    excluded) feed the scheduling policy's ``observe`` channel."""
+    can route them back to their scenario.
+
+    A dedup leader's chunk (the states mode; its model is always stock)
+    folds into columnar
+    :class:`~repro.explore.vectorized.BatchChunkStates`, from a
+    :class:`~repro.explore.vectorized.CohortShard` the worker decodes
+    locally or from a config list."""
     index, (model, pass_rates, mode, prefix_cache), configs = tagged
-    begin = time.perf_counter()
     if mode == _MODE_STATES:
-        payload: Any = evaluate_chunk_states(model, pass_rates, configs, prefix_cache)
-    elif mode == _MODE_MEMOIZED:
-        payload = evaluate_chunk(model, pass_rates, configs, prefix_cache)
-    else:
-        payload = [_evaluate_scratch(model, pass_rates, config) for config in configs]
-    return index, payload, time.perf_counter() - begin
+        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
+        if isinstance(configs, CohortShard):
+            return index, batch.states_shard(configs)
+        return index, batch.states_chunk(configs)
+    if mode == _MODE_MEMOIZED:
+        return index, evaluate_chunk(model, pass_rates, configs, prefix_cache)
+    return index, [_evaluate_scratch(model, pass_rates, config) for config in configs]
 
 
 # -- cross-scenario evaluation dedup ------------------------------------
@@ -270,32 +262,20 @@ class _StateFinalizer:
             self._model.link, self._energy, self._link_costs, depth, config
         )
 
-    def finalize(self, payload: Any) -> list[Any]:
+    def finalize(self, payload: BatchChunkStates) -> list[Any]:
+        """Close each same-depth run of the leader's columnar states with
+        one ``finalize_batch`` call and materialize through the same
+        field definitions the batch evaluator uses — bit-identical to
+        finalizing each configuration through the scalar ``finalize``."""
         model = self._model
-        link, energy, cache = model.link, self._energy, self._link_costs
-        if isinstance(payload, BatchChunkStates):
-            # Columnar leader states: close each same-depth run with one
-            # finalize_batch call and materialize through the same field
-            # definitions the batch evaluator uses — bit-identical to
-            # finalizing each (config, state) pair through the scalar
-            # ``finalize`` below.
-            out: list[Any] = []
-            for configs, depth, state, _choices, _names in payload.segments:
-                link_cost = depth_link_cost(link, energy, cache, depth, configs[0])
-                out.extend(
-                    _materialize_costs(
-                        configs, model.finalize_batch(state, link_cost), energy
-                    )
+        out: list[Any] = []
+        for configs, depth, state, _choices, _names in payload.segments:
+            link_cost = self.link_cost(depth, configs[0])
+            out.extend(
+                _materialize_costs(
+                    configs, model.finalize_batch(state, link_cost), self._energy
                 )
-            return out
-        finalize = model.finalize
-        out = []
-        append_out = out.append
-        for config, state in payload:
-            link_cost = depth_link_cost(
-                link, energy, cache, len(config.platforms), config
             )
-            append_out(finalize(state, config, link_cost))
         return out
 
 
@@ -308,8 +288,9 @@ class PipelineCostCache:
     solo recomputes identical prefix folds once per link. This cache
     groups a fleet's scenarios by :func:`scenario_compute_key`; each
     group's *leader* (first in fleet order) evaluates its chunks into
-    pre-finalize states (:func:`~repro.explore.incremental.
-    evaluate_chunk_states`), and every member — leader and followers —
+    columnar pre-finalize states
+    (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.states_chunk`),
+    and every member — leader and followers —
     gets the states closed under its own link terms by a
     :class:`_StateFinalizer`. Followers never enter the interleaver:
     their chunks mirror the leader's the moment each leader chunk
@@ -351,11 +332,9 @@ class PipelineCostCache:
         """The group's member indices, leader first, in fleet order."""
         return (leader, *self.followers_of.get(leader, ()))
 
-    def finalize(self, index: int, payload: Any) -> list[Any]:
-        """Scenario ``index``'s costs for one shared chunk of states —
-        scalar (config, state) pairs or a columnar
-        :class:`~repro.explore.vectorized.BatchChunkStates` — fully
-        materialized (the ``dedup="materialize"`` path)."""
+    def finalize(self, index: int, payload: BatchChunkStates) -> list[Any]:
+        """Scenario ``index``'s costs for one shared chunk of columnar
+        states, fully materialized (the ``dedup="materialize"`` path)."""
         return self._finalizers[index].finalize(payload)
 
     def finalize_group(
@@ -505,8 +484,7 @@ class ScenarioRun:
     turned into Python objects for this scenario (collected runs
     materialize everything; export-only runs only the best row, the
     frontier's survivors and heap candidates) — None when the rows
-    never rode the lazy path (no dedup, a scalar fallback, or
-    ``dedup="materialize"``).
+    never rode the lazy path (no dedup, or ``dedup="materialize"``).
     """
 
     scenario: Scenario
@@ -556,8 +534,11 @@ class ScenarioRun:
 
     def summary_row(self) -> dict[str, Any]:
         """One campaign-report row (see
-        :func:`repro.core.report.campaign_summary_table`)."""
+        :func:`repro.core.report.campaign_summary_table`). The ``pareto``
+        column is ``"-"`` on an export-only run that tracked no frontier
+        (``frontier=False``)."""
         metric = _best_metric(self.scenario.domain)
+        tracked = self.result is not None or self.frontier is not None
         return {
             "scenario": self.scenario.name,
             "domain": self.scenario.domain,
@@ -565,7 +546,7 @@ class ScenarioRun:
             "feasible": self.n_feasible,
             "best_config": self.best["config"] if self.best else "-",
             "best_metric": self.best[metric] if self.best else "-",
-            "pareto": self.pareto_size,
+            "pareto": self.pareto_size if tracked else "-",
             "seconds": self.wall_seconds,
             "dedup": self.dedup_source or "-",
             "materialized": (
@@ -885,7 +866,6 @@ class Campaign:
         collect_on_exit: bool = False,
         policy: Any = None,
         dedup: bool | str = False,
-        max_pending_runs: int | None = None,
         frontier: bool = True,
     ) -> Iterator[ScenarioRun]:
         """Stream the fleet: yield each :class:`ScenarioRun` the moment
@@ -893,35 +873,23 @@ class Campaign:
 
         The streaming counterpart of :meth:`run` (which is a drain over
         this iterator): scenarios complete at different times — under
-        :class:`ShortestScenarioFirst` the smallest one finishes while
-        the largest has barely started — and each is yielded (its sink
+        :class:`~repro.explore.scheduling.WeightedCompletionTime` the
+        smallest one finishes while the largest has barely started — and
+        each is yielded (its sink
         closed and flushed first) without waiting for the fleet to
         drain. Yield order is completion order, not fleet order.
 
         Abandoning the iterator mid-fleet is safe: the executor stream
         is closed (the shared pool shuts down after in-flight chunks
         finish) and every open sink is closed (flushed), exactly as on
-        an error. Parameters are those of :meth:`run`, plus:
-
-        ``max_pending_runs`` is the backpressure knob for slow
-        consumers (dashboards): at most that many scenarios may be
-        fully fed into the executor ahead of the runs the consumer has
-        actually taken. When the bound is reached, chunk submission
-        pauses — the shared pool genuinely idles once its in-flight
-        window drains, instead of racing ahead of a stalled consumer —
-        and resumes the moment the consumer pulls the next run. The
-        serial executor is lock-step (it evaluates exactly one chunk
-        per pull) and needs no bound. Results are unaffected; only the
-        pacing changes.
+        an error. A parallel executor keeps at most ``2 * workers``
+        chunks in flight ahead of the consumer. Parameters are those of
+        :meth:`run`.
         """
         executor = resolve_executor(executor)
         _check_dedup_mode(dedup)
         if chunk_size is not None and chunk_size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        if max_pending_runs is not None and max_pending_runs < 1:
-            raise ConfigurationError(
-                f"max_pending_runs must be >= 1, got {max_pending_runs}"
-            )
         policy = resolve_policy(policy)
         scenarios = self.scenarios
         sink_list = self._resolve_sinks(sinks)
@@ -949,7 +917,6 @@ class Campaign:
             collect_on_exit,
             policy,
             PipelineCostCache(scenarios) if dedup else None,
-            max_pending_runs,
             dedup != "materialize",
             frontier,
         )
@@ -963,7 +930,6 @@ class Campaign:
         collect_on_exit: bool,
         policy: SchedulingPolicy,
         cache: PipelineCostCache | None,
-        max_pending_runs: int | None,
         dedup_lazy: bool = True,
         track_frontier: bool = True,
     ) -> Iterator[ScenarioRun]:
@@ -1050,30 +1016,11 @@ class Campaign:
         start = time.perf_counter()
         opened: list[int] = []
         closed: set[int] = set()
-        handed: set[int] = set()
-        order = {scenario.name: i for i, scenario in enumerate(scenarios)}
         error: BaseException | None = None
         interleaved = _interleave_chunks(
             scenarios, specs, sizes, policy, progress, followers, shard_flags
         )
-
-        def _window_gate() -> bool:
-            # Backpressure: once `max_pending_runs` scenarios are fully
-            # fed into the pipe (enumeration exhausted) without their
-            # runs having been consumed, stop submitting new chunks.
-            pending = sum(
-                1
-                for index in range(len(scenarios))
-                if progress.exhausted[index] and index not in handed
-            )
-            return pending < max_pending_runs
-
-        results = executor.imap(
-            _evaluate_tagged_chunk,
-            interleaved,
-            chunk_size=1,
-            window_gate=_window_gate if max_pending_runs is not None else None,
-        )
+        results = executor.imap(_evaluate_tagged_chunk, interleaved, chunk_size=1)
 
         def _absorb(index: int, costs: list[Any], now: float) -> None:
             """Route one collected (or mirrored) chunk's costs into the
@@ -1175,8 +1122,7 @@ class Campaign:
                     open_sink(sink, scenarios[index], self._label(index))
                     opened.append(index)
             _enter_pause()
-            for index, payload, seconds in results:
-                observe_policy(policy, index, len(payload), seconds)
+            for index, payload in results:
                 now = time.perf_counter() - start
                 if cache is not None and cache.is_shared_leader(index):
                     # The leader's chunk arrived as pre-finalize states:
@@ -1184,12 +1130,11 @@ class Campaign:
                     # one evaluation pass serves the whole group, and
                     # each follower's chunk lands (same boundaries, same
                     # enumeration order) the moment the leader's does.
-                    # Columnar states close lazily (one broadcast per
-                    # segment for the whole group, survivors-only
-                    # materialization); scalar states — and the
-                    # "materialize" opt-out — keep the per-member
-                    # materialized finalize.
-                    if dedup_lazy and isinstance(payload, BatchChunkStates):
+                    # The states close lazily (one broadcast per segment
+                    # for the whole group, survivors-only
+                    # materialization); the "materialize" opt-out keeps
+                    # the per-member materialized finalize.
+                    if dedup_lazy:
                         group = cache.finalize_group(index, payload)
                         for member, batches in zip(
                             cache.members_of(index), group
@@ -1219,9 +1164,7 @@ class Campaign:
                 )
                 if done:
                     _exit_pause()
-                    for run in done:
-                        yield run
-                        handed.add(order[run.name])
+                    yield from done
                     _enter_pause()
             # Exhaustions discovered after a scenario's final collection
             # (and zero-chunk scenarios) surface once the stream drains.
@@ -1239,9 +1182,7 @@ class Campaign:
                 materialized,
             )
             _exit_pause()
-            for run in done:
-                yield run
-                handed.add(order[run.name])
+            yield from done
         except BaseException as exc:
             error = exc
             raise
@@ -1476,27 +1417,3 @@ class Campaign:
             dedup_source=dedup_source,
             n_materialized=n_materialized,
         )
-
-
-def run_campaign(
-    scenarios: Sequence[Scenario],
-    executor: SweepExecutor | None = None,
-    chunk_size: int | None = None,
-    *,
-    name: str = "campaign",
-    sinks: Any = None,
-    collect: bool = True,
-    collect_on_exit: bool = False,
-    policy: Any = None,
-    dedup: bool | str = False,
-) -> CampaignResult:
-    """One-call convenience: ``Campaign(scenarios, name).run(...)``."""
-    return Campaign(scenarios, name=name).run(
-        executor,
-        chunk_size,
-        sinks=sinks,
-        collect=collect,
-        collect_on_exit=collect_on_exit,
-        policy=policy,
-        dedup=dedup,
-    )

@@ -261,15 +261,16 @@ def evaluation_path(
     scenario takes *inside* a ``Campaign.run(dedup=...)`` instead:
 
     - ``"batch-dedup"`` — the scenario is campaign-dedupable (it has a
-      :func:`~repro.explore.campaign.scenario_compute_key`) and its
-      model is stock: group members close shared columnar states under a
-      multi-link broadcast finalize and hand consumers lazy
+      :func:`~repro.explore.campaign.scenario_compute_key`, so no
+      pre-built ``model`` and its stock model applies): group members
+      close shared columnar states under a multi-link broadcast
+      finalize and hand consumers lazy
       :class:`~repro.explore.vectorized.BatchRows` views.
 
-    A dedupable scenario falls back to the solo paths above whenever
-    dedup is off/``"materialize"``, ``evaluation="scalar"`` is forced,
-    or the model is not stock (then shared states are finalized and
-    materialized per member, the scalar dedup walk).
+    A dedupable scenario reports the solo paths above when dedup is
+    off or ``"materialize"`` (``"materialize"`` still shares the
+    leader's columnar states, but finalizes and materializes them per
+    member) or when ``evaluation="scalar"`` is forced.
 
     Purely informational, for self-describing perf repros; raises
     exactly like :func:`explore` for an invalid or unsatisfiable
@@ -284,9 +285,7 @@ def evaluation_path(
         # Imported here: campaign builds on the engine, not vice versa.
         from repro.explore.campaign import scenario_compute_key
 
-        if scenario_compute_key(scenario) is not None and uses_stock_cost_semantics(
-            model
-        ):
+        if scenario_compute_key(scenario) is not None:
             return "batch-dedup"
     if _cohort_eligible(model, resolved, evaluation):
         if scenario.prune is not None or scenario.prefix_pruner() is not None:

@@ -181,7 +181,6 @@ class SweepExecutor:
         fn: Callable[[_T], _R],
         items: Iterable[_T],
         chunk_size: int | None = None,
-        window_gate: Callable[[], bool] | None = None,
     ) -> Iterator[_R]:
         """Lazily yield ``fn(x)`` for each item, in item order.
 
@@ -195,15 +194,6 @@ class SweepExecutor:
         degrade the remaining stream to serial evaluation with one
         warning. Abandoning the iterator mid-stream shuts the pool down
         after the in-flight chunks finish.
-
-        ``window_gate`` is an optional backpressure hook: while it
-        returns False, no *new* chunks are submitted beyond the ones
-        already in flight (at least one stays in flight whenever work
-        remains, so a permanently closed gate still makes progress
-        instead of deadlocking). The campaign driver uses it to stall
-        the pool while completed-but-unconsumed scenario runs pile up.
-        The serial path is lock-step (one item evaluates per pull) and
-        never races ahead, so the gate is a no-op there.
         """
         if chunk_size is not None and chunk_size < 1:
             # Same rule __post_init__ enforces for the field; islice(0)
@@ -215,14 +205,13 @@ class SweepExecutor:
         size = chunk_size if chunk_size is not None else self.chunk_size
         if size is None:
             size = STREAM_CHUNK_SIZE
-        return self._imap_pooled(fn, iterator, size, window_gate)
+        return self._imap_pooled(fn, iterator, size)
 
     def _imap_pooled(
         self,
         fn: Callable[[_T], _R],
         iterator: Iterator[_T],
         size: int,
-        window_gate: Callable[[], bool] | None = None,
     ) -> Iterator[_R]:
         pool_cls: Any = (
             ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
@@ -241,11 +230,6 @@ class SweepExecutor:
         def submit_upto_window() -> None:
             nonlocal degraded
             while len(pending) < window:
-                # Backpressure: a closed gate stops refilling, but only
-                # once something is in flight — the stream must always
-                # be able to produce its next result.
-                if window_gate is not None and pending and not window_gate():
-                    return
                 chunk = list(islice(iterator, size))
                 if not chunk:
                     return

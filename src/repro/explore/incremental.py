@@ -28,7 +28,7 @@ toward from-scratch cost.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.cost import (
     ConfigCost,
@@ -203,38 +203,13 @@ class PrefixEvaluator:
         if not self._memoized:
             evaluate = self.evaluate
             return [evaluate(config) for config in configs]
-        finalize = self.model.finalize
-        out: list[ConfigCost | EnergyCost] = []
-        append_out = out.append
-        for config, state in self._walk_states(configs):
-            n = len(config.platforms)
-            # Re-read the cache each iteration: a pipeline switch inside
-            # the walk replaces it.
-            link_cost = self._link_costs.get(n)
-            if link_cost is None:
-                link_cost = self._link_cost(n, config)
-            append_out(finalize(state, config, link_cost))
-        return out
-
-    def _walk_states(
-        self, configs: Iterable[PipelineConfig]
-    ) -> Iterator[tuple[PipelineConfig, Any]]:
-        """The generic memoized walk, lazily: one (config, pre-finalize
-        state) pair per configuration, through the model's overridable
-        ``initial_state``/``extend_state`` steps.
-
-        The shared core of :meth:`evaluate_many` (which finalizes each
-        pair as it arrives) and :meth:`states_many` (which returns the
-        pairs themselves) — one copy of the common-prefix matching and
-        state-stack bookkeeping, so the two paths cannot drift.
-        Consumers reading per-config caches (the per-depth link terms)
-        must do so before advancing: a pipeline switch mid-sequence
-        resets them.
-        """
         model = self.model
         energy = self._energy
         pass_rates = self.pass_rates
         extend = model.extend_state
+        finalize = model.finalize
+        out: list[ConfigCost | EnergyCost] = []
+        append_out = out.append
         try:
             for config in configs:
                 if config.pipeline is not self._pipeline:
@@ -279,7 +254,10 @@ class PrefixEvaluator:
                             )
                             append(state)
                 self._platforms = platforms
-                yield config, state
+                link_cost = self._link_costs.get(n)
+                if link_cost is None:
+                    link_cost = self._link_cost(n, config)
+                append_out(finalize(state, config, link_cost))
         except KeyError:
             # An invalid trusted() platform choice: re-raise as the
             # standard PipelineError the validated path would produce.
@@ -287,39 +265,9 @@ class PrefixEvaluator:
             config.in_camera_blocks()
             raise
         except BaseException:
-            # Also covers GeneratorExit: a consumer that raises (or
-            # abandons the walk) between yields leaves the memoized
-            # path invalidated, exactly like an in-walk failure.
             self._invalidate_path()
             raise
-
-    def states_many(
-        self, configs: Iterable[PipelineConfig]
-    ) -> list[tuple[PipelineConfig, Any]]:
-        """The memoized walk *stopped before finalize*: one (config,
-        prefix state) pair per configuration.
-
-        The state is the model's link-independent compute-side fold —
-        ``(min fps, slowest label)`` for throughput, ``(reach rate,
-        block energies, active seconds)`` for energy — i.e. everything
-        about the configuration's cost that does not depend on the
-        uplink. Campaign-level dedup evaluates a shared pipeline's
-        states once and finalizes them under each member scenario's own
-        link terms; because ``extend_state`` replays exactly the float
-        operations of ``evaluate()``, a state finalized under link *L*
-        is bit-identical to evaluating the configuration against *L*
-        from scratch (the invariant suite asserts this byte for byte).
-        Requires a prefix-eligible model (the walk *is* the stock
-        ``evaluate`` minus its last step; a custom ``evaluate()`` has no
-        well-defined pre-finalize state to share).
-        """
-        if not self._memoized:
-            raise ConfigurationError(
-                "states_many needs a prefix-eligible cost model (stock "
-                "evaluate); models overriding evaluate() have no "
-                "shareable pre-finalize state"
-            )
-        return list(self._walk_states(configs))
+        return out
 
 
 def evaluate_chunk(
@@ -361,39 +309,3 @@ def evaluate_chunk(
         batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
         return batch.evaluate_many(configs)
     return PrefixEvaluator(model, pass_rates).evaluate_many(configs)
-
-
-def evaluate_chunk_states(
-    model: ThroughputCostModel | EnergyCostModel,
-    pass_rates: dict[str, float] | None,
-    configs: Sequence[PipelineConfig],
-    prefix_cache: Any = None,
-    allow_batch: bool = True,
-) -> Any:
-    """Chunk-shaped :meth:`PrefixEvaluator.states_many` (module-level
-    for process-pool picklability) — the dedup counterpart of
-    :func:`evaluate_chunk`: the campaign driver ships a shared
-    pipeline's chunks through this when several scenarios will finalize
-    the same compute-side states under their own links.
-
-    Stock models return the states columnar as a
-    :class:`~repro.explore.vectorized.BatchChunkStates` (the finalizer
-    branches on the type) whose segments carry the decoded choice
-    matrix and per-level platform names alongside each depth-cohort
-    state — everything a member needs to wrap the shared state in a
-    lazy :class:`~repro.explore.vectorized.BatchRows` view after a
-    multi-link ``finalize_batch_multi`` without re-deriving configs;
-    the scalar walk returns (config, state) pairs as before. Like
-    :func:`evaluate_chunk`, ``configs`` may be a
-    :class:`~repro.explore.vectorized.CohortShard` the worker decodes
-    locally.
-    """
-    from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
-
-    if isinstance(configs, CohortShard):
-        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
-        return batch.states_shard(configs)
-    if allow_batch and uses_stock_cost_semantics(model):
-        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
-        return batch.states_chunk(configs)
-    return PrefixEvaluator(model, pass_rates).states_many(configs)

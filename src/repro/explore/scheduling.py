@@ -3,30 +3,19 @@
 The campaign driver (:mod:`repro.explore.campaign`) has exactly one
 degree of freedom: *which scenario's chunk is submitted next*. This
 module owns that decision. A :class:`SchedulingPolicy` sees every
-selection through :meth:`~SchedulingPolicy.select`, and — new with the
-adaptive policy — every *outcome* through the
-:meth:`~SchedulingPolicy.observe` feedback channel: the driver reports
-each collected chunk's measured wall-clock evaluation latency back to
-the policy, so policies can schedule on what the fleet actually costs
-instead of what ``count_configs()`` estimates promise.
+selection through :meth:`~SchedulingPolicy.select`.
 
 Policies only reorder *between* scenarios; each scenario's own chunks
 are always submitted in enumeration order, so per-scenario results are
-byte-identical to solo ``explore()`` under every policy — including
-:class:`AdaptiveLatency`, whose selections depend on non-deterministic
-timing (the invariant test suite asserts the identity over seeded
-random fleets precisely because the interleaving itself is not
-reproducible).
+byte-identical to solo ``explore()`` under every policy (the invariant
+suite asserts it over seeded random fleets).
 
 The builtin policies:
 
 * :class:`RoundRobin` — one chunk per live scenario, cyclically;
-* :class:`ShortestScenarioFirst` — ascending ``count_configs()`` order;
-* :class:`PriorityWeighted` — smooth weighted round-robin;
-* :class:`AdaptiveLatency` — longest-*estimated-remaining-time* first
-  over an EWMA of measured per-configuration chunk latencies;
 * :class:`WeightedCompletionTime` — run-to-completion WSPT order
-  minimizing the weighted mean completion time over ``iter_runs``.
+  minimizing the weighted mean completion time over ``iter_runs``
+  (ascending design-space size at equal weights).
 """
 
 from __future__ import annotations
@@ -51,13 +40,6 @@ class SchedulingPolicy:
     :meth:`start` is called once per campaign run with the full fleet,
     so one policy instance can be reused across runs (state resets) and
     can precompute per-scenario keys (sizes, weights).
-
-    :meth:`observe` is the measured-latency feedback channel: the driver
-    calls it once per *collected* chunk with the scenario it belonged
-    to, how many configurations it held, and the wall-clock seconds its
-    evaluation took (measured inside the worker, so pool queueing time
-    is excluded). The default is a no-op — static policies ignore
-    feedback; :class:`AdaptiveLatency` folds it into its cost model.
     """
 
     #: Registry key and report label ("round_robin", ...).
@@ -74,12 +56,6 @@ class SchedulingPolicy:
         of them.
         """
         raise NotImplementedError
-
-    def observe(self, scenario_id: int, n_configs: int, seconds: float) -> None:
-        """Measured feedback for one collected chunk of ``scenario_id``:
-        ``n_configs`` configurations evaluated in ``seconds`` of worker
-        wall-clock time. Called after the chunk's results landed, in
-        collection order. Default: ignore."""
 
 
 class RoundRobin(SchedulingPolicy):
@@ -104,195 +80,6 @@ class RoundRobin(SchedulingPolicy):
         return live[0]
 
 
-class ShortestScenarioFirst(SchedulingPolicy):
-    """Run scenarios to completion in ascending design-space size.
-
-    Shortest-job-first over :meth:`Scenario.count_configs` estimates
-    (exact up to per-config pruning): small scenarios finish — and
-    stream out of :meth:`Campaign.iter_runs` — before large ones start,
-    minimizing mean completion time across the fleet. Ties keep fleet
-    order.
-    """
-
-    name = "shortest_scenario_first"
-
-    def __init__(self) -> None:
-        self._order: tuple[int, ...] = ()
-
-    def start(self, scenarios: Sequence[Scenario]) -> None:
-        sizes = [scenario.count_configs() for scenario in scenarios]
-        self._order = tuple(
-            sorted(range(len(scenarios)), key=lambda index: (sizes[index], index))
-        )
-
-    def select(self, live: Sequence[int]) -> int:
-        alive = set(live)
-        for index in self._order:
-            if index in alive:
-                return index
-        return live[0]
-
-
-class PriorityWeighted(SchedulingPolicy):
-    """Interleave chunks proportionally to per-scenario weights.
-
-    Smooth weighted round-robin: each selection adds every live
-    scenario's weight to its credit, picks the highest credit (ties to
-    the earliest scenario) and charges the picked one the live total —
-    over time scenario *i* receives ``weight[i] / sum(weights)`` of the
-    submitted chunks, without bursts. Deterministic, so campaign results
-    are reproducible run to run.
-
-    Parameters
-    ----------
-    weights:
-        Mapping from scenario *name* to a positive weight; scenarios
-        without an entry get ``default_weight``. Unknown names are
-        rejected at :meth:`start` (they would silently never apply).
-    default_weight:
-        Weight of scenarios absent from ``weights``.
-    """
-
-    name = "priority_weighted"
-
-    def __init__(
-        self,
-        weights: Mapping[str, float] | None = None,
-        default_weight: float = 1.0,
-    ):
-        if default_weight <= 0:
-            raise ConfigurationError(
-                f"default_weight must be positive, got {default_weight}"
-            )
-        weights = dict(weights or {})
-        for name, weight in weights.items():
-            if not weight > 0:
-                raise ConfigurationError(
-                    f"weight for {name!r} must be positive, got {weight}"
-                )
-        self._by_name = weights
-        self._default = default_weight
-        self._weights: list[float] = []
-        self._credit: list[float] = []
-
-    def start(self, scenarios: Sequence[Scenario]) -> None:
-        names = {scenario.name for scenario in scenarios}
-        unknown = sorted(set(self._by_name) - names)
-        if unknown:
-            raise ConfigurationError(
-                f"priority weights for unknown scenarios {unknown}; "
-                f"campaign has {sorted(names)}"
-            )
-        self._weights = [
-            self._by_name.get(scenario.name, self._default) for scenario in scenarios
-        ]
-        self._credit = [0.0] * len(scenarios)
-
-    def select(self, live: Sequence[int]) -> int:
-        credit, weights = self._credit, self._weights
-        total = 0.0
-        for index in live:
-            credit[index] += weights[index]
-            total += weights[index]
-        best = live[0]
-        for index in live[1:]:
-            if credit[index] > credit[best]:
-                best = index
-        credit[best] -= total
-        return best
-
-
-class AdaptiveLatency(SchedulingPolicy):
-    """Longest-estimated-remaining-time first, over *measured* latencies.
-
-    The static policies schedule on ``count_configs()`` — a size
-    estimate that says nothing about how expensive one configuration of
-    each scenario actually is (deep pipelines cost more per
-    configuration than shallow ones, custom models more than stock
-    ones). This policy instead maintains an exponentially-weighted
-    moving average of each scenario's measured seconds-per-configuration
-    from the :meth:`observe` feedback channel, estimates every live
-    scenario's *remaining evaluation time* as ``remaining configurations
-    x EWMA rate``, and always feeds the straggler — the scenario with
-    the most estimated work left. Longest-remaining-processing-time is
-    the classic makespan heuristic for shared workers: the fleet's tail
-    scenario is kept continuously supplied instead of being discovered
-    last, and because the estimates update with every collected chunk,
-    a scenario that turns out slower than its size suggested is
-    rebalanced toward *mid-flight*.
-
-    Before the first observation of a scenario the rate falls back to
-    the fleet-global EWMA (any measurement beats none), and before any
-    observation at all to a uniform rate — degrading gracefully to
-    largest-remaining-count-first, i.e. the estimate-only schedule.
-
-    Selections depend on wall-clock measurements and are therefore not
-    reproducible run to run; per-scenario *results* are unaffected
-    (policies never reorder a scenario's own chunks — the invariant
-    suite asserts byte-identity to solo ``explore()`` under this policy
-    specifically).
-
-    Parameters
-    ----------
-    alpha:
-        EWMA smoothing factor in (0, 1]: the weight of the newest
-        chunk's measured rate. 1.0 means "trust only the last chunk".
-    """
-
-    name = "adaptive_latency"
-
-    def __init__(self, alpha: float = 0.3):
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._remaining: list[float] = []
-        self._rates: list[float | None] = []
-        self._global_rate: float | None = None
-
-    def start(self, scenarios: Sequence[Scenario]) -> None:
-        # count_configs() is an upper bound under per-config pruning;
-        # observe() clamps the remaining count at zero, so an optimistic
-        # size only ever *over*-estimates remaining work (harmless: the
-        # scenario drops out of the live set when truly exhausted).
-        self._remaining = [float(scenario.count_configs()) for scenario in scenarios]
-        self._rates = [None] * len(scenarios)
-        self._global_rate = None
-
-    def observe(self, scenario_id: int, n_configs: int, seconds: float) -> None:
-        if n_configs <= 0:
-            return
-        rate = seconds / n_configs
-        alpha = self.alpha
-        previous = self._rates[scenario_id]
-        self._rates[scenario_id] = (
-            rate if previous is None else alpha * rate + (1.0 - alpha) * previous
-        )
-        previous = self._global_rate
-        self._global_rate = (
-            rate if previous is None else alpha * rate + (1.0 - alpha) * previous
-        )
-        self._remaining[scenario_id] = max(
-            0.0, self._remaining[scenario_id] - n_configs
-        )
-
-    def estimated_remaining_seconds(self, scenario_id: int) -> float:
-        """The scenario's estimated remaining evaluation time under the
-        current cost model (exposed for reports and tests)."""
-        rate = self._rates[scenario_id]
-        if rate is None:
-            rate = self._global_rate if self._global_rate is not None else 1.0
-        return self._remaining[scenario_id] * rate
-
-    def select(self, live: Sequence[int]) -> int:
-        best = live[0]
-        best_estimate = self.estimated_remaining_seconds(best)
-        for index in live[1:]:
-            estimate = self.estimated_remaining_seconds(index)
-            if estimate > best_estimate:
-                best, best_estimate = index, estimate
-        return best
-
-
 class WeightedCompletionTime(SchedulingPolicy):
     """Run scenarios to completion in descending weight-per-size order.
 
@@ -304,8 +91,8 @@ class WeightedCompletionTime(SchedulingPolicy):
     ``weight / processing_time``, here estimated as ``weight /
     count_configs()``. High-weight and small scenarios stream out of
     :meth:`Campaign.iter_runs` first; ties keep fleet order. With equal
-    weights this degrades exactly to :class:`ShortestScenarioFirst`
-    order (``1/size`` sorts like ``size``).
+    weights this is exactly shortest-scenario-first order, zero-config
+    scenarios included (the sort key is ``(size / weight, index)``).
 
     Parameters
     ----------
@@ -347,13 +134,12 @@ class WeightedCompletionTime(SchedulingPolicy):
                 f"completion-time weights for unknown scenarios {unknown}; "
                 f"campaign has {sorted(names)}"
             )
-        ratios = [
-            self._by_name.get(scenario.name, self._default)
-            / max(1, scenario.count_configs())
+        keys = [
+            scenario.count_configs() / self._by_name.get(scenario.name, self._default)
             for scenario in scenarios
         ]
         self._order = tuple(
-            sorted(range(len(scenarios)), key=lambda index: (-ratios[index], index))
+            sorted(range(len(scenarios)), key=lambda index: (keys[index], index))
         )
 
     def select(self, live: Sequence[int]) -> int:
@@ -367,17 +153,13 @@ class WeightedCompletionTime(SchedulingPolicy):
 #: Builtin policy factories by name (the string forms ``policy=`` takes).
 SCHEDULING_POLICIES: dict[str, Callable[[], SchedulingPolicy]] = {
     RoundRobin.name: RoundRobin,
-    ShortestScenarioFirst.name: ShortestScenarioFirst,
-    PriorityWeighted.name: PriorityWeighted,
-    AdaptiveLatency.name: AdaptiveLatency,
     WeightedCompletionTime.name: WeightedCompletionTime,
 }
 
 
 def resolve_policy(policy: Any) -> SchedulingPolicy:
     """Default to round-robin; accept a builtin name or a policy
-    instance (duck-typed: anything with ``start``/``select`` — a policy
-    without ``observe`` simply receives no latency feedback)."""
+    instance (duck-typed: anything with ``start``/``select``)."""
     if policy is None:
         return RoundRobin()
     if isinstance(policy, str):
@@ -398,14 +180,3 @@ def resolve_policy(policy: Any) -> SchedulingPolicy:
         "policy must be a SchedulingPolicy, one of "
         f"{sorted(SCHEDULING_POLICIES)}, or None, got {type(policy).__name__}"
     )
-
-
-def observe_policy(
-    policy: SchedulingPolicy, scenario_id: int, n_configs: int, seconds: float
-) -> None:
-    """Feed one chunk's measured latency to a policy, tolerating
-    duck-typed policies without an ``observe`` method (pre-feedback
-    custom policies keep working unchanged)."""
-    method = getattr(policy, "observe", None)
-    if method is not None:
-        method(scenario_id, n_configs, seconds)

@@ -325,16 +325,16 @@ class BatchRows:
 class BatchChunkStates:
     """Pre-finalize compute-side states of one evaluated chunk, columnar.
 
-    The batch counterpart of :meth:`PrefixEvaluator.states_many`'s
-    ``(config, state)`` pair list: contiguous same-``(pipeline, depth)``
-    runs of the chunk, each a ``(configs, depth, state, choices,
-    level_names)`` segment — one struct-of-arrays state plus the
-    ``(n, depth)`` choice matrix and per-level platform names that let a
-    member build a lazy :class:`BatchRows` view without re-deriving
-    them. Campaign dedup finalizes every run under each member
+    A campaign dedup leader's chunk stopped before finalize: the
+    link-independent compute-side fold, held as contiguous
+    same-``(pipeline, depth)`` runs of the chunk, each a ``(configs,
+    depth, state, choices, level_names)`` segment — one struct-of-arrays
+    state plus the ``(n, depth)`` choice matrix and per-level platform
+    names that let a member build a lazy :class:`BatchRows` view without
+    re-deriving them. Campaign dedup finalizes every run under each member
     scenario's own link terms (:class:`repro.explore.campaign.
     _StateFinalizer`); picklable, so process-pool leaders can ship
-    states back like the scalar pairs.
+    states back.
     """
 
     __slots__ = ("segments", "energy")
@@ -705,7 +705,6 @@ class BatchPrefixEvaluator:
 
     def states_chunk(self, configs: Iterable[PipelineConfig]) -> BatchChunkStates:
         """The chunk's pre-finalize states as a :class:`BatchChunkStates`
-        — the batch counterpart of :meth:`PrefixEvaluator.states_many`
         for campaign dedup leaders."""
         configs = configs if isinstance(configs, Sequence) else list(configs)
         segments = []

@@ -4,13 +4,12 @@ The load-bearing identities of the campaign driver, as properties:
 
 * **campaign == solo**: every scenario of a fleet run through one
   shared executor produces rows byte-identical to a solo ``explore()``
-  of that scenario, under EVERY builtin scheduling policy — including
-  ``adaptive_latency``, whose chunk interleaving depends on measured
-  wall-clock latencies and is deliberately not reproducible;
+  of that scenario, under EVERY builtin scheduling policy;
 * **dedup on == dedup off**: enabling cross-scenario evaluation dedup
   changes which code computes each cost, never the bytes of any row;
-* the acceptance pairing: ``adaptive_latency`` *and* ``dedup=True``
-  together, on a parallel executor, still match solo byte for byte.
+* the acceptance pairing: weighted ``weighted_completion`` *and*
+  ``dedup=True`` together, on a parallel executor, still match solo
+  byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from repro.explore import (
     SCHEDULING_POLICIES,
     Campaign,
     SweepExecutor,
+    WeightedCompletionTime,
     explore,
     scenario_compute_key,
 )
@@ -83,18 +83,20 @@ def test_dedup_on_equals_dedup_off_byte_identical(gen, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_adaptive_latency_with_dedup_on_parallel_executor(gen, seed):
-    """The acceptance pairing: measured-latency scheduling and the
-    evaluation cache enabled together, on a shared thread pool."""
+def test_weighted_completion_with_dedup_on_parallel_executor(gen, seed):
+    """The acceptance pairing: unequally weighted run-to-completion
+    scheduling and the evaluation cache enabled together, on a shared
+    thread pool."""
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
+    weights = {scenario.name: 1.0 + i % 3 for i, scenario in enumerate(fleet)}
     result = Campaign(fleet).run(
         SweepExecutor(workers=3, backend="thread"),
         chunk_size=2,
-        policy="adaptive_latency",
+        policy=WeightedCompletionTime(weights),
         dedup=True,
     )
-    assert result.policy == "adaptive_latency"
+    assert result.policy == "weighted_completion"
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
             seed,
@@ -104,14 +106,11 @@ def test_adaptive_latency_with_dedup_on_parallel_executor(gen, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_iter_runs_streamed_equals_drained_run(gen, seed):
-    """Streaming consumption (with backpressure) hands out exactly the
-    runs a drained ``run()`` reassembles, byte for byte."""
+    """Streaming consumption hands out exactly the runs a drained
+    ``run()`` reassembles, byte for byte."""
     fleet = gen.fleet(seed)
     streamed = {
-        run.name: run
-        for run in Campaign(fleet).iter_runs(
-            chunk_size=3, dedup=True, max_pending_runs=1
-        )
+        run.name: run for run in Campaign(fleet).iter_runs(chunk_size=3, dedup=True)
     }
     drained = Campaign(fleet).run(chunk_size=3, dedup=True)
     assert set(streamed) == {run.name for run in drained}

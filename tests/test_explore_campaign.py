@@ -33,7 +33,6 @@ from repro.explore import (
     SweepExecutor,
     explore,
     load_builtin,
-    run_campaign,
 )
 from repro.explore.catalog import LINKS, resolve_link
 from repro.hw.network import ETHERNET_25G, RF_BACKSCATTER, LinkModel
@@ -195,7 +194,7 @@ def test_campaign_process_backend_round_trips():
 
 
 def test_run_campaign_convenience_and_lookup():
-    result = run_campaign(build_fleet()[:2], name="mini")
+    result = Campaign(build_fleet()[:2], name="mini").run()
     assert result.name == "mini"
     assert result["vr-16cam@25GbE"].n_evaluated == 15
     with pytest.raises(KeyError, match="no scenario"):

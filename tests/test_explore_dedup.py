@@ -21,12 +21,10 @@ import pytest
 
 from repro.core.block import Block, Implementation
 from repro.core.cost import (
-    EnergyCostModel,
     implementation_fingerprint,
     platform_axis_fingerprint,
 )
 from repro.core.pipeline import InCameraPipeline
-from repro.errors import ConfigurationError
 from repro.explore import (
     Campaign,
     CsvSink,
@@ -339,15 +337,3 @@ def test_dedup_group_with_identical_links_reuses_too():
     assert result.cache_stats["evaluations_skipped"] == fleet[0].count_configs()
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
-
-
-def test_states_many_requires_prefix_eligible_model():
-    from repro.explore.incremental import PrefixEvaluator
-
-    class Custom(EnergyCostModel):
-        def evaluate(self, config, pass_rates=None):  # pragma: no cover
-            return super().evaluate(config, pass_rates)
-
-    evaluator = PrefixEvaluator(Custom(RF_BACKSCATTER))
-    with pytest.raises(ConfigurationError, match="states_many"):
-        evaluator.states_many([])

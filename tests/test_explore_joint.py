@@ -13,12 +13,12 @@ from repro.core.pipeline import InCameraPipeline
 from repro.core.report import JOINT_SUMMARY_COLUMNS, joint_fleet_summary_table
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore import (
+    Campaign,
     JointCandidate,
     JointCandidateSink,
     JointFleetScenario,
     JointFleetSpec,
     Scenario,
-    ShortestScenarioFirst,
     WeightedCompletionTime,
     best_row,
     explore,
@@ -26,7 +26,6 @@ from repro.explore import (
     joint_candidates,
     load_builtin,
     member_demand_bps,
-    run_campaign,
     search_joint_assignment,
     shared_capacity_prefix_pruner,
     shared_capacity_suffix_bounds,
@@ -332,7 +331,7 @@ def test_joint_candidate_sink_matches_batch_compression():
 
 
 def test_campaign_frontier_opt_out_skips_pareto():
-    from repro.explore import Campaign, MemorySink
+    from repro.explore import MemorySink
 
     members = [build_member("cam0"), build_member("cam1")]
     sinks = {m.name: MemorySink() for m in members}
@@ -346,6 +345,9 @@ def test_campaign_frontier_opt_out_skips_pareto():
         run.pareto()
     with pytest.raises(PipelineError, match="frontier tracking disabled"):
         run.pareto_size
+    # The fleet summary still renders, with no frontier size to report.
+    assert run.summary_row()["pareto"] == "-"
+    assert "cam0" in campaign.to_table().render()
     # Tracked export-only and collected runs still answer.
     tracked = Campaign(members).run(
         sinks={m.name: MemorySink() for m in members}, collect=False
@@ -370,7 +372,7 @@ def test_joint_result_weighted_completion_defaults_to_fleet_weights():
 
 
 def test_weighted_completion_seconds_validates_and_averages():
-    campaign = run_campaign([build_member("cam0"), build_member("cam1")])
+    campaign = Campaign([build_member("cam0"), build_member("cam1")]).run()
     uniform = campaign.weighted_completion_seconds()
     by_hand = sum(run.wall_seconds for run in campaign) / len(campaign)
     assert uniform == pytest.approx(by_hand)
@@ -388,13 +390,22 @@ def test_weighted_completion_seconds_validates_and_averages():
 def test_weighted_completion_policy_orders_by_weight_per_config():
     small = build_member("small", pipeline=build_pipeline(2))
     large = build_member("large", pipeline=build_pipeline(4))
+    one = build_member("one", max_blocks=0)  # only the all-offload config
+    empty = build_member("empty", max_blocks=0, include_empty=False)
+    assert (one.count_configs(), empty.count_configs()) == (1, 0)
     policy = WeightedCompletionTime()
+    policy.start([large, small, one, empty])
+    # Equal weights: shortest-first order, the zero-config scenario
+    # ahead of the one-config one placed before it in the fleet.
+    order = []
+    live = [0, 1, 2, 3]
+    while live:
+        order.append(policy.select(live))
+        live.remove(order[-1])
+    assert order == [3, 2, 1, 0]
     policy.start([large, small])
-    # Equal weights degrade to shortest-first order.
-    shortest = ShortestScenarioFirst()
-    shortest.start([large, small])
     live = [0, 1]
-    assert policy.select(live) == shortest.select(live) == 1
+    assert policy.select(live) == 1
     # A heavy-enough weight pulls the large scenario ahead.
     heavy = WeightedCompletionTime({"large": 1e6})
     heavy.start([large, small])
@@ -417,9 +428,7 @@ def test_weighted_completion_policy_validates_weights():
 def test_weighted_completion_policy_runs_a_campaign():
     members = [build_member("cam0"), build_member("cam1")]
     solo = [explore(member) for member in members]
-    campaign = run_campaign(
-        members, chunk_size=3, policy="weighted_completion"
-    )
+    campaign = Campaign(members).run(chunk_size=3, policy="weighted_completion")
     for member, result in zip(members, solo):
         assert json.dumps(campaign[member.name].result.rows) == json.dumps(
             result.rows

@@ -1,36 +1,21 @@
-"""Adaptive measured-latency scheduling and ``iter_runs`` backpressure.
+"""Campaign scheduling: the policy registry and duck-typed custom policies.
 
-The acceptance gates of the adaptive campaign layer: the driver feeds
-measured per-chunk evaluation latencies back through the policy
-``observe`` channel, :class:`AdaptiveLatency` turns them into an EWMA
-cost model and rebalances stragglers mid-flight (longest estimated
-remaining time first), pre-feedback custom policies without ``observe``
-keep working, and ``iter_runs(max_pending_runs=)`` genuinely stalls the
-shared executor — no unbounded buffering — while a slow consumer holds
-completed runs.
+The builtin orders themselves are pinned in ``test_explore_streaming``
+(completion order) and ``test_explore_joint`` (WSPT order); the
+invariant suite asserts byte-identity to solo ``explore()`` under every
+registered policy.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.explore import (
-    SCHEDULING_POLICIES,
-    AdaptiveLatency,
     Campaign,
-    RoundRobin,
     Scenario,
-    SchedulingPolicy,
-    SweepExecutor,
     explore,
     load_builtin,
-    resolve_policy,
 )
-from repro.explore.scheduling import observe_policy
 
 
 def build_fleet(names=("vr-fig10", "faceauth-energy", "snnap-dvfs")) -> list[Scenario]:
@@ -38,38 +23,9 @@ def build_fleet(names=("vr-fig10", "faceauth-energy", "snnap-dvfs")) -> list[Sce
     return [catalog.build(name) for name in names]
 
 
-# -- the observe feedback channel ----------------------------------------
-
-
-def test_driver_feeds_measured_latencies_to_the_policy():
-    """Every collected chunk reports (scenario, n_configs, seconds>=0)
-    through observe(), and the observed config counts add up to exactly
-    the fleet's evaluations."""
-    fleet = build_fleet()
-
-    class Recording(RoundRobin):
-        def __init__(self):
-            super().__init__()
-            self.observed = []
-
-        def observe(self, scenario_id, n_configs, seconds):
-            self.observed.append((scenario_id, n_configs, seconds))
-
-    policy = Recording()
-    result = Campaign(fleet).run(chunk_size=4, policy=policy)
-    assert policy.observed
-    per_scenario = [0] * len(fleet)
-    for scenario_id, n_configs, seconds in policy.observed:
-        assert 0 <= scenario_id < len(fleet)
-        assert n_configs >= 1
-        assert seconds >= 0.0
-        per_scenario[scenario_id] += n_configs
-    assert per_scenario == [run.n_evaluated for run in result]
-
-
 def test_policies_without_observe_still_work():
-    """Duck-typed pre-feedback policies (start/select only) receive no
-    latency feedback and run unchanged."""
+    """Duck-typed custom policies (start/select only, no
+    SchedulingPolicy base) run unchanged."""
 
     class Legacy:
         name = "legacy"
@@ -82,79 +38,7 @@ def test_policies_without_observe_still_work():
 
     fleet = build_fleet(("vr-fig10", "faceauth-energy"))
     result = Campaign(fleet).run(policy=Legacy())
-    for run in result:
-        assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
-    observe_policy(Legacy(), 0, 4, 0.1)  # explicitly a no-op, no raise
-
-
-# -- AdaptiveLatency's cost model ----------------------------------------
-
-
-def test_adaptive_latency_prefers_largest_estimated_remaining():
-    fleet = build_fleet(("vr-fig10", "faceauth-energy", "snnap-dvfs"))
-    sizes = [scenario.count_configs() for scenario in fleet]
-    policy = AdaptiveLatency()
-    policy.start(fleet)
-    # No observations yet: uniform rate, so the largest count wins.
-    assert policy.select((0, 1, 2)) == sizes.index(max(sizes))
-
-
-def test_adaptive_latency_rebalances_on_measured_rates():
-    """A scenario measured 100x slower per config overtakes a bigger-by-
-    count scenario: measured feedback beats the static size estimate."""
-    fleet = build_fleet(("vr-fig10", "snnap-dvfs"))  # 15 vs 40 configs
-    policy = AdaptiveLatency(alpha=1.0)
-    policy.start(fleet)
-    assert policy.select((0, 1)) == 1  # by count alone
-    policy.observe(0, 5, 5.0)  # 1.0 s/config measured on the small one
-    policy.observe(1, 20, 0.2)  # 0.01 s/config on the big one
-    # Remaining: 10 * 1.0 = 10 s vs 20 * 0.01 = 0.2 s.
-    assert policy.estimated_remaining_seconds(0) == pytest.approx(10.0)
-    assert policy.estimated_remaining_seconds(1) == pytest.approx(0.2)
-    assert policy.select((0, 1)) == 0  # the measured straggler
-
-
-def test_adaptive_latency_ewma_and_global_fallback():
-    fleet = build_fleet(("vr-fig10", "faceauth-energy"))
-    policy = AdaptiveLatency(alpha=0.5)
-    policy.start(fleet)
-    policy.observe(0, 10, 1.0)  # rate 0.1
-    policy.observe(0, 10, 3.0)  # rate 0.3 -> EWMA 0.5*0.3 + 0.5*0.1 = 0.2
-    # 20 of vr-fig10's 15 configs observed: remaining clamps at zero
-    # (count_configs is an upper bound under per-config pruning).
-    assert policy.estimated_remaining_seconds(0) == 0.0
-    # Scenario 1 has no observation: it borrows the global EWMA.
-    assert policy.estimated_remaining_seconds(1) == pytest.approx(
-        11 * (0.5 * 0.3 + 0.5 * 0.1)
-    )
-
-
-def test_adaptive_latency_restart_resets_state():
-    fleet = build_fleet(("vr-fig10", "faceauth-energy"))
-    policy = AdaptiveLatency()
-    policy.start(fleet)
-    policy.observe(0, 15, 10.0)
-    policy.start(fleet)  # reuse across runs
-    assert policy.estimated_remaining_seconds(0) == pytest.approx(15.0)
-
-
-def test_adaptive_latency_validation_and_registry():
-    with pytest.raises(ConfigurationError, match="alpha"):
-        AdaptiveLatency(alpha=0.0)
-    with pytest.raises(ConfigurationError, match="alpha"):
-        AdaptiveLatency(alpha=1.5)
-    assert "adaptive_latency" in SCHEDULING_POLICIES
-    assert isinstance(resolve_policy("adaptive_latency"), AdaptiveLatency)
-
-
-def test_campaign_reports_adaptive_policy_and_matches_solo():
-    fleet = build_fleet()
-    result = Campaign(fleet).run(
-        SweepExecutor(workers=3, backend="thread"),
-        chunk_size=3,
-        policy="adaptive_latency",
-    )
-    assert result.policy == "adaptive_latency"
+    assert result.policy == "legacy"
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
 
@@ -166,112 +50,11 @@ def test_moved_policies_stay_importable_from_campaign():
     for name in (
         "SchedulingPolicy",
         "RoundRobin",
-        "ShortestScenarioFirst",
-        "PriorityWeighted",
-        "AdaptiveLatency",
         "SCHEDULING_POLICIES",
         "resolve_policy",
     ):
         assert getattr(campaign, name) is getattr(scheduling, name)
-    assert issubclass(AdaptiveLatency, SchedulingPolicy)
-
-
-# -- iter_runs backpressure ----------------------------------------------
-
-
-def test_max_pending_runs_validation():
-    campaign = Campaign(build_fleet(("vr-fig10",)))
-    with pytest.raises(ConfigurationError, match="max_pending_runs"):
-        next(iter(campaign.iter_runs(max_pending_runs=0)))
-
-
-def test_slow_consumer_with_max_pending_runs_one_stalls_executor(monkeypatch):
-    """Acceptance stress path: a consumer that takes the first run and
-    stops must leave the shared pool genuinely idle — chunk submission
-    pauses once one scenario is fully fed and unconsumed, so the
-    evaluated-chunk count stays bounded by the first scenario plus the
-    in-flight window slack, not the fleet."""
-    import repro.explore.campaign as campaign_mod
-
-    fleet = build_fleet(
-        ("faceauth-energy", "vr-fig10", "snnap-dvfs", "compression-throughput")
-    )
-    chunk = 4
-    calls: list[int] = []
-    real = campaign_mod._evaluate_tagged_chunk
-
-    def counting(tagged):
-        calls.append(tagged[0])
-        return real(tagged)
-
-    monkeypatch.setattr(campaign_mod, "_evaluate_tagged_chunk", counting)
-    executor = SweepExecutor(workers=4, backend="thread")
-    iterator = Campaign(fleet).iter_runs(
-        executor,
-        chunk_size=chunk,
-        policy="shortest_scenario_first",
-        max_pending_runs=1,
-    )
-    first = next(iterator)
-    smallest = min(fleet, key=lambda scenario: scenario.count_configs())
-    assert first.name == smallest.name
-    # Let any straggler in-flight chunks drain, then confirm the count
-    # is frozen: the pool is stalled, not racing through the fleet.
-    time.sleep(0.2)
-    after_first = len(calls)
-    time.sleep(0.2)
-    assert len(calls) == after_first, "executor kept submitting while stalled"
-    # Bounded: the first scenario's own chunks plus at most the window
-    # (2 * workers chunks were already submitted when the gate closed).
-    first_chunks = -(-smallest.count_configs() // chunk)
-    assert after_first <= first_chunks + 2 * executor.workers
-    total_chunks = sum(-(-s.count_configs() // chunk) for s in fleet)
-    assert after_first < total_chunks  # the fleet did NOT drain
-    # Resuming consumption reopens the gate and finishes the fleet with
-    # results untouched by the pacing.
-    rest = list(iterator)
-    assert {run.name for run in [first] + rest} == {s.name for s in fleet}
-    for run in [first] + rest:
-        assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
-
-
-def test_max_pending_runs_on_serial_executor_is_exact_lockstep():
-    """The serial path evaluates exactly one chunk per pull; the knob
-    must not break it (results and completion order unchanged)."""
-    fleet = build_fleet(("vr-fig10", "faceauth-energy"))
-    runs = list(
-        Campaign(fleet).iter_runs(
-            chunk_size=4, policy="shortest_scenario_first", max_pending_runs=1
-        )
-    )
-    assert [run.name for run in runs] == [
-        s.name for s in sorted(fleet, key=lambda s: s.count_configs())
-    ]
-    for run in runs:
-        assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
-
-
-def test_max_pending_runs_with_zero_config_scenarios_cannot_deadlock():
-    """Zero-chunk scenarios count as fully fed the moment they are
-    discovered exhausted; the gate must still hand them out and drain
-    the fleet."""
-    from repro.core.pipeline import InCameraPipeline
-    from repro.hw.network import ETHERNET_25G
-
-    empty = Scenario(
-        name="empty",
-        pipeline=InCameraPipeline(name="none", sensor_bytes=1.0, blocks=()),
-        link=ETHERNET_25G,
-        include_empty=False,
-    )
-    fleet = [empty, *build_fleet(("vr-fig10", "faceauth-energy"))]
-    runs = list(
-        Campaign(fleet).iter_runs(
-            SweepExecutor(workers=2, backend="thread"),
-            chunk_size=2,
-            max_pending_runs=1,
-        )
-    )
-    assert {run.name for run in runs} == {s.name for s in fleet}
-    by_name = {run.name: run for run in runs}
-    assert by_name["empty"].n_evaluated == 0
+    assert set(scheduling.SCHEDULING_POLICIES) == {
+        "round_robin",
+        "weighted_completion",
+    }

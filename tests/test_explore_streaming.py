@@ -25,13 +25,12 @@ from repro.explore import (
     MemorySink,
     ParetoFrontier,
     ParetoSink,
-    PriorityWeighted,
     ResultSink,
     RoundRobin,
     Scenario,
     SchedulingPolicy,
-    ShortestScenarioFirst,
     SweepExecutor,
+    WeightedCompletionTime,
     domain_frontier,
     explore,
     load_builtin,
@@ -169,7 +168,7 @@ def test_iter_runs_yields_before_fleet_drains():
     total = sum(scenario.count_configs() for scenario in fleet)
     sinks = {scenario.name: MemorySink() for scenario in fleet}
     iterator = Campaign(fleet).iter_runs(
-        chunk_size=4, sinks=sinks, policy="shortest_scenario_first"
+        chunk_size=4, sinks=sinks, policy="weighted_completion"
     )
     first = next(iterator)
     streamed_so_far = sum(len(sink.rows) for sink in sinks.values())
@@ -202,12 +201,17 @@ def test_iter_runs_matches_run_byte_for_byte():
 
 
 def test_iter_runs_completion_order_shortest_first():
+    from dataclasses import replace
+
     fleet = build_fleet()
-    runs = list(Campaign(fleet).iter_runs(policy=ShortestScenarioFirst()))
+    fleet.append(replace(fleet[0], name="empty", max_blocks=0, include_empty=False))
+    # Equal weights: weighted-completion order is shortest-first.
+    runs = list(Campaign(fleet).iter_runs(policy=WeightedCompletionTime()))
     sizes = [run.scenario.count_configs() for run in runs]
     assert sizes == sorted(sizes)
+    assert runs[0].name == "empty" and runs[0].n_evaluated == 0
     # run() reassembles fleet order regardless of completion order.
-    result = Campaign(fleet).run(policy="shortest_scenario_first")
+    result = Campaign(fleet).run(policy="weighted_completion")
     assert [run.name for run in result] == [scenario.name for scenario in fleet]
 
 
@@ -247,7 +251,7 @@ def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
         SweepExecutor(workers=2, backend="thread"),
         chunk_size=1,
         sinks=sinks,
-        policy="shortest_scenario_first",
+        policy="weighted_completion",
     )
     first = next(iterator)
     assert len(pools) == 1 and not pools[0]._shutdown
@@ -368,33 +372,10 @@ def test_round_robin_cycles_live_indices():
     assert policy.select([0, 2]) == 0
 
 
-def test_priority_weighted_ratio_and_determinism():
-    fleet = build_fleet(("vr-fig10", "faceauth-energy"))
-    policy = PriorityWeighted({"vr-16cam@25GbE": 3.0}, default_weight=1.0)
-    policy.start(fleet)
-    picks = [policy.select((0, 1)) for _ in range(8)]
-    assert picks.count(0) == 6 and picks.count(1) == 2  # 3:1, smoothly
-    assert picks[0] == 0 and 1 in picks[:4]  # no starvation burst
-    policy.start(fleet)  # restart resets credit: same sequence again
-    assert [policy.select((0, 1)) for _ in range(8)] == picks
-
-
-def test_priority_weighted_validation():
-    with pytest.raises(ConfigurationError, match="positive"):
-        PriorityWeighted({"a": 0.0})
-    with pytest.raises(ConfigurationError, match="default_weight"):
-        PriorityWeighted(default_weight=-1.0)
-    fleet = build_fleet(("vr-fig10",))
-    with pytest.raises(ConfigurationError, match="unknown scenarios"):
-        Campaign(fleet).run(policy=PriorityWeighted({"no-such": 2.0}))
-
-
 def test_resolve_policy_accepts_names_instances_and_ducks():
     assert isinstance(resolve_policy(None), RoundRobin)
-    assert isinstance(
-        resolve_policy("shortest_scenario_first"), ShortestScenarioFirst
-    )
-    instance = PriorityWeighted()
+    assert isinstance(resolve_policy("weighted_completion"), WeightedCompletionTime)
+    instance = WeightedCompletionTime()
     assert resolve_policy(instance) is instance
     with pytest.raises(ConfigurationError, match="unknown scheduling policy"):
         resolve_policy("fifo")
@@ -416,9 +397,9 @@ def test_custom_policy_selecting_dead_scenario_fails_fast():
 
 def test_campaign_result_reports_policy():
     fleet = build_fleet(("vr-fig10",))
-    result = Campaign(fleet).run(policy="priority_weighted")
-    assert result.policy == "priority_weighted"
-    assert "priority_weighted" in result.to_table().render()
+    result = Campaign(fleet).run(policy="weighted_completion")
+    assert result.policy == "weighted_completion"
+    assert "weighted_completion" in result.to_table().render()
 
 
 def test_single_scenario_fleet_works_under_every_policy():
@@ -445,6 +426,6 @@ def test_policies_compose_with_pruned_scenarios():
         ),
     ]
     solo = {scenario.name: explore(scenario).rows for scenario in fleet}
-    result = Campaign(fleet).run(chunk_size=2, policy="priority_weighted")
+    result = Campaign(fleet).run(chunk_size=2, policy="weighted_completion")
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name])
