@@ -18,10 +18,13 @@ configurations before evaluation.
   the scalar walk's;
 * ``fused_lazy``    — the fused walk streamed into a top-k sink with
   ``collect=False``: the fold itself, no bulk cost materialization
-  (the gated metric, mirroring the unpruned trajectory's lazy mode);
-* ``shard[w]``      — ``explore(..., SweepExecutor(w, "process"))``:
-  the ``batch-shard`` path, workers rebuilding pruned cohorts locally
-  from flat-index descriptors (the process-pool scaling curve).
+  (the gated metric, mirroring the unpruned trajectory's lazy mode).
+
+Earlier entries also carry ``shard_process_x2``/``x4`` modes: solo
+``explore()`` on 2 and 4 process workers shipping pruned cohorts as
+flat-index descriptors. They measured slower than the serial fused walk
+at every worker count, that path is gone (solo runs fold in process on
+every executor), and the modes are no longer recorded.
 
 The in-test acceptance bar requires the lazy fused fold to clear 5x
 the scalar pruned throughput. Each run appends one
@@ -38,7 +41,7 @@ import time
 from dataclasses import replace
 
 from repro.core.report import TextTable
-from repro.explore import SweepExecutor, TopKSink, evaluation_path, explore
+from repro.explore import TopKSink, evaluation_path, explore
 from repro.explore.result import cost_row
 
 from test_bench_explore_scaling import N_BLOCKS, PLATFORMS, build_deep_scenario
@@ -47,10 +50,6 @@ from test_bench_explore_scaling import N_BLOCKS, PLATFORMS, build_deep_scenario
 #: surviving band is large (~69k configs) and the walk, not fixed
 #: overheads, dominates both modes.
 TARGET_FPS = 65.0
-
-#: Process-pool worker counts for the shard scaling curve (kept short:
-#: each point pays a pool spin-up on top of the evaluation itself).
-SHARD_WORKERS = (2, 4)
 
 
 def _timed(fn):
@@ -111,23 +110,6 @@ def test_explore_pruned_vectorized_speedup(
             "evaluated": survivors,
             "configs_per_sec": round(survivors / seconds),
         }
-
-        for workers in SHARD_WORKERS:
-            executor = SweepExecutor(workers=workers, backend="process")
-            assert evaluation_path(scenario, executor) == "batch-shard"
-            seconds, sharded = _timed(lambda: explore(scenario, executor))
-            assert (
-                json.dumps(
-                    [cost_row(scenario, cost) for cost in sharded.evaluations]
-                )
-                == scalar_rows
-            )
-            measurements[f"shard_process_x{workers}"] = {
-                "seconds": round(seconds, 6),
-                "evaluated": survivors,
-                "configs_per_sec": round(survivors / seconds),
-            }
-            del sharded
         return measurements
 
     measurements = benchmark.pedantic(run, rounds=1, iterations=1)

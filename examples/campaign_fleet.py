@@ -85,12 +85,13 @@ def main() -> None:
     campaign = Campaign(fleet, name="builtin-fleet")
     executor = SweepExecutor(workers=4, backend="thread")
     # Self-describing perf repro: say which evaluation path each
-    # scenario rides under this executor (batch-shard here — the shared
-    # pool receives compact cohort-shard descriptors and workers rebuild
-    # the config columns locally; solo serial runs go batch-cohort, or
-    # batch-cohort-pruned once lower-bound pruning fuses in).
+    # scenario's solo explore() rides (batch-cohort, or
+    # batch-cohort-pruned once lower-bound pruning fuses in — on any
+    # executor). Inside the campaign, the shared pool receives compact
+    # cohort-shard descriptors and workers rebuild the config columns
+    # locally.
     paths = sorted({evaluation_path(s, executor) for s in fleet})
-    print(f"\nEvaluation path(s) under the fleet executor: {', '.join(paths)}")
+    print(f"\nSolo evaluation path(s) of the fleet: {', '.join(paths)}")
     print("Streaming fleet (shortest scenario first):")
     runs = []
     for run in campaign.iter_runs(executor, policy="weighted_completion"):
@@ -166,13 +167,6 @@ def main() -> None:
             f"Dedup group {leader}: {group['states_evaluated']} states "
             f"evaluated once closed {group['member_rows_closed']} member "
             f"rows; {group['rows_materialized']} materialized."
-        )
-    pc = stats["prefix_cache"]
-    if pc is not None and "hits" in pc:
-        print(
-            f"Fleet-shared prefix cache: {pc['hits']} hits / "
-            f"{pc['misses']} misses ({pc['entries']} entries, "
-            f"{pc['width_capped']} cohorts over the width cap)."
         )
     result.to_table().print()
 

@@ -104,21 +104,17 @@ def main() -> None:
     catalog = load_builtin()
     fleet = [catalog.build("faceauth-energy"), catalog.build("vr-fig10")]
     # Self-describing perf repro: name the evaluation path each
-    # scenario rides (batch-cohort on the stock models serial,
-    # batch-cohort-pruned when lower-bound pruning fuses into the
-    # columnar walk, batch-shard when a parallel executor ships flat
-    # index ranges instead of pickled configs, scalar-* when a custom
-    # model forces the fallback).
+    # scenario's solo explore() rides (batch-cohort on the stock models,
+    # on any executor; batch-cohort-pruned when lower-bound pruning
+    # fuses into the columnar walk; scalar-* when a custom model forces
+    # the fallback). Inside the campaign below, the shared pool
+    # receives compact cohort-shard descriptors instead of configs.
     pool = SweepExecutor(workers=4, backend="thread")
     pruned = replace(
         fleet[1], name="vr-fig10-pruned", auto_prune=True, auto_prune_configs=True
     )
     for scenario in (*fleet, pruned):
-        print(
-            f"Evaluation path for {scenario.name}: "
-            f"{evaluation_path(scenario)} solo, "
-            f"{evaluation_path(scenario, pool)} on the shared pool"
-        )
+        print(f"Evaluation path for {scenario.name}: {evaluation_path(scenario)}")
     csv_stream = io.StringIO()
     campaign = Campaign(fleet, name="explorer-finale").run(
         pool,

@@ -21,9 +21,7 @@ turns that exercise into one reusable engine:
   block extensions (bit-identical to from-scratch evaluation);
 * :mod:`.vectorized` — :class:`BatchPrefixEvaluator`, the columnar
   batch core: depth cohorts fold as numpy struct-of-arrays states with
-  lazily materialized rows (bit-identical to the scalar fold), plus
-  :class:`PrefixStateCache`, trie-keyed partial prefix dedup across a
-  fleet's scenarios;
+  lazily materialized rows (bit-identical to the scalar fold);
 * :mod:`.prune` — sound lower-bound pruning derived from a scenario's
   constraint: whole depths (``Scenario(..., auto_prune=True)``) and
   per-config subtrees within surviving depths
@@ -53,7 +51,7 @@ turns that exercise into one reusable engine:
 
 Quickstart::
 
-    from repro.explore import Scenario, SweepExecutor, explore
+    from repro.explore import Scenario, explore
     from repro.hw.network import ETHERNET_25G
     from repro.vr.scenarios import build_vr_pipeline
 
@@ -61,7 +59,7 @@ Quickstart::
         name="fig10", pipeline=build_vr_pipeline(),
         link=ETHERNET_25G, target_fps=30.0,
     )
-    result = explore(scenario, executor=SweepExecutor(workers=4))
+    result = explore(scenario)
     print(result.best["config"], [r["config"] for r in result.pareto()])
 """
 
@@ -115,13 +113,7 @@ from repro.explore.enumerate import (
 )
 from repro.explore.executor import SweepExecutor
 from repro.explore.incremental import PrefixEvaluator, supports_prefix_evaluation
-from repro.explore.vectorized import (
-    BatchPrefixEvaluator,
-    BatchRows,
-    CohortShard,
-    PrefixStateCache,
-    iter_scenario_shards,
-)
+from repro.explore.vectorized import BatchPrefixEvaluator, BatchRows
 from repro.explore.prune import (
     compute_fps_prefix_pruner,
     energy_depth_lower_bounds,
@@ -158,7 +150,6 @@ __all__ = [
     "Campaign",
     "CampaignResult",
     "CatalogEntry",
-    "CohortShard",
     "CsvSink",
     "DOMAINS",
     "DepthPruneHook",
@@ -178,7 +169,6 @@ __all__ = [
     "PipelineCostCache",
     "PrefixEvaluator",
     "PrefixPruner",
-    "PrefixStateCache",
     "PruneHook",
     "ResultSink",
     "RoundRobin",
@@ -203,7 +193,6 @@ __all__ = [
     "explore_brute_force",
     "explore_joint",
     "iter_configs",
-    "iter_scenario_shards",
     "joint_candidates",
     "load_builtin",
     "lower_bound_depth_hook",

@@ -35,16 +35,16 @@ only frontier/heap survivors, never N x rows Python objects
 (``dedup="materialize"`` keeps the per-member materialized finalize
 for comparison).
 
-Sharding contract: on a parallel executor, shard-eligible scenarios
-(stock models, see
-:func:`~repro.explore.incremental.uses_stock_cost_semantics`) stream
-compact :class:`~repro.explore.vectorized.CohortShard` descriptors
-through the interleaver instead of materialized config
+Sharding contract: on a parallel executor, scenarios with stock models
+(see :func:`~repro.explore.incremental.uses_stock_cost_semantics`)
+stream compact :class:`~repro.explore.vectorized.CohortShard`
+descriptors through the interleaver instead of materialized config
 lists; workers regenerate each chunk's rows locally from the flat
 index ranges (O(depth) array rebuilds), so a process pool pickles a
 few integers per chunk rather than per-config tuples. Results remain
 byte-identical to the materialized stream — the shard decode replays
-enumeration order exactly.
+enumeration order exactly. Campaigns are the only users of this wire
+format: solo ``explore()`` folds in process on every executor.
 
 Correctness contract: chunks are tagged with their scenario and each is
 evaluated by a chunk-local
@@ -77,7 +77,6 @@ stream and every open sink the same way.
 
 from __future__ import annotations
 
-import gc
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -94,7 +93,6 @@ from repro.explore.engine import (
     _chunked,
     _evaluate_scratch,
     _gc_paused,
-    _shard_eligible,
 )
 from repro.explore.executor import (
     SweepExecutor,
@@ -105,6 +103,7 @@ from repro.explore.incremental import (
     depth_link_cost,
     evaluate_chunk,
     supports_prefix_evaluation,
+    uses_stock_cost_semantics,
 )
 from repro.explore.result import (
     DEFAULT_AXES,
@@ -119,7 +118,6 @@ from repro.explore.vectorized import (
     BatchPrefixEvaluator,
     BatchRows,
     CohortShard,
-    PrefixStateCache,
     _materialize_costs,
     iter_scenario_shards,
 )
@@ -152,13 +150,8 @@ _MODE_MEMOIZED = "memoized"
 _MODE_SCRATCH = "scratch"
 _MODE_STATES = "states"
 
-#: One tagged chunk's spec: (model, pass_rates, mode, prefix_cache).
-#: ``prefix_cache`` is the fleet-shared
-#: :class:`~repro.explore.vectorized.PrefixStateCache` (trie-keyed
-#: partial prefix dedup across scenarios) on serial/thread backends, or
-#: None — process pools would pickle private per-task copies, sharing
-#: nothing, so the driver does not offer it there.
-_ChunkSpec = tuple[Any, "dict[str, float] | None", str, Any]
+#: One tagged chunk's spec: (model, pass_rates, mode).
+_ChunkSpec = tuple[Any, "dict[str, float] | None", str]
 
 
 def _evaluate_tagged_chunk(
@@ -166,24 +159,27 @@ def _evaluate_tagged_chunk(
 ) -> tuple[int, Any]:
     """Evaluate one scenario-tagged chunk (module-level for process-pool
     picklability). The tagged item carries *its own* scenario's (model,
-    pass_rates, mode, prefix_cache) spec — not the whole fleet's — so a
+    pass_rates, mode) spec — not the whole fleet's — so a
     process backend serializes one model per task, same as solo
     ``explore()``; the index travels with the results so the collector
     can route them back to their scenario.
 
-    A dedup leader's chunk (the states mode; its model is always stock)
-    folds into columnar
-    :class:`~repro.explore.vectorized.BatchChunkStates`, from a
-    :class:`~repro.explore.vectorized.CohortShard` the worker decodes
-    locally or from a config list."""
-    index, (model, pass_rates, mode, prefix_cache), configs = tagged
-    if mode == _MODE_STATES:
-        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
-        if isinstance(configs, CohortShard):
+    A :class:`~repro.explore.vectorized.CohortShard` (only stock models
+    shard) is decoded and folded locally by the columnar evaluator; a
+    config list goes through the shared chunk evaluator. A dedup
+    leader's chunk (the states mode; its model is always stock) folds
+    into columnar :class:`~repro.explore.vectorized.BatchChunkStates`
+    instead of cost objects."""
+    index, (model, pass_rates, mode), configs = tagged
+    if isinstance(configs, CohortShard):
+        batch = BatchPrefixEvaluator(model, pass_rates)
+        if mode == _MODE_STATES:
             return index, batch.states_shard(configs)
-        return index, batch.states_chunk(configs)
+        return index, batch.evaluate_shard(configs)
+    if mode == _MODE_STATES:
+        return index, BatchPrefixEvaluator(model, pass_rates).states_chunk(configs)
     if mode == _MODE_MEMOIZED:
-        return index, evaluate_chunk(model, pass_rates, configs, prefix_cache)
+        return index, evaluate_chunk(model, pass_rates, configs)
     return index, [_evaluate_scratch(model, pass_rates, config) for config in configs]
 
 
@@ -565,14 +561,12 @@ class CampaignResult:
         wall_seconds: float,
         policy: str = RoundRobin.name,
         dedup: bool | str = False,
-        prefix_cache_stats: dict[str, Any] | None = None,
     ):
         self.name = name
         self.runs = runs
         self.wall_seconds = wall_seconds
         self.policy = policy
         self.dedup = dedup
-        self.prefix_cache_stats = prefix_cache_stats
 
     @property
     def cache_stats(self) -> dict[str, Any]:
@@ -583,16 +577,7 @@ class CampaignResult:
         costs were finalized from another scenario's shared compute
         states instead of being re-evaluated (zero unless the campaign
         ran with ``dedup=True`` and the fleet shared a compute key —
-        see :func:`scenario_compute_key`). ``prefix_cache`` carries the
-        fleet-shared :class:`~repro.explore.vectorized.PrefixStateCache`
-        counters — hits, misses, entries, and ``width_capped`` (cohorts
-        whose width exceeded the seeding cap and were folded from
-        scratch) — None when the campaign ran without ``dedup=True``,
-        or the explicit ``{"shared": False}`` sentinel on a dedup
-        process pool: process workers would each pickle a *private*
-        trie copy, so nothing is ever shared there and the driver
-        offers no cache at all rather than report counters that never
-        counted shared work.
+        see :func:`scenario_compute_key`).
 
         ``dedup_groups`` surfaces the lazy finalize accounting per
         dedup group, keyed by leader scenario name:
@@ -634,7 +619,6 @@ class CampaignResult:
             ),
             "evaluations_skipped": sum(run.n_evaluated for run in shared),
             "dedup_groups": groups,
-            "prefix_cache": self.prefix_cache_stats,
         }
 
     def __len__(self) -> int:
@@ -863,7 +847,6 @@ class Campaign:
         *,
         sinks: Any = None,
         collect: bool = True,
-        collect_on_exit: bool = False,
         policy: Any = None,
         dedup: bool | str = False,
         frontier: bool = True,
@@ -914,7 +897,6 @@ class Campaign:
             chunk_size,
             sink_list,
             collect,
-            collect_on_exit,
             policy,
             PipelineCostCache(scenarios) if dedup else None,
             dedup != "materialize",
@@ -927,7 +909,6 @@ class Campaign:
         chunk_size: int | None,
         sink_list: list[Any],
         collect: bool,
-        collect_on_exit: bool,
         policy: SchedulingPolicy,
         cache: PipelineCostCache | None,
         dedup_lazy: bool = True,
@@ -938,20 +919,6 @@ class Campaign:
         scenarios = self.scenarios
         followers = cache.follower_indices if cache is not None else frozenset()
         models = [scenario.cost_model() for scenario in scenarios]
-        # Partial prefix dedup rides the dedup opt-in: one fleet-shared
-        # trie-keyed state cache, offered only where sharing is real —
-        # serial and thread backends see one object; a process pool
-        # would pickle a private copy per task and share nothing (each
-        # worker would prime and query its own trie), so the driver
-        # reports the explicit {"shared": False} sentinel there instead
-        # of counters that never counted shared work.
-        prefix_cache = None
-        prefix_cache_stats: dict[str, Any] | None = None
-        if cache is not None:
-            if executor.is_process:
-                prefix_cache_stats = {"shared": False}
-            else:
-                prefix_cache = PrefixStateCache()
         spec_list: list[_ChunkSpec] = []
         for index, (model, scenario) in enumerate(zip(models, scenarios)):
             if cache is not None and cache.is_shared_leader(index):
@@ -960,29 +927,22 @@ class Campaign:
                 mode = _MODE_MEMOIZED
             else:
                 mode = _MODE_SCRATCH
-            spec_list.append(
-                (
-                    model,
-                    scenario.pass_rates,
-                    mode,
-                    prefix_cache if mode != _MODE_SCRATCH else None,
-                )
-            )
+            spec_list.append((model, scenario.pass_rates, mode))
         specs = tuple(spec_list)
         sizes = [
             self._chunk_size_for(scenario, executor, chunk_size)
             for scenario in scenarios
         ]
-        # Cohort sharding on parallel executors: shard-eligible
-        # scenarios (stock models) ship compact (depth, flat-index-range)
-        # descriptors instead of pickled config lists; workers rebuild
-        # the rows locally.
-        shard_flags = [_shard_eligible(model, executor, "auto") for model in models]
+        stock = [uses_stock_cost_semantics(model) for model in models]
+        # Cohort sharding on parallel executors: stock-model scenarios
+        # ship compact (depth, flat-index-range) descriptors instead of
+        # pickled config lists; workers rebuild the rows locally.
+        shard_flags = [flag and not executor.is_serial for flag in stock]
         # Same pause rule as solo explore(): engine-only allocations
         # (the dedup states and finalized costs are engine-owned and
         # acyclic, so the states mode keeps the pause).
         pause = (
-            all(mode != _MODE_SCRATCH for _, _, mode, _ in specs)
+            all(stock)
             and all(scenario.prune is None for scenario in scenarios)
             and all(sink is None for sink in sink_list)
         )
@@ -1188,13 +1148,6 @@ class Campaign:
             raise
         finally:
             _exit_pause()
-            # Snapshot the fleet-shared prefix-cache counters (hits,
-            # misses, entries, width-capped rejections) for run() to
-            # surface through CampaignResult.cache_stats — or the
-            # {"shared": False} sentinel on a dedup process pool.
-            self._prefix_cache_stats = (
-                prefix_cache.stats if prefix_cache is not None else prefix_cache_stats
-            )
             # Stop the executor stream first (the pool shuts down after
             # in-flight chunks finish), then the enumerators, then flush
             # every sink not already closed at scenario completion.
@@ -1213,8 +1166,6 @@ class Campaign:
                     # other scenarios' outputs unflushed.
                     if close_error is None:
                         close_error = exc
-            if collect_on_exit:
-                gc.collect()
             if close_error is not None and error is None:
                 raise close_error
 
@@ -1261,7 +1212,6 @@ class Campaign:
         *,
         sinks: Any = None,
         collect: bool = True,
-        collect_on_exit: bool = False,
         policy: Any = None,
         dedup: bool | str = False,
         frontier: bool = True,
@@ -1293,9 +1243,6 @@ class Campaign:
             sinks at all (a summary-only campaign) or with a sink for
             *every* scenario (an export-only campaign); partial coverage
             would silently discard rows and is rejected.
-        collect_on_exit:
-            Run the GC pass deferred by the bulk-accumulation pause
-            before returning (see :func:`repro.explore.explore`).
         policy:
             The :class:`SchedulingPolicy` interleaving the fleet's
             chunks — an instance or a builtin name
@@ -1334,7 +1281,6 @@ class Campaign:
                 chunk_size,
                 sinks=sinks,
                 collect=collect,
-                collect_on_exit=collect_on_exit,
                 policy=resolved,
                 dedup=dedup,
                 frontier=frontier,
@@ -1349,7 +1295,6 @@ class Campaign:
             wall_seconds=wall,
             policy=getattr(resolved, "name", type(resolved).__name__),
             dedup=dedup,
-            prefix_cache_stats=getattr(self, "_prefix_cache_stats", None),
         )
 
     def _label(self, index: int) -> str:

@@ -11,9 +11,10 @@ and serial runs are interchangeable.
 
 One rule picks the evaluation path. A model whose every cost step is
 stock (:func:`~repro.explore.incremental.uses_stock_cost_semantics`)
-takes the columnar core (:mod:`repro.explore.vectorized`): serial runs
-fold whole depth cohorts, parallel runs ship
-:class:`~repro.explore.vectorized.CohortShard` descriptors, campaign
+takes the columnar core (:mod:`repro.explore.vectorized`): ``explore()``
+folds whole depth cohorts in process on every executor, campaign chunks
+fold columnar (shipped to pools as
+:class:`~repro.explore.vectorized.CohortShard` descriptors), campaign
 dedup closes shared columnar states. Every other model — and
 ``evaluation="scalar"`` — takes the one generic scalar walk: the
 memoized :class:`~repro.explore.incremental.PrefixEvaluator` if its
@@ -27,8 +28,9 @@ intermediate memory is set by the chunk size, not the design-space
 size. For stock-model, unhooked runs (every allocation the engine's
 own, all acyclic) the cyclic GC is paused while results accumulate:
 bulk-appending millions of small cost objects otherwise triggers
-quadratically many full collections over the growing result. Runs involving user code (custom models, per-config prune
-hooks) keep the GC live so user cycles stay collectable.
+quadratically many full collections over the growing result. Runs
+involving user code (models overriding any cost step, per-config prune
+hooks, sinks) keep the GC live so user cycles stay collectable.
 
 ``explore_brute_force()`` keeps the pre-streaming semantics — eager
 enumeration, from-scratch per-config evaluation, eager rows — as the
@@ -67,7 +69,7 @@ from repro.explore.sink import (
     uses_columnar_writes,
     write_sink_batch,
 )
-from repro.explore.vectorized import BatchPrefixEvaluator, iter_scenario_shards
+from repro.explore.vectorized import BatchPrefixEvaluator
 
 #: Valid values of the ``evaluation=`` knob on :func:`explore` and
 #: :func:`iter_evaluation_chunks`: ``"auto"`` picks the fastest
@@ -145,8 +147,8 @@ def _check_evaluation_mode(evaluation: str, model: Any) -> None:
         raise ConfigurationError(
             "evaluation='batch' requires a batch-capable cost model "
             "(every cost step stock: evaluate(), the scalar steps and "
-            "their batch twins) — none of the columnar paths "
-            "(batch-cohort, batch-cohort-pruned, batch-shard) can run "
+            "their batch twins) — neither columnar path "
+            "(batch-cohort, batch-cohort-pruned) can run "
             "this model; use evaluation='auto' to fall back to the "
             "scalar paths (scalar-memoized / scalar-scratch)"
         )
@@ -169,7 +171,6 @@ def iter_evaluation_chunks(
     chunk_size: int | None = None,
     approx_total: int | None = None,
     evaluation: str = "auto",
-    scenario: Scenario | None = None,
 ) -> Iterator[list[Any]]:
     """Stream cost objects for a configuration iterable, as ordered
     chunk lists (the collection loop extends at C speed).
@@ -184,14 +185,6 @@ def iter_evaluation_chunks(
     per worker — so small spaces still spread across workers.
     ``evaluation`` picks the path (see :data:`EVALUATION_MODES`); all
     paths produce bit-identical costs.
-
-    ``scenario`` (when given) enables the shard mode on parallel
-    executors with stock-semantics models: instead of pickling config
-    chunks, the stream ships compact
-    :class:`~repro.explore.vectorized.CohortShard` descriptors that
-    workers decode and fold locally — ``configs`` is then ignored, as
-    the shards re-derive the same enumeration (identical order and
-    values).
     """
     executor = resolve_executor(executor)
     _check_evaluation_mode(evaluation, model)
@@ -206,10 +199,6 @@ def iter_evaluation_chunks(
         else:
             size = DEFAULT_CHUNK_SIZE
     allow_batch = evaluation != "scalar"
-    if scenario is not None and _shard_eligible(model, executor, evaluation):
-        chunk_fn = partial(evaluate_chunk, model, pass_rates, allow_batch=allow_batch)
-        shards = iter_scenario_shards(scenario, size)
-        return executor.imap(chunk_fn, shards, chunk_size=1)
     chunks = _chunked(iter(configs), size)
     if executor.is_serial and supports_prefix_evaluation(model):
         # Serial fast path: one evaluator spans the whole stream (no
@@ -243,14 +232,11 @@ def evaluation_path(
 ) -> str:
     """The evaluation path :func:`explore` would take for this call:
 
-    - ``"batch-cohort"`` — serial, whole depth cohorts as columnar
-      arrays with lazily materialized rows;
+    - ``"batch-cohort"`` — whole depth cohorts as columnar arrays with
+      lazily materialized rows, folded in process on every executor;
     - ``"batch-cohort-pruned"`` — the same cohort walk with the
       scenario's pruning fused in (prefix bounds as boolean-mask
       compaction, per-config hooks as an emission-time filter);
-    - ``"batch-shard"`` — parallel, workers receive compact
-      :class:`~repro.explore.vectorized.CohortShard` descriptors and
-      regenerate state columns locally (nothing per-row is pickled);
     - ``"scalar-memoized"`` — the generic scalar prefix walk, for
       ``evaluation="scalar"`` and for models that override any cost
       step but keep the stock ``evaluate()``;
@@ -272,58 +258,42 @@ def evaluation_path(
     leader's columnar states, but finalizes and materializes them per
     member) or when ``evaluation="scalar"`` is forced.
 
+    ``executor`` is validated but does not change the solo path:
+    ``explore()`` folds stock models in process on every executor.
+
     Purely informational, for self-describing perf repros; raises
-    exactly like :func:`explore` for an invalid or unsatisfiable
-    ``evaluation=``, and like ``Campaign.run`` for an invalid
-    ``dedup=``.
+    exactly like :func:`explore` for an invalid executor or an invalid
+    or unsatisfiable ``evaluation=``, and like ``Campaign.run`` for an
+    invalid ``dedup=``.
     """
     model = scenario.cost_model()
     _check_evaluation_mode(evaluation, model)
     _check_dedup_mode(dedup)
-    resolved = resolve_executor(executor)
+    resolve_executor(executor)
     if dedup not in (False, "materialize") and evaluation != "scalar":
         # Imported here: campaign builds on the engine, not vice versa.
         from repro.explore.campaign import scenario_compute_key
 
         if scenario_compute_key(scenario) is not None:
             return "batch-dedup"
-    if _cohort_eligible(model, resolved, evaluation):
+    if _cohort_eligible(model, evaluation):
         if scenario.prune is not None or scenario.prefix_pruner() is not None:
             return "batch-cohort-pruned"
         return "batch-cohort"
-    if _shard_eligible(model, resolved, evaluation):
-        return "batch-shard"
     if supports_prefix_evaluation(model):
         return "scalar-memoized"
     return "scalar-scratch"
 
 
-def _cohort_eligible(model: Any, executor: SweepExecutor, evaluation: str) -> bool:
-    """Whether :func:`explore` may stream whole depth cohorts as
-    columnar batches: serial run and a stock model (the cohort walk
-    replicates state arrays, so it must know their layout). Depth
+def _cohort_eligible(model: Any, evaluation: str) -> bool:
+    """Whether :func:`explore` streams whole depth cohorts as columnar
+    batches: a stock model (the cohort walk replicates state arrays, so
+    it must know their layout), on any executor — shipping cohorts to
+    pool workers measured slower than folding them in process. Depth
     pruning composes with cohorts; the scenario's auto-derived prefix
     pruner fuses in as mask compaction through its batch form, and
     per-config hooks filter compacted cohorts at emission time."""
-    return (
-        evaluation != "scalar"
-        and executor.is_serial
-        and uses_stock_cost_semantics(model)
-    )
-
-
-def _shard_eligible(model: Any, executor: SweepExecutor, evaluation: str) -> bool:
-    """Whether a parallel run may ship
-    :class:`~repro.explore.vectorized.CohortShard` descriptors instead
-    of pickled config chunks: parallel executor and a stock model
-    (workers regenerate stock-shaped state columns). The submitting
-    process resolves pruner masks and hooks into explicit survivor
-    indices, so workers never see either."""
-    return (
-        evaluation != "scalar"
-        and not executor.is_serial
-        and uses_stock_cost_semantics(model)
-    )
+    return evaluation != "scalar" and uses_stock_cost_semantics(model)
 
 
 def explore(
@@ -333,7 +303,6 @@ def explore(
     *,
     sink: Any = None,
     collect: bool = True,
-    collect_on_exit: bool = False,
     evaluation: str = "auto",
 ) -> ExplorationResult | None:
     """Evaluate a scenario's whole (pruned) design space.
@@ -343,11 +312,14 @@ def explore(
     scenario:
         What to explore and under which cost domain.
     executor:
-        How to run the evaluations; defaults to serial. Parallel
-        executors return rows in the same order as serial ones.
+        How to run the evaluations; defaults to serial. Stock models
+        fold in process whatever the executor (the columnar cohort walk
+        beats shipping cohorts to pool workers); the executor runs the
+        scalar paths, with rows in the same order as serial ones.
     chunk_size:
         Configurations per streamed chunk (default: the executor's
-        ``chunk_size``, else :data:`DEFAULT_CHUNK_SIZE` sized down for
+        ``chunk_size``; the cohort walk then emits whole depth cohorts,
+        the scalar paths :data:`DEFAULT_CHUNK_SIZE`, sized down for
         small spaces on parallel executors). Peak intermediate memory
         is proportional to this, never to the design-space size.
     sink:
@@ -365,20 +337,13 @@ def explore(
         :class:`~repro.explore.sink.ParetoSink` (an online
         dominance-pruned frontier, identical to the collected
         ``result.pareto()``).
-    collect_on_exit:
-        Run the cyclic GC pass deferred by the bulk-accumulation pause
-        before returning, instead of letting it land on the caller's
-        next allocation (useful when a huge ``explore()`` is followed
-        by latency-sensitive work).
     evaluation:
         ``"auto"`` (default) rides the columnar batch path whenever the
-        model supports it — serial stock runs stream whole depth
-        cohorts with lazily materialized rows (pruning included: prefix
-        bounds fuse in as mask compaction, per-config hooks as
-        emission-time filters), parallel stock runs ship
-        :class:`~repro.explore.vectorized.CohortShard` descriptors that
-        workers fold locally — falling back to the scalar prefix walk
-        for models that override any cost step. ``"batch"`` requires a
+        model supports it — stock runs stream whole depth cohorts with
+        lazily materialized rows (pruning included: prefix bounds fuse
+        in as mask compaction, per-config hooks as emission-time
+        filters) — falling back to the scalar prefix walk for models
+        that override any cost step. ``"batch"`` requires a
         batch path (raising :class:`ConfigurationError` when the model
         cannot take one); ``"scalar"`` forces the scalar fold. Every
         path produces bit-identical results (:func:`evaluation_path`
@@ -393,25 +358,24 @@ def explore(
     model = scenario.cost_model()
     _check_evaluation_mode(evaluation, model)
     # Pause the cyclic GC only when every allocation in the loop is the
-    # engine's own (stock model, no per-config user hooks, no sink):
-    # those objects are acyclic, so pausing changes wall-time only.
-    # Custom models / prune hooks / sinks may build cycles, which must
-    # stay collectable over a multi-million-config run (the auto-derived
-    # pruners are engine-owned and acyclic, so they keep the pause).
+    # engine's own (every cost step stock, no per-config user hooks, no
+    # sink): those objects are acyclic, so pausing changes wall-time
+    # only. A model overriding any step (extend_state included), prune
+    # hooks and sinks may build cycles, which must stay collectable over
+    # a multi-million-config run (the auto-derived pruners are
+    # engine-owned and acyclic, so they keep the pause).
     pause = (
-        supports_prefix_evaluation(model)
+        uses_stock_cost_semantics(model)
         and scenario.prune is None
         and sink is None
     )
     label = f"scenario {scenario.name!r}"
     resolved = resolve_executor(executor)
-    if _cohort_eligible(model, resolved, evaluation):
+    if _cohort_eligible(model, evaluation):
         size = chunk_size if chunk_size is not None else resolved.chunk_size
         if size is not None and size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
-        return _explore_cohorts(
-            scenario, model, size, sink, collect, collect_on_exit, pause, label
-        )
+        return _explore_cohorts(scenario, model, size, sink, collect, pause, label)
     evaluations: list[Any] = []
     # Sink rows are built per chunk and dropped after the write — NOT
     # cached on the result. Keeping them would double-hold a row list
@@ -428,14 +392,11 @@ def explore(
                 chunk_size=chunk_size,
                 approx_total=scenario.count_configs(),
                 evaluation=evaluation,
-                scenario=scenario,
             ):
                 if collect:
                     evaluations.extend(costs)
                 if write is not None:
                     write([cost_row(scenario, cost) for cost in costs])
-    if collect_on_exit:
-        gc.collect()
     if not collect:
         return None
     return ExplorationResult(scenario=scenario, evaluations=evaluations)
@@ -447,11 +408,10 @@ def _explore_cohorts(
     chunk_size: int | None,
     sink: Any,
     collect: bool,
-    collect_on_exit: bool,
     pause: bool,
     label: str,
 ) -> ExplorationResult | None:
-    """The serial columnar fast path of :func:`explore`: stream whole
+    """The columnar fast path of :func:`explore`: stream whole
     depth cohorts as :class:`~repro.explore.vectorized.BatchRows`.
 
     With ``collect=True`` every cohort is materialized in bulk (the
@@ -494,8 +454,6 @@ def _explore_cohorts(
                     pending.clear()
             if write is not None and not columnar and pending:
                 write(pending)
-    if collect_on_exit:
-        gc.collect()
     if not collect:
         return None
     return ExplorationResult(scenario=scenario, evaluations=evaluations)

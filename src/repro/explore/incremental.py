@@ -81,7 +81,8 @@ def uses_stock_cost_semantics(model: Any) -> bool:
     chunk folds and batch dedup replicate and gather struct-of-arrays
     states), the bounds ``Scenario.auto_prune`` /
     ``auto_prune_configs`` derive from the raw ``Implementation``/link
-    tables, and :class:`~repro.explore.vectorized.PrefixStateCache`.
+    tables, and the engine's cyclic-GC pause (stock steps allocate only
+    acyclic engine objects).
     Stricter than :func:`supports_prefix_evaluation`: a subclass that
     customizes any step while keeping the stock ``evaluate`` still
     takes the generic scalar prefix walk through its own steps, but
@@ -274,7 +275,6 @@ def evaluate_chunk(
     model: ThroughputCostModel | EnergyCostModel,
     pass_rates: dict[str, float] | None,
     configs: Sequence[PipelineConfig],
-    prefix_cache: Any = None,
     allow_batch: bool = True,
 ) -> list[ConfigCost | EnergyCost]:
     """Evaluate one contiguous chunk of configurations.
@@ -290,22 +290,10 @@ def evaluate_chunk(
     Stock models (:func:`uses_stock_cost_semantics`) fold the chunk
     columnar (bit-identical values, see :mod:`repro.explore.vectorized`)
     unless ``allow_batch`` is False; everything else takes the scalar
-    :class:`PrefixEvaluator`. ``prefix_cache`` (an optional
-    :class:`~repro.explore.vectorized.PrefixStateCache`) lets fleet
-    chunks share batched prefix states across scenarios.
-
-    ``configs`` may also be a
-    :class:`~repro.explore.vectorized.CohortShard` descriptor instead
-    of a config sequence: workers then regenerate the rows locally from
-    the flat indices (O(depth) array work, nothing per-row pickled) —
-    the shard-eligibility gate guarantees a stock model.
+    :class:`PrefixEvaluator`.
     """
-    from repro.explore.vectorized import BatchPrefixEvaluator, CohortShard
+    from repro.explore.vectorized import BatchPrefixEvaluator
 
-    if isinstance(configs, CohortShard):
-        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
-        return batch.evaluate_shard(configs)
     if allow_batch and uses_stock_cost_semantics(model):
-        batch = BatchPrefixEvaluator(model, pass_rates, prefix_cache)
-        return batch.evaluate_many(configs)
+        return BatchPrefixEvaluator(model, pass_rates).evaluate_many(configs)
     return PrefixEvaluator(model, pass_rates).evaluate_many(configs)

@@ -43,8 +43,7 @@ Machinery reuse, not re-enumeration
 Phase 1 evaluates every member's solo design space through one
 :class:`~repro.explore.campaign.Campaign` — the chunk interleaver, any
 :class:`~repro.explore.scheduling.SchedulingPolicy`, and (with
-``dedup=True``) the cross-member evaluation dedup + fleet-shared
-:class:`~repro.explore.vectorized.PrefixStateCache`: members sharing a
+``dedup=True``) the cross-member evaluation dedup: members sharing a
 pipeline hit the lazy columnar group-finalize path and are costed
 once. Member rows are therefore byte-identical to solo ``explore()``
 runs by the campaign's standing contract. Phase 2 runs the outer DFS
@@ -518,7 +517,7 @@ def explore_joint(
     under ``policy`` — ``dedup=True`` (the default here: joint fleets
     are a dedup-heavy shape, N cameras often sharing a pipeline) shares
     compute-side states across members via the campaign's
-    ``PipelineCostCache`` / fleet-shared ``PrefixStateCache``. Member
+    ``PipelineCostCache``. Member
     rows are byte-identical to solo ``explore()`` runs.
 
     Phase 2 compresses each member's feasible rows to per-depth

@@ -31,7 +31,7 @@ update is ``np.where(new < cur, new, cur)`` (the scalar branch, not
 stay one array per level so the left-to-right accumulation order is
 preserved.
 
-Pruned and parallel runs ride the same columnar core:
+Pruned runs and campaign pool chunks ride the same columnar core:
 
 * Prefix pruners carrying batch forms
   (:attr:`~repro.explore.enumerate.PrefixPruner.extend_batch`) fuse
@@ -40,27 +40,23 @@ Pruned and parallel runs ride the same columnar core:
   deeper cohorts, reproducing DFS pruning semantics exactly; per-config
   ``scenario.prune`` hooks run as a scalar filter over the already
   compacted (small) cohort.
-* Parallel executors ship :class:`CohortShard` descriptors — compact
-  (depth, flat index range) slices of a cohort — instead of pickled
-  config lists; workers regenerate the state columns locally from the
-  prefix plan in O(depth) array operations
-  (:meth:`BatchPrefixEvaluator.evaluate_shard`).
+* Campaigns on parallel executors ship :class:`CohortShard`
+  descriptors — compact (depth, flat index range) slices of a cohort —
+  instead of pickled config lists; workers regenerate the state
+  columns locally from the prefix plan in O(depth) array operations
+  (:meth:`BatchPrefixEvaluator.evaluate_shard` /
+  :meth:`~BatchPrefixEvaluator.states_shard`). Solo ``explore()``
+  never shards: every stock run folds its cohorts in process, which
+  measured faster than shipping them to pool workers.
 
 Only models whose every cost step is stock
 (:func:`~repro.explore.incremental.uses_stock_cost_semantics`) take
 these paths; any other model rides the generic scalar
 :class:`~repro.explore.incremental.PrefixEvaluator` walk.
-
-:class:`PrefixStateCache` extends campaign dedup from whole-space
-sharing to trie-keyed *partial* sharing: each depth-``j`` prefix of a
-block chain is keyed by its own cost-defining fingerprint, so scenarios
-whose platform axes agree only on a prefix still share the batched
-prefix-state cohorts in fleet sweeps.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -70,9 +66,8 @@ from repro.core.cost import (
     EnergyCost,
     EnergyCostModel,
     ThroughputCostModel,
-    implementation_fingerprint,
 )
-from repro.core.pipeline import InCameraPipeline, PipelineConfig, _digest
+from repro.core.pipeline import InCameraPipeline, PipelineConfig
 from repro.errors import ConfigurationError
 from repro.explore.enumerate import _normalize_hooks, enumeration_plan
 from repro.explore.incremental import depth_link_cost, uses_stock_cost_semantics
@@ -354,9 +349,9 @@ class BatchChunkStates:
 class CohortShard:
     """A compact wire descriptor of one run of depth-``depth`` cohort rows.
 
-    The parallel counterpart of a pickled config-list chunk: instead of
-    shipping ``PipelineConfig`` objects to pool workers, the driver
-    ships ``(pipeline, depth, flat index range)`` and each worker
+    A campaign's pool counterpart of a pickled config-list chunk:
+    instead of shipping ``PipelineConfig`` objects to pool workers, the
+    campaign driver ships ``(pipeline, depth, flat index range)`` and each worker
     regenerates the rows locally — mixed-radix decode of the flat
     product indices into an ``(n, depth)`` choice matrix (level 0 is the
     most significant digit, so flat order *is* enumeration order),
@@ -429,134 +424,6 @@ class _PipelinePlan:
         self.link_costs: dict[int, Any] = {}
 
 
-class PrefixStateCache:
-    """Trie-keyed partial dedup of batched prefix-state cohorts.
-
-    Campaign-level dedup (:class:`~repro.explore.campaign.
-    PipelineCostCache`) shares evaluations only between scenarios whose
-    *whole* (chain, platform-axis) identity matches. Fleets often agree
-    on less: a shared front-end chain with per-camera back-ends. This
-    cache keys every depth-``j`` prefix by its own cost-defining
-    fingerprint — per-block (name, pass rate, implementation cost table
-    in enumeration order), the cost domain, and the pass-rate overrides
-    restricted to the prefix's block names — and stores the full
-    option-product *cohort* of struct-of-arrays states at that depth.
-    Any batch evaluator folding a chunk then gathers each row's prefix
-    state from the deepest cached cohort by flat product index and only
-    extends the suffix.
-
-    Bit-identity holds across scenarios: equal fingerprints imply equal
-    per-level cost tables in equal enumeration order, and cohort rows
-    are produced by the same elementwise operations a direct fold would
-    perform. States are link-independent, so sharing across links is
-    always safe.
-
-    Cohort width is the product of option counts, so priming stops at
-    ``max_rows`` rows per level; deeper prefixes gather the deepest
-    cached cohort and extend per chunk. A lock guards priming — the
-    cache is shared across a campaign's scenarios on serial and thread
-    backends (process pools would pickle private copies, so the driver
-    does not offer it there).
-    """
-
-    def __init__(self, max_rows: int = 4096):
-        if max_rows < 1:
-            raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
-        self.max_rows = max_rows
-        self.hits = 0
-        self.misses = 0
-        self.width_capped = 0
-        self._states: dict[tuple, Any] = {}
-        self._lock = threading.Lock()
-
-    @property
-    def stats(self) -> dict[str, int]:
-        """Observable counters: priming hits/misses, cached cohort
-        entries, and how many :meth:`deepest` lookups the ``max_rows``
-        width cap truncated (``width_capped`` > 0 on a fleet means
-        deeper sharing was available but priced out — raise
-        ``max_rows`` to trade memory for hits)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "entries": len(self._states),
-                "width_capped": self.width_capped,
-            }
-
-    @staticmethod
-    def _fingerprint(
-        levels: Sequence[_Level],
-        j: int,
-        energy: bool,
-        pass_rates: dict[str, float] | None,
-    ) -> tuple:
-        payload = tuple(
-            (
-                level.block.name,
-                level.block.pass_rate,
-                tuple(implementation_fingerprint(impl) for impl in level.impls),
-            )
-            for level in levels[:j]
-        )
-        rates = None
-        if pass_rates:
-            names = {level.block.name for level in levels[:j]}
-            rates = tuple(
-                sorted(item for item in pass_rates.items() if item[0] in names)
-            )
-        return ("energy" if energy else "throughput", j, rates, _digest(payload))
-
-    def deepest(
-        self, evaluator: "BatchPrefixEvaluator", levels: Sequence[_Level], depth: int
-    ) -> tuple[int, Any]:
-        """``(j, cohort state)`` for the deepest cacheable prefix level
-        ``j <= depth`` (priming missing levels), or ``(0, None)`` when
-        even the first level's cohort exceeds the row cap."""
-        energy = evaluator._energy
-        pass_rates = evaluator.pass_rates
-        width = 1
-        target = 0
-        capped = False
-        for j in range(1, depth + 1):
-            width *= len(levels[j - 1].names)
-            if width > self.max_rows:
-                capped = True
-                break
-            target = j
-        if capped:
-            with self._lock:
-                self.width_capped += 1
-        if target == 0:
-            return (0, None)
-        keys = [
-            self._fingerprint(levels, j, energy, pass_rates)
-            for j in range(1, target + 1)
-        ]
-        with self._lock:
-            state = None
-            have = 0
-            for j in range(target, 0, -1):
-                state = self._states.get(keys[j - 1])
-                if state is not None:
-                    have = j
-                    break
-            if have == target:
-                self.hits += 1
-                return (target, state)
-            self.misses += 1
-            if have == 0:
-                state = evaluator.model.initial_state_batch(1)
-            for j in range(have, target):
-                level = levels[j]
-                k = len(level.names)
-                n_prev = state[0].shape[0]
-                tile = np.tile(np.arange(k, dtype=np.intp), n_prev)
-                state = evaluator._extend(_repeat_state(state, k, energy), level, tile)
-                self._states[keys[j]] = state
-            return (target, state)
-
-
 class BatchPrefixEvaluator:
     """Evaluate configurations of stock-semantics models as columnar
     struct-of-arrays folds — the batch sibling of
@@ -564,24 +431,24 @@ class BatchPrefixEvaluator:
 
     Three entry points share one fold core: :meth:`evaluate_many` (an
     arbitrary chunk, materialized cost objects — what campaign chunks
-    and parallel workers use), :meth:`states_chunk` (pre-finalize states
-    for dedup leaders), and :meth:`iter_scenario_batches` (whole-space
-    cohort enumeration with lazy :class:`BatchRows`, the solo
-    ``explore()`` fast path). Every path replays the scalar fold's float
-    operations elementwise, so results are bit-identical to the scalar
-    evaluator (and to brute force) — asserted row-for-row by the
-    invariant suite.
+    use), :meth:`states_chunk` (pre-finalize states for dedup leaders),
+    and :meth:`iter_scenario_batches` (whole-space cohort enumeration
+    with lazy :class:`BatchRows`, the solo ``explore()`` fast path);
+    :meth:`evaluate_shard` / :meth:`states_shard` are the first two for
+    a campaign's :class:`CohortShard` pool chunks. Every path replays
+    the scalar fold's float operations elementwise, so results are
+    bit-identical to the scalar evaluator (and to brute force) —
+    asserted row-for-row by the invariant suite.
 
-    ``prefix_cache`` plugs in a :class:`PrefixStateCache`. Only stock
-    models (:func:`~repro.explore.incremental.uses_stock_cost_semantics`)
-    are accepted: every path here assumes the stock state shapes.
+    Only stock models
+    (:func:`~repro.explore.incremental.uses_stock_cost_semantics`) are
+    accepted: every path here assumes the stock state shapes.
     """
 
     def __init__(
         self,
         model: ThroughputCostModel | EnergyCostModel,
         pass_rates: dict[str, float] | None = None,
-        prefix_cache: PrefixStateCache | None = None,
     ):
         if pass_rates is not None and not isinstance(model, EnergyCostModel):
             raise ConfigurationError(
@@ -596,7 +463,6 @@ class BatchPrefixEvaluator:
         self.model = model
         self.pass_rates = pass_rates
         self._energy = isinstance(model, EnergyCostModel)
-        self.prefix_cache = prefix_cache
         self._plans: dict[int, _PipelinePlan] = {}
 
     def _plan_for(self, pipeline: InCameraPipeline) -> _PipelinePlan:
@@ -665,20 +531,8 @@ class BatchPrefixEvaluator:
         (:meth:`_run_state`) and shard regeneration
         (:meth:`evaluate_shard`/:meth:`states_shard`)."""
         levels = plan.levels
-        start = 0
-        state = None
-        cache = self.prefix_cache
-        if cache is not None and depth:
-            start, cohort = cache.deepest(self, levels, depth)
-            if start:
-                flat = choices[:, 0]
-                for level in range(1, start):
-                    flat = flat * len(levels[level].names) + choices[:, level]
-                state = _take_state(cohort, flat, self._energy)
-        if state is None:
-            start = 0
-            state = self.model.initial_state_batch(choices.shape[0])
-        for level in range(start, depth):
+        state = self.model.initial_state_batch(choices.shape[0])
+        for level in range(depth):
             state = self._extend(state, levels[level], choices[:, level])
         return state
 
@@ -754,7 +608,7 @@ class BatchPrefixEvaluator:
 
     def evaluate_shard(self, shard: CohortShard) -> list[ConfigCost | EnergyCost]:
         """Costs for every row of a :class:`CohortShard`, in flat-index
-        order — what pool workers run instead of
+        order — what a campaign's pool workers run instead of
         :meth:`evaluate_many` over a pickled config chunk. Row values
         are bit-identical to the scalar fold of the same configs."""
         plan, choices, configs = self._shard_rows(shard)
@@ -940,9 +794,9 @@ def iter_scenario_shards(
     descriptors of at most ``shard_size`` rows, in exact enumeration
     order.
 
-    The parallel twin of :meth:`BatchPrefixEvaluator.
-    iter_scenario_batches`: instead of folding cohorts, the driver only
-    *addresses* them — each shard names a run of flat product indices a
+    The campaign pool twin of :meth:`BatchPrefixEvaluator.
+    iter_scenario_batches`: instead of folding cohorts, the campaign
+    driver only *addresses* them — each shard names a run of flat product indices a
     worker decodes and folds locally, so nothing per-row is ever
     pickled. An unfiltered scenario yields pure ``[lo, hi)`` range
     shards per depth (O(1) driver work). With a batch-capable prefix

@@ -13,11 +13,8 @@ pipelines, links and constraints in both cost domains:
 * **batch fold == scalar fold**: the evaluator pair agrees directly on
   shuffled mixed-depth configuration streams, including energy
   ``pass_rates`` overrides;
-* **prefix cache is invisible**: a shared
-  :class:`~repro.explore.vectorized.PrefixStateCache` changes hit
-  counters, never rows;
-* **dedup on == off**: campaign results with cross-scenario dedup (and
-  its fleet-shared prefix cache) equal the dedup-free run.
+* **dedup on == off**: campaign results with cross-scenario dedup
+  equal the dedup-free run.
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from repro.datasets.rng import make_rng
 from repro.explore import (
     BatchPrefixEvaluator,
     Campaign,
-    PrefixStateCache,
     explore,
 )
 from repro.explore.incremental import PrefixEvaluator, uses_stock_cost_semantics
@@ -101,34 +97,6 @@ def test_energy_pass_rate_overrides_survive_batching(gen, seed):
     batch = explore(scenario)
     scalar = explore(scenario, evaluation="scalar")
     assert json.dumps(batch.rows) == json.dumps(scalar.rows), seed
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_prefix_cache_changes_counters_never_rows(gen, seed):
-    scenario = gen.scenario(seed, name=f"cache-{seed}")
-    model = scenario.cost_model()
-    configs = list(scenario.iter_configs())
-
-    plain = BatchPrefixEvaluator(model, pass_rates=scenario.pass_rates)
-    cache = PrefixStateCache()
-    cached = BatchPrefixEvaluator(
-        model, pass_rates=scenario.pass_rates, prefix_cache=cache
-    )
-    want = [cost_row(scenario, c) for c in plain.evaluate_many(configs)]
-    first = [cost_row(scenario, c) for c in cached.evaluate_many(configs)]
-    assert json.dumps(first) == json.dumps(want), seed
-
-    # A second evaluator sharing the cache (a dedup sibling) reuses the
-    # stored prefixes — and still produces identical rows.
-    misses_after_first = cache.misses
-    sibling = BatchPrefixEvaluator(
-        model, pass_rates=scenario.pass_rates, prefix_cache=cache
-    )
-    second = [cost_row(scenario, c) for c in sibling.evaluate_many(configs)]
-    assert json.dumps(second) == json.dumps(want), seed
-    if any(config.in_camera_blocks() for config in configs):
-        assert cache.hits > 0, seed
-        assert cache.misses == misses_after_first, seed
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -13,9 +13,10 @@ properties:
   unpruned ``explore_brute_force`` oracle, the fused walk's feasible
   set matches exactly — mask compaction removes only provably
   infeasible prefixes;
-* **shard == serial**: a parallel executor (the ``batch-shard`` path,
-  where workers rebuild cohorts from flat index ranges) matches the
-  serial run byte for byte, pruned or hooked, thread or process pool;
+* **shard == serial**: a campaign on a parallel executor (workers
+  rebuild cohorts from flat index ranges) matches the solo serial run
+  byte for byte, pruned or hooked, thread or process pool — and solo
+  ``explore()`` on that pool stays on the in-process cohort walk;
 * **shard campaigns == solo**: a fleet with pruned members run through
   one shared parallel executor matches solo runs under EVERY builtin
   scheduling policy.
@@ -28,6 +29,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.explore import campaign as campaign_module
 from repro.explore import (
     SCHEDULING_POLICIES,
     Campaign,
@@ -36,6 +38,7 @@ from repro.explore import (
     explore,
     explore_brute_force,
 )
+from repro.explore.vectorized import CohortShard, iter_scenario_shards
 
 SEEDS = range(10)
 
@@ -110,29 +113,58 @@ def test_per_config_hooks_ride_the_batch_path(gen, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_shard_equals_serial(gen, seed, backend):
-    """The batch-shard path (workers regenerate cohorts from flat
-    index descriptors) reproduces the serial rows byte for byte —
-    unpruned, prefix-pruned and hooked. Hooks resolve driver-side into
-    survivor indices, so even unpicklable lambdas shard to a process
-    pool."""
+def test_shard_equals_serial(gen, seed, backend, monkeypatch):
+    """A campaign's CohortShard stream (workers regenerate cohorts from
+    flat index descriptors) reproduces the solo serial rows byte for
+    byte — unpruned (range shards), prefix-pruned and hooked (index
+    shards). Hooks resolve driver-side into survivor indices, so even
+    unpicklable lambdas shard to a process pool. Solo explore() on the
+    same pool takes the in-process cohort walk."""
+    shipped = []
+
+    def counting_shards(scenario, shard_size):
+        for shard in iter_scenario_shards(scenario, shard_size):
+            shipped.append(shard)
+            yield shard
+
+    monkeypatch.setattr(campaign_module, "iter_scenario_shards", counting_shards)
     executor = SweepExecutor(workers=2, backend=backend)
     scenario = gen.scenario(seed, name=f"shard-{seed}", constrained=True)
     variants = [
         scenario,
-        replace(scenario, auto_prune=True, auto_prune_configs=True),
-        replace(scenario, prune=lambda config: len(config.platforms) % 2 == 0),
+        replace(
+            scenario,
+            name=f"shard-pruned-{seed}",
+            auto_prune=True,
+            auto_prune_configs=True,
+        ),
+        replace(
+            scenario,
+            name=f"shard-hooked-{seed}",
+            prune=lambda config: len(config.platforms) % 2 == 0,
+        ),
     ]
+    serial = {variant.name: _rows_json(explore(variant)) for variant in variants}
+    result = Campaign(variants).run(executor, chunk_size=3)
+    for run in result:
+        assert _rows_json(run.result) == serial[run.name], (seed, backend, run.name)
+    assert all(isinstance(shard, CohortShard) for shard in shipped)
+    # Both wire forms travelled: range shards and survivor-index shards.
+    assert any(shard.indices is None for shard in shipped)
+    assert any(shard.indices is not None for shard in shipped)
     for variant in variants:
-        assert evaluation_path(variant, executor) == "batch-shard"
-        serial = _rows_json(explore(variant))
-        assert _rows_json(explore(variant, executor)) == serial, (seed, backend)
+        expected = "batch-cohort" if variant is scenario else "batch-cohort-pruned"
+        assert evaluation_path(variant, executor) == expected
+        assert _rows_json(explore(variant, executor)) == serial[variant.name], (
+            seed,
+            backend,
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shard_campaign_equals_solo_under_every_policy(gen, seed):
     """A fleet with pruned members through one shared parallel
-    executor: shard-eligible scenarios stream CohortShard descriptors,
+    executor: stock-model scenarios stream CohortShard descriptors,
     the rest stream config chunks, and every scenario's rows match its
     solo explore() under every builtin scheduling policy."""
     fleet = gen.fleet(seed)

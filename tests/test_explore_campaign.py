@@ -483,11 +483,3 @@ def test_campaign_summary_table_shape():
         assert row["scenario"] == run.name
         assert row["configs"] == run.n_evaluated
         assert row["best_config"] == run.best["config"]
-
-
-def test_campaign_collect_on_exit(monkeypatch):
-    calls = []
-    real = gc.collect
-    monkeypatch.setattr(gc, "collect", lambda *a: calls.append(True) or real(*a))
-    Campaign(build_fleet()[:2]).run(collect_on_exit=True)
-    assert calls

@@ -232,29 +232,6 @@ def test_dedup_campaign_process_backend_round_trips():
         assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
 
 
-def test_campaign_surfaces_prefix_cache_stats():
-    """``cache_stats["prefix_cache"]`` carries the fleet-shared
-    PrefixStateCache counters where one is actually shared (dedup on a
-    serial/thread executor), the ``{"shared": False}`` sentinel on
-    process pools (workers would pickle private trie copies), and None
-    without dedup."""
-    fleet = _link_fleet("throughput")
-    serial = Campaign(fleet).run(dedup=True)
-    stats = serial.cache_stats["prefix_cache"]
-    assert stats is not None
-    assert set(stats) == {"hits", "misses", "entries", "width_capped"}
-    assert stats["misses"] > 0  # the fold primed prefix cohorts
-    assert stats == serial.prefix_cache_stats
-    # Without dedup there is no fleet-shared cache to report.
-    assert Campaign(fleet).run().cache_stats["prefix_cache"] is None
-    # Process pools would pickle private copies: nothing shared, and the
-    # sentinel says so explicitly instead of masquerading as "dedup off".
-    process = Campaign(fleet).run(
-        SweepExecutor(workers=2, backend="process"), dedup=True
-    )
-    assert process.cache_stats["prefix_cache"] == {"shared": False}
-
-
 def test_dedup_campaign_streams_sinks_and_export_only():
     """Followers' sinks receive exactly the solo CSV bytes, also under
     collect=False (export-only dedup), and the streamed frontier/stats

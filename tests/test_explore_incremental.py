@@ -20,6 +20,7 @@ from repro.core.cost import EnergyCostModel, ThroughputCostModel
 from repro.core.pipeline import InCameraPipeline, PipelineConfig
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore import (
+    Campaign,
     PrefixEvaluator,
     Scenario,
     SweepExecutor,
@@ -320,6 +321,10 @@ def test_fig10_streaming_byte_identical_to_brute_force(executor):
     assert json.dumps(streamed.rows) == json.dumps(brute.rows)
     assert streamed.to_json() == brute.to_json()
     assert streamed.to_csv() == brute.to_csv()
+    # Stock models fold in process whatever the executor; the scalar
+    # walk is what a pool actually runs.
+    scalar = explore(scenario, executor=executor, chunk_size=4, evaluation="scalar")
+    assert json.dumps(scalar.rows) == json.dumps(brute.rows)
 
 
 @pytest.mark.parametrize(
@@ -702,6 +707,19 @@ def test_explore_streams_chunks_not_the_whole_space():
     assert seen_at_first_eval[0] <= 65
 
 
+class _GcProbeModel(ThroughputCostModel):
+    """Overrides only ``extend_state`` (stock ``evaluate``) and records
+    whether the cyclic GC was enabled while this user code ran."""
+
+    def __init__(self, link):
+        super().__init__(link)
+        self.gc_seen = []
+
+    def extend_state(self, state, block, impl):
+        self.gc_seen.append(gc.isenabled())
+        return super().extend_state(state, block, impl)
+
+
 def test_explore_restores_gc_state():
     assert gc.isenabled()
     explore(fig10_scenario())
@@ -712,6 +730,13 @@ def test_explore_restores_gc_state():
         assert not gc.isenabled()
     finally:
         gc.enable()
+    # User cost code (any overridden step, not just evaluate()) runs
+    # with the GC live, solo and in a campaign, and the state survives.
+    for run in (explore, lambda scenario: Campaign([scenario]).run()):
+        model = _GcProbeModel(ETHERNET_25G)
+        run(fig10_scenario(model=model))
+        assert model.gc_seen and all(model.gc_seen)
+        assert gc.isenabled()
 
 
 # -- streaming executor (imap) -------------------------------------------

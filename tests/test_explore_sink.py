@@ -354,21 +354,6 @@ def test_resolve_sink_rejects_non_sinks():
         explore(throughput_scenario(), sink=42)
 
 
-# -- collect_on_exit knob ------------------------------------------------
-
-
-def test_collect_on_exit_runs_the_deferred_gc_pass(monkeypatch):
-    calls = []
-    real_collect = gc.collect
-    monkeypatch.setattr(gc, "collect", lambda *a: calls.append(True) or real_collect(*a))
-    result = explore(throughput_scenario(), collect_on_exit=True)
-    assert calls  # the pass ran before explore returned
-    assert len(result.rows) == throughput_scenario().count_configs()
-    calls.clear()
-    explore(throughput_scenario())
-    assert not calls  # default: deferred as before
-
-
 # -- facade pass-through -------------------------------------------------
 
 

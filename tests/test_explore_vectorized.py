@@ -4,8 +4,8 @@ Unit coverage for the pieces the invariant suite exercises end-to-end:
 the cost-semantics probes and their subclass-override matrix, the
 ``evaluation=`` knob and path report, :class:`BatchRows` laziness and
 columnar metrics, the columnar sink folds (``add_batch`` ==  scalar
-``add``, including NaN positions and ties), the partial prefix cache,
-and the error surfaces of every entry point.
+``add``, including NaN positions and ties), and the error surfaces of
+every entry point.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.explore import (
     MemorySink,
     ParetoSink,
     PrefixEvaluator,
-    PrefixStateCache,
     ResultSink,
     Scenario,
     SweepExecutor,
@@ -138,7 +137,6 @@ def test_probes_on_override_matrix():
 
 
 def test_batch_prefix_evaluator_dispatch():
-    assert BatchPrefixEvaluator(ThroughputCostModel(LINK)).prefix_cache is None
     for cls in _STEP_OVERRIDES:
         with pytest.raises(ConfigurationError, match="not batch-capable"):
             BatchPrefixEvaluator(cls(LINK))
@@ -150,9 +148,10 @@ def test_matched_override_refuses_cohort_enumeration():
     pipeline = build_pipeline()
     shard = CohortShard(pipeline, 2, 0, 4)
     with pytest.raises(ConfigurationError, match="not batch-capable"):
-        evaluate_chunk(_MatchedOverride(LINK), None, shard)
+        BatchPrefixEvaluator(_MatchedOverride(LINK)).evaluate_shard(shard)
     # The stock model decodes the same shard.
-    assert len(evaluate_chunk(ThroughputCostModel(LINK), None, shard)) == 4
+    stock = BatchPrefixEvaluator(ThroughputCostModel(LINK))
+    assert len(stock.evaluate_shard(shard)) == 4
 
 
 def test_matched_override_still_folds_chunks_bit_identically():
@@ -175,21 +174,22 @@ def test_matched_override_still_folds_chunks_bit_identically():
 def test_evaluation_path_values():
     scenario = build_scenario()
     assert evaluation_path(scenario) == "batch-cohort"
-    # Parallel stock runs ship CohortShard descriptors, never pickled
-    # config chunks.
-    assert evaluation_path(scenario, SweepExecutor(workers=2)) == "batch-shard"
+    # Stock runs fold their cohorts in process on every executor: a
+    # pool would only ship them out and pickle cost objects back.
+    for backend in ("thread", "process"):
+        pool = SweepExecutor(workers=2, backend=backend)
+        assert evaluation_path(scenario, pool) == "batch-cohort"
     assert evaluation_path(scenario, evaluation="scalar") == "scalar-memoized"
     # Per-config filtering (a custom prune hook) fuses into the cohort
-    # walk as an emission-time filter — and shard mode resolves it
-    # driver-side, so parallel filtered runs still shard.
+    # walk as an emission-time filter, on any executor.
     filtered = build_scenario(prune=lambda config: False)
     assert evaluation_path(filtered) == "batch-cohort-pruned"
-    assert evaluation_path(filtered, SweepExecutor(workers=2)) == "batch-shard"
+    assert evaluation_path(filtered, SweepExecutor(workers=2)) == "batch-cohort-pruned"
     # Auto-derived prefix pruners carry batch forms: pruned scenarios
     # report the fused cohort path, not a scalar fallback.
     pruned = build_scenario(auto_prune=True, auto_prune_configs=True)
     assert evaluation_path(pruned) == "batch-cohort-pruned"
-    assert evaluation_path(pruned, SweepExecutor(workers=2)) == "batch-shard"
+    assert evaluation_path(pruned, SweepExecutor(workers=2)) == "batch-cohort-pruned"
     # A model overriding any cost step, batch twin included, takes the
     # generic scalar walk, serially and on a pool.
     for cls in (_MatchedOverride, _BatchOnlyOverride):
@@ -451,74 +451,3 @@ def test_columnar_sinks_match_collected_results_end_to_end():
     frontier = ParetoSink()
     explore(scenario, sink=frontier, collect=False)
     assert json.dumps(frontier.pareto()) == json.dumps(collected.pareto())
-
-
-# -- the partial prefix cache --------------------------------------------
-
-
-def test_prefix_state_cache_validates_max_rows():
-    with pytest.raises(ConfigurationError, match="max_rows"):
-        PrefixStateCache(max_rows=0)
-
-
-def test_prefix_state_cache_hits_on_shared_prefixes():
-    scenario = build_scenario()
-    model = scenario.cost_model()
-    configs = list(scenario.iter_configs())
-    cache = PrefixStateCache()
-    first = BatchPrefixEvaluator(model, prefix_cache=cache)
-    baseline = [cost_row(scenario, c) for c in first.evaluate_many(configs)]
-    assert cache.misses > 0
-    misses = cache.misses
-    second = BatchPrefixEvaluator(model, prefix_cache=cache)
-    again = [cost_row(scenario, c) for c in second.evaluate_many(configs)]
-    assert json.dumps(again) == json.dumps(baseline)
-    assert cache.hits > 0
-    assert cache.misses == misses  # every prefix level was already primed
-
-
-def test_prefix_state_cache_width_cap_disables_itself_safely():
-    scenario = build_scenario()
-    configs = list(scenario.iter_configs())
-    cache = PrefixStateCache(max_rows=1)  # narrower than any level cohort
-    evaluator = BatchPrefixEvaluator(scenario.cost_model(), prefix_cache=cache)
-    rows = [cost_row(scenario, c) for c in evaluator.evaluate_many(configs)]
-    assert cache.hits == cache.misses == 0
-    assert cache.width_capped > 0  # every lookup fell off the cap
-    assert json.dumps(rows) == json.dumps(explore(scenario, evaluation="scalar").rows)
-
-
-def test_prefix_state_cache_stats_snapshot():
-    """``stats`` mirrors the live counters as one plain dict (the shape
-    campaigns surface through ``CampaignResult.cache_stats``)."""
-    scenario = build_scenario()
-    configs = list(scenario.iter_configs())
-    cache = PrefixStateCache()
-    assert cache.stats == {"hits": 0, "misses": 0, "entries": 0, "width_capped": 0}
-    BatchPrefixEvaluator(scenario.cost_model(), prefix_cache=cache).evaluate_many(
-        configs
-    )
-    stats = cache.stats
-    assert stats["misses"] == cache.misses > 0
-    assert stats["entries"] > 0
-    assert stats["width_capped"] == 0
-    capped = PrefixStateCache(max_rows=1)
-    BatchPrefixEvaluator(scenario.cost_model(), prefix_cache=capped).evaluate_many(
-        configs
-    )
-    assert capped.stats["width_capped"] == capped.width_capped > 0
-
-
-def test_prefix_cache_ignored_for_custom_batch_models():
-    """Models off the stock semantics never reach the columnar core, so
-    their chunks leave a fleet-shared prefix cache untouched."""
-    scenario = build_scenario()
-    configs = list(scenario.iter_configs())
-    cache = PrefixStateCache()
-    model = _MatchedOverride(LINK)
-    got = evaluate_chunk(model, None, configs, prefix_cache=cache)
-    assert cache.stats == {"hits": 0, "misses": 0, "entries": 0, "width_capped": 0}
-    want = PrefixEvaluator(model).evaluate_many(configs)
-    assert json.dumps([cost_row(scenario, c) for c in got]) == json.dumps(
-        [cost_row(scenario, c) for c in want]
-    )
