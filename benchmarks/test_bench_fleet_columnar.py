@@ -36,10 +36,9 @@ N_BLOCKS = 9
 PLATFORMS = ("asic", "dsp", "gpu")
 N_LINKS = 8
 TOP_K = 5
-#: Fixed chunk size for both campaigns: small chunks keep the streamed
-#: frontier's vectorized dominance prefilter tight (candidates are
-#: screened against a frontier refreshed every 256 rows), which is
-#: where the lazy path's materialization bound comes from.
+#: Fixed chunk size for both campaigns. The lazy path materializes only
+#: rows that join the streamed frontier or the top-k heaps, which is
+#: where its materialization bound comes from.
 CHUNK_SIZE = 256
 
 

@@ -503,10 +503,9 @@ class ScenarioRun:
         """Size of the domain-default Pareto frontier.
 
         Export-only runs know it from the streamed frontier; collected
-        runs compute it on first access — the dominance filter is
-        O(rows x frontier) and consumers that never look at the
-        frontier (the joint-fleet optimizer's phase-1 campaign) should
-        not pay for it per member.
+        runs compute it on first access, so consumers that never look
+        at the frontier (the joint-fleet optimizer's phase-1 campaign)
+        never pay for it per member.
         """
         if self._pareto_size is None:
             self._pareto_size = len(self.pareto()) if self.n_evaluated else 0
@@ -707,9 +706,9 @@ class _StreamingStats:
         self.n_feasible = 0
         self.best: dict[str, Any] | None = None
         #: None when frontier tracking is opted out (``frontier=False``
-        #: campaigns): dominance filtering is O(rows x frontier) and
-        #: consumers that never ask for the frontier — the joint-fleet
-        #: optimizer's candidate-sink phase — should not pay it.
+        #: campaigns): consumers that never ask for the frontier — the
+        #: joint-fleet optimizer's candidate-sink phase — skip its merge
+        #: and the materialization of every row that joins it.
         self.frontier: ParetoFrontier | None = (
             domain_frontier(domain) if track_frontier else None
         )
@@ -1266,9 +1265,10 @@ class Campaign:
             Python objects) — the lazy path's benchmark baseline.
         frontier:
             ``False`` skips the online Pareto frontier on export-only
-            runs (it is O(rows x frontier size) — dominating the whole
-            campaign when the domain axes anti-correlate, as the
-            compute/communication tradeoff makes them). Such runs raise
+            runs. When the domain axes anti-correlate, as the
+            compute/communication tradeoff makes them, most rows join
+            the frontier, and merging and materializing them is a
+            large share of the campaign. Such runs raise
             from :meth:`ScenarioRun.pareto` / ``pareto_size`` instead
             of answering; collected runs are unaffected (their frontier
             derives lazily from the rows).

@@ -550,8 +550,9 @@ def explore_joint(
         sinks=sinks,
         collect=collect,
         # The joint layer never asks for member Pareto frontiers, and
-        # the throughput domain's anti-correlated axes make the online
-        # frontier the dominant cost of an export-only sweep.
+        # the throughput domain's anti-correlated axes make most rows
+        # join the online frontier: merging and materializing them
+        # would double the export-only sweep.
         frontier=collect,
     )
     candidates = []

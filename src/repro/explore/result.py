@@ -20,7 +20,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -306,8 +307,76 @@ class ExplorationResult:
         return OffloadReport(costs=list(self.evaluations), target_fps=target)
 
 
+#: Axis and metric values the online folds accept: real numbers
+#: (``bool`` included), as in Python's own comparisons.
+_NUMBER = (int, float)
+
+#: Largest integer magnitude a float64 holds exactly; integer keys past
+#: it compare as Python objects so float rounding never merges them.
+_EXACT_INT = 2**53
+
+
+def _skyline(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """The non-dominated mask of the points ``(k0[i], k1[i])``, both
+    axes maximized (a one-axis frontier passes a zero ``k1``).
+
+    Exact O(n log n) sort and sweep: sort by ``(k0 desc, k1 desc)`` and
+    group equal ``k0``. A point survives iff its ``k1`` is its group's
+    maximum (no point of equal ``k0`` beats it) and strictly exceeds the
+    running maximum ``k1`` of every group with larger ``k0`` (no such
+    point matches it); the first group has no such bound. Exact ties
+    all survive, ``-0.0 == 0.0`` and ±inf are ordinary values. Keys must
+    be NaN-free.
+    """
+    n = len(k0)
+    mask = np.zeros(n, dtype=bool)
+    if n == 0:
+        return mask
+    order = np.lexsort((k1, k0))[::-1]
+    s0, s1 = k0[order], k1[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    starts[1:] = s0[1:] != s0[:-1]
+    group = np.cumsum(starts) - 1
+    heads = s1[starts]  # each group's maximum k1 (sorted first)
+    survive = s1 == heads[group]
+    later = group > 0
+    bound = np.maximum.accumulate(heads)  # running maximum through group g
+    survive[later] &= s1[later] > bound[group[later] - 1]
+    mask[order] = survive
+    return mask
+
+
+def _key_column(values: list[Any], maximize: bool) -> np.ndarray | None:
+    """One axis's sign-normalized key column (maximized), or None when
+    a value is not a number or is NaN (the caller locates the row)."""
+    kinds = set(map(type, values))
+    dtype: Any = float
+    if not kinds <= {float}:
+        if not all(issubclass(kind, _NUMBER) for kind in kinds):
+            return None
+        if any(isinstance(v, int) and abs(v) > _EXACT_INT for v in values):
+            dtype = object
+    column = np.array(values, dtype=dtype)
+    if dtype is object:
+        has_nan = any(v != v for v in values)
+    else:
+        has_nan = bool(np.isnan(column).any())
+    if has_nan:
+        return None
+    return column if maximize else -column
+
+
+def _stack(keys: list[np.ndarray]) -> np.ndarray:
+    """(2, m) chunk keys from one or two key columns (a one-axis
+    frontier's second key is zero)."""
+    if len(keys) == 1:
+        keys = [keys[0], np.zeros(len(keys[0]))]
+    return np.stack(keys)
+
+
 class ParetoFrontier:
-    """An online dominance-pruned Pareto frontier over streamed rows.
+    """An online Pareto frontier over streamed rows.
 
     The batch :func:`pareto_filter` needs every row at once; this class
     maintains the frontier *incrementally* — :meth:`add` folds one chunk
@@ -315,17 +384,21 @@ class ParetoFrontier:
     ``pareto_size`` stay available on export-only (``collect=False``)
     runs whose rows were never retained. The maintained set is exactly
     what :func:`pareto_filter` would return over all rows seen so far,
-    in the same (first-seen) order: dominance is transitive, so a row
-    dominated by *any* earlier row is dominated by some current frontier
-    member, and a row dominated by a *later* row is evicted when that
-    row arrives. Tests assert the streamed frontier equals the collected
+    in the same (first-seen) order: dominance is transitive, so the
+    frontier of every row seen is the frontier of (current frontier ∪
+    new chunk). Tests assert the streamed frontier equals the collected
     one exactly.
 
     Same semantics as :func:`pareto_filter`: a row survives unless some
     other row beats it on every axis and strictly on at least one (per
-    the ``maximize`` flags); exact ties all survive; missing or NaN axis
-    values raise :class:`ConfigurationError` naming the offending row's
-    stream position.
+    the ``maximize`` flags); exact ties all survive; missing, non-numeric
+    or NaN axis values raise :class:`ConfigurationError` naming the
+    offending row's stream position, after the rows before it are
+    folded.
+
+    One or two axes (both default frontiers) merge each chunk with the
+    frontier in one O(n log n) skyline sweep over numpy key columns;
+    three or more fold row by row against the frontier.
     """
 
     def __init__(
@@ -342,10 +415,14 @@ class ParetoFrontier:
             )
         self._axes = tuple(axes)
         self._flags = tuple(flags)
+        self._sweep = len(axes) <= 2
         self.n_seen = 0
-        #: Parallel lists: frontier rows in first-seen order and their
-        #: sign-normalized axis keys (all axes maximized).
+        #: Frontier rows in first-seen order, with their sign-normalized
+        #: axis keys (all axes maximized): a (2, n_front) array for one
+        #: or two axes (a one-axis frontier's second row is zeros), one
+        #: key list per row for three or more.
         self._rows: list[dict[str, Any]] = []
+        self._columns = np.empty((2, 0))
         self._keys: list[list[float]] = []
 
     def _key(self, row: dict[str, Any], position: int) -> list[float]:
@@ -354,13 +431,60 @@ class ParetoFrontier:
             if axis not in row:
                 raise ConfigurationError(f"axis {axis!r} missing in row {position}")
             value = row[axis]
+            if not isinstance(value, _NUMBER):
+                raise ConfigurationError(
+                    f"axis {axis!r} must be a number for a Pareto frontier, "
+                    f"got {type(value).__name__} in row {position}"
+                )
             if isinstance(value, float) and math.isnan(value):
                 raise ConfigurationError(f"axis {axis!r} is NaN in row {position}")
             key.append(value if flag else -value)
         return key
 
+    def _merge(
+        self, chunk: np.ndarray, row_at: Callable[[int], dict[str, Any]]
+    ) -> None:
+        """Merge (2, m) chunk keys into the frontier: one skyline over
+        frontier then chunk keys; surviving frontier rows stay in place
+        and surviving chunk rows (``row_at(i)``) append in index order."""
+        n_front = len(self._rows)
+        keys = np.concatenate((self._columns, chunk), axis=1)
+        mask = _skyline(keys[0], keys[1])
+        if n_front and not mask[:n_front].all():
+            kept = mask[:n_front].tolist()
+            self._rows = [row for row, keep in zip(self._rows, kept) if keep]
+        self._rows.extend(row_at(i) for i in np.flatnonzero(mask[n_front:]).tolist())
+        self._columns = keys[:, mask]
+        self.n_seen += chunk.shape[1]
+
     def add(self, rows: Sequence[dict[str, Any]]) -> None:
         """Fold one chunk of rows into the frontier (stream order)."""
+        if not self._sweep:
+            self._fold(rows)
+            return
+        rows = rows if isinstance(rows, list) else list(rows)
+        if not rows:
+            return
+        try:
+            keys = [
+                _key_column(list(map(itemgetter(axis), rows)), flag)
+                for axis, flag in zip(self._axes, self._flags)
+            ]
+        except KeyError:
+            keys = [None]
+        if any(key is None for key in keys):
+            # Locate the first offending row, fold the rows before it,
+            # then raise its error (the state a row-by-row fold leaves).
+            for position, row in enumerate(rows):
+                try:
+                    self._key(row, self.n_seen + position)
+                except ConfigurationError as error:
+                    self.add(rows[:position])
+                    raise error
+        self._merge(_stack(keys), rows.__getitem__)
+
+    def _fold(self, rows: Sequence[dict[str, Any]]) -> None:
+        """Row-by-row fold (three or more axes)."""
         n_axes = len(self._axes)
         frontier_rows = self._rows
         frontier_keys = self._keys
@@ -389,60 +513,40 @@ class ParetoFrontier:
 
     def add_batch(self, batch: Any) -> None:
         """Fold one columnar :class:`~repro.explore.vectorized.BatchRows`
-        view into the frontier, materializing only surviving rows.
+        view into the frontier, materializing only its surviving rows.
         Batches are member-tagged (campaign dedup members fold views of
         group-shared states tagged with their own scenario), so
         survivors materialize exactly as the member's solo rows.
 
         Semantically identical to ``add(batch.rows())`` — same frontier,
-        same ``n_seen`` positions in every error message — but rows
-        dominated by the frontier as of the batch start are rejected in
-        one vectorized dominance pass without ever becoming dicts
-        (sound by transitivity: a frontier member is only ever evicted
-        by a row that dominates it, so a candidate dominated at batch
-        start stays dominated). Candidates that pass the prefilter fold
-        through the scalar :meth:`add`, which re-checks them against the
-        *current* frontier, including earlier survivors of this batch.
-
-        Falls back to the row path when an axis is not columnar
-        (:meth:`BatchRows.metric_column` raises ``KeyError``).
+        same ``n_seen`` positions in every error message — but the
+        skyline merge runs on the batch's metric columns, so only rows
+        that join the frontier ever become dicts. Falls back to the row
+        path with three or more axes, or when an axis is not a float
+        column (:meth:`BatchRows.metric_column` raises ``KeyError`` for
+        non-columnar metrics; integer columns compare exactly as rows).
         """
         m = len(batch)
         if m == 0:
             return
-        try:
-            columns = [batch.metric_column(axis) for axis in self._axes]
-        except KeyError:
+        if not self._sweep:
             self.add(batch.rows())
             return
         keys = []
-        for column, flag in zip(columns, self._flags):
-            column = np.asarray(column, dtype=float)
+        for axis, flag in zip(self._axes, self._flags):
+            try:
+                column = np.asarray(batch.metric_column(axis))
+            except KeyError:
+                column = None
+            if column is None or column.dtype.kind not in "fb":
+                self.add(batch.rows())
+                return
+            column = column.astype(float, copy=False)
             keys.append(column if flag else -column)
-        # NaN axis values raise positionally in the scalar fold; limit
-        # the vectorized pass to the rows before the first NaN and let
-        # add() produce the exact error for the offender.
-        bad = np.zeros(m, dtype=bool)
-        for key in keys:
-            bad |= np.isnan(key)
+        chunk = _stack(keys)
+        bad = np.isnan(chunk).any(axis=0)
         limit = int(np.argmax(bad)) if bad.any() else m
-        base = self.n_seen
-        survivors = np.ones(limit, dtype=bool)
-        if self._keys and limit:
-            frontier = np.array(self._keys, dtype=float)  # (n_front, axes)
-            candidates = np.stack([key[:limit] for key in keys], axis=1)
-            # Chunk the (n_front, block, axes) broadcast to ~4M elements.
-            step = max(1, 4_000_000 // (frontier.shape[0] * frontier.shape[1]))
-            for lo in range(0, limit, step):
-                block = candidates[lo : lo + step]
-                geq = frontier[:, None, :] >= block[None, :, :]
-                gt = frontier[:, None, :] > block[None, :, :]
-                dominated = (geq.all(axis=2) & gt.any(axis=2)).any(axis=0)
-                survivors[lo : lo + step] = ~dominated
-        for idx in np.nonzero(survivors)[0].tolist():
-            self.n_seen = base + idx  # add() restores idx+1 itself
-            self.add([batch.row(idx)])
-        self.n_seen = base + limit
+        self._merge(chunk[:, :limit], batch.row)
         for i in range(limit, m):
             self.add([batch.row(i)])  # first iteration raises on the NaN
 
@@ -500,7 +604,7 @@ class TopK:
                     f"metric {metric!r} missing in row {position}"
                 )
             value = row[metric]
-            if not isinstance(value, (int, float)):
+            if not isinstance(value, _NUMBER):
                 raise ConfigurationError(
                     f"metric {metric!r} must be a number for online top-k, "
                     f"got {type(value).__name__} in row {position}"
@@ -595,9 +699,11 @@ def pareto_filter(
     ``maximize`` flag). Rows with identical axis values do not dominate
     each other, so exact ties all survive; input order is preserved.
 
-    One fold of a :class:`ParetoFrontier` over the whole sequence — the
-    batch and streaming paths share one dominance definition, so they
-    cannot drift apart.
+    One :meth:`ParetoFrontier.add` over the whole sequence (an
+    O(n log n) skyline sweep for one or two axes) — the batch and
+    streaming paths share one dominance definition, so they cannot
+    drift apart. Missing, non-numeric and NaN axis values raise
+    :class:`ConfigurationError` naming the row.
     """
     frontier = ParetoFrontier(axes, maximize)
     frontier.add(rows)

@@ -223,6 +223,8 @@ class ParetoSink(ResultSink):
     the design-space size. Axes default to the scenario's domain axes
     at :meth:`open` (like ``pareto()`` with no arguments); pass explicit
     ``axes``/``maximize`` for custom frontiers or scenario-less streams.
+    As for ``pareto()``, ``maximize=None`` means the domain's direction,
+    also for explicit axes (maximization on scenario-less streams).
 
     After the run, :attr:`frontier` holds the maintained
     :class:`ParetoFrontier`; :meth:`pareto` returns its rows — exactly
@@ -238,20 +240,23 @@ class ParetoSink(ResultSink):
         self._axes = tuple(axes) if axes is not None else None
         self._maximize = maximize
         self.frontier: ParetoFrontier | None = None
-        if self._axes is not None:
-            self.frontier = ParetoFrontier(
-                self._axes, True if maximize is None else maximize
-            )
 
     def open(self, scenario: "Scenario | None") -> None:
         if self.frontier is not None:
-            return  # explicit axes: scenario-independent
+            return  # a reused sink keeps folding into its frontier
         if scenario is None:
-            raise ConfigurationError(
-                "ParetoSink needs axes= for scenario-less streams (no "
-                "domain to take the default frontier axes from)"
-            )
-        axes, default_flag = DEFAULT_AXES[scenario.domain]
+            if self._axes is None:
+                raise ConfigurationError(
+                    "ParetoSink needs axes= for scenario-less streams (no "
+                    "domain to take the default frontier axes from)"
+                )
+            axes, default_flag = self._axes, True
+        else:
+            axes, default_flag = DEFAULT_AXES[scenario.domain]
+            if self._axes is not None:
+                axes = self._axes
+        # Like ExplorationResult.pareto(): maximize=None means the
+        # domain's direction, also for explicitly passed axes.
         maximize = default_flag if self._maximize is None else self._maximize
         self.frontier = ParetoFrontier(axes, maximize)
 
@@ -264,8 +269,8 @@ class ParetoSink(ResultSink):
 
     def write_batch(self, batch: Any) -> None:
         """Fold a columnar batch through
-        :meth:`ParetoFrontier.add_batch` — only rows surviving the
-        dominance prefilter are ever materialized."""
+        :meth:`ParetoFrontier.add_batch` — only rows that join the
+        frontier are ever materialized."""
         if self.frontier is None:
             raise ConfigurationError(
                 "ParetoSink.write_batch called before open()"

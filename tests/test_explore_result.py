@@ -149,6 +149,17 @@ def test_pareto_filter_validation():
         pareto_filter([{"x": 1}], ("x",), (True, False))
     with pytest.raises(ConfigurationError):
         pareto_filter([{"x": float("nan")}], ("x",))
+    # Non-numeric axis values raise like TopK's, on every axis count
+    # and in both directions, naming the row.
+    for axes in (("x",), ("x", "y"), ("x", "y", "z")):
+        rows = [dict.fromkeys(axes, 1.0), {**dict.fromkeys(axes, 2.0), "x": "b"}]
+        for maximize in (True, False):
+            with pytest.raises(
+                ConfigurationError,
+                match="axis 'x' must be a number for a Pareto frontier, "
+                "got str in row 1",
+            ):
+                pareto_filter(rows, axes, maximize)
 
 
 def test_sweep_result_pareto_delegates():

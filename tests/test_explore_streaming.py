@@ -149,6 +149,23 @@ def test_pareto_sink_explicit_axes():
     )
 
 
+def test_pareto_sink_explicit_axes_keep_domain_direction():
+    """maximize=None means the domain's direction also for explicit
+    axes, as for ExplorationResult.pareto(): an energy frontier must not
+    silently flip to maximization."""
+    scenario = load_builtin().build("faceauth-energy")
+    axes = ("total_energy_j", "active_seconds")
+    sink = ParetoSink(axes=axes)
+    explore(scenario, sink=sink, collect=False)
+    expected = explore(scenario).pareto(axes=axes)
+    assert json.dumps(sink.pareto()) == json.dumps(expected)
+    # Scenario-less streams have no domain and maximize.
+    sink = ParetoSink(axes=["x"])
+    sink.open(None)
+    sink.write_rows([{"x": 2.0}, {"x": 1.0}])
+    assert sink.pareto() == [{"x": 2.0}]
+
+
 def test_pareto_sink_needs_axes_for_scenarioless_streams():
     sink = ParetoSink()
     with pytest.raises(ConfigurationError, match="axes"):
