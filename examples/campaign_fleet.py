@@ -6,10 +6,11 @@ face-authentication camera in both cost domains, harvested-budget
 variants at two reader distances, the in-camera codec chain over
 WiFi-class and battery radios, and the SNNAP accelerator studies (PE
 geometry and per-block DVFS assignment) — and runs every design space
-through *one* shared executor as a single campaign: interleaved chunks
-keep all workers busy, per-scenario results are byte-identical to solo
-runs, and the summary report answers the fleet question (which products
-are feasible, with which design, at what cost) in one table.
+as a single campaign: the stock models fold in
+process slice by slice under one scheduling policy, per-scenario results
+are byte-identical to solo runs, and the summary report answers the
+fleet question (which products are feasible, with which design, at what
+cost) in one table.
 
 Also demonstrates the streaming consumption path: ``iter_runs()`` under
 the ``weighted_completion`` policy (shortest scenario first at equal
@@ -78,18 +79,18 @@ def main() -> None:
     )
     library.print()
 
-    # One pool for the whole fleet, consumed streamingly: each scenario
-    # reports the moment it completes (shortest design spaces first),
-    # long before the biggest one drains.
+    # One campaign for the whole fleet, consumed streamingly: each
+    # scenario reports the moment it completes (shortest design spaces
+    # first), long before the biggest one drains.
     fleet = catalog.build_all()
     campaign = Campaign(fleet, name="builtin-fleet")
     executor = SweepExecutor(workers=4, backend="thread")
     # Self-describing perf repro: say which evaluation path each
-    # scenario's solo explore() rides (batch-cohort, or
-    # batch-cohort-pruned once lower-bound pruning fuses in — on any
-    # executor). Inside the campaign, the shared pool receives compact
-    # cohort-shard descriptors and workers rebuild the config columns
-    # locally.
+    # scenario rides (batch-cohort, or batch-cohort-pruned once
+    # lower-bound pruning fuses in — on any executor). A campaign member
+    # runs its solo path: these stock models all fold in the calling
+    # process, so the executor's pool is never started; only members
+    # with custom cost models would send chunks to it.
     paths = sorted({evaluation_path(s, executor) for s in fleet})
     print(f"\nSolo evaluation path(s) of the fleet: {', '.join(paths)}")
     print("Streaming fleet (shortest scenario first):")

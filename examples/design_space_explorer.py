@@ -107,8 +107,9 @@ def main() -> None:
     # scenario's solo explore() rides (batch-cohort on the stock models,
     # on any executor; batch-cohort-pruned when lower-bound pruning
     # fuses into the columnar walk; scalar-* when a custom model forces
-    # the fallback). Inside the campaign below, the shared pool
-    # receives compact cohort-shard descriptors instead of configs.
+    # the fallback). The campaign below runs the same paths: its stock
+    # members fold in process, and only scalar-* members would send
+    # config chunks to the shared pool.
     pool = SweepExecutor(workers=4, backend="thread")
     pruned = replace(
         fleet[1], name="vr-fig10-pruned", auto_prune=True, auto_prune_configs=True

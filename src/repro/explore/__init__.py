@@ -34,8 +34,8 @@ turns that exercise into one reusable engine:
   exports a design space in memory bounded by the chunk window;
 * :mod:`.catalog` — the named, parameterized scenario library the case
   studies register into (``load_builtin()``);
-* :mod:`.campaign` — :class:`Campaign`, many scenarios sharded across
-  *one* shared executor with per-scenario results byte-identical to
+* :mod:`.campaign` — :class:`Campaign`, many scenarios through one
+  run and at most one pool, with per-scenario results byte-identical to
   solo :func:`explore` runs, cross-scenario evaluation dedup
   (``dedup=True`` shares link-independent compute states across a
   fleet), ``iter_runs`` streaming, plus the fleet summary report;
@@ -66,7 +66,6 @@ Quickstart::
 from repro.explore.campaign import (
     Campaign,
     CampaignResult,
-    PipelineCostCache,
     ScenarioRun,
     scenario_compute_key,
 )
@@ -166,7 +165,6 @@ __all__ = [
     "PRUNED_SUBTREE",
     "ParetoFrontier",
     "ParetoSink",
-    "PipelineCostCache",
     "PrefixEvaluator",
     "PrefixPruner",
     "PruneHook",

@@ -1,71 +1,72 @@
-"""Batch exploration campaigns: many scenarios, one shared executor.
+"""Batch exploration campaigns: many scenarios, one run.
 
 The paper explores one design space at a time; a production exploration
 service faces *fleets* of them — every camera product, link tier and
-power budget is its own scenario. Running N solo ``explore()`` calls
-costs N pools and serializes the fleet; a :class:`Campaign` shards all
-scenarios across **one** :class:`~repro.explore.executor.SweepExecutor`
-by interleaving their configuration chunks through ``imap`` under a
-pluggable :class:`~repro.explore.scheduling.SchedulingPolicy`
-(round-robin by default; policies live in
-:mod:`repro.explore.scheduling`), so every worker stays busy until the
-whole fleet is done and a campaign of N scenarios costs one pool, not N.
+power budget is its own scenario. A :class:`Campaign` runs a whole fleet
+as one run: a pluggable
+:class:`~repro.explore.scheduling.SchedulingPolicy` (round-robin by
+default; policies live in :mod:`repro.explore.scheduling`) interleaves
+the members' streams, every member's sink and summary fill as its rows
+land, and a campaign of N scenarios costs at most one pool, not N.
+
+One pipeline for solo runs and campaigns: every member runs exactly the
+path solo ``explore()`` takes for it (:func:`~repro.explore.engine.
+evaluation_path` reports it), and its rows land in the same consumer
+(:class:`~repro.explore.engine._RunConsumer`). Two lanes carry them:
+
+* **In process.** A stock member (see
+  :func:`~repro.explore.incremental.uses_stock_cost_semantics`) runs the
+  columnar cohort walk in the calling process on every executor, its
+  cohorts sliced at the campaign's chunk size; the policy interleaves
+  these slices. Shipping stock work to a pool measured slower than this
+  on every fleet tried — the pool's transport costs more than the fold
+  it spreads (see ARCHITECTURE.md, "Parallelism: the campaign
+  decision").
+* **Pool.** Only members whose model fails that gate send config-list
+  chunks through the shared executor's ``imap`` (one tagged chunk per
+  policy selection, evaluated by
+  :func:`~repro.explore.incremental.evaluate_chunk`). The pool starts
+  only if such a member exists. With a mixed fleet the campaign
+  alternates between the two lanes; all-stock and all-scalar fleets
+  follow the policy order exactly.
 
 Dedup contract: with ``dedup=True``, scenarios whose
 :func:`scenario_compute_key`s match (the same pipeline and platform
-axis at different links — the design-space-sweep fleet shape) share one
-evaluation pass: the group's leader evaluates pre-finalize compute
-states, and every member's costs are finalized under its own per-depth
-link terms by the :class:`PipelineCostCache`. Because the finalize
-replays exactly the solo evaluation's float operations, per-scenario
-results stay byte-identical to ``dedup=False`` and to solo
-``explore()`` — the invariant suite asserts it over seeded random
-fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
-Dedup groups only form for scenarios without a pre-built ``model``,
-whose cost models are always stock, so the leader's states are always
-columnar. By default the group finalize is *columnar and lazy* end to
-end: each shared :class:`~repro.explore.vectorized.BatchChunkStates`
-segment is
-closed for all members at once by one ``finalize_batch_multi``
-broadcast (an ``(n_members, n_rows)`` sweep of the member link terms)
-and members hand their consumers lazy member-tagged
-:class:`~repro.explore.vectorized.BatchRows` views — under
+axis at different links — the design-space-sweep fleet shape) form a
+group that walks its shared compute-side cohort states once
+(:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
+iter_group_batches`): each slice closes for every member with ONE
+``finalize_batch_multi`` broadcast (an ``(n_members, n_rows)`` sweep of
+the member link terms), and members hand their consumers lazy
+member-tagged :class:`~repro.explore.vectorized.BatchRows` views — under
 ``collect=False`` with columnar sinks a fleet of N links materializes
-only frontier/heap survivors, never N x rows Python objects
-(``dedup="materialize"`` keeps the per-member materialized finalize
-for comparison).
+only frontier/heap survivors, never N x rows Python objects. Because
+the broadcast replays exactly the solo evaluation's float operations,
+per-scenario results stay byte-identical to ``dedup=False`` and to solo
+``explore()`` — the invariant suite asserts it over seeded random
+fleets. ``dedup="materialize"`` materializes the same views in bulk per
+member (the lazy path's benchmark baseline).
+:attr:`CampaignResult.cache_stats` reports evaluations skipped.
 
-Sharding contract: on a parallel executor, scenarios with stock models
-(see :func:`~repro.explore.incremental.uses_stock_cost_semantics`)
-stream compact :class:`~repro.explore.vectorized.CohortShard`
-descriptors through the interleaver instead of materialized config
-lists; workers regenerate each chunk's rows locally from the flat
-index ranges (O(depth) array rebuilds), so a process pool pickles a
-few integers per chunk rather than per-config tuples. Results remain
-byte-identical to the materialized stream — the shard decode replays
-enumeration order exactly. Campaigns are the only users of this wire
-format: solo ``explore()`` folds in process on every executor.
-
-Correctness contract: chunks are tagged with their scenario and each is
-evaluated by a chunk-local
-:class:`~repro.explore.incremental.PrefixEvaluator` (memoization never
-crosses scenarios), and ``imap`` returns results in submission order —
-so each scenario's evaluations land in its own enumeration order and
-are byte-identical to a solo ``explore()`` of the same scenario,
-regardless of worker count or how the fleet was interleaved (tests
-compare them byte for byte). Scheduling policies only reorder *which
-scenario's* chunk is submitted next, never the chunks within one
-scenario, so every builtin policy preserves that identity.
+Correctness contract: each member's stream is produced in its own
+enumeration order — cohort slices in walk order, pool chunks through
+``imap``, which returns results in submission order, each evaluated by
+a chunk-local evaluator (memoization never crosses scenarios) — so
+every scenario's rows are byte-identical to a solo ``explore()`` of the
+same scenario, regardless of executor, worker count or how the fleet
+was interleaved. Scheduling policies only reorder *which scenario's*
+slice or chunk comes next, never those within one scenario.
 
 Streaming contract: :meth:`Campaign.iter_runs` yields each
-:class:`ScenarioRun` the moment its last chunk lands — a dashboard
+:class:`ScenarioRun` the moment its last rows land — a dashboard
 renders the first finished scenario while the rest of the fleet is
 still evaluating — and :meth:`Campaign.run` is a drain over it.
 Per-scenario :class:`~repro.explore.sink.ResultSink` outputs receive
-rows as that scenario's chunks complete (and are closed/flushed the
-moment their scenario finishes), and ``collect=False`` keeps only
-running statistics (evaluated count, feasible count, best row, and an
-online :class:`~repro.explore.result.ParetoFrontier`) — an export-only
+rows as that scenario's slices and chunks complete (and are
+closed/flushed the moment their scenario finishes), and
+``collect=False`` keeps only running statistics (evaluated count,
+feasible count, best row, and an online
+:class:`~repro.explore.result.ParetoFrontier`) — an export-only
 campaign's peak memory is set by the chunk window plus the frontier
 size, never by the fleet's combined design-space size. A sink failure
 aborts the campaign with a clear :class:`~repro.errors.SinkError`
@@ -91,36 +92,23 @@ from repro.explore.engine import (
     DEFAULT_CHUNK_SIZE,
     _check_dedup_mode,
     _chunked,
-    _evaluate_scratch,
     _gc_paused,
+    _RunConsumer,
 )
 from repro.explore.executor import (
     SweepExecutor,
     auto_chunk_size,
     resolve_executor,
 )
-from repro.explore.incremental import (
-    depth_link_cost,
-    evaluate_chunk,
-    supports_prefix_evaluation,
-    uses_stock_cost_semantics,
-)
+from repro.explore.incremental import evaluate_chunk, uses_stock_cost_semantics
 from repro.explore.result import (
     DEFAULT_AXES,
     ExplorationResult,
     ParetoFrontier,
-    cost_row,
     domain_frontier,
 )
 from repro.explore.scenario import Scenario
-from repro.explore.vectorized import (
-    BatchChunkStates,
-    BatchPrefixEvaluator,
-    BatchRows,
-    CohortShard,
-    _materialize_costs,
-    iter_scenario_shards,
-)
+from repro.explore.vectorized import BatchPrefixEvaluator, BatchRows
 
 # Scheduling policies live in their own module (repro.explore.
 # scheduling); the re-export keeps `from repro.explore.campaign import
@@ -131,56 +119,47 @@ from repro.explore.scheduling import (
     SchedulingPolicy,
     resolve_policy,
 )
-from repro.explore.sink import (
-    close_sink,
-    open_sink,
-    resolve_sink,
-    uses_columnar_writes,
-    write_sink,
-    write_sink_batch,
-)
+from repro.explore.sink import close_sink, open_sink, resolve_sink
 
-# -- chunk plumbing -----------------------------------------------------
+# -- the two lanes ------------------------------------------------------
 
-#: Chunk evaluation modes carried in a tagged chunk's spec: the stock
-#: prefix-memoized path, the from-scratch fallback for models overriding
-#: evaluate(), and the dedup path that returns pre-finalize states for
-#: the collector to close under each member scenario's own link.
-_MODE_MEMOIZED = "memoized"
-_MODE_SCRATCH = "scratch"
-_MODE_STATES = "states"
-
-#: One tagged chunk's spec: (model, pass_rates, mode).
-_ChunkSpec = tuple[Any, "dict[str, float] | None", str]
+#: One in-process step: ``(member index, lazy batch)`` pairs — one pair
+#: for a solo member, one per member for a dedup group's slice.
+_Step = tuple[tuple[int, BatchRows], ...]
 
 
 def _evaluate_tagged_chunk(
-    tagged: tuple[int, _ChunkSpec, list[Any]],
-) -> tuple[int, Any]:
-    """Evaluate one scenario-tagged chunk (module-level for process-pool
-    picklability). The tagged item carries *its own* scenario's (model,
-    pass_rates, mode) spec — not the whole fleet's — so a
+    tagged: tuple[int, Any, "dict[str, float] | None", list[Any]],
+) -> tuple[int, list[Any]]:
+    """Evaluate one scalar member's tagged config chunk (module-level
+    for process-pool picklability). The item carries *its own*
+    scenario's model and pass rates — not the whole fleet's — so a
     process backend serializes one model per task, same as solo
-    ``explore()``; the index travels with the results so the collector
-    can route them back to their scenario.
+    ``explore()``; the index travels with the costs so the campaign can
+    route them back to their scenario."""
+    index, model, pass_rates, configs = tagged
+    return index, evaluate_chunk(model, pass_rates, configs)
 
-    A :class:`~repro.explore.vectorized.CohortShard` (only stock models
-    shard) is decoded and folded locally by the columnar evaluator; a
-    config list goes through the shared chunk evaluator. A dedup
-    leader's chunk (the states mode; its model is always stock) folds
-    into columnar :class:`~repro.explore.vectorized.BatchChunkStates`
-    instead of cost objects."""
-    index, (model, pass_rates, mode), configs = tagged
-    if isinstance(configs, CohortShard):
-        batch = BatchPrefixEvaluator(model, pass_rates)
-        if mode == _MODE_STATES:
-            return index, batch.states_shard(configs)
-        return index, batch.evaluate_shard(configs)
-    if mode == _MODE_STATES:
-        return index, BatchPrefixEvaluator(model, pass_rates).states_chunk(configs)
-    if mode == _MODE_MEMOIZED:
-        return index, evaluate_chunk(model, pass_rates, configs)
-    return index, [_evaluate_scratch(model, pass_rates, config) for config in configs]
+
+def _select(policy: SchedulingPolicy, live: list[int]) -> int:
+    """The policy's pick among ``live``, validated."""
+    index = policy.select(tuple(live))
+    if index not in live:
+        raise ConfigurationError(
+            f"scheduling policy {getattr(policy, 'name', policy)!r} "
+            f"selected scenario {index}, not in the live set {live}"
+        )
+    return index
+
+
+def _solo_walk(
+    index: int, scenario: Scenario, model: Any, chunk_size: int
+) -> Iterator[_Step]:
+    """A stock member's in-process stream: solo ``explore()``'s cohort
+    walk, sliced at the campaign's chunk size."""
+    evaluator = BatchPrefixEvaluator(model, scenario.pass_rates)
+    for batch in evaluator.iter_scenario_batches(scenario, chunk_size):
+        yield ((index, batch),)
 
 
 # -- cross-scenario evaluation dedup ------------------------------------
@@ -230,68 +209,18 @@ def scenario_compute_key(scenario: Scenario) -> tuple | None:
     )
 
 
-class _StateFinalizer:
-    """Close shared compute-side prefix states under one scenario's own
-    per-depth link terms.
-
-    Delegates to the *stock* ``model.finalize`` (the definition the
-    memoized walks are tested bit-identical against) with the link term
-    from the one shared :func:`~repro.explore.incremental.
-    depth_link_cost` definition — so a state evaluated once for a dedup
-    group and finalized here is bit-identical to evaluating the
-    configuration solo against this scenario's link (the invariant
-    suite compares them byte for byte), and a future cost-field change
-    lands here automatically instead of in a hand-inlined copy.
-    """
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self._model = scenario.cost_model()
-        self._energy = scenario.domain == "energy"
-        self._link_costs: dict[int, Any] = {}  # cut depth -> finalize arg
-
-    def link_cost(self, depth: int, config: Any) -> Any:
-        """This scenario's per-depth finalize argument (cached): the
-        communication rate (throughput) or (transmit joules, transmit
-        seconds) pair (energy) of the cut-depth payload."""
-        return depth_link_cost(
-            self._model.link, self._energy, self._link_costs, depth, config
-        )
-
-    def finalize(self, payload: BatchChunkStates) -> list[Any]:
-        """Close each same-depth run of the leader's columnar states with
-        one ``finalize_batch`` call and materialize through the same
-        field definitions the batch evaluator uses — bit-identical to
-        finalizing each configuration through the scalar ``finalize``."""
-        model = self._model
-        out: list[Any] = []
-        for configs, depth, state, _choices, _names in payload.segments:
-            link_cost = self.link_cost(depth, configs[0])
-            out.extend(
-                _materialize_costs(
-                    configs, model.finalize_batch(state, link_cost), self._energy
-                )
-            )
-        return out
-
-
 class PipelineCostCache:
-    """Campaign-level cross-scenario evaluation dedup.
+    """Campaign-level cross-scenario evaluation dedup: the fleet's dedup
+    groups and their shared walk.
 
     Fleets routinely carry the same pipeline at several links (the
     design-space sweep shape: one product, every uplink tier); their
     compute-side costs are link-independent, so evaluating each scenario
     solo recomputes identical prefix folds once per link. This cache
-    groups a fleet's scenarios by :func:`scenario_compute_key`; each
-    group's *leader* (first in fleet order) evaluates its chunks into
-    columnar pre-finalize states
-    (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.states_chunk`),
-    and every member — leader and followers —
-    gets the states closed under its own link terms by a
-    :class:`_StateFinalizer`. Followers never enter the interleaver:
-    their chunks mirror the leader's the moment each leader chunk
-    lands, preserving streaming, per-scenario enumeration order, sinks
-    and export-only mode unchanged.
+    groups a fleet's scenarios by :func:`scenario_compute_key` — every
+    eligible scenario belongs to exactly one group, a scenario with no
+    sibling to a group of one — and :meth:`walk` folds each group's
+    cohort states once for all members.
 
     The dedup outcome is surfaced through
     :attr:`CampaignResult.cache_stats`, derived from each run's
@@ -300,87 +229,38 @@ class PipelineCostCache:
     """
 
     def __init__(self, scenarios: Sequence[Scenario]):
+        self.scenarios = tuple(scenarios)
+        #: Leader index -> the group's member indices, leader first, in
+        #: fleet order.
+        self.groups: dict[int, tuple[int, ...]] = {}
+        #: Member index -> its group's leader (a leader maps to itself).
         self.leader_of: dict[int, int] = {}
-        self.followers_of: dict[int, list[int]] = {}
         by_key: dict[tuple, int] = {}
-        for index, scenario in enumerate(scenarios):
+        for index, scenario in enumerate(self.scenarios):
             key = scenario_compute_key(scenario)
             if key is None:
                 continue
             leader = by_key.setdefault(key, index)
-            if leader != index:
-                self.leader_of[index] = leader
-                self.followers_of.setdefault(leader, []).append(index)
-        self._finalizers: dict[int, _StateFinalizer] = {}
-        for leader, followers in self.followers_of.items():
-            for member in (leader, *followers):
-                self._finalizers[member] = _StateFinalizer(scenarios[member])
+            self.groups[leader] = self.groups.get(leader, ()) + (index,)
+            self.leader_of[index] = leader
 
-    @property
-    def follower_indices(self) -> frozenset[int]:
-        return frozenset(self.leader_of)
-
-    def is_shared_leader(self, index: int) -> bool:
-        """Whether this scenario evaluates states on behalf of a group."""
-        return index in self.followers_of
-
-    def members_of(self, leader: int) -> tuple[int, ...]:
-        """The group's member indices, leader first, in fleet order."""
-        return (leader, *self.followers_of.get(leader, ()))
-
-    def finalize(self, index: int, payload: BatchChunkStates) -> list[Any]:
-        """Scenario ``index``'s costs for one shared chunk of columnar
-        states, fully materialized (the ``dedup="materialize"`` path)."""
-        return self._finalizers[index].finalize(payload)
-
-    def finalize_group(
-        self, leader: int, payload: BatchChunkStates
-    ) -> list[list[BatchRows]]:
-        """Every member's lazy :class:`~repro.explore.vectorized.
-        BatchRows` views of one leader chunk, in :meth:`members_of`
-        order — the columnar end of the dedup path.
-
-        Each segment's shared state closes under the whole group's link
-        terms with ONE ``finalize_batch_multi`` broadcast (the per-cell
-        float operations replay each member's scalar finalize exactly,
-        so member rows stay bit-identical to a solo walk), and every
-        member's view shares the segment's choice matrix and
-        compute-side columns by reference. Nothing per-row is
-        materialized here: consumers (columnar sinks, streaming stats)
-        materialize survivors only.
-        """
-        members = self.members_of(leader)
-        finalizers = [self._finalizers[member] for member in members]
-        model = finalizers[0]._model
-        energy = payload.energy
-        out: list[list[BatchRows]] = [[] for _ in members]
-        for configs, depth, state, choices, names in payload.segments:
-            stack = [
-                finalizer.link_cost(depth, configs[0]) for finalizer in finalizers
-            ]
-            columns_stack = model.finalize_batch_multi(state, stack)
-            pipeline = configs[0].pipeline
-            for slot, (finalizer, columns) in enumerate(
-                zip(finalizers, columns_stack)
-            ):
-                out[slot].append(
-                    BatchRows(
-                        finalizer.scenario,
-                        pipeline,
-                        depth,
-                        names,
-                        choices,
-                        columns,
-                        energy,
-                    )
-                )
-        return out
+    def walk(self, leader: int, chunk_size: int) -> Iterator[_Step]:
+        """The group's in-process stream: one cohort walk of the
+        leader's compute-side states, every slice closed for all members
+        at once (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
+        iter_group_batches`) into ``(member index, lazy view)`` pairs."""
+        indices = self.groups[leader]
+        group = [self.scenarios[index] for index in indices]
+        evaluator = BatchPrefixEvaluator(group[0].cost_model(), group[0].pass_rates)
+        for views in evaluator.iter_group_batches(group, chunk_size):
+            yield tuple(zip(indices, views))
 
 
 class _FleetProgress:
     """Chunk bookkeeping behind completion detection: a scenario is
-    complete when its stream is known exhausted AND every chunk it
-    emitted has been collected."""
+    complete when its stream is known exhausted AND every pool chunk it
+    emitted has been collected (in-process steps are collected the
+    moment they are taken, so they never count as emitted)."""
 
     def __init__(self, n: int):
         self.emitted = [0] * n
@@ -401,60 +281,38 @@ class _FleetProgress:
 
 def _interleave_chunks(
     scenarios: Sequence[Scenario],
-    specs: Sequence[_ChunkSpec],
+    models: Sequence[Any],
     sizes: Sequence[int],
     policy: SchedulingPolicy,
     progress: _FleetProgress,
-    skip: frozenset[int] = frozenset(),
-    shard: Sequence[bool] | None = None,
-) -> Iterator[tuple[int, _ChunkSpec, list[Any]]]:
-    """One chunk per policy selection: the selected scenario's next
-    chunk is yielded (tagged), exhausted scenarios leave the live set,
-    and no scenario's enumeration is materialized past its next chunk.
-    Emission/exhaustion is recorded in ``progress`` so the collector can
-    detect per-scenario completion. Scenarios in ``skip`` (dedup
-    followers, fed by mirroring their leader's chunks at collection)
-    never enter the live set and are never enumerated here.
-
-    Scenarios flagged in ``shard`` stream
-    :class:`~repro.explore.vectorized.CohortShard` descriptors instead
-    of materialized config lists: workers regenerate the rows locally
-    from the flat index ranges, so a process pool pickles O(1) data per
-    chunk instead of per-config tuples. Shard boundaries follow the same
-    per-scenario sizes, and both stream shapes flow through the same
-    policy selection — scheduling is unchanged."""
+    indices: Sequence[int],
+) -> Iterator[tuple[int, Any, "dict[str, float] | None", list[Any]]]:
+    """The pool lane's feed: one config-list chunk per policy selection
+    among the scalar members ``indices``, tagged with its scenario,
+    model and pass rates; exhausted scenarios leave the live set, and no
+    scenario's enumeration is materialized past its next chunk.
+    Emission/exhaustion is recorded in ``progress`` so the campaign can
+    detect per-scenario completion."""
     streams = {
-        index: (
-            iter_scenario_shards(scenario, sizes[index])
-            if shard is not None and shard[index]
-            else _chunked(scenario.iter_configs(), sizes[index])
-        )
-        for index, scenario in enumerate(scenarios)
-        if index not in skip
+        index: _chunked(scenarios[index].iter_configs(), sizes[index])
+        for index in indices
     }
-    live = [index for index in range(len(scenarios)) if index not in skip]
-    policy.start(scenarios)
+    live = list(indices)
     try:
         while live:
-            index = policy.select(tuple(live))
-            if index not in live:
-                raise ConfigurationError(
-                    f"scheduling policy {getattr(policy, 'name', policy)!r} "
-                    f"selected scenario {index}, not in the live set {live}"
-                )
+            index = _select(policy, live)
             chunk = next(streams[index], None)
             if chunk is None:
                 live.remove(index)
                 progress.exhausted[index] = True
                 continue
             progress.emitted[index] += 1
-            yield index, specs[index], chunk
+            yield index, models[index], scenarios[index].pass_rates, chunk
     finally:
         # Mark abandoned streams exhausted-at-current-count so late
         # completion scans cannot block, and close their enumerators.
-        for index in range(len(scenarios)):
+        for index, stream in streams.items():
             progress.exhausted[index] = True
-        for stream in streams.values():
             stream.close()
 
 
@@ -480,7 +338,9 @@ class ScenarioRun:
     turned into Python objects for this scenario (collected runs
     materialize everything; export-only runs only the best row, the
     frontier's survivors and heap candidates) — None when the rows
-    never rode the lazy path (no dedup, or ``dedup="materialize"``).
+    never rode the lazy group walk (no dedup, ``dedup="materialize"``,
+    or a dedup-ineligible scenario; an eligible scenario without a
+    sibling walks as a group of one).
     """
 
     scenario: Scenario
@@ -695,8 +555,9 @@ class _StreamingStats:
     __slots__ = (
         "n_evaluated",
         "n_feasible",
-        "best",
         "frontier",
+        "_best",
+        "_best_value",
         "_metric",
         "_maximize",
     )
@@ -704,7 +565,10 @@ class _StreamingStats:
     def __init__(self, domain: str, track_frontier: bool = True):
         self.n_evaluated = 0
         self.n_feasible = 0
-        self.best: dict[str, Any] | None = None
+        #: The best row, or the ``(batch, index)`` it will be built from:
+        #: a best that a later batch displaces is never materialized.
+        self._best: Any = None
+        self._best_value: Any = None
         #: None when frontier tracking is opted out (``frontier=False``
         #: campaigns): consumers that never ask for the frontier — the
         #: joint-fleet optimizer's candidate-sink phase — skip its merge
@@ -715,9 +579,24 @@ class _StreamingStats:
         self._metric = _best_metric(domain)
         self._maximize = DEFAULT_AXES[domain][1]
 
+    @property
+    def best(self) -> dict[str, Any] | None:
+        self.settle()
+        return self._best
+
+    def settle(self) -> int:
+        """Build the best row if it is still pending; returns the number
+        of rows this materialized (0 or 1)."""
+        if not isinstance(self._best, tuple):
+            return 0
+        batch, index = self._best
+        self._best = batch.row(index)
+        return 1
+
     def update(self, rows: Sequence[dict[str, Any]]) -> None:
         metric, maximize = self._metric, self._maximize
-        best = self.best
+        best, current = None, self._best_value
+        seen = self._best is not None
         feasible = 0
         for row in rows:
             if row["feasible"]:
@@ -725,9 +604,10 @@ class _StreamingStats:
             value = row[metric]
             # Strict comparison: ties keep the earliest-enumerated row,
             # matching ExplorationResult.best.
-            if best is None or (value > best[metric] if maximize else value < best[metric]):
-                best = row
-        self.best = best
+            if not seen or (value > current if maximize else value < current):
+                best, current, seen = row, value, True
+        if best is not None:
+            self._best, self._best_value = best, current
         self.n_evaluated += len(rows)
         self.n_feasible += feasible
         if self.frontier is not None:
@@ -735,8 +615,8 @@ class _StreamingStats:
 
     def update_batch(self, batch: BatchRows) -> None:
         """:meth:`update` over a lazy columnar batch, materializing only
-        the rows the statistics actually keep (the new best row and the
-        frontier's survivors).
+        the rows the statistics actually keep (the frontier's survivors,
+        and the best row once it is read).
 
         Exactly equivalent to ``update(batch.rows())``: the sequential
         strict-comparison scan keeps the first row attaining the extreme
@@ -758,7 +638,7 @@ class _StreamingStats:
             return
         maximize = self._maximize
         winner: int | None = None
-        if self.best is None:
+        if self._best is None:
             first = float(values[0])
             if first != first:
                 # A NaN first row becomes best and no comparison against
@@ -769,14 +649,15 @@ class _StreamingStats:
                     np.nanargmax(values) if maximize else np.nanargmin(values)
                 )
         else:
-            current = self.best[self._metric]
+            current = self._best_value
             improved = (values > current) if maximize else (values < current)
             if bool(np.any(improved)):
                 winner = int(
                     np.nanargmax(values) if maximize else np.nanargmin(values)
                 )
         if winner is not None:
-            self.best = batch.row(winner)
+            self._best = (batch, winner)
+            self._best_value = values[winner]
         self.n_evaluated += n
         self.n_feasible += int(np.count_nonzero(feasible))
         if self.frontier is not None:
@@ -784,7 +665,7 @@ class _StreamingStats:
 
 
 class Campaign:
-    """A batch of scenarios explored through one shared executor.
+    """A batch of scenarios explored as one run, sharing at most one pool.
 
     Parameters
     ----------
@@ -851,7 +732,7 @@ class Campaign:
         frontier: bool = True,
     ) -> Iterator[ScenarioRun]:
         """Stream the fleet: yield each :class:`ScenarioRun` the moment
-        its scenario's last chunk lands.
+        its scenario's last slice or chunk lands.
 
         The streaming counterpart of :meth:`run` (which is a drain over
         this iterator): scenarios complete at different times — under
@@ -865,8 +746,8 @@ class Campaign:
         is closed (the shared pool shuts down after in-flight chunks
         finish) and every open sink is closed (flushed), exactly as on
         an error. A parallel executor keeps at most ``2 * workers``
-        chunks in flight ahead of the consumer. Parameters are those of
-        :meth:`run`.
+        scalar members' chunks in flight ahead of the consumer.
+        Parameters are those of :meth:`run`.
         """
         executor = resolve_executor(executor)
         _check_dedup_mode(dedup)
@@ -892,14 +773,7 @@ class Campaign:
                     "or drop sinks entirely for a summary-only campaign"
                 )
         return self._stream_runs(
-            executor,
-            chunk_size,
-            sink_list,
-            collect,
-            policy,
-            PipelineCostCache(scenarios) if dedup else None,
-            dedup != "materialize",
-            frontier,
+            executor, chunk_size, sink_list, collect, policy, dedup, frontier
         )
 
     def _stream_runs(
@@ -909,149 +783,59 @@ class Campaign:
         sink_list: list[Any],
         collect: bool,
         policy: SchedulingPolicy,
-        cache: PipelineCostCache | None,
-        dedup_lazy: bool = True,
-        track_frontier: bool = True,
+        dedup: bool | str,
+        track_frontier: bool,
     ) -> Iterator[ScenarioRun]:
         """The generator behind :meth:`iter_runs` (argument validation
-        stays eager in the caller, before the first ``next()``)."""
+        stays eager in the caller, before the first ``next()``): the
+        in-process lane and the pool lane, alternating, with completed
+        runs handed out between steps."""
         scenarios = self.scenarios
-        followers = cache.follower_indices if cache is not None else frozenset()
         models = [scenario.cost_model() for scenario in scenarios]
-        spec_list: list[_ChunkSpec] = []
-        for index, (model, scenario) in enumerate(zip(models, scenarios)):
-            if cache is not None and cache.is_shared_leader(index):
-                mode = _MODE_STATES
-            elif supports_prefix_evaluation(model):
-                mode = _MODE_MEMOIZED
-            else:
-                mode = _MODE_SCRATCH
-            spec_list.append((model, scenario.pass_rates, mode))
-        specs = tuple(spec_list)
-        sizes = [
-            self._chunk_size_for(scenario, executor, chunk_size)
-            for scenario in scenarios
-        ]
         stock = [uses_stock_cost_semantics(model) for model in models]
-        # Cohort sharding on parallel executors: stock-model scenarios
-        # ship compact (depth, flat-index-range) descriptors instead of
-        # pickled config lists; workers rebuild the rows locally.
-        shard_flags = [flag and not executor.is_serial for flag in stock]
-        # Same pause rule as solo explore(): engine-only allocations
-        # (the dedup states and finalized costs are engine-owned and
-        # acyclic, so the states mode keeps the pause).
+        cache = PipelineCostCache(scenarios) if dedup else None
+        sizes = [
+            self._chunk_size_for(scenario, executor, chunk_size, pooled=not flag)
+            for scenario, flag in zip(scenarios, stock)
+        ]
+        leader_of = cache.leader_of if cache is not None else {}
+        members = [
+            self._member(
+                index,
+                sink,
+                collect,
+                sizes[index],
+                track_frontier,
+                dedup if index in leader_of else False,
+            )
+            for index, sink in enumerate(sink_list)
+        ]
+        # The in-process lane: one walk per dedup group (keyed by its
+        # leader) and one per other stock member, each with the members
+        # its steps feed.
+        walks: dict[int, Iterator[_Step]] = {}
+        units: dict[int, tuple[int, ...]] = {}
+        for index, scenario in enumerate(scenarios):
+            if index in leader_of:
+                if leader_of[index] == index:
+                    walks[index] = cache.walk(index, sizes[index])
+                    units[index] = cache.groups[index]
+            elif stock[index]:
+                walks[index] = _solo_walk(index, scenario, models[index], sizes[index])
+                units[index] = (index,)
+        live = sorted(walks)
+        # Same pause rule as solo explore(): engine-only allocations.
         pause = (
             all(stock)
             and all(scenario.prune is None for scenario in scenarios)
             and all(sink is None for sink in sink_list)
         )
-        evaluations: list[list[Any]] | None = (
-            [[] for _ in scenarios] if collect else None
-        )
-        # When a collected scenario also streams to a sink, its rows are
-        # built anyway — keep them so the ExplorationResult is seeded
-        # instead of re-deriving every row for the summary. Unlike solo
-        # explore(), this adds no peak memory: building a ScenarioRun
-        # forces every collected result's rows for the feasible/Pareto
-        # summary, so the cache would materialize at run end regardless.
-        row_caches: list[list[dict[str, Any]] | None] = [
-            [] if collect and sink is not None else None for sink in sink_list
-        ]
-        stats = [
-            _StreamingStats(scenario.domain, track_frontier)
-            for scenario in scenarios
-        ]
-        # Per-scenario lazy-materialization accounting: None where rows
-        # were never lazily closed (no dedup, or the materialize mode);
-        # dedup group members under the lazy path count the rows their
-        # consumers actually turned into Python objects.
-        materialized: list[int | None] = [None] * len(scenarios)
-        if cache is not None and dedup_lazy:
-            for leader in cache.followers_of:
-                for member in cache.members_of(leader):
-                    materialized[member] = 0
         progress = _FleetProgress(len(scenarios))
-        completed_at = [0.0] * len(scenarios)
         start = time.perf_counter()
         opened: list[int] = []
         closed: set[int] = set()
         error: BaseException | None = None
-        interleaved = _interleave_chunks(
-            scenarios, specs, sizes, policy, progress, followers, shard_flags
-        )
-        results = executor.imap(_evaluate_tagged_chunk, interleaved, chunk_size=1)
-
-        def _absorb(index: int, costs: list[Any], now: float) -> None:
-            """Route one collected (or mirrored) chunk's costs into the
-            scenario's accumulation/sink/stats paths."""
-            sink = sink_list[index]
-            if evaluations is not None:
-                evaluations[index].extend(costs)
-            if sink is not None or evaluations is None:
-                rows = [cost_row(scenarios[index], cost) for cost in costs]
-                if evaluations is None:
-                    # Streaming stats are only consulted on export-only
-                    # runs; collected runs derive the summary from the
-                    # result instead.
-                    stats[index].update(rows)
-                elif row_caches[index] is not None:
-                    row_caches[index].extend(rows)
-                if sink is not None:
-                    write_sink(sink, rows, self._label(index))
-            progress.collected[index] += 1
-            completed_at[index] = now
-
-        def _absorb_batches(index: int, batches: list[BatchRows], now: float) -> None:
-            """Route one dedup group member's lazy columnar views — the
-            batch counterpart of :func:`_absorb`. Collected runs bulk-
-            materialize (a ScenarioRun forces every collected cost
-            anyway); export-only runs fold the views through the
-            streaming stats and columnar sinks, so only the survivors
-            (best row, frontier members, heap entries) ever become
-            Python objects."""
-            sink = sink_list[index]
-            label = self._label(index)
-            if evaluations is not None:
-                costs = [cost for batch in batches for cost in batch.costs()]
-                evaluations[index].extend(costs)
-                if sink is not None:
-                    rows = [cost_row(scenarios[index], cost) for cost in costs]
-                    if row_caches[index] is not None:
-                        row_caches[index].extend(rows)
-                    write_sink(sink, rows, label)
-            else:
-                columnar = sink is not None and uses_columnar_writes(sink)
-                pending: list[dict[str, Any]] | None = (
-                    [] if sink is not None and not columnar else None
-                )
-                for batch in batches:
-                    stats[index].update_batch(batch)
-                    if columnar:
-                        write_sink_batch(sink, batch, label)
-                    elif pending is not None:
-                        pending.extend(batch.rows())
-                if pending is not None:
-                    # Row-only sinks keep one write per chunk, exactly
-                    # the granularity _absorb's row path delivers.
-                    write_sink(sink, pending, label)
-            count = materialized[index]
-            materialized[index] = (count or 0) + sum(
-                batch.n_materialized for batch in batches
-            )
-            progress.collected[index] += 1
-            completed_at[index] = now
-
-        def _sync_followers() -> None:
-            # A follower's stream is its leader's, mirrored at
-            # *collection* time (its emitted/collected counts track the
-            # leader's collected chunks in the loop below) — so it is
-            # complete exactly when the leader is. Marking it exhausted
-            # on the leader's mere enumeration exhaustion would complete
-            # it early: a parallel interleaver runs ahead of collection
-            # by the in-flight window.
-            if cache is not None:
-                for follower, leader in cache.leader_of.items():
-                    progress.exhausted[follower] = progress.complete(leader)
+        feed = results = None
 
         # The GC pause must cover the bulk-accumulation regions but NOT
         # the yields: consumer code between next() calls would otherwise
@@ -1072,6 +856,15 @@ class Campaign:
                 pause_guard.close()
                 pause_guard = None
 
+        def _hand_out() -> Iterator[ScenarioRun]:
+            done = self._finish_complete(
+                progress, members, sink_list, opened, closed, leader_of
+            )
+            if done:
+                _exit_pause()
+                yield from done
+                _enter_pause()
+
         try:
             # Opening happens inside the try so a sink whose open()
             # fails still gets every *previously opened* sink closed
@@ -1080,80 +873,53 @@ class Campaign:
                 if sink is not None:
                     open_sink(sink, scenarios[index], self._label(index))
                     opened.append(index)
-            _enter_pause()
-            for index, payload in results:
-                now = time.perf_counter() - start
-                if cache is not None and cache.is_shared_leader(index):
-                    # The leader's chunk arrived as pre-finalize states:
-                    # close them under every group member's own link —
-                    # one evaluation pass serves the whole group, and
-                    # each follower's chunk lands (same boundaries, same
-                    # enumeration order) the moment the leader's does.
-                    # The states close lazily (one broadcast per segment
-                    # for the whole group, survivors-only
-                    # materialization); the "materialize" opt-out keeps
-                    # the per-member materialized finalize.
-                    if dedup_lazy:
-                        group = cache.finalize_group(index, payload)
-                        for member, batches in zip(
-                            cache.members_of(index), group
-                        ):
-                            if member != index:
-                                progress.emitted[member] += 1
-                            _absorb_batches(member, batches, now)
-                    else:
-                        _absorb(index, cache.finalize(index, payload), now)
-                        for follower in cache.followers_of[index]:
-                            progress.emitted[follower] += 1
-                            _absorb(follower, cache.finalize(follower, payload), now)
-                else:
-                    _absorb(index, payload, now)
-                _sync_followers()
-                done = self._finish_complete(
-                    progress,
-                    sink_list,
-                    opened,
-                    closed,
-                    evaluations,
-                    row_caches,
-                    stats,
-                    completed_at,
-                    cache,
-                    materialized,
+            policy.start(scenarios)
+            scalar = [index for index in range(len(scenarios)) if not stock[index]]
+            if scalar:
+                # The pool starts (lazily, on the first next()) only for
+                # members whose model fails the stock gate.
+                feed = _interleave_chunks(
+                    scenarios, models, sizes, policy, progress, scalar
                 )
-                if done:
-                    _exit_pause()
-                    yield from done
-                    _enter_pause()
-            # Exhaustions discovered after a scenario's final collection
-            # (and zero-chunk scenarios) surface once the stream drains.
-            _sync_followers()
-            done = self._finish_complete(
-                progress,
-                sink_list,
-                opened,
-                closed,
-                evaluations,
-                row_caches,
-                stats,
-                completed_at,
-                cache,
-                materialized,
-            )
-            _exit_pause()
-            yield from done
+                results = executor.imap(_evaluate_tagged_chunk, feed, chunk_size=1)
+            _enter_pause()
+            while live or results is not None:
+                if live:
+                    index = _select(policy, live)
+                    step = next(walks[index], None)
+                    now = time.perf_counter() - start
+                    if step is None:
+                        live.remove(index)
+                        for member in units[index]:
+                            progress.exhausted[member] = True
+                    else:
+                        for member, batch in step:
+                            members[member].add_batch(batch, now)
+                    yield from _hand_out()
+                if results is not None:
+                    item = next(results, None)
+                    if item is None:
+                        results = None
+                    else:
+                        index, costs = item
+                        members[index].add_costs(costs, time.perf_counter() - start)
+                        progress.collected[index] += 1
+                    yield from _hand_out()
         except BaseException as exc:
             error = exc
             raise
         finally:
             _exit_pause()
             # Stop the executor stream first (the pool shuts down after
-            # in-flight chunks finish), then the enumerators, then flush
-            # every sink not already closed at scenario completion.
-            stream_close = getattr(results, "close", None)
-            if stream_close is not None:
-                stream_close()
-            interleaved.close()
+            # in-flight chunks finish; a drained stream is already shut),
+            # then the enumerators, then flush every sink not already
+            # closed at scenario completion.
+            if results is not None:
+                results.close()
+            if feed is not None:
+                feed.close()
+            for walk in walks.values():
+                walk.close()
             close_error: BaseException | None = None
             for index in opened:
                 if index in closed:
@@ -1168,40 +934,56 @@ class Campaign:
             if close_error is not None and error is None:
                 raise close_error
 
+    def _member(
+        self,
+        index: int,
+        sink: Any,
+        collect: bool,
+        chunk_size: int,
+        track_frontier: bool,
+        group_dedup: bool | str,
+    ) -> "_Member":
+        """One member's run state: the consumer solo ``explore()`` uses,
+        plus running statistics on export-only runs (collected runs
+        summarize from the result). ``group_dedup`` is the campaign's
+        ``dedup`` mode for a dedup group member, else False."""
+        scenario = self.scenarios[index]
+        stats = None if collect else _StreamingStats(scenario.domain, track_frontier)
+        consumer = _RunConsumer(
+            scenario,
+            sink,
+            self._label(index),
+            collect,
+            chunk_size,
+            stats=stats,
+            # A ScenarioRun forces every collected result's rows for its
+            # summary, so rows built for a sink are kept, not rebuilt.
+            keep_rows=True,
+        )
+        bulk = group_dedup == "materialize"
+        return _Member(consumer, bulk, 0 if group_dedup and not bulk else None)
+
     def _finish_complete(
         self,
         progress: _FleetProgress,
+        members: list["_Member"],
         sink_list: list[Any],
         opened: list[int],
         closed: set[int],
-        evaluations: list[list[Any]] | None,
-        row_caches: list[list[dict[str, Any]] | None],
-        stats: list[_StreamingStats],
-        completed_at: list[float],
-        cache: PipelineCostCache | None = None,
-        materialized: list[int | None] | None = None,
+        leader_of: Mapping[int, int],
     ) -> list[ScenarioRun]:
-        """Runs for scenarios that just completed, their sinks closed
-        first so a handed-out run's exports are already flushed."""
+        """Runs for scenarios that just completed, their sinks flushed
+        and closed first so a handed-out run's exports are complete."""
         runs: list[ScenarioRun] = []
         for index in progress.pop_complete():
+            member = members[index]
             if index in opened and index not in closed:
+                member.consumer.flush()
                 closed.add(index)
                 close_sink(sink_list[index], self._label(index))
-            dedup_source = None
-            if cache is not None and index in cache.leader_of:
-                dedup_source = self.scenarios[cache.leader_of[index]].name
-            runs.append(
-                self._build_run(
-                    index,
-                    evaluations[index] if evaluations is not None else None,
-                    row_caches[index],
-                    stats[index],
-                    completed_at[index],
-                    dedup_source,
-                    materialized[index] if materialized is not None else None,
-                )
-            )
+            leader = leader_of.get(index, index)
+            dedup_source = self.scenarios[leader].name if leader != index else None
+            runs.append(self._build_run(index, member, dedup_source))
         return runs
 
     def run(
@@ -1215,7 +997,7 @@ class Campaign:
         dedup: bool | str = False,
         frontier: bool = True,
     ) -> CampaignResult:
-        """Explore every scenario through one shared executor.
+        """Explore every scenario in one campaign run.
 
         A drain over :meth:`iter_runs` — identical results, with the
         per-scenario runs reassembled into fleet order.
@@ -1223,13 +1005,17 @@ class Campaign:
         Parameters
         ----------
         executor:
-            The one pool all scenarios share; defaults to serial. Row
-            order per scenario is its enumeration order for any worker
-            count.
+            The one pool the scalar-model scenarios share; defaults to
+            serial. Stock-model scenarios fold in the calling process
+            whatever the executor, and a fleet without scalar members
+            never starts the pool. Row order per scenario is its
+            enumeration order for any worker count.
         chunk_size:
-            Configurations per streamed chunk for every scenario
-            (default: the executor's ``chunk_size``, else sized per
-            scenario the way solo ``explore()`` would).
+            Rows per cohort slice (stock models) or configurations per
+            chunk (scalar models) for every scenario (default: the
+            executor's ``chunk_size``, else :data:`~repro.explore.engine.
+            DEFAULT_CHUNK_SIZE`, with scalar chunks on a pool sized the
+            way solo ``explore()`` sizes them).
         sinks:
             Per-scenario streaming outputs: a mapping from scenario
             name to sink (scenarios without an entry get none) or a
@@ -1302,35 +1088,30 @@ class Campaign:
 
     @staticmethod
     def _chunk_size_for(
-        scenario: Scenario, executor: SweepExecutor, chunk_size: int | None
+        scenario: Scenario,
+        executor: SweepExecutor,
+        chunk_size: int | None,
+        pooled: bool,
     ) -> int:
+        """Rows per cohort slice (in-process members) or configurations
+        per chunk (``pooled`` members, sized for the pool's workers the
+        way solo ``explore()`` sizes them)."""
         if chunk_size is not None:
             return chunk_size
         if executor.chunk_size is not None:
             return executor.chunk_size
-        if not executor.is_serial:
+        if pooled and not executor.is_serial:
             return auto_chunk_size(
                 scenario.count_configs(), executor.workers, DEFAULT_CHUNK_SIZE
             )
         return DEFAULT_CHUNK_SIZE
 
     def _build_run(
-        self,
-        index: int,
-        scenario_evaluations: list[Any] | None,
-        row_cache: list[dict[str, Any]] | None,
-        run_stats: _StreamingStats,
-        completed_at: float,
-        dedup_source: str | None = None,
-        n_materialized: int | None = None,
+        self, index: int, member: "_Member", dedup_source: str | None
     ) -> ScenarioRun:
         scenario = self.scenarios[index]
-        if scenario_evaluations is not None:
-            result = ExplorationResult(
-                scenario=scenario,
-                rows=row_cache,
-                evaluations=scenario_evaluations,
-            )
+        result = member.consumer.result()
+        if result is not None:
             n_evaluated = len(result)
             n_feasible = len(result.feasible)
             try:
@@ -1340,12 +1121,14 @@ class Campaign:
             pareto_size = None  # computed lazily on first access
             frontier = None
         else:
-            result = None
-            n_evaluated = run_stats.n_evaluated
-            n_feasible = run_stats.n_feasible
-            best = run_stats.best
-            if run_stats.frontier is not None:
-                frontier = run_stats.frontier.rows
+            stats = member.consumer.stats
+            if stats.settle() and member.n_materialized is not None:
+                member.n_materialized += 1
+            n_evaluated = stats.n_evaluated
+            n_feasible = stats.n_feasible
+            best = stats.best
+            if stats.frontier is not None:
+                frontier = stats.frontier.rows
                 pareto_size = len(frontier)
             else:  # frontier tracking opted out: pareto() raises
                 frontier = None
@@ -1357,8 +1140,39 @@ class Campaign:
             n_feasible=n_feasible,
             best=best,
             _pareto_size=pareto_size,
-            wall_seconds=round(completed_at, 6),
+            wall_seconds=round(member.completed_at, 6),
             frontier=frontier,
             dedup_source=dedup_source,
-            n_materialized=n_materialized,
+            n_materialized=member.n_materialized,
         )
+
+
+class _Member:
+    """One campaign member's run state: the run consumer solo
+    ``explore()`` uses, the lazy-materialization count (None off the
+    lazy group walk) and when its last rows landed."""
+
+    __slots__ = ("consumer", "bulk", "n_materialized", "completed_at")
+
+    def __init__(
+        self, consumer: _RunConsumer, bulk: bool, n_materialized: int | None
+    ):
+        self.consumer = consumer
+        #: ``dedup="materialize"``: the group's views are materialized in
+        #: bulk, the lazy path's benchmark baseline.
+        self.bulk = bulk
+        self.n_materialized = n_materialized
+        self.completed_at = 0.0
+
+    def add_batch(self, batch: BatchRows, now: float) -> None:
+        if self.bulk:
+            self.consumer.add_costs(batch.costs())
+        else:
+            self.consumer.add_batch(batch)
+            if self.n_materialized is not None:
+                self.n_materialized += batch.n_materialized
+        self.completed_at = now
+
+    def add_costs(self, costs: list[Any], now: float) -> None:
+        self.consumer.add_costs(costs)
+        self.completed_at = now

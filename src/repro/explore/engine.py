@@ -11,18 +11,22 @@ and serial runs are interchangeable.
 
 One rule picks the evaluation path. A model whose every cost step is
 stock (:func:`~repro.explore.incremental.uses_stock_cost_semantics`)
-takes the columnar core (:mod:`repro.explore.vectorized`): ``explore()``
-folds whole depth cohorts in process on every executor, campaign chunks
-fold columnar (shipped to pools as
-:class:`~repro.explore.vectorized.CohortShard` descriptors), campaign
-dedup closes shared columnar states. Every other model — and
-``evaluation="scalar"`` — takes the one generic scalar walk: the
-memoized :class:`~repro.explore.incremental.PrefixEvaluator` if its
-``evaluate()`` is stock, per-config ``evaluate()`` calls if not.
+takes the columnar cohort walk (:mod:`repro.explore.vectorized`), folded
+in process on every executor: by ``explore()`` and by every stock
+campaign member alike (a campaign dedup group walks its shared states
+once and closes them under each member's link). Every other model — and
+``evaluation="scalar"`` — takes the one generic scalar chunk function,
+:func:`~repro.explore.incremental.evaluate_chunk`: the memoized
+:class:`~repro.explore.incremental.PrefixEvaluator` walk if the model's
+``evaluate()`` is stock, per-config ``evaluate()`` calls if not. Only
+those scalar chunks travel through the executor. Both shapes of result
+— lazy columnar batches and scalar cost chunks — land in one consumer
+(:class:`_RunConsumer`) shared by ``explore()`` and every campaign member,
+so solo runs and campaign members cannot drift apart.
 
 The path is streaming end-to-end: configurations flow from the
-enumerator into fixed-size chunks (or cohorts), and chunks travel
-through the executor's ``imap`` with a bounded in-flight window —
+enumerator into fixed-size chunks (or cohort slices), and scalar chunks
+travel through the executor's ``imap`` with a bounded in-flight window —
 nothing ever materializes the full configuration list, so peak
 intermediate memory is set by the chunk size, not the design-space
 size. For stock-model, unhooked runs (every allocation the engine's
@@ -47,7 +51,7 @@ from functools import partial
 from itertools import islice
 from typing import Any, Iterator
 
-from repro.core.cost import EnergyCost, EnergyCostModel
+from repro.core.cost import EnergyCost
 from repro.core.pipeline import PipelineConfig
 from repro.errors import ConfigurationError
 from repro.explore.executor import (
@@ -67,6 +71,7 @@ from repro.explore.sink import (
     resolve_sink,
     sink_stream,
     uses_columnar_writes,
+    write_sink,
     write_sink_batch,
 )
 from repro.explore.vectorized import BatchPrefixEvaluator
@@ -118,17 +123,6 @@ def _gc_paused():
                 gc.enable()
 
 
-def _evaluate_scratch(
-    model: Any, pass_rates: dict[str, float] | None, config: PipelineConfig
-) -> Any:
-    """From-scratch single-config evaluation (module-level for
-    process-pool picklability); the fallback for models that override
-    ``evaluate()`` and are therefore ineligible for prefix memoization."""
-    if isinstance(model, EnergyCostModel):
-        return model.evaluate(config, pass_rates)
-    return model.evaluate(config)
-
-
 def _chunked(iterator: Iterator[Any], size: int) -> Iterator[list[Any]]:
     while True:
         chunk = list(islice(iterator, size))
@@ -175,11 +169,12 @@ def iter_evaluation_chunks(
     """Stream cost objects for a configuration iterable, as ordered
     chunk lists (the collection loop extends at C speed).
 
-    The shared evaluation pipe under :func:`explore` and the
-    ``core.offload`` facade: configurations are consumed lazily in
-    chunks, each chunk evaluated columnar-batch when the model supports
-    it (prefix-memoized otherwise, from scratch for models that
-    override ``evaluate()``), chunks flow through the executor's
+    The scalar evaluation pipe under :func:`explore` and the
+    ``core.offload`` explicit-config facade: configurations are consumed
+    lazily in chunks, each chunk evaluated columnar-batch when the model
+    supports it and :func:`~repro.explore.incremental.evaluate_chunk`'s
+    scalar walk otherwise (memoized, or per-config ``evaluate()`` for
+    models that override it); chunks flow through the executor's
     bounded-window ``imap``. ``approx_total`` (when known) sizes chunks
     for parallel executors the way ``map`` would — about four chunks
     per worker — so small spaces still spread across workers.
@@ -200,28 +195,19 @@ def iter_evaluation_chunks(
             size = DEFAULT_CHUNK_SIZE
     allow_batch = evaluation != "scalar"
     chunks = _chunked(iter(configs), size)
-    if executor.is_serial and supports_prefix_evaluation(model):
+    if executor.is_serial:
         # Serial fast path: one evaluator spans the whole stream (no
         # per-chunk cold restarts, no pool plumbing). Values are
         # identical to the chunk-local path — memoization only reuses
         # states a from-scratch walk would recompute bit-for-bit, and
         # the columnar fold performs the same operations elementwise.
         if allow_batch and uses_stock_cost_semantics(model):
-            batch_evaluator = BatchPrefixEvaluator(model, pass_rates)
-            return (batch_evaluator.evaluate_many(chunk) for chunk in chunks)
-        evaluator = PrefixEvaluator(model, pass_rates)
+            evaluator: Any = BatchPrefixEvaluator(model, pass_rates)
+        else:
+            evaluator = PrefixEvaluator(model, pass_rates)
         return (evaluator.evaluate_many(chunk) for chunk in chunks)
-    if supports_prefix_evaluation(model):
-        chunk_fn = partial(evaluate_chunk, model, pass_rates, allow_batch=allow_batch)
-    else:
-        scratch = partial(_evaluate_scratch, model, pass_rates)
-        chunk_fn = partial(_run_scratch_chunk, scratch)
+    chunk_fn = partial(evaluate_chunk, model, pass_rates, allow_batch=allow_batch)
     return executor.imap(chunk_fn, chunks, chunk_size=1)
-
-
-def _run_scratch_chunk(evaluate: Any, configs: list[PipelineConfig]) -> list[Any]:
-    """Evaluate one chunk without memoization (module-level, picklable)."""
-    return [evaluate(config) for config in configs]
 
 
 def evaluation_path(
@@ -244,22 +230,23 @@ def evaluation_path(
       override it.
 
     Pass the campaign's ``dedup`` argument to report the path the
-    scenario takes *inside* a ``Campaign.run(dedup=...)`` instead:
+    scenario takes as a ``Campaign.run(dedup=...)`` member instead. A
+    campaign member runs exactly its solo path above — stock members
+    fold in the calling process, only scalar members' chunks reach the
+    executor — except:
 
-    - ``"batch-dedup"`` — the scenario is campaign-dedupable (it has a
+    - ``"batch-dedup"`` — with dedup on (``True``, ``"lazy"`` or
+      ``"materialize"``), a campaign-dedupable scenario (it has a
       :func:`~repro.explore.campaign.scenario_compute_key`, so no
-      pre-built ``model`` and its stock model applies): group members
-      close shared columnar states under a multi-link broadcast
-      finalize and hand consumers lazy
-      :class:`~repro.explore.vectorized.BatchRows` views.
+      pre-built ``model`` and its stock model applies) runs its
+      group's walk: one fold of the shared columnar states, closed
+      under every member's link by a multi-link broadcast finalize
+      into lazy :class:`~repro.explore.vectorized.BatchRows` views
+      (which ``"materialize"`` then materializes in bulk). A scenario
+      with no sibling in the fleet is a group of one.
 
-    A dedupable scenario reports the solo paths above when dedup is
-    off or ``"materialize"`` (``"materialize"`` still shares the
-    leader's columnar states, but finalizes and materializes them per
-    member) or when ``evaluation="scalar"`` is forced.
-
-    ``executor`` is validated but does not change the solo path:
-    ``explore()`` folds stock models in process on every executor.
+    ``executor`` is validated but changes no path: stock models fold
+    in process on every executor.
 
     Purely informational, for self-describing perf repros; raises
     exactly like :func:`explore` for an invalid executor or an invalid
@@ -270,7 +257,7 @@ def evaluation_path(
     _check_evaluation_mode(evaluation, model)
     _check_dedup_mode(dedup)
     resolve_executor(executor)
-    if dedup not in (False, "materialize") and evaluation != "scalar":
+    if dedup and evaluation != "scalar":
         # Imported here: campaign builds on the engine, not vice versa.
         from repro.explore.campaign import scenario_compute_key
 
@@ -371,92 +358,166 @@ def explore(
     )
     label = f"scenario {scenario.name!r}"
     resolved = resolve_executor(executor)
-    if _cohort_eligible(model, evaluation):
+    cohort = _cohort_eligible(model, evaluation)
+    size = None
+    if cohort:
         size = chunk_size if chunk_size is not None else resolved.chunk_size
         if size is not None and size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
-        return _explore_cohorts(scenario, model, size, sink, collect, pause, label)
-    evaluations: list[Any] = []
     # Sink rows are built per chunk and dropped after the write — NOT
     # cached on the result. Keeping them would double-hold a row list
     # next to the evaluation list for the whole run (the bounded-memory
     # invariant ExplorationResult's lazy rows exist to protect); the
     # price is one lazy re-derivation if .rows is later accessed.
-    with sink_stream(sink, scenario, label) as write:
+    consumer = _RunConsumer(scenario, sink, label, collect, size)
+    with sink_stream(sink, scenario, label):
         with _gc_paused() if pause else nullcontext():
-            for costs in iter_evaluation_chunks(
-                model,
-                scenario.iter_configs(),
-                executor=executor,
-                pass_rates=scenario.pass_rates,
-                chunk_size=chunk_size,
-                approx_total=scenario.count_configs(),
-                evaluation=evaluation,
-            ):
-                if collect:
-                    evaluations.extend(costs)
-                if write is not None:
-                    write([cost_row(scenario, cost) for cost in costs])
-    if not collect:
-        return None
-    return ExplorationResult(scenario=scenario, evaluations=evaluations)
+            if cohort:
+                evaluator = BatchPrefixEvaluator(model, scenario.pass_rates)
+                for batch in evaluator.iter_scenario_batches(scenario, size):
+                    consumer.add_batch(batch)
+            else:
+                for costs in iter_evaluation_chunks(
+                    model,
+                    scenario.iter_configs(),
+                    executor=resolved,
+                    pass_rates=scenario.pass_rates,
+                    chunk_size=chunk_size,
+                    approx_total=scenario.count_configs(),
+                    evaluation=evaluation,
+                ):
+                    consumer.add_costs(costs)
+            consumer.flush()
+    return consumer.result()
 
 
-def _explore_cohorts(
-    scenario: Scenario,
-    model: Any,
-    chunk_size: int | None,
-    sink: Any,
-    collect: bool,
-    pause: bool,
-    label: str,
-) -> ExplorationResult | None:
-    """The columnar fast path of :func:`explore`: stream whole
-    depth cohorts as :class:`~repro.explore.vectorized.BatchRows`.
+class _RunConsumer:
+    """Where one scenario's evaluated rows go — the one consumer behind
+    solo :func:`explore` and every campaign member, so the two cannot
+    drift apart.
 
-    With ``collect=True`` every cohort is materialized in bulk (the
-    result must hold all evaluations anyway); with ``collect=False``
-    nothing is materialized except what the sink touches. Columnar
-    sinks (``ParetoSink``/``TopKSink`` — anything overriding
-    ``write_batch``) receive the lazy batch views directly and
-    materialize only surviving rows, so live cost objects stay bounded
-    by the survivor count, not the design-space size. Row-only sinks
-    keep the streaming contract exactly: rows are buffered across
-    cohort boundaries and written once per ``chunk_size`` rows, in
-    enumeration order — byte-identical writes, same write count, same
-    bounded peak, as the scalar chunk path.
+    It takes lazy columnar batches (:meth:`add_batch`, the cohort and
+    dedup-group walks) and scalar cost chunks (:meth:`add_costs`) and
+    routes them to:
+
+    * the collected evaluations (``collect=True``), materialized in bulk
+      — the result must hold them all anyway;
+    * the sink: columnar sinks (``ParetoSink``/``TopKSink`` — anything
+      overriding ``write_batch``) receive the lazy batch views directly
+      and materialize only surviving rows, so live cost objects stay
+      bounded by the survivor count. Row-only sinks keep the streaming
+      contract exactly: rows are buffered across batch boundaries and
+      written once per ``chunk_size`` rows in enumeration order (once
+      per batch or chunk when ``chunk_size`` is None) — the same writes
+      and bounded peak as the scalar chunk path;
+    * ``stats`` (a campaign's export-only running statistics), fed the
+      lazy batch unless the sink already forced its rows.
+
+    ``keep_rows`` keeps the rows a collected run builds for a row-only
+    sink so the result can reuse them (campaigns summarize every
+    collected run from its rows anyway; solo runs do not keep them).
+    Call :meth:`flush` once the stream ends to write the last partial
+    chunk.
     """
-    evaluator = BatchPrefixEvaluator(model, scenario.pass_rates)
-    evaluations: list[Any] = []
-    columnar = sink is not None and uses_columnar_writes(sink)
-    pending: list[dict[str, Any]] = []  # row buffer for row-only sinks
-    with sink_stream(sink, scenario, label) as write:
-        with _gc_paused() if pause else nullcontext():
-            for batch in evaluator.iter_scenario_batches(scenario, chunk_size):
-                if collect:
-                    costs = batch.costs()
-                    evaluations.extend(costs)
-                    if write is not None and not columnar:
-                        pending.extend(cost_row(scenario, cost) for cost in costs)
-                elif write is not None and not columnar:
-                    pending.extend(batch.rows())
-                if write is None:
-                    continue
-                if columnar:
-                    write_sink_batch(sink, batch, label)
-                elif chunk_size is not None:
-                    while len(pending) >= chunk_size:
-                        write(pending[:chunk_size])
-                        del pending[:chunk_size]
-                elif pending:
-                    # No pinned chunk size: one write per depth cohort.
-                    write(pending)
-                    pending.clear()
-            if write is not None and not columnar and pending:
-                write(pending)
-    if not collect:
-        return None
-    return ExplorationResult(scenario=scenario, evaluations=evaluations)
+
+    __slots__ = (
+        "scenario",
+        "sink",
+        "label",
+        "chunk_size",
+        "columnar",
+        "evaluations",
+        "rows",
+        "stats",
+        "_pending",
+    )
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        sink: Any,
+        label: str,
+        collect: bool,
+        chunk_size: int | None = None,
+        *,
+        stats: Any = None,
+        keep_rows: bool = False,
+    ):
+        self.scenario = scenario
+        self.sink = sink
+        self.label = label
+        self.chunk_size = chunk_size
+        self.columnar = sink is not None and uses_columnar_writes(sink)
+        self.evaluations: list[Any] | None = [] if collect else None
+        self.rows: list[dict[str, Any]] | None = (
+            [] if keep_rows and collect and sink is not None else None
+        )
+        self.stats = stats
+        self._pending: list[dict[str, Any]] = []
+
+    def add_batch(self, batch: Any) -> None:
+        """One lazy :class:`~repro.explore.vectorized.BatchRows` batch."""
+        sink = self.sink
+        rows = None
+        if self.evaluations is not None:
+            costs = batch.costs()
+            self.evaluations.extend(costs)
+            if sink is not None and not self.columnar:
+                scenario = self.scenario
+                rows = [cost_row(scenario, cost) for cost in costs]
+        elif sink is not None and not self.columnar:
+            rows = batch.rows()
+        if self.stats is not None:
+            if rows is None:
+                self.stats.update_batch(batch)
+            else:
+                self.stats.update(rows)
+        if rows is not None:
+            self._write(rows)
+        elif sink is not None:
+            write_sink_batch(sink, batch, self.label)
+
+    def add_costs(self, costs: list[Any]) -> None:
+        """One chunk of materialized cost objects."""
+        if self.evaluations is not None:
+            self.evaluations.extend(costs)
+        if self.sink is None and self.stats is None:
+            return
+        scenario = self.scenario
+        rows = [cost_row(scenario, cost) for cost in costs]
+        if self.stats is not None:
+            self.stats.update(rows)
+        if self.sink is not None:
+            self._write(rows)
+
+    def _write(self, rows: list[dict[str, Any]]) -> None:
+        if self.rows is not None:
+            self.rows.extend(rows)
+        size = self.chunk_size
+        if size is None:
+            write_sink(self.sink, rows, self.label)
+            return
+        pending = self._pending
+        pending.extend(rows)
+        if len(pending) < size:
+            return
+        cut = len(pending) - len(pending) % size
+        self._pending = pending[cut:]
+        for lo in range(0, cut, size):
+            write_sink(self.sink, pending[lo : lo + size], self.label)
+
+    def flush(self) -> None:
+        """Write the buffered partial chunk, if any."""
+        if self._pending:
+            pending, self._pending = self._pending, []
+            write_sink(self.sink, pending, self.label)
+
+    def result(self) -> ExplorationResult | None:
+        if self.evaluations is None:
+            return None
+        return ExplorationResult(
+            scenario=self.scenario, rows=self.rows, evaluations=self.evaluations
+        )
 
 
 def _brute_force_throughput(model: Any, config: PipelineConfig) -> Any:

@@ -77,9 +77,10 @@ def uses_stock_cost_semantics(model: Any) -> bool:
     :data:`_COST_STEPS`) is the stock implementation.
 
     The one gate for everything that assumes the stock cost semantics
-    and state shapes: the columnar paths (cohort walk, shards, batch
-    chunk folds and batch dedup replicate and gather struct-of-arrays
-    states), the bounds ``Scenario.auto_prune`` /
+    and state shapes: the columnar paths (the cohort walk, batch chunk
+    folds and the dedup group walk replicate and gather struct-of-arrays
+    states, which is also what lets a campaign member fold in process),
+    the bounds ``Scenario.auto_prune`` /
     ``auto_prune_configs`` derive from the raw ``Implementation``/link
     tables, and the engine's cyclic-GC pause (stock steps allocate only
     acyclic engine objects).
@@ -106,10 +107,9 @@ def depth_link_cost(
     the platform choices — so the walk caches ``depth -> finalize arg``
     ((transmit joules, transmit seconds) in the energy domain, the
     communication frame rate in the throughput domain). Shared by
-    :class:`PrefixEvaluator` and the campaign dedup finalizer
-    (:class:`repro.explore.campaign._StateFinalizer`): one definition,
-    so the dedup finalize-replay stays expression-identical to solo
-    evaluation.
+    :class:`PrefixEvaluator` and the columnar walks, the campaign dedup
+    group walk included: one definition, so the dedup finalize-replay
+    stays expression-identical to solo evaluation.
     """
     cached = cache.get(depth)
     if cached is None:
@@ -282,15 +282,17 @@ def evaluate_chunk(
     Module-level (picklable) so the process-pool backend can ship
     chunks to workers; each chunk gets its own evaluator, so memoization
     never crosses chunk boundaries and results are independent of how
-    the stream was chunked. Both the solo engine and the campaign
-    driver's tagged chunks evaluate through this one function, which is
-    why interleaving a fleet (under any scheduling policy) cannot
-    change any scenario's values.
+    the stream was chunked. The one scalar chunk function: ``explore()``
+    on a pool, the ``core.offload`` explicit-config facade and the
+    campaign's pool lane all evaluate through it, which is why
+    interleaving a fleet (under any scheduling policy) cannot change any
+    scenario's values.
 
     Stock models (:func:`uses_stock_cost_semantics`) fold the chunk
     columnar (bit-identical values, see :mod:`repro.explore.vectorized`)
     unless ``allow_batch`` is False; everything else takes the scalar
-    :class:`PrefixEvaluator`.
+    :class:`PrefixEvaluator` — memoized, or one ``evaluate()`` call per
+    configuration for models that override it.
     """
     from repro.explore.vectorized import BatchPrefixEvaluator
 

@@ -41,11 +41,10 @@ Machinery reuse, not re-enumeration
 -----------------------------------
 
 Phase 1 evaluates every member's solo design space through one
-:class:`~repro.explore.campaign.Campaign` — the chunk interleaver, any
-:class:`~repro.explore.scheduling.SchedulingPolicy`, and (with
+:class:`~repro.explore.campaign.Campaign` — its scheduled interleaving,
+any :class:`~repro.explore.scheduling.SchedulingPolicy`, and (with
 ``dedup=True``) the cross-member evaluation dedup: members sharing a
-pipeline hit the lazy columnar group-finalize path and are costed
-once. Member rows are therefore byte-identical to solo ``explore()``
+pipeline ride one lazy columnar group walk and are costed once. Member rows are therefore byte-identical to solo ``explore()``
 runs by the campaign's standing contract. Phase 2 runs the outer DFS
 over per-member candidates with the sound shared-capacity lower-bound
 pruner from :mod:`repro.explore.prune` (level = member index, choice =
@@ -516,8 +515,8 @@ def explore_joint(
     :class:`~repro.explore.campaign.Campaign` on the shared ``executor``
     under ``policy`` — ``dedup=True`` (the default here: joint fleets
     are a dedup-heavy shape, N cameras often sharing a pipeline) shares
-    compute-side states across members via the campaign's
-    ``PipelineCostCache``. Member
+    compute-side states across members through the campaign's dedup
+    groups. Member
     rows are byte-identical to solo ``explore()`` runs.
 
     Phase 2 compresses each member's feasible rows to per-depth

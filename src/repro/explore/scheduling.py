@@ -1,9 +1,12 @@
 """Chunk scheduling policies for campaign interleaving.
 
 The campaign driver (:mod:`repro.explore.campaign`) has exactly one
-degree of freedom: *which scenario's chunk is submitted next*. This
-module owns that decision. A :class:`SchedulingPolicy` sees every
-selection through :meth:`~SchedulingPolicy.select`.
+degree of freedom: *which scenario's chunk comes next* — an in-process
+cohort slice for stock members and dedup groups, a config chunk
+submitted to the pool for scalar members. This module owns that
+decision. A :class:`SchedulingPolicy` sees every selection through
+:meth:`~SchedulingPolicy.select`; each of the campaign's two lanes asks
+it with its own live set.
 
 Policies only reorder *between* scenarios; each scenario's own chunks
 are always submitted in enumeration order, so per-scenario results are

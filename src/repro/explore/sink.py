@@ -427,11 +427,18 @@ def uses_columnar_writes(sink: Any) -> bool:
     materialize-and-delegate default. Row-only sinks keep the exact
     write-per-chunk granularity the streaming contract promises (the
     engine buffers rows to chunk boundaries for them); columnar sinks
-    receive the lazy batch views directly."""
+    receive the lazy batch views directly. A subclass that overrides
+    ``write_rows`` below the class supplying ``write_batch`` (say, a
+    ``ParetoSink`` that records the rows it is shown) is row-only: the
+    inherited batch fold would bypass its override."""
     if "write_batch" in getattr(sink, "__dict__", {}):
         return True
-    method = getattr(type(sink), "write_batch", None)
-    return method is not None and method is not ResultSink.write_batch
+    for cls in type(sink).__mro__:
+        if "write_batch" in cls.__dict__:
+            return cls is not ResultSink
+        if "write_rows" in cls.__dict__:
+            return False
+    return False
 
 
 def write_sink_batch(sink: Any, batch: Any, label: str) -> None:

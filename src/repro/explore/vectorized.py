@@ -31,7 +31,7 @@ update is ``np.where(new < cur, new, cur)`` (the scalar branch, not
 stay one array per level so the left-to-right accumulation order is
 preserved.
 
-Pruned runs and campaign pool chunks ride the same columnar core:
+Pruned runs and campaigns ride the same columnar core:
 
 * Prefix pruners carrying batch forms
   (:attr:`~repro.explore.enumerate.PrefixPruner.extend_batch`) fuse
@@ -40,14 +40,12 @@ Pruned runs and campaign pool chunks ride the same columnar core:
   deeper cohorts, reproducing DFS pruning semantics exactly; per-config
   ``scenario.prune`` hooks run as a scalar filter over the already
   compacted (small) cohort.
-* Campaigns on parallel executors ship :class:`CohortShard`
-  descriptors — compact (depth, flat index range) slices of a cohort —
-  instead of pickled config lists; workers regenerate the state
-  columns locally from the prefix plan in O(depth) array operations
-  (:meth:`BatchPrefixEvaluator.evaluate_shard` /
-  :meth:`~BatchPrefixEvaluator.states_shard`). Solo ``explore()``
-  never shards: every stock run folds its cohorts in process, which
-  measured faster than shipping them to pool workers.
+* A campaign's stock members run the same walk in the calling process,
+  and a dedup group walks its shared compute-side states once
+  (:meth:`BatchPrefixEvaluator.iter_group_batches`), closing each slice
+  under every member's link with one ``finalize_batch_multi``. Nothing
+  columnar is ever shipped to pool workers: folding in process measured
+  faster than any pool on every fleet tried.
 
 Only models whose every cost step is stock
 (:func:`~repro.explore.incremental.uses_stock_cost_semantics`) take
@@ -317,83 +315,6 @@ class BatchRows:
         raise KeyError(name)
 
 
-class BatchChunkStates:
-    """Pre-finalize compute-side states of one evaluated chunk, columnar.
-
-    A campaign dedup leader's chunk stopped before finalize: the
-    link-independent compute-side fold, held as contiguous
-    same-``(pipeline, depth)`` runs of the chunk, each a ``(configs,
-    depth, state, choices, level_names)`` segment — one struct-of-arrays
-    state plus the ``(n, depth)`` choice matrix and per-level platform
-    names that let a member build a lazy :class:`BatchRows` view without
-    re-deriving them. Campaign dedup finalizes every run under each member
-    scenario's own link terms (:class:`repro.explore.campaign.
-    _StateFinalizer`); picklable, so process-pool leaders can ship
-    states back.
-    """
-
-    __slots__ = ("segments", "energy")
-
-    def __init__(
-        self,
-        segments: list[tuple[list[PipelineConfig], int, Any, Any, tuple]],
-        energy: bool,
-    ):
-        self.segments = segments
-        self.energy = energy
-
-    def __len__(self) -> int:
-        return sum(len(segment[0]) for segment in self.segments)
-
-
-class CohortShard:
-    """A compact wire descriptor of one run of depth-``depth`` cohort rows.
-
-    A campaign's pool counterpart of a pickled config-list chunk:
-    instead of shipping ``PipelineConfig`` objects to pool workers, the
-    campaign driver ships ``(pipeline, depth, flat index range)`` and each worker
-    regenerates the rows locally — mixed-radix decode of the flat
-    product indices into an ``(n, depth)`` choice matrix (level 0 is the
-    most significant digit, so flat order *is* enumeration order),
-    then one columnar fold over the pipeline plan: O(depth) array
-    operations per shard instead of O(rows) pickled objects.
-
-    ``indices`` is None for an unfiltered scenario, where the shard
-    covers the contiguous flat range ``[lo, hi)`` of the full option
-    product. A pruned or hooked scenario's driver runs the masked
-    pruner walk once (see :func:`iter_scenario_shards`) and ships the
-    survivors' explicit flat indices — workers never need the pruner or
-    the hooks, whose closures are not picklable in general.
-    """
-
-    __slots__ = ("pipeline", "depth", "lo", "hi", "indices")
-
-    def __init__(
-        self,
-        pipeline: InCameraPipeline,
-        depth: int,
-        lo: int,
-        hi: int,
-        indices: Any = None,
-    ):
-        self.pipeline = pipeline
-        self.depth = depth
-        self.lo = lo
-        self.hi = hi
-        self.indices = indices
-
-    def __len__(self) -> int:
-        if self.indices is not None:
-            return len(self.indices)
-        return self.hi - self.lo
-
-    def __getstate__(self):
-        return (self.pipeline, self.depth, self.lo, self.hi, self.indices)
-
-    def __setstate__(self, state):
-        self.pipeline, self.depth, self.lo, self.hi, self.indices = state
-
-
 class _Level:
     """One enumerable block's per-platform tables, in enumeration
     (sorted platform name) order."""
@@ -412,7 +333,7 @@ class _PipelinePlan:
     first block with no implementations, like the enumeration plan) plus
     the per-depth link-term cache."""
 
-    __slots__ = ("pipeline", "levels", "link_costs")
+    __slots__ = ("pipeline", "levels", "names", "link_costs")
 
     def __init__(self, pipeline: InCameraPipeline):
         self.pipeline = pipeline
@@ -421,7 +342,17 @@ class _PipelinePlan:
             if not block.implementations:
                 break
             self.levels.append(_Level(block))
+        #: Per-level platform names: what a BatchRows view decodes its
+        #: choice matrix with.
+        self.names = tuple(level.names for level in self.levels)
         self.link_costs: dict[int, Any] = {}
+
+    def representative(self, depth: int) -> PipelineConfig:
+        """One depth-``depth`` configuration: the link terms depend only
+        on the cut depth, so any row of the cohort stands for all."""
+        return PipelineConfig.trusted(
+            self.pipeline, tuple(names[0] for names in self.names[:depth])
+        )
 
 
 class BatchPrefixEvaluator:
@@ -430,15 +361,14 @@ class BatchPrefixEvaluator:
     :class:`~repro.explore.incremental.PrefixEvaluator`.
 
     Three entry points share one fold core: :meth:`evaluate_many` (an
-    arbitrary chunk, materialized cost objects — what campaign chunks
-    use), :meth:`states_chunk` (pre-finalize states for dedup leaders),
-    and :meth:`iter_scenario_batches` (whole-space cohort enumeration
-    with lazy :class:`BatchRows`, the solo ``explore()`` fast path);
-    :meth:`evaluate_shard` / :meth:`states_shard` are the first two for
-    a campaign's :class:`CohortShard` pool chunks. Every path replays
-    the scalar fold's float operations elementwise, so results are
-    bit-identical to the scalar evaluator (and to brute force) —
-    asserted row-for-row by the invariant suite.
+    arbitrary configuration sequence, materialized cost objects),
+    :meth:`iter_scenario_batches` (whole-space cohort enumeration with
+    lazy :class:`BatchRows`, the solo ``explore()`` and campaign-member
+    path) and :meth:`iter_group_batches` (the same walk closed under a
+    campaign dedup group's links). Every path replays the scalar fold's
+    float operations elementwise, so results are bit-identical to the
+    scalar evaluator (and to brute force) — asserted row-for-row by the
+    invariant suite.
 
     Only stock models
     (:func:`~repro.explore.incremental.uses_stock_cost_semantics`) are
@@ -523,13 +453,7 @@ class BatchPrefixEvaluator:
         self, plan: _PipelinePlan, depth: int, run: Sequence[PipelineConfig]
     ) -> Any:
         """The pre-finalize state arrays of one same-depth run."""
-        return self._fold_choices(plan, depth, self._run_choices(plan, depth, run))
-
-    def _fold_choices(self, plan: _PipelinePlan, depth: int, choices: Any) -> Any:
-        """The pre-finalize state arrays of one ``(n, depth)`` choice
-        matrix — the shared fold core of chunk evaluation
-        (:meth:`_run_state`) and shard regeneration
-        (:meth:`evaluate_shard`/:meth:`states_shard`)."""
+        choices = self._run_choices(plan, depth, run)
         levels = plan.levels
         state = self.model.initial_state_batch(choices.shape[0])
         for level in range(depth):
@@ -557,84 +481,6 @@ class BatchPrefixEvaluator:
             )
         return out
 
-    def states_chunk(self, configs: Iterable[PipelineConfig]) -> BatchChunkStates:
-        """The chunk's pre-finalize states as a :class:`BatchChunkStates`
-        for campaign dedup leaders."""
-        configs = configs if isinstance(configs, Sequence) else list(configs)
-        segments = []
-        for pipeline, depth, run in self._segments(configs):
-            plan = self._plan_for(pipeline)
-            choices = self._run_choices(plan, depth, run)
-            state = self._fold_choices(plan, depth, choices)
-            names = tuple(level.names for level in plan.levels[:depth])
-            segments.append((run, depth, state, choices, names))
-        return BatchChunkStates(segments, self._energy)
-
-    # -- shard regeneration ----------------------------------------------
-
-    def _shard_rows(
-        self, shard: CohortShard
-    ) -> tuple[_PipelinePlan, Any, list[PipelineConfig]]:
-        """Decode a shard into its plan, ``(n, depth)`` choice matrix and
-        trusted configs — mixed-radix decode from the least significant
-        (deepest) level, the inverse of the enumeration's
-        ``flat = flat * k + choice`` accumulation."""
-        plan = self._plan_for(shard.pipeline)
-        levels = plan.levels
-        depth = shard.depth
-        if depth > len(levels):
-            raise ConfigurationError(
-                f"shard depth {depth} exceeds the pipeline's "
-                f"{len(levels)} enumerable levels"
-            )
-        if shard.indices is not None:
-            flat = np.asarray(shard.indices, dtype=np.intp).copy()
-        else:
-            flat = np.arange(shard.lo, shard.hi, dtype=np.intp)
-        choices = np.empty((flat.shape[0], depth), dtype=np.intp)
-        for level in range(depth - 1, -1, -1):
-            k = len(levels[level].names)
-            choices[:, level] = flat % k
-            flat //= k
-        names = [level.names for level in levels[:depth]]
-        trusted = PipelineConfig.trusted
-        configs = [
-            trusted(
-                shard.pipeline, tuple(names[level][c] for level, c in enumerate(row))
-            )
-            for row in choices.tolist()
-        ]
-        return plan, choices, configs
-
-    def evaluate_shard(self, shard: CohortShard) -> list[ConfigCost | EnergyCost]:
-        """Costs for every row of a :class:`CohortShard`, in flat-index
-        order — what a campaign's pool workers run instead of
-        :meth:`evaluate_many` over a pickled config chunk. Row values
-        are bit-identical to the scalar fold of the same configs."""
-        plan, choices, configs = self._shard_rows(shard)
-        if not configs:
-            return []
-        state = self._fold_choices(plan, shard.depth, choices)
-        link_cost = depth_link_cost(
-            self.model.link, self._energy, plan.link_costs, shard.depth, configs[0]
-        )
-        return _materialize_costs(
-            configs, self.model.finalize_batch(state, link_cost), self._energy
-        )
-
-    def states_shard(self, shard: CohortShard) -> BatchChunkStates:
-        """A shard's pre-finalize states as :class:`BatchChunkStates` —
-        the shard counterpart of :meth:`states_chunk` for campaign
-        dedup leaders."""
-        plan, choices, configs = self._shard_rows(shard)
-        if not configs:
-            return BatchChunkStates([], self._energy)
-        state = self._fold_choices(plan, shard.depth, choices)
-        names = tuple(level.names for level in plan.levels[: shard.depth])
-        return BatchChunkStates(
-            [(configs, shard.depth, state, choices, names)], self._energy
-        )
-
     # -- whole-space cohort enumeration ----------------------------------
 
     def iter_scenario_batches(
@@ -642,14 +488,80 @@ class BatchPrefixEvaluator:
     ) -> Iterator[BatchRows]:
         """Stream a scenario's whole design space as lazy
         :class:`BatchRows`, one depth cohort at a time (sliced to
-        ``chunk_size`` rows when given), in exact enumeration order.
+        ``chunk_size`` rows when given), in exact enumeration order —
+        the path of solo ``explore()`` and of every stock campaign
+        member outside a dedup group. See :meth:`_iter_cohort_states`
+        for the walk and how pruning fuses into it."""
+        model = self.model
+        energy = self._energy
+        for plan, depth, choices, state in self._iter_cohort_states(
+            scenario, chunk_size
+        ):
+            link_cost = depth_link_cost(
+                model.link, energy, plan.link_costs, depth, plan.representative(depth)
+            )
+            yield BatchRows(
+                scenario,
+                plan.pipeline,
+                depth,
+                plan.names[:depth],
+                choices,
+                model.finalize_batch(state, link_cost),
+                energy,
+            )
 
-        The solo ``explore()`` fast path: per depth, the previous
-        cohort's state arrays are repeated across the next block's
-        options and extended with one batch call — O(depth) array
-        operations for the whole space, no per-configuration Python
-        work until a consumer materializes a row. Pruning fuses into
-        the same folds:
+    def iter_group_batches(
+        self, scenarios: Sequence[Any], chunk_size: int | None = None
+    ) -> Iterator[list[BatchRows]]:
+        """Stream a campaign dedup group: one cohort walk of the first
+        scenario's compute-side states, each slice closed under every
+        member's own link with ONE ``finalize_batch_multi`` broadcast.
+
+        ``scenarios`` share one
+        :func:`~repro.explore.campaign.scenario_compute_key` (same
+        pipeline chain and platform axis, domain, bounds and pass rates,
+        no pruning) and differ only in their links; this evaluator runs
+        the first one's model. Each yielded list holds one lazy
+        :class:`BatchRows` view per member, in ``scenarios`` order, all
+        sharing the slice's choice matrix and compute-side columns by
+        reference. The per-cell float operations replay each member's
+        scalar finalize, so member rows are bit-identical to that
+        member's solo walk.
+        """
+        model = self.model
+        energy = self._energy
+        links = [scenario.cost_model().link for scenario in scenarios]
+        caches: list[dict[int, Any]] = [{} for _ in scenarios]
+        for plan, depth, choices, state in self._iter_cohort_states(
+            scenarios[0], chunk_size
+        ):
+            representative = plan.representative(depth)
+            stack = [
+                depth_link_cost(link, energy, cache, depth, representative)
+                for link, cache in zip(links, caches)
+            ]
+            names = plan.names[:depth]
+            yield [
+                BatchRows(
+                    scenario, plan.pipeline, depth, names, choices, columns, energy
+                )
+                for scenario, columns in zip(
+                    scenarios, model.finalize_batch_multi(state, stack)
+                )
+            ]
+
+    def _iter_cohort_states(
+        self, scenario: Any, chunk_size: int | None
+    ) -> Iterator[tuple[_PipelinePlan, int, Any, Any]]:
+        """The cohort walk: ``(plan, depth, choices, state)`` slices of
+        the scenario's pre-finalize states, at most ``chunk_size`` rows
+        each, in exact enumeration order.
+
+        Per depth, the previous cohort's state arrays are repeated
+        across the next block's options and extended with one batch
+        call — O(depth) array operations for the whole space, no
+        per-configuration Python work. Pruning fuses into the same
+        folds:
 
         * Depth pruning is honored (pruned depths still fold their
           states, which deeper depths extend).
@@ -683,15 +595,13 @@ class BatchPrefixEvaluator:
         levels = plan.levels[: len(option_lists)]
         prune_depth = scenario.depth_prune_hook()
         energy = self._energy
-        model = self.model
-        link_cache = plan.link_costs
         trusted = PipelineConfig.trusted
 
         def hook_filter(depth: int, choices: Any, state: Any) -> tuple[Any, Any]:
             """Per-config hooks over the compacted cohort — the same
             configs, order and any()-short-circuit as the scalar walk's
             keep() filter."""
-            names = [level.names for level in levels[:depth]]
+            names = plan.names[:depth]
             kept = [
                 i
                 for i, row in enumerate(choices.tolist())
@@ -710,32 +620,19 @@ class BatchPrefixEvaluator:
             idx = np.array(kept, dtype=np.intp)
             return choices[idx], _take_state(state, idx, energy)
 
-        def emit(depth: int, choices: Any, state: Any) -> Iterator[BatchRows]:
-            if choices.shape[0] == 0:
-                return
-            representative = trusted(
-                pipeline, tuple(level.names[0] for level in levels[:depth])
-            )
-            link_cost = depth_link_cost(
-                model.link, energy, link_cache, depth, representative
-            )
-            batch = BatchRows(
-                scenario,
-                pipeline,
-                depth,
-                tuple(level.names for level in levels[:depth]),
-                choices,
-                model.finalize_batch(state, link_cost),
-                energy,
-            )
-            n = len(batch)
+        def emit(
+            depth: int, choices: Any, state: Any
+        ) -> Iterator[tuple[_PipelinePlan, int, Any, Any]]:
+            n = choices.shape[0]
             if chunk_size is None or n <= chunk_size:
-                yield batch
+                if n:
+                    yield plan, depth, choices, state
                 return
             for lo in range(0, n, chunk_size):
-                yield batch.slice(lo, min(lo + chunk_size, n))
+                part = slice(lo, min(lo + chunk_size, n))
+                yield plan, depth, choices[part], _take_state(state, part, energy)
 
-        state = model.initial_state_batch(1)
+        state = self.model.initial_state_batch(1)
         pstate = pruner.initial_batch(1) if pruner is not None else None
         choices = np.zeros((1, 0), dtype=np.intp)
         if scenario.include_empty and not (
@@ -782,110 +679,3 @@ class BatchPrefixEvaluator:
             if hooks:
                 emit_choices, emit_state = hook_filter(depth, emit_choices, emit_state)
             yield from emit(depth, emit_choices, emit_state)
-
-
-# -- cohort sharding ----------------------------------------------------
-
-
-def iter_scenario_shards(
-    scenario: Any, shard_size: int
-) -> Iterator[CohortShard]:
-    """Describe a scenario's design space as :class:`CohortShard`
-    descriptors of at most ``shard_size`` rows, in exact enumeration
-    order.
-
-    The campaign pool twin of :meth:`BatchPrefixEvaluator.
-    iter_scenario_batches`: instead of folding cohorts, the campaign
-    driver only *addresses* them — each shard names a run of flat product indices a
-    worker decodes and folds locally, so nothing per-row is ever
-    pickled. An unfiltered scenario yields pure ``[lo, hi)`` range
-    shards per depth (O(1) driver work). With a batch-capable prefix
-    pruner and/or per-config hooks, the driver runs the masked pruner
-    walk once over flat indices (the same keep/emit masks the fused
-    cohort walk applies, so the survivor sequence is byte-identical to
-    the scalar pruned enumeration), filters hooks here in enumeration
-    order — hooks may be stateful and are never pickled — and ships the
-    survivors' explicit index arrays.
-    """
-    pruner = scenario.prefix_pruner()
-    if pruner is not None and not pruner.batch_capable:
-        raise ConfigurationError(
-            "cohort sharding with a prefix pruner needs its batch form "
-            "(initial_batch/extend_batch); use the scalar path"
-        )
-    if shard_size < 1:
-        raise ConfigurationError(f"shard_size must be >= 1, got {shard_size}")
-    hooks = _normalize_hooks(scenario.prune)
-    pipeline = scenario.pipeline
-    option_lists = enumeration_plan(pipeline, scenario.max_blocks)
-    counts = [len(options) for options in option_lists]
-    prune_depth = scenario.depth_prune_hook()
-    trusted = PipelineConfig.trusted
-
-    def range_shards(depth: int, total: int) -> Iterator[CohortShard]:
-        for lo in range(0, total, shard_size):
-            yield CohortShard(pipeline, depth, lo, min(lo + shard_size, total))
-
-    def index_shards(depth: int, flat: Any) -> Iterator[CohortShard]:
-        n = flat.shape[0]
-        for lo in range(0, n, shard_size):
-            hi = min(lo + shard_size, n)
-            yield CohortShard(pipeline, depth, 0, hi - lo, flat[lo:hi])
-
-    def hook_keep(depth: int, flat: Any) -> Any:
-        """Decode each flat index and apply the hooks — same configs,
-        order and short-circuit as the scalar walk's keep() filter."""
-        kept = []
-        for value in flat.tolist():
-            choice = []
-            for level in range(depth - 1, -1, -1):
-                value, digit = divmod(value, counts[level])
-                choice.append(option_lists[level][digit])
-            choice.reverse()
-            config = trusted(pipeline, tuple(choice))
-            kept.append(not any(hook(config) for hook in hooks))
-        return np.array(kept, dtype=bool)
-
-    if scenario.include_empty and not (prune_depth is not None and prune_depth(0)):
-        # The raw-offload row: hooks apply, the prefix bound never does.
-        if not hooks or bool(hook_keep(0, np.zeros(1, dtype=np.intp))[0]):
-            yield CohortShard(pipeline, 0, 0, 1)
-    if pruner is None and not hooks:
-        total = 1
-        for depth in range(1, len(counts) + 1):
-            total *= counts[depth - 1]
-            if prune_depth is not None and prune_depth(depth):
-                continue
-            yield from range_shards(depth, total)
-        return
-    # Masked walk over flat indices: the driver replays exactly the
-    # fused cohort walk's compaction, but carries only the flat index
-    # column (and the pruner's bound state) instead of cost states.
-    flat = np.zeros(1, dtype=np.intp)
-    pstate = pruner.initial_batch(1) if pruner is not None else None
-    for depth in range(1, len(counts) + 1):
-        k = counts[depth - 1]
-        tile = np.tile(np.arange(k, dtype=np.intp), flat.shape[0])
-        flat = np.repeat(flat, k) * k + tile
-        if pruner is not None:
-            pstate = tuple(np.repeat(arr, k) for arr in pstate)
-            pstate, keep = pruner.extend_batch(depth - 1, tile, pstate)
-            if not keep.all():
-                idx = np.flatnonzero(keep)
-                flat = flat[idx]
-                pstate = tuple(arr[idx] for arr in pstate)
-            if flat.shape[0] == 0:
-                return
-        if prune_depth is not None and prune_depth(depth):
-            continue
-        emit_flat = flat
-        if pruner is not None and pruner.emit_mask is not None:
-            mask = pruner.emit_mask(depth, pstate)
-            if mask is not None and not mask.all():
-                emit_flat = flat[np.flatnonzero(mask)]
-        if hooks and emit_flat.shape[0]:
-            keep = hook_keep(depth, emit_flat)
-            if not keep.all():
-                emit_flat = emit_flat[np.flatnonzero(keep)]
-        if emit_flat.shape[0]:
-            yield from index_shards(depth, emit_flat)

@@ -170,8 +170,9 @@ def test_thread_executor_matches_solo(gen, seed):
 
 @pytest.mark.parametrize("seed", PROCESS_SEEDS)
 def test_process_executor_matches_solo(gen, seed):
-    """Process pools ship chunk states back pickled; the lazy group
-    finalize still reproduces solo bytes."""
+    """A process pool is given but never started (dedup groups and
+    stock members fold in the calling process); the lazy group finalize
+    still reproduces solo bytes."""
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
     result = Campaign(fleet).run(

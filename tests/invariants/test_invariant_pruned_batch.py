@@ -13,12 +13,12 @@ properties:
   unpruned ``explore_brute_force`` oracle, the fused walk's feasible
   set matches exactly — mask compaction removes only provably
   infeasible prefixes;
-* **shard == serial**: a campaign on a parallel executor (workers
-  rebuild cohorts from flat index ranges) matches the solo serial run
-  byte for byte, pruned or hooked, thread or process pool — and solo
-  ``explore()`` on that pool stays on the in-process cohort walk;
-* **shard campaigns == solo**: a fleet with pruned members run through
-  one shared parallel executor matches solo runs under EVERY builtin
+* **campaign on a pool == serial**: a campaign given a thread or
+  process pool matches the solo serial run byte for byte, pruned or
+  hooked — its stock members fold in the calling process, exactly as
+  solo ``explore()`` on that pool does;
+* **pooled campaigns == solo**: a fleet with pruned members run on a
+  shared parallel executor matches solo runs under EVERY builtin
   scheduling policy.
 """
 
@@ -29,7 +29,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.explore import campaign as campaign_module
 from repro.explore import (
     SCHEDULING_POLICIES,
     Campaign,
@@ -38,7 +37,6 @@ from repro.explore import (
     explore,
     explore_brute_force,
 )
-from repro.explore.vectorized import CohortShard, iter_scenario_shards
 
 SEEDS = range(10)
 
@@ -113,21 +111,12 @@ def test_per_config_hooks_ride_the_batch_path(gen, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_shard_equals_serial(gen, seed, backend, monkeypatch):
-    """A campaign's CohortShard stream (workers regenerate cohorts from
-    flat index descriptors) reproduces the solo serial rows byte for
-    byte — unpruned (range shards), prefix-pruned and hooked (index
-    shards). Hooks resolve driver-side into survivor indices, so even
-    unpicklable lambdas shard to a process pool. Solo explore() on the
-    same pool takes the in-process cohort walk."""
-    shipped = []
-
-    def counting_shards(scenario, shard_size):
-        for shard in iter_scenario_shards(scenario, shard_size):
-            shipped.append(shard)
-            yield shard
-
-    monkeypatch.setattr(campaign_module, "iter_scenario_shards", counting_shards)
+def test_shard_equals_serial(gen, seed, backend):
+    """A campaign on a thread or process pool reproduces the solo serial
+    rows byte for byte — unpruned, prefix-pruned and hooked. Its stock
+    members fold in the calling process, so even unpicklable hook
+    lambdas run on a process pool's campaign. Solo explore() on the
+    same pool takes the in-process cohort walk too."""
     executor = SweepExecutor(workers=2, backend=backend)
     scenario = gen.scenario(seed, name=f"shard-{seed}", constrained=True)
     variants = [
@@ -148,10 +137,6 @@ def test_shard_equals_serial(gen, seed, backend, monkeypatch):
     result = Campaign(variants).run(executor, chunk_size=3)
     for run in result:
         assert _rows_json(run.result) == serial[run.name], (seed, backend, run.name)
-    assert all(isinstance(shard, CohortShard) for shard in shipped)
-    # Both wire forms travelled: range shards and survivor-index shards.
-    assert any(shard.indices is None for shard in shipped)
-    assert any(shard.indices is not None for shard in shipped)
     for variant in variants:
         expected = "batch-cohort" if variant is scenario else "batch-cohort-pruned"
         assert evaluation_path(variant, executor) == expected
@@ -163,10 +148,9 @@ def test_shard_equals_serial(gen, seed, backend, monkeypatch):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shard_campaign_equals_solo_under_every_policy(gen, seed):
-    """A fleet with pruned members through one shared parallel
-    executor: stock-model scenarios stream CohortShard descriptors,
-    the rest stream config chunks, and every scenario's rows match its
-    solo explore() under every builtin scheduling policy."""
+    """A fleet with pruned members on one shared parallel executor:
+    every scenario's rows match its solo explore() under every builtin
+    scheduling policy."""
     fleet = gen.fleet(seed)
     solo = {scenario.name: _rows_json(explore(scenario)) for scenario in fleet}
     executor = SweepExecutor(workers=2, backend="thread")

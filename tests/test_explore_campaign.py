@@ -19,7 +19,12 @@ import json
 import pytest
 
 from repro.core.block import Block, Implementation
-from repro.core.cost import ConfigCost, EnergyCost
+from repro.core.cost import (
+    ConfigCost,
+    EnergyCost,
+    EnergyCostModel,
+    ThroughputCostModel,
+)
 from repro.core.pipeline import InCameraPipeline
 from repro.core.report import CAMPAIGN_SUMMARY_COLUMNS
 from repro.errors import ConfigurationError, SinkError
@@ -34,6 +39,7 @@ from repro.explore import (
     explore,
     load_builtin,
 )
+import repro.explore.executor as executor_module
 from repro.explore.catalog import LINKS, resolve_link
 from repro.hw.network import ETHERNET_25G, RF_BACKSCATTER, LinkModel
 
@@ -467,6 +473,138 @@ def test_export_only_campaign_memory_bounded_by_chunk_window():
         assert run.result is None
         assert run.n_evaluated == scenario.count_configs()
         assert buffers[scenario.name].getvalue() == explore(scenario).to_csv()
+
+
+# -- mixed fleets: the in-process lane and the pool lane ----------------
+
+
+class _EvaluateOverride(ThroughputCostModel):
+    """Overrides evaluate() (same values): per-config scalar chunks.
+    Module-level so a process pool can unpickle it."""
+
+    def evaluate(self, config):
+        return super().evaluate(config)
+
+
+class _ExtendOverride(EnergyCostModel):
+    """Overrides extend_state (same values): memoized scalar chunks."""
+
+    def extend_state(self, state, block, impl, pass_rates=None):
+        return super().extend_state(state, block, impl, pass_rates)
+
+
+def _mixed_pipeline(name: str, n_blocks: int) -> InCameraPipeline:
+    blocks = tuple(
+        Block(
+            name=f"{name}{i}",
+            output_bytes=float(900 - 110 * i),
+            pass_rate=0.6 + 0.05 * i,
+            implementations={
+                p: Implementation(
+                    p,
+                    fps=35.0 - 3 * i + 4 * j,
+                    energy_per_frame=1e-6 * (1 + i + j),
+                    active_seconds=1e-3 * (1 + j),
+                )
+                for j, p in enumerate(("asic", "cpu", "fpga"))
+            },
+        )
+        for i in range(n_blocks)
+    )
+    return InCameraPipeline(
+        name=name, sensor_bytes=1000.0, blocks=blocks, sensor_energy_per_frame=1e-6
+    )
+
+
+def _mixed_fleet() -> tuple[list[Scenario], set[str]]:
+    """One stock member, one pruned stock member, a model overriding
+    evaluate(), one overriding extend_state, and a same-pipeline
+    two-link dedup pair; returns the fleet and its scalar members."""
+    pipeline = _mixed_pipeline("m", 4)
+    shared = _mixed_pipeline("d", 3)
+    slow = LinkModel(name="slow", raw_bps=4e5, tx_energy_per_bit=2e-9)
+    fleet = [
+        Scenario(name="stock", pipeline=pipeline, link=RF_BACKSCATTER,
+                 domain="energy", energy_budget_j=1e-3),
+        Scenario(name="pruned", pipeline=pipeline, link=slow, target_fps=20.0,
+                 auto_prune=True, auto_prune_configs=True),
+        Scenario(name="evaluate-override", pipeline=pipeline, link=slow,
+                 target_fps=20.0, model=_EvaluateOverride(slow)),
+        Scenario(name="extend-override", pipeline=pipeline, link=RF_BACKSCATTER,
+                 domain="energy", pass_rates={"m0": 0.5},
+                 model=_ExtendOverride(RF_BACKSCATTER)),
+        Scenario(name="pair-slow", pipeline=shared, link=slow, target_fps=15.0),
+        Scenario(name="pair-fast", pipeline=shared, link=ETHERNET_25G,
+                 target_fps=15.0),
+    ]
+    return fleet, {"evaluate-override", "extend-override"}
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [
+        SweepExecutor(),
+        SweepExecutor(workers=2, backend="thread"),
+        SweepExecutor(workers=2, backend="process"),
+    ],
+    ids=["serial", "thread", "process"],
+)
+def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeypatch):
+    """Stock members (solo, pruned, a dedup pair) fold in process and
+    scalar-model members ride the pool lane: every member's rows stay
+    byte-identical to solo explore() under both policies and every
+    dedup mode, and only scalar members' chunks reach the executor."""
+    fleet, scalar = _mixed_fleet()
+    solo = {scenario.name: json.dumps(explore(scenario).rows) for scenario in fleet}
+    pooled: list[str] = []
+    real_imap = SweepExecutor.imap
+
+    def spying_imap(self, fn, items, chunk_size=None):
+        def record(tagged):
+            for item in tagged:
+                pooled.append(fleet[item[0]].name)
+                yield item
+
+        return real_imap(self, fn, record(items), chunk_size)
+
+    monkeypatch.setattr(SweepExecutor, "imap", spying_imap)
+    for policy in ("round_robin", "weighted_completion"):
+        for dedup in (False, True, "materialize"):
+            pooled.clear()
+            result = Campaign(fleet).run(
+                executor, chunk_size=5, policy=policy, dedup=dedup
+            )
+            for run in result:
+                assert json.dumps(run.result.rows) == solo[run.name], (
+                    policy,
+                    dedup,
+                    run.name,
+                )
+            assert set(pooled) == scalar, (policy, dedup)
+            shared = 1 if dedup else 0
+            assert result.cache_stats["scenarios_shared"] == shared
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("dedup", [False, True])
+def test_stock_only_campaign_constructs_no_pool(backend, dedup, monkeypatch):
+    """A fleet of stock models folds entirely in the calling process: a
+    parallel executor is accepted but no pool is ever started."""
+    started = []
+
+    def forbid(*args, **kwargs):
+        started.append(args)
+        raise AssertionError("a stock-only campaign started a pool")
+
+    monkeypatch.setattr(executor_module, "ThreadPoolExecutor", forbid)
+    monkeypatch.setattr(executor_module, "ProcessPoolExecutor", forbid)
+    fleet = build_fleet()
+    result = Campaign(fleet).run(
+        SweepExecutor(workers=2, backend=backend), chunk_size=4, dedup=dedup
+    )
+    assert not started
+    for run in result:
+        assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
 
 
 # -- summary report ------------------------------------------------------

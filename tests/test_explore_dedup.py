@@ -1,6 +1,6 @@
 """Campaign-level cross-scenario evaluation dedup.
 
-The acceptance gates of the :class:`PipelineCostCache`: a fleet running
+The acceptance gates of the campaign's dedup groups: a fleet running
 the same pipeline at several links evaluates its compute-side states
 once (cache stats prove the skipped evaluations), every member's rows
 stay byte-identical to solo ``explore()`` and to a ``dedup=False`` run,
@@ -8,7 +8,8 @@ the cache key separates the pipeline-chain fingerprint from the
 platform-axis fingerprint so structurally identical pipelines with
 different implementation prices can never poison each other's entries,
 and the stress paths hold: zero-config scenarios inside a dedup fleet,
-export-only dedup campaigns, and the process backend.
+export-only dedup campaigns, and a process-pool executor (the groups
+fold in the calling process, so no states cross a process boundary).
 """
 
 from __future__ import annotations

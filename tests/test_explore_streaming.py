@@ -18,6 +18,7 @@ import random
 
 import pytest
 
+from repro.core.cost import ThroughputCostModel
 from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
     SCHEDULING_POLICIES,
@@ -232,9 +233,19 @@ def test_iter_runs_completion_order_shortest_first():
     assert [run.name for run in result] == [scenario.name for scenario in fleet]
 
 
+class _ScalarThroughputModel(ThroughputCostModel):
+    """Overrides a cost step (with identical values), so campaign
+    members using it ride the pool lane instead of the in-process one."""
+
+    def extend_state(self, state, block, impl):
+        return super().extend_state(state, block, impl)
+
+
 def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
     """A consumer that walks away mid-fleet must leave no resources
-    behind: the shared pool is shut down and every sink is closed."""
+    behind: the shared pool is shut down and every sink is closed. Only
+    scalar-model members reach the pool, so the fleet carries one."""
+    from dataclasses import replace
     import repro.explore.executor as executor_module
 
     pools = []
@@ -263,6 +274,13 @@ def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
             lifecycle.append(f"close:{self._name}")
 
     fleet = build_fleet()
+    codec = fleet[-1]
+    assert codec.domain == "throughput"
+    fleet.append(
+        replace(
+            codec, name="codec-scalar", model=_ScalarThroughputModel(codec.link)
+        )
+    )
     sinks = {scenario.name: Tracking(scenario.name) for scenario in fleet}
     iterator = Campaign(fleet).iter_runs(
         SweepExecutor(workers=2, backend="thread"),

@@ -39,7 +39,6 @@ from repro.explore.engine import iter_evaluation_chunks
 from repro.explore.incremental import evaluate_chunk, uses_stock_cost_semantics
 from repro.explore.result import ParetoFrontier, cost_row
 from repro.explore.sink import uses_columnar_writes
-from repro.explore.vectorized import BatchChunkStates, CohortShard
 from repro.hw.network import LinkModel
 
 
@@ -145,13 +144,13 @@ def test_batch_prefix_evaluator_dispatch():
 
 
 def test_matched_override_refuses_cohort_enumeration():
-    pipeline = build_pipeline()
-    shard = CohortShard(pipeline, 2, 0, 4)
+    scenario = build_scenario()
     with pytest.raises(ConfigurationError, match="not batch-capable"):
-        BatchPrefixEvaluator(_MatchedOverride(LINK)).evaluate_shard(shard)
-    # The stock model decodes the same shard.
+        BatchPrefixEvaluator(_MatchedOverride(LINK))
+    # The stock model walks the same scenario's cohorts.
     stock = BatchPrefixEvaluator(ThroughputCostModel(LINK))
-    assert len(stock.evaluate_shard(shard)) == 4
+    walked = sum(len(batch) for batch in stock.iter_scenario_batches(scenario))
+    assert walked == scenario.count_configs()
 
 
 def test_matched_override_still_folds_chunks_bit_identically():
@@ -321,22 +320,41 @@ def test_invalid_trusted_platform_raises_like_the_scalar_walk():
         evaluator.evaluate_many([config])
 
 
-def test_states_chunk_segments_cover_the_chunk():
-    scenario = build_scenario()
-    configs = list(scenario.iter_configs())
-    states = BatchPrefixEvaluator(scenario.cost_model()).states_chunk(configs)
-    assert isinstance(states, BatchChunkStates)
-    assert len(states) == len(configs)
-    assert [c for run, *_rest in states.segments for c in run] == configs
-    # Each segment carries the lazy-member plumbing: an (n, depth)
-    # choice matrix plus the per-level platform names that decode it.
-    for run, depth, _state, choices, names in states.segments:
-        assert choices.shape == (len(run), depth)
-        assert len(names) == depth
-        for config, row in zip(run, choices.tolist()):
-            assert config.platforms == tuple(
-                names[level][c] for level, c in enumerate(row)
+def test_group_batches_equal_each_members_solo_walk():
+    """The dedup group walk: one fold of the leader's states closed
+    under every member's link equals each member's own cohort walk, and
+    members share the slice's choice matrix by reference."""
+    for domain, extra in (
+        ("throughput", {}),
+        ("energy", {"target_fps": None, "pass_rates": {"B0": 0.4}}),
+    ):
+        pipeline = build_pipeline()
+        links = [
+            LINK,
+            LinkModel(name="vec-fast", raw_bps=9e7, tx_energy_per_bit=3e-10),
+        ]
+        group = [
+            build_scenario(
+                name=f"g{index}", pipeline=pipeline, link=link, domain=domain, **extra
             )
+            for index, link in enumerate(links)
+        ]
+        lead = group[0]
+        evaluator = BatchPrefixEvaluator(lead.cost_model(), lead.pass_rates)
+        slices = list(evaluator.iter_group_batches(group, chunk_size=7))
+        assert all(len(views) == len(group) for views in slices)
+        for views in slices:
+            assert all(view.choices is views[0].choices for view in views)
+            assert all(len(view) <= 7 for view in views)
+        for slot, member in enumerate(group):
+            rows = [row for views in slices for row in views[slot].rows()]
+            solo = BatchPrefixEvaluator(member.cost_model(), member.pass_rates)
+            expected = [
+                row
+                for batch in solo.iter_scenario_batches(member, chunk_size=7)
+                for row in batch.rows()
+            ]
+            assert json.dumps(rows) == json.dumps(expected), (domain, slot)
 
 
 # -- columnar sink folds -------------------------------------------------
@@ -440,6 +458,14 @@ def test_uses_columnar_writes_probe():
             pass
 
     assert uses_columnar_writes(_Columnar())
+
+    class _Recording(ParetoSink):
+        def write_rows(self, rows):
+            super().write_rows(rows)
+
+    # Overriding write_rows below the batch fold makes a sink row-only:
+    # the inherited write_batch would bypass the override.
+    assert not uses_columnar_writes(_Recording())
 
 
 def test_columnar_sinks_match_collected_results_end_to_end():
