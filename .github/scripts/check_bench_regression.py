@@ -2,9 +2,9 @@
 """CI gate over the ``BENCH_explore.json`` speedup trajectory.
 
 After the perf benchmarks append their entries, this script gates each
-tracked kind independently (``GATED_KINDS`` maps kind -> gated metric),
-comparing the *newest* entry's metric against the *best prior* entry of
-the same kind:
+tracked kind independently (``GATED_KINDS`` maps kind -> gated
+metrics), comparing each metric of the *newest* entry against the *best
+prior* entry of the same kind:
 
 * within ``WARN_RATIO`` (2x) of the best: OK;
 * worse than ``WARN_RATIO`` but within ``FAIL_RATIO`` (5x): a warning
@@ -30,14 +30,17 @@ from pathlib import Path
 #: single-kind default, kept for backward compatibility).
 KIND = "explore_scaling"
 METRIC = "speedup_memoized_vs_brute"
-#: Every gated kind and its metric; ``main`` assesses each in turn and
-#: the build fails if any kind regresses past the hard gate.
-GATED_KINDS: dict[str, str] = {
-    "explore_scaling": "speedup_memoized_vs_brute",
-    "explore_vectorized": "speedup_batch_vs_scalar",
-    "explore_pruned_vectorized": "speedup_fused_vs_scalar_pruned",
-    "campaign_fleet_columnar": "speedup_lazy_vs_materialize",
-    "joint_fleet": "speedup_joint_vs_naive",
+#: Every gated kind and its metrics; ``main`` assesses each pair in turn
+#: and the build fails if any metric regresses past the hard gate.
+GATED_KINDS: dict[str, tuple[str, ...]] = {
+    "explore_scaling": ("speedup_memoized_vs_brute",),
+    "explore_vectorized": (
+        "speedup_batch_vs_scalar",
+        "speedup_batch_collect_vs_scalar",
+    ),
+    "explore_pruned_vectorized": ("speedup_fused_vs_scalar_pruned",),
+    "campaign_fleet_columnar": ("speedup_lazy_vs_materialize",),
+    "joint_fleet": ("speedup_joint_vs_naive",),
 }
 #: best_prior / latest above this: warn-only comment in the summary.
 WARN_RATIO = 2.0
@@ -106,12 +109,13 @@ def main(argv: list[str]) -> int:
         return 1
     trajectory = json.loads(path.read_text())
     failed = False
-    for kind, metric in GATED_KINDS.items():
-        latest, best_prior = latest_and_best_prior(trajectory, kind, metric)
-        status, message = assess(latest, best_prior, kind=kind, metric=metric)
-        print(f"benchmark gate [{status}] {kind}: {message}")
-        write_step_summary(status, f"{kind}: {message}")
-        failed = failed or status == "fail"
+    for kind, metrics in GATED_KINDS.items():
+        for metric in metrics:
+            latest, best_prior = latest_and_best_prior(trajectory, kind, metric)
+            status, message = assess(latest, best_prior, kind=kind, metric=metric)
+            print(f"benchmark gate [{status}] {kind}: {message}")
+            write_step_summary(status, f"{kind}: {message}")
+            failed = failed or status == "fail"
     return 1 if failed else 0
 
 

@@ -335,12 +335,13 @@ class ScenarioRun:
     configurations — always, unless the campaign ran with
     ``dedup=True`` and the fleet shared a compute key).
     ``n_materialized`` counts the rows lazy dedup finalization actually
-    turned into Python objects for this scenario (collected runs
-    materialize everything; export-only runs only the best row, the
-    frontier's survivors and heap candidates) — None when the rows
-    never rode the lazy group walk (no dedup, ``dedup="materialize"``,
-    or a dedup-ineligible scenario; an eligible scenario without a
-    sibling walks as a group of one).
+    turned into Python objects for this scenario by the time the run
+    was handed out: the best row, the frontier's survivors and heap
+    candidates, and whatever rows the scenario's sink built (a
+    collected result builds any other row only when a query returns
+    it) — None when the rows never rode the lazy group walk (no dedup,
+    ``dedup="materialize"``, or a dedup-ineligible scenario; an eligible
+    scenario without a sibling walks as a group of one).
     """
 
     scenario: Scenario
@@ -447,9 +448,9 @@ class CampaignResult:
         actually performed — repeat touches of one row each count, it
         is a work counter, not a distinct-row count; under
         ``collect=False`` with columnar sinks this is roughly the
-        survivors, the lazy win — fully-materialized members, e.g.
-        under ``dedup="materialize"`` or collected runs, count every
-        closed row).
+        survivors, the lazy win — ``dedup="materialize"`` members
+        count every closed row, collected members the rows built before
+        the run was handed out).
         """
         shared = [run for run in self.runs if run.dedup_source is not None]
         by_name = {run.name: run for run in self.runs}
@@ -950,15 +951,7 @@ class Campaign:
         scenario = self.scenarios[index]
         stats = None if collect else _StreamingStats(scenario.domain, track_frontier)
         consumer = _RunConsumer(
-            scenario,
-            sink,
-            self._label(index),
-            collect,
-            chunk_size,
-            stats=stats,
-            # A ScenarioRun forces every collected result's rows for its
-            # summary, so rows built for a sink are kept, not rebuilt.
-            keep_rows=True,
+            scenario, sink, self._label(index), collect, chunk_size, stats=stats
         )
         bulk = group_dedup == "materialize"
         return _Member(consumer, bulk, 0 if group_dedup and not bulk else None)
@@ -1113,11 +1106,17 @@ class Campaign:
         result = member.consumer.result()
         if result is not None:
             n_evaluated = len(result)
-            n_feasible = len(result.feasible)
+            n_feasible = result._count_feasible()
             try:
                 best = result.best
             except PipelineError:
                 best = None
+            if member.n_materialized is not None:
+                # What the sink and the best row built; the result builds
+                # the rest only when a query returns them.
+                member.n_materialized = sum(
+                    batch.n_materialized for batch in member.consumer.batches
+                )
             pareto_size = None  # computed lazily on first access
             frontier = None
         else:

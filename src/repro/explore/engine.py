@@ -29,12 +29,18 @@ enumerator into fixed-size chunks (or cohort slices), and scalar chunks
 travel through the executor's ``imap`` with a bounded in-flight window —
 nothing ever materializes the full configuration list, so peak
 intermediate memory is set by the chunk size, not the design-space
-size. For stock-model, unhooked runs (every allocation the engine's
-own, all acyclic) the cyclic GC is paused while results accumulate:
+size. A collected cohort-path run keeps the walk's columnar batches
+as its result and allocates no per-configuration objects at all; the
+result builds row dicts only for the rows a query returns. A collected
+scalar-path run holds one cost object per configuration, so for
+stock-model, unhooked runs (every allocation the engine's own, all
+acyclic) the cyclic GC is paused while results accumulate:
 bulk-appending millions of small cost objects otherwise triggers
-quadratically many full collections over the growing result. Runs
-involving user code (models overriding any cost step, per-config prune
-hooks, sinks) keep the GC live so user cycles stay collectable.
+quadratically many full collections over the growing result (this is
+what ``evaluation="scalar"`` and a campaign's ``dedup="materialize"``
+members still do). Runs involving user code (models overriding any
+cost step, per-config prune hooks, sinks) keep the GC live so user
+cycles stay collectable.
 
 ``explore_brute_force()`` keeps the pre-streaming semantics — eager
 enumeration, from-scratch per-config evaluation, eager rows — as the
@@ -319,7 +325,9 @@ def explore(
         With ``collect=False`` (requires a sink) the engine never
         accumulates evaluations and returns None: an export-only run's
         peak memory is set by the chunk window, not the design-space
-        size. The default keeps the full :class:`ExplorationResult`.
+        size. The default keeps the full :class:`ExplorationResult`
+        (on the cohort path, the walk's columnar batches: its queries
+        build only the rows they return).
         Frontier questions survive export-only runs through a
         :class:`~repro.explore.sink.ParetoSink` (an online
         dominance-pruned frontier, identical to the collected
@@ -365,10 +373,11 @@ def explore(
         if size is not None and size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
     # Sink rows are built per chunk and dropped after the write — NOT
-    # cached on the result. Keeping them would double-hold a row list
-    # next to the evaluation list for the whole run (the bounded-memory
-    # invariant ExplorationResult's lazy rows exist to protect); the
-    # price is one lazy re-derivation if .rows is later accessed.
+    # cached on the result. Keeping them would hold a row list next to
+    # the result's batches or cost objects for the whole run (the
+    # bounded-memory invariant ExplorationResult's lazy rows exist to
+    # protect); the price is one lazy re-derivation if .rows is later
+    # accessed.
     consumer = _RunConsumer(scenario, sink, label, collect, size)
     with sink_stream(sink, scenario, label):
         with _gc_paused() if pause else nullcontext():
@@ -400,8 +409,9 @@ class _RunConsumer:
     dedup-group walks) and scalar cost chunks (:meth:`add_costs`) and
     routes them to:
 
-    * the collected evaluations (``collect=True``), materialized in bulk
-      — the result must hold them all anyway;
+    * the collected result (``collect=True``): batches are kept as they
+      are — the result answers its queries on their columns — and cost
+      chunks are appended;
     * the sink: columnar sinks (``ParetoSink``/``TopKSink`` — anything
       overriding ``write_batch``) receive the lazy batch views directly
       and materialize only surviving rows, so live cost objects stay
@@ -413,9 +423,6 @@ class _RunConsumer:
     * ``stats`` (a campaign's export-only running statistics), fed the
       lazy batch unless the sink already forced its rows.
 
-    ``keep_rows`` keeps the rows a collected run builds for a row-only
-    sink so the result can reuse them (campaigns summarize every
-    collected run from its rows anyway; solo runs do not keep them).
     Call :meth:`flush` once the stream ends to write the last partial
     chunk.
     """
@@ -426,8 +433,8 @@ class _RunConsumer:
         "label",
         "chunk_size",
         "columnar",
+        "batches",
         "evaluations",
-        "rows",
         "stats",
         "_pending",
     )
@@ -441,32 +448,23 @@ class _RunConsumer:
         chunk_size: int | None = None,
         *,
         stats: Any = None,
-        keep_rows: bool = False,
     ):
         self.scenario = scenario
         self.sink = sink
         self.label = label
         self.chunk_size = chunk_size
         self.columnar = sink is not None and uses_columnar_writes(sink)
+        self.batches: list[Any] | None = [] if collect else None
         self.evaluations: list[Any] | None = [] if collect else None
-        self.rows: list[dict[str, Any]] | None = (
-            [] if keep_rows and collect and sink is not None else None
-        )
         self.stats = stats
         self._pending: list[dict[str, Any]] = []
 
     def add_batch(self, batch: Any) -> None:
         """One lazy :class:`~repro.explore.vectorized.BatchRows` batch."""
+        if self.batches is not None:
+            self.batches.append(batch)
         sink = self.sink
-        rows = None
-        if self.evaluations is not None:
-            costs = batch.costs()
-            self.evaluations.extend(costs)
-            if sink is not None and not self.columnar:
-                scenario = self.scenario
-                rows = [cost_row(scenario, cost) for cost in costs]
-        elif sink is not None and not self.columnar:
-            rows = batch.rows()
+        rows = batch.rows() if sink is not None and not self.columnar else None
         if self.stats is not None:
             if rows is None:
                 self.stats.update_batch(batch)
@@ -491,8 +489,6 @@ class _RunConsumer:
             self._write(rows)
 
     def _write(self, rows: list[dict[str, Any]]) -> None:
-        if self.rows is not None:
-            self.rows.extend(rows)
         size = self.chunk_size
         if size is None:
             write_sink(self.sink, rows, self.label)
@@ -513,11 +509,12 @@ class _RunConsumer:
             write_sink(self.sink, pending, self.label)
 
     def result(self) -> ExplorationResult | None:
-        if self.evaluations is None:
+        if self.batches is None:
             return None
-        return ExplorationResult(
-            scenario=self.scenario, rows=self.rows, evaluations=self.evaluations
-        )
+        if self.batches:
+            # A run takes one path: cohort batches or scalar cost chunks.
+            return ExplorationResult._from_batches(self.scenario, self.batches)
+        return ExplorationResult(scenario=self.scenario, evaluations=self.evaluations)
 
 
 def _brute_force_throughput(model: Any, config: PipelineConfig) -> Any:

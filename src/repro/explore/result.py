@@ -1,18 +1,20 @@
 """Exploration results: feasibility, Pareto frontiers, ranking, export.
 
-An :class:`ExplorationResult` holds one cost object per evaluated
-configuration and answers the questions the paper asks of Figure 10 —
+An :class:`ExplorationResult` holds every evaluated configuration of
+one scenario and answers the questions the paper asks of Figure 10 —
 which configurations are feasible, which are optimal, and which are
 *dominated* (beaten on every axis by another configuration and
 therefore never worth building).
 
+A cohort-path result keeps the columnar batches the walk produced and
+answers on their columns, building row dicts only for the rows a query
+returns; a scalar-path result keeps one cost object per configuration.
 Rows (plain dicts, like :class:`repro.core.sweep.SweepResult` rows) are
-a *derived view* over the evaluations: they are built lazily on first
-access to :attr:`ExplorationResult.rows` and cached, while the export
-paths (:meth:`to_csv` / :meth:`to_json` / :meth:`to_table`) stream rows
-via :meth:`iter_rows` without forcing the cache — a million-config
-result never double-holds a row list next to its evaluation list just
-to be written to disk.
+a *derived view* either way: they are built lazily on first access to
+:attr:`ExplorationResult.rows` and cached, while the export paths
+(:meth:`to_csv` / :meth:`to_json` / :meth:`to_table`) stream rows via
+:meth:`iter_rows` without forcing the cache — a million-config result
+never holds a full row list just to be written to disk.
 """
 
 from __future__ import annotations
@@ -126,12 +128,24 @@ def best_row(
 class ExplorationResult:
     """Every evaluated configuration of one scenario, with verdicts.
 
-    ``rows`` and ``evaluations`` are index-aligned: ``evaluations[i]``
-    is the :class:`~repro.core.cost.ConfigCost` or
-    :class:`~repro.core.cost.EnergyCost` behind ``rows[i]``. Rows are
-    derived from the evaluations on first access (assigning ``rows``
-    replaces the derived view, which keeps ad-hoc post-processing
-    working).
+    A result of the columnar cohort walk (``explore()`` of a stock
+    model) owns the walk's :class:`~repro.explore.vectorized.BatchRows`
+    segments — choice matrices plus finalized cost columns — and answers
+    :attr:`best`, :attr:`feasible`, :meth:`pareto`, :meth:`dominated`,
+    :meth:`top_k` and ``len()`` on those columns, building row dicts
+    only for the rows it returns. Any other result (the scalar paths,
+    ``explore_brute_force``) holds one cost object per configuration and
+    answers from its rows. Row code also answers whenever the columns
+    cannot: a metric that is not columnar (``config``, ``bottleneck``),
+    not a number or NaN somewhere, three or more Pareto axes, an empty
+    result, or assigned ``rows``. Both ways give the same rows, byte
+    for byte.
+
+    ``rows`` and ``evaluations`` are index-aligned compatibility views:
+    ``evaluations[i]`` is the :class:`~repro.core.cost.ConfigCost` or
+    :class:`~repro.core.cost.EnergyCost` behind ``rows[i]``. Each is
+    built on first access and cached (assigning ``rows`` replaces the
+    derived view, which keeps ad-hoc post-processing working).
     """
 
     def __init__(
@@ -141,79 +155,192 @@ class ExplorationResult:
         evaluations: list[Any] | None = None,
     ):
         self.scenario = scenario
-        self.evaluations = [] if evaluations is None else evaluations
+        self._evaluations: list[Any] | None = [] if evaluations is None else evaluations
         self._rows = rows
+        #: The cohort segments, or None for a result built from costs.
+        self._batches: list[Any] | None = None
+        self._rows_assigned = False
+        #: Concatenated metric columns by name (None: not columnar).
+        self._column_cache: dict[str, np.ndarray | None] = {}
+
+    @classmethod
+    def _from_batches(cls, scenario: "Scenario", batches: list[Any]):
+        """A result owning the cohort walk's segments, in walk order."""
+        result = cls(scenario)
+        result._evaluations = None
+        result._batches = batches
+        return result
+
+    @property
+    def evaluations(self) -> list[Any]:
+        """One cost object per configuration (built lazily, then cached)."""
+        if self._evaluations is None:
+            self._evaluations = [
+                cost for batch in self._batches for cost in batch.costs()
+            ]
+        return self._evaluations
 
     @property
     def rows(self) -> list[dict[str, Any]]:
-        """One report row per evaluation (derived lazily, then cached)."""
+        """One report row per configuration (built lazily, then cached)."""
         if self._rows is None:
-            scenario = self.scenario
-            self._rows = [cost_row(scenario, cost) for cost in self.evaluations]
+            self._rows = list(self.iter_rows())
         return self._rows
 
     @rows.setter
     def rows(self, value: list[dict[str, Any]]) -> None:
         self._rows = value
+        self._rows_assigned = True
 
     def iter_rows(self) -> Iterator[dict[str, Any]]:
-        """Stream rows without materializing the cache (export path);
-        serves the cached/assigned rows when they already exist."""
+        """Stream rows without materializing the cache (export path):
+        the cached/assigned rows when they exist, else one segment (or
+        cost object) at a time."""
         if self._rows is not None:
             yield from self._rows
             return
+        if self._evaluations is None:
+            for batch in self._batches:
+                yield from batch.rows()
+            return
         scenario = self.scenario
-        for cost in self.evaluations:
+        for cost in self._evaluations:
             yield cost_row(scenario, cost)
 
     def __len__(self) -> int:
         if self._rows is not None:
             return len(self._rows)
-        return len(self.evaluations)
+        if self._evaluations is None:
+            return sum(len(batch) for batch in self._batches)
+        return len(self._evaluations)
+
+    def _column(self, name: str) -> np.ndarray | None:
+        """One metric over every segment as an exact float64 column, or
+        None when row code must answer: no segments (or assigned rows),
+        a metric that is not columnar, not a number, an integer beyond
+        float precision, or NaN anywhere."""
+        if self._rows_assigned or not self._batches:
+            return None
+        if name not in self._column_cache:
+            column = None
+            try:
+                parts = [np.asarray(b.metric_column(name)) for b in self._batches]
+            except KeyError:
+                parts = []
+            if parts and all(_exact_float(part) for part in parts):
+                column = np.concatenate(parts).astype(float, copy=False)
+                if np.isnan(column).any():
+                    column = None
+            self._column_cache[name] = column
+        return self._column_cache[name]
+
+    def _take(self, positions: Sequence[int]) -> list[dict[str, Any]]:
+        """The rows at ``positions``, in that order: from the row cache
+        or the cost objects when they exist, else gathered with one
+        :meth:`BatchRows.take` per segment touched."""
+        if self._rows is not None:
+            rows = self._rows
+            return [rows[i] for i in positions]
+        if self._evaluations is not None:
+            scenario, costs = self.scenario, self._evaluations
+            return [cost_row(scenario, costs[i]) for i in positions]
+        positions = np.asarray(positions, dtype=np.intp)
+        order = np.argsort(positions, kind="stable")
+        ordered = positions[order]
+        starts = np.cumsum([0] + [len(batch) for batch in self._batches])
+        cuts = np.searchsorted(ordered, starts).tolist()
+        gathered: list[dict[str, Any]] = []
+        for batch, lo, hi, start in zip(self._batches, cuts, cuts[1:], starts):
+            if lo < hi:
+                gathered.extend(batch.take((ordered[lo:hi] - start).tolist()))
+        out: list[Any] = [None] * len(gathered)
+        for slot, row in zip(order.tolist(), gathered):
+            out[slot] = row
+        return out
 
     @property
     def feasible(self) -> list[dict[str, Any]]:
         """Rows clearing the scenario's target (all rows if untargeted)."""
-        return [row for row in self.rows if row["feasible"]]
+        column = self._column("feasible")
+        if column is None:
+            return [row for row in self.rows if row["feasible"]]
+        return self._take(np.flatnonzero(column))
+
+    def _count_feasible(self) -> int:
+        """``len(self.feasible)``, counted on the column when there is one."""
+        column = self._column("feasible")
+        if column is None:
+            return sum(1 for row in self.rows if row["feasible"])
+        return int(np.count_nonzero(column))
 
     @property
     def best(self) -> dict[str, Any]:
         """The optimal row for the domain: highest total FPS
         (throughput) or lowest expected energy (energy). Ties break to
         the earliest-enumerated configuration."""
-        if not self.rows:
-            raise PipelineError("no configurations evaluated")
         if self.scenario.domain == "throughput":
-            return best_row(self.rows, "total_fps")
-        return best_row(self.rows, "total_energy_j", maximize=False)
+            metric, maximize = "total_fps", True
+        else:
+            metric, maximize = "total_energy_j", False
+        column = self._column(metric)
+        if column is None:
+            if not self.rows:
+                raise PipelineError("no configurations evaluated")
+            return best_row(self.rows, metric, maximize)
+        # argmax/argmin return the first optimum: best_row's tie rule.
+        position = np.argmax(column) if maximize else np.argmin(column)
+        return self._take([int(position)])[0]
+
+    def _frontier_positions(
+        self,
+        axes: Sequence[str] | None,
+        maximize: bool | Sequence[bool] | None,
+    ) -> list[int]:
+        """Positions of the non-dominated rows, ascending (see
+        :meth:`pareto`): one skyline over the segments' axis columns,
+        else a :class:`ParetoFrontier` fold over the rows."""
+        default_axes, default_flag = DEFAULT_AXES[self.scenario.domain]
+        frontier = ParetoFrontier(
+            default_axes if axes is None else axes,
+            default_flag if maximize is None else maximize,
+        )
+        if frontier._sweep:
+            columns = [self._column(axis) for axis in frontier._axes]
+            if all(column is not None for column in columns):
+                keys = _stack(
+                    [c if flag else -c for c, flag in zip(columns, frontier._flags)]
+                )
+                return np.flatnonzero(_skyline(keys[0], keys[1])).tolist()
+        frontier.add(self.rows)
+        return frontier._positions
 
     def pareto(
         self,
         axes: Sequence[str] | None = None,
         maximize: bool | Sequence[bool] | None = None,
     ) -> list[dict[str, Any]]:
-        """Non-dominated rows; defaults to the domain's canonical axes
-        ((compute_fps, communication_fps) maximized for throughput,
-        (total_energy_j, active_seconds) minimized for energy).
+        """Non-dominated rows in enumeration order; defaults to the
+        domain's canonical axes ((compute_fps, communication_fps)
+        maximized for throughput, (total_energy_j, active_seconds)
+        minimized for energy). Same rows as :func:`pareto_filter` over
+        :attr:`rows`.
 
         ``maximize=None`` always means the domain's direction — also for
         explicitly passed ``axes`` — so an energy-domain frontier never
         silently flips to maximization."""
-        default_axes, default_flag = DEFAULT_AXES[self.scenario.domain]
-        if axes is None:
-            axes = default_axes
-        if maximize is None:
-            maximize = default_flag
-        return pareto_filter(self.rows, axes, maximize)
+        return self._take(self._frontier_positions(axes, maximize))
 
     def dominated(
         self,
         axes: Sequence[str] | None = None,
         maximize: bool | Sequence[bool] | None = None,
     ) -> list[dict[str, Any]]:
-        """The complement of :meth:`pareto`: configs never worth building."""
-        frontier = {id(row) for row in self.pareto(axes, maximize)}
-        return [row for row in self.rows if id(row) not in frontier]
+        """The complement of :meth:`pareto`, by position and in
+        enumeration order: configs never worth building."""
+        frontier = self._frontier_positions(axes, maximize)
+        keep = np.ones(len(self), dtype=bool)
+        keep[np.asarray(frontier, dtype=np.intp)] = False
+        return self._take(np.flatnonzero(keep))
 
     def top_k(
         self, metric: str, k: int = 5, maximize: bool = True
@@ -222,23 +349,30 @@ class ExplorationResult:
         enumeration order)."""
         if k < 0:
             raise ConfigurationError(f"k must be >= 0, got {k}")
-        require_key(self.rows, metric)
-        # Stable also under reverse=True, so ties keep enumeration order
-        # in both directions; works for any orderable metric type.
-        ordered = sorted(self.rows, key=lambda r: r[metric], reverse=maximize)
-        return ordered[:k]
+        column = self._column(metric)
+        if column is None:
+            require_key(self.rows, metric)
+            # Stable also under reverse=True, so ties keep enumeration
+            # order in both directions; works for any orderable metric.
+            ordered = sorted(self.rows, key=lambda r: r[metric], reverse=maximize)
+            return ordered[:k]
+        # A stable ascending sort of the negated column is the stable
+        # reverse=True sort: equal values keep enumeration order.
+        order = np.argsort(-column if maximize else column, kind="stable")
+        return self._take(order[:k])
 
     # -- export ---------------------------------------------------------
 
     def columns(self) -> list[str]:
         """Union of row keys, in first-appearance order."""
+        rows = self._rows
+        if rows is None:
+            # Derived rows are homogeneous per domain; one suffices.
+            rows = self._take([0] if len(self) else [])
         cols: dict[str, None] = {}
-        for row in self.iter_rows():
+        for row in rows:
             for key in row:
                 cols.setdefault(key)
-            if self._rows is None:
-                # Derived rows are homogeneous per domain; one suffices.
-                break
         return list(cols)
 
     def to_table(self, title: str | None = None) -> TextTable:
@@ -347,6 +481,15 @@ def _skyline(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _exact_float(column: np.ndarray) -> bool:
+    """Whether a metric column converts to float64 exactly: floats and
+    bools, and integers within :data:`_EXACT_INT`."""
+    kind = column.dtype.kind
+    if kind in "iu":
+        return not column.size or int(np.abs(column).max()) <= _EXACT_INT
+    return kind in "fb"
+
+
 def _key_column(values: list[Any], maximize: bool) -> np.ndarray | None:
     """One axis's sign-normalized key column (maximized), or None when
     a value is not a number or is NaN (the caller locates the row)."""
@@ -417,11 +560,12 @@ class ParetoFrontier:
         self._flags = tuple(flags)
         self._sweep = len(axes) <= 2
         self.n_seen = 0
-        #: Frontier rows in first-seen order, with their sign-normalized
-        #: axis keys (all axes maximized): a (2, n_front) array for one
-        #: or two axes (a one-axis frontier's second row is zeros), one
-        #: key list per row for three or more.
+        #: Frontier rows in first-seen order, their stream positions,
+        #: and their sign-normalized axis keys (all axes maximized): a
+        #: (2, n_front) array for one or two axes (a one-axis frontier's
+        #: second row is zeros), one key list per row for three or more.
         self._rows: list[dict[str, Any]] = []
+        self._positions: list[int] = []
         self._columns = np.empty((2, 0))
         self._keys: list[list[float]] = []
 
@@ -442,18 +586,25 @@ class ParetoFrontier:
         return key
 
     def _merge(
-        self, chunk: np.ndarray, row_at: Callable[[int], dict[str, Any]]
+        self,
+        chunk: np.ndarray,
+        take: Callable[[list[int]], list[dict[str, Any]]],
     ) -> None:
         """Merge (2, m) chunk keys into the frontier: one skyline over
         frontier then chunk keys; surviving frontier rows stay in place
-        and surviving chunk rows (``row_at(i)``) append in index order."""
+        and surviving chunk rows (``take(indices)``, one call) append in
+        index order."""
         n_front = len(self._rows)
         keys = np.concatenate((self._columns, chunk), axis=1)
         mask = _skyline(keys[0], keys[1])
         if n_front and not mask[:n_front].all():
-            kept = mask[:n_front].tolist()
-            self._rows = [row for row, keep in zip(self._rows, kept) if keep]
-        self._rows.extend(row_at(i) for i in np.flatnonzero(mask[n_front:]).tolist())
+            kept = np.flatnonzero(mask[:n_front]).tolist()
+            self._rows = [self._rows[i] for i in kept]
+            self._positions = [self._positions[i] for i in kept]
+        joined = np.flatnonzero(mask[n_front:]).tolist()
+        if joined:
+            self._rows.extend(take(joined))
+            self._positions.extend(self.n_seen + i for i in joined)
         self._columns = keys[:, mask]
         self.n_seen += chunk.shape[1]
 
@@ -481,15 +632,17 @@ class ParetoFrontier:
                 except ConfigurationError as error:
                     self.add(rows[:position])
                     raise error
-        self._merge(_stack(keys), rows.__getitem__)
+        self._merge(_stack(keys), lambda joined: [rows[i] for i in joined])
 
     def _fold(self, rows: Sequence[dict[str, Any]]) -> None:
         """Row-by-row fold (three or more axes)."""
         n_axes = len(self._axes)
         frontier_rows = self._rows
+        frontier_positions = self._positions
         frontier_keys = self._keys
         for row in rows:
-            mine = self._key(row, self.n_seen)
+            position = self.n_seen
+            mine = self._key(row, position)
             self.n_seen += 1
             dominated = False
             evicted: list[int] = []
@@ -507,8 +660,10 @@ class ParetoFrontier:
                 continue
             for index in reversed(evicted):
                 del frontier_rows[index]
+                del frontier_positions[index]
                 del frontier_keys[index]
             frontier_rows.append(row)
+            frontier_positions.append(position)
             frontier_keys.append(mine)
 
     def add_batch(self, batch: Any) -> None:
@@ -521,7 +676,8 @@ class ParetoFrontier:
         Semantically identical to ``add(batch.rows())`` — same frontier,
         same ``n_seen`` positions in every error message — but the
         skyline merge runs on the batch's metric columns, so only rows
-        that join the frontier ever become dicts. Falls back to the row
+        that join the frontier ever become dicts, gathered with one
+        :meth:`BatchRows.take` per merge. Falls back to the row
         path with three or more axes, or when an axis is not a float
         column (:meth:`BatchRows.metric_column` raises ``KeyError`` for
         non-columnar metrics; integer columns compare exactly as rows).
@@ -546,7 +702,7 @@ class ParetoFrontier:
         chunk = _stack(keys)
         bad = np.isnan(chunk).any(axis=0)
         limit = int(np.argmax(bad)) if bad.any() else m
-        self._merge(chunk[:, :limit], batch.row)
+        self._merge(chunk[:, :limit], batch.take)
         for i in range(limit, m):
             self.add([batch.row(i)])  # first iteration raises on the NaN
 

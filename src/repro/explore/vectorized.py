@@ -154,9 +154,11 @@ class BatchRows:
     choices live in an ``(n, depth)`` integer matrix and their cost
     fields in struct-of-arrays columns. Python objects
     (:class:`PipelineConfig`, cost objects, row dicts) exist only for
-    rows a consumer materializes — frontier/top-k sinks read
-    :meth:`metric_column` and materialize survivors only, so live cost
-    objects stay bounded by the surviving-row count.
+    rows a consumer materializes — frontier/top-k sinks and a collected
+    :class:`~repro.explore.result.ExplorationResult` read
+    :meth:`metric_column` and materialize only the rows they keep or
+    return (:meth:`take`), so live cost objects stay bounded by that
+    count.
 
     :attr:`n_materialized` counts rows turned into objects (what the
     benchmark's memory check asserts on). Materialized rows/costs are
@@ -197,14 +199,15 @@ class BatchRows:
     def __len__(self) -> int:
         return self.choices.shape[0]
 
-    def slice(self, lo: int, hi: int) -> "BatchRows":
-        """Rows ``[lo, hi)`` as a new view (array slices share memory)."""
+    def _view(self, index: Any) -> "BatchRows":
+        """The rows selected by a slice or an index array, as a new view
+        (slices share memory, index arrays gather bit-exact copies)."""
         columns = {}
         for key, value in self.columns.items():
             if key == "block_energies":
-                columns[key] = tuple((name, arr[lo:hi]) for name, arr in value)
+                columns[key] = tuple((name, arr[index]) for name, arr in value)
             elif isinstance(value, np.ndarray):
-                columns[key] = value[lo:hi]
+                columns[key] = value[index]
             else:  # per-depth scalars (communication_fps)
                 columns[key] = value
         return BatchRows(
@@ -212,10 +215,22 @@ class BatchRows:
             self.pipeline,
             self.depth,
             self.level_names,
-            self.choices[lo:hi],
+            self.choices[index],
             columns,
             self._energy,
         )
+
+    def slice(self, lo: int, hi: int) -> "BatchRows":
+        """Rows ``[lo, hi)`` as a new view (array slices share memory)."""
+        return self._view(slice(lo, hi))
+
+    def take(self, indices: Sequence[int]) -> list[dict[str, Any]]:
+        """The report rows at ``indices``, in that order, gathered in one
+        bulk pass (counts one materialization per row) — exactly
+        ``[self.row(i) for i in indices]`` without a one-row view per
+        index."""
+        self.n_materialized += len(indices)
+        return self._view(np.asarray(indices, dtype=np.intp)).rows()
 
     def config(self, i: int) -> PipelineConfig:
         """Row ``i``'s configuration (trusted constructor: choices come

@@ -93,12 +93,45 @@ def fleet_entry(speedup):
 
 def test_gated_kinds_cover_every_trajectory_kind():
     assert gate.GATED_KINDS == {
-        "explore_scaling": "speedup_memoized_vs_brute",
-        "explore_vectorized": "speedup_batch_vs_scalar",
-        "explore_pruned_vectorized": "speedup_fused_vs_scalar_pruned",
-        "campaign_fleet_columnar": "speedup_lazy_vs_materialize",
-        "joint_fleet": "speedup_joint_vs_naive",
+        "explore_scaling": ("speedup_memoized_vs_brute",),
+        "explore_vectorized": (
+            "speedup_batch_vs_scalar",
+            "speedup_batch_collect_vs_scalar",
+        ),
+        "explore_pruned_vectorized": ("speedup_fused_vs_scalar_pruned",),
+        "campaign_fleet_columnar": ("speedup_lazy_vs_materialize",),
+        "joint_fleet": ("speedup_joint_vs_naive",),
     }
+
+
+def collect_entry(lazy, collect):
+    return {
+        "kind": "explore_vectorized",
+        "speedup_batch_vs_scalar": lazy,
+        "speedup_batch_collect_vs_scalar": collect,
+    }
+
+
+def test_collected_batch_speedup_is_gated_next_to_the_lazy_one(tmp_path):
+    """``explore_vectorized`` carries two gated metrics: the collected
+    run's speedup fails the build on its own even when the lazy one is
+    healthy, and either one regressing alone is enough."""
+    assert gate.latest_and_best_prior(
+        [collect_entry(20.0, 15.0), collect_entry(19.0, 12.0)],
+        "explore_vectorized",
+        "speedup_batch_collect_vs_scalar",
+    ) == (12.0, 15.0)
+    path = tmp_path / "BENCH_explore.json"
+    healthy = [entry(6.0), collect_entry(20.0, 15.0)]
+    path.write_text(json.dumps(healthy + [collect_entry(19.0, 14.0)]))
+    assert gate.main(["gate", str(path)]) == 0
+    path.write_text(json.dumps(healthy + [collect_entry(19.0, 2.0)]))
+    assert gate.main(["gate", str(path)]) == 1
+    path.write_text(json.dumps(healthy + [collect_entry(2.0, 14.0)]))
+    assert gate.main(["gate", str(path)]) == 1
+    # Entries from before the collected metric was recorded stay green.
+    path.write_text(json.dumps([entry(6.0), vec_entry(20.0), vec_entry(19.0)]))
+    assert gate.main(["gate", str(path)]) == 0
 
 
 def test_latest_and_best_prior_is_kind_aware():

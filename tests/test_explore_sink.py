@@ -247,11 +247,12 @@ def test_export_only_never_materializes_the_cache():
     assert outcome is None
     assert len(peaks) == -(-n_configs // chunk)  # one write per chunk
     # Live cost objects never exceed a few chunks' worth; a collected
-    # run would end holding all n_configs of them.
+    # run ends holding all n_configs of them once its evaluations are
+    # read.
     assert max(peaks) <= 4 * chunk
     collected = explore(scenario, chunk_size=chunk)
-    assert _live_instances(ConfigCost, EnergyCost) >= n_configs
     assert len(collected.evaluations) == n_configs
+    assert _live_instances(ConfigCost, EnergyCost) >= n_configs
 
 
 # -- lifecycle and error handling ----------------------------------------

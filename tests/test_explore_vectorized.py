@@ -380,6 +380,10 @@ class _FakeBatch:
         self.n_materialized += 1
         return self._rows[i]
 
+    def take(self, indices):
+        self.n_materialized += len(indices)
+        return [self._rows[i] for i in indices]
+
     def rows(self):
         self.n_materialized += len(self._rows)
         return list(self._rows)
