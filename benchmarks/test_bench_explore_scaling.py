@@ -221,12 +221,15 @@ def test_explore_vectorized_speedup(
 ):
     """Columnar batch core vs the scalar memoized engine.
 
-    Three modes over the same 2.39M-config space:
+    Four modes over the same 2.39M-config space:
 
     * ``scalar``     — ``explore(..., evaluation="scalar")``, the
       prefix-memoized per-config fold (the prior engine);
     * ``batch``      — ``explore(...)`` riding the batch-cohort path with
-      full row collection (costs materialized in bulk);
+      a collected result (which keeps the columnar batches and builds
+      nothing per configuration);
+    * ``batch_materialized`` — the same collected run followed by
+      ``.evaluations``: every cost object built (materialize-all);
     * ``batch_lazy`` — the batch-cohort path streamed into a top-k sink
       with ``collect=False``: rows stay columnar and only heap
       candidates ever materialize a cost object.
@@ -259,17 +262,24 @@ def test_explore_vectorized_speedup(
         del scalar  # two 2.39M-config results must never coexist
 
         seconds, batch = _timed(lambda: explore(scenario))
+        materialize_seconds, evaluations = _timed(lambda: batch.evaluations)
         batch_sample = json.dumps(
-            [cost_row(scenario, cost) for cost in batch.evaluations[::SAMPLE]]
+            [cost_row(scenario, cost) for cost in evaluations[::SAMPLE]]
         )
-        assert len(batch.evaluations) == n_configs
+        assert len(evaluations) == n_configs
         assert batch_sample == scalar_sample  # byte-identical spot check
         measurements["batch"] = {
             "seconds": round(seconds, 3),
             "evaluated": n_configs,
             "configs_per_sec": round(n_configs / seconds),
         }
-        del batch
+        seconds += materialize_seconds
+        measurements["batch_materialized"] = {
+            "seconds": round(seconds, 3),
+            "evaluated": n_configs,
+            "configs_per_sec": round(n_configs / seconds),
+        }
+        del batch, evaluations
 
         sink = _CountingTopKSink()
         seconds, _ = _timed(
@@ -299,6 +309,10 @@ def test_explore_vectorized_speedup(
     )
     collect_speedup = (
         measurements["batch"]["configs_per_sec"]
+        / measurements["scalar"]["configs_per_sec"]
+    )
+    materialized_speedup = (
+        measurements["batch_materialized"]["configs_per_sec"]
         / measurements["scalar"]["configs_per_sec"]
     )
     entry = {
@@ -339,5 +353,7 @@ def test_explore_vectorized_speedup(
         )
     # CI smoke bar mirroring the scaling benchmark: batching must never
     # lose to the scalar fold, lazy must never lose to materialize-all.
+    # (The collected ``batch`` mode materializes nothing any more: it
+    # runs the same walk as the lazy export, so the two differ by noise.)
     assert speedup >= 1.0, f"batch path slower than scalar ({speedup:.2f}x)"
-    assert speedup >= collect_speedup
+    assert speedup >= materialized_speedup, (speedup, materialized_speedup)

@@ -224,8 +224,10 @@ def evaluation_path(
 ) -> str:
     """The evaluation path :func:`explore` would take for this call:
 
-    - ``"batch-cohort"`` — whole depth cohorts as columnar arrays with
-      lazily materialized rows, folded in process on every executor;
+    - ``"batch-cohort"`` — the cohort walk: depth cohorts (split into
+      fixed-size blocks of rows once they outgrow one) as columnar
+      arrays with lazily materialized rows, folded in process on every
+      executor;
     - ``"batch-cohort-pruned"`` — the same cohort walk with the
       scenario's pruning fused in (prefix bounds as boolean-mask
       compaction, per-config hooks as an emission-time filter);
@@ -279,13 +281,14 @@ def evaluation_path(
 
 
 def _cohort_eligible(model: Any, evaluation: str) -> bool:
-    """Whether :func:`explore` streams whole depth cohorts as columnar
-    batches: a stock model (the cohort walk replicates state arrays, so
+    """Whether :func:`explore` streams the cohort walk's columnar
+    batches (depth cohorts, in fixed-size blocks of rows once they
+    outgrow one): a stock model (the walk replicates state arrays, so
     it must know their layout), on any executor — shipping cohorts to
     pool workers measured slower than folding them in process. Depth
-    pruning composes with cohorts; the scenario's auto-derived prefix
+    pruning composes with the walk; the scenario's auto-derived prefix
     pruner fuses in as mask compaction through its batch form, and
-    per-config hooks filter compacted cohorts at emission time."""
+    per-config hooks filter compacted rows at emission time."""
     return evaluation != "scalar" and uses_stock_cost_semantics(model)
 
 
@@ -311,10 +314,13 @@ def explore(
         scalar paths, with rows in the same order as serial ones.
     chunk_size:
         Configurations per streamed chunk (default: the executor's
-        ``chunk_size``; the cohort walk then emits whole depth cohorts,
-        the scalar paths :data:`DEFAULT_CHUNK_SIZE`, sized down for
-        small spaces on parallel executors). Peak intermediate memory
-        is proportional to this, never to the design-space size.
+        ``chunk_size``; the cohort walk then emits its blocks of rows
+        — whole depth cohorts while they fit one — and the scalar
+        paths :data:`DEFAULT_CHUNK_SIZE`, sized down for small spaces
+        on parallel executors). Peak intermediate memory is bounded by
+        this on the scalar paths and by a fixed number of row blocks
+        per pipeline depth on the cohort walk, never by the
+        design-space size.
     sink:
         Optional :class:`~repro.explore.sink.ResultSink`: report rows
         are streamed to it chunk by chunk, in enumeration order, as
@@ -334,11 +340,11 @@ def explore(
         ``result.pareto()``).
     evaluation:
         ``"auto"`` (default) rides the columnar batch path whenever the
-        model supports it — stock runs stream whole depth cohorts with
-        lazily materialized rows (pruning included: prefix bounds fuse
-        in as mask compaction, per-config hooks as emission-time
-        filters) — falling back to the scalar prefix walk for models
-        that override any cost step. ``"batch"`` requires a
+        model supports it — stock runs stream the cohort walk's
+        columnar batches with lazily materialized rows (pruning
+        included: prefix bounds fuse in as mask compaction, per-config
+        hooks as emission-time filters) — falling back to the scalar
+        prefix walk for models that override any cost step. ``"batch"`` requires a
         batch path (raising :class:`ConfigurationError` when the model
         cannot take one); ``"scalar"`` forces the scalar fold. Every
         path produces bit-identical results (:func:`evaluation_path`

@@ -18,8 +18,10 @@ stream through.
 The process backend requires the mapped callable and its items to be
 picklable. When they are not (lambdas, closures over live objects), the
 executor falls back to the serial path instead of failing, so debugging
-with ad-hoc functions always works. Mapped callables must therefore be
-pure: the fallback may re-run items that a broken pool already started.
+with ad-hoc functions always works; picklability is probed once, on the
+callable and the first chunk, before the pool starts. Mapped callables
+must be pure: the fallback may re-run items that a broken pool already
+started.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from concurrent.futures import (
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from repro.errors import ConfigurationError
@@ -63,19 +65,22 @@ def auto_chunk_size(total: int, workers: int, cap: int = MAX_AUTO_CHUNK_SIZE) ->
 
 #: Exceptions that mean "the pool could not run this work at all" (as
 #: opposed to the work itself raising); these trigger the serial fallback.
-#: TypeError/AttributeError appear here because CPython raises them (not
-#: PicklingError) for lambdas, local functions, and objects holding live
-#: resources such as locks. Exceptions raised *by the mapped callable*
-#: never reach this set — :func:`_run_chunk` captures them in a
-#: :class:`_ChunkError` so they propagate unchanged instead of being
-#: mistaken for pool failures.
+#: Unpicklable work is caught earlier, by one ``pickle.dumps`` probe of
+#: the callable and the first chunk (:data:`_PICKLE_ERRORS`), so a
+#: TypeError or AttributeError from pool plumbing propagates as the bug
+#: it is. Exceptions raised *by the mapped callable* never reach this
+#: set — :func:`_run_chunk` captures them in a :class:`_ChunkError` so
+#: they propagate unchanged instead of being mistaken for pool failures.
 _FALLBACK_ERRORS = (
     pickle.PicklingError,
     BrokenExecutor,
-    AttributeError,
-    TypeError,
     OSError,
 )
+
+#: What ``pickle.dumps`` raises for unpicklable work: CPython raises
+#: TypeError/AttributeError (not PicklingError) for local functions and
+#: objects holding live resources such as locks.
+_PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
 
 
 class _ChunkError:
@@ -213,6 +218,18 @@ class SweepExecutor:
         iterator: Iterator[_T],
         size: int,
     ) -> Iterator[_R]:
+        first = list(islice(iterator, size))
+        if not first:
+            return
+        iterator = chain(first, iterator)
+        if self.backend == "process":
+            try:
+                pickle.dumps((fn, first))
+            except _PICKLE_ERRORS as exc:
+                self._warn_fallback(exc)
+                for item in iterator:
+                    yield fn(item)
+                return
         pool_cls: Any = (
             ThreadPoolExecutor if self.backend == "thread" else ProcessPoolExecutor
         )

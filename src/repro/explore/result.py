@@ -790,9 +790,14 @@ class TopK:
         the root value only grows, and an exact tie with the root never
         enters because later positions carry smaller tiebreaks, so the
         strict ``>`` mask is a superset of the rows the scalar fold
-        would admit). Masked-in candidates still fold through the scalar
-        :meth:`add` against the current root. Falls back to the row path
-        when the metric is not columnar.
+        would admit). Of those candidates only the batch's own ``k``
+        best (by value, earliest first) can still reach the top ``k`` —
+        a row with ``k`` better rows in the same batch never does — so
+        at most ``k`` are materialized, in one bulk gather, and folded
+        through the scalar :meth:`add` in stream order. A batch thus
+        materializes at most ``2k`` rows (``k`` more while the heap
+        fills). Falls back to the row path when the metric is not
+        columnar.
         """
         m = len(batch)
         if m == 0:
@@ -817,11 +822,17 @@ class TopK:
                 self.add([batch.row(start)])
                 start += 1
             if start < limit:
-                root_value = heap[0][0][0]
-                for off in np.nonzero(values[start:limit] > root_value)[0].tolist():
-                    idx = start + off
+                window = values[start:limit]
+                candidates = np.flatnonzero(window > heap[0][0][0])
+                if len(candidates) > k:
+                    # The window's own k best (stable: ties keep the
+                    # earliest), put back in stream order.
+                    best = np.argsort(-window[candidates], kind="stable")[:k]
+                    candidates = np.sort(candidates[best])
+                candidates += start
+                for idx, row in zip(candidates.tolist(), batch.take(candidates)):
                     self.n_seen = base + idx
-                    self.add([batch.row(idx)])
+                    self.add([row])
         self.n_seen = base + limit
         for i in range(limit, m):
             self.add([batch.row(i)])  # first iteration raises on the NaN

@@ -9,11 +9,14 @@ ceiling for the stock cost models by evaluating whole *cohorts* of
 configurations as numpy struct-of-arrays operations:
 
 * A depth-``d`` cohort (every platform assignment with ``d`` in-camera
-  blocks, in exact enumeration order) is built by repeating the depth
-  ``d-1`` cohort's state arrays across the next block's options —
-  ``np.repeat`` over rows, ``np.tile`` over choices reproduces
+  blocks, in exact enumeration order) is built by repeating depth
+  ``d-1`` state rows across the next block's options — ``np.repeat``
+  over rows, ``np.tile`` over choices reproduces
   :func:`itertools.product` order — and extending them with one
-  ``extend_state_batch`` call per depth.
+  ``extend_state_batch`` call. Whole cohorts are built only while they
+  fit one fixed-size block of rows (:data:`_BLOCK_ROWS`); deeper
+  cohorts are walked depth-first in blocks, so the walk's memory stays
+  bounded whatever the design-space size.
 * Cost/row/config *objects* are materialized lazily: a
   :class:`BatchRows` view hands consumers numeric columns
   (:meth:`BatchRows.metric_column`) and only constructs Python objects
@@ -55,7 +58,7 @@ these paths; any other model rides the generic scalar
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +73,12 @@ from repro.errors import ConfigurationError
 from repro.explore.enumerate import _normalize_hooks, enumeration_plan
 from repro.explore.incremental import depth_link_cost, uses_stock_cost_semantics
 from repro.explore.result import cost_row
+
+#: Row budget of one cohort-walk block. Whole depth cohorts fold only
+#: while they fit; deeper depths descend in blocks of at most this many
+#: rows per level, so the walk's memory never grows with the design
+#: space (see :meth:`BatchPrefixEvaluator._iter_cohort_states`).
+_BLOCK_ROWS = 1 << 14
 
 # -- stock state-shape helpers ------------------------------------------
 # Only the fully stock models reach these (gated by
@@ -572,30 +581,40 @@ class BatchPrefixEvaluator:
         the scenario's pre-finalize states, at most ``chunk_size`` rows
         each, in exact enumeration order.
 
-        Per depth, the previous cohort's state arrays are repeated
-        across the next block's options and extended with one batch
-        call — O(depth) array operations for the whole space, no
-        per-configuration Python work. Pruning fuses into the same
-        folds:
+        Rows grow one pipeline block at a time: each parent row is
+        repeated across the next block's options and the options are
+        tiled (:func:`itertools.product` order), then extended with one
+        batch call. Full depth cohorts fold this way while the next one
+        fits :data:`_BLOCK_ROWS`; the deepest such depth is *resident*.
+        Each deeper depth is emitted by a depth-first descent from the
+        resident cohort over contiguous row ranges, at most one block of
+        child rows per level, so the walk holds about
+        ``(depth - resident) x _BLOCK_ROWS`` rows whatever the space
+        size. Depth-``d`` rows come out ordered by their resident
+        prefix, then their suffix — enumeration order. Pruning fuses
+        into the same folds:
 
-        * Depth pruning is honored (pruned depths still fold their
-          states, which deeper depths extend).
+        * Depth pruning is honored: a pruned depth is never emitted, but
+          still folds as the ancestor of deeper depths.
         * A batch-capable prefix pruner (``scenario.prefix_pruner()``
           with :attr:`~repro.explore.enumerate.PrefixPruner.
           extend_batch`) runs as boolean-mask compaction: its keep mask
           gathers the surviving ``state``/``choices`` rows after every
-          extend, so a pruned prefix is never repeated into deeper
-          cohorts — exactly the scalar DFS's subtree cut. Bounds that
-          are not depth-monotone additionally supply ``emit_mask``,
-          applied to an emission-only gather so the *running* cohort
-          keeps every row some deeper depth still needs. Survivor rows
-          are byte-identical to the scalar pruned walk. A pruner
-          without a batch form raises — callers gate on
-          ``PrefixPruner.batch_capable``.
+          extend, so a pruned prefix is never grown into deeper rows —
+          exactly the scalar DFS's subtree cut; once no prefix survives
+          a depth, the walk ends. Bounds that are not depth-monotone
+          additionally supply ``emit_mask``, applied to an emission-only
+          gather so the running rows keep every prefix some deeper depth
+          still needs. Survivor rows are byte-identical to the scalar
+          pruned walk. A pruner without a batch form raises — callers
+          gate on ``PrefixPruner.batch_capable``.
         * Per-config ``scenario.prune`` hooks run as a scalar filter
-          over the already compacted cohort at emission time, in
+          over the already compacted rows at emission time, in
           enumeration order with the scalar path's short-circuit
           semantics (hooks see only rows every other filter kept).
+
+        Choice matrices use the smallest unsigned dtype that holds every
+        platform index (``uint8`` below 256 platforms per block).
         """
         pruner = scenario.prefix_pruner()
         if pruner is not None and not pruner.batch_capable:
@@ -611,9 +630,42 @@ class BatchPrefixEvaluator:
         prune_depth = scenario.depth_prune_hook()
         energy = self._energy
         trusted = PipelineConfig.trusted
+        block = _BLOCK_ROWS
+        dtype = np.min_scalar_type(
+            max((len(level.names) for level in levels), default=1) - 1
+        )
+
+        def take(rows: Any, index: Any) -> Any:
+            """A ``(choices, state, pstate)`` triple's rows at ``index``."""
+            choices, state, pstate = rows
+            if pstate is not None:
+                pstate = tuple(arr[index] for arr in pstate)
+            return choices[index], _take_state(state, index, energy), pstate
+
+        def grow(depth: int, rows: Any) -> Any:
+            """The depth-``depth`` children of depth ``depth - 1`` rows,
+            in product order, with pruned prefixes compacted away."""
+            choices, state, pstate = rows
+            level = levels[depth - 1]
+            k = len(level.names)
+            n = choices.shape[0]
+            tile = np.tile(np.arange(k, dtype=dtype), n)
+            grown = np.empty((n, k, depth), dtype=dtype)
+            grown[:, :, :-1] = choices[:, None, :]
+            grown[:, :, -1] = tile[:k]
+            choices = grown.reshape(n * k, depth)
+            state = self._extend(_repeat_state(state, k, energy), level, tile)
+            if pruner is None:
+                return choices, state, None
+            pstate, keep = pruner.extend_batch(
+                depth - 1, tile, tuple(np.repeat(arr, k) for arr in pstate)
+            )
+            if keep.all():
+                return choices, state, pstate
+            return take((choices, state, pstate), np.flatnonzero(keep))
 
         def hook_filter(depth: int, choices: Any, state: Any) -> tuple[Any, Any]:
-            """Per-config hooks over the compacted cohort — the same
+            """Per-config hooks over the compacted rows — the same
             configs, order and any()-short-circuit as the scalar walk's
             keep() filter."""
             names = plan.names[:depth]
@@ -636,8 +688,18 @@ class BatchPrefixEvaluator:
             return choices[idx], _take_state(state, idx, energy)
 
         def emit(
-            depth: int, choices: Any, state: Any
+            depth: int, rows: Any
         ) -> Iterator[tuple[_PipelinePlan, int, Any, Any]]:
+            choices, state, pstate = rows
+            if depth and pruner is not None and pruner.emit_mask is not None:
+                mask = pruner.emit_mask(depth, pstate)
+                if mask is not None and not mask.all():
+                    # Emission-only gather: the running rows keep
+                    # prefixes other depths still need.
+                    idx = np.flatnonzero(mask)
+                    choices, state = choices[idx], _take_state(state, idx, energy)
+            if hooks:
+                choices, state = hook_filter(depth, choices, state)
             n = choices.shape[0]
             if chunk_size is None or n <= chunk_size:
                 if n:
@@ -647,50 +709,50 @@ class BatchPrefixEvaluator:
                 part = slice(lo, min(lo + chunk_size, n))
                 yield plan, depth, choices[part], _take_state(state, part, energy)
 
-        state = self.model.initial_state_batch(1)
-        pstate = pruner.initial_batch(1) if pruner is not None else None
-        choices = np.zeros((1, 0), dtype=np.intp)
-        if scenario.include_empty and not (
-            prune_depth is not None and prune_depth(0)
-        ):
-            # The raw-offload row has no platform choices, so the prefix
-            # bound never applies to it; per-config hooks still do.
-            emit_choices, emit_state = choices, state
-            if hooks:
-                emit_choices, emit_state = hook_filter(0, choices, state)
-            yield from emit(0, emit_choices, emit_state)
-        for depth in range(1, len(levels) + 1):
-            level = levels[depth - 1]
-            k = len(level.names)
-            tile = np.tile(np.arange(k, dtype=np.intp), choices.shape[0])
-            # repeat rows x tile options == itertools.product order.
-            state = self._extend(_repeat_state(state, k, energy), level, tile)
-            choices = np.concatenate(
-                [np.repeat(choices, k, axis=0), tile[:, None]], axis=1
-            )
-            if pruner is not None:
-                pstate = tuple(np.repeat(arr, k) for arr in pstate)
-                pstate, keep = pruner.extend_batch(depth - 1, tile, pstate)
-                if not keep.all():
-                    idx = np.flatnonzero(keep)
-                    choices = choices[idx]
-                    state = _take_state(state, idx, energy)
-                    pstate = tuple(arr[idx] for arr in pstate)
-                if choices.shape[0] == 0:
-                    # Every prefix is provably infeasible at every
-                    # remaining depth; deeper cohorts are empty too.
-                    return
-            if prune_depth is not None and prune_depth(depth):
+        def descend(
+            depth: int, rows: Any, target: int
+        ) -> Generator[tuple[_PipelinePlan, int, Any, Any], None, int]:
+            """Emit the depth-``target`` descendants of depth-``depth``
+            rows, one contiguous block of parents at a time; returns how
+            many target rows survived the prefix bound."""
+            step = max(1, block // len(levels[depth].names))
+            survivors = 0
+            for lo in range(0, rows[0].shape[0], step):
+                children = grow(depth + 1, take(rows, slice(lo, lo + step)))
+                if depth + 1 == target:
+                    survivors += children[0].shape[0]
+                    yield from emit(target, children)
+                elif children[0].shape[0]:
+                    survivors += yield from descend(depth + 1, children, target)
+            return survivors
+
+        rows = (
+            np.zeros((1, 0), dtype=dtype),
+            self.model.initial_state_batch(1),
+            pruner.initial_batch(1) if pruner is not None else None,
+        )
+        depth = 0
+        while True:
+            if (depth or scenario.include_empty) and not (
+                prune_depth is not None and prune_depth(depth)
+            ):
+                # Depth 0 is the raw-offload row: it has no platform
+                # choices, so the prefix bound never applies to it; the
+                # per-config hooks still do.
+                yield from emit(depth, rows)
+            if depth == len(levels):
+                return
+            if rows[0].shape[0] * len(levels[depth].names) > block:
+                break
+            depth += 1
+            rows = grow(depth, rows)
+            if not rows[0].shape[0]:
+                # Every prefix is provably infeasible at every remaining
+                # depth; deeper cohorts are empty too.
+                return
+        # ``rows`` is the resident cohort; deeper depths descend from it.
+        for target in range(depth + 1, len(levels) + 1):
+            if prune_depth is not None and prune_depth(target):
                 continue
-            emit_choices, emit_state = choices, state
-            if pruner is not None and pruner.emit_mask is not None:
-                mask = pruner.emit_mask(depth, pstate)
-                if mask is not None and not mask.all():
-                    # Emission-only gather: the running cohort keeps
-                    # rows other depths still need.
-                    idx = np.flatnonzero(mask)
-                    emit_choices = choices[idx]
-                    emit_state = _take_state(state, idx, energy)
-            if hooks:
-                emit_choices, emit_state = hook_filter(depth, emit_choices, emit_state)
-            yield from emit(depth, emit_choices, emit_state)
+            if not (yield from descend(depth, rows, target)):
+                return

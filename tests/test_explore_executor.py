@@ -104,6 +104,26 @@ def _raise_oserror(x):
     raise OSError(f"fn io failure at {x}")
 
 
+@pytest.mark.parametrize("error", [TypeError, AttributeError])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_pool_plumbing_type_errors_propagate(monkeypatch, recwarn, backend, error):
+    """Picklability is probed once before the pool starts, so a
+    TypeError/AttributeError raised by the pool itself is a bug to
+    surface, not a reason to fall back to serial."""
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+    pool_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
+
+    def broken_submit(self, fn, *args, **kwargs):
+        raise error("pool plumbing bug")
+
+    monkeypatch.setattr(pool_cls, "submit", broken_submit)
+    executor = SweepExecutor(workers=2, backend=backend, chunk_size=1)
+    with pytest.raises(error, match="pool plumbing bug"):
+        executor.map(_square_row, [1, 2, 3])
+    assert not any(w.category is RuntimeWarning for w in recwarn.list)
+
+
 def test_executor_validation():
     with pytest.raises(ConfigurationError):
         SweepExecutor(backend="gpu")

@@ -11,6 +11,7 @@ every entry point.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,59 @@ def test_chunked_cohorts_respect_chunk_size():
     assert json.dumps(rows) == json.dumps(explore(scenario, evaluation="scalar").rows)
 
 
+#: Ceiling on the traced peak of a 12-block export (~3 MB measured;
+#: the whole-cohort walk this bounds peaked at 123 MB).
+EXPORT_PEAK_CAP = 8 * 2**20
+
+
+def _deep_chain(n_blocks: int) -> Scenario:
+    """A throughput chain with three platforms per block, unpruned."""
+    blocks = tuple(
+        Block(
+            name=f"B{i}",
+            output_bytes=1000.0 - 50.0 * (i + 1),
+            pass_rate=0.9,
+            implementations={
+                platform: Implementation(platform, fps=100.0 - 4 * i + j)
+                for j, platform in enumerate(("asic", "cpu", "fpga"))
+            },
+        )
+        for i in range(n_blocks)
+    )
+    return Scenario(
+        name=f"chain-{n_blocks}",
+        pipeline=InCameraPipeline(
+            name=f"chain-{n_blocks}", sensor_bytes=1000.0, blocks=blocks
+        ),
+        link=LinkModel(name="link", raw_bps=1e6, efficiency=0.8),
+        target_fps=30.0,
+    )
+
+
+def _export_peak_bytes(n_blocks: int, chunk_size: int | None) -> int:
+    """Peak traced bytes of a ``collect=False`` top-k export."""
+    scenario = _deep_chain(n_blocks)
+    sink = TopKSink("total_fps", k=5)
+    tracemalloc.start()
+    try:
+        explore(scenario, sink=sink, collect=False, chunk_size=chunk_size)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("chunk_size", [None, 4096])
+def test_export_peak_memory_does_not_grow_with_the_space(chunk_size):
+    """The cohort walk's working set is a fixed number of row blocks:
+    nine times the configurations (12 vs 10 blocks) leave the export's
+    peak nearly flat, with and without chunking."""
+    _export_peak_bytes(3, chunk_size)  # first-call allocations, untimed
+    shallow = _export_peak_bytes(10, chunk_size)
+    deep = _export_peak_bytes(12, chunk_size)
+    assert deep <= 1.5 * shallow, (shallow, deep)
+    assert deep < EXPORT_PEAK_CAP, deep
+
+
 def test_cohorts_honor_depth_pruning_and_include_empty():
     pruned = build_scenario(auto_prune=True)
     rows = [row for batch in scenario_batches(pruned) for row in batch.rows()]
@@ -418,6 +472,59 @@ def test_topk_add_batch_nan_raises_at_the_exact_position():
     online = TopK("m", k=2)
     with pytest.raises(ConfigurationError, match="row 2"):
         online.add_batch(_FakeBatch(rows))
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_topk_add_batch_equals_add_under_heavy_ties(maximize, k):
+    """Four distinct values over 300 rows: the window's own k best must
+    pick the same tied rows the scalar fold keeps, however the stream
+    is split into batches."""
+    values = np.random.default_rng(k).integers(0, 4, size=300).astype(float)
+    rows = [{"config": f"c{i}", "m": float(v)} for i, v in enumerate(values)]
+    reference = TopK("m", k=k, maximize=maximize)
+    reference.add(rows)
+    for split in (1, 7, 50, 300):
+        online = TopK("m", k=k, maximize=maximize)
+        for lo in range(0, len(rows), split):
+            online.add_batch(_FakeBatch(rows[lo : lo + split]))
+        assert online.rows == reference.rows, (split, maximize, k)
+        assert online.n_seen == reference.n_seen == len(rows)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_topk_add_batch_nan_after_candidates_matches_add(maximize):
+    """A NaN behind many improving rows raises at its own position,
+    with the ranking folded exactly as far as the scalar fold got."""
+    rows = [{"config": f"c{i}", "m": float(i % 9)} for i in range(40)]
+    rows.append({"config": "nan", "m": float("nan")})
+    rows.append({"config": "after", "m": 100.0})
+    online = TopK("m", k=3, maximize=maximize)
+    online.add_batch(_FakeBatch(rows[:5]))
+    with pytest.raises(ConfigurationError, match="row 40"):
+        online.add_batch(_FakeBatch(rows[5:]))
+    reference = TopK("m", k=3, maximize=maximize)
+    with pytest.raises(ConfigurationError, match="row 40"):
+        reference.add(rows)
+    assert online.rows == reference.rows
+    assert online.n_seen == reference.n_seen == 41
+
+
+def test_topk_add_batch_materializes_at_most_2k_rows():
+    """Every row of a strictly improving batch beats the batch-start
+    root; still only the heap fill (k) and the window's k best are
+    materialized."""
+    k = 5
+    rows = [{"m": float(i)} for i in range(1000)]
+    online = TopK("m", k=k)
+    fake = _FakeBatch(rows)
+    online.add_batch(fake)
+    assert fake.n_materialized == 2 * k
+    assert [row["m"] for row in online.rows] == [999.0, 998.0, 997.0, 996.0, 995.0]
+    # A full heap: the next batch materializes at most k more.
+    fake = _FakeBatch([{"m": float(1000 + i)} for i in range(1000)])
+    online.add_batch(fake)
+    assert fake.n_materialized == k
 
 
 def test_pareto_add_batch_equals_scalar_add():
