@@ -39,6 +39,8 @@ GATED_KINDS: dict[str, tuple[str, ...]] = {
         "speedup_batch_collect_vs_scalar",
     ),
     "explore_pruned_vectorized": ("speedup_fused_vs_scalar_pruned",),
+    # Lazy dedup views vs the row-only-sink baseline (every member row
+    # built); the metric keeps its name so older entries still compare.
     "campaign_fleet_columnar": ("speedup_lazy_vs_materialize",),
     "joint_fleet": ("speedup_joint_vs_naive",),
 }

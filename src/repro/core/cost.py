@@ -50,7 +50,7 @@ def platform_axis_fingerprint(pipeline: InCameraPipeline) -> str:
     The complement of :meth:`InCameraPipeline.fingerprint`: the chain
     fingerprint covers what the blocks *are*, this covers what running
     them *costs* on each available platform. Campaign-level evaluation
-    dedup (:class:`repro.explore.campaign.PipelineCostCache`) keys on
+    dedup (:func:`repro.explore.campaign.scenario_compute_key`) keys on
     the pair — two scenarios share compute-side prefix states only when
     both digests (and the enumeration bounds) match, so structurally
     identical pipelines with different implementation prices can never

@@ -16,7 +16,7 @@ turns that exercise into one reusable engine:
   Pareto-frontier extraction, dominated-config elimination, top-k
   ranking, CSV/JSON export, and adapters back to the legacy
   ``SweepResult`` / ``OffloadReport`` types;
-* :mod:`.incremental` — :class:`PrefixEvaluator`, prefix-memoized
+* :mod:`.incremental` — :class:`~.incremental.PrefixEvaluator`, prefix-memoized
   evaluation turning per-config cost from O(depth) into amortized O(1)
   block extensions (bit-identical to from-scratch evaluation);
 * :mod:`.vectorized` — :class:`BatchPrefixEvaluator`, the columnar
@@ -63,22 +63,14 @@ Quickstart::
     print(result.best["config"], [r["config"] for r in result.pareto()])
 """
 
-from repro.explore.campaign import (
-    Campaign,
-    CampaignResult,
-    ScenarioRun,
-    scenario_compute_key,
-)
+from repro.explore.campaign import Campaign, CampaignResult, ScenarioRun
 from repro.explore.scheduling import (
     SCHEDULING_POLICIES,
     RoundRobin,
     SchedulingPolicy,
     WeightedCompletionTime,
-    resolve_policy,
 )
 from repro.explore.catalog import (
-    CATALOG,
-    CatalogEntry,
     FleetSpec,
     JointFleetSpec,
     ScenarioCatalog,
@@ -95,42 +87,17 @@ from repro.explore.joint import (
     member_demand_bps,
     search_joint_assignment,
 )
-from repro.explore.engine import (
-    EVALUATION_MODES,
-    evaluation_path,
-    explore,
-    explore_brute_force,
-)
-from repro.explore.enumerate import (
-    PRUNED_SUBTREE,
-    DepthPruneHook,
-    PrefixPruner,
-    PruneHook,
-    count_configs,
-    enumeration_plan,
-    iter_configs,
-)
+from repro.explore.engine import evaluation_path, explore, explore_brute_force
+from repro.explore.enumerate import count_configs, iter_configs
 from repro.explore.executor import SweepExecutor
-from repro.explore.incremental import PrefixEvaluator, supports_prefix_evaluation
 from repro.explore.vectorized import BatchPrefixEvaluator, BatchRows
-from repro.explore.prune import (
-    compute_fps_prefix_pruner,
-    energy_depth_lower_bounds,
-    energy_prefix_pruner,
-    lower_bound_depth_hook,
-    shared_capacity_prefix_pruner,
-    shared_capacity_suffix_bounds,
-    throughput_depth_bounds,
-)
 from repro.explore.result import (
     ExplorationResult,
     ParetoFrontier,
     TopK,
-    best_row,
-    domain_frontier,
     pareto_filter,
 )
-from repro.explore.scenario import DOMAINS, Scenario
+from repro.explore.scenario import Scenario
 from repro.explore.sink import (
     CallbackSink,
     CsvSink,
@@ -144,15 +111,10 @@ from repro.explore.sink import (
 __all__ = [
     "BatchPrefixEvaluator",
     "BatchRows",
-    "CATALOG",
     "CallbackSink",
     "Campaign",
     "CampaignResult",
-    "CatalogEntry",
     "CsvSink",
-    "DOMAINS",
-    "DepthPruneHook",
-    "EVALUATION_MODES",
     "ExplorationResult",
     "FleetSpec",
     "JointCandidate",
@@ -162,12 +124,8 @@ __all__ = [
     "JointFleetSpec",
     "JsonlSink",
     "MemorySink",
-    "PRUNED_SUBTREE",
     "ParetoFrontier",
     "ParetoSink",
-    "PrefixEvaluator",
-    "PrefixPruner",
-    "PruneHook",
     "ResultSink",
     "RoundRobin",
     "SCHEDULING_POLICIES",
@@ -179,13 +137,7 @@ __all__ = [
     "TopK",
     "TopKSink",
     "WeightedCompletionTime",
-    "best_row",
-    "compute_fps_prefix_pruner",
     "count_configs",
-    "domain_frontier",
-    "energy_depth_lower_bounds",
-    "energy_prefix_pruner",
-    "enumeration_plan",
     "evaluation_path",
     "explore",
     "explore_brute_force",
@@ -193,15 +145,8 @@ __all__ = [
     "iter_configs",
     "joint_candidates",
     "load_builtin",
-    "lower_bound_depth_hook",
     "member_demand_bps",
     "pareto_filter",
     "register_scenario",
-    "resolve_policy",
-    "scenario_compute_key",
     "search_joint_assignment",
-    "shared_capacity_prefix_pruner",
-    "shared_capacity_suffix_bounds",
-    "supports_prefix_evaluation",
-    "throughput_depth_bounds",
 ]

@@ -44,9 +44,7 @@ only frontier/heap survivors, never N x rows Python objects. Because
 the broadcast replays exactly the solo evaluation's float operations,
 per-scenario results stay byte-identical to ``dedup=False`` and to solo
 ``explore()`` — the invariant suite asserts it over seeded random
-fleets. ``dedup="materialize"`` materializes the same views in bulk per
-member (the lazy path's benchmark baseline).
-:attr:`CampaignResult.cache_stats` reports evaluations skipped.
+fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
 
 Correctness contract: each member's stream is produced in its own
 enumeration order — cohort slices in walk order, pool chunks through
@@ -79,7 +77,6 @@ stream and every open sink the same way.
 from __future__ import annotations
 
 import time
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -92,7 +89,6 @@ from repro.explore.engine import (
     DEFAULT_CHUNK_SIZE,
     _check_dedup_mode,
     _chunked,
-    _gc_paused,
     _RunConsumer,
 )
 from repro.explore.executor import (
@@ -162,6 +158,18 @@ def _solo_walk(
         yield ((index, batch),)
 
 
+def _group_walk(
+    indices: tuple[int, ...], group: list[Scenario], model: Any, chunk_size: int
+) -> Iterator[_Step]:
+    """A dedup group's in-process stream: one cohort walk of the
+    leader's compute-side states, every slice closed for all members at
+    once (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
+    iter_group_batches`) into ``(member index, lazy view)`` pairs."""
+    evaluator = BatchPrefixEvaluator(model, group[0].pass_rates)
+    for views in evaluator.iter_group_batches(group, chunk_size):
+        yield tuple(zip(indices, views))
+
+
 # -- cross-scenario evaluation dedup ------------------------------------
 
 
@@ -209,51 +217,26 @@ def scenario_compute_key(scenario: Scenario) -> tuple | None:
     )
 
 
-class PipelineCostCache:
-    """Campaign-level cross-scenario evaluation dedup: the fleet's dedup
-    groups and their shared walk.
+def _dedup_groups(scenarios: Sequence[Scenario]) -> dict[int, tuple[int, ...]]:
+    """The fleet's dedup groups: leader index -> the group's member
+    indices, leader first, in fleet order.
 
     Fleets routinely carry the same pipeline at several links (the
     design-space sweep shape: one product, every uplink tier); their
-    compute-side costs are link-independent, so evaluating each scenario
-    solo recomputes identical prefix folds once per link. This cache
-    groups a fleet's scenarios by :func:`scenario_compute_key` — every
-    eligible scenario belongs to exactly one group, a scenario with no
-    sibling to a group of one — and :meth:`walk` folds each group's
-    cohort states once for all members.
-
-    The dedup outcome is surfaced through
-    :attr:`CampaignResult.cache_stats`, derived from each run's
-    ``dedup_source`` provenance — one source of truth, no separate
-    counters to drift.
+    compute-side costs are link-independent, so a group of scenarios
+    with equal :func:`scenario_compute_key`s folds its cohort states
+    once for all members (:func:`_group_walk`). Every eligible scenario
+    belongs to exactly one group, a scenario with no sibling to a group
+    of one; ineligible scenarios to none.
     """
-
-    def __init__(self, scenarios: Sequence[Scenario]):
-        self.scenarios = tuple(scenarios)
-        #: Leader index -> the group's member indices, leader first, in
-        #: fleet order.
-        self.groups: dict[int, tuple[int, ...]] = {}
-        #: Member index -> its group's leader (a leader maps to itself).
-        self.leader_of: dict[int, int] = {}
-        by_key: dict[tuple, int] = {}
-        for index, scenario in enumerate(self.scenarios):
-            key = scenario_compute_key(scenario)
-            if key is None:
-                continue
-            leader = by_key.setdefault(key, index)
-            self.groups[leader] = self.groups.get(leader, ()) + (index,)
-            self.leader_of[index] = leader
-
-    def walk(self, leader: int, chunk_size: int) -> Iterator[_Step]:
-        """The group's in-process stream: one cohort walk of the
-        leader's compute-side states, every slice closed for all members
-        at once (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
-        iter_group_batches`) into ``(member index, lazy view)`` pairs."""
-        indices = self.groups[leader]
-        group = [self.scenarios[index] for index in indices]
-        evaluator = BatchPrefixEvaluator(group[0].cost_model(), group[0].pass_rates)
-        for views in evaluator.iter_group_batches(group, chunk_size):
-            yield tuple(zip(indices, views))
+    groups: dict[int, tuple[int, ...]] = {}
+    leaders: dict[tuple, int] = {}
+    for index, scenario in enumerate(scenarios):
+        key = scenario_compute_key(scenario)
+        if key is not None:
+            leader = leaders.setdefault(key, index)
+            groups[leader] = groups.get(leader, ()) + (index,)
+    return groups
 
 
 class _FleetProgress:
@@ -340,8 +323,8 @@ class ScenarioRun:
     candidates, and whatever rows the scenario's sink built (a
     collected result builds any other row only when a query returns
     it) — None when the rows never rode the lazy group walk (no dedup,
-    ``dedup="materialize"``, or a dedup-ineligible scenario; an eligible
-    scenario without a sibling walks as a group of one).
+    or a dedup-ineligible scenario; an eligible scenario without a
+    sibling walks as a group of one).
     """
 
     scenario: Scenario
@@ -420,7 +403,7 @@ class CampaignResult:
         runs: list[ScenarioRun],
         wall_seconds: float,
         policy: str = RoundRobin.name,
-        dedup: bool | str = False,
+        dedup: bool = False,
     ):
         self.name = name
         self.runs = runs
@@ -448,9 +431,8 @@ class CampaignResult:
         actually performed — repeat touches of one row each count, it
         is a work counter, not a distinct-row count; under
         ``collect=False`` with columnar sinks this is roughly the
-        survivors, the lazy win — ``dedup="materialize"`` members
-        count every closed row, collected members the rows built before
-        the run was handed out).
+        survivors, the lazy win — collected members count the rows
+        built before the run was handed out).
         """
         shared = [run for run in self.runs if run.dedup_source is not None]
         by_name = {run.name: run for run in self.runs}
@@ -463,12 +445,7 @@ class CampaignResult:
             groups[leader_name] = {
                 "states_evaluated": leader.n_evaluated,
                 "member_rows_closed": sum(run.n_evaluated for run in members),
-                "rows_materialized": sum(
-                    run.n_evaluated
-                    if run.n_materialized is None
-                    else run.n_materialized
-                    for run in members
-                ),
+                "rows_materialized": sum(run.n_materialized for run in members),
             }
         return {
             "dedup": self.dedup,
@@ -729,7 +706,7 @@ class Campaign:
         sinks: Any = None,
         collect: bool = True,
         policy: Any = None,
-        dedup: bool | str = False,
+        dedup: bool = False,
         frontier: bool = True,
     ) -> Iterator[ScenarioRun]:
         """Stream the fleet: yield each :class:`ScenarioRun` the moment
@@ -784,7 +761,7 @@ class Campaign:
         sink_list: list[Any],
         collect: bool,
         policy: SchedulingPolicy,
-        dedup: bool | str,
+        dedup: bool,
         track_frontier: bool,
     ) -> Iterator[ScenarioRun]:
         """The generator behind :meth:`iter_runs` (argument validation
@@ -794,20 +771,17 @@ class Campaign:
         scenarios = self.scenarios
         models = [scenario.cost_model() for scenario in scenarios]
         stock = [uses_stock_cost_semantics(model) for model in models]
-        cache = PipelineCostCache(scenarios) if dedup else None
+        groups = _dedup_groups(scenarios) if dedup else {}
+        leader_of = {
+            member: leader for leader, indices in groups.items() for member in indices
+        }
         sizes = [
             self._chunk_size_for(scenario, executor, chunk_size, pooled=not flag)
             for scenario, flag in zip(scenarios, stock)
         ]
-        leader_of = cache.leader_of if cache is not None else {}
         members = [
             self._member(
-                index,
-                sink,
-                collect,
-                sizes[index],
-                track_frontier,
-                dedup if index in leader_of else False,
+                index, sink, collect, sizes[index], track_frontier, index in leader_of
             )
             for index, sink in enumerate(sink_list)
         ]
@@ -815,22 +789,15 @@ class Campaign:
         # leader) and one per other stock member, each with the members
         # its steps feed.
         walks: dict[int, Iterator[_Step]] = {}
-        units: dict[int, tuple[int, ...]] = {}
+        units: dict[int, tuple[int, ...]] = dict(groups)
+        for leader, indices in groups.items():
+            group = [scenarios[index] for index in indices]
+            walks[leader] = _group_walk(indices, group, models[leader], sizes[leader])
         for index, scenario in enumerate(scenarios):
-            if index in leader_of:
-                if leader_of[index] == index:
-                    walks[index] = cache.walk(index, sizes[index])
-                    units[index] = cache.groups[index]
-            elif stock[index]:
+            if stock[index] and index not in leader_of:
                 walks[index] = _solo_walk(index, scenario, models[index], sizes[index])
                 units[index] = (index,)
         live = sorted(walks)
-        # Same pause rule as solo explore(): engine-only allocations.
-        pause = (
-            all(stock)
-            and all(scenario.prune is None for scenario in scenarios)
-            and all(sink is None for sink in sink_list)
-        )
         progress = _FleetProgress(len(scenarios))
         start = time.perf_counter()
         opened: list[int] = []
@@ -838,33 +805,10 @@ class Campaign:
         error: BaseException | None = None
         feed = results = None
 
-        # The GC pause must cover the bulk-accumulation regions but NOT
-        # the yields: consumer code between next() calls would otherwise
-        # run with cycle collection disabled for the whole fleet.
-        # Scenario completions are rare (N per campaign), so leaving and
-        # re-entering the paused region around them costs nothing.
-        pause_guard: ExitStack | None = None
-
-        def _enter_pause() -> None:
-            nonlocal pause_guard
-            if pause and pause_guard is None:
-                pause_guard = ExitStack()
-                pause_guard.enter_context(_gc_paused())
-
-        def _exit_pause() -> None:
-            nonlocal pause_guard
-            if pause_guard is not None:
-                pause_guard.close()
-                pause_guard = None
-
-        def _hand_out() -> Iterator[ScenarioRun]:
-            done = self._finish_complete(
+        def _hand_out() -> list[ScenarioRun]:
+            return self._finish_complete(
                 progress, members, sink_list, opened, closed, leader_of
             )
-            if done:
-                _exit_pause()
-                yield from done
-                _enter_pause()
 
         try:
             # Opening happens inside the try so a sink whose open()
@@ -883,7 +827,6 @@ class Campaign:
                     scenarios, models, sizes, policy, progress, scalar
                 )
                 results = executor.imap(_evaluate_tagged_chunk, feed, chunk_size=1)
-            _enter_pause()
             while live or results is not None:
                 if live:
                     index = _select(policy, live)
@@ -910,7 +853,6 @@ class Campaign:
             error = exc
             raise
         finally:
-            _exit_pause()
             # Stop the executor stream first (the pool shuts down after
             # in-flight chunks finish; a drained stream is already shut),
             # then the enumerators, then flush every sink not already
@@ -942,19 +884,18 @@ class Campaign:
         collect: bool,
         chunk_size: int,
         track_frontier: bool,
-        group_dedup: bool | str,
+        grouped: bool,
     ) -> "_Member":
         """One member's run state: the consumer solo ``explore()`` uses,
         plus running statistics on export-only runs (collected runs
-        summarize from the result). ``group_dedup`` is the campaign's
-        ``dedup`` mode for a dedup group member, else False."""
+        summarize from the result). ``grouped`` members ride a dedup
+        group's lazy walk and count the rows they materialize."""
         scenario = self.scenarios[index]
         stats = None if collect else _StreamingStats(scenario.domain, track_frontier)
         consumer = _RunConsumer(
             scenario, sink, self._label(index), collect, chunk_size, stats=stats
         )
-        bulk = group_dedup == "materialize"
-        return _Member(consumer, bulk, 0 if group_dedup and not bulk else None)
+        return _Member(consumer, 0 if grouped else None)
 
     def _finish_complete(
         self,
@@ -987,7 +928,7 @@ class Campaign:
         sinks: Any = None,
         collect: bool = True,
         policy: Any = None,
-        dedup: bool | str = False,
+        dedup: bool = False,
         frontier: bool = True,
     ) -> CampaignResult:
         """Explore every scenario in one campaign run.
@@ -1034,14 +975,13 @@ class Campaign:
             terms — per-scenario results stay byte-identical to a
             ``dedup=False`` run (and to solo ``explore()``), asserted
             by the invariant suite. :attr:`CampaignResult.cache_stats`
-            reports the evaluations skipped. ``True`` (alias
-            ``"lazy"``) closes columnar leader states for the whole
-            group in one multi-link broadcast per segment and hands
-            members lazy :class:`~repro.explore.vectorized.BatchRows`
-            views — under ``collect=False`` only survivors
-            materialize; ``"materialize"`` keeps the per-member
-            materialized finalize (identical values, O(rows x members)
-            Python objects) — the lazy path's benchmark baseline.
+            reports the evaluations skipped. Each group's columnar
+            leader states close for the whole group in one multi-link
+            broadcast per segment, and members receive lazy
+            :class:`~repro.explore.vectorized.BatchRows` views — under
+            ``collect=False`` with columnar sinks only survivors
+            materialize. A plain bool; anything else raises
+            :class:`~repro.errors.ConfigurationError`.
         frontier:
             ``False`` skips the online Pareto frontier on export-only
             runs. When the domain axes anti-correlate, as the
@@ -1151,25 +1091,17 @@ class _Member:
     ``explore()`` uses, the lazy-materialization count (None off the
     lazy group walk) and when its last rows landed."""
 
-    __slots__ = ("consumer", "bulk", "n_materialized", "completed_at")
+    __slots__ = ("consumer", "n_materialized", "completed_at")
 
-    def __init__(
-        self, consumer: _RunConsumer, bulk: bool, n_materialized: int | None
-    ):
+    def __init__(self, consumer: _RunConsumer, n_materialized: int | None):
         self.consumer = consumer
-        #: ``dedup="materialize"``: the group's views are materialized in
-        #: bulk, the lazy path's benchmark baseline.
-        self.bulk = bulk
         self.n_materialized = n_materialized
         self.completed_at = 0.0
 
     def add_batch(self, batch: BatchRows, now: float) -> None:
-        if self.bulk:
-            self.consumer.add_costs(batch.costs())
-        else:
-            self.consumer.add_batch(batch)
-            if self.n_materialized is not None:
-                self.n_materialized += batch.n_materialized
+        self.consumer.add_batch(batch)
+        if self.n_materialized is not None:
+            self.n_materialized += batch.n_materialized
         self.completed_at = now
 
     def add_costs(self, costs: list[Any], now: float) -> None:

@@ -37,10 +37,9 @@ stock-model, unhooked runs (every allocation the engine's own, all
 acyclic) the cyclic GC is paused while results accumulate:
 bulk-appending millions of small cost objects otherwise triggers
 quadratically many full collections over the growing result (this is
-what ``evaluation="scalar"`` and a campaign's ``dedup="materialize"``
-members still do). Runs involving user code (models overriding any
-cost step, per-config prune hooks, sinks) keep the GC live so user
-cycles stay collectable.
+what ``evaluation="scalar"`` still does). Runs involving user code
+(models overriding any cost step, per-config prune hooks, sinks) keep
+the GC live so user cycles stay collectable.
 
 ``explore_brute_force()`` keeps the pre-streaming semantics — eager
 enumeration, from-scratch per-config evaluation, eager rows — as the
@@ -87,11 +86,6 @@ from repro.explore.vectorized import BatchPrefixEvaluator
 #: applicable path, ``"batch"`` requires the columnar path (raising for
 #: models that cannot take it), ``"scalar"`` forces the scalar fold.
 EVALUATION_MODES = ("auto", "batch", "scalar")
-
-#: Valid values of the campaign ``dedup=`` knob (``Campaign.run`` /
-#: ``iter_runs``, and :func:`evaluation_path`): off, lazy columnar
-#: dedup (``True`` is ``"lazy"``), or per-member materialized finalize.
-DEDUP_MODES = (False, True, "lazy", "materialize")
 
 #: Configurations per streamed chunk when neither the caller nor the
 #: executor pins one. Large enough to amortize chunk setup (one cold
@@ -155,12 +149,9 @@ def _check_evaluation_mode(evaluation: str, model: Any) -> None:
 
 
 def _check_dedup_mode(dedup: Any) -> None:
-    """Validate the campaign ``dedup=`` knob (see :data:`DEDUP_MODES`)."""
-    if dedup not in DEDUP_MODES:
-        raise ConfigurationError(
-            "dedup must be False, True, 'lazy' or 'materialize', "
-            f"got {dedup!r}"
-        )
+    """Validate the campaign ``dedup=`` knob: a plain bool."""
+    if not isinstance(dedup, bool):
+        raise ConfigurationError(f"dedup must be True or False, got {dedup!r}")
 
 
 def iter_evaluation_chunks(
@@ -177,18 +168,25 @@ def iter_evaluation_chunks(
 
     The scalar evaluation pipe under :func:`explore` and the
     ``core.offload`` explicit-config facade: configurations are consumed
-    lazily in chunks, each chunk evaluated columnar-batch when the model
-    supports it and :func:`~repro.explore.incremental.evaluate_chunk`'s
-    scalar walk otherwise (memoized, or per-config ``evaluate()`` for
-    models that override it); chunks flow through the executor's
-    bounded-window ``imap``. ``approx_total`` (when known) sizes chunks
-    for parallel executors the way ``map`` would — about four chunks
-    per worker — so small spaces still spread across workers.
-    ``evaluation`` picks the path (see :data:`EVALUATION_MODES`); all
-    paths produce bit-identical costs.
+    lazily in chunks, each chunk evaluated by
+    :func:`~repro.explore.incremental.evaluate_chunk`'s scalar walk
+    (memoized, or per-config ``evaluate()`` for models that override
+    it); chunks flow through the executor's bounded-window ``imap``.
+    ``approx_total`` (when known) sizes chunks for parallel executors
+    the way ``map`` would — about four chunks per worker — so small
+    spaces still spread across workers. ``"auto"`` and ``"scalar"``
+    both run the one scalar fold; ``"batch"`` raises
+    :class:`ConfigurationError` — the columnar path is :func:`explore`'s
+    scenario walk, not an arbitrary configuration stream.
     """
     executor = resolve_executor(executor)
     _check_evaluation_mode(evaluation, model)
+    if evaluation == "batch":
+        raise ConfigurationError(
+            "evaluation='batch' has no explicit-configuration path: the "
+            "columnar fold walks a whole scenario (explore()); use "
+            "evaluation='auto' or 'scalar'"
+        )
     if chunk_size is not None and chunk_size < 1:
         # islice(iterator, 0) would silently end the stream after zero
         # configurations; mirror SweepExecutor's field validation.
@@ -199,20 +197,15 @@ def iter_evaluation_chunks(
             size = auto_chunk_size(approx_total, executor.workers, DEFAULT_CHUNK_SIZE)
         else:
             size = DEFAULT_CHUNK_SIZE
-    allow_batch = evaluation != "scalar"
     chunks = _chunked(iter(configs), size)
     if executor.is_serial:
         # Serial fast path: one evaluator spans the whole stream (no
         # per-chunk cold restarts, no pool plumbing). Values are
         # identical to the chunk-local path — memoization only reuses
-        # states a from-scratch walk would recompute bit-for-bit, and
-        # the columnar fold performs the same operations elementwise.
-        if allow_batch and uses_stock_cost_semantics(model):
-            evaluator: Any = BatchPrefixEvaluator(model, pass_rates)
-        else:
-            evaluator = PrefixEvaluator(model, pass_rates)
+        # states a from-scratch walk would recompute bit-for-bit.
+        evaluator = PrefixEvaluator(model, pass_rates)
         return (evaluator.evaluate_many(chunk) for chunk in chunks)
-    chunk_fn = partial(evaluate_chunk, model, pass_rates, allow_batch=allow_batch)
+    chunk_fn = partial(evaluate_chunk, model, pass_rates)
     return executor.imap(chunk_fn, chunks, chunk_size=1)
 
 
@@ -220,7 +213,7 @@ def evaluation_path(
     scenario: Scenario,
     executor: SweepExecutor | None = None,
     evaluation: str = "auto",
-    dedup: bool | str = False,
+    dedup: bool = False,
 ) -> str:
     """The evaluation path :func:`explore` would take for this call:
 
@@ -243,15 +236,14 @@ def evaluation_path(
     fold in the calling process, only scalar members' chunks reach the
     executor — except:
 
-    - ``"batch-dedup"`` — with dedup on (``True``, ``"lazy"`` or
-      ``"materialize"``), a campaign-dedupable scenario (it has a
+    - ``"batch-dedup"`` — with ``dedup=True``, a campaign-dedupable
+      scenario (it has a
       :func:`~repro.explore.campaign.scenario_compute_key`, so no
       pre-built ``model`` and its stock model applies) runs its
       group's walk: one fold of the shared columnar states, closed
       under every member's link by a multi-link broadcast finalize
-      into lazy :class:`~repro.explore.vectorized.BatchRows` views
-      (which ``"materialize"`` then materializes in bulk). A scenario
-      with no sibling in the fleet is a group of one.
+      into lazy :class:`~repro.explore.vectorized.BatchRows` views. A
+      scenario with no sibling in the fleet is a group of one.
 
     ``executor`` is validated but changes no path: stock models fold
     in process on every executor.

@@ -77,9 +77,9 @@ def uses_stock_cost_semantics(model: Any) -> bool:
     :data:`_COST_STEPS`) is the stock implementation.
 
     The one gate for everything that assumes the stock cost semantics
-    and state shapes: the columnar paths (the cohort walk, batch chunk
-    folds and the dedup group walk replicate and gather struct-of-arrays
-    states, which is also what lets a campaign member fold in process),
+    and state shapes: the columnar paths (the cohort walk and the dedup
+    group walk replicate and gather struct-of-arrays states, which is
+    also what lets a campaign member fold in process),
     the bounds ``Scenario.auto_prune`` /
     ``auto_prune_configs`` derive from the raw ``Implementation``/link
     tables, and the engine's cyclic-GC pause (stock steps allocate only
@@ -275,7 +275,6 @@ def evaluate_chunk(
     model: ThroughputCostModel | EnergyCostModel,
     pass_rates: dict[str, float] | None,
     configs: Sequence[PipelineConfig],
-    allow_batch: bool = True,
 ) -> list[ConfigCost | EnergyCost]:
     """Evaluate one contiguous chunk of configurations.
 
@@ -286,16 +285,8 @@ def evaluate_chunk(
     on a pool, the ``core.offload`` explicit-config facade and the
     campaign's pool lane all evaluate through it, which is why
     interleaving a fleet (under any scheduling policy) cannot change any
-    scenario's values.
-
-    Stock models (:func:`uses_stock_cost_semantics`) fold the chunk
-    columnar (bit-identical values, see :mod:`repro.explore.vectorized`)
-    unless ``allow_batch`` is False; everything else takes the scalar
-    :class:`PrefixEvaluator` — memoized, or one ``evaluate()`` call per
-    configuration for models that override it.
+    scenario's values. It runs the :class:`PrefixEvaluator` walk —
+    memoized, or one ``evaluate()`` call per configuration for models
+    that override it.
     """
-    from repro.explore.vectorized import BatchPrefixEvaluator
-
-    if allow_batch and uses_stock_cost_semantics(model):
-        return BatchPrefixEvaluator(model, pass_rates).evaluate_many(configs)
     return PrefixEvaluator(model, pass_rates).evaluate_many(configs)

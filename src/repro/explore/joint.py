@@ -70,12 +70,11 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.report import TextTable, joint_fleet_summary_table
-from repro.errors import ConfigurationError, PipelineError
+from repro.errors import ConfigurationError
 from repro.explore.campaign import Campaign, CampaignResult
 from repro.explore.enumerate import PRUNED_SUBTREE
 from repro.explore.executor import SweepExecutor
 from repro.explore.prune import shared_capacity_prefix_pruner
-from repro.explore.result import best_row
 from repro.explore.scenario import Scenario
 from repro.explore.sink import ResultSink
 from repro.units import bytes_to_bits
@@ -223,38 +222,23 @@ def joint_candidates(
     the member's rate — the compressed search space contains a joint
     optimum of the full space. Candidates keep depth first-appearance
     (= enumeration) order, so the DFS tie-break is deterministic.
+
+    One reduction: the rows feed a :class:`JointCandidateSink`, the same
+    fold ``explore_joint`` streams every member through.
     """
-    by_depth: dict[int, list[dict[str, Any]]] = {}
-    order: list[int] = []
-    for row in rows:
-        if not row["feasible"]:
-            continue
-        depth = row["n_in_camera"]
-        if depth not in by_depth:
-            by_depth[depth] = []
-            order.append(depth)
-        by_depth[depth].append(row)
-    candidates = []
-    for depth in order:
-        representative = best_row(by_depth[depth], "total_fps")
-        candidates.append(
-            JointCandidate(
-                row=representative,
-                depth=depth,
-                fps=representative["total_fps"],
-                demand_bps=member_demand_bps(member, representative),
-            )
-        )
-    return candidates
+    sink = JointCandidateSink(member)
+    sink.write_rows(rows)
+    return sink.candidates()
 
 
 class JointCandidateSink(ResultSink):
     """Build a member's per-depth candidates while its rows stream.
 
-    The export-only (``collect=False``) counterpart of
-    :func:`joint_candidates`: instead of collecting the member's full
-    row list and compressing it afterwards, the sink folds each chunk
-    into a running (depth -> best feasible row) map. On the columnar
+    The one joint-candidate reduction (:func:`joint_candidates` feeds it
+    a row list; ``explore_joint`` streams every member through it):
+    instead of collecting the member's full row list and compressing it
+    afterwards, the sink folds each chunk into a running (depth -> best
+    feasible row) map. On the columnar
     batch path a whole single-depth cohort batch reduces to at most one
     materialized row (the first feasible row attaining the batch's
     maximum ``total_fps``), so memory stays bounded by the number of
@@ -263,9 +247,8 @@ class JointCandidateSink(ResultSink):
     Exactness: the running entry for a depth is replaced only on a
     *strictly* greater rate, so the surviving row is the first in
     stream (= enumeration) order attaining the depth's maximum — the
-    :func:`~repro.explore.result.best_row` tie rule, byte-identical to
-    what :func:`joint_candidates` picks from collected rows (asserted
-    by the unit suite).
+    :func:`~repro.explore.result.best_row` tie rule (asserted against
+    it by the unit suite).
     """
 
     def __init__(self, member: Scenario):
@@ -506,7 +489,7 @@ def explore_joint(
     chunk_size: int | None = None,
     *,
     policy: Any = None,
-    dedup: bool | str = True,
+    dedup: bool = True,
     collect: bool = True,
 ) -> JointFleetResult:
     """Explore a joint fleet: solo member sweeps, then the joint search.
@@ -519,28 +502,25 @@ def explore_joint(
     groups. Member
     rows are byte-identical to solo ``explore()`` runs.
 
-    Phase 2 compresses each member's feasible rows to per-depth
-    candidates (:func:`joint_candidates`) and finds the max-min-FPS
-    joint assignment fitting ``fleet.capacity_bps``
-    (:func:`search_joint_assignment`).
+    Phase 2 finds the max-min-FPS joint assignment fitting
+    ``fleet.capacity_bps`` (:func:`search_joint_assignment`) over each
+    member's per-depth candidates. Phase 1 already reduced them: every
+    member's rows stream through a :class:`JointCandidateSink` as they
+    land, so the reduction materializes at most one row per cohort
+    batch, never every member row.
 
-    ``collect=False`` is the export-only fast path: phase 1 streams
-    each member's rows through a :class:`JointCandidateSink` instead of
-    retaining them, so memory (and the per-row materialization cost)
-    stays bounded by depths x members. The resulting candidates — and
-    therefore the joint optimum — are byte-identical to the collected
-    path; only ``result.campaign[...].result`` is None.
+    ``collect`` only decides whether the campaign keeps each member's
+    :class:`~repro.explore.result.ExplorationResult`
+    (``result.campaign[...].result``); ``collect=False`` keeps memory
+    bounded by depths x members. Candidates and the joint optimum are
+    the same either way.
     """
     if not isinstance(fleet, JointFleetScenario):
         raise ConfigurationError(
             f"explore_joint needs a JointFleetScenario, got "
             f"{type(fleet).__name__}"
         )
-    sinks = (
-        None
-        if collect
-        else {member.name: JointCandidateSink(member) for member in fleet.members}
-    )
+    sinks = {member.name: JointCandidateSink(member) for member in fleet.members}
     campaign = Campaign(list(fleet.members), name=fleet.name).run(
         executor,
         chunk_size,
@@ -554,19 +534,10 @@ def explore_joint(
         # would double the export-only sweep.
         frontier=collect,
     )
-    candidates = []
+    candidates = [sinks[member.name].candidates() for member in fleet.members]
     feasible_space = 1
     for member in fleet.members:
-        run = campaign[member.name]
-        if sinks is not None:
-            candidates.append(sinks[member.name].candidates())
-        elif run.result is None:  # pragma: no cover - collect=True above
-            raise PipelineError(
-                f"member {member.name!r} has no collected rows to search"
-            )
-        else:
-            candidates.append(joint_candidates(member, run.result.rows))
-        feasible_space *= run.n_feasible
+        feasible_space *= campaign[member.name].n_feasible
     choice, value, demand, counters = search_joint_assignment(
         candidates, fleet.capacity_bps
     )

@@ -113,10 +113,11 @@ def best_row(
 
     This is *the* tie rule of the whole stack — ``max``/``min`` return
     the first element attaining the optimum, so among equal-metric rows
-    the earliest-enumerated configuration wins. Exposed as a function so
-    layers that re-rank row subsets (the joint-fleet candidate
-    reduction in :mod:`repro.explore.joint`) provably share the rule
-    with :attr:`ExplorationResult.best` instead of re-encoding it.
+    the earliest-enumerated configuration wins. Layers that re-rank row
+    subsets share this rule with :attr:`ExplorationResult.best`: the
+    joint-fleet candidate reduction (:class:`~repro.explore.joint.
+    JointCandidateSink`) keeps a depth's row only on a strictly greater
+    rate, and its tests check it against this function.
     """
     if not rows:
         raise PipelineError(f"no rows to rank by {metric!r}")

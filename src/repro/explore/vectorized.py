@@ -58,7 +58,7 @@ these paths; any other model rides the generic scalar
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Iterator, Sequence
+from typing import Any, Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -343,12 +343,11 @@ class _Level:
     """One enumerable block's per-platform tables, in enumeration
     (sorted platform name) order."""
 
-    __slots__ = ("block", "names", "lookup", "impls")
+    __slots__ = ("block", "names", "impls")
 
     def __init__(self, block: Any):
         self.block = block
         self.names = sorted(block.implementations)
-        self.lookup = {name: j for j, name in enumerate(self.names)}
         self.impls = [block.implementations[name] for name in self.names]
 
 
@@ -384,15 +383,15 @@ class BatchPrefixEvaluator:
     struct-of-arrays folds — the batch sibling of
     :class:`~repro.explore.incremental.PrefixEvaluator`.
 
-    Three entry points share one fold core: :meth:`evaluate_many` (an
-    arbitrary configuration sequence, materialized cost objects),
+    Two entry points share one cohort walk:
     :meth:`iter_scenario_batches` (whole-space cohort enumeration with
     lazy :class:`BatchRows`, the solo ``explore()`` and campaign-member
     path) and :meth:`iter_group_batches` (the same walk closed under a
-    campaign dedup group's links). Every path replays the scalar fold's
-    float operations elementwise, so results are bit-identical to the
-    scalar evaluator (and to brute force) — asserted row-for-row by the
-    invariant suite.
+    campaign dedup group's links). Both replay the scalar fold's float
+    operations elementwise, so results are bit-identical to the scalar
+    evaluator (and to brute force) — asserted row-for-row by the
+    invariant suite. Explicit configuration lists take the scalar
+    :class:`~repro.explore.incremental.PrefixEvaluator`.
 
     Only stock models
     (:func:`~repro.explore.incremental.uses_stock_cost_semantics`) are
@@ -432,78 +431,6 @@ class BatchPrefixEvaluator:
                 state, level.block, level.impls, choices, self.pass_rates
             )
         return self.model.extend_state_batch(state, level.block, level.impls, choices)
-
-    # -- arbitrary chunks ------------------------------------------------
-
-    def _segments(
-        self, configs: Sequence[PipelineConfig]
-    ) -> Iterator[tuple[InCameraPipeline, int, list[PipelineConfig]]]:
-        """Contiguous same-(pipeline, depth) runs, preserving order."""
-        i = 0
-        n = len(configs)
-        while i < n:
-            pipeline = configs[i].pipeline
-            depth = len(configs[i].platforms)
-            j = i + 1
-            while (
-                j < n
-                and configs[j].pipeline is pipeline
-                and len(configs[j].platforms) == depth
-            ):
-                j += 1
-            yield pipeline, depth, list(configs[i:j])
-            i = j
-
-    def _run_choices(
-        self, plan: _PipelinePlan, depth: int, run: Sequence[PipelineConfig]
-    ) -> Any:
-        """The ``(n, depth)`` choice matrix of one same-depth run."""
-        levels = plan.levels
-        try:
-            rows = [
-                [levels[level].lookup[platform] for level, platform in enumerate(c.platforms)]
-                for c in run
-            ]
-        except (KeyError, IndexError):
-            # An invalid trusted() platform choice (or a block past the
-            # enumerable levels): surface the standard PipelineError the
-            # validated path produces, exactly like the scalar walk.
-            for config in run:
-                config.in_camera_blocks()
-            raise
-        return np.array(rows, dtype=np.intp).reshape(len(run), depth)
-
-    def _run_state(
-        self, plan: _PipelinePlan, depth: int, run: Sequence[PipelineConfig]
-    ) -> Any:
-        """The pre-finalize state arrays of one same-depth run."""
-        choices = self._run_choices(plan, depth, run)
-        levels = plan.levels
-        state = self.model.initial_state_batch(choices.shape[0])
-        for level in range(depth):
-            state = self._extend(state, levels[level], choices[:, level])
-        return state
-
-    def evaluate_many(
-        self, configs: Iterable[PipelineConfig]
-    ) -> list[ConfigCost | EnergyCost]:
-        """Costs for a configuration sequence, in sequence order —
-        drop-in for :meth:`PrefixEvaluator.evaluate_many` (values are
-        bit-identical; only the fold is columnar)."""
-        configs = configs if isinstance(configs, Sequence) else list(configs)
-        model = self.model
-        energy = self._energy
-        out: list[ConfigCost | EnergyCost] = []
-        for pipeline, depth, run in self._segments(configs):
-            plan = self._plan_for(pipeline)
-            state = self._run_state(plan, depth, run)
-            link_cost = depth_link_cost(
-                model.link, energy, plan.link_costs, depth, run[0]
-            )
-            out.extend(
-                _materialize_costs(run, model.finalize_batch(state, link_cost), energy)
-            )
-        return out
 
     # -- whole-space cohort enumeration ----------------------------------
 

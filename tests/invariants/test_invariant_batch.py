@@ -10,9 +10,9 @@ pipelines, links and constraints in both cost domains:
 * **batch explore == scalar explore**: ``explore()`` on the auto
   (batch) path equals ``evaluation="scalar"``, with and without
   pruning;
-* **batch fold == scalar fold**: the evaluator pair agrees directly on
-  shuffled mixed-depth configuration streams, including energy
-  ``pass_rates`` overrides;
+* **batch fold == scalar fold**: the cohort walk's rows equal the
+  scalar evaluator's fold of the same configurations fed as a shuffled
+  mixed-depth stream, including energy ``pass_rates`` overrides;
 * **dedup on == off**: campaign results with cross-scenario dedup
   equal the dedup-free run.
 """
@@ -59,22 +59,28 @@ def test_batch_explore_equals_scalar_with_pruning(gen, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_fold_equals_scalar_fold_on_shuffled_configs(gen, seed):
-    """Direct evaluator equivalence on a mixed-depth, shuffled stream —
-    the shape campaign chunks and pruned enumerations feed the batch
-    path (contiguous same-depth runs are an optimization, never a
-    requirement)."""
+    """Direct evaluator equivalence: the cohort walk's rows, permuted,
+    equal the scalar fold over the same permutation of the
+    configurations — a mixed-depth, shuffled stream on which the scalar
+    walk's prefix reuse keeps breaking off (contiguous same-prefix runs
+    are an optimization, never a requirement)."""
     rng = make_rng(seed)
     scenario = gen.scenario(rng, name=f"fold-{seed}")
     model = scenario.cost_model()
     assert uses_stock_cost_semantics(model)
     configs = list(scenario.iter_configs())
-    order = rng.permutation(len(configs))
-    configs = [configs[int(i)] for i in order]
+    order = [int(i) for i in rng.permutation(len(configs))]
 
     batch = BatchPrefixEvaluator(model, pass_rates=scenario.pass_rates)
+    walked = [
+        row for rows in batch.iter_scenario_batches(scenario) for row in rows.rows()
+    ]
     scalar = PrefixEvaluator(model, pass_rates=scenario.pass_rates)
-    got = [cost_row(scenario, cost) for cost in batch.evaluate_many(configs)]
-    want = [cost_row(scenario, scalar.evaluate(config)) for config in configs]
+    got = [walked[i] for i in order]
+    want = [
+        cost_row(scenario, cost)
+        for cost in scalar.evaluate_many([configs[i] for i in order])
+    ]
     assert json.dumps(got) == json.dumps(want), seed
 
 

@@ -30,8 +30,8 @@ from repro.explore import (
     WeightedCompletionTime,
     evaluation_path,
     explore,
-    scenario_compute_key,
 )
+from repro.explore.campaign import scenario_compute_key
 from repro.explore import campaign as campaign_module
 
 SEEDS = range(10)
@@ -197,7 +197,7 @@ def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
         "scalar-scratch": "scalar",
     }
     for executor in (SweepExecutor(), SweepExecutor(workers=2, backend="thread")):
-        for dedup in (False, True, "materialize"):
+        for dedup in (False, True):
             taken.clear()
             Campaign(fleet).run(executor, chunk_size=4, dedup=dedup)
             for member in fleet:

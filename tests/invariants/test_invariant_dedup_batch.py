@@ -3,8 +3,8 @@
 PR 8's load-bearing identity: the *lazy columnar* dedup finalize
 (``dedup=True``, one ``finalize_batch_multi`` broadcast per shared
 segment, members handing consumers lazy ``BatchRows`` views) produces
-exactly the bytes of the *materialized* per-member finalize
-(``dedup="materialize"``, the pre-PR-8 path), of a dedup-off campaign,
+exactly the bytes of the same views fully *materialized* (row-only
+sinks build every member row), of a dedup-off campaign,
 and of a solo ``explore()`` — for both domains, with pass-rate
 variants, collected and export-only, on serial, thread and process
 executors. The multi-link broadcast replays each member's scalar
@@ -14,7 +14,7 @@ never tolerance.
 The fleet-generator round trip is also a property: every
 :class:`~repro.explore.FleetSpec` cell (entry x pass-rate variant)
 expands to scenarios sharing one
-:func:`~repro.explore.scenario_compute_key` across the link grid, and
+:func:`~repro.explore.campaign.scenario_compute_key` across the link grid, and
 never across cells.
 """
 
@@ -31,10 +31,10 @@ from repro.explore import (
     SweepExecutor,
     evaluation_path,
     explore,
-    scenario_compute_key,
 )
+from repro.explore.campaign import scenario_compute_key
 from repro.explore.catalog import load_builtin
-from repro.explore.sink import CsvSink, ParetoSink, TopKSink
+from repro.explore.sink import CsvSink, MemorySink, ParetoSink, TopKSink
 
 SEEDS = range(10)
 
@@ -59,22 +59,30 @@ def _grouped(fleet):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lazy_equals_materialize_equals_off_equals_solo(gen, seed):
-    """Collected runs: all three dedup modes return byte-identical rows,
-    stats and frontiers, matching solo explore."""
+    """Collected runs: lazy dedup, dedup with every member row
+    materialized (row-only sinks), and dedup off return byte-identical
+    rows, stats and frontiers, matching solo explore."""
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
     lazy = Campaign(fleet).run(chunk_size=4, dedup=True)
-    materialized = Campaign(fleet).run(chunk_size=4, dedup="materialize")
+    row_sinks = {scenario.name: MemorySink() for scenario in fleet}
+    materialized = Campaign(fleet).run(chunk_size=4, dedup=True, sinks=row_sinks)
     off = Campaign(fleet).run(chunk_size=4, dedup=False)
     for runs in zip(lazy, materialized, off):
         reference = json.dumps(solo[runs[0].name])
         for run in runs:
             assert json.dumps(run.result.rows) == reference, (seed, run.name)
+        assert json.dumps(row_sinks[runs[0].name].rows) == reference
         assert len({run.n_feasible for run in runs}) == 1
         assert len({run.pareto_size for run in runs}) == 1
         assert runs[0].best == runs[1].best == runs[2].best
-    # Both dedup modes share identical *amounts* of work; only the lazy
-    # mode reports materialization counts for group members.
+    # The sinks built every member row; the lazy run only what the
+    # result's queries touched.
+    for lean, full in zip(lazy, materialized):
+        if full.n_materialized is not None:
+            assert full.n_materialized >= full.n_evaluated, (seed, full.name)
+            assert lean.n_materialized <= full.n_materialized, (seed, lean.name)
+    # Both dedup runs share identical *amounts* of work.
     assert (
         lazy.cache_stats["evaluations_skipped"]
         == materialized.cache_stats["evaluations_skipped"]
@@ -96,7 +104,7 @@ def test_export_only_csv_bytes_match_solo(gen, seed):
         collect=False,
         dedup=True,
     )
-    collected = Campaign(fleet).run(chunk_size=3, dedup="materialize")
+    collected = Campaign(fleet).run(chunk_size=3, dedup=False)
     for scenario in fleet:
         solo = explore(scenario)
         expected = solo.to_csv() if solo.rows else ""
@@ -247,15 +255,13 @@ def test_pass_rate_sibling_fleets_group_and_match(gen, seed):
     groups = _grouped(fleet)
     assert sorted(len(members) for members in groups.values()) == [1, 2]
     solo = _solo_rows(fleet)
-    for mode in (True, "materialize"):
-        result = Campaign(fleet).run(chunk_size=3, dedup=mode)
-        assert result.cache_stats["scenarios_shared"] == 1
-        for run in result:
-            assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
-                seed,
-                mode,
-                run.name,
-            )
+    result = Campaign(fleet).run(chunk_size=3, dedup=True)
+    assert result.cache_stats["scenarios_shared"] == 1
+    for run in result:
+        assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
+            seed,
+            run.name,
+        )
 
 
 def test_invalid_dedup_mode_raises():
@@ -265,9 +271,11 @@ def test_invalid_dedup_mode_raises():
         s
         for s in [load_builtin().build("compression-throughput")]
     ]
-    with pytest.raises(ConfigurationError):
-        Campaign(fleet).run(dedup="eager")
-    # evaluation_path validates dedup= with the same modes.
-    for bogus in ("eager", None):
+    # dedup= is a plain bool: the retired "lazy"/"materialize" modes,
+    # None and truthy non-bools all raise.
+    for bogus in ("eager", "lazy", "materialize", None, 1):
+        with pytest.raises(ConfigurationError, match="dedup must be"):
+            Campaign(fleet).run(dedup=bogus)
+        # evaluation_path validates dedup= the same way.
         with pytest.raises(ConfigurationError, match="dedup must be"):
             evaluation_path(fleet[0], dedup=bogus)

@@ -569,7 +569,7 @@ def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeyp
 
     monkeypatch.setattr(SweepExecutor, "imap", spying_imap)
     for policy in ("round_robin", "weighted_completion"):
-        for dedup in (False, True, "materialize"):
+        for dedup in (False, True):
             pooled.clear()
             result = Campaign(fleet).run(
                 executor, chunk_size=5, policy=policy, dedup=dedup

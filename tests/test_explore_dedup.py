@@ -32,8 +32,8 @@ from repro.explore import (
     Scenario,
     SweepExecutor,
     explore,
-    scenario_compute_key,
 )
+from repro.explore.campaign import scenario_compute_key
 from repro.hw.network import ETHERNET_25G, RF_BACKSCATTER, WIFI_CLASS, LinkModel
 
 

@@ -21,19 +21,23 @@ from repro.core.pipeline import InCameraPipeline, PipelineConfig
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore import (
     Campaign,
-    PrefixEvaluator,
     Scenario,
     SweepExecutor,
     count_configs,
-    energy_depth_lower_bounds,
     explore,
     explore_brute_force,
     iter_configs,
-    lower_bound_depth_hook,
+)
+from repro.explore.incremental import (
+    PrefixEvaluator,
+    evaluate_chunk,
     supports_prefix_evaluation,
+)
+from repro.explore.prune import (
+    energy_depth_lower_bounds,
+    lower_bound_depth_hook,
     throughput_depth_bounds,
 )
-from repro.explore.incremental import evaluate_chunk
 from repro.hw.network import ETHERNET_25G, RF_BACKSCATTER, LinkModel
 from repro.vr.scenarios import build_vr_pipeline
 

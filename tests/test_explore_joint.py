@@ -13,6 +13,7 @@ from repro.core.pipeline import InCameraPipeline
 from repro.core.report import JOINT_SUMMARY_COLUMNS, joint_fleet_summary_table
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore import (
+    BatchPrefixEvaluator,
     Campaign,
     JointCandidate,
     JointCandidateSink,
@@ -20,17 +21,19 @@ from repro.explore import (
     JointFleetSpec,
     Scenario,
     WeightedCompletionTime,
-    best_row,
     explore,
     explore_joint,
     joint_candidates,
     load_builtin,
     member_demand_bps,
     search_joint_assignment,
+)
+from repro.explore.enumerate import PRUNED_SUBTREE
+from repro.explore.prune import (
     shared_capacity_prefix_pruner,
     shared_capacity_suffix_bounds,
 )
-from repro.explore.enumerate import PRUNED_SUBTREE
+from repro.explore.result import best_row
 from repro.hw.network import LinkModel
 from repro.units import bytes_to_bits
 
@@ -317,16 +320,38 @@ def test_explore_joint_collect_false_is_byte_identical():
 
 
 def test_joint_candidate_sink_matches_batch_compression():
+    """The sink's reduction against an independent reference: per
+    depth, ``best_row`` over the feasible rows, depths in
+    first-appearance order. Checked over row chunks, over the cohort
+    walk's lazy batches, and through ``joint_candidates``."""
     member = build_member("cam0")
     rows = explore(member).rows
-    sink = JointCandidateSink(member)
-    # Feed in uneven chunks to exercise cross-chunk first-max merging.
+    by_depth: dict[int, list] = {}
+    for row in rows:
+        if row["feasible"]:
+            by_depth.setdefault(row["n_in_camera"], []).append(row)
+    reference = json.dumps(
+        [best_row(depth_rows, "total_fps") for depth_rows in by_depth.values()]
+    )
+    assert len(by_depth) > 1
+
+    def candidate_rows(sink):
+        return json.dumps([candidate.row for candidate in sink.candidates()])
+
+    # Uneven row chunks exercise cross-chunk first-max merging.
+    chunked = JointCandidateSink(member)
     for start in range(0, len(rows), 7):
-        sink.write_rows(rows[start : start + 7])
-    assert json.dumps(
-        [candidate.row for candidate in sink.candidates()]
-    ) == json.dumps(
-        [candidate.row for candidate in joint_candidates(member, rows)]
+        chunked.write_rows(rows[start : start + 7])
+    assert candidate_rows(chunked) == reference
+    # Lazy batches, several per depth cohort.
+    batched = JointCandidateSink(member)
+    evaluator = BatchPrefixEvaluator(member.cost_model())
+    for batch in evaluator.iter_scenario_batches(member, chunk_size=5):
+        batched.write_batch(batch)
+    assert candidate_rows(batched) == reference
+    assert (
+        json.dumps([candidate.row for candidate in joint_candidates(member, rows)])
+        == reference
     )
 
 

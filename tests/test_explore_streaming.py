@@ -32,12 +32,12 @@ from repro.explore import (
     SchedulingPolicy,
     SweepExecutor,
     WeightedCompletionTime,
-    domain_frontier,
     explore,
     load_builtin,
     pareto_filter,
-    resolve_policy,
 )
+from repro.explore.result import domain_frontier
+from repro.explore.scheduling import resolve_policy
 
 #: A mixed-size, mixed-domain fleet (ascending design-space sizes:
 #: faceauth 11, vr 15, snnap-dvfs 40, codec 81).
@@ -348,9 +348,9 @@ def test_sink_error_preserves_sibling_streamed_frontiers():
 
 
 def test_iter_runs_consumer_code_sees_live_gc():
-    """The bulk-accumulation GC pause must not leak into the consumer:
-    code between next() calls (dashboards, plotting — cycle-heavy) runs
-    with the cyclic GC enabled, even on paused-eligible campaigns (no
+    """No GC pause leaks into the consumer: code between next() calls
+    (dashboards, plotting — cycle-heavy) runs with the cyclic GC
+    enabled, also on the fleets solo explore() would pause for (no
     sinks, stock models, no prune hooks)."""
     import gc
 

@@ -18,14 +18,13 @@ import pytest
 
 from repro.core.block import Block, Implementation
 from repro.core.cost import EnergyCostModel, ThroughputCostModel
-from repro.core.pipeline import InCameraPipeline, PipelineConfig
-from repro.errors import ConfigurationError, PipelineError
+from repro.core.pipeline import InCameraPipeline
+from repro.errors import ConfigurationError
 from repro.explore import (
     BatchPrefixEvaluator,
     CallbackSink,
     MemorySink,
     ParetoSink,
-    PrefixEvaluator,
     ResultSink,
     Scenario,
     SweepExecutor,
@@ -34,10 +33,14 @@ from repro.explore import (
     evaluation_path,
     explore,
     explore_brute_force,
-    supports_prefix_evaluation,
 )
 from repro.explore.engine import iter_evaluation_chunks
-from repro.explore.incremental import evaluate_chunk, uses_stock_cost_semantics
+from repro.explore.incremental import (
+    PrefixEvaluator,
+    evaluate_chunk,
+    supports_prefix_evaluation,
+    uses_stock_cost_semantics,
+)
 from repro.explore.result import ParetoFrontier, cost_row
 from repro.explore.sink import uses_columnar_writes
 from repro.hw.network import LinkModel
@@ -208,6 +211,12 @@ def test_evaluation_mode_validation():
         iter_evaluation_chunks(
             _ScalarOnlyOverride(LINK), iter(()), evaluation="batch"
         )
+    # The columnar path walks whole scenarios: an explicit configuration
+    # stream has no batch fold, even for a stock model.
+    with pytest.raises(ConfigurationError, match="no explicit-configuration path"):
+        iter_evaluation_chunks(
+            ThroughputCostModel(LINK), scenario.iter_configs(), evaluation="batch"
+        )
     for cls in (_MatchedOverride, _BatchOnlyOverride):
         custom = build_scenario(model=cls(LINK), link=None)
         with pytest.raises(ConfigurationError, match="batch-capable cost model"):
@@ -364,14 +373,6 @@ def test_cohorts_honor_depth_pruning_and_include_empty():
     depths = [batch.depth for batch in scenario_batches(no_empty)]
     assert 0 not in depths
     assert sum(len(b) for b in scenario_batches(no_empty)) == no_empty.count_configs()
-
-
-def test_invalid_trusted_platform_raises_like_the_scalar_walk():
-    pipeline = build_pipeline()
-    config = PipelineConfig.trusted(pipeline, ("bogus",))
-    evaluator = BatchPrefixEvaluator(ThroughputCostModel(LINK))
-    with pytest.raises(PipelineError):
-        evaluator.evaluate_many([config])
 
 
 def test_group_batches_equal_each_members_solo_walk():
