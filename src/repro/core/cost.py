@@ -92,12 +92,18 @@ def option_energy_columns(impls: Sequence[Implementation]) -> tuple[Any, Any]:
 
 
 #: Throughput prefix state: (running min fps, slowest block label).
+#: The batch twin keeps only what a row's platform choices cannot
+#: recover: an fps column and a level-code column (the label's block);
+#: the label's platform is the row's choice at that level.
 ThroughputState = tuple[float, str]
 
 #: Energy prefix state: (fraction of frames reaching the next stage,
 #: accumulated (block name, expected joules) pairs, expected active
 #: seconds). The energies are a tuple so states are immutable and safe
-#: to share between sibling prefixes in a memoized walk.
+#: to share between sibling prefixes in a memoized walk. The batch twin
+#: keeps the rate as one scalar, the block energies as one per-option
+#: table per level (a row's energy is its choice's entry), and per row
+#: only the running compute-energy sum and the active seconds.
 EnergyState = tuple[float, tuple[tuple[str, float], ...], float]
 
 
@@ -182,9 +188,20 @@ class ThroughputCostModel:
     # batch kernels perform the same float operations in the same order
     # (elementwise), so results are bit-identical to the scalar path.
 
-    def initial_state_batch(self, n: int) -> tuple[Any, Any]:
-        """Array-shaped :meth:`initial_state` for ``n`` configurations."""
-        return (np.full(n, float("inf")), np.full(n, "none", dtype=object))
+    def initial_state_batch(self, n: int, n_levels: int) -> tuple[Any, Any]:
+        """Array-shaped :meth:`initial_state` for ``n`` configurations
+        of a walk over ``n_levels`` blocks.
+
+        The label column holds *level codes*: -1 for ``"none"``, else
+        the index of the slowest block, in the smallest signed dtype
+        that holds every level index (``int8`` up to 128 levels). The
+        row's platform at that level completes the label, so the
+        string is decoded only for rows that become cost objects.
+        """
+        return (
+            np.full(n, float("inf")),
+            np.full(n, -1, dtype=np.min_scalar_type(-max(n_levels, 1))),
+        )
 
     def extend_state_batch(
         self,
@@ -192,24 +209,23 @@ class ThroughputCostModel:
         block: Block,
         impls: Sequence[Implementation],
         choices: Any,
+        level: int,
     ) -> tuple[Any, Any]:
         """Array-shaped :meth:`extend_state`.
 
         ``impls`` is the block's implementations in enumeration (sorted
-        platform) order and ``choices`` an integer array selecting each
-        row's implementation. The running-min update mirrors the scalar
-        branch ``if impl.fps < state[0]`` exactly.
+        platform) order, ``choices`` an integer array selecting each
+        row's implementation and ``level`` the block's index in the
+        walk, the code a row records when this block becomes its
+        slowest. The running-min update mirrors the scalar branch
+        ``if impl.fps < state[0]`` exactly.
         """
-        fps_cur, labels_cur = state
-        option_fps = option_fps_column(impls)
-        option_labels = np.array(
-            [f"{block.name}({impl.platform})" for impl in impls], dtype=object
-        )
-        fps_new = option_fps[choices]
+        fps_cur, codes = state
+        fps_new = option_fps_column(impls)[choices]
         slower = fps_new < fps_cur
         return (
             np.where(slower, fps_new, fps_cur),
-            np.where(slower, option_labels[choices], labels_cur),
+            np.where(slower, codes.dtype.type(level), codes),
         )
 
     def finalize_batch(
@@ -220,11 +236,13 @@ class ThroughputCostModel:
         ``communication_fps`` is the per-depth link rate shared by every
         row (the payload depends only on the cut depth). Returns the
         column mapping consumed by
-        :class:`repro.explore.vectorized.BatchRows`.
+        :class:`repro.explore.vectorized.BatchRows`, which decodes
+        ``slowest_block`` from the ``slowest_level`` codes and each
+        row's platform choices.
         """
         return {
             "compute_fps": state[0],
-            "slowest_block": state[1],
+            "slowest_level": state[1],
             "communication_fps": communication_fps,
         }
 
@@ -233,18 +251,14 @@ class ThroughputCostModel:
     ) -> list[dict[str, Any]]:
         """Close ONE batch state under ``n_members`` link terms at once.
 
-        The compute-side columns (``compute_fps``, ``slowest_block``)
+        The compute-side columns (``compute_fps``, ``slowest_level``)
         are link-independent, so every member's column dict shares them
         by reference — a dedup group of N links closes a depth cohort
         with zero per-row work beyond the shared fold. Member ``m``'s
         columns are exactly ``finalize_batch(state, stack[m])``.
         """
         return [
-            {
-                "compute_fps": state[0],
-                "slowest_block": state[1],
-                "communication_fps": communication_fps,
-            }
+            self.finalize_batch(state, communication_fps)
             for communication_fps in communication_fps_stack
         ]
 
@@ -365,34 +379,43 @@ class EnergyCostModel:
         return self.finalize(state, config)
 
     # -- columnar batch counterparts -----------------------------------
-    # Row i of every array is the scalar fold of configuration i: the
+    # Row i of every column is the scalar fold of configuration i: the
     # batch kernels perform the same float operations in the same order
-    # (elementwise), so results are bit-identical to the scalar path.
+    # (elementwise, or once per option where every row of a depth
+    # shares the operands), so results are bit-identical to the scalar
+    # path.
 
-    def initial_state_batch(self, n: int) -> tuple[Any, tuple, Any]:
-        """Array-shaped :meth:`initial_state` for ``n`` configurations."""
-        return (np.ones(n), (), np.zeros(n))
+    def initial_state_batch(self, n: int) -> tuple[float, tuple, Any, Any]:
+        """Array-shaped :meth:`initial_state` for ``n`` configurations:
+        ``(rate, tables, compute, active)`` with empty columns."""
+        return (1.0, (), np.zeros(n), np.zeros(n))
 
     def extend_state_batch(
         self,
-        state: tuple[Any, tuple, Any],
+        state: tuple[float, tuple, Any, Any],
         block: Block,
         impls: Sequence[Implementation],
         choices: Any,
         pass_rates: dict[str, float] | None = None,
-    ) -> tuple[Any, tuple, Any]:
+    ) -> tuple[float, tuple, Any, Any]:
         """Array-shaped :meth:`extend_state`.
 
         ``impls`` is the block's implementations in enumeration (sorted
         platform) order and ``choices`` an integer array selecting each
-        row's implementation. Per-block energies stay one array per
-        level (struct-of-arrays), mirroring the scalar state's tuple of
-        ``(name, energy)`` pairs.
+        row's implementation. A pass rate belongs to a block, not a
+        platform, so every row of a depth shares one ``rate`` scalar.
+        A block's expected energies are therefore one table of
+        ``rate * energy_per_frame`` per option — entry ``c`` is the
+        scalar fold's ``rate * impl.energy_per_frame`` bit for bit —
+        and the state keeps those ``(block name, table)`` pairs in
+        place of per-row energy arrays. Per row it carries only the
+        running sum of the chosen entries (``compute``, added left to
+        right exactly as ``sum(block_energies.values())``) and the
+        active seconds.
         """
-        rate, energies, active = state
+        rate, tables, compute, active = state
         option_energy, option_active = option_energy_columns(impls)
-        energy = rate * option_energy[choices]
-        active = active + rate * option_active[choices]
+        table = rate * option_energy
         block_rate = (
             pass_rates.get(block.name, block.pass_rate)
             if pass_rates is not None
@@ -402,56 +425,62 @@ class EnergyCostModel:
             raise PipelineError(
                 f"pass rate for {block.name!r} must be in [0,1], got {block_rate}"
             )
-        return (rate * block_rate, energies + ((block.name, energy),), active)
+        return (
+            float(rate * block_rate),
+            tables + ((block.name, table),),
+            compute + table[choices],
+            active + (rate * option_active)[choices],
+        )
 
     def finalize_batch(
-        self, state: tuple[Any, tuple, Any], link_costs: tuple[float, float]
+        self, state: tuple[float, tuple, Any, Any], link_costs: tuple[float, float]
     ) -> dict[str, Any]:
         """Close a batch state into columnar cost fields.
 
         ``link_costs`` is the per-depth (transmit joules, transmit
         seconds) pair shared by every row. Returns the column mapping
-        consumed by :class:`repro.explore.vectorized.BatchRows`.
+        consumed by :class:`repro.explore.vectorized.BatchRows`:
+        ``transmit_rate`` and ``transmit_energy`` are per-depth scalars,
+        ``block_energies`` the per-level option tables (decoded per row
+        from its platform choices) and ``compute_energy`` /
+        ``active_seconds`` per-row columns.
         """
-        rate, energies, active = state
+        rate, tables, compute, active = state
         return {
             "transmit_rate": rate,
-            "block_energies": energies,
-            "transmit_energy": rate * link_costs[0],
+            "block_energies": tables,
+            "compute_energy": compute,
+            "transmit_energy": float(rate * link_costs[0]),
             "active_seconds": active + rate * link_costs[1],
         }
 
     def finalize_batch_multi(
         self,
-        state: tuple[Any, tuple, Any],
+        state: tuple[float, tuple, Any, Any],
         link_costs_stack: Sequence[tuple[float, float]],
     ) -> list[dict[str, Any]]:
         """Close ONE batch state under ``n_members`` link terms at once.
 
         ``link_costs_stack`` holds each member's per-depth (transmit
-        joules, transmit seconds) pair. The two link-dependent columns
-        fold as a single ``(n_members, n_rows)`` broadcast each:
-        ``rate[None, :] * tx[:, None]`` computes ``rate_i * tx_m`` per
-        cell — the identical IEEE-754 double multiply the scalar
-        ``finalize`` performs — and ``active[None, :] + rate[None, :] *
-        sec[:, None]`` multiplies before adding, matching the scalar
-        ``active + rate * link_costs[1]`` operation order, so member
-        ``m``'s row slice is bit-identical to
-        ``finalize_batch(state, stack[m])``. The link-independent
-        columns (``transmit_rate``, ``block_energies``) are shared by
+        joules, transmit seconds) pair. The one link-dependent column
+        folds as a single ``(n_members, n_rows)`` broadcast:
+        ``active[None, :] + (rate * sec)[:, None]`` multiplies before
+        adding, matching the scalar ``active + rate * link_costs[1]``
+        operation order, so member ``m``'s row slice is bit-identical
+        to ``finalize_batch(state, stack[m])``. The link-independent
+        columns (``block_energies``, ``compute_energy``) are shared by
         reference across members.
         """
-        rate, energies, active = state
-        tx = np.array([pair[0] for pair in link_costs_stack])
+        rate, tables, compute, active = state
         sec = np.array([pair[1] for pair in link_costs_stack])
-        transmit = rate[None, :] * tx[:, None]
-        active_all = active[None, :] + rate[None, :] * sec[:, None]
+        active_all = active[None, :] + (rate * sec)[:, None]
         return [
             {
                 "transmit_rate": rate,
-                "block_energies": energies,
-                "transmit_energy": transmit[member],
+                "block_energies": tables,
+                "compute_energy": compute,
+                "transmit_energy": float(rate * tx),
                 "active_seconds": active_all[member],
             }
-            for member in range(len(link_costs_stack))
+            for member, (tx, _) in enumerate(link_costs_stack)
         ]

@@ -17,6 +17,13 @@ configurations as numpy struct-of-arrays operations:
   fit one fixed-size block of rows (:data:`_BLOCK_ROWS`); deeper
   cohorts are walked depth-first in blocks, so the walk's memory stays
   bounded whatever the design-space size.
+* A row carries only what its platform choices cannot recover — the
+  running fps and a slowest-level code, or the running compute energy
+  and active seconds. Below the resident cohorts, a row's choices are
+  implied by its position in the walk (a :class:`_Frame` per level,
+  which stores positions only when a prune mask compacted the level).
+  Labels, per-block energies (per-option tables, one per level) and
+  full choice rows are decoded only for rows that materialize.
 * Cost/row/config *objects* are materialized lazily: a
   :class:`BatchRows` view hands consumers numeric columns
   (:meth:`BatchRows.metric_column`) and only constructs Python objects
@@ -26,13 +33,16 @@ configurations as numpy struct-of-arrays operations:
 
 Bit-identity is the correctness contract: the batch kernels perform the
 same IEEE-754 float operations in the same order as the scalar fold
-(elementwise per row), so every materialized cost, row and frontier is
+(elementwise per row, or once per option where every row of a depth
+shares the operands), so every materialized cost, row and frontier is
 byte-identical to the scalar and brute-force paths — asserted by the
 invariant suite. That constraint shapes the kernels: the running-min
 update is ``np.where(new < cur, new, cur)`` (the scalar branch, not
-``np.minimum``, whose NaN semantics differ), and per-block energies
-stay one array per level so the left-to-right accumulation order is
-preserved.
+``np.minimum``, whose NaN semantics differ, and the first minimum
+keeps the level code on ties), a level's energy table entry is the
+scalar ``rate * energy_per_frame``, and the compute-energy column adds
+the chosen entries left to right from zero, as the scalar row's
+``sum(block_energies.values())`` does.
 
 Pruned runs and campaigns ride the same columnar core:
 
@@ -58,6 +68,7 @@ these paths; any other model rides the generic scalar
 
 from __future__ import annotations
 
+from operator import getitem
 from typing import Any, Generator, Iterator, Sequence
 
 import numpy as np
@@ -82,74 +93,171 @@ _BLOCK_ROWS = 1 << 14
 
 # -- stock state-shape helpers ------------------------------------------
 # Only the fully stock models reach these (gated by
-# uses_stock_cost_semantics): throughput states are (fps array, label
-# array), energy states (rate array, ((name, energy array), ...), active
-# array).
+# uses_stock_cost_semantics): throughput states are (fps column, level
+# code column), energy states (rate, ((name, option table), ...),
+# compute column, active column). Columns are the state's ndarrays;
+# everything else is shared by every row of a depth and passes through.
 
 
-def _repeat_state(state: Any, k: int, energy: bool) -> Any:
+def _repeat_state(state: tuple, k: int) -> tuple:
     """Each state row repeated ``k`` times (np.repeat copies bits)."""
-    if energy:
-        rate, energies, active = state
-        return (
-            np.repeat(rate, k),
-            tuple((name, np.repeat(arr, k)) for name, arr in energies),
-            np.repeat(active, k),
-        )
-    fps, labels = state
-    return (np.repeat(fps, k), np.repeat(labels, k))
+    return tuple(
+        np.repeat(part, k) if isinstance(part, np.ndarray) else part
+        for part in state
+    )
 
 
-def _take_state(state: Any, indices: Any, energy: bool) -> Any:
-    """State rows gathered by index (bit-exact copies)."""
-    if energy:
-        rate, energies, active = state
-        return (
-            rate[indices],
-            tuple((name, arr[indices]) for name, arr in energies),
-            active[indices],
-        )
-    fps, labels = state
-    return (fps[indices], labels[indices])
+def _take_state(state: tuple, index: Any) -> tuple:
+    """State rows selected by a slice or index array (bit-exact)."""
+    return tuple(
+        part[index] if isinstance(part, np.ndarray) else part for part in state
+    )
+
+
+class _Frame:
+    """One level of the cohort walk's choice tree.
+
+    A level's children are laid out ``k`` per parent in product order,
+    from parent row ``offset`` on, so child position ``p`` chose option
+    ``p % k`` and descends from parent row ``offset + p // k``. Row
+    ``i``'s position is ``kept[i]`` when a prune mask compacted the
+    level, and ``i`` otherwise. A row's full choice vector is recovered
+    by walking up to the nearest frame holding a ``matrix`` of its rows'
+    choices: the root and the resident cohorts, which fit one block.
+    Descent levels store no choices, so the walk never copies
+    ``(n, depth)`` matrices below the resident depth."""
+
+    __slots__ = ("parent", "offset", "k", "kept", "n", "matrix")
+
+    def __init__(
+        self, parent: "_Frame | None", offset: int, k: int, kept: Any, n: int
+    ):
+        self.parent = parent
+        self.offset = offset
+        self.k = k
+        self.kept = kept
+        self.n = n
+        self.matrix: Any = None
+
+
+def _resolve_choices(frame: _Frame, depth: int, dtype: Any, rows: Any) -> Any:
+    """The ``(len(rows), depth)`` choice matrix of ``frame``'s rows at
+    ``rows`` (a range or index array): one ``divmod`` pass per level up
+    to the nearest frame holding a matrix."""
+    if isinstance(rows, range):
+        rows = np.arange(rows.start, rows.stop, rows.step, dtype=np.intp)
+    out = np.empty((len(rows), depth), dtype=dtype)
+    level = depth
+    while frame.matrix is None:
+        level -= 1
+        if frame.kept is not None:
+            rows = frame.kept[rows]
+        rows, out[:, level] = np.divmod(rows, frame.k)
+        rows += frame.offset
+        frame = frame.parent
+    out[:, :level] = frame.matrix[rows]
+    return out
+
+
+class _Choices:
+    """An emitted batch's ``(n, depth)`` choice matrix, resolved from
+    the walk's frames only for the rows something reads.
+
+    ``rows`` selects the batch's rows among the frame's: a ``range``
+    while they are contiguous, an index array after a mask or hook
+    filter. Views (chunks, emission masks, takes) compose selections
+    without resolving anything; the member views of one dedup group
+    slice share one selection."""
+
+    __slots__ = ("frame", "depth", "rows", "dtype")
+
+    def __init__(self, frame: _Frame, depth: int, rows: Any, dtype: Any):
+        self.frame = frame
+        self.depth = depth
+        self.rows = rows
+        self.dtype = dtype
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _positions(self, index: Any) -> Any:
+        """Frame rows of this selection's rows at ``index`` (a slice or
+        index array; None: every row), as an index array or a range."""
+        rows = self.rows
+        if index is None:
+            return rows
+        if isinstance(rows, range) and not isinstance(index, slice):
+            index = np.asarray(index, dtype=np.intp)
+            return rows.start + rows.step * index if rows.start else index
+        return rows[index]
+
+    def select(self, index: Any) -> "_Choices":
+        """The rows at a slice or index array of this selection."""
+        return _Choices(self.frame, self.depth, self._positions(index), self.dtype)
+
+    def lists(self, index: Any = None) -> list[list[int]]:
+        """The choices of the rows at ``index`` (None: every row)."""
+        return _resolve_choices(
+            self.frame, self.depth, self.dtype, self._positions(index)
+        ).tolist()
 
 
 def _materialize_costs(
-    configs: Sequence[PipelineConfig], columns: dict[str, Any], energy: bool
+    plan: "_PipelinePlan",
+    choice_rows: list[list[int]],
+    columns: dict[str, Any],
+    energy: bool,
 ) -> list[ConfigCost | EnergyCost]:
-    """Cost objects for every row of a finalized column mapping.
+    """Cost objects for the given choice rows of a finalized column
+    mapping (per-row columns already gathered to those rows).
 
     Mirrors the stock ``finalize`` field-for-field, with the same
     ``object.__new__`` construction; array values pass through
     ``tolist()`` so every field is a plain Python float/str,
-    indistinguishable from scalar evaluation.
+    indistinguishable from scalar evaluation. The fields the walk does
+    not fold per row are decoded here from each row's choices:
+    ``slowest_block`` from its level code (``Block`` keys every
+    implementation by its platform, so ``labels[level][choice]`` is the
+    scalar ``f"{block.name}({impl.platform})"``) and ``block_energies``
+    from the per-level option tables.
     """
     new = object.__new__
     set_field = object.__setattr__
+    config = plan.config
     out: list[ConfigCost | EnergyCost] = []
     append_out = out.append
     if not energy:
+        labels = plan.labels
         compute = columns["compute_fps"].tolist()
-        slowest = columns["slowest_block"].tolist()
+        codes = columns["slowest_level"].tolist()
         communication_fps = columns["communication_fps"]
-        for i, config in enumerate(configs):
+        for i, row in enumerate(choice_rows):
+            code = codes[i]
             cost = new(ConfigCost)
-            set_field(cost, "config", config)
+            set_field(cost, "config", config(row))
             set_field(cost, "compute_fps", compute[i])
             set_field(cost, "communication_fps", communication_fps)
-            set_field(cost, "slowest_block", slowest[i])
+            set_field(
+                cost, "slowest_block", labels[code][row[code]] if code >= 0 else "none"
+            )
             append_out(cost)
         return out
-    rate = columns["transmit_rate"].tolist()
-    transmit = columns["transmit_energy"].tolist()
+    sensor = plan.pipeline.sensor_energy_per_frame
+    rate = columns["transmit_rate"]
+    transmit = columns["transmit_energy"]
     active = columns["active_seconds"].tolist()
-    levels = [(name, arr.tolist()) for name, arr in columns["block_energies"]]
-    for i, config in enumerate(configs):
+    tables = [(name, table.tolist()) for name, table in columns["block_energies"]]
+    for i, row in enumerate(choice_rows):
         cost = new(EnergyCost)
-        set_field(cost, "config", config)
-        set_field(cost, "sensor_energy", config.pipeline.sensor_energy_per_frame)
-        set_field(cost, "block_energies", {name: values[i] for name, values in levels})
-        set_field(cost, "transmit_energy", transmit[i])
-        set_field(cost, "transmit_rate", rate[i])
+        set_field(cost, "config", config(row))
+        set_field(cost, "sensor_energy", sensor)
+        set_field(
+            cost,
+            "block_energies",
+            {name: values[c] for (name, values), c in zip(tables, row)},
+        )
+        set_field(cost, "transmit_energy", transmit)
+        set_field(cost, "transmit_rate", rate)
         set_field(cost, "active_seconds", active[i])
         append_out(cost)
     return out
@@ -160,8 +268,9 @@ class BatchRows:
 
     The lazy-materialization seam between the batch evaluator and its
     consumers: all rows share one pipeline and cut depth, their platform
-    choices live in an ``(n, depth)`` integer matrix and their cost
-    fields in struct-of-arrays columns. Python objects
+    choices form an ``(n, depth)`` integer matrix (resolved from the
+    walk's frames only for rows that are read) and
+    their cost fields live in struct-of-arrays columns. Python objects
     (:class:`PipelineConfig`, cost objects, row dicts) exist only for
     rows a consumer materializes — frontier/top-k sinks and a collected
     :class:`~repro.explore.result.ExplorationResult` read
@@ -179,59 +288,54 @@ class BatchRows:
         "scenario",
         "pipeline",
         "depth",
-        "level_names",
-        "choices",
         "columns",
         "n_materialized",
+        "_plan",
+        "_choices",
         "_energy",
     )
 
     def __init__(
         self,
         scenario: Any,
-        pipeline: InCameraPipeline,
+        plan: "_PipelinePlan",
         depth: int,
-        level_names: tuple[Sequence[str], ...],
-        choices: Any,
+        choices: _Choices,
         columns: dict[str, Any],
         energy: bool,
     ):
         self.scenario = scenario
-        self.pipeline = pipeline
+        self.pipeline = plan.pipeline
         self.depth = depth
-        self.level_names = level_names
-        self.choices = choices
         self.columns = columns
         self.n_materialized = 0
+        self._plan = plan
+        self._choices = choices
         self._energy = energy
 
     def __len__(self) -> int:
-        return self.choices.shape[0]
+        return len(self._choices)
 
-    def _view(self, index: Any) -> "BatchRows":
-        """The rows selected by a slice or an index array, as a new view
-        (slices share memory, index arrays gather bit-exact copies)."""
-        columns = {}
-        for key, value in self.columns.items():
-            if key == "block_energies":
-                columns[key] = tuple((name, arr[index]) for name, arr in value)
-            elif isinstance(value, np.ndarray):
-                columns[key] = value[index]
-            else:  # per-depth scalars (communication_fps)
-                columns[key] = value
-        return BatchRows(
-            self.scenario,
-            self.pipeline,
-            self.depth,
-            self.level_names,
-            self.choices[index],
-            columns,
-            self._energy,
-        )
+    def _gather(self, index: Any) -> dict[str, Any]:
+        """The per-row columns at a slice or index array (slices share
+        memory, index arrays gather bit-exact copies); per-depth scalars
+        and option tables pass through."""
+        return {
+            key: value[index] if isinstance(value, np.ndarray) else value
+            for key, value in self.columns.items()
+        }
 
     def slice(self, lo: int, hi: int) -> "BatchRows":
         """Rows ``[lo, hi)`` as a new view (array slices share memory)."""
-        return self._view(slice(lo, hi))
+        part = slice(lo, hi)
+        return BatchRows(
+            self.scenario,
+            self._plan,
+            self.depth,
+            self._choices.select(part),
+            self._gather(part),
+            self._energy,
+        )
 
     def take(self, indices: Sequence[int]) -> list[dict[str, Any]]:
         """The report rows at ``indices``, in that order, gathered in one
@@ -239,34 +343,36 @@ class BatchRows:
         ``[self.row(i) for i in indices]`` without a one-row view per
         index."""
         self.n_materialized += len(indices)
-        return self._view(np.asarray(indices, dtype=np.intp)).rows()
+        index = np.asarray(indices, dtype=np.intp)
+        scenario = self.scenario
+        costs = _materialize_costs(
+            self._plan,
+            self._choices.lists(index),
+            self._gather(index),
+            self._energy,
+        )
+        return [cost_row(scenario, cost) for cost in costs]
 
     def config(self, i: int) -> PipelineConfig:
-        """Row ``i``'s configuration (trusted constructor: choices come
-        from the blocks' own implementation tables)."""
-        names = self.level_names
-        row = self.choices[i].tolist()
-        return PipelineConfig.trusted(
-            self.pipeline, tuple(names[level][c] for level, c in enumerate(row))
-        )
+        """Row ``i``'s configuration."""
+        return self._plan.config(self._choices.lists([i])[0])
 
     def cost(self, i: int) -> ConfigCost | EnergyCost:
         """Row ``i``'s cost object (counts as one materialization)."""
         self.n_materialized += 1
-        one = self.slice(i, i + 1)
-        return _materialize_costs([self.config(i)], one.columns, self._energy)[0]
+        return _materialize_costs(
+            self._plan,
+            self._choices.lists([i]),
+            self._gather(slice(i, i + 1)),
+            self._energy,
+        )[0]
 
     def costs(self) -> list[ConfigCost | EnergyCost]:
         """Every row's cost object, in row order (bulk materialization)."""
-        names = self.level_names
-        configs = [
-            PipelineConfig.trusted(
-                self.pipeline, tuple(names[level][c] for level, c in enumerate(row))
-            )
-            for row in self.choices.tolist()
-        ]
-        self.n_materialized += len(configs)
-        return _materialize_costs(configs, self.columns, self._energy)
+        self.n_materialized += len(self)
+        return _materialize_costs(
+            self._plan, self._choices.lists(), self.columns, self._energy
+        )
 
     def row(self, i: int) -> dict[str, Any]:
         """Row ``i``'s report row — exactly the scalar path's
@@ -294,16 +400,16 @@ class BatchRows:
         if name == "offload_bytes":
             return np.full(n, self.pipeline.output_bytes_after(self.depth))
         if self._energy:
-            if name in ("transmit_rate", "active_seconds"):
+            if name == "active_seconds":
                 return columns[name]
+            if name == "transmit_rate":
+                return np.full(n, columns["transmit_rate"])
             if name == "transmit_energy_j":
-                return columns["transmit_energy"]
+                return np.full(n, columns["transmit_energy"])
             if name == "sensor_energy_j":
                 return np.full(n, self.pipeline.sensor_energy_per_frame)
             if name in ("compute_energy_j", "total_energy_j", "feasible"):
-                compute = np.zeros(n)
-                for _block, arr in columns["block_energies"]:
-                    compute = compute + arr
+                compute = columns["compute_energy"]
                 if name == "compute_energy_j":
                     return compute
                 total = (
@@ -356,7 +462,7 @@ class _PipelinePlan:
     first block with no implementations, like the enumeration plan) plus
     the per-depth link-term cache."""
 
-    __slots__ = ("pipeline", "levels", "names", "link_costs")
+    __slots__ = ("pipeline", "levels", "names", "labels", "link_costs")
 
     def __init__(self, pipeline: InCameraPipeline):
         self.pipeline = pipeline
@@ -365,17 +471,26 @@ class _PipelinePlan:
             if not block.implementations:
                 break
             self.levels.append(_Level(block))
-        #: Per-level platform names: what a BatchRows view decodes its
-        #: choice matrix with.
+        #: Per-level platform names and ``slowest_block`` labels: what a
+        #: BatchRows view decodes its choices and level codes with.
         self.names = tuple(level.names for level in self.levels)
+        self.labels = tuple(
+            tuple(f"{level.block.name}({name})" for name in level.names)
+            for level in self.levels
+        )
         self.link_costs: dict[int, Any] = {}
+
+    def config(self, row: Sequence[int]) -> PipelineConfig:
+        """The configuration of one choice row (trusted constructor:
+        choices index the blocks' own implementation tables)."""
+        return PipelineConfig.trusted(
+            self.pipeline, tuple(map(getitem, self.names, row))
+        )
 
     def representative(self, depth: int) -> PipelineConfig:
         """One depth-``depth`` configuration: the link terms depend only
         on the cut depth, so any row of the cohort stands for all."""
-        return PipelineConfig.trusted(
-            self.pipeline, tuple(names[0] for names in self.names[:depth])
-        )
+        return self.config([0] * depth)
 
 
 class BatchPrefixEvaluator:
@@ -425,12 +540,21 @@ class BatchPrefixEvaluator:
             self._plans[id(pipeline)] = plan
         return plan
 
-    def _extend(self, state: Any, level: _Level, choices: Any) -> Any:
+    def _initial(self, n_levels: int) -> tuple:
+        """The one-row state of the empty prefix of an ``n_levels`` walk."""
+        if self._energy:
+            return self.model.initial_state_batch(1)
+        return self.model.initial_state_batch(1, n_levels)
+
+    def _extend(self, state: tuple, depth: int, level: _Level, choices: Any) -> tuple:
+        """Extend ``state`` rows by ``level``, the walk's ``depth``-th block."""
         if self._energy:
             return self.model.extend_state_batch(
                 state, level.block, level.impls, choices, self.pass_rates
             )
-        return self.model.extend_state_batch(state, level.block, level.impls, choices)
+        return self.model.extend_state_batch(
+            state, level.block, level.impls, choices, depth - 1
+        )
 
     # -- whole-space cohort enumeration ----------------------------------
 
@@ -453,9 +577,8 @@ class BatchPrefixEvaluator:
             )
             yield BatchRows(
                 scenario,
-                plan.pipeline,
+                plan,
                 depth,
-                plan.names[:depth],
                 choices,
                 model.finalize_batch(state, link_cost),
                 energy,
@@ -474,7 +597,7 @@ class BatchPrefixEvaluator:
         no pruning) and differ only in their links; this evaluator runs
         the first one's model. Each yielded list holds one lazy
         :class:`BatchRows` view per member, in ``scenarios`` order, all
-        sharing the slice's choice matrix and compute-side columns by
+        sharing the slice's lazy choices and compute-side columns by
         reference. The per-cell float operations replay each member's
         scalar finalize, so member rows are bit-identical to that
         member's solo walk.
@@ -491,11 +614,8 @@ class BatchPrefixEvaluator:
                 depth_link_cost(link, energy, cache, depth, representative)
                 for link, cache in zip(links, caches)
             ]
-            names = plan.names[:depth]
             yield [
-                BatchRows(
-                    scenario, plan.pipeline, depth, names, choices, columns, energy
-                )
+                BatchRows(scenario, plan, depth, choices, columns, energy)
                 for scenario, columns in zip(
                     scenarios, model.finalize_batch_multi(state, stack)
                 )
@@ -503,7 +623,7 @@ class BatchPrefixEvaluator:
 
     def _iter_cohort_states(
         self, scenario: Any, chunk_size: int | None
-    ) -> Iterator[tuple[_PipelinePlan, int, Any, Any]]:
+    ) -> Iterator[tuple[_PipelinePlan, int, _Choices, tuple]]:
         """The cohort walk: ``(plan, depth, choices, state)`` slices of
         the scenario's pre-finalize states, at most ``chunk_size`` rows
         each, in exact enumeration order.
@@ -518,30 +638,40 @@ class BatchPrefixEvaluator:
         child rows per level, so the walk holds about
         ``(depth - resident) x _BLOCK_ROWS`` rows whatever the space
         size. Depth-``d`` rows come out ordered by their resident
-        prefix, then their suffix — enumeration order. Pruning fuses
-        into the same folds:
+        prefix, then their suffix — enumeration order.
+
+        A row carries only what its platform choices cannot recover:
+        the model's compact state columns. Its choices follow from its
+        position (one :class:`_Frame` per level, holding positions only
+        when a prune mask compacted the level, and a choice matrix for
+        the resident cohorts, which fit one block); emitted batches
+        hold a lazy :class:`_Choices` over the frames and resolve full
+        choice rows only for the rows something reads. Pruning fuses into the
+        same folds:
 
         * Depth pruning is honored: a pruned depth is never emitted, but
           still folds as the ancestor of deeper depths.
         * A batch-capable prefix pruner (``scenario.prefix_pruner()``
           with :attr:`~repro.explore.enumerate.PrefixPruner.
           extend_batch`) runs as boolean-mask compaction: its keep mask
-          gathers the surviving ``state``/``choices`` rows after every
-          extend, so a pruned prefix is never grown into deeper rows —
-          exactly the scalar DFS's subtree cut; once no prefix survives
-          a depth, the walk ends. Bounds that are not depth-monotone
-          additionally supply ``emit_mask``, applied to an emission-only
-          gather so the running rows keep every prefix some deeper depth
-          still needs. Survivor rows are byte-identical to the scalar
-          pruned walk. A pruner without a batch form raises — callers
-          gate on ``PrefixPruner.batch_capable``.
+          gathers the surviving ``state`` rows (recording their
+          positions) after every extend, so a pruned prefix is never
+          grown into deeper rows — exactly the scalar DFS's subtree cut;
+          once no prefix survives a depth, the walk ends. Bounds that
+          are not depth-monotone additionally supply ``emit_mask``,
+          applied as an emission-only selection so the running rows keep
+          every prefix some deeper depth still needs. Survivor rows are
+          byte-identical to the scalar pruned walk. A pruner without a
+          batch form raises — callers gate on
+          ``PrefixPruner.batch_capable``.
         * Per-config ``scenario.prune`` hooks run as a scalar filter
           over the already compacted rows at emission time, in
           enumeration order with the scalar path's short-circuit
           semantics (hooks see only rows every other filter kept).
 
-        Choice matrices use the smallest unsigned dtype that holds every
-        platform index (``uint8`` below 256 platforms per block).
+        The option column each extend reads and resolved choice matrices
+        use the smallest unsigned dtype that holds every platform index
+        (``uint8`` below 256 platforms per block).
         """
         pruner = scenario.prefix_pruner()
         if pruner is not None and not pruner.batch_capable:
@@ -555,107 +685,97 @@ class BatchPrefixEvaluator:
         option_lists = enumeration_plan(pipeline, scenario.max_blocks)
         levels = plan.levels[: len(option_lists)]
         prune_depth = scenario.depth_prune_hook()
-        energy = self._energy
-        trusted = PipelineConfig.trusted
         block = _BLOCK_ROWS
         dtype = np.min_scalar_type(
             max((len(level.names) for level in levels), default=1) - 1
         )
 
-        def take(rows: Any, index: Any) -> Any:
-            """A ``(choices, state, pstate)`` triple's rows at ``index``."""
-            choices, state, pstate = rows
-            if pstate is not None:
-                pstate = tuple(arr[index] for arr in pstate)
-            return choices[index], _take_state(state, index, energy), pstate
-
-        def grow(depth: int, rows: Any) -> Any:
-            """The depth-``depth`` children of depth ``depth - 1`` rows,
+        def grow(depth: int, rows: tuple, lo: int, hi: int) -> tuple:
+            """The depth-``depth`` children of parent rows ``[lo, hi)``,
             in product order, with pruned prefixes compacted away."""
-            choices, state, pstate = rows
+            frame, state, pstate = rows
+            part = slice(lo, hi)
             level = levels[depth - 1]
             k = len(level.names)
-            n = choices.shape[0]
-            tile = np.tile(np.arange(k, dtype=dtype), n)
-            grown = np.empty((n, k, depth), dtype=dtype)
-            grown[:, :, :-1] = choices[:, None, :]
-            grown[:, :, -1] = tile[:k]
-            choices = grown.reshape(n * k, depth)
-            state = self._extend(_repeat_state(state, k, energy), level, tile)
+            tile = np.tile(np.arange(k, dtype=dtype), hi - lo)
+            state = self._extend(
+                _repeat_state(_take_state(state, part), k), depth, level, tile
+            )
             if pruner is None:
-                return choices, state, None
+                return _Frame(frame, lo, k, None, len(tile)), state, None
             pstate, keep = pruner.extend_batch(
-                depth - 1, tile, tuple(np.repeat(arr, k) for arr in pstate)
+                depth - 1, tile, tuple(np.repeat(arr[part], k) for arr in pstate)
             )
             if keep.all():
-                return choices, state, pstate
-            return take((choices, state, pstate), np.flatnonzero(keep))
+                return _Frame(frame, lo, k, None, len(tile)), state, pstate
+            idx = np.flatnonzero(keep)
+            return (
+                _Frame(frame, lo, k, idx, len(idx)),
+                _take_state(state, idx),
+                tuple(arr[idx] for arr in pstate),
+            )
 
-        def hook_filter(depth: int, choices: Any, state: Any) -> tuple[Any, Any]:
+        def hook_filter(choices: _Choices, state: tuple) -> tuple[_Choices, tuple]:
             """Per-config hooks over the compacted rows — the same
             configs, order and any()-short-circuit as the scalar walk's
             keep() filter."""
-            names = plan.names[:depth]
             kept = [
                 i
-                for i, row in enumerate(choices.tolist())
-                if not any(
-                    hook(
-                        trusted(
-                            pipeline,
-                            tuple(names[level][c] for level, c in enumerate(row)),
-                        )
-                    )
-                    for hook in hooks
-                )
+                for i, row in enumerate(choices.lists())
+                if not any(hook(plan.config(row)) for hook in hooks)
             ]
-            if len(kept) == choices.shape[0]:
+            if len(kept) == len(choices):
                 return choices, state
             idx = np.array(kept, dtype=np.intp)
-            return choices[idx], _take_state(state, idx, energy)
+            return choices.select(idx), _take_state(state, idx)
 
         def emit(
-            depth: int, rows: Any
-        ) -> Iterator[tuple[_PipelinePlan, int, Any, Any]]:
-            choices, state, pstate = rows
+            depth: int, rows: tuple
+        ) -> Iterator[tuple[_PipelinePlan, int, _Choices, tuple]]:
+            frame, state, pstate = rows
+            choices = _Choices(frame, depth, range(frame.n), dtype)
             if depth and pruner is not None and pruner.emit_mask is not None:
                 mask = pruner.emit_mask(depth, pstate)
                 if mask is not None and not mask.all():
-                    # Emission-only gather: the running rows keep
+                    # Emission-only selection: the running rows keep
                     # prefixes other depths still need.
                     idx = np.flatnonzero(mask)
-                    choices, state = choices[idx], _take_state(state, idx, energy)
+                    choices, state = choices.select(idx), _take_state(state, idx)
             if hooks:
-                choices, state = hook_filter(depth, choices, state)
-            n = choices.shape[0]
+                choices, state = hook_filter(choices, state)
+            n = len(choices)
             if chunk_size is None or n <= chunk_size:
                 if n:
                     yield plan, depth, choices, state
                 return
             for lo in range(0, n, chunk_size):
                 part = slice(lo, min(lo + chunk_size, n))
-                yield plan, depth, choices[part], _take_state(state, part, energy)
+                yield plan, depth, choices.select(part), _take_state(state, part)
 
         def descend(
-            depth: int, rows: Any, target: int
-        ) -> Generator[tuple[_PipelinePlan, int, Any, Any], None, int]:
+            depth: int, rows: tuple, target: int
+        ) -> Generator[tuple[_PipelinePlan, int, _Choices, tuple], None, int]:
             """Emit the depth-``target`` descendants of depth-``depth``
             rows, one contiguous block of parents at a time; returns how
             many target rows survived the prefix bound."""
+            n = rows[0].n
             step = max(1, block // len(levels[depth].names))
             survivors = 0
-            for lo in range(0, rows[0].shape[0], step):
-                children = grow(depth + 1, take(rows, slice(lo, lo + step)))
+            for lo in range(0, n, step):
+                children = grow(depth + 1, rows, lo, min(lo + step, n))
+                m = children[0].n
                 if depth + 1 == target:
-                    survivors += children[0].shape[0]
+                    survivors += m
                     yield from emit(target, children)
-                elif children[0].shape[0]:
+                elif m:
                     survivors += yield from descend(depth + 1, children, target)
             return survivors
 
+        root = _Frame(None, 0, 1, None, 1)
+        root.matrix = np.zeros((1, 0), dtype=dtype)
         rows = (
-            np.zeros((1, 0), dtype=dtype),
-            self.model.initial_state_batch(1),
+            root,
+            self._initial(len(levels)),
             pruner.initial_batch(1) if pruner is not None else None,
         )
         depth = 0
@@ -669,14 +789,19 @@ class BatchPrefixEvaluator:
                 yield from emit(depth, rows)
             if depth == len(levels):
                 return
-            if rows[0].shape[0] * len(levels[depth].names) > block:
+            n = rows[0].n
+            if n * len(levels[depth].names) > block:
                 break
             depth += 1
-            rows = grow(depth, rows)
-            if not rows[0].shape[0]:
+            rows = grow(depth, rows, 0, n)
+            frame = rows[0]
+            if not frame.n:
                 # Every prefix is provably infeasible at every remaining
                 # depth; deeper cohorts are empty too.
                 return
+            # A resident cohort fits one block: keep its choice matrix,
+            # so its rows and every descent below resolve up to here.
+            frame.matrix = _resolve_choices(frame, depth, dtype, range(frame.n))
         # ``rows`` is the resident cohort; deeper depths descend from it.
         for target in range(depth + 1, len(levels) + 1):
             if prune_depth is not None and prune_depth(target):

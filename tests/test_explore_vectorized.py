@@ -312,20 +312,26 @@ def test_chunked_cohorts_respect_chunk_size():
     assert json.dumps(rows) == json.dumps(explore(scenario, evaluation="scalar").rows)
 
 
-#: Ceiling on the traced peak of a 12-block export (~3 MB measured;
-#: the whole-cohort walk this bounds peaked at 123 MB).
-EXPORT_PEAK_CAP = 8 * 2**20
+#: Ceiling on the traced peak of a 12-block export (1.2 MB throughput
+#: and 2.1 MB energy measured; the whole-cohort walk this bounds peaked
+#: at 123 MB).
+EXPORT_PEAK_CAP = 4 * 2**20
 
 
-def _deep_chain(n_blocks: int) -> Scenario:
-    """A throughput chain with three platforms per block, unpruned."""
+def _deep_chain(n_blocks: int, domain: str = "throughput") -> Scenario:
+    """A chain with three platforms per block, unpruned."""
     blocks = tuple(
         Block(
             name=f"B{i}",
             output_bytes=1000.0 - 50.0 * (i + 1),
             pass_rate=0.9,
             implementations={
-                platform: Implementation(platform, fps=100.0 - 4 * i + j)
+                platform: Implementation(
+                    platform,
+                    fps=100.0 - 4 * i + j,
+                    energy_per_frame=1e-6 * (j + 1),
+                    active_seconds=1e-3 * (j + 1),
+                )
                 for j, platform in enumerate(("asic", "cpu", "fpga"))
             },
         )
@@ -336,15 +342,23 @@ def _deep_chain(n_blocks: int) -> Scenario:
         pipeline=InCameraPipeline(
             name=f"chain-{n_blocks}", sensor_bytes=1000.0, blocks=blocks
         ),
-        link=LinkModel(name="link", raw_bps=1e6, efficiency=0.8),
-        target_fps=30.0,
+        link=LinkModel(
+            name="link", raw_bps=1e6, efficiency=0.8, tx_energy_per_bit=1e-9
+        ),
+        domain=domain,
+        target_fps=30.0 if domain == "throughput" else None,
     )
 
 
-def _export_peak_bytes(n_blocks: int, chunk_size: int | None) -> int:
+def _export_peak_bytes(
+    n_blocks: int, chunk_size: int | None, domain: str = "throughput"
+) -> int:
     """Peak traced bytes of a ``collect=False`` top-k export."""
-    scenario = _deep_chain(n_blocks)
-    sink = TopKSink("total_fps", k=5)
+    scenario = _deep_chain(n_blocks, domain)
+    if domain == "throughput":
+        sink = TopKSink("total_fps", k=5)
+    else:
+        sink = TopKSink("total_energy_j", k=5, maximize=False)
     tracemalloc.start()
     try:
         explore(scenario, sink=sink, collect=False, chunk_size=chunk_size)
@@ -365,6 +379,48 @@ def test_export_peak_memory_does_not_grow_with_the_space(chunk_size):
     assert deep < EXPORT_PEAK_CAP, deep
 
 
+@pytest.mark.parametrize("chunk_size", [None, 4096])
+def test_energy_export_peak_memory_does_not_grow_with_the_space(chunk_size):
+    """The energy twin: per-level block energies live in per-option
+    tables, not per-row arrays, so a deeper chain does not widen the
+    rows the walk holds."""
+    _export_peak_bytes(3, chunk_size, "energy")  # first-call allocations
+    shallow = _export_peak_bytes(10, chunk_size, "energy")
+    deep = _export_peak_bytes(12, chunk_size, "energy")
+    assert deep <= 1.5 * shallow, (shallow, deep)
+    assert deep < EXPORT_PEAK_CAP, deep
+
+
+@pytest.mark.parametrize("n_blocks", [200, 300])
+def test_long_chain_level_codes_equal_scalar(n_blocks):
+    """Every block of a single-platform chain is slower than the last,
+    so the slowest-block level code reaches ``n_blocks - 1`` — past
+    what an ``int8`` code holds — and still decodes to the scalar
+    label."""
+    blocks = tuple(
+        Block(
+            name=f"B{i}",
+            output_bytes=1000.0 - i,
+            implementations={"cpu": Implementation("cpu", fps=1000.0 - i)},
+        )
+        for i in range(n_blocks)
+    )
+    scenario = Scenario(
+        name=f"long-{n_blocks}",
+        pipeline=InCameraPipeline(
+            name=f"long-{n_blocks}", sensor_bytes=1000.0, blocks=blocks
+        ),
+        link=LINK,
+        target_fps=30.0,
+    )
+    batch = explore(scenario)
+    assert len(batch) == n_blocks + 1
+    assert batch.rows[-1]["slowest_block"] == f"B{n_blocks - 1}(cpu)"
+    assert json.dumps(batch.rows) == json.dumps(
+        explore(scenario, evaluation="scalar").rows
+    )
+
+
 def test_cohorts_honor_depth_pruning_and_include_empty():
     pruned = build_scenario(auto_prune=True)
     rows = [row for batch in scenario_batches(pruned) for row in batch.rows()]
@@ -378,7 +434,7 @@ def test_cohorts_honor_depth_pruning_and_include_empty():
 def test_group_batches_equal_each_members_solo_walk():
     """The dedup group walk: one fold of the leader's states closed
     under every member's link equals each member's own cohort walk, and
-    members share the slice's choice matrix by reference."""
+    members share the slice's choice selection by reference."""
     for domain, extra in (
         ("throughput", {}),
         ("energy", {"target_fps": None, "pass_rates": {"B0": 0.4}}),
@@ -399,7 +455,7 @@ def test_group_batches_equal_each_members_solo_walk():
         slices = list(evaluator.iter_group_batches(group, chunk_size=7))
         assert all(len(views) == len(group) for views in slices)
         for views in slices:
-            assert all(view.choices is views[0].choices for view in views)
+            assert all(view._choices is views[0]._choices for view in views)
             assert all(len(view) <= 7 for view in views)
         for slot, member in enumerate(group):
             rows = [row for views in slices for row in views[slot].rows()]
