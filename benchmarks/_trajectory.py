@@ -21,6 +21,8 @@ can load it by path and exercise the exact logic the fixtures run.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from pathlib import Path
 from typing import Mapping
 
@@ -70,13 +72,25 @@ def load_trajectory(path: Path) -> list[dict]:
     return json.loads(path.read_text())
 
 
+def machine() -> dict:
+    """The host a measurement was taken on: cores, Python and numpy."""
+    import numpy as np
+
+    return {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def append_entry(
     trajectory: list[dict],
     entry: dict,
     commit: str | None,
     cap: int = MAX_TRAJECTORY_ENTRIES,
 ) -> list[dict]:
-    """Append ``entry`` (stamped with ``commit``) to a trajectory copy.
+    """Append ``entry`` (stamped with ``commit`` and, unless it names
+    one, the :func:`machine`) to a trajectory copy.
 
     Rerunning a benchmark at the *same* commit replaces that
     (kind, commit) pair's latest entry instead of appending, so local
@@ -87,6 +101,7 @@ def append_entry(
     """
     entry = dict(entry)
     entry["commit"] = commit
+    entry.setdefault("machine", machine())
     trajectory = list(trajectory)
     # Replace the latest entry of the SAME kind at the same commit
     # (several kinds interleave per run, so trajectory[-1] alone would

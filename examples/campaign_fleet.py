@@ -89,8 +89,9 @@ def main() -> None:
     # scenario rides (batch-cohort, or batch-cohort-pruned once
     # lower-bound pruning fuses in — on any executor). A campaign member
     # runs its solo path: these stock models all fold in the calling
-    # process, so the executor's pool is never started; only members
-    # with custom cost models would send chunks to it.
+    # process, so no pool is ever started; only members with custom
+    # cost models would send chunks to the executor, each starting its
+    # own pool as its solo explore() would.
     paths = sorted({evaluation_path(s, executor) for s in fleet})
     print(f"\nSolo evaluation path(s) of the fleet: {', '.join(paths)}")
     print("Streaming fleet (shortest scenario first):")

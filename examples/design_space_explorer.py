@@ -109,7 +109,7 @@ def main() -> None:
     # fuses into the columnar walk; scalar-* when a custom model forces
     # the fallback). The campaign below runs the same paths: its stock
     # members fold in process, and only scalar-* members would send
-    # config chunks to the shared pool.
+    # config chunks to the executor's pool.
     pool = SweepExecutor(workers=4, backend="thread")
     pruned = replace(
         fleet[1], name="vr-fig10-pruned", auto_prune=True, auto_prune_configs=True

@@ -35,7 +35,7 @@ turns that exercise into one reusable engine:
 * :mod:`.catalog` — the named, parameterized scenario library the case
   studies register into (``load_builtin()``);
 * :mod:`.campaign` — :class:`Campaign`, many scenarios through one
-  run and at most one pool, with per-scenario results byte-identical to
+  run, each member on its solo path with results byte-identical to
   solo :func:`explore` runs, cross-scenario evaluation dedup
   (``dedup=True`` shares link-independent compute states across a
   fleet), ``iter_runs`` streaming, plus the fleet summary report;

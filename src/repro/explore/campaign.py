@@ -6,29 +6,25 @@ power budget is its own scenario. A :class:`Campaign` runs a whole fleet
 as one run: a pluggable
 :class:`~repro.explore.scheduling.SchedulingPolicy` (round-robin by
 default; policies live in :mod:`repro.explore.scheduling`) interleaves
-the members' streams, every member's sink and summary fill as its rows
-land, and a campaign of N scenarios costs at most one pool, not N.
+the members' streams, and every member's sink and summary fill as its
+rows land.
 
-One pipeline for solo runs and campaigns: every member runs exactly the
-path solo ``explore()`` takes for it (:func:`~repro.explore.engine.
-evaluation_path` reports it), and its rows land in the same consumer
-(:class:`~repro.explore.engine._RunConsumer`). Two lanes carry them:
-
-* **In process.** A stock member (see
-  :func:`~repro.explore.incremental.uses_stock_cost_semantics`) runs the
-  columnar cohort walk in the calling process on every executor, its
-  cohorts sliced at the campaign's chunk size; the policy interleaves
-  these slices. Shipping stock work to a pool measured slower than this
-  on every fleet tried — the pool's transport costs more than the fold
-  it spreads (see ARCHITECTURE.md, "Parallelism: the campaign
-  decision").
-* **Pool.** Only members whose model fails that gate send config-list
-  chunks through the shared executor's ``imap`` (one tagged chunk per
-  policy selection, evaluated by
-  :func:`~repro.explore.incremental.evaluate_chunk`). The pool starts
-  only if such a member exists. With a mixed fleet the campaign
-  alternates between the two lanes; all-stock and all-scalar fleets
-  follow the policy order exactly.
+One pipeline for solo runs and campaigns: every member runs the path
+solo ``explore()`` takes for it (:func:`~repro.explore.engine._plan`
+decides it, :func:`~repro.explore.engine.evaluation_path` reports it)
+through the same stream (:func:`~repro.explore.engine._scenario_stream`)
+into the same consumer (:class:`~repro.explore.engine._RunConsumer`). A
+stock member (see
+:func:`~repro.explore.incremental.uses_stock_cost_semantics`) folds the
+cohort walk in the calling process on every executor, sliced at the
+campaign's chunk size: shipping stock work to a pool measured slower on
+every fleet tried (see ARCHITECTURE.md, "Parallelism: the campaign
+decision"). A member whose model fails that gate runs
+:func:`~repro.explore.engine.iter_evaluation_chunks` exactly as its solo
+``explore()`` would, so on a parallel executor it starts its own pool
+lazily, on its first step. The campaign has one lane: the policy picks
+a live walk, the walk takes one step, and a member's run is handed out
+when its walk ends.
 
 Dedup contract: with ``dedup=True``, scenarios whose
 :func:`scenario_compute_key`s match (the same pipeline and platform
@@ -47,12 +43,12 @@ per-scenario results stay byte-identical to ``dedup=False`` and to solo
 fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
 
 Correctness contract: each member's stream is produced in its own
-enumeration order — cohort slices in walk order, pool chunks through
-``imap``, which returns results in submission order, each evaluated by
-a chunk-local evaluator (memoization never crosses scenarios) — so
-every scenario's rows are byte-identical to a solo ``explore()`` of the
-same scenario, regardless of executor, worker count or how the fleet
-was interleaved. Scheduling policies only reorder *which scenario's*
+enumeration order — cohort slices in walk order, scalar chunks in
+submission order through solo ``explore()``'s scalar pipe, each
+evaluator private to its member (memoization never crosses scenarios)
+— so every scenario's rows are byte-identical to a solo ``explore()``
+of the same scenario, regardless of executor, worker count or how the
+fleet was interleaved. Scheduling policies only reorder *which scenario's*
 slice or chunk comes next, never those within one scenario.
 
 Streaming contract: :meth:`Campaign.iter_runs` yields each
@@ -70,8 +66,9 @@ size, never by the fleet's combined design-space size. A sink failure
 aborts the campaign with a clear :class:`~repro.errors.SinkError`
 naming the scenario; every other scenario's sink is still closed
 (flushed), so one bad sink never corrupts the rest of the fleet's
-outputs. Abandoning ``iter_runs()`` mid-fleet closes the executor
-stream and every open sink the same way.
+outputs. Abandoning ``iter_runs()`` mid-fleet closes every member's
+stream (shutting down any pool it started) and every open sink the
+same way.
 """
 
 from __future__ import annotations
@@ -88,15 +85,12 @@ from repro.errors import ConfigurationError, PipelineError
 from repro.explore.engine import (
     DEFAULT_CHUNK_SIZE,
     _check_dedup_mode,
-    _chunked,
+    _dedupable,
+    _plan,
     _RunConsumer,
+    _scenario_stream,
 )
-from repro.explore.executor import (
-    SweepExecutor,
-    auto_chunk_size,
-    resolve_executor,
-)
-from repro.explore.incremental import evaluate_chunk, uses_stock_cost_semantics
+from repro.explore.executor import SweepExecutor, resolve_executor
 from repro.explore.result import (
     DEFAULT_AXES,
     ExplorationResult,
@@ -117,24 +111,10 @@ from repro.explore.scheduling import (
 )
 from repro.explore.sink import close_sink, open_sink, resolve_sink
 
-# -- the two lanes ------------------------------------------------------
+# -- the walks ---------------------------------------------------------
 
-#: One in-process step: ``(member index, lazy batch)`` pairs — one pair
-#: for a solo member, one per member for a dedup group's slice.
-_Step = tuple[tuple[int, BatchRows], ...]
-
-
-def _evaluate_tagged_chunk(
-    tagged: tuple[int, Any, "dict[str, float] | None", list[Any]],
-) -> tuple[int, list[Any]]:
-    """Evaluate one scalar member's tagged config chunk (module-level
-    for process-pool picklability). The item carries *its own*
-    scenario's model and pass rates — not the whole fleet's — so a
-    process backend serializes one model per task, same as solo
-    ``explore()``; the index travels with the costs so the campaign can
-    route them back to their scenario."""
-    index, model, pass_rates, configs = tagged
-    return index, evaluate_chunk(model, pass_rates, configs)
+#: What an exhausted walk returns from ``next(walk, _DONE)``.
+_DONE = object()
 
 
 def _select(policy: SchedulingPolicy, live: list[int]) -> int:
@@ -148,26 +128,25 @@ def _select(policy: SchedulingPolicy, live: list[int]) -> int:
     return index
 
 
-def _solo_walk(
-    index: int, scenario: Scenario, model: Any, chunk_size: int
-) -> Iterator[_Step]:
-    """A stock member's in-process stream: solo ``explore()``'s cohort
-    walk, sliced at the campaign's chunk size."""
-    evaluator = BatchPrefixEvaluator(model, scenario.pass_rates)
-    for batch in evaluator.iter_scenario_batches(scenario, chunk_size):
-        yield ((index, batch),)
-
-
 def _group_walk(
-    indices: tuple[int, ...], group: list[Scenario], model: Any, chunk_size: int
-) -> Iterator[_Step]:
-    """A dedup group's in-process stream: one cohort walk of the
-    leader's compute-side states, every slice closed for all members at
-    once (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
-    iter_group_batches`) into ``(member index, lazy view)`` pairs."""
+    indices: tuple[int, ...],
+    group: list[Scenario],
+    model: Any,
+    chunk_size: int,
+    members: Sequence["_Member"],
+) -> Iterator[None]:
+    """A dedup group's stream: one cohort walk of the leader's
+    compute-side states, every slice closed for all members at once
+    (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
+    iter_group_batches`) and fed to each member as a lazy view, one
+    slice per step."""
     evaluator = BatchPrefixEvaluator(model, group[0].pass_rates)
     for views in evaluator.iter_group_batches(group, chunk_size):
-        yield tuple(zip(indices, views))
+        for index, view in zip(indices, views):
+            member = members[index]
+            member.consumer.add_batch(view)
+            member.n_materialized += view.n_materialized
+        yield
 
 
 # -- cross-scenario evaluation dedup ------------------------------------
@@ -196,11 +175,7 @@ def scenario_compute_key(scenario: Scenario) -> tuple | None:
     the constraint *and the link*, so two members of a would-be group
     can enumerate different subsequences.
     """
-    if scenario.model is not None:
-        return None
-    if scenario.prune is not None or scenario.prune_depth is not None:
-        return None
-    if scenario.auto_prune or scenario.auto_prune_configs:
+    if not _dedupable(scenario):
         return None
     pass_rates = (
         tuple(sorted(scenario.pass_rates.items()))
@@ -217,86 +192,26 @@ def scenario_compute_key(scenario: Scenario) -> tuple | None:
     )
 
 
-def _dedup_groups(scenarios: Sequence[Scenario]) -> dict[int, tuple[int, ...]]:
-    """The fleet's dedup groups: leader index -> the group's member
+def _dedup_groups(
+    scenarios: Sequence[Scenario], indices: Sequence[int]
+) -> dict[int, tuple[int, ...]]:
+    """The dedup groups among the fleet members ``indices`` (those
+    whose plan is ``"batch-dedup"``): leader index -> the group's member
     indices, leader first, in fleet order.
 
     Fleets routinely carry the same pipeline at several links (the
     design-space sweep shape: one product, every uplink tier); their
     compute-side costs are link-independent, so a group of scenarios
     with equal :func:`scenario_compute_key`s folds its cohort states
-    once for all members (:func:`_group_walk`). Every eligible scenario
-    belongs to exactly one group, a scenario with no sibling to a group
-    of one; ineligible scenarios to none.
+    once for all members (:func:`_group_walk`). Every member belongs to
+    exactly one group, a member with no sibling to a group of one.
     """
     groups: dict[int, tuple[int, ...]] = {}
     leaders: dict[tuple, int] = {}
-    for index, scenario in enumerate(scenarios):
-        key = scenario_compute_key(scenario)
-        if key is not None:
-            leader = leaders.setdefault(key, index)
-            groups[leader] = groups.get(leader, ()) + (index,)
+    for index in indices:
+        leader = leaders.setdefault(scenario_compute_key(scenarios[index]), index)
+        groups[leader] = groups.get(leader, ()) + (index,)
     return groups
-
-
-class _FleetProgress:
-    """Chunk bookkeeping behind completion detection: a scenario is
-    complete when its stream is known exhausted AND every pool chunk it
-    emitted has been collected (in-process steps are collected the
-    moment they are taken, so they never count as emitted)."""
-
-    def __init__(self, n: int):
-        self.emitted = [0] * n
-        self.collected = [0] * n
-        self.exhausted = [False] * n
-        self._pending = set(range(n))
-
-    def complete(self, index: int) -> bool:
-        return self.exhausted[index] and self.collected[index] == self.emitted[index]
-
-    def pop_complete(self) -> list[int]:
-        """Scenario indices that completed since the last call, in fleet
-        order (each returned exactly once)."""
-        done = sorted(index for index in self._pending if self.complete(index))
-        self._pending.difference_update(done)
-        return done
-
-
-def _interleave_chunks(
-    scenarios: Sequence[Scenario],
-    models: Sequence[Any],
-    sizes: Sequence[int],
-    policy: SchedulingPolicy,
-    progress: _FleetProgress,
-    indices: Sequence[int],
-) -> Iterator[tuple[int, Any, "dict[str, float] | None", list[Any]]]:
-    """The pool lane's feed: one config-list chunk per policy selection
-    among the scalar members ``indices``, tagged with its scenario,
-    model and pass rates; exhausted scenarios leave the live set, and no
-    scenario's enumeration is materialized past its next chunk.
-    Emission/exhaustion is recorded in ``progress`` so the campaign can
-    detect per-scenario completion."""
-    streams = {
-        index: _chunked(scenarios[index].iter_configs(), sizes[index])
-        for index in indices
-    }
-    live = list(indices)
-    try:
-        while live:
-            index = _select(policy, live)
-            chunk = next(streams[index], None)
-            if chunk is None:
-                live.remove(index)
-                progress.exhausted[index] = True
-                continue
-            progress.emitted[index] += 1
-            yield index, models[index], scenarios[index].pass_rates, chunk
-    finally:
-        # Mark abandoned streams exhausted-at-current-count so late
-        # completion scans cannot block, and close their enumerators.
-        for index, stream in streams.items():
-            progress.exhausted[index] = True
-            stream.close()
 
 
 @dataclass
@@ -311,8 +226,8 @@ class ScenarioRun:
     through an online :class:`~repro.explore.result.ParetoFrontier`
     under ``collect=False``, identical to the collected frontier).
     ``wall_seconds`` is the time from campaign start until this
-    scenario's last chunk was collected (scenarios share the executor,
-    so exclusive per-scenario time is not a meaningful quantity).
+    scenario's last rows landed (scenarios share the driver, so
+    exclusive per-scenario time is not a meaningful quantity).
     ``dedup_source`` names the scenario whose shared compute-side
     states this run was finalized from (None when it evaluated its own
     configurations — always, unless the campaign ran with
@@ -643,7 +558,7 @@ class _StreamingStats:
 
 
 class Campaign:
-    """A batch of scenarios explored as one run, sharing at most one pool.
+    """A batch of scenarios explored as one run.
 
     Parameters
     ----------
@@ -720,11 +635,11 @@ class Campaign:
         closed and flushed first) without waiting for the fleet to
         drain. Yield order is completion order, not fleet order.
 
-        Abandoning the iterator mid-fleet is safe: the executor stream
-        is closed (the shared pool shuts down after in-flight chunks
-        finish) and every open sink is closed (flushed), exactly as on
-        an error. A parallel executor keeps at most ``2 * workers``
-        scalar members' chunks in flight ahead of the consumer.
+        Abandoning the iterator mid-fleet is safe: every member's stream
+        is closed (a scalar member's pool shuts down after its in-flight
+        chunks finish) and every open sink is closed (flushed), exactly
+        as on an error. On a parallel executor each scalar member keeps
+        at most ``2 * workers`` chunks in flight ahead of the consumer.
         Parameters are those of :meth:`run`.
         """
         executor = resolve_executor(executor)
@@ -766,50 +681,55 @@ class Campaign:
     ) -> Iterator[ScenarioRun]:
         """The generator behind :meth:`iter_runs` (argument validation
         stays eager in the caller, before the first ``next()``): the
-        in-process lane and the pool lane, alternating, with completed
-        runs handed out between steps."""
+        policy picks a live walk, the walk takes its next step, and a
+        walk's members are handed out when it ends."""
         scenarios = self.scenarios
-        models = [scenario.cost_model() for scenario in scenarios]
-        stock = [uses_stock_cost_semantics(model) for model in models]
-        groups = _dedup_groups(scenarios) if dedup else {}
+        plans = [_plan(scenario, executor, dedup=dedup) for scenario in scenarios]
+        groups = _dedup_groups(
+            scenarios,
+            [index for index, plan in enumerate(plans) if plan.path == "batch-dedup"],
+        )
         leader_of = {
             member: leader for leader, indices in groups.items() for member in indices
         }
-        sizes = [
-            self._chunk_size_for(scenario, executor, chunk_size, pooled=not flag)
-            for scenario, flag in zip(scenarios, stock)
-        ]
+        # Rows per cohort slice and sink write (scalar members' streams
+        # size their chunks as solo explore() does).
+        size = chunk_size or executor.chunk_size or DEFAULT_CHUNK_SIZE
         members = [
             self._member(
-                index, sink, collect, sizes[index], track_frontier, index in leader_of
+                index,
+                sink,
+                collect,
+                None if plans[index].scalar else size,
+                track_frontier,
+                index in leader_of,
             )
             for index, sink in enumerate(sink_list)
         ]
-        # The in-process lane: one walk per dedup group (keyed by its
-        # leader) and one per other stock member, each with the members
-        # its steps feed.
-        walks: dict[int, Iterator[_Step]] = {}
+        # One walk per dedup group (keyed by its leader) and one per
+        # other member, each with the members its steps feed.
+        walks: dict[int, Iterator[None]] = {}
         units: dict[int, tuple[int, ...]] = dict(groups)
         for leader, indices in groups.items():
             group = [scenarios[index] for index in indices]
-            walks[leader] = _group_walk(indices, group, models[leader], sizes[leader])
-        for index, scenario in enumerate(scenarios):
-            if stock[index] and index not in leader_of:
-                walks[index] = _solo_walk(index, scenario, models[index], sizes[index])
+            walks[leader] = _group_walk(
+                indices, group, plans[leader].model, size, members
+            )
+        for index, plan in enumerate(plans):
+            if index not in leader_of:
+                walks[index] = _scenario_stream(
+                    scenarios[index],
+                    plan,
+                    executor,
+                    chunk_size,
+                    members[index].consumer,
+                )
                 units[index] = (index,)
         live = sorted(walks)
-        progress = _FleetProgress(len(scenarios))
         start = time.perf_counter()
         opened: list[int] = []
         closed: set[int] = set()
         error: BaseException | None = None
-        feed = results = None
-
-        def _hand_out() -> list[ScenarioRun]:
-            return self._finish_complete(
-                progress, members, sink_list, opened, closed, leader_of
-            )
-
         try:
             # Opening happens inside the try so a sink whose open()
             # fails still gets every *previously opened* sink closed
@@ -819,48 +739,25 @@ class Campaign:
                     open_sink(sink, scenarios[index], self._label(index))
                     opened.append(index)
             policy.start(scenarios)
-            scalar = [index for index in range(len(scenarios)) if not stock[index]]
-            if scalar:
-                # The pool starts (lazily, on the first next()) only for
-                # members whose model fails the stock gate.
-                feed = _interleave_chunks(
-                    scenarios, models, sizes, policy, progress, scalar
-                )
-                results = executor.imap(_evaluate_tagged_chunk, feed, chunk_size=1)
-            while live or results is not None:
-                if live:
-                    index = _select(policy, live)
-                    step = next(walks[index], None)
-                    now = time.perf_counter() - start
-                    if step is None:
-                        live.remove(index)
-                        for member in units[index]:
-                            progress.exhausted[member] = True
-                    else:
-                        for member, batch in step:
-                            members[member].add_batch(batch, now)
-                    yield from _hand_out()
-                if results is not None:
-                    item = next(results, None)
-                    if item is None:
-                        results = None
-                    else:
-                        index, costs = item
-                        members[index].add_costs(costs, time.perf_counter() - start)
-                        progress.collected[index] += 1
-                    yield from _hand_out()
+            while live:
+                index = _select(policy, live)
+                if next(walks[index], _DONE) is _DONE:
+                    live.remove(index)
+                    yield from self._finish(
+                        units[index], members, sink_list, opened, closed, leader_of
+                    )
+                    continue
+                now = time.perf_counter() - start
+                for member in units[index]:
+                    members[member].completed_at = now
         except BaseException as exc:
             error = exc
             raise
         finally:
-            # Stop the executor stream first (the pool shuts down after
-            # in-flight chunks finish; a drained stream is already shut),
-            # then the enumerators, then flush every sink not already
-            # closed at scenario completion.
-            if results is not None:
-                results.close()
-            if feed is not None:
-                feed.close()
+            # Close the walks first (a scalar member's pool shuts down
+            # after its in-flight chunks finish; a drained stream is
+            # already shut), then flush every sink not already closed
+            # at scenario completion.
             for walk in walks.values():
                 walk.close()
             close_error: BaseException | None = None
@@ -882,7 +779,7 @@ class Campaign:
         index: int,
         sink: Any,
         collect: bool,
-        chunk_size: int,
+        chunk_size: int | None,
         track_frontier: bool,
         grouped: bool,
     ) -> "_Member":
@@ -897,19 +794,20 @@ class Campaign:
         )
         return _Member(consumer, 0 if grouped else None)
 
-    def _finish_complete(
+    def _finish(
         self,
-        progress: _FleetProgress,
+        indices: tuple[int, ...],
         members: list["_Member"],
         sink_list: list[Any],
         opened: list[int],
         closed: set[int],
         leader_of: Mapping[int, int],
     ) -> list[ScenarioRun]:
-        """Runs for scenarios that just completed, their sinks flushed
-        and closed first so a handed-out run's exports are complete."""
+        """Runs for the members of a walk that just ended, in fleet
+        order, their sinks flushed and closed first so a handed-out
+        run's exports are complete."""
         runs: list[ScenarioRun] = []
-        for index in progress.pop_complete():
+        for index in indices:
             member = members[index]
             if index in opened and index not in closed:
                 member.consumer.flush()
@@ -939,17 +837,19 @@ class Campaign:
         Parameters
         ----------
         executor:
-            The one pool the scalar-model scenarios share; defaults to
-            serial. Stock-model scenarios fold in the calling process
-            whatever the executor, and a fleet without scalar members
-            never starts the pool. Row order per scenario is its
-            enumeration order for any worker count.
+            Runs the scalar-model scenarios' chunks, exactly as their
+            solo ``explore()`` would: on a parallel executor each starts
+            its own pool lazily; defaults to serial. Stock-model
+            scenarios fold in the calling process whatever the executor,
+            and a fleet without scalar members never starts a pool. Row
+            order per scenario is its enumeration order for any worker
+            count.
         chunk_size:
             Rows per cohort slice (stock models) or configurations per
             chunk (scalar models) for every scenario (default: the
             executor's ``chunk_size``, else :data:`~repro.explore.engine.
-            DEFAULT_CHUNK_SIZE`, with scalar chunks on a pool sized the
-            way solo ``explore()`` sizes them).
+            DEFAULT_CHUNK_SIZE` rows per slice, and scalar chunks sized
+            the way solo ``explore()`` sizes them).
         sinks:
             Per-scenario streaming outputs: a mapping from scenario
             name to sink (scenarios without an entry get none) or a
@@ -1019,26 +919,6 @@ class Campaign:
     def _label(self, index: int) -> str:
         return f"scenario {self.scenarios[index].name!r}"
 
-    @staticmethod
-    def _chunk_size_for(
-        scenario: Scenario,
-        executor: SweepExecutor,
-        chunk_size: int | None,
-        pooled: bool,
-    ) -> int:
-        """Rows per cohort slice (in-process members) or configurations
-        per chunk (``pooled`` members, sized for the pool's workers the
-        way solo ``explore()`` sizes them)."""
-        if chunk_size is not None:
-            return chunk_size
-        if executor.chunk_size is not None:
-            return executor.chunk_size
-        if pooled and not executor.is_serial:
-            return auto_chunk_size(
-                scenario.count_configs(), executor.workers, DEFAULT_CHUNK_SIZE
-            )
-        return DEFAULT_CHUNK_SIZE
-
     def _build_run(
         self, index: int, member: "_Member", dedup_source: str | None
     ) -> ScenarioRun:
@@ -1097,13 +977,3 @@ class _Member:
         self.consumer = consumer
         self.n_materialized = n_materialized
         self.completed_at = 0.0
-
-    def add_batch(self, batch: BatchRows, now: float) -> None:
-        self.consumer.add_batch(batch)
-        if self.n_materialized is not None:
-            self.n_materialized += batch.n_materialized
-        self.completed_at = now
-
-    def add_costs(self, costs: list[Any], now: float) -> None:
-        self.consumer.add_costs(costs)
-        self.completed_at = now

@@ -9,19 +9,19 @@ and returns an :class:`~repro.explore.result.ExplorationResult`. Row
 order is the enumeration order regardless of worker count, so parallel
 and serial runs are interchangeable.
 
-One rule picks the evaluation path. A model whose every cost step is
+One plan picks the evaluation path (:func:`_plan`, which
+:func:`evaluation_path` reports). A model whose every cost step is
 stock (:func:`~repro.explore.incremental.uses_stock_cost_semantics`)
 takes the columnar cohort walk (:mod:`repro.explore.vectorized`), folded
-in process on every executor: by ``explore()`` and by every stock
-campaign member alike (a campaign dedup group walks its shared states
-once and closes them under each member's link). Every other model — and
-``evaluation="scalar"`` — takes the one generic scalar chunk function,
-:func:`~repro.explore.incremental.evaluate_chunk`: the memoized
+in process on every executor (a campaign dedup group walks its shared
+states once and closes them under each member's link). Every other
+model — and ``evaluation="scalar"`` — takes the scalar pipe,
+:func:`iter_evaluation_chunks`: the memoized
 :class:`~repro.explore.incremental.PrefixEvaluator` walk if the model's
 ``evaluate()`` is stock, per-config ``evaluate()`` calls if not. Only
-those scalar chunks travel through the executor. Both shapes of result
-— lazy columnar batches and scalar cost chunks — land in one consumer
-(:class:`_RunConsumer`) shared by ``explore()`` and every campaign member,
+those scalar chunks travel through the executor. ``explore()`` and
+every campaign member outside a dedup group run one stream
+(:func:`_scenario_stream`) into one consumer (:class:`_RunConsumer`),
 so solo runs and campaign members cannot drift apart.
 
 The path is streaming end-to-end: configurations flow from the
@@ -52,6 +52,7 @@ from __future__ import annotations
 import gc
 import threading
 from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from typing import Any, Iterator
@@ -166,8 +167,8 @@ def iter_evaluation_chunks(
     """Stream cost objects for a configuration iterable, as ordered
     chunk lists (the collection loop extends at C speed).
 
-    The scalar evaluation pipe under :func:`explore` and the
-    ``core.offload`` explicit-config facade: configurations are consumed
+    The scalar evaluation pipe under :func:`explore`, scalar campaign
+    members and the ``core.offload`` facade: configurations are consumed
     lazily in chunks, each chunk evaluated by
     :func:`~repro.explore.incremental.evaluate_chunk`'s scalar walk
     (memoized, or per-config ``evaluate()`` for models that override
@@ -209,6 +210,64 @@ def iter_evaluation_chunks(
     return executor.imap(chunk_fn, chunks, chunk_size=1)
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """How one scenario runs: its evaluation path (the values
+    :func:`evaluation_path` reports) and the cost model that runs it."""
+
+    path: str
+    model: Any
+
+    @property
+    def scalar(self) -> bool:
+        """Whether the run takes the scalar pipe
+        (:func:`iter_evaluation_chunks`) rather than a columnar walk."""
+        return self.path in ("scalar-memoized", "scalar-scratch")
+
+
+def _dedupable(scenario: Scenario) -> bool:
+    """Whether the scenario has a campaign
+    :func:`~repro.explore.campaign.scenario_compute_key`: no pre-built
+    ``model`` and no pruning of any kind."""
+    return not (
+        scenario.model is not None
+        or scenario.prune is not None
+        or scenario.prune_depth is not None
+        or scenario.auto_prune
+        or scenario.auto_prune_configs
+    )
+
+
+def _plan(
+    scenario: Scenario,
+    executor: SweepExecutor | None,
+    evaluation: str = "auto",
+    dedup: bool = False,
+) -> _Plan:
+    """The one place a scenario's evaluation path is decided, read by
+    :func:`explore`, every campaign member and :func:`evaluation_path`,
+    which validate their arguments through it. A stock model (the
+    columnar walks replicate state arrays, so they must know their
+    layout) takes a cohort walk on every executor — shipping cohorts to
+    pool workers measured slower than folding them in process — or,
+    with ``dedup=True``, a campaign-dedupable scenario its group's walk.
+    Every other model, and ``evaluation="scalar"``, takes the scalar
+    pipe."""
+    model = scenario.cost_model()
+    _check_evaluation_mode(evaluation, model)
+    _check_dedup_mode(dedup)
+    resolve_executor(executor)
+    if evaluation == "scalar" or not uses_stock_cost_semantics(model):
+        if supports_prefix_evaluation(model):
+            return _Plan("scalar-memoized", model)
+        return _Plan("scalar-scratch", model)
+    if dedup and _dedupable(scenario):
+        return _Plan("batch-dedup", model)
+    if scenario.prune is not None or scenario.prefix_pruner() is not None:
+        return _Plan("batch-cohort-pruned", model)
+    return _Plan("batch-cohort", model)
+
+
 def evaluation_path(
     scenario: Scenario,
     executor: SweepExecutor | None = None,
@@ -232,9 +291,9 @@ def evaluation_path(
 
     Pass the campaign's ``dedup`` argument to report the path the
     scenario takes as a ``Campaign.run(dedup=...)`` member instead. A
-    campaign member runs exactly its solo path above — stock members
-    fold in the calling process, only scalar members' chunks reach the
-    executor — except:
+    campaign member runs exactly its solo path above, through the same
+    stream solo ``explore()`` runs — stock members fold in the calling
+    process, only scalar members' chunks reach the executor — except:
 
     - ``"batch-dedup"`` — with ``dedup=True``, a campaign-dedupable
       scenario (it has a
@@ -248,40 +307,48 @@ def evaluation_path(
     ``executor`` is validated but changes no path: stock models fold
     in process on every executor.
 
-    Purely informational, for self-describing perf repros; raises
-    exactly like :func:`explore` for an invalid executor or an invalid
-    or unsatisfiable ``evaluation=``, and like ``Campaign.run`` for an
-    invalid ``dedup=``.
+    The same decision the runs read (:func:`_plan`), so it cannot drift
+    from them; raises exactly like :func:`explore` for an invalid
+    executor or an invalid or unsatisfiable ``evaluation=``, and like
+    ``Campaign.run`` for an invalid ``dedup=``.
     """
-    model = scenario.cost_model()
-    _check_evaluation_mode(evaluation, model)
-    _check_dedup_mode(dedup)
-    resolve_executor(executor)
-    if dedup and evaluation != "scalar":
-        # Imported here: campaign builds on the engine, not vice versa.
-        from repro.explore.campaign import scenario_compute_key
-
-        if scenario_compute_key(scenario) is not None:
-            return "batch-dedup"
-    if _cohort_eligible(model, evaluation):
-        if scenario.prune is not None or scenario.prefix_pruner() is not None:
-            return "batch-cohort-pruned"
-        return "batch-cohort"
-    if supports_prefix_evaluation(model):
-        return "scalar-memoized"
-    return "scalar-scratch"
+    return _plan(scenario, executor, evaluation, dedup).path
 
 
-def _cohort_eligible(model: Any, evaluation: str) -> bool:
-    """Whether :func:`explore` streams the cohort walk's columnar
-    batches (depth cohorts, in fixed-size blocks of rows once they
-    outgrow one): a stock model (the walk replicates state arrays, so
-    it must know their layout), on any executor — shipping cohorts to
-    pool workers measured slower than folding them in process. Depth
-    pruning composes with the walk; the scenario's auto-derived prefix
-    pruner fuses in as mask compaction through its batch form, and
-    per-config hooks filter compacted rows at emission time."""
-    return evaluation != "scalar" and uses_stock_cost_semantics(model)
+def _scenario_stream(
+    scenario: Scenario,
+    plan: _Plan,
+    executor: SweepExecutor,
+    chunk_size: int | None,
+    consumer: "_RunConsumer",
+) -> Iterator[None]:
+    """Feed one scenario's rows into ``consumer``, one cohort slice or
+    cost chunk per step: the stream of solo :func:`explore` and of
+    every campaign member outside a dedup group. Cohort plans run the
+    walk in process, sliced at the consumer's write size (None: its
+    blocks of rows); scalar plans run :func:`iter_evaluation_chunks` on
+    ``executor`` at ``chunk_size``, so a parallel executor's pool starts
+    on the first step and shuts down when the stream ends or closes."""
+    if plan.scalar:
+        stream = iter_evaluation_chunks(
+            plan.model,
+            scenario.iter_configs(),
+            executor=executor,
+            pass_rates=scenario.pass_rates,
+            chunk_size=chunk_size,
+            approx_total=scenario.count_configs(),
+        )
+        add = consumer.add_costs
+    else:
+        evaluator = BatchPrefixEvaluator(plan.model, scenario.pass_rates)
+        stream = evaluator.iter_scenario_batches(scenario, consumer.chunk_size)
+        add = consumer.add_batch
+    try:
+        for item in stream:
+            add(item)
+            yield
+    finally:
+        stream.close()
 
 
 def explore(
@@ -348,8 +415,8 @@ def explore(
             "collect=False discards every evaluation; pass sink= to "
             "stream rows somewhere (or drop collect=False)"
         )
-    model = scenario.cost_model()
-    _check_evaluation_mode(evaluation, model)
+    plan = _plan(scenario, executor, evaluation)
+    resolved = resolve_executor(executor)
     # Pause the cyclic GC only when every allocation in the loop is the
     # engine's own (every cost step stock, no per-config user hooks, no
     # sink): those objects are acyclic, so pausing changes wall-time
@@ -358,15 +425,13 @@ def explore(
     # a multi-million-config run (the auto-derived pruners are
     # engine-owned and acyclic, so they keep the pause).
     pause = (
-        uses_stock_cost_semantics(model)
+        uses_stock_cost_semantics(plan.model)
         and scenario.prune is None
         and sink is None
     )
     label = f"scenario {scenario.name!r}"
-    resolved = resolve_executor(executor)
-    cohort = _cohort_eligible(model, evaluation)
     size = None
-    if cohort:
+    if not plan.scalar:
         size = chunk_size if chunk_size is not None else resolved.chunk_size
         if size is not None and size < 1:
             raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
@@ -379,21 +444,8 @@ def explore(
     consumer = _RunConsumer(scenario, sink, label, collect, size)
     with sink_stream(sink, scenario, label):
         with _gc_paused() if pause else nullcontext():
-            if cohort:
-                evaluator = BatchPrefixEvaluator(model, scenario.pass_rates)
-                for batch in evaluator.iter_scenario_batches(scenario, size):
-                    consumer.add_batch(batch)
-            else:
-                for costs in iter_evaluation_chunks(
-                    model,
-                    scenario.iter_configs(),
-                    executor=resolved,
-                    pass_rates=scenario.pass_rates,
-                    chunk_size=chunk_size,
-                    approx_total=scenario.count_configs(),
-                    evaluation=evaluation,
-                ):
-                    consumer.add_costs(costs)
+            for _ in _scenario_stream(scenario, plan, resolved, chunk_size, consumer):
+                pass
             consumer.flush()
     return consumer.result()
 

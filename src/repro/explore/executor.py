@@ -150,13 +150,6 @@ class SweepExecutor:
     def is_serial(self) -> bool:
         return self.workers is None or self.workers <= 1
 
-    @property
-    def is_process(self) -> bool:
-        """Whether work ships to worker *processes* — pickled per task,
-        so shared in-memory caches never reach them (drivers gate
-        cache offers on this)."""
-        return not self.is_serial and self.backend == "process"
-
     def _warn_fallback(self, exc: BaseException) -> None:
         warnings.warn(
             f"{self.backend} pool could not run the sweep ({exc!r}); "

@@ -281,12 +281,12 @@ def evaluate_chunk(
     Module-level (picklable) so the process-pool backend can ship
     chunks to workers; each chunk gets its own evaluator, so memoization
     never crosses chunk boundaries and results are independent of how
-    the stream was chunked. The one scalar chunk function: ``explore()``
-    on a pool, the ``core.offload`` explicit-config facade and the
-    campaign's pool lane all evaluate through it, which is why
-    interleaving a fleet (under any scheduling policy) cannot change any
-    scenario's values. It runs the :class:`PrefixEvaluator` walk —
-    memoized, or one ``evaluate()`` call per configuration for models
-    that override it.
+    the stream was chunked. The one scalar chunk function on a pool:
+    :func:`~repro.explore.engine.iter_evaluation_chunks` evaluates
+    through it for ``explore()``, every scalar campaign member and the
+    ``core.offload`` explicit-config facade, which is why interleaving a
+    fleet (under any scheduling policy) cannot change any scenario's
+    values. It runs the :class:`PrefixEvaluator` walk — memoized, or one
+    ``evaluate()`` call per configuration for models that override it.
     """
     return PrefixEvaluator(model, pass_rates).evaluate_many(configs)

@@ -11,7 +11,12 @@ The load-bearing identities of the campaign driver, as properties:
   ``dedup=True`` together, on a parallel executor, still match solo
   byte for byte;
 * **the path reported is the path taken**: every member runs exactly
-  the path :func:`~repro.explore.evaluation_path` reports for it.
+  the path :func:`~repro.explore.evaluation_path` reports for it;
+* **campaign == solo, shrinking**: hypothesis fleets of 1-4 members
+  drawn from the compact-rows chain strategy — stock, scalar-model and
+  same-pipeline link pairs mixed — match solo ``explore()`` under every
+  builtin policy and both ``dedup`` values, and a counterexample
+  shrinks to a minimal fleet.
 """
 
 from __future__ import annotations
@@ -20,6 +25,9 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_invariant_compact_rows import scenarios
 
 from repro.core.cost import EnergyCostModel, ThroughputCostModel
 from repro.explore import (
@@ -32,7 +40,8 @@ from repro.explore import (
     explore,
 )
 from repro.explore.campaign import scenario_compute_key
-from repro.explore import campaign as campaign_module
+from repro.explore import engine as engine_module
+from repro.hw.network import LinkModel
 
 SEEDS = range(10)
 
@@ -164,13 +173,14 @@ def _with_scalar_member(fleet):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
     """Spy on the cohort walk, the dedup group walk and the scalar
-    lane: each member enters exactly one of them, and it is the one
+    pipe: each member enters exactly one of them, and it is the one
     ``evaluation_path(member, executor, dedup=...)`` reports."""
     fleet = _with_scalar_member(gen.fleet(seed))
+    by_model = {id(s.model): s.name for s in fleet if s.model is not None}
     taken: dict[str, list[str]] = {}
     real_cohort = BatchPrefixEvaluator.iter_scenario_batches
     real_group = BatchPrefixEvaluator.iter_group_batches
-    real_lane = campaign_module._interleave_chunks
+    real_pipe = engine_module.iter_evaluation_chunks
 
     def cohort_walk(self, scenario, chunk_size=None):
         taken.setdefault(scenario.name, []).append("cohort")
@@ -181,14 +191,16 @@ def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
             taken.setdefault(scenario.name, []).append("group")
         return real_group(self, scenarios, chunk_size)
 
-    def scalar_lane(scenarios, models, sizes, policy, progress, indices):
-        for index in indices:
-            taken.setdefault(scenarios[index].name, []).append("scalar")
-        return real_lane(scenarios, models, sizes, policy, progress, indices)
+    def scalar_pipe(model, configs, *args, **kwargs):
+        # Only a pre-built model is identifiable; a stock model reaching
+        # the pipe shows up under a name no member has.
+        name = by_model.get(id(model), "a stock model")
+        taken.setdefault(name, []).append("scalar")
+        return real_pipe(model, configs, *args, **kwargs)
 
     monkeypatch.setattr(BatchPrefixEvaluator, "iter_scenario_batches", cohort_walk)
     monkeypatch.setattr(BatchPrefixEvaluator, "iter_group_batches", group_walk)
-    monkeypatch.setattr(campaign_module, "_interleave_chunks", scalar_lane)
+    monkeypatch.setattr(engine_module, "iter_evaluation_chunks", scalar_pipe)
     expected_lane = {
         "batch-cohort": "cohort",
         "batch-cohort-pruned": "cohort",
@@ -200,6 +212,7 @@ def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
         for dedup in (False, True):
             taken.clear()
             Campaign(fleet).run(executor, chunk_size=4, dedup=dedup)
+            assert set(taken) == {member.name for member in fleet}, (seed, dedup)
             for member in fleet:
                 reported = evaluation_path(member, executor, dedup=dedup)
                 assert taken[member.name] == [expected_lane[reported]], (
@@ -207,4 +220,53 @@ def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
                     dedup,
                     member.name,
                     reported,
+                )
+
+
+#: Second links for same-pipeline pairs (dedup groups when unpruned).
+PAIR_LINKS = (
+    LinkModel(name="pair-slow", raw_bps=2e4, tx_energy_per_bit=1e-9),
+    LinkModel(name="pair-fast", raw_bps=5e6, tx_energy_per_bit=0.0),
+)
+
+
+@st.composite
+def fleets(draw):
+    """1-4 members: stock chains, chains under a scalar override model,
+    and chains paired with a second link on the same pipeline."""
+    size = draw(st.integers(1, 4))
+    fleet = []
+    while len(fleet) < size:
+        member = replace(draw(scenarios()), name=f"m{len(fleet)}")
+        kind = draw(st.sampled_from(("stock", "scalar", "pair")))
+        if kind == "scalar":
+            model_cls = (
+                _ThroughputOverride
+                if member.domain == "throughput"
+                else _EnergyEvaluateOverride
+            )
+            member = replace(
+                member, model=model_cls(member.link), auto_prune_configs=False
+            )
+        fleet.append(member)
+        if kind == "pair" and len(fleet) < size:
+            link = draw(st.sampled_from(PAIR_LINKS))
+            fleet.append(replace(member, name=f"m{len(fleet)}", link=link))
+    return fleet
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleets(), st.sampled_from((None, 7)))
+def test_fleet_members_equal_solo_shrinking(fleet, chunk_size):
+    solo = {member.name: json.dumps(explore(member).rows) for member in fleet}
+    for policy in sorted(SCHEDULING_POLICIES):
+        for dedup in (False, True):
+            result = Campaign(fleet).run(
+                chunk_size=chunk_size, policy=policy, dedup=dedup
+            )
+            for run in result:
+                assert json.dumps(run.result.rows) == solo[run.name], (
+                    policy,
+                    dedup,
+                    run.name,
                 )

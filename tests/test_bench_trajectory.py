@@ -109,6 +109,31 @@ def test_append_entry_is_pure_and_stamps_commit():
     assert len(updated) == 2
 
 
+def test_append_entry_stamps_the_machine():
+    """Every new entry records the host it was measured on (cores,
+    Python, numpy); an entry that already names its machine keeps it,
+    and neither the input trajectory nor the entry dict is touched."""
+    import os
+    import platform
+
+    import numpy as np
+
+    entry = {"kind": "explore_scaling", "modes": {}}
+    updated = trajectory.append_entry([], entry, commit="c1")
+    assert updated[-1]["machine"] == {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+    assert "machine" not in entry
+    own = {"cores": 64, "python": "3.0.0", "numpy": "0.0"}
+    kept = trajectory.append_entry(
+        updated, {"kind": "energy_pareto", "machine": own}, commit="c1"
+    )
+    assert kept[-1]["machine"] == own
+    assert len(updated) == 1  # the input trajectory is untouched
+
+
 def test_append_entry_replaces_latest_same_kind_same_commit():
     baseline = [
         scaling_entry(1.0, "c1"),

@@ -39,6 +39,7 @@ from repro.explore import (
     explore,
     load_builtin,
 )
+import repro.explore.engine as engine_module
 import repro.explore.executor as executor_module
 from repro.explore.catalog import LINKS, resolve_link
 from repro.hw.network import ETHERNET_25G, RF_BACKSCATTER, LinkModel
@@ -475,7 +476,7 @@ def test_export_only_campaign_memory_bounded_by_chunk_window():
         assert buffers[scenario.name].getvalue() == explore(scenario).to_csv()
 
 
-# -- mixed fleets: the in-process lane and the pool lane ----------------
+# -- mixed fleets: stock walks and the scalar pipe in one lane ---------
 
 
 class _EvaluateOverride(ThroughputCostModel):
@@ -540,7 +541,7 @@ def _mixed_fleet() -> tuple[list[Scenario], set[str]]:
     return fleet, {"evaluate-override", "extend-override"}
 
 
-@pytest.mark.parametrize(
+MIXED_EXECUTORS = pytest.mark.parametrize(
     "executor",
     [
         SweepExecutor(),
@@ -549,27 +550,38 @@ def _mixed_fleet() -> tuple[list[Scenario], set[str]]:
     ],
     ids=["serial", "thread", "process"],
 )
+
+
+@MIXED_EXECUTORS
 def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeypatch):
     """Stock members (solo, pruned, a dedup pair) fold in process and
-    scalar-model members ride the pool lane: every member's rows stay
-    byte-identical to solo explore() under both policies and every
-    dedup mode, and only scalar members' chunks reach the executor."""
+    scalar-model members stream through solo explore()'s scalar pipe:
+    every member's rows stay byte-identical to solo explore() under both
+    policies and every dedup mode, only scalar members' chunks reach
+    the executor's pipe, and on a pool only theirs go through ``imap``."""
     fleet, scalar = _mixed_fleet()
     solo = {scenario.name: json.dumps(explore(scenario).rows) for scenario in fleet}
+    by_model = {id(s.model): s.name for s in fleet if s.model is not None}
+    piped: list[str] = []
     pooled: list[str] = []
+    real_chunks = engine_module.iter_evaluation_chunks
     real_imap = SweepExecutor.imap
 
+    def spying_chunks(model, configs, executor=None, *args, **kwargs):
+        name = by_model.get(id(model), "a stock member")
+        for costs in real_chunks(model, configs, executor, *args, **kwargs):
+            piped.append(name)
+            yield costs
+
     def spying_imap(self, fn, items, chunk_size=None):
-        def record(tagged):
-            for item in tagged:
-                pooled.append(fleet[item[0]].name)
-                yield item
+        pooled.append(by_model.get(id(fn.args[0]), "a stock member"))
+        return real_imap(self, fn, items, chunk_size)
 
-        return real_imap(self, fn, record(items), chunk_size)
-
+    monkeypatch.setattr(engine_module, "iter_evaluation_chunks", spying_chunks)
     monkeypatch.setattr(SweepExecutor, "imap", spying_imap)
     for policy in ("round_robin", "weighted_completion"):
         for dedup in (False, True):
+            piped.clear()
             pooled.clear()
             result = Campaign(fleet).run(
                 executor, chunk_size=5, policy=policy, dedup=dedup
@@ -580,9 +592,36 @@ def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeyp
                     dedup,
                     run.name,
                 )
-            assert set(pooled) == scalar, (policy, dedup)
+            assert set(piped) == scalar, (policy, dedup)
+            # The serial pipe evaluates in the caller; a pool sees each
+            # scalar member's chunks, one imap stream per member.
+            assert sorted(pooled) == ([] if executor.is_serial else sorted(scalar))
             shared = 1 if dedup else 0
             assert result.cache_stats["scenarios_shared"] == shared
+
+
+@pytest.mark.parametrize(
+    "executor",
+    [SweepExecutor(), SweepExecutor(workers=2, backend="thread")],
+    ids=["serial", "thread"],
+)
+@pytest.mark.parametrize("dedup", [False, True])
+def test_mixed_fleet_completes_in_wspt_order(executor, dedup):
+    """One lane for stock and scalar members: ``weighted_completion``
+    hands runs out in WSPT order (ascending ``count_configs()``, ties in
+    fleet order) whatever path each member takes."""
+    fleet, _ = _mixed_fleet()
+    runs = Campaign(fleet).iter_runs(
+        executor, chunk_size=5, policy="weighted_completion", dedup=dedup
+    )
+    assert [run.name for run in runs] == [
+        "pair-slow",
+        "pair-fast",
+        "stock",
+        "pruned",
+        "evaluate-override",
+        "extend-override",
+    ]
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])

@@ -235,7 +235,8 @@ def test_iter_runs_completion_order_shortest_first():
 
 class _ScalarThroughputModel(ThroughputCostModel):
     """Overrides a cost step (with identical values), so campaign
-    members using it ride the pool lane instead of the in-process one."""
+    members using it stream through the scalar pipe on the executor
+    instead of the in-process cohort walk."""
 
     def extend_state(self, state, block, impl):
         return super().extend_state(state, block, impl)
@@ -243,8 +244,11 @@ class _ScalarThroughputModel(ThroughputCostModel):
 
 def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
     """A consumer that walks away mid-fleet must leave no resources
-    behind: the shared pool is shut down and every sink is closed. Only
-    scalar-model members reach the pool, so the fleet carries one."""
+    behind: every pool the fleet started is shut down and every sink is
+    closed exactly once. Only scalar-model members reach a pool, each
+    starting its own on its first step, so the fleet carries two, and
+    round-robin starts every member's stream before the first run
+    completes."""
     from dataclasses import replace
     import repro.explore.executor as executor_module
 
@@ -274,29 +278,31 @@ def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
             lifecycle.append(f"close:{self._name}")
 
     fleet = build_fleet()
-    codec = fleet[-1]
-    assert codec.domain == "throughput"
-    fleet.append(
-        replace(
-            codec, name="codec-scalar", model=_ScalarThroughputModel(codec.link)
+    for base in (fleet[0], fleet[-1]):  # vr-fig10, compression-throughput
+        assert base.domain == "throughput"
+        fleet.append(
+            replace(
+                base,
+                name=f"{base.name}-scalar",
+                model=_ScalarThroughputModel(base.link),
+            )
         )
-    )
     sinks = {scenario.name: Tracking(scenario.name) for scenario in fleet}
     iterator = Campaign(fleet).iter_runs(
         SweepExecutor(workers=2, backend="thread"),
         chunk_size=1,
         sinks=sinks,
-        policy="weighted_completion",
+        policy="round_robin",
     )
     first = next(iterator)
-    assert len(pools) == 1 and not pools[0]._shutdown
+    assert len(pools) == 2  # one per scalar member, both mid-stream
+    assert not any(pool._shutdown for pool in pools)
     iterator.close()  # walk away mid-fleet
-    assert pools[0]._shutdown  # the shared pool was released
-    opened = {e.split(":", 1)[1] for e in lifecycle if e.startswith("open:")}
-    closed = {e.split(":", 1)[1] for e in lifecycle if e.startswith("close:")}
-    assert opened == {scenario.name for scenario in fleet}
-    assert closed == opened  # every sink closed exactly once
-    assert len([e for e in lifecycle if e.startswith("close:")]) == len(closed)
+    assert all(pool._shutdown for pool in pools)  # every pool released
+    opened = [e.split(":", 1)[1] for e in lifecycle if e.startswith("open:")]
+    closed = [e.split(":", 1)[1] for e in lifecycle if e.startswith("close:")]
+    assert sorted(opened) == sorted(scenario.name for scenario in fleet)
+    assert sorted(closed) == sorted(opened)  # every sink closed exactly once
     assert first.n_evaluated > 0
 
 
