@@ -62,7 +62,8 @@ closed/flushed the moment their scenario finishes), and
 feasible count, best row, and an online
 :class:`~repro.explore.result.ParetoFrontier`) — an export-only
 campaign's peak memory is set by the chunk window plus the frontier
-size, never by the fleet's combined design-space size. A sink failure
+and at most one pending block of batches per member, never by the
+fleet's combined design-space size. A sink failure
 aborts the campaign with a clear :class:`~repro.errors.SinkError`
 naming the scenario; every other scenario's sink is still closed
 (flushed), so one bad sink never corrupts the rest of the fleet's
@@ -175,16 +176,29 @@ def scenario_compute_key(scenario: Scenario) -> tuple | None:
     the constraint *and the link*, so two members of a would-be group
     can enumerate different subsequences.
     """
+    return _compute_key(scenario, {})
+
+
+def _compute_key(scenario: Scenario, fingerprints: dict[int, tuple]) -> tuple | None:
+    """:func:`scenario_compute_key`, hashing each pipeline once per
+    ``fingerprints`` (pipeline id -> (pipeline, chain, platform axis)).
+    The memo must not outlive one fleet's grouping: implementation
+    tables are mutable."""
     if not _dedupable(scenario):
         return None
+    pipeline = scenario.pipeline
+    entry = fingerprints.get(id(pipeline))
+    if entry is None or entry[0] is not pipeline:
+        entry = (pipeline, pipeline.fingerprint(), platform_axis_fingerprint(pipeline))
+        fingerprints[id(pipeline)] = entry
     pass_rates = (
         tuple(sorted(scenario.pass_rates.items()))
         if scenario.pass_rates is not None
         else None
     )
     return (
-        scenario.pipeline.fingerprint(),
-        platform_axis_fingerprint(scenario.pipeline),
+        entry[1],
+        entry[2],
         scenario.domain,
         scenario.max_blocks,
         scenario.include_empty,
@@ -204,12 +218,15 @@ def _dedup_groups(
     compute-side costs are link-independent, so a group of scenarios
     with equal :func:`scenario_compute_key`s folds its cohort states
     once for all members (:func:`_group_walk`). Every member belongs to
-    exactly one group, a member with no sibling to a group of one.
+    exactly one group, a member with no sibling to a group of one. Each
+    distinct pipeline object is fingerprinted once per call.
     """
     groups: dict[int, tuple[int, ...]] = {}
     leaders: dict[tuple, int] = {}
+    fingerprints: dict[int, tuple] = {}
     for index in indices:
-        leader = leaders.setdefault(scenario_compute_key(scenarios[index]), index)
+        key = _compute_key(scenarios[index], fingerprints)
+        leader = leaders.setdefault(key, index)
         groups[leader] = groups.get(leader, ()) + (index,)
     return groups
 
@@ -224,7 +241,9 @@ class ScenarioRun:
     either way, including the domain-default Pareto frontier:
     ``pareto_size`` and :meth:`pareto` work in both modes (streamed
     through an online :class:`~repro.explore.result.ParetoFrontier`
-    under ``collect=False``, identical to the collected frontier).
+    under ``collect=False``, identical to the collected frontier, and
+    handed out undecoded in :attr:`frontier`: :meth:`pareto` builds
+    its rows).
     ``wall_seconds`` is the time from campaign start until this
     scenario's last rows landed (scenarios share the driver, so
     exclusive per-scenario time is not a meaningful quantity).
@@ -234,12 +253,14 @@ class ScenarioRun:
     ``dedup=True`` and the fleet shared a compute key).
     ``n_materialized`` counts the rows lazy dedup finalization actually
     turned into Python objects for this scenario by the time the run
-    was handed out: the best row, the frontier's survivors and heap
-    candidates, and whatever rows the scenario's sink built (a
-    collected result builds any other row only when a query returns
-    it) — None when the rows never rode the lazy group walk (no dedup,
-    or a dedup-ineligible scenario; an eligible scenario without a
-    sibling walks as a group of one).
+    was handed out: the best row and whatever rows a row-only sink
+    built. The online folds build none while they fold — the frontier
+    and columnar sinks' top-k rows are built when :meth:`pareto` or
+    the sink's ``top_k()`` reads them, and a collected result builds
+    any other row only when a query returns it — None when the rows
+    never rode the lazy group walk (no dedup, or a dedup-ineligible
+    scenario; an eligible scenario without a sibling walks as a group
+    of one).
     """
 
     scenario: Scenario
@@ -249,7 +270,7 @@ class ScenarioRun:
     best: dict[str, Any] | None
     _pareto_size: int | None
     wall_seconds: float
-    frontier: list[dict[str, Any]] | None = field(default=None, repr=False)
+    frontier: ParetoFrontier | None = field(default=None, repr=False)
     dedup_source: str | None = None
     n_materialized: int | None = None
 
@@ -262,12 +283,18 @@ class ScenarioRun:
         """Size of the domain-default Pareto frontier.
 
         Export-only runs know it from the streamed frontier; collected
-        runs compute it on first access, so consumers that never look
-        at the frontier (the joint-fleet optimizer's phase-1 campaign)
-        never pay for it per member.
+        runs count the frontier positions on first access, building no
+        row, so consumers that never look at the frontier (the
+        joint-fleet optimizer's phase-1 campaign) never pay for it per
+        member.
         """
         if self._pareto_size is None:
-            self._pareto_size = len(self.pareto()) if self.n_evaluated else 0
+            if self.result is None:
+                self._pareto_size = len(self._streamed_frontier())
+            elif self.n_evaluated:
+                self._pareto_size = len(self.result._frontier_positions(None, None))
+            else:
+                self._pareto_size = 0
         return self._pareto_size
 
     def pareto(self) -> list[dict[str, Any]]:
@@ -278,13 +305,18 @@ class ScenarioRun:
         are gone and the frontier was never maintained."""
         if self.result is not None:
             return self.result.pareto() if len(self.result) else []
+        return self._streamed_frontier().rows
+
+    def _streamed_frontier(self) -> ParetoFrontier:
+        """The export-only run's frontier, or the error saying why it
+        has none."""
         if self.frontier is None:
             raise PipelineError(
                 f"run {self.scenario.name!r} was export-only with "
                 "frontier tracking disabled (frontier=False); no Pareto "
                 "frontier is available"
             )
-        return list(self.frontier)
+        return self.frontier
 
     def summary_row(self) -> dict[str, Any]:
         """One campaign-report row (see
@@ -440,10 +472,23 @@ def _best_metric(domain: str) -> str:
     return "total_fps" if domain == "throughput" else "total_energy_j"
 
 
+def _first_extreme(values: np.ndarray, maximize: bool) -> int:
+    """``np.nanargmax`` (``nanargmin``) of a column holding a non-NaN
+    value: plain ``argmax`` unless it stopped at a NaN."""
+    index = int(np.argmax(values) if maximize else np.argmin(values))
+    if values[index] != values[index]:
+        index = int(np.nanargmax(values) if maximize else np.nanargmin(values))
+    return index
+
+
 class _StreamingStats:
     """Running per-scenario statistics for export-only campaigns:
     everything the summary needs that does not require all rows —
-    including the domain-default Pareto frontier, maintained online."""
+    including the domain-default Pareto frontier, maintained online.
+    Nothing it keeps pins a batch: the pending best row is a one-row
+    :meth:`~repro.explore.vectorized.BatchRows.compact` view, built
+    when :attr:`best` is read, and the frontier keeps at most one
+    pending block of batches."""
 
     __slots__ = (
         "n_evaluated",
@@ -458,8 +503,9 @@ class _StreamingStats:
     def __init__(self, domain: str, track_frontier: bool = True):
         self.n_evaluated = 0
         self.n_feasible = 0
-        #: The best row, or the ``(batch, index)`` it will be built from:
-        #: a best that a later batch displaces is never materialized.
+        #: The best row, or the ``(view, 0)`` it will be built from (a
+        #: one-row compact view, pinning nothing of its batch): a best
+        #: that a later batch displaces is never materialized.
         self._best: Any = None
         self._best_value: Any = None
         #: None when frontier tracking is opted out (``frontier=False``
@@ -507,9 +553,9 @@ class _StreamingStats:
             self.frontier.add(rows)
 
     def update_batch(self, batch: BatchRows) -> None:
-        """:meth:`update` over a lazy columnar batch, materializing only
-        the rows the statistics actually keep (the frontier's survivors,
-        and the best row once it is read).
+        """:meth:`update` over a lazy columnar batch, materializing no
+        row: the best row is built once it is read, the frontier's rows
+        when the frontier is read.
 
         Exactly equivalent to ``update(batch.rows())``: the sequential
         strict-comparison scan keeps the first row attaining the extreme
@@ -538,18 +584,14 @@ class _StreamingStats:
                 # NaN ever replaces it — the scalar scan keeps row 0.
                 winner = 0
             else:
-                winner = int(
-                    np.nanargmax(values) if maximize else np.nanargmin(values)
-                )
+                winner = _first_extreme(values, maximize)
         else:
             current = self._best_value
             improved = (values > current) if maximize else (values < current)
-            if bool(np.any(improved)):
-                winner = int(
-                    np.nanargmax(values) if maximize else np.nanargmin(values)
-                )
+            if improved.any():
+                winner = _first_extreme(values, maximize)
         if winner is not None:
-            self._best = (batch, winner)
+            self._best = (batch.compact([winner]), 0)
             self._best_value = values[winner]
         self.n_evaluated += n
         self.n_feasible += int(np.count_nonzero(feasible))
@@ -858,7 +900,8 @@ class Campaign:
             With ``collect=False`` no :class:`ExplorationResult` caches
             are built — each :class:`ScenarioRun` carries streaming
             statistics only (the Pareto frontier maintained online) and
-            peak memory is bounded by the chunk window. Legal with no
+            peak memory is bounded by the chunk window plus at most one
+            pending frontier block per scenario. Legal with no
             sinks at all (a summary-only campaign) or with a sink for
             *every* scenario (an export-only campaign); partial coverage
             would silently discard rows and is rejected.
@@ -884,13 +927,13 @@ class Campaign:
             :class:`~repro.errors.ConfigurationError`.
         frontier:
             ``False`` skips the online Pareto frontier on export-only
-            runs. When the domain axes anti-correlate, as the
-            compute/communication tradeoff makes them, most rows join
-            the frontier, and merging and materializing them is a
-            large share of the campaign. Such runs raise
-            from :meth:`ScenarioRun.pareto` / ``pareto_size`` instead
-            of answering; collected runs are unaffected (their frontier
-            derives lazily from the rows).
+            runs. The frontier builds no row while it folds, but it
+            still reads each batch's axis columns and sweeps them once
+            per pending block; a consumer that never asks Pareto
+            questions (the joint-fleet search) saves that. Such runs
+            raise from :meth:`ScenarioRun.pareto` / ``pareto_size``
+            instead of answering; collected runs are unaffected (their
+            frontier derives lazily from the columns).
         """
         resolved = resolve_policy(policy)
         start = time.perf_counter()
@@ -946,12 +989,10 @@ class Campaign:
             n_evaluated = stats.n_evaluated
             n_feasible = stats.n_feasible
             best = stats.best
-            if stats.frontier is not None:
-                frontier = stats.frontier.rows
-                pareto_size = len(frontier)
-            else:  # frontier tracking opted out: pareto() raises
-                frontier = None
-                pareto_size = None
+            # Handed out undecoded, its last pending block swept (len)
+            # so the run pins no batch: pareto() builds the rows.
+            frontier = stats.frontier
+            pareto_size = None if frontier is None else len(frontier)
         return ScenarioRun(
             scenario=scenario,
             result=result,

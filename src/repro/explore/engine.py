@@ -263,7 +263,9 @@ def _plan(
         return _Plan("scalar-scratch", model)
     if dedup and _dedupable(scenario):
         return _Plan("batch-dedup", model)
-    if scenario.prune is not None or scenario.prefix_pruner() is not None:
+    # A scenario validates that auto_prune_configs has its domain's
+    # bound, so it has a prefix pruner; the walk builds it.
+    if scenario.prune is not None or scenario.auto_prune_configs:
         return _Plan("batch-cohort-pruned", model)
     return _Plan("batch-cohort", model)
 
@@ -464,12 +466,13 @@ class _RunConsumer:
       chunks are appended;
     * the sink: columnar sinks (``ParetoSink``/``TopKSink`` — anything
       overriding ``write_batch``) receive the lazy batch views directly
-      and materialize only surviving rows, so live cost objects stay
-      bounded by the survivor count. Row-only sinks keep the streaming
-      contract exactly: rows are buffered across batch boundaries and
-      written once per ``chunk_size`` rows in enumeration order (once
-      per batch or chunk when ``chunk_size`` is None) — the same writes
-      and bounded peak as the scalar chunk path;
+      and build rows only when their answers are read, so live cost
+      objects stay bounded by what is read. Row-only sinks keep the
+      streaming contract exactly: rows are buffered across batch
+      boundaries and written once per ``chunk_size`` rows in
+      enumeration order (once per batch or chunk when ``chunk_size`` is
+      None) — the same writes and bounded peak as the scalar chunk
+      path;
     * ``stats`` (a campaign's export-only running statistics), fed the
       lazy batch unless the sink already forced its rows.
 

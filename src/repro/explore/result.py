@@ -455,25 +455,26 @@ def _skyline(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     """The non-dominated mask of the points ``(k0[i], k1[i])``, both
     axes maximized (a one-axis frontier passes a zero ``k1``).
 
-    Exact O(n log n) sort and sweep: sort by ``(k0 desc, k1 desc)`` and
-    group equal ``k0``. A point survives iff its ``k1`` is its group's
-    maximum (no point of equal ``k0`` beats it) and strictly exceeds the
-    running maximum ``k1`` of every group with larger ``k0`` (no such
-    point matches it); the first group has no such bound. Exact ties
-    all survive, ``-0.0 == 0.0`` and ±inf are ordinary values. Keys must
-    be NaN-free.
+    Exact O(n log n) sort and sweep: sort by ``k0`` descending and group
+    equal ``k0``. A point survives iff its ``k1`` is its group's maximum
+    (no point of equal ``k0`` beats it) and strictly exceeds the running
+    maximum ``k1`` of every group with larger ``k0`` (no such point
+    matches it); the first group has no such bound. Group maxima come
+    from one ``reduceat``, so the order within a group is irrelevant and
+    one unstable ``argsort`` of ``k0`` suffices. Exact ties all survive,
+    ``-0.0 == 0.0`` and ±inf are ordinary values. Keys must be NaN-free.
     """
     n = len(k0)
     mask = np.zeros(n, dtype=bool)
     if n == 0:
         return mask
-    order = np.lexsort((k1, k0))[::-1]
+    order = np.argsort(k0)[::-1]
     s0, s1 = k0[order], k1[order]
     starts = np.empty(n, dtype=bool)
     starts[0] = True
     starts[1:] = s0[1:] != s0[:-1]
+    heads = np.maximum.reduceat(s1, np.flatnonzero(starts))  # group maxima
     group = np.cumsum(starts) - 1
-    heads = s1[starts]  # each group's maximum k1 (sorted first)
     survive = s1 == heads[group]
     later = group > 0
     bound = np.maximum.accumulate(heads)  # running maximum through group g
@@ -519,18 +520,48 @@ def _stack(keys: list[np.ndarray]) -> np.ndarray:
     return np.stack(keys)
 
 
+def _block_rows() -> int:
+    """The online frontier's pending budget: the cohort walk's block
+    size, :data:`repro.explore.vectorized._BLOCK_ROWS` (read at call
+    time; imported lazily, as vectorized imports this module)."""
+    from repro.explore import vectorized
+
+    return vectorized._BLOCK_ROWS
+
+
+def _decode(refs: list[list[Any]]) -> list[dict[str, Any]]:
+    """The rows behind survivor references, in order.
+
+    A reference is a two-item list: ``[None, row]`` once built, else
+    ``[view, slot]``, slot ``slot`` of a compact
+    :meth:`~repro.explore.vectorized.BatchRows.compact` view. Each view
+    builds its slots in one :meth:`take`, and every reference is
+    rewritten to its row, so a survivor is built once however often it
+    is read."""
+    views: dict[int, list[list[Any]]] = {}
+    for ref in refs:
+        if ref[0] is not None:
+            views.setdefault(id(ref[0]), []).append(ref)
+    for group in views.values():
+        view = group[0][0]
+        for ref, row in zip(group, view.take([ref[1] for ref in group])):
+            ref[0], ref[1] = None, row
+    return [ref[1] for ref in refs]
+
+
 class ParetoFrontier:
     """An online Pareto frontier over streamed rows.
 
     The batch :func:`pareto_filter` needs every row at once; this class
-    maintains the frontier *incrementally* — :meth:`add` folds one chunk
-    of rows into the current non-dominated set — so ``pareto`` /
-    ``pareto_size`` stay available on export-only (``collect=False``)
-    runs whose rows were never retained. The maintained set is exactly
-    what :func:`pareto_filter` would return over all rows seen so far,
-    in the same (first-seen) order: dominance is transitive, so the
+    maintains the frontier *incrementally* — :meth:`add` and
+    :meth:`add_batch` fold chunks of rows into the current
+    non-dominated set — so ``pareto`` / ``pareto_size`` stay available
+    on export-only (``collect=False``) runs whose rows were never
+    retained. The frontier it reports is exactly what
+    :func:`pareto_filter` would return over all rows seen so far, in
+    the same (first-seen) order: dominance is transitive, so the
     frontier of every row seen is the frontier of (current frontier ∪
-    new chunk). Tests assert the streamed frontier equals the collected
+    new rows). Tests assert the streamed frontier equals the collected
     one exactly.
 
     Same semantics as :func:`pareto_filter`: a row survives unless some
@@ -540,9 +571,19 @@ class ParetoFrontier:
     offending row's stream position, after the rows before it are
     folded.
 
-    One or two axes (both default frontiers) merge each chunk with the
-    frontier in one O(n log n) skyline sweep over numpy key columns;
-    three or more fold row by row against the frontier.
+    One or two axes (both default frontiers) merge with the frontier in
+    one O(n log n) skyline sweep over numpy key columns; three or more
+    fold row by row against the frontier. :meth:`add_batch` (two axes
+    or fewer) only appends a columnar batch's keys to a pending block
+    and sweeps once per block of up to
+    :data:`repro.explore.vectorized._BLOCK_ROWS` pending rows (a larger
+    batch is a block of its own), or on the first read (``len``,
+    :attr:`rows`, the next :meth:`add`). Survivors
+    are kept as their keys, their stream positions and a compact view
+    per batch (:meth:`~repro.explore.vectorized.BatchRows.compact`: the
+    survivors' choices and per-row columns, nothing of the walk), so
+    the frontier never pins a batch once its block is swept, and a
+    survivor becomes a row dict only when :attr:`rows` reads it.
     """
 
     def __init__(
@@ -561,14 +602,19 @@ class ParetoFrontier:
         self._flags = tuple(flags)
         self._sweep = len(axes) <= 2
         self.n_seen = 0
-        #: Frontier rows in first-seen order, their stream positions,
-        #: and their sign-normalized axis keys (all axes maximized): a
-        #: (2, n_front) array for one or two axes (a one-axis frontier's
-        #: second row is zeros), one key list per row for three or more.
-        self._rows: list[dict[str, Any]] = []
+        #: Frontier survivors in first-seen order: their references
+        #: (see :func:`_decode`), stream positions and sign-normalized
+        #: axis keys (all axes maximized): a (2, n_front) array for one
+        #: or two axes (a one-axis frontier's second row is zeros), one
+        #: key list per row for three or more.
+        self._refs: list[list[Any]] = []
         self._positions: list[int] = []
         self._columns = np.empty((2, 0))
         self._keys: list[list[float]] = []
+        #: The pending block: the key columns and the batch of each
+        #: folded batch not yet swept, and their row count.
+        self._pending: list[tuple[list[np.ndarray], Any]] = []
+        self._n_pending = 0
 
     def _key(self, row: dict[str, Any], position: int) -> list[float]:
         key = []
@@ -589,25 +635,52 @@ class ParetoFrontier:
     def _merge(
         self,
         chunk: np.ndarray,
-        take: Callable[[list[int]], list[dict[str, Any]]],
+        refs: Callable[[np.ndarray], list[list[Any]]],
     ) -> None:
-        """Merge (2, m) chunk keys into the frontier: one skyline over
-        frontier then chunk keys; surviving frontier rows stay in place
-        and surviving chunk rows (``take(indices)``, one call) append in
-        index order."""
-        n_front = len(self._rows)
+        """Merge the (2, m) keys of the ``m`` stream rows after the
+        frontier's last sweep into it: one skyline over frontier then
+        chunk keys; surviving frontier entries stay in place and the
+        references of surviving chunk rows (``refs(indices)``, one call)
+        append in index order."""
+        n_front = len(self._refs)
+        base = self.n_seen - chunk.shape[1]
         keys = np.concatenate((self._columns, chunk), axis=1)
         mask = _skyline(keys[0], keys[1])
         if n_front and not mask[:n_front].all():
             kept = np.flatnonzero(mask[:n_front]).tolist()
-            self._rows = [self._rows[i] for i in kept]
+            self._refs = [self._refs[i] for i in kept]
             self._positions = [self._positions[i] for i in kept]
-        joined = np.flatnonzero(mask[n_front:]).tolist()
-        if joined:
-            self._rows.extend(take(joined))
-            self._positions.extend(self.n_seen + i for i in joined)
+        joined = np.flatnonzero(mask[n_front:])
+        if len(joined):
+            self._refs.extend(refs(joined))
+            self._positions.extend((joined + base).tolist())
         self._columns = keys[:, mask]
-        self.n_seen += chunk.shape[1]
+
+    def _flush(self) -> None:
+        """Sweep the pending block into the frontier: one skyline, then
+        one compact view of each batch's joining rows."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        chunk = np.zeros((2, self._n_pending))
+        self._n_pending = 0
+        starts = [0]
+        for keys, _ in pending:
+            lo, hi = starts[-1], starts[-1] + len(keys[0])
+            for row, key in enumerate(keys):
+                chunk[row, lo:hi] = key
+            starts.append(hi)
+
+        def refs(joined: np.ndarray) -> list[list[Any]]:
+            out: list[list[Any]] = []
+            cuts = np.searchsorted(joined, starts).tolist()
+            for (_, batch), lo, hi, start in zip(pending, cuts, cuts[1:], starts):
+                if lo < hi:
+                    view = batch.compact(joined[lo:hi] - start)
+                    out.extend([view, slot] for slot in range(hi - lo))
+            return out
+
+        self._merge(chunk, refs)
 
     def add(self, rows: Sequence[dict[str, Any]]) -> None:
         """Fold one chunk of rows into the frontier (stream order)."""
@@ -633,12 +706,14 @@ class ParetoFrontier:
                 except ConfigurationError as error:
                     self.add(rows[:position])
                     raise error
-        self._merge(_stack(keys), lambda joined: [rows[i] for i in joined])
+        self._flush()
+        self.n_seen += len(rows)
+        self._merge(_stack(keys), lambda joined: [[None, rows[i]] for i in joined])
 
     def _fold(self, rows: Sequence[dict[str, Any]]) -> None:
         """Row-by-row fold (three or more axes)."""
         n_axes = len(self._axes)
-        frontier_rows = self._rows
+        frontier_refs = self._refs
         frontier_positions = self._positions
         frontier_keys = self._keys
         for row in rows:
@@ -660,27 +735,30 @@ class ParetoFrontier:
             if dominated:
                 continue
             for index in reversed(evicted):
-                del frontier_rows[index]
+                del frontier_refs[index]
                 del frontier_positions[index]
                 del frontier_keys[index]
-            frontier_rows.append(row)
+            frontier_refs.append([None, row])
             frontier_positions.append(position)
             frontier_keys.append(mine)
 
     def add_batch(self, batch: Any) -> None:
         """Fold one columnar :class:`~repro.explore.vectorized.BatchRows`
-        view into the frontier, materializing only its surviving rows.
+        view into the frontier without materializing any of its rows.
         Batches are member-tagged (campaign dedup members fold views of
         group-shared states tagged with their own scenario), so
         survivors materialize exactly as the member's solo rows.
 
         Semantically identical to ``add(batch.rows())`` — same frontier,
-        same ``n_seen`` positions in every error message — but the
-        skyline merge runs on the batch's metric columns, so only rows
-        that join the frontier ever become dicts, gathered with one
-        :meth:`BatchRows.take` per merge. Falls back to the row
-        path with three or more axes, or when an axis is not a float
-        column (:meth:`BatchRows.metric_column` raises ``KeyError`` for
+        same ``n_seen`` positions in every error message — but only the
+        batch's axis columns are read: they join the pending block,
+        which one skyline sweeps before a batch would take it past
+        :data:`repro.explore.vectorized._BLOCK_ROWS` rows (or on the
+        next read), and each swept batch leaves one
+        :meth:`~repro.explore.vectorized.BatchRows.compact` view of its
+        survivors. Falls back to the row path with three or more axes,
+        or when an axis is not a float column
+        (:meth:`BatchRows.metric_column` raises ``KeyError`` for
         non-columnar metrics; integer columns compare exactly as rows).
         """
         m = len(batch)
@@ -700,20 +778,30 @@ class ParetoFrontier:
                 return
             column = column.astype(float, copy=False)
             keys.append(column if flag else -column)
-        chunk = _stack(keys)
-        bad = np.isnan(chunk).any(axis=0)
-        limit = int(np.argmax(bad)) if bad.any() else m
-        self._merge(chunk[:, :limit], batch.take)
+        nan = np.isnan(keys[0])
+        if len(keys) == 2:
+            nan |= np.isnan(keys[1])
+        limit = int(np.argmax(nan)) if nan.any() else m
+        if limit:
+            budget = _block_rows()
+            if self._n_pending and self._n_pending + limit > budget:
+                self._flush()
+            self._pending.append(([key[:limit] for key in keys], batch))
+            self._n_pending += limit
+            self.n_seen += limit
         for i in range(limit, m):
             self.add([batch.row(i)])  # first iteration raises on the NaN
 
     @property
     def rows(self) -> list[dict[str, Any]]:
-        """The current non-dominated rows, in first-seen order."""
-        return list(self._rows)
+        """The current non-dominated rows, in first-seen order (built
+        on first read)."""
+        self._flush()
+        return _decode(self._refs)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        self._flush()
+        return len(self._refs)
 
 
 class TopK:
@@ -744,10 +832,12 @@ class TopK:
         self.k = k
         self.maximize = maximize
         self.n_seen = 0
-        #: Min-heap of ((priority, -position), row): the worst surviving
-        #: row sits at the root. Positions are unique, so heap keys never
-        #: tie and rows are never compared.
-        self._heap: list[tuple[tuple[float, int], dict[str, Any]]] = []
+        #: Min-heap of ((priority, -position), reference): the worst
+        #: surviving row sits at the root. Positions are unique, so heap
+        #: keys never tie and references are never compared. A
+        #: reference is a row or a slot of a compact view (see
+        #: :func:`_decode`).
+        self._heap: list[tuple[tuple[Any, int], list[Any]]] = []
 
     def add(self, rows: Sequence[dict[str, Any]]) -> None:
         """Fold one chunk of rows into the ranking (stream order)."""
@@ -776,73 +866,106 @@ class TopK:
             # earlier rows carry the larger tiebreak (-position).
             key = ((value if maximize else -value), -position)
             if len(heap) < k:
-                heapq.heappush(heap, (key, row))
+                heapq.heappush(heap, (key, [None, row]))
             elif key > heap[0][0]:
-                heapq.heapreplace(heap, (key, row))
+                heapq.heapreplace(heap, (key, [None, row]))
 
     def add_batch(self, batch: Any) -> None:
         """Fold one columnar :class:`~repro.explore.vectorized.BatchRows`
-        view into the ranking, materializing only candidate rows.
+        view into the ranking without materializing any of its rows.
 
         Semantically identical to ``add(batch.rows())`` — same surviving
-        rows, ties and ``n_seen`` positions — but once the heap is full,
-        rows that cannot displace the batch-start root are rejected by
-        one vectorized comparison without ever becoming dicts (sound:
-        the root value only grows, and an exact tie with the root never
-        enters because later positions carry smaller tiebreaks, so the
-        strict ``>`` mask is a superset of the rows the scalar fold
-        would admit). Of those candidates only the batch's own ``k``
-        best (by value, earliest first) can still reach the top ``k`` —
-        a row with ``k`` better rows in the same batch never does — so
-        at most ``k`` are materialized, in one bulk gather, and folded
-        through the scalar :meth:`add` in stream order. A batch thus
-        materializes at most ``2k`` rows (``k`` more while the heap
-        fills). Falls back to the row path when the metric is not
-        columnar.
+        rows, ties and ``n_seen`` positions — but it reads the metric
+        column only. While the heap fills every row enters; once it is
+        full, rows that cannot displace the batch-start root are
+        rejected by one vectorized comparison (sound: the root value
+        only grows, and an exact tie with the root never enters because
+        later positions carry smaller tiebreaks, so the strict ``>``
+        mask — ``>=`` against an integer root float64 rounds — is a
+        superset of the rows the scalar fold would admit). Of
+        those candidates only the batch's own ``k`` best (by value,
+        earliest first) can still reach the top ``k`` — a row with
+        ``k`` better rows in the same batch never does — so at most
+        ``k`` fold through the heap, in stream order, keyed by their
+        column values. The rows the batch leaves in the heap are kept
+        as one :meth:`~repro.explore.vectorized.BatchRows.compact` view,
+        so the ranking never pins the batch, and they become row dicts
+        only when :attr:`rows` reads them. Falls back to the row path
+        when the metric is not an exact numeric column.
         """
         m = len(batch)
         if m == 0:
             return
         try:
-            column = batch.metric_column(self.metric)
+            column = np.asarray(batch.metric_column(self.metric))
         except KeyError:
+            column = None
+        if column is None or not _exact_float(column):
             self.add(batch.rows())
             return
-        values = np.asarray(column, dtype=float)
+        values = column.astype(float, copy=False)
         if not self.maximize:
             values = -values
         bad = np.isnan(values)
         limit = int(np.argmax(bad)) if bad.any() else m
         base = self.n_seen
-        k, heap = self.k, self._heap
-        start = 0
-        if k > 0:
-            # Heap-fill phase: every row enters, no prefilter possible.
-            while len(heap) < k and start < limit:
-                self.n_seen = base + start
-                self.add([batch.row(start)])
-                start += 1
-            if start < limit:
-                window = values[start:limit]
-                candidates = np.flatnonzero(window > heap[0][0][0])
+        k, heap, maximize = self.k, self._heap, self.maximize
+        if k > 0 and limit:
+            # An entering row's reference names the batch itself until
+            # the batch's survivors are compacted below.
+            refs: list[list[Any]] = []
+
+            def enter(index: int, value: Any) -> None:
+                key = ((value if maximize else -value), -(base + index))
+                if len(heap) < k:
+                    ref = [batch, index]
+                    heapq.heappush(heap, (key, ref))
+                elif key > heap[0][0]:
+                    ref = [batch, index]
+                    heapq.heapreplace(heap, (key, ref))
+                else:
+                    return
+                refs.append(ref)
+
+            # Heap fill: every row enters, no prefilter possible.
+            fill = min(k - len(heap), limit)
+            for index, value in enumerate(column[:fill].tolist()):
+                enter(index, value)
+            if fill < limit:
+                window = values[fill:limit]
+                root = heap[0][0][0]
+                if isinstance(root, int) and abs(root) > _EXACT_INT:
+                    # float64 rounds this root: a row tying the rounded
+                    # value may still beat it exactly.
+                    candidates = np.flatnonzero(window >= root)
+                else:
+                    candidates = np.flatnonzero(window > root)
                 if len(candidates) > k:
                     # The window's own k best (stable: ties keep the
                     # earliest), put back in stream order.
                     best = np.argsort(-window[candidates], kind="stable")[:k]
                     candidates = np.sort(candidates[best])
-                candidates += start
-                for idx, row in zip(candidates.tolist(), batch.take(candidates)):
-                    self.n_seen = base + idx
-                    self.add([row])
+                candidates += fill
+                for index, value in zip(
+                    candidates.tolist(), column[candidates].tolist()
+                ):
+                    enter(index, value)
+            if refs:
+                alive = {id(ref) for _, ref in heap}
+                refs = [ref for ref in refs if id(ref) in alive]
+                view = batch.compact([ref[1] for ref in refs])
+                for slot, ref in enumerate(refs):
+                    ref[0], ref[1] = view, slot
         self.n_seen = base + limit
         for i in range(limit, m):
             self.add([batch.row(i)])  # first iteration raises on the NaN
 
     @property
     def rows(self) -> list[dict[str, Any]]:
-        """The current top-``k`` rows, best first (ties in stream order)."""
-        ordered = sorted(self._heap, key=lambda entry: entry[0], reverse=True)
-        return [row for _, row in ordered]
+        """The current top-``k`` rows, best first (ties in stream order;
+        built on first read)."""
+        ordered = sorted(self._heap, key=itemgetter(0), reverse=True)
+        return _decode([ref for _, ref in ordered])
 
     def __len__(self) -> int:
         return len(self._heap)

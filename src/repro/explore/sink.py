@@ -63,8 +63,8 @@ class ResultSink:
         The default materializes the batch's rows and delegates to
         :meth:`write_rows`, so every sink works on the batch path
         unchanged; sinks that can consume columns directly
-        (:class:`ParetoSink`, :class:`TopKSink`) override this to keep
-        materialized rows bounded by their survivors.
+        (:class:`ParetoSink`, :class:`TopKSink`) override this to build
+        only the rows they are asked for.
         """
         self.write_rows(batch.rows())
 
@@ -219,10 +219,11 @@ class ParetoSink(ResultSink):
     The streaming counterpart of :meth:`ExplorationResult.pareto`: rows
     fold into a :class:`~repro.explore.result.ParetoFrontier` chunk by
     chunk, so an export-only (``collect=False``) run still answers the
-    frontier question — memory is bounded by the frontier size, never
-    the design-space size. Axes default to the scenario's domain axes
-    at :meth:`open` (like ``pareto()`` with no arguments); pass explicit
-    ``axes``/``maximize`` for custom frontiers or scenario-less streams.
+    frontier question — memory is bounded by the frontier size plus one
+    pending block, never the design-space size. Axes default to the
+    scenario's domain axes at :meth:`open` (like ``pareto()`` with no
+    arguments); pass explicit ``axes``/``maximize`` for custom frontiers
+    or scenario-less streams.
     As for ``pareto()``, ``maximize=None`` means the domain's direction,
     also for explicit axes (maximization on scenario-less streams).
 
@@ -269,8 +270,8 @@ class ParetoSink(ResultSink):
 
     def write_batch(self, batch: Any) -> None:
         """Fold a columnar batch through
-        :meth:`ParetoFrontier.add_batch` — only rows that join the
-        frontier are ever materialized."""
+        :meth:`ParetoFrontier.add_batch` — no row is built until
+        :meth:`pareto` reads the frontier."""
         if self.frontier is None:
             raise ConfigurationError(
                 "ParetoSink.write_batch called before open()"
@@ -341,8 +342,8 @@ class TopKSink(ResultSink):
 
     def write_batch(self, batch: Any) -> None:
         """Fold a columnar batch through each ranking's
-        :meth:`TopK.add_batch` — only candidate rows beating the current
-        cutoff are ever materialized."""
+        :meth:`TopK.add_batch` — no row is built until :meth:`top_k`
+        reads the ranking."""
         for ranking in self.rankings.values():
             ranking.add_batch(batch)
 

@@ -28,8 +28,8 @@ configurations as numpy struct-of-arrays operations:
   :class:`BatchRows` view hands consumers numeric columns
   (:meth:`BatchRows.metric_column`) and only constructs Python objects
   for rows a consumer actually touches. Sinks with columnar support
-  (``ParetoSink``/``TopKSink``) keep live cost objects bounded by the
-  surviving-row count, not the design-space size.
+  (``ParetoSink``/``TopKSink``) keep their survivors as compact views
+  (:meth:`BatchRows.compact`) and build rows only when they are read.
 
 Bit-identity is the correctness contract: the batch kernels perform the
 same IEEE-754 float operations in the same order as the scalar fold
@@ -127,7 +127,7 @@ class _Frame:
     Descent levels store no choices, so the walk never copies
     ``(n, depth)`` matrices below the resident depth."""
 
-    __slots__ = ("parent", "offset", "k", "kept", "n", "matrix")
+    __slots__ = ("parent", "offset", "k", "kept", "n", "matrix", "__weakref__")
 
     def __init__(
         self, parent: "_Frame | None", offset: int, k: int, kept: Any, n: int
@@ -293,6 +293,7 @@ class BatchRows:
         "_plan",
         "_choices",
         "_energy",
+        "__weakref__",
     )
 
     def __init__(
@@ -334,6 +335,28 @@ class BatchRows:
             self.depth,
             self._choices.select(part),
             self._gather(part),
+            self._energy,
+        )
+
+    def compact(self, indices: Sequence[int]) -> "BatchRows":
+        """The rows at ``indices`` as a self-contained view: their choice
+        rows resolved into a matrix of its own and their per-row columns
+        gathered, so it holds nothing of the walk's frames or of this
+        view's columns. The online folds keep their survivors this way
+        and build rows only when they are read; nothing materializes
+        here."""
+        index = np.asarray(indices, dtype=np.intp)
+        choices = self._choices
+        frame = _Frame(None, 0, 1, None, len(index))
+        frame.matrix = _resolve_choices(
+            choices.frame, choices.depth, choices.dtype, choices._positions(index)
+        )
+        return BatchRows(
+            self.scenario,
+            self._plan,
+            self.depth,
+            _Choices(frame, choices.depth, range(len(index)), choices.dtype),
+            self._gather(index),
             self._energy,
         )
 

@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.explore import pareto_filter
-from repro.explore.result import ParetoFrontier
+from repro.explore import pareto_filter, vectorized
+from repro.explore.result import ParetoFrontier, TopK
 
 AXES = ("a", "b", "c")
 INF = float("inf")
@@ -54,8 +54,9 @@ class _FakeBatch:
     ``floats`` turns False once a column is not float: the frontier
     then folds the materialized rows instead."""
 
-    def __init__(self, rows):
+    def __init__(self, rows, owner=None):
         self._rows = rows
+        self._owner = self if owner is None else owner
         self.n_materialized = 0
         self.floats = True
 
@@ -77,23 +78,28 @@ class _FakeBatch:
         return self._rows[i]
 
     def take(self, indices):
-        self.n_materialized += len(indices)
+        self._owner.n_materialized += len(indices)
         return [self._rows[i] for i in indices]
 
     def rows(self):
         self.n_materialized += len(self._rows)
         return list(self._rows)
 
+    def compact(self, indices):
+        """The rows at ``indices``; what it builds counts against this
+        batch."""
+        return _FakeBatch([self._rows[i] for i in indices], owner=self._owner)
+
 
 @st.composite
-def streams(draw):
+def streams(draw, max_axes=3, values=VALUES, max_cuts=4):
     """(axes, flags, rows, chunks): chunks are (start, stop, via_batch)."""
-    n_axes = draw(st.integers(1, 3))
+    n_axes = draw(st.integers(1, max_axes))
     axes = AXES[:n_axes]
     flags = tuple(draw(st.lists(st.booleans(), min_size=n_axes, max_size=n_axes)))
-    row = st.fixed_dictionaries({axis: st.sampled_from(VALUES) for axis in axes})
+    row = st.fixed_dictionaries({axis: st.sampled_from(values) for axis in axes})
     rows = draw(st.lists(row, max_size=30))
-    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=max_cuts)))
     bounds = [0, *cuts, len(rows)]
     chunks = [
         (lo, hi, draw(st.booleans())) for lo, hi in zip(bounds, bounds[1:])
@@ -122,7 +128,9 @@ def test_online_frontier_equals_brute_force(stream):
     frontier = ParetoFrontier(axes, flags)
     for lo, hi, batch in _feed(frontier, rows, chunks):
         if batch is not None and batch.floats and len(axes) <= 2:
-            # Only rows that join the frontier are ever materialized.
+            # The fold builds no row; a read builds the chunk's rows on
+            # the frontier, and only those.
+            assert batch.n_materialized == 0
             chunk = {id(row) for row in rows[lo:hi]}
             joined = sum(id(row) in chunk for row in frontier.rows)
             assert batch.n_materialized == joined
@@ -164,3 +172,94 @@ def test_defect_raises_at_its_position_after_folding_the_rows_before(stream, dat
     expected = brute_force_pareto(rows[:position], axes, flags)
     assert [id(row) for row in frontier.rows] == [id(row) for row in expected]
     assert frontier.n_seen == position
+
+
+# -- pending blocks and lazy survivors ------------------------------------
+
+READS = ("none", "len", "rows", "n_seen")
+FLOAT_VALUES = tuple(v for v in VALUES if abs(v) != 2**53 and v != 2**53 + 1)
+
+
+@st.composite
+def folded_streams(draw):
+    """A one- or two-axis stream with a read drawn after every chunk, a
+    pending budget of 1-4 rows, and an optional (kind, position)
+    defect in the first axis."""
+    # Without the integers past 2**53 every batch's columns are float,
+    # so batches go through the pending block rather than the row path.
+    values = draw(st.sampled_from((VALUES, FLOAT_VALUES)))
+    axes, flags, rows, chunks = draw(streams(max_axes=2, values=values, max_cuts=12))
+    reads = [draw(st.sampled_from(READS)) for _ in chunks]
+    budget = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 4))
+    defect = None
+    if rows and draw(st.booleans()):
+        defect = (
+            draw(st.sampled_from(sorted(DEFECTS))),
+            draw(st.integers(0, len(rows) - 1)),
+        )
+    return axes, flags, [dict(row) for row in rows], chunks, reads, budget, k, defect
+
+
+def _fold_and_read(fold, rows, chunks, reads, expect):
+    """Feed the chunks through ``add_batch``/``add``, checking each drawn
+    read against ``expect(prefix)`` for the rows fed so far."""
+    for (lo, hi, via_batch), read in zip(chunks, reads):
+        if via_batch:
+            fold.add_batch(_FakeBatch(rows[lo:hi]))
+        else:
+            fold.add(rows[lo:hi])
+        if read == "len":
+            assert len(fold) == len(expect(rows[:hi]))
+        elif read == "rows":
+            assert [id(row) for row in fold.rows] == [id(r) for r in expect(rows[:hi])]
+        elif read == "n_seen":
+            assert fold.n_seen == hi
+
+
+@settings(max_examples=500, deadline=None)
+@given(folded_streams(), st.booleans())
+def test_pending_folds_equal_the_row_path(stream, ranking):
+    """With a pending budget of 1-4 rows and reads interleaved at every
+    chunk boundary, the frontier's rows and positions equal
+    :func:`pareto_filter`, :class:`TopK` ranks exactly as a stable sort
+    with stream-order ties, and a defect raises at its own position,
+    leaving the state the row path leaves."""
+    axes, flags, rows, chunks, reads, budget, k, defect = stream
+    metric, maximize = axes[0], flags[0]
+
+    def expect(prefix):
+        if ranking:
+            return sorted(prefix, key=lambda row: row[metric], reverse=maximize)[:k]
+        return pareto_filter(prefix, axes, flags)
+
+    def fresh():
+        return TopK(metric, k, maximize) if ranking else ParetoFrontier(axes, flags)
+
+    position = None
+    if defect is not None:
+        kind, position = defect
+        DEFECTS[kind][0](rows[position], metric)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "_BLOCK_ROWS", budget)
+        fold = fresh()
+        if position is None:
+            _fold_and_read(fold, rows, chunks, reads, expect)
+            assert [id(row) for row in fold.rows] == [id(r) for r in expect(rows)]
+            assert fold.n_seen == len(rows)
+            if not ranking:
+                index = {id(row): i for i, row in enumerate(rows)}
+                assert fold._positions == [index[id(r)] for r in expect(rows)]
+            return
+        reference = fresh()
+        with pytest.raises(ConfigurationError) as expected_error:
+            reference.add(rows)
+        with pytest.raises(ConfigurationError) as error:
+            _fold_and_read(
+                fold, rows, chunks, reads, lambda prefix: expect(prefix[:position])
+            )
+    assert str(error.value) == str(expected_error.value)
+    assert f"row {position}" in str(error.value)
+    assert fold.n_seen == reference.n_seen
+    assert [id(row) for row in fold.rows] == [id(row) for row in reference.rows]
+    assert [id(row) for row in fold.rows] == [id(r) for r in expect(rows[:position])]

@@ -182,6 +182,19 @@ def test_campaign_matches_solo_explores_byte_for_byte():
         assert run.wall_seconds >= 0.0
 
 
+def test_collected_pareto_size_builds_no_row():
+    """A collected run counts its frontier on the result's columns: no
+    row is built for pareto_size, in either domain."""
+    fleet = build_fleet()
+    for run in Campaign(fleet).run():
+        batches = run.result._batches
+        assert batches, run.name
+        built = sum(batch.n_materialized for batch in batches)
+        assert run.pareto_size == len(explore(run.scenario).pareto())
+        assert sum(batch.n_materialized for batch in batches) == built, run.name
+        assert run.result._rows is None
+
+
 def test_campaign_interleaving_is_deterministic_across_executors():
     fleet = build_fleet()
     serial = Campaign(fleet).run()

@@ -165,6 +165,43 @@ def test_cache_poisoning_guard_same_chain_different_axis():
         assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
 
 
+def test_grouping_fingerprints_each_pipeline_once_per_run(monkeypatch):
+    """A run hashes each distinct pipeline object once, however many
+    members carry it, and keeps no memo past the run: twin pipelines
+    that share a group stop sharing once one of them is re-priced."""
+    from repro.explore import campaign
+
+    calls = []
+    real = campaign.platform_axis_fingerprint
+    monkeypatch.setattr(
+        campaign,
+        "platform_axis_fingerprint",
+        lambda pipeline: calls.append(pipeline) or real(pipeline),
+    )
+    shared, twin = _pipeline(), _pipeline()
+    fleet = [
+        Scenario(name=f"s{i}", pipeline=pipeline, link=link, target_fps=30.0)
+        for i, (pipeline, link) in enumerate(
+            [(shared, ETHERNET_25G), (shared, WIFI_CLASS), (twin, ETHERNET_25G),
+             (shared, RF_BACKSCATTER), (twin, WIFI_CLASS)]
+        )
+    ]
+    result = Campaign(fleet).run(dedup=True, collect=False)
+    assert [id(p) for p in calls] == [id(shared), id(twin)]
+    assert result.cache_stats["scenarios_shared"] == 4
+    # The platform axis is mutable: a table edited between runs is
+    # hashed afresh, so the twin leaves the group.
+    key = scenario_compute_key(fleet[2])
+    twin.blocks[0].implementations["asic"] = Implementation("asic", fps=77.0)
+    assert scenario_compute_key(fleet[2]) != key
+    calls.clear()
+    result = Campaign(fleet).run(dedup=True)
+    assert len(calls) == 2
+    assert result.cache_stats["scenarios_shared"] == 3
+    for run in result:
+        assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
+
+
 # -- dedup campaigns -----------------------------------------------------
 
 

@@ -201,6 +201,28 @@ def test_evaluation_path_values():
         assert evaluation_path(custom, SweepExecutor(workers=2)) == "scalar-memoized"
 
 
+def test_pruned_explore_builds_its_prefix_pruner_once(monkeypatch):
+    """Planning names the pruned path without building the pruner; the
+    walk builds it, once per explore(), in both domains."""
+    builds = []
+    real = Scenario.prefix_pruner
+    monkeypatch.setattr(
+        Scenario, "prefix_pruner", lambda self: builds.append(self) or real(self)
+    )
+    for scenario in (
+        build_scenario(auto_prune_configs=True),
+        build_scenario(
+            auto_prune_configs=True, domain="energy", target_fps=None,
+            energy_budget_j=1e-5,
+        ),
+    ):
+        assert evaluation_path(scenario) == "batch-cohort-pruned"
+        assert not builds
+        explore(scenario)
+        assert builds == [scenario]
+        builds.clear()
+
+
 def test_evaluation_mode_validation():
     scenario = build_scenario()
     with pytest.raises(ConfigurationError, match="evaluation must be one of"):
@@ -474,9 +496,10 @@ def test_group_batches_equal_each_members_solo_walk():
 class _FakeBatch:
     """The minimal add_batch consumer contract over plain rows."""
 
-    def __init__(self, rows, columnar=("m",)):
+    def __init__(self, rows, columnar=("m",), owner=None):
         self._rows = rows
         self._columnar = columnar
+        self._owner = self if owner is None else owner
         self.n_materialized = 0
 
     def __len__(self):
@@ -492,12 +515,19 @@ class _FakeBatch:
         return self._rows[i]
 
     def take(self, indices):
-        self.n_materialized += len(indices)
+        self._owner.n_materialized += len(indices)
         return [self._rows[i] for i in indices]
 
     def rows(self):
         self.n_materialized += len(self._rows)
         return list(self._rows)
+
+    def compact(self, indices):
+        """The rows at ``indices``; what it builds counts against this
+        batch."""
+        return _FakeBatch(
+            [self._rows[i] for i in indices], self._columnar, owner=self._owner
+        )
 
 
 def test_topk_add_batch_equals_scalar_add_with_ties():
@@ -519,9 +549,14 @@ def test_topk_add_batch_materializes_candidates_only():
     online = TopK("m", k=2, maximize=True)
     fake = _FakeBatch(rows)
     online.add_batch(fake)
-    # Heap fill (2) + the single later row beating the batch-start root.
-    assert fake.n_materialized == 3
+    # The heap fill (2) and the single later row beating the batch-start
+    # root enter undecoded: the fold builds no row.
+    assert fake.n_materialized == 0
     assert [row["m"] for row in online.rows] == [10.0, 9.0]
+    # The read builds exactly the rows it returns, once.
+    assert fake.n_materialized == 2
+    assert [row["m"] for row in online.rows] == [10.0, 9.0]
+    assert fake.n_materialized == 2
 
 
 def test_topk_add_batch_nan_raises_at_the_exact_position():
@@ -569,19 +604,39 @@ def test_topk_add_batch_nan_after_candidates_matches_add(maximize):
 
 def test_topk_add_batch_materializes_at_most_2k_rows():
     """Every row of a strictly improving batch beats the batch-start
-    root; still only the heap fill (k) and the window's k best are
-    materialized."""
+    root; still the fold builds no row, and a read builds only the k
+    rows it returns."""
     k = 5
     rows = [{"m": float(i)} for i in range(1000)]
     online = TopK("m", k=k)
     fake = _FakeBatch(rows)
     online.add_batch(fake)
-    assert fake.n_materialized == 2 * k
+    assert fake.n_materialized == 0
     assert [row["m"] for row in online.rows] == [999.0, 998.0, 997.0, 996.0, 995.0]
-    # A full heap: the next batch materializes at most k more.
-    fake = _FakeBatch([{"m": float(1000 + i)} for i in range(1000)])
-    online.add_batch(fake)
     assert fake.n_materialized == k
+    # A full heap: the next batch builds nothing until the read, which
+    # builds its k winners and none of the evicted rows of the first.
+    fake2 = _FakeBatch([{"m": float(1000 + i)} for i in range(1000)])
+    online.add_batch(fake2)
+    assert fake2.n_materialized == 0
+    assert [row["m"] for row in online.rows] == [1999.0, 1998.0, 1997.0, 1996.0, 1995.0]
+    assert (fake.n_materialized, fake2.n_materialized) == (k, k)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_topk_add_batch_beats_a_rounded_integer_root(maximize):
+    """A heap root past 2**53 left by the row path rounds in float64:
+    a batch row beating it exactly must still enter."""
+    # float64 rounds the row-path value onto the batch row's exact value.
+    big, beats = (2**53 + 3, 2**53 + 4) if maximize else (2**53 + 1, 2**53)
+    assert float(big) == beats
+    rows = [{"m": big}, {"m": float(beats)}]
+    online = TopK("m", k=1, maximize=maximize)
+    online.add(rows[:1])
+    online.add_batch(_FakeBatch(rows[1:]))
+    reference = TopK("m", k=1, maximize=maximize)
+    reference.add(rows)
+    assert online.rows == reference.rows == [rows[1]]
 
 
 def test_pareto_add_batch_equals_scalar_add():
@@ -645,3 +700,102 @@ def test_columnar_sinks_match_collected_results_end_to_end():
     frontier = ParetoSink()
     explore(scenario, sink=frontier, collect=False)
     assert json.dumps(frontier.pareto()) == json.dumps(collected.pareto())
+    # A bool axis, minimized, folds through the columns as well.
+    axes, flags = ("feasible", "compute_fps"), (False, True)
+    frontier = ParetoSink(axes, flags)
+    explore(scenario, sink=frontier, collect=False)
+    assert json.dumps(frontier.pareto()) == json.dumps(collected.pareto(axes, flags))
+
+
+def test_online_folds_pin_no_batch_once_swept(monkeypatch):
+    """A collect=False walk of several budget-sized blocks: once the
+    frontier's pending block is swept and top-k has compacted its
+    candidates, no fold — nor the pending best row — keeps a batch or
+    its walk frames alive. What stays is the frontier, the heap, the
+    best row's one-row view and at most one pending block, never the
+    design space."""
+    import gc
+    import weakref
+
+    from repro.explore import vectorized
+    from repro.explore.campaign import _StreamingStats
+
+    budget = 16
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", budget)
+    scenario = build_scenario(pipeline=build_pipeline(4))
+    assert scenario.count_configs() >= 4 * budget
+    evaluator = BatchPrefixEvaluator(scenario.cost_model())
+    stats = _StreamingStats("throughput")
+    frontier = stats.frontier
+    ranking = TopK("total_fps", k=3)
+    seen = []
+    rows = []
+    gc.disable()  # liveness must come from references, not collection
+    try:
+        for batch in evaluator.iter_scenario_batches(scenario, chunk_size=5):
+            seen.append((weakref.ref(batch), weakref.ref(batch._choices.frame)))
+            rows.extend(batch.rows())
+            stats.update_batch(batch)
+            ranking.add_batch(batch)
+            del batch
+            live = [ref() for ref, _ in seen if ref() is not None]
+            # Only batches in the pending block are alive.
+            pending = [id(batch) for _, batch in frontier._pending]
+            assert sorted(id(batch) for batch in live) == sorted(pending)
+            assert frontier._n_pending <= budget
+            del live
+        assert len(frontier) == len(frontier.rows)  # sweeps the last block
+        assert all(ref() is None and frame() is None for ref, frame in seen)
+    finally:
+        gc.enable()
+    expected = ParetoFrontier(("compute_fps", "communication_fps"))
+    expected.add(rows)
+    assert json.dumps(frontier.rows) == json.dumps(expected.rows)
+    assert json.dumps(ranking.rows) == json.dumps(
+        sorted(rows, key=lambda row: row["total_fps"], reverse=True)[:3]
+    )
+    assert json.dumps(stats.best) == json.dumps(
+        max(rows, key=lambda row: row["total_fps"])
+    )
+
+
+def test_export_only_campaign_pins_at_most_a_pending_block(monkeypatch):
+    """A collect=False dedup campaign holds, besides each member's
+    frontier and heap, at most one pending block of batches per member;
+    once the runs are handed out no batch is alive, and the undecoded
+    frontiers still answer exactly as solo explore()."""
+    import weakref
+
+    from repro.explore import Campaign, vectorized
+
+    budget, chunk = 16, 5
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", budget)
+    fleet = [
+        build_scenario(name=f"m{i}", pipeline=build_pipeline(4), link=link)
+        for i, link in enumerate(
+            [LINK, LinkModel(name="vec-fast", raw_bps=9e7, tx_energy_per_bit=3e-10)]
+        )
+    ]
+    seen = []
+
+    class _Recording(TopKSink):
+        def write_batch(self, batch):
+            seen.append(weakref.ref(batch))
+            super().write_batch(batch)
+            live = [ref() for ref in seen if ref() is not None]
+            assert sum(len(view) for view in live) <= len(fleet) * budget + chunk
+
+    sinks = {member.name: _Recording("total_fps", k=3) for member in fleet}
+    result = Campaign(fleet).run(
+        chunk_size=chunk, dedup=True, collect=False, sinks=sinks
+    )
+    assert len(seen) >= 4 * len(fleet) * budget // chunk
+    assert all(ref() is None for ref in seen)
+    for run in result:
+        solo = explore(run.scenario)
+        assert run.pareto_size == len(solo.pareto())
+        assert json.dumps(run.pareto()) == json.dumps(solo.pareto())
+        assert json.dumps(run.best) == json.dumps(solo.best)
+        assert json.dumps(sinks[run.name].top_k()) == json.dumps(
+            solo.top_k("total_fps", 3)
+        )
