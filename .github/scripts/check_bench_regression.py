@@ -37,6 +37,10 @@ GATED_KINDS: dict[str, tuple[str, ...]] = {
     "explore_vectorized": (
         "speedup_batch_vs_scalar",
         "speedup_batch_collect_vs_scalar",
+        # Materialize-all: every cost object built, each slowest-block
+        # label decoded from the choices (guards against a per-row
+        # fallback in the decode).
+        "speedup_batch_materialized_vs_scalar",
     ),
     "explore_pruned_vectorized": ("speedup_fused_vs_scalar_pruned",),
     # Lazy dedup views vs the row-only-sink baseline (every member row

@@ -323,6 +323,7 @@ def test_explore_vectorized_speedup(
         "modes": measurements,
         "speedup_batch_vs_scalar": round(speedup, 2),
         "speedup_batch_collect_vs_scalar": round(collect_speedup, 2),
+        "speedup_batch_materialized_vs_scalar": round(materialized_speedup, 2),
     }
     append_trajectory(entry)
     (results_dir / "BENCH_explore_vectorized.json").write_text(

@@ -41,9 +41,11 @@ class Implementation:
     active_seconds: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.fps <= 0:
+        # Written as negated comparisons so NaN (for which every
+        # comparison is False) is rejected too.
+        if not self.fps > 0:
             raise PipelineError(f"fps must be positive, got {self.fps}")
-        if self.energy_per_frame < 0 or self.active_seconds < 0:
+        if not (self.energy_per_frame >= 0 and self.active_seconds >= 0):
             raise PipelineError("energy and active time must be >= 0")
 
 
@@ -77,7 +79,7 @@ class Block:
     pass_rate: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.output_bytes < 0:
+        if not self.output_bytes >= 0:
             raise PipelineError(f"output_bytes must be >= 0, got {self.output_bytes}")
         if not 0.0 <= self.pass_rate <= 1.0:
             raise PipelineError(f"pass_rate must be in [0, 1], got {self.pass_rate}")

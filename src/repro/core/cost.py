@@ -71,8 +71,8 @@ def option_fps_column(impls: Sequence[Implementation]) -> Any:
 
     ``impls`` must be in enumeration (sorted platform) order. Shared
     batch bound kernel: both the columnar throughput fold and the
-    vectorized throughput pruner index this column with a choice array,
-    so bound and cost read the exact same floats.
+    vectorized throughput pruner extend their rows by this column's
+    entries, so bound and cost read the exact same floats.
     """
     return np.array([impl.fps for impl in impls])
 
@@ -82,8 +82,8 @@ def option_energy_columns(impls: Sequence[Implementation]) -> tuple[Any, Any]:
 
     ``impls`` must be in enumeration (sorted platform) order. Shared
     batch bound kernel: the columnar energy fold and the vectorized
-    energy pruner both index the energy column, so bound and cost read
-    the exact same floats.
+    energy pruner both extend their rows by the energy column's entries,
+    so bound and cost read the exact same floats.
     """
     return (
         np.array([impl.energy_per_frame for impl in impls]),
@@ -93,8 +93,9 @@ def option_energy_columns(impls: Sequence[Implementation]) -> tuple[Any, Any]:
 
 #: Throughput prefix state: (running min fps, slowest block label).
 #: The batch twin keeps only what a row's platform choices cannot
-#: recover: an fps column and a level-code column (the label's block);
-#: the label's platform is the row's choice at that level.
+#: recover: one fps column. The label is decoded from the choices of the
+#: rows that become cost objects (the first level whose chosen rate
+#: equals the running min; ``"none"`` while it is ``inf``).
 ThroughputState = tuple[float, str]
 
 #: Energy prefix state: (fraction of frames reaching the next stage,
@@ -188,48 +189,31 @@ class ThroughputCostModel:
     # batch kernels perform the same float operations in the same order
     # (elementwise), so results are bit-identical to the scalar path.
 
-    def initial_state_batch(self, n: int, n_levels: int) -> tuple[Any, Any]:
-        """Array-shaped :meth:`initial_state` for ``n`` configurations
-        of a walk over ``n_levels`` blocks.
+    def initial_state_batch(self, n: int) -> tuple[Any]:
+        """Array-shaped :meth:`initial_state` for ``n`` configurations:
+        one running-fps column."""
+        return (np.full(n, float("inf")),)
 
-        The label column holds *level codes*: -1 for ``"none"``, else
-        the index of the slowest block, in the smallest signed dtype
-        that holds every level index (``int8`` up to 128 levels). The
-        row's platform at that level completes the label, so the
-        string is decoded only for rows that become cost objects.
+    def extend_state_batch(self, state: tuple[Any], option_fps: Any) -> tuple[Any]:
+        """Array-shaped :meth:`extend_state` in product order.
+
+        Extends every one of the ``n`` state rows by every one of the
+        block's ``k`` options (``option_fps``: each implementation's frame
+        rate, in enumeration order; see :func:`option_fps_column`). Row
+        ``i * k + j`` of the result is row ``i`` extended by option
+        ``j`` (:func:`itertools.product` order): each option's column
+        is written into an ``(n, k)`` buffer with one strided pass,
+        returned raveled (a view). The running-min update
+        mirrors the scalar branch ``if impl.fps < state[0]`` exactly.
         """
-        return (
-            np.full(n, float("inf")),
-            np.full(n, -1, dtype=np.min_scalar_type(-max(n_levels, 1))),
-        )
-
-    def extend_state_batch(
-        self,
-        state: tuple[Any, Any],
-        block: Block,
-        impls: Sequence[Implementation],
-        choices: Any,
-        level: int,
-    ) -> tuple[Any, Any]:
-        """Array-shaped :meth:`extend_state`.
-
-        ``impls`` is the block's implementations in enumeration (sorted
-        platform) order, ``choices`` an integer array selecting each
-        row's implementation and ``level`` the block's index in the
-        walk, the code a row records when this block becomes its
-        slowest. The running-min update mirrors the scalar branch
-        ``if impl.fps < state[0]`` exactly.
-        """
-        fps_cur, codes = state
-        fps_new = option_fps_column(impls)[choices]
-        slower = fps_new < fps_cur
-        return (
-            np.where(slower, fps_new, fps_cur),
-            np.where(slower, codes.dtype.type(level), codes),
-        )
+        (fps_cur,) = state
+        out = np.empty((len(fps_cur), len(option_fps)))
+        for j, fps in enumerate(option_fps.tolist()):
+            out[:, j] = np.where(fps < fps_cur, fps, fps_cur)
+        return (out.ravel(),)
 
     def finalize_batch(
-        self, state: tuple[Any, Any], communication_fps: float
+        self, state: tuple[Any], communication_fps: float
     ) -> dict[str, Any]:
         """Close a batch state into columnar cost fields.
 
@@ -237,25 +221,21 @@ class ThroughputCostModel:
         row (the payload depends only on the cut depth). Returns the
         column mapping consumed by
         :class:`repro.explore.vectorized.BatchRows`, which decodes
-        ``slowest_block`` from the ``slowest_level`` codes and each
+        ``slowest_block`` from the ``compute_fps`` column and each
         row's platform choices.
         """
-        return {
-            "compute_fps": state[0],
-            "slowest_level": state[1],
-            "communication_fps": communication_fps,
-        }
+        return {"compute_fps": state[0], "communication_fps": communication_fps}
 
     def finalize_batch_multi(
-        self, state: tuple[Any, Any], communication_fps_stack: Sequence[float]
+        self, state: tuple[Any], communication_fps_stack: Sequence[float]
     ) -> list[dict[str, Any]]:
         """Close ONE batch state under ``n_members`` link terms at once.
 
-        The compute-side columns (``compute_fps``, ``slowest_level``)
-        are link-independent, so every member's column dict shares them
-        by reference — a dedup group of N links closes a depth cohort
-        with zero per-row work beyond the shared fold. Member ``m``'s
-        columns are exactly ``finalize_batch(state, stack[m])``.
+        The compute-side column (``compute_fps``) is link-independent,
+        so every member's column dict shares it by reference — a dedup
+        group of N links closes a depth cohort with zero per-row work
+        beyond the shared fold. Member ``m``'s columns are exactly
+        ``finalize_batch(state, stack[m])``.
         """
         return [
             self.finalize_batch(state, communication_fps)
@@ -394,27 +374,33 @@ class EnergyCostModel:
         self,
         state: tuple[float, tuple, Any, Any],
         block: Block,
-        impls: Sequence[Implementation],
-        choices: Any,
+        options: tuple[Any, Any],
         pass_rates: dict[str, float] | None = None,
     ) -> tuple[float, tuple, Any, Any]:
-        """Array-shaped :meth:`extend_state`.
+        """Array-shaped :meth:`extend_state` in product order.
 
-        ``impls`` is the block's implementations in enumeration (sorted
-        platform) order and ``choices`` an integer array selecting each
-        row's implementation. A pass rate belongs to a block, not a
-        platform, so every row of a depth shares one ``rate`` scalar.
-        A block's expected energies are therefore one table of
-        ``rate * energy_per_frame`` per option — entry ``c`` is the
-        scalar fold's ``rate * impl.energy_per_frame`` bit for bit —
-        and the state keeps those ``(block name, table)`` pairs in
-        place of per-row energy arrays. Per row it carries only the
-        running sum of the chosen entries (``compute``, added left to
-        right exactly as ``sum(block_energies.values())``) and the
-        active seconds.
+        ``options`` is the block's (energy per frame, active seconds)
+        column pair, one entry per implementation in enumeration order
+        (see :func:`option_energy_columns`). Every one of the ``n``
+        state rows is extended by every one of the ``k`` options: row
+        ``i * k + j`` of the result is row ``i`` extended by option
+        ``j`` (:func:`itertools.product` order), each option's column
+        written into an ``(n, k)`` buffer with one strided pass and
+        returned raveled (a view).
+
+        A pass rate belongs to a block, not a platform, so every row of
+        a depth shares one ``rate`` scalar. A block's expected energies
+        are therefore one table of ``rate * energy_per_frame`` per
+        option — entry ``j`` is the scalar fold's
+        ``rate * impl.energy_per_frame`` bit for bit — and the state
+        keeps those ``(block name, table)`` pairs in place of per-row
+        energy arrays. Per row it carries only the running sum of the
+        chosen entries (``compute + rate * energy_per_frame``, added
+        left to right exactly as ``sum(block_energies.values())``) and
+        the active seconds (``active + rate * active_seconds``).
         """
         rate, tables, compute, active = state
-        option_energy, option_active = option_energy_columns(impls)
+        option_energy, option_active = options
         table = rate * option_energy
         block_rate = (
             pass_rates.get(block.name, block.pass_rate)
@@ -425,11 +411,18 @@ class EnergyCostModel:
             raise PipelineError(
                 f"pass rate for {block.name!r} must be in [0,1], got {block_rate}"
             )
+        shape = (len(compute), len(table))
+        new_compute = np.empty(shape)
+        new_active = np.empty(shape)
+        steps = zip(table.tolist(), (rate * option_active).tolist())
+        for j, (energy, seconds) in enumerate(steps):
+            np.add(compute, energy, out=new_compute[:, j])
+            np.add(active, seconds, out=new_active[:, j])
         return (
             float(rate * block_rate),
             tables + ((block.name, table),),
-            compute + table[choices],
-            active + (rate * option_active)[choices],
+            new_compute.ravel(),
+            new_active.ravel(),
         )
 
     def finalize_batch(

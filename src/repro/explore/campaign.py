@@ -975,9 +975,10 @@ class Campaign:
             except PipelineError:
                 best = None
             if member.n_materialized is not None:
-                # What the sink and the best row built; the result builds
-                # the rest only when a query returns them.
-                member.n_materialized = sum(
+                # What the sink built (counted as the stream went) and what
+                # the best row built on the result's own views; the result
+                # builds the rest only when a query returns them.
+                member.n_materialized += sum(
                     batch.n_materialized for batch in member.consumer.batches
                 )
             pareto_size = None  # computed lazily on first access

@@ -515,7 +515,9 @@ class _RunConsumer:
     def add_batch(self, batch: Any) -> None:
         """One lazy :class:`~repro.explore.vectorized.BatchRows` batch."""
         if self.batches is not None:
-            self.batches.append(batch)
+            # The result keeps a view of its own, so the metric columns
+            # the folds below memoize on ``batch`` die with it.
+            self.batches.append(batch.slice(0, len(batch)))
         sink = self.sink
         rows = batch.rows() if sink is not None and not self.columnar else None
         if self.stats is not None:

@@ -77,19 +77,23 @@ class PrefixPruner:
     which the columnar cohort walk
     (:meth:`repro.explore.vectorized.BatchPrefixEvaluator.iter_scenario_batches`)
     fuses into its depth folds as boolean-mask compaction. The batch
-    state is a flat tuple of equal-length 1-D arrays (row ``i`` is the
-    scalar bound state of cohort row ``i``), so the caller can repeat it
-    along options (``np.repeat`` per array) and compact it with one
-    fancy-index gather per array without knowing its meaning:
+    state is a flat tuple whose 1-D arrays are equal-length per-row
+    columns (row ``i`` is the scalar bound state of cohort row ``i``);
+    any other item is shared by every row of the depth. The caller
+    slices and compacts the columns with one fancy-index gather each
+    (other items pass through) without knowing their meaning:
 
     - ``initial_batch(n)`` returns the batch state of ``n`` empty
       prefixes.
-    - ``extend_batch(block_index, choices, state)`` folds one option
-      tile (``choices`` selects each row's platform in enumeration
-      order) and returns ``(new_state, keep_mask)``. ``keep_mask[i]``
-      False asserts row ``i``'s subtree is infeasible at *every*
-      remaining cut depth — exactly the generic ``extend`` contract —
-      so the caller drops the row from all deeper cohorts.
+    - ``extend_batch(block_index, state)`` extends every one of the
+      ``n`` state rows by every one of the block's ``k`` platforms (in
+      enumeration order) in *product order* — row ``i * k + j`` of the
+      result is row ``i`` extended by platform ``j``, the order of the
+      cost model's ``extend_state_batch`` — and returns
+      ``(new_state, keep_mask)`` over those ``n * k`` rows.
+      ``keep_mask[r]`` False asserts row ``r``'s subtree is infeasible
+      at *every* remaining cut depth — exactly the generic ``extend``
+      contract — so the caller drops the row from all deeper cohorts.
     - ``emit_mask(depth, state)`` (optional) returns the boolean mask of
       compacted rows that survive the depth-``depth`` walk of the
       *depth-aware* bound — exactly the rows ``for_depth(depth)`` would
@@ -113,8 +117,8 @@ class PrefixPruner:
     initial_batch:
         Optional ``n -> state_columns`` for the batch form.
     extend_batch:
-        Optional ``(block_index, choices, state_columns) ->
-        (new_state_columns, keep_mask)``.
+        Optional ``(block_index, state_columns) ->
+        (new_state_columns, keep_mask)``, in product order.
     emit_mask:
         Optional ``(depth, state_columns) -> mask | None`` mapping the
         compacted cohort to the depth-aware survivor set.
@@ -124,7 +128,7 @@ class PrefixPruner:
     extend: Callable[[int, str, Any], Any]
     for_depth: Callable[[int], Callable[[int, str, Any], Any]] | None = None
     initial_batch: Callable[[int], tuple] | None = None
-    extend_batch: Callable[[int, Any, tuple], tuple[tuple, Any]] | None = None
+    extend_batch: Callable[[int, tuple], tuple[tuple, Any]] | None = None
     emit_mask: Callable[[int, tuple], Any] | None = None
 
     @property

@@ -140,10 +140,10 @@ def compute_fps_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
         return PRUNED_SUBTREE if floor < target else floor
 
     # Batch form: state is one float column (the running min fps per
-    # cohort row). The bound is depth-monotone — a row the mask
-    # keeps is feasible-so-far at every remaining depth — so the
-    # compacted cohort is already the exact survivor set and no
-    # emit_mask is needed.
+    # cohort row), extended in product order like the cost fold. The
+    # bound is depth-monotone — a row the mask keeps is feasible-so-far
+    # at every remaining depth — so the compacted cohort is already the
+    # exact survivor set and no emit_mask is needed.
     fps_columns = [
         option_fps_column(
             [block.implementations[name] for name in sorted(block.implementations)]
@@ -154,12 +154,15 @@ def compute_fps_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
     def initial_batch(n: int) -> tuple:
         return (np.full(n, float("inf")),)
 
-    def extend_batch(block_index: int, choices, state: tuple):
+    def extend_batch(block_index: int, state: tuple):
         (floor,) = state
-        fps = fps_columns[block_index][choices]
-        # Elementwise twin of the scalar `state if state < fps else
-        # fps` branch (not np.minimum: NaN/tie semantics differ).
-        floor = np.where(floor < fps, floor, fps)
+        options = fps_columns[block_index]
+        out = np.empty((len(floor), len(options)))
+        for j, fps in enumerate(options.tolist()):
+            # Elementwise twin of the scalar `state if state < fps else
+            # fps` branch (not np.minimum: NaN/tie semantics differ).
+            out[:, j] = np.where(floor < fps, floor, fps)
+        floor = out.ravel()
         return (floor,), ~(floor < target)
 
     return PrefixPruner(
@@ -299,18 +302,22 @@ def energy_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
 
         return extend_at_depth
 
-    # Batch form of the dual bound. The dual tails are *not*
+    # Batch form of the dual bound, extended in product order. The
+    # reach rate belongs to the depth, not the row, so the state keeps
+    # it as one float shared by every row. The dual tails are *not*
     # depth-monotone (a prefix cut in the depth-``d`` walk can
     # survive the depth-``d+1`` walk on late-collapsing payload
     # chains), so the batch state carries one accumulated violation
-    # column per target cut depth: ``viol_d[i]`` is True iff the
-    # scalar depth-``d`` DFS would have cut row ``i``'s prefix at
-    # some level walked so far (the |= accumulation mirrors the
-    # scalar walk's earliest-cut short-circuit). A row is compacted
-    # away only when violated for *every* remaining depth — the
-    # exact generic-extend soundness contract — and the emit mask
-    # for depth ``d`` is simply ``~viol_d``, reproducing the
-    # depth-aware survivor set byte-for-byte.
+    # column per target cut depth not yet passed, the last one for
+    # depth ``n_depths`` (depth ``d``'s sits at ``state[d - n_depths
+    # - 1]``): ``viol_d[i]`` is True iff the scalar depth-``d`` DFS
+    # would have cut row ``i``'s prefix at some level walked so far
+    # (the |= accumulation mirrors the scalar walk's earliest-cut
+    # short-circuit). A row is compacted away only when violated for
+    # *every* remaining depth — the exact generic-extend soundness
+    # contract — and the emit mask for depth ``d`` is simply
+    # ``~viol_d``, reproducing the depth-aware survivor set
+    # byte-for-byte.
     energy_columns = [
         option_energy_columns(
             [pipeline.blocks[depth - 1].implementations[name] for name in options]
@@ -320,30 +327,36 @@ def energy_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
 
     def initial_batch(n: int) -> tuple:
         return (
-            np.ones(n),
+            1.0,
             np.full(n, sensor),
             *(np.zeros(n, dtype=bool) for _ in range(n_depths)),
         )
 
-    def extend_batch(block_index: int, choices, state: tuple):
+    def extend_batch(block_index: int, state: tuple):
         rate, energy = state[0], state[1]
-        viols = list(state[2:])
-        energy = energy + rate * energy_columns[block_index][choices]
+        steps = (rate * energy_columns[block_index]).tolist()
+        shape = (len(energy), len(steps))
+        out = np.empty(shape)
+        for j, step in enumerate(steps):
+            np.add(energy, step, out=out[:, j])
+        energy = out.ravel()
         rate = rate * rates[block_index]
         prefix_len = block_index + 1
-        keep = np.zeros(len(rate), dtype=bool)
+        keep = np.zeros(len(energy), dtype=bool)
+        viols = []
         for d in range(prefix_len, n_depths + 1):
             # tails_for_depth[d][prefix_len] is the scalar walk's
-            # tail[block_index + 1]; same floats, same order.
-            viol = viols[d - 1] | (
-                energy + rate * tails_for_depth[d][prefix_len] > budget
-            )
-            viols[d - 1] = viol
+            # tail[block_index + 1]; same floats, same order. A parent's
+            # earlier violations hold for each of its children.
+            cut = energy + rate * tails_for_depth[d][prefix_len] > budget
+            parent = state[d - n_depths - 1]
+            viol = (parent[:, None] | cut.reshape(shape)).ravel()
+            viols.append(viol)
             keep |= ~viol
         return (rate, energy, *viols), keep
 
     def emit_mask(depth: int, state: tuple):
-        return ~state[1 + depth]
+        return ~state[depth - n_depths - 1]
 
     return PrefixPruner(
         initial=(1.0, sensor),

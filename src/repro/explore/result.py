@@ -225,7 +225,12 @@ class ExplorationResult:
         if name not in self._column_cache:
             column = None
             try:
-                parts = [np.asarray(b.metric_column(name)) for b in self._batches]
+                # Throwaway views: a kept segment memoizes no column this
+                # cache already holds concatenated.
+                parts = [
+                    np.asarray(b.slice(0, len(b)).metric_column(name))
+                    for b in self._batches
+                ]
             except KeyError:
                 parts = []
             if parts and all(_exact_float(part) for part in parts):

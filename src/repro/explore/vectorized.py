@@ -9,21 +9,22 @@ ceiling for the stock cost models by evaluating whole *cohorts* of
 configurations as numpy struct-of-arrays operations:
 
 * A depth-``d`` cohort (every platform assignment with ``d`` in-camera
-  blocks, in exact enumeration order) is built by repeating depth
-  ``d-1`` state rows across the next block's options — ``np.repeat``
-  over rows, ``np.tile`` over choices reproduces
-  :func:`itertools.product` order — and extending them with one
-  ``extend_state_batch`` call. Whole cohorts are built only while they
-  fit one fixed-size block of rows (:data:`_BLOCK_ROWS`); deeper
+  blocks, in exact enumeration order) is built by one
+  ``extend_state_batch`` call that extends every depth ``d-1`` state
+  row by every option of the next block in product order: option
+  ``j``'s column of an ``(n, k)`` buffer, raveled, is
+  :func:`itertools.product` order, so parent rows are read in place
+  and never copied per option. Whole cohorts are built only while
+  they fit one fixed-size block of rows (:data:`_BLOCK_ROWS`); deeper
   cohorts are walked depth-first in blocks, so the walk's memory stays
   bounded whatever the design-space size.
 * A row carries only what its platform choices cannot recover — the
-  running fps and a slowest-level code, or the running compute energy
-  and active seconds. Below the resident cohorts, a row's choices are
-  implied by its position in the walk (a :class:`_Frame` per level,
-  which stores positions only when a prune mask compacted the level).
-  Labels, per-block energies (per-option tables, one per level) and
-  full choice rows are decoded only for rows that materialize.
+  running fps, or the running compute energy and active seconds. Below
+  the resident cohorts, a row's choices are implied by its position in
+  the walk (a :class:`_Frame` per level, which stores positions only
+  when a prune mask compacted the level). Slowest-block labels,
+  per-block energies (per-option tables, one per level) and full choice
+  rows are decoded only for rows that materialize.
 * Cost/row/config *objects* are materialized lazily: a
   :class:`BatchRows` view hands consumers numeric columns
   (:meth:`BatchRows.metric_column`) and only constructs Python objects
@@ -38,19 +39,21 @@ shares the operands), so every materialized cost, row and frontier is
 byte-identical to the scalar and brute-force paths — asserted by the
 invariant suite. That constraint shapes the kernels: the running-min
 update is ``np.where(new < cur, new, cur)`` (the scalar branch, not
-``np.minimum``, whose NaN semantics differ, and the first minimum
-keeps the level code on ties), a level's energy table entry is the
-scalar ``rate * energy_per_frame``, and the compute-energy column adds
-the chosen entries left to right from zero, as the scalar row's
-``sum(block_energies.values())`` does.
+``np.minimum``, whose NaN semantics differ), the slowest block decodes
+as the first level whose chosen rate equals the running min (the
+scalar strict ``<`` keeps the first minimum on ties), a level's energy
+table entry is the scalar ``rate * energy_per_frame``, and the
+compute-energy column adds the chosen entries left to right from zero,
+as the scalar row's ``sum(block_energies.values())`` does.
 
 Pruned runs and campaigns ride the same columnar core:
 
 * Prefix pruners carrying batch forms
   (:attr:`~repro.explore.enumerate.PrefixPruner.extend_batch`) fuse
-  into the cohort walk as boolean-mask compaction — one fancy-index
-  gather per depth drops pruned prefixes before they are repeated into
-  deeper cohorts, reproducing DFS pruning semantics exactly; per-config
+  into the cohort walk as boolean-mask compaction — they extend in the
+  same product order, and one fancy-index gather per depth drops pruned
+  prefixes before they grow into deeper cohorts, reproducing DFS
+  pruning semantics exactly; per-config
   ``scenario.prune`` hooks run as a scalar filter over the already
   compacted (small) cohort.
 * A campaign's stock members run the same walk in the calling process,
@@ -78,6 +81,8 @@ from repro.core.cost import (
     EnergyCost,
     EnergyCostModel,
     ThroughputCostModel,
+    option_energy_columns,
+    option_fps_column,
 )
 from repro.core.pipeline import InCameraPipeline, PipelineConfig
 from repro.errors import ConfigurationError
@@ -91,20 +96,11 @@ from repro.explore.result import cost_row
 #: space (see :meth:`BatchPrefixEvaluator._iter_cohort_states`).
 _BLOCK_ROWS = 1 << 14
 
-# -- stock state-shape helpers ------------------------------------------
-# Only the fully stock models reach these (gated by
-# uses_stock_cost_semantics): throughput states are (fps column, level
-# code column), energy states (rate, ((name, option table), ...),
-# compute column, active column). Columns are the state's ndarrays;
-# everything else is shared by every row of a depth and passes through.
-
-
-def _repeat_state(state: tuple, k: int) -> tuple:
-    """Each state row repeated ``k`` times (np.repeat copies bits)."""
-    return tuple(
-        np.repeat(part, k) if isinstance(part, np.ndarray) else part
-        for part in state
-    )
+# -- stock state-shape helper -------------------------------------------
+# Throughput states are (fps column,), energy states (rate, ((name,
+# option table), ...), compute column, active column); prefix-pruner
+# batch states alike. Columns are the state's ndarrays; everything else
+# is shared by every row of a depth and passes through.
 
 
 def _take_state(state: tuple, index: Any) -> tuple:
@@ -195,41 +191,59 @@ class _Choices:
         """The rows at a slice or index array of this selection."""
         return _Choices(self.frame, self.depth, self._positions(index), self.dtype)
 
-    def lists(self, index: Any = None) -> list[list[int]]:
-        """The choices of the rows at ``index`` (None: every row)."""
+    def matrix(self, index: Any = None) -> Any:
+        """The ``(n, depth)`` choice matrix of the rows at ``index``
+        (None: every row)."""
         return _resolve_choices(
             self.frame, self.depth, self.dtype, self._positions(index)
-        ).tolist()
+        )
+
+
+def _slowest_levels(plan: "_PipelinePlan", matrix: Any, compute_fps: Any) -> Any:
+    """Each row's slowest-block level code (-1: ``"none"``) from its
+    choice matrix and folded ``compute_fps``: the scalar fold lowers its
+    min only on a strict ``<``, so the level it last recorded is the
+    *first* level whose chosen rate equals the final min (none while
+    that min is ``inf``). One gather per level, last level first so the
+    first match wins."""
+    codes = np.full(len(matrix), -1, dtype=np.intp)
+    for level in range(matrix.shape[1] - 1, -1, -1):
+        codes[plan.levels[level].fps[matrix[:, level]] == compute_fps] = level
+    codes[~(compute_fps < float("inf"))] = -1
+    return codes
 
 
 def _materialize_costs(
     plan: "_PipelinePlan",
-    choice_rows: list[list[int]],
+    matrix: Any,
     columns: dict[str, Any],
     energy: bool,
 ) -> list[ConfigCost | EnergyCost]:
-    """Cost objects for the given choice rows of a finalized column
-    mapping (per-row columns already gathered to those rows).
+    """Cost objects for the given choice matrix rows of a finalized
+    column mapping (per-row columns already gathered to those rows).
 
     Mirrors the stock ``finalize`` field-for-field, with the same
     ``object.__new__`` construction; array values pass through
     ``tolist()`` so every field is a plain Python float/str,
     indistinguishable from scalar evaluation. The fields the walk does
     not fold per row are decoded here from each row's choices:
-    ``slowest_block`` from its level code (``Block`` keys every
-    implementation by its platform, so ``labels[level][choice]`` is the
-    scalar ``f"{block.name}({impl.platform})"``) and ``block_energies``
-    from the per-level option tables.
+    ``slowest_block`` from its level code (:func:`_slowest_levels`;
+    ``Block`` keys every implementation by its platform, so
+    ``labels[level][choice]`` is the scalar
+    ``f"{block.name}({impl.platform})"``) and ``block_energies`` from
+    the per-level option tables.
     """
     new = object.__new__
     set_field = object.__setattr__
     config = plan.config
+    choice_rows = matrix.tolist()
     out: list[ConfigCost | EnergyCost] = []
     append_out = out.append
     if not energy:
         labels = plan.labels
-        compute = columns["compute_fps"].tolist()
-        codes = columns["slowest_level"].tolist()
+        compute_fps = columns["compute_fps"]
+        compute = compute_fps.tolist()
+        codes = _slowest_levels(plan, matrix, compute_fps).tolist()
         communication_fps = columns["communication_fps"]
         for i, row in enumerate(choice_rows):
             code = codes[i]
@@ -293,6 +307,7 @@ class BatchRows:
         "_plan",
         "_choices",
         "_energy",
+        "_metrics",
         "__weakref__",
     )
 
@@ -313,6 +328,7 @@ class BatchRows:
         self._plan = plan
         self._choices = choices
         self._energy = energy
+        self._metrics: dict[str, Any] = {}  # see metric_column
 
     def __len__(self) -> int:
         return len(self._choices)
@@ -370,7 +386,7 @@ class BatchRows:
         scenario = self.scenario
         costs = _materialize_costs(
             self._plan,
-            self._choices.lists(index),
+            self._choices.matrix(index),
             self._gather(index),
             self._energy,
         )
@@ -378,14 +394,14 @@ class BatchRows:
 
     def config(self, i: int) -> PipelineConfig:
         """Row ``i``'s configuration."""
-        return self._plan.config(self._choices.lists([i])[0])
+        return self._plan.config(self._choices.matrix([i])[0].tolist())
 
     def cost(self, i: int) -> ConfigCost | EnergyCost:
         """Row ``i``'s cost object (counts as one materialization)."""
         self.n_materialized += 1
         return _materialize_costs(
             self._plan,
-            self._choices.lists([i]),
+            self._choices.matrix([i]),
             self._gather(slice(i, i + 1)),
             self._energy,
         )[0]
@@ -394,7 +410,7 @@ class BatchRows:
         """Every row's cost object, in row order (bulk materialization)."""
         self.n_materialized += len(self)
         return _materialize_costs(
-            self._plan, self._choices.lists(), self.columns, self._energy
+            self._plan, self._choices.matrix(), self.columns, self._energy
         )
 
     def row(self, i: int) -> dict[str, Any]:
@@ -414,7 +430,16 @@ class BatchRows:
         ``slowest_block``, ...) so consumers can fall back to
         :meth:`rows`. Derived metrics replay the scalar row expressions
         elementwise (``total_fps`` is the scalar ``min`` branch, not
-        ``np.minimum``)."""
+        ``np.minimum``). Each column is computed once per view: the
+        statistics, frontier and top-k folds that read the same metric
+        of one batch share it (callers must not write to it)."""
+        column = self._metrics.get(name)
+        if column is None:
+            column = self._metrics[name] = self._metric(name)
+        return column
+
+    def _metric(self, name: str) -> Any:
+        """:meth:`metric_column` without the per-view memo."""
         n = len(self)
         columns = self.columns
         scenario = self.scenario
@@ -470,14 +495,17 @@ class BatchRows:
 
 class _Level:
     """One enumerable block's per-platform tables, in enumeration
-    (sorted platform name) order."""
+    (sorted platform name) order: names, the frame-rate column and the
+    (energy, active seconds) columns the batch folds extend by."""
 
-    __slots__ = ("block", "names", "impls")
+    __slots__ = ("block", "names", "fps", "energy")
 
     def __init__(self, block: Any):
         self.block = block
         self.names = sorted(block.implementations)
-        self.impls = [block.implementations[name] for name in self.names]
+        impls = [block.implementations[name] for name in self.names]
+        self.fps = option_fps_column(impls)
+        self.energy = option_energy_columns(impls)
 
 
 class _PipelinePlan:
@@ -563,21 +591,14 @@ class BatchPrefixEvaluator:
             self._plans[id(pipeline)] = plan
         return plan
 
-    def _initial(self, n_levels: int) -> tuple:
-        """The one-row state of the empty prefix of an ``n_levels`` walk."""
-        if self._energy:
-            return self.model.initial_state_batch(1)
-        return self.model.initial_state_batch(1, n_levels)
-
-    def _extend(self, state: tuple, depth: int, level: _Level, choices: Any) -> tuple:
-        """Extend ``state`` rows by ``level``, the walk's ``depth``-th block."""
+    def _extend(self, state: tuple, level: _Level) -> tuple:
+        """Every ``state`` row extended by every option of ``level``, in
+        product order."""
         if self._energy:
             return self.model.extend_state_batch(
-                state, level.block, level.impls, choices, self.pass_rates
+                state, level.block, level.energy, self.pass_rates
             )
-        return self.model.extend_state_batch(
-            state, level.block, level.impls, choices, depth - 1
-        )
+        return self.model.extend_state_batch(state, level.fps)
 
     # -- whole-space cohort enumeration ----------------------------------
 
@@ -651,17 +672,21 @@ class BatchPrefixEvaluator:
         the scenario's pre-finalize states, at most ``chunk_size`` rows
         each, in exact enumeration order.
 
-        Rows grow one pipeline block at a time: each parent row is
-        repeated across the next block's options and the options are
-        tiled (:func:`itertools.product` order), then extended with one
-        batch call. Full depth cohorts fold this way while the next one
-        fits :data:`_BLOCK_ROWS`; the deepest such depth is *resident*.
+        Rows grow one pipeline block at a time: one batch call extends
+        every parent row by every option of the next block, in
+        :func:`itertools.product` order. Full depth cohorts fold this
+        way while the next one fits :data:`_BLOCK_ROWS`; the deepest
+        such depth is *resident*.
         Each deeper depth is emitted by a depth-first descent from the
-        resident cohort over contiguous row ranges, at most one block of
-        child rows per level, so the walk holds about
-        ``(depth - resident) x _BLOCK_ROWS`` rows whatever the space
-        size. Depth-``d`` rows come out ordered by their resident
-        prefix, then their suffix — enumeration order.
+        resident cohort over contiguous row ranges. The target level
+        grows ``_BLOCK_ROWS // k`` parents at a time (``k`` options),
+        so an emitted batch holds at most one block; an intermediate
+        level grows ``_BLOCK_ROWS // (k * k_next)`` parents, so it holds
+        one grow's worth of parents for the level below, not a whole
+        block. The walk thus holds one block plus about
+        ``_BLOCK_ROWS / k_next`` rows per intermediate level, whatever
+        the space size. Depth-``d`` rows come out ordered by their
+        resident prefix, then their suffix — enumeration order.
 
         A row carries only what its platform choices cannot recover:
         the model's compact state columns. Its choices follow from its
@@ -692,9 +717,9 @@ class BatchPrefixEvaluator:
           enumeration order with the scalar path's short-circuit
           semantics (hooks see only rows every other filter kept).
 
-        The option column each extend reads and resolved choice matrices
-        use the smallest unsigned dtype that holds every platform index
-        (``uint8`` below 256 platforms per block).
+        Resolved choice matrices use the smallest unsigned dtype that
+        holds every platform index (``uint8`` below 256 platforms per
+        block).
         """
         pruner = scenario.prefix_pruner()
         if pruner is not None and not pruner.batch_capable:
@@ -720,22 +745,18 @@ class BatchPrefixEvaluator:
             part = slice(lo, hi)
             level = levels[depth - 1]
             k = len(level.names)
-            tile = np.tile(np.arange(k, dtype=dtype), hi - lo)
-            state = self._extend(
-                _repeat_state(_take_state(state, part), k), depth, level, tile
-            )
+            n = (hi - lo) * k
+            state = self._extend(_take_state(state, part), level)
             if pruner is None:
-                return _Frame(frame, lo, k, None, len(tile)), state, None
-            pstate, keep = pruner.extend_batch(
-                depth - 1, tile, tuple(np.repeat(arr[part], k) for arr in pstate)
-            )
+                return _Frame(frame, lo, k, None, n), state, None
+            pstate, keep = pruner.extend_batch(depth - 1, _take_state(pstate, part))
             if keep.all():
-                return _Frame(frame, lo, k, None, len(tile)), state, pstate
+                return _Frame(frame, lo, k, None, n), state, pstate
             idx = np.flatnonzero(keep)
             return (
                 _Frame(frame, lo, k, idx, len(idx)),
                 _take_state(state, idx),
-                tuple(arr[idx] for arr in pstate),
+                _take_state(pstate, idx),
             )
 
         def hook_filter(choices: _Choices, state: tuple) -> tuple[_Choices, tuple]:
@@ -744,7 +765,7 @@ class BatchPrefixEvaluator:
             keep() filter."""
             kept = [
                 i
-                for i, row in enumerate(choices.lists())
+                for i, row in enumerate(choices.matrix().tolist())
                 if not any(hook(plan.config(row)) for hook in hooks)
             ]
             if len(kept) == len(choices):
@@ -779,10 +800,13 @@ class BatchPrefixEvaluator:
             depth: int, rows: tuple, target: int
         ) -> Generator[tuple[_PipelinePlan, int, _Choices, tuple], None, int]:
             """Emit the depth-``target`` descendants of depth-``depth``
-            rows, one contiguous block of parents at a time; returns how
+            rows, one contiguous range of parents at a time; returns how
             many target rows survived the prefix bound."""
             n = rows[0].n
-            step = max(1, block // len(levels[depth].names))
+            width = len(levels[depth].names)
+            if depth + 1 < target:
+                width *= len(levels[depth + 1].names)
+            step = max(1, block // width)
             survivors = 0
             for lo in range(0, n, step):
                 children = grow(depth + 1, rows, lo, min(lo + step, n))
@@ -798,7 +822,7 @@ class BatchPrefixEvaluator:
         root.matrix = np.zeros((1, 0), dtype=dtype)
         rows = (
             root,
-            self._initial(len(levels)),
+            self.model.initial_state_batch(1),
             pruner.initial_batch(1) if pruner is not None else None,
         )
         depth = 0

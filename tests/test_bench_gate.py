@@ -97,6 +97,7 @@ def test_gated_kinds_cover_every_trajectory_kind():
         "explore_vectorized": (
             "speedup_batch_vs_scalar",
             "speedup_batch_collect_vs_scalar",
+            "speedup_batch_materialized_vs_scalar",
         ),
         "explore_pruned_vectorized": ("speedup_fused_vs_scalar_pruned",),
         "campaign_fleet_columnar": ("speedup_lazy_vs_materialize",),
@@ -132,6 +133,32 @@ def test_collected_batch_speedup_is_gated_next_to_the_lazy_one(tmp_path):
     # Entries from before the collected metric was recorded stay green.
     path.write_text(json.dumps([entry(6.0), vec_entry(20.0), vec_entry(19.0)]))
     assert gate.main(["gate", str(path)]) == 0
+
+
+def materialized_entry(materialized):
+    return {
+        **collect_entry(20.0, 15.0),
+        "speedup_batch_materialized_vs_scalar": materialized,
+    }
+
+
+def test_materialize_all_speedup_is_gated(tmp_path):
+    """``speedup_batch_materialized_vs_scalar`` (every cost object built)
+    fails the build on its own past the hard gate; entries recorded
+    before the metric existed are skipped, so the first entry that
+    carries it has no prior to gate against."""
+    path = tmp_path / "BENCH_explore.json"
+    older = [entry(6.0), collect_entry(20.0, 15.0)]
+    path.write_text(json.dumps(older + [materialized_entry(1.2)]))
+    assert gate.main(["gate", str(path)]) == 0
+    path.write_text(
+        json.dumps(older + [materialized_entry(1.2), materialized_entry(1.0)])
+    )
+    assert gate.main(["gate", str(path)]) == 0
+    path.write_text(
+        json.dumps(older + [materialized_entry(1.2), materialized_entry(0.2)])
+    )
+    assert gate.main(["gate", str(path)]) == 1
 
 
 def test_latest_and_best_prior_is_kind_aware():

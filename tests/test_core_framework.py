@@ -50,6 +50,19 @@ def test_implementation_validation():
         Implementation("cpu", energy_per_frame=-1.0)
 
 
+@pytest.mark.parametrize("field", ["fps", "energy_per_frame", "active_seconds"])
+def test_implementation_rejects_nan_costs(field):
+    with pytest.raises(PipelineError):
+        Implementation("cpu", **{field: float("nan")})
+
+
+def test_block_rejects_nan_output_bytes():
+    with pytest.raises(PipelineError):
+        Block(name="x", output_bytes=float("nan"))
+    with pytest.raises(PipelineError):
+        Block(name="x", output_bytes=1.0, pass_rate=float("nan"))
+
+
 def test_block_validation():
     with pytest.raises(PipelineError):
         Block(name="x", output_bytes=-1.0)

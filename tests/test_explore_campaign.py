@@ -436,6 +436,32 @@ def test_export_only_campaign_streams_stats_without_results():
     assert all(isinstance(row["pareto"], int) for row in rows)
 
 
+def test_member_batch_computes_each_metric_column_once(monkeypatch):
+    """The running statistics, the online frontier and a ``total_fps``
+    top-k sink all read a member batch's metric columns; the batch view
+    computes each derived column once and hands the same array to every
+    reader."""
+    from repro.explore import TopKSink
+    from repro.explore.vectorized import BatchRows
+
+    computed = []  # (batch, name); holding the batch keeps ids unique
+    derive = BatchRows._metric
+
+    def counting(self, name):
+        computed.append((self, name))
+        return derive(self, name)
+
+    monkeypatch.setattr(BatchRows, "_metric", counting)
+    scenario = load_builtin().build("vr-fig10")
+    sink = TopKSink("total_fps", k=3)
+    (run,) = Campaign([scenario]).run(collect=False, sinks={scenario.name: sink})
+    totals = [id(batch) for batch, name in computed if name == "total_fps"]
+    assert totals and len(totals) == len(set(totals))
+    solo = explore(scenario)
+    assert json.dumps(sink.top_k()) == json.dumps(solo.top_k("total_fps", 3))
+    assert json.dumps(run.best) == json.dumps(solo.best)
+
+
 def _live_costs() -> int:
     return sum(1 for obj in gc.get_objects() if isinstance(obj, (ConfigCost, EnergyCost)))
 

@@ -334,10 +334,10 @@ def test_chunked_cohorts_respect_chunk_size():
     assert json.dumps(rows) == json.dumps(explore(scenario, evaluation="scalar").rows)
 
 
-#: Ceiling on the traced peak of a 12-block export (1.2 MB throughput
-#: and 2.1 MB energy measured; the whole-cohort walk this bounds peaked
+#: Ceiling on the traced peak of a 12-block export (0.74 MB throughput
+#: and 1.27 MB energy measured; the whole-cohort walk this bounds peaked
 #: at 123 MB).
-EXPORT_PEAK_CAP = 4 * 2**20
+EXPORT_PEAK_CAP = 2 * 2**20
 
 
 def _deep_chain(n_blocks: int, domain: str = "throughput") -> Scenario:
@@ -705,6 +705,20 @@ def test_columnar_sinks_match_collected_results_end_to_end():
     frontier = ParetoSink(axes, flags)
     explore(scenario, sink=frontier, collect=False)
     assert json.dumps(frontier.pareto()) == json.dumps(collected.pareto(axes, flags))
+
+
+def test_collected_segments_keep_no_memoized_metric_column():
+    """A collected result keeps views of its own: neither the columns a
+    columnar sink memoized on the walk's batches nor the ones the
+    result's queries read stay alive a second time next to the result's
+    concatenated column cache."""
+    scenario = build_scenario()
+    sink = TopKSink("total_fps", k=3)
+    result = explore(scenario, sink=sink)
+    assert json.dumps(result.top_k("total_fps", 3)) == json.dumps(sink.top_k())
+    result.pareto()
+    assert result._batches
+    assert all(not batch._metrics for batch in result._batches)
 
 
 def test_online_folds_pin_no_batch_once_swept(monkeypatch):
