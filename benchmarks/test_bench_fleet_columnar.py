@@ -3,9 +3,9 @@
 The paper's fleet shape taken to benchmark scale: ONE pipeline evaluated
 at eight link tiers, export-only (``collect=False``) with bounded top-k
 sinks. Both campaigns run ``dedup=True``, so they share the columnar
-compute fold (the dedup group evaluates prefix states once) and the
-one ``finalize_batch_multi`` broadcast per shared segment; the contrast
-is purely what the consumers materialize —
+compute fold (the dedup group evaluates prefix states once) and each
+member's ``finalize_batch`` of every shared slice; the contrast is
+purely what the consumers materialize —
 
 * the baseline wraps each ``TopKSink`` in a row-only sink (it overrides
   only ``write_rows``), so the campaign builds every member row as

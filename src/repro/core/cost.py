@@ -20,6 +20,12 @@ over a configuration's in-camera blocks. Incremental evaluation
 (:mod:`repro.explore.incremental`) replays the *same* float operations
 in the *same* order, so prefix-memoized results are bit-identical to
 from-scratch ones.
+
+Each scalar step has a columnar batch twin (``*_batch``) over whole
+cohorts of prefixes. ``finalize_batch`` closes a folded cohort under
+one link's per-depth term; since the folded state is link-independent,
+a campaign dedup group closes one state under each member's link with
+one ``finalize_batch`` call per member.
 """
 
 from __future__ import annotations
@@ -69,10 +75,10 @@ def platform_axis_fingerprint(pipeline: InCameraPipeline) -> str:
 def option_fps_column(impls: Sequence[Implementation]) -> Any:
     """The frame rate of each implementation as one float column.
 
-    ``impls`` must be in enumeration (sorted platform) order. Shared
-    batch bound kernel: both the columnar throughput fold and the
-    vectorized throughput pruner extend their rows by this column's
-    entries, so bound and cost read the exact same floats.
+    ``impls`` must be in enumeration (sorted platform) order. The
+    columnar throughput fold extends its rows by this column's entries;
+    the vectorized throughput pruner reads the fold's running min, so
+    bound and cost are the exact same floats.
     """
     return np.array([impl.fps for impl in impls])
 
@@ -225,22 +231,6 @@ class ThroughputCostModel:
         row's platform choices.
         """
         return {"compute_fps": state[0], "communication_fps": communication_fps}
-
-    def finalize_batch_multi(
-        self, state: tuple[Any], communication_fps_stack: Sequence[float]
-    ) -> list[dict[str, Any]]:
-        """Close ONE batch state under ``n_members`` link terms at once.
-
-        The compute-side column (``compute_fps``) is link-independent,
-        so every member's column dict shares it by reference — a dedup
-        group of N links closes a depth cohort with zero per-row work
-        beyond the shared fold. Member ``m``'s columns are exactly
-        ``finalize_batch(state, stack[m])``.
-        """
-        return [
-            self.finalize_batch(state, communication_fps)
-            for communication_fps in communication_fps_stack
-        ]
 
 
 @dataclass(frozen=True, slots=True)
@@ -446,34 +436,3 @@ class EnergyCostModel:
             "transmit_energy": float(rate * link_costs[0]),
             "active_seconds": active + rate * link_costs[1],
         }
-
-    def finalize_batch_multi(
-        self,
-        state: tuple[float, tuple, Any, Any],
-        link_costs_stack: Sequence[tuple[float, float]],
-    ) -> list[dict[str, Any]]:
-        """Close ONE batch state under ``n_members`` link terms at once.
-
-        ``link_costs_stack`` holds each member's per-depth (transmit
-        joules, transmit seconds) pair. The one link-dependent column
-        folds as a single ``(n_members, n_rows)`` broadcast:
-        ``active[None, :] + (rate * sec)[:, None]`` multiplies before
-        adding, matching the scalar ``active + rate * link_costs[1]``
-        operation order, so member ``m``'s row slice is bit-identical
-        to ``finalize_batch(state, stack[m])``. The link-independent
-        columns (``block_energies``, ``compute_energy``) are shared by
-        reference across members.
-        """
-        rate, tables, compute, active = state
-        sec = np.array([pair[1] for pair in link_costs_stack])
-        active_all = active[None, :] + (rate * sec)[:, None]
-        return [
-            {
-                "transmit_rate": rate,
-                "block_energies": tables,
-                "compute_energy": compute,
-                "transmit_energy": float(rate * tx),
-                "active_seconds": active_all[member],
-            }
-            for member, (tx, _) in enumerate(link_costs_stack)
-        ]

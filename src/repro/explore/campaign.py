@@ -13,7 +13,9 @@ One pipeline for solo runs and campaigns: every member runs the path
 solo ``explore()`` takes for it (:func:`~repro.explore.engine._plan`
 decides it, :func:`~repro.explore.engine.evaluation_path` reports it)
 through the same stream (:func:`~repro.explore.engine._scenario_stream`)
-into the same consumer (:class:`~repro.explore.engine._RunConsumer`). A
+into the same consumer (:class:`~repro.explore.engine._RunConsumer`).
+The campaign builds one stream per unit: a dedup group (below) or any
+other member, which streams alone as its solo ``explore()`` does. A
 stock member (see
 :func:`~repro.explore.incremental.uses_stock_cost_semantics`) folds the
 cohort walk in the calling process on every executor, sliced at the
@@ -29,16 +31,16 @@ when its walk ends.
 Dedup contract: with ``dedup=True``, scenarios whose
 :func:`scenario_compute_key`s match (the same pipeline and platform
 axis at different links — the design-space-sweep fleet shape) form a
-group that walks its shared compute-side cohort states once
+group whose stream walks the shared compute-side cohort states once
 (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
-iter_group_batches`): each slice closes for every member with ONE
-``finalize_batch_multi`` broadcast (an ``(n_members, n_rows)`` sweep of
-the member link terms), and members hand their consumers lazy
-member-tagged :class:`~repro.explore.vectorized.BatchRows` views — under
+iter_group_batches`, the walk a solo run takes as a group of one):
+each slice closes for every member with its own ``finalize_batch``,
+and members hand their consumers lazy member-tagged
+:class:`~repro.explore.vectorized.BatchRows` views — under
 ``collect=False`` with columnar sinks a fleet of N links materializes
 only frontier/heap survivors, never N x rows Python objects. Because
-the broadcast replays exactly the solo evaluation's float operations,
-per-scenario results stay byte-identical to ``dedup=False`` and to solo
+each member's finalize is the one its solo walk runs, per-scenario
+results stay byte-identical to ``dedup=False`` and to solo
 ``explore()`` — the invariant suite asserts it over seeded random
 fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
 
@@ -99,7 +101,7 @@ from repro.explore.result import (
     domain_frontier,
 )
 from repro.explore.scenario import Scenario
-from repro.explore.vectorized import BatchPrefixEvaluator, BatchRows
+from repro.explore.vectorized import BatchRows
 
 # Scheduling policies live in their own module (repro.explore.
 # scheduling); the re-export keeps `from repro.explore.campaign import
@@ -127,27 +129,6 @@ def _select(policy: SchedulingPolicy, live: list[int]) -> int:
             f"selected scenario {index}, not in the live set {live}"
         )
     return index
-
-
-def _group_walk(
-    indices: tuple[int, ...],
-    group: list[Scenario],
-    model: Any,
-    chunk_size: int,
-    members: Sequence["_Member"],
-) -> Iterator[None]:
-    """A dedup group's stream: one cohort walk of the leader's
-    compute-side states, every slice closed for all members at once
-    (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
-    iter_group_batches`) and fed to each member as a lazy view, one
-    slice per step."""
-    evaluator = BatchPrefixEvaluator(model, group[0].pass_rates)
-    for views in evaluator.iter_group_batches(group, chunk_size):
-        for index, view in zip(indices, views):
-            member = members[index]
-            member.consumer.add_batch(view)
-            member.n_materialized += view.n_materialized
-        yield
 
 
 # -- cross-scenario evaluation dedup ------------------------------------
@@ -217,7 +198,8 @@ def _dedup_groups(
     design-space sweep shape: one product, every uplink tier); their
     compute-side costs are link-independent, so a group of scenarios
     with equal :func:`scenario_compute_key`s folds its cohort states
-    once for all members (:func:`_group_walk`). Every member belongs to
+    once for all members (one :func:`~repro.explore.engine.
+    _scenario_stream` per group). Every member belongs to
     exactly one group, a member with no sibling to a group of one. Each
     distinct pipeline object is fingerprinted once per call.
     """
@@ -748,25 +730,20 @@ class Campaign:
             )
             for index, sink in enumerate(sink_list)
         ]
-        # One walk per dedup group (keyed by its leader) and one per
-        # other member, each with the members its steps feed.
-        walks: dict[int, Iterator[None]] = {}
-        units: dict[int, tuple[int, ...]] = dict(groups)
-        for leader, indices in groups.items():
-            group = [scenarios[index] for index in indices]
-            walks[leader] = _group_walk(
-                indices, group, plans[leader].model, size, members
+        # One stream per unit: a dedup group (keyed by its leader) or
+        # one other member, each feeding its members' consumers.
+        units = {i: (i,) for i in range(len(scenarios)) if i not in leader_of}
+        units.update(groups)
+        walks = {
+            leader: _scenario_stream(
+                tuple(scenarios[index] for index in indices),
+                plans[leader],
+                executor,
+                chunk_size,
+                tuple(members[index].consumer for index in indices),
             )
-        for index, plan in enumerate(plans):
-            if index not in leader_of:
-                walks[index] = _scenario_stream(
-                    scenarios[index],
-                    plan,
-                    executor,
-                    chunk_size,
-                    members[index].consumer,
-                )
-                units[index] = (index,)
+            for leader, indices in units.items()
+        }
         live = sorted(walks)
         start = time.perf_counter()
         opened: list[int] = []
@@ -828,13 +805,13 @@ class Campaign:
         """One member's run state: the consumer solo ``explore()`` uses,
         plus running statistics on export-only runs (collected runs
         summarize from the result). ``grouped`` members ride a dedup
-        group's lazy walk and count the rows they materialize."""
+        group's walk and report the rows they materialize."""
         scenario = self.scenarios[index]
         stats = None if collect else _StreamingStats(scenario.domain, track_frontier)
         consumer = _RunConsumer(
             scenario, sink, self._label(index), collect, chunk_size, stats=stats
         )
-        return _Member(consumer, 0 if grouped else None)
+        return _Member(consumer, grouped)
 
     def _finish(
         self,
@@ -919,8 +896,8 @@ class Campaign:
             ``dedup=False`` run (and to solo ``explore()``), asserted
             by the invariant suite. :attr:`CampaignResult.cache_stats`
             reports the evaluations skipped. Each group's columnar
-            leader states close for the whole group in one multi-link
-            broadcast per segment, and members receive lazy
+            leader states close under every member's link once per
+            slice, and members receive lazy
             :class:`~repro.explore.vectorized.BatchRows` views — under
             ``collect=False`` with columnar sinks only survivors
             materialize. A plain bool; anything else raises
@@ -966,7 +943,11 @@ class Campaign:
         self, index: int, member: "_Member", dedup_source: str | None
     ) -> ScenarioRun:
         scenario = self.scenarios[index]
-        result = member.consumer.result()
+        consumer = member.consumer
+        # What the sink built, counted as the stream went; the result's
+        # own views and the pending best row add theirs below.
+        n_materialized = consumer.n_materialized
+        result = consumer.result()
         if result is not None:
             n_evaluated = len(result)
             n_feasible = result._count_feasible()
@@ -974,19 +955,13 @@ class Campaign:
                 best = result.best
             except PipelineError:
                 best = None
-            if member.n_materialized is not None:
-                # What the sink built (counted as the stream went) and what
-                # the best row built on the result's own views; the result
-                # builds the rest only when a query returns them.
-                member.n_materialized += sum(
-                    batch.n_materialized for batch in member.consumer.batches
-                )
+            # The result builds any other row only when a query returns it.
+            n_materialized += sum(batch.n_materialized for batch in consumer.batches)
             pareto_size = None  # computed lazily on first access
             frontier = None
         else:
-            stats = member.consumer.stats
-            if stats.settle() and member.n_materialized is not None:
-                member.n_materialized += 1
+            stats = consumer.stats
+            n_materialized += stats.settle()
             n_evaluated = stats.n_evaluated
             n_feasible = stats.n_feasible
             best = stats.best
@@ -1004,18 +979,18 @@ class Campaign:
             wall_seconds=round(member.completed_at, 6),
             frontier=frontier,
             dedup_source=dedup_source,
-            n_materialized=member.n_materialized,
+            n_materialized=n_materialized if member.grouped else None,
         )
 
 
 class _Member:
     """One campaign member's run state: the run consumer solo
-    ``explore()`` uses, the lazy-materialization count (None off the
-    lazy group walk) and when its last rows landed."""
+    ``explore()`` uses, whether it rides a dedup group's walk (only
+    those report ``n_materialized``) and when its last rows landed."""
 
-    __slots__ = ("consumer", "n_materialized", "completed_at")
+    __slots__ = ("consumer", "grouped", "completed_at")
 
-    def __init__(self, consumer: _RunConsumer, n_materialized: int | None):
+    def __init__(self, consumer: _RunConsumer, grouped: bool):
         self.consumer = consumer
-        self.n_materialized = n_materialized
+        self.grouped = grouped
         self.completed_at = 0.0

@@ -13,16 +13,17 @@ One plan picks the evaluation path (:func:`_plan`, which
 :func:`evaluation_path` reports). A model whose every cost step is
 stock (:func:`~repro.explore.incremental.uses_stock_cost_semantics`)
 takes the columnar cohort walk (:mod:`repro.explore.vectorized`), folded
-in process on every executor (a campaign dedup group walks its shared
-states once and closes them under each member's link). Every other
-model — and ``evaluation="scalar"`` — takes the scalar pipe,
-:func:`iter_evaluation_chunks`: the memoized
+in process on every executor. The walk folds a group of scenarios that
+differ only in their links once and closes it under each member's link:
+solo ``explore()`` walks a group of one, a campaign dedup group its
+members. Every other model — and ``evaluation="scalar"`` — takes the
+scalar pipe, :func:`iter_evaluation_chunks`: the memoized
 :class:`~repro.explore.incremental.PrefixEvaluator` walk if the model's
 ``evaluate()`` is stock, per-config ``evaluate()`` calls if not. Only
 those scalar chunks travel through the executor. ``explore()`` and
-every campaign member outside a dedup group run one stream
-(:func:`_scenario_stream`) into one consumer (:class:`_RunConsumer`),
-so solo runs and campaign members cannot drift apart.
+every campaign member run one stream (:func:`_scenario_stream`) into
+one consumer each (:class:`_RunConsumer`), so solo runs and campaign
+members cannot drift apart.
 
 The path is streaming end-to-end: configurations flow from the
 enumerator into fixed-size chunks (or cohort slices), and scalar chunks
@@ -302,9 +303,9 @@ def evaluation_path(
       :func:`~repro.explore.campaign.scenario_compute_key`, so no
       pre-built ``model`` and its stock model applies) runs its
       group's walk: one fold of the shared columnar states, closed
-      under every member's link by a multi-link broadcast finalize
-      into lazy :class:`~repro.explore.vectorized.BatchRows` views. A
-      scenario with no sibling in the fleet is a group of one.
+      under every member's link by its own ``finalize_batch`` into lazy
+      :class:`~repro.explore.vectorized.BatchRows` views. A scenario
+      with no sibling in the fleet is a group of one.
 
     ``executor`` is validated but changes no path: stock models fold
     in process on every executor.
@@ -318,20 +319,26 @@ def evaluation_path(
 
 
 def _scenario_stream(
-    scenario: Scenario,
+    scenarios: tuple[Scenario, ...],
     plan: _Plan,
     executor: SweepExecutor,
     chunk_size: int | None,
-    consumer: "_RunConsumer",
+    consumers: tuple["_RunConsumer", ...],
 ) -> Iterator[None]:
-    """Feed one scenario's rows into ``consumer``, one cohort slice or
-    cost chunk per step: the stream of solo :func:`explore` and of
-    every campaign member outside a dedup group. Cohort plans run the
-    walk in process, sliced at the consumer's write size (None: its
-    blocks of rows); scalar plans run :func:`iter_evaluation_chunks` on
-    ``executor`` at ``chunk_size``, so a parallel executor's pool starts
-    on the first step and shuts down when the stream ends or closes."""
+    """Feed one walk's rows into its members' ``consumers``, one cohort
+    slice or cost chunk per step: the stream of solo :func:`explore` (a
+    group of one) and of every campaign unit (a dedup group's members,
+    or one other member). Cohort plans run one walk in process
+    (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
+    iter_group_batches`), sliced at the consumers' write size (None:
+    the walk's blocks of rows), and hand each member its own view of
+    every slice. A scalar plan has exactly one member and runs
+    :func:`iter_evaluation_chunks` on ``executor`` at ``chunk_size``,
+    so a parallel executor's pool starts on the first step and shuts
+    down when the stream ends or closes."""
     if plan.scalar:
+        (scenario,) = scenarios
+        (consumer,) = consumers
         stream = iter_evaluation_chunks(
             plan.model,
             scenario.iter_configs(),
@@ -342,9 +349,13 @@ def _scenario_stream(
         )
         add = consumer.add_costs
     else:
-        evaluator = BatchPrefixEvaluator(plan.model, scenario.pass_rates)
-        stream = evaluator.iter_scenario_batches(scenario, consumer.chunk_size)
-        add = consumer.add_batch
+        evaluator = BatchPrefixEvaluator(plan.model, scenarios[0].pass_rates)
+        stream = evaluator.iter_group_batches(scenarios, consumers[0].chunk_size)
+
+        def add(batches: list[Any]) -> None:
+            for consumer, batch in zip(consumers, batches):
+                consumer.add_batch(batch)
+
     try:
         for item in stream:
             add(item)
@@ -446,7 +457,9 @@ def explore(
     consumer = _RunConsumer(scenario, sink, label, collect, size)
     with sink_stream(sink, scenario, label):
         with _gc_paused() if pause else nullcontext():
-            for _ in _scenario_stream(scenario, plan, resolved, chunk_size, consumer):
+            for _ in _scenario_stream(
+                (scenario,), plan, resolved, chunk_size, (consumer,)
+            ):
                 pass
             consumer.flush()
     return consumer.result()
@@ -457,9 +470,9 @@ class _RunConsumer:
     solo :func:`explore` and every campaign member, so the two cannot
     drift apart.
 
-    It takes lazy columnar batches (:meth:`add_batch`, the cohort and
-    dedup-group walks) and scalar cost chunks (:meth:`add_costs`) and
-    routes them to:
+    It takes lazy columnar batches (:meth:`add_batch`, one member's
+    views of the cohort walk) and scalar cost chunks
+    (:meth:`add_costs`) and routes them to:
 
     * the collected result (``collect=True``): batches are kept as they
       are — the result answers its queries on their columns — and cost
@@ -476,8 +489,9 @@ class _RunConsumer:
     * ``stats`` (a campaign's export-only running statistics), fed the
       lazy batch unless the sink already forced its rows.
 
-    Call :meth:`flush` once the stream ends to write the last partial
-    chunk.
+    :attr:`n_materialized` counts the rows each batch built while it
+    was added (a row-only sink's rows; the folds build none). Call
+    :meth:`flush` once the stream ends to write the last partial chunk.
     """
 
     __slots__ = (
@@ -489,6 +503,7 @@ class _RunConsumer:
         "batches",
         "evaluations",
         "stats",
+        "n_materialized",
         "_pending",
     )
 
@@ -510,6 +525,7 @@ class _RunConsumer:
         self.batches: list[Any] | None = [] if collect else None
         self.evaluations: list[Any] | None = [] if collect else None
         self.stats = stats
+        self.n_materialized = 0
         self._pending: list[dict[str, Any]] = []
 
     def add_batch(self, batch: Any) -> None:
@@ -529,6 +545,7 @@ class _RunConsumer:
             self._write(rows)
         elif sink is not None:
             write_sink_batch(sink, batch, self.label)
+        self.n_materialized += batch.n_materialized
 
     def add_costs(self, costs: list[Any]) -> None:
         """One chunk of materialized cost objects."""

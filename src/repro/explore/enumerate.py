@@ -73,9 +73,10 @@ class PrefixPruner:
     instance (the dual bound: per-depth exact transmit terms instead of
     the min over all completion depths).
 
-    A pruner may additionally carry a *batch* form of the same bound,
-    which the columnar cohort walk
-    (:meth:`repro.explore.vectorized.BatchPrefixEvaluator.iter_scenario_batches`)
+    A pruner the columnar cohort walk runs (every
+    ``Scenario.prefix_pruner()``) also carries a *batch* form of the
+    same bound, which the walk
+    (:meth:`repro.explore.vectorized.BatchPrefixEvaluator.iter_group_batches`)
     fuses into its depth folds as boolean-mask compaction. The batch
     state is a flat tuple whose 1-D arrays are equal-length per-row
     columns (row ``i`` is the scalar bound state of cohort row ``i``);
@@ -85,12 +86,16 @@ class PrefixPruner:
 
     - ``initial_batch(n)`` returns the batch state of ``n`` empty
       prefixes.
-    - ``extend_batch(block_index, state)`` extends every one of the
-      ``n`` state rows by every one of the block's ``k`` platforms (in
-      enumeration order) in *product order* — row ``i * k + j`` of the
-      result is row ``i`` extended by platform ``j``, the order of the
-      cost model's ``extend_state_batch`` — and returns
-      ``(new_state, keep_mask)`` over those ``n * k`` rows.
+    - ``extend_batch(block_index, state, costs)`` extends every one of
+      the ``n`` state rows by every one of the block's ``k`` platforms
+      (in enumeration order) in *product order* — row ``i * k + j`` of
+      the result is row ``i`` extended by platform ``j``, the order of
+      the cost model's ``extend_state_batch`` — and returns
+      ``(new_state, keep_mask)`` over those ``n * k`` rows. ``costs``
+      is the stock cost model's state over the same ``n * k`` rows,
+      already extended: a bound that equals one of its columns (the
+      throughput floor is the running-min fps) reads it there and keeps
+      no state of its own.
       ``keep_mask[r]`` False asserts row ``r``'s subtree is infeasible
       at *every* remaining cut depth — exactly the generic ``extend``
       contract — so the caller drops the row from all deeper cohorts.
@@ -117,7 +122,7 @@ class PrefixPruner:
     initial_batch:
         Optional ``n -> state_columns`` for the batch form.
     extend_batch:
-        Optional ``(block_index, state_columns) ->
+        Optional ``(block_index, state_columns, cost_columns) ->
         (new_state_columns, keep_mask)``, in product order.
     emit_mask:
         Optional ``(depth, state_columns) -> mask | None`` mapping the
@@ -128,13 +133,8 @@ class PrefixPruner:
     extend: Callable[[int, str, Any], Any]
     for_depth: Callable[[int], Callable[[int, str, Any], Any]] | None = None
     initial_batch: Callable[[int], tuple] | None = None
-    extend_batch: Callable[[int, tuple], tuple[tuple, Any]] | None = None
+    extend_batch: Callable[[int, tuple, tuple], tuple[tuple, Any]] | None = None
     emit_mask: Callable[[int, tuple], Any] | None = None
-
-    @property
-    def batch_capable(self) -> bool:
-        """Whether the pruner can ride the fused columnar walk."""
-        return self.initial_batch is not None and self.extend_batch is not None
 
 
 def _normalize_hooks(

@@ -68,7 +68,6 @@ _COST_STEPS = (
     "initial_state_batch",
     "extend_state_batch",
     "finalize_batch",
-    "finalize_batch_multi",
 )
 
 
@@ -77,8 +76,8 @@ def uses_stock_cost_semantics(model: Any) -> bool:
     :data:`_COST_STEPS`) is the stock implementation.
 
     The one gate for everything that assumes the stock cost semantics
-    and state shapes: the columnar paths (the cohort walk and the dedup
-    group walk replicate and gather struct-of-arrays states, which is
+    and state shapes: the columnar cohort walk (solo runs and dedup
+    groups alike replicate and gather struct-of-arrays states, which is
     also what lets a campaign member fold in process),
     the bounds ``Scenario.auto_prune`` /
     ``auto_prune_configs`` derive from the raw ``Implementation``/link
@@ -107,9 +106,9 @@ def depth_link_cost(
     the platform choices — so the walk caches ``depth -> finalize arg``
     ((transmit joules, transmit seconds) in the energy domain, the
     communication frame rate in the throughput domain). Shared by
-    :class:`PrefixEvaluator` and the columnar walks, the campaign dedup
-    group walk included: one definition, so the dedup finalize-replay
-    stays expression-identical to solo evaluation.
+    :class:`PrefixEvaluator` and every member of the columnar walk: one
+    definition, so a dedup group member's link term stays
+    expression-identical to solo evaluation.
     """
     cached = cache.get(depth)
     if cached is None:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.cost import option_energy_columns, option_fps_column
+from repro.core.cost import option_energy_columns
 from repro.core.pipeline import InCameraPipeline
 from repro.errors import PipelineError
 from repro.explore.enumerate import (
@@ -139,31 +139,18 @@ def compute_fps_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
         floor = state if state < fps else fps
         return PRUNED_SUBTREE if floor < target else floor
 
-    # Batch form: state is one float column (the running min fps per
-    # cohort row), extended in product order like the cost fold. The
-    # bound is depth-monotone — a row the mask keeps is feasible-so-far
-    # at every remaining depth — so the compacted cohort is already the
-    # exact survivor set and no emit_mask is needed.
-    fps_columns = [
-        option_fps_column(
-            [block.implementations[name] for name in sorted(block.implementations)]
-        )
-        for block in scenario.pipeline.blocks
-    ]
-
+    # Batch form: the bound is the cost fold's own running-min fps
+    # column (the scalar `<` branch over the same positive rates, from
+    # the same `inf`), so the pruner keeps no state and reads the
+    # extended cost state. The bound is depth-monotone — a row the mask
+    # keeps is feasible-so-far at every remaining depth — so the
+    # compacted cohort is already the exact survivor set and no
+    # emit_mask is needed.
     def initial_batch(n: int) -> tuple:
-        return (np.full(n, float("inf")),)
+        return ()
 
-    def extend_batch(block_index: int, state: tuple):
-        (floor,) = state
-        options = fps_columns[block_index]
-        out = np.empty((len(floor), len(options)))
-        for j, fps in enumerate(options.tolist()):
-            # Elementwise twin of the scalar `state if state < fps else
-            # fps` branch (not np.minimum: NaN/tie semantics differ).
-            out[:, j] = np.where(floor < fps, floor, fps)
-        floor = out.ravel()
-        return (floor,), ~(floor < target)
+    def extend_batch(block_index: int, state: tuple, costs: tuple):
+        return (), ~(costs[0] < target)
 
     return PrefixPruner(
         initial=float("inf"),
@@ -332,7 +319,9 @@ def energy_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
             *(np.zeros(n, dtype=bool) for _ in range(n_depths)),
         )
 
-    def extend_batch(block_index: int, state: tuple):
+    def extend_batch(block_index: int, state: tuple, costs: tuple):
+        # The bound folds from the sensor energy, in another float order
+        # than the cost state's compute column, so it ignores ``costs``.
         rate, energy = state[0], state[1]
         steps = (rate * energy_columns[block_index]).tolist()
         shape = (len(energy), len(steps))

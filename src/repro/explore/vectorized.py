@@ -48,20 +48,22 @@ as the scalar row's ``sum(block_energies.values())`` does.
 
 Pruned runs and campaigns ride the same columnar core:
 
-* Prefix pruners carrying batch forms
-  (:attr:`~repro.explore.enumerate.PrefixPruner.extend_batch`) fuse
-  into the cohort walk as boolean-mask compaction — they extend in the
-  same product order, and one fancy-index gather per depth drops pruned
+* Prefix pruners fuse into the cohort walk through their batch forms
+  (:attr:`~repro.explore.enumerate.PrefixPruner.extend_batch`) as
+  boolean-mask compaction — they extend in the same product order (the
+  throughput floor reads the extended cost state's running-min column
+  itself), and one fancy-index gather per depth drops pruned
   prefixes before they grow into deeper cohorts, reproducing DFS
   pruning semantics exactly; per-config
   ``scenario.prune`` hooks run as a scalar filter over the already
   compacted (small) cohort.
-* A campaign's stock members run the same walk in the calling process,
-  and a dedup group walks its shared compute-side states once
-  (:meth:`BatchPrefixEvaluator.iter_group_batches`), closing each slice
-  under every member's link with one ``finalize_batch_multi``. Nothing
-  columnar is ever shipped to pool workers: folding in process measured
-  faster than any pool on every fleet tried.
+* There is one walk, :meth:`BatchPrefixEvaluator.iter_group_batches`:
+  it folds the compute-side states once and closes each slice under
+  every member's link with one ``finalize_batch`` per member. A solo
+  run is a group of one; a campaign dedup group shares the fold among
+  its members. Nothing columnar is ever shipped to pool workers:
+  folding in process measured faster than any pool on every fleet
+  tried.
 
 Only models whose every cost step is stock
 (:func:`~repro.explore.incremental.uses_stock_cost_semantics`) take
@@ -510,10 +512,9 @@ class _Level:
 
 class _PipelinePlan:
     """Cached per-pipeline evaluation tables (levels truncate at the
-    first block with no implementations, like the enumeration plan) plus
-    the per-depth link-term cache."""
+    first block with no implementations, like the enumeration plan)."""
 
-    __slots__ = ("pipeline", "levels", "names", "labels", "link_costs")
+    __slots__ = ("pipeline", "levels", "names", "labels")
 
     def __init__(self, pipeline: InCameraPipeline):
         self.pipeline = pipeline
@@ -529,7 +530,6 @@ class _PipelinePlan:
             tuple(f"{level.block.name}({name})" for name in level.names)
             for level in self.levels
         )
-        self.link_costs: dict[int, Any] = {}
 
     def config(self, row: Sequence[int]) -> PipelineConfig:
         """The configuration of one choice row (trusted constructor:
@@ -549,14 +549,14 @@ class BatchPrefixEvaluator:
     struct-of-arrays folds — the batch sibling of
     :class:`~repro.explore.incremental.PrefixEvaluator`.
 
-    Two entry points share one cohort walk:
-    :meth:`iter_scenario_batches` (whole-space cohort enumeration with
-    lazy :class:`BatchRows`, the solo ``explore()`` and campaign-member
-    path) and :meth:`iter_group_batches` (the same walk closed under a
-    campaign dedup group's links). Both replay the scalar fold's float
-    operations elementwise, so results are bit-identical to the scalar
-    evaluator (and to brute force) — asserted row-for-row by the
-    invariant suite. Explicit configuration lists take the scalar
+    One cohort walk, :meth:`iter_group_batches`, streams a group of
+    scenarios that differ only in their links as lazy
+    :class:`BatchRows` views, one per member;
+    :meth:`iter_scenario_batches` is its group of one. The walk replays
+    the scalar fold's float operations elementwise, so results are
+    bit-identical to the scalar evaluator (and to brute force) —
+    asserted row-for-row by the invariant suite. Explicit configuration
+    lists take the scalar
     :class:`~repro.explore.incremental.PrefixEvaluator`.
 
     Only stock models
@@ -607,63 +607,47 @@ class BatchPrefixEvaluator:
     ) -> Iterator[BatchRows]:
         """Stream a scenario's whole design space as lazy
         :class:`BatchRows`, one depth cohort at a time (sliced to
-        ``chunk_size`` rows when given), in exact enumeration order —
-        the path of solo ``explore()`` and of every stock campaign
-        member outside a dedup group. See :meth:`_iter_cohort_states`
-        for the walk and how pruning fuses into it."""
-        model = self.model
-        energy = self._energy
-        for plan, depth, choices, state in self._iter_cohort_states(
-            scenario, chunk_size
-        ):
-            link_cost = depth_link_cost(
-                model.link, energy, plan.link_costs, depth, plan.representative(depth)
-            )
-            yield BatchRows(
-                scenario,
-                plan,
-                depth,
-                choices,
-                model.finalize_batch(state, link_cost),
-                energy,
-            )
+        ``chunk_size`` rows when given), in exact enumeration order:
+        :meth:`iter_group_batches` over a group of one."""
+        for (batch,) in self.iter_group_batches((scenario,), chunk_size):
+            yield batch
 
     def iter_group_batches(
         self, scenarios: Sequence[Any], chunk_size: int | None = None
     ) -> Iterator[list[BatchRows]]:
-        """Stream a campaign dedup group: one cohort walk of the first
-        scenario's compute-side states, each slice closed under every
-        member's own link with ONE ``finalize_batch_multi`` broadcast.
+        """Stream a walk's members: one cohort walk of the first
+        scenario's compute-side states (see :meth:`_iter_cohort_states`
+        for the walk and how pruning fuses into it), each slice closed
+        under every member's own link by ``finalize_batch``.
 
+        A solo run is a group of one. A campaign dedup group's
         ``scenarios`` share one
         :func:`~repro.explore.campaign.scenario_compute_key` (same
         pipeline chain and platform axis, domain, bounds and pass rates,
-        no pruning) and differ only in their links; this evaluator runs
-        the first one's model. Each yielded list holds one lazy
-        :class:`BatchRows` view per member, in ``scenarios`` order, all
-        sharing the slice's lazy choices and compute-side columns by
-        reference. The per-cell float operations replay each member's
-        scalar finalize, so member rows are bit-identical to that
-        member's solo walk.
+        no pruning) and differ only in their links. This evaluator runs
+        the first one's model: the first member closes under
+        ``model.link``, every other member under its own scenario's
+        link. Each yielded list holds one lazy :class:`BatchRows` view
+        per member, in ``scenarios`` order, all sharing the slice's lazy
+        choices and compute-side columns by reference, so member rows
+        are bit-identical to that member's solo walk.
         """
         model = self.model
         energy = self._energy
-        links = [scenario.cost_model().link for scenario in scenarios]
+        links = [model.link] + [
+            scenario.cost_model().link for scenario in scenarios[1:]
+        ]
         caches: list[dict[int, Any]] = [{} for _ in scenarios]
         for plan, depth, choices, state in self._iter_cohort_states(
             scenarios[0], chunk_size
         ):
             representative = plan.representative(depth)
-            stack = [
-                depth_link_cost(link, energy, cache, depth, representative)
-                for link, cache in zip(links, caches)
-            ]
-            yield [
-                BatchRows(scenario, plan, depth, choices, columns, energy)
-                for scenario, columns in zip(
-                    scenarios, model.finalize_batch_multi(state, stack)
-                )
-            ]
+            views = []
+            for scenario, link, cache in zip(scenarios, links, caches):
+                link_cost = depth_link_cost(link, energy, cache, depth, representative)
+                columns = model.finalize_batch(state, link_cost)
+                views.append(BatchRows(scenario, plan, depth, choices, columns, energy))
+            yield views
 
     def _iter_cohort_states(
         self, scenario: Any, chunk_size: int | None
@@ -699,9 +683,10 @@ class BatchPrefixEvaluator:
 
         * Depth pruning is honored: a pruned depth is never emitted, but
           still folds as the ancestor of deeper depths.
-        * A batch-capable prefix pruner (``scenario.prefix_pruner()``
-          with :attr:`~repro.explore.enumerate.PrefixPruner.
-          extend_batch`) runs as boolean-mask compaction: its keep mask
+        * The scenario's prefix pruner (``scenario.prefix_pruner()``,
+          whose :attr:`~repro.explore.enumerate.PrefixPruner.
+          extend_batch` also reads the extended cost state) runs as
+          boolean-mask compaction: its keep mask
           gathers the surviving ``state`` rows (recording their
           positions) after every extend, so a pruned prefix is never
           grown into deeper rows — exactly the scalar DFS's subtree cut;
@@ -709,9 +694,7 @@ class BatchPrefixEvaluator:
           are not depth-monotone additionally supply ``emit_mask``,
           applied as an emission-only selection so the running rows keep
           every prefix some deeper depth still needs. Survivor rows are
-          byte-identical to the scalar pruned walk. A pruner without a
-          batch form raises — callers gate on
-          ``PrefixPruner.batch_capable``.
+          byte-identical to the scalar pruned walk.
         * Per-config ``scenario.prune`` hooks run as a scalar filter
           over the already compacted rows at emission time, in
           enumeration order with the scalar path's short-circuit
@@ -722,11 +705,6 @@ class BatchPrefixEvaluator:
         block).
         """
         pruner = scenario.prefix_pruner()
-        if pruner is not None and not pruner.batch_capable:
-            raise ConfigurationError(
-                "cohort enumeration with a prefix pruner needs its batch form "
-                "(initial_batch/extend_batch); use the scalar path"
-            )
         hooks = _normalize_hooks(scenario.prune)
         pipeline = scenario.pipeline
         plan = self._plan_for(pipeline)
@@ -749,7 +727,9 @@ class BatchPrefixEvaluator:
             state = self._extend(_take_state(state, part), level)
             if pruner is None:
                 return _Frame(frame, lo, k, None, n), state, None
-            pstate, keep = pruner.extend_batch(depth - 1, _take_state(pstate, part))
+            pstate, keep = pruner.extend_batch(
+                depth - 1, _take_state(pstate, part), state
+            )
             if keep.all():
                 return _Frame(frame, lo, k, None, n), state, pstate
             idx = np.flatnonzero(keep)

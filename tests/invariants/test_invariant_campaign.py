@@ -39,7 +39,7 @@ from repro.explore import (
     evaluation_path,
     explore,
 )
-from repro.explore.campaign import scenario_compute_key
+from repro.explore.campaign import _dedup_groups, scenario_compute_key
 from repro.explore import engine as engine_module
 from repro.hw.network import LinkModel
 
@@ -172,50 +172,56 @@ def _with_scalar_member(fleet):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
-    """Spy on the cohort walk, the dedup group walk and the scalar
-    pipe: each member enters exactly one of them, and it is the one
-    ``evaluation_path(member, executor, dedup=...)`` reports."""
+    """Spy on the one cohort walk, recording each call's member tuple,
+    and on the scalar pipe: each member enters exactly one stream, and
+    it is the one ``evaluation_path(member, executor, dedup=...)``
+    reports — a ``batch-dedup`` member walks with exactly its dedup
+    group, a ``batch-cohort``/``batch-cohort-pruned`` member walks
+    alone, a scalar member enters ``iter_evaluation_chunks``."""
     fleet = _with_scalar_member(gen.fleet(seed))
     by_model = {id(s.model): s.name for s in fleet if s.model is not None}
-    taken: dict[str, list[str]] = {}
-    real_cohort = BatchPrefixEvaluator.iter_scenario_batches
-    real_group = BatchPrefixEvaluator.iter_group_batches
+    taken: dict[str, list[tuple]] = {}
+    real_walk = BatchPrefixEvaluator.iter_group_batches
     real_pipe = engine_module.iter_evaluation_chunks
 
-    def cohort_walk(self, scenario, chunk_size=None):
-        taken.setdefault(scenario.name, []).append("cohort")
-        return real_cohort(self, scenario, chunk_size)
-
     def group_walk(self, scenarios, chunk_size=None):
-        for scenario in scenarios:
-            taken.setdefault(scenario.name, []).append("group")
-        return real_group(self, scenarios, chunk_size)
+        members = tuple(scenario.name for scenario in scenarios)
+        for name in members:
+            taken.setdefault(name, []).append(("walk", members))
+        return real_walk(self, scenarios, chunk_size)
 
     def scalar_pipe(model, configs, *args, **kwargs):
         # Only a pre-built model is identifiable; a stock model reaching
         # the pipe shows up under a name no member has.
         name = by_model.get(id(model), "a stock model")
-        taken.setdefault(name, []).append("scalar")
+        taken.setdefault(name, []).append(("scalar",))
         return real_pipe(model, configs, *args, **kwargs)
 
-    monkeypatch.setattr(BatchPrefixEvaluator, "iter_scenario_batches", cohort_walk)
     monkeypatch.setattr(BatchPrefixEvaluator, "iter_group_batches", group_walk)
     monkeypatch.setattr(engine_module, "iter_evaluation_chunks", scalar_pipe)
-    expected_lane = {
-        "batch-cohort": "cohort",
-        "batch-cohort-pruned": "cohort",
-        "batch-dedup": "group",
-        "scalar-memoized": "scalar",
-        "scalar-scratch": "scalar",
-    }
     for executor in (SweepExecutor(), SweepExecutor(workers=2, backend="thread")):
         for dedup in (False, True):
             taken.clear()
             Campaign(fleet).run(executor, chunk_size=4, dedup=dedup)
             assert set(taken) == {member.name for member in fleet}, (seed, dedup)
-            for member in fleet:
-                reported = evaluation_path(member, executor, dedup=dedup)
-                assert taken[member.name] == [expected_lane[reported]], (
+            paths = [evaluation_path(m, executor, dedup=dedup) for m in fleet]
+            groups = _dedup_groups(
+                fleet, [i for i, path in enumerate(paths) if path == "batch-dedup"]
+            )
+            group_of = {
+                index: tuple(fleet[member].name for member in indices)
+                for indices in groups.values()
+                for index in indices
+            }
+            for index, (member, reported) in enumerate(zip(fleet, paths)):
+                if reported == "batch-dedup":
+                    expected = ("walk", group_of[index])
+                elif reported in ("batch-cohort", "batch-cohort-pruned"):
+                    expected = ("walk", (member.name,))
+                else:
+                    assert reported in ("scalar-memoized", "scalar-scratch")
+                    expected = ("scalar",)
+                assert taken[member.name] == [expected], (
                     seed,
                     dedup,
                     member.name,

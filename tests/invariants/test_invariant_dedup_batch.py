@@ -1,15 +1,14 @@
 """Columnar dedup invariants over seeded random fleets.
 
 PR 8's load-bearing identity: the *lazy columnar* dedup finalize
-(``dedup=True``, one ``finalize_batch_multi`` broadcast per shared
-segment, members handing consumers lazy ``BatchRows`` views) produces
+(``dedup=True``, each member's ``finalize_batch`` of every shared
+slice, members handing consumers lazy ``BatchRows`` views) produces
 exactly the bytes of the same views fully *materialized* (row-only
 sinks build every member row), of a dedup-off campaign,
 and of a solo ``explore()`` — for both domains, with pass-rate
 variants, collected and export-only, on serial, thread and process
-executors. The multi-link broadcast replays each member's scalar
-IEEE-754 operation order per column, so equality is byte equality,
-never tolerance.
+executors. Each member's finalize is the one its solo walk runs, so
+equality is byte equality, never tolerance.
 
 The fleet-generator round trip is also a property: every
 :class:`~repro.explore.FleetSpec` cell (entry x pass-rate variant)

@@ -175,8 +175,17 @@ def test_throughput_pruner_step_equals_the_scalar_extend(
     scenario = Scenario(name="product", pipeline=pipeline, link=LINK, target_fps=target)
     pruner = compute_fps_prefix_pruner(scenario)
     index = data.draw(st.integers(0, len(pipeline.blocks) - 1))
-    names = sorted(pipeline.blocks[index].implementations)
-    (floor,), keep = pruner.extend_batch(index, (np.array(parents),))
+    block = pipeline.blocks[index]
+    names = sorted(block.implementations)
+    # The pruner keeps no state: its floor is the model's extended
+    # running-min column, which it reads from the cost state.
+    costs = ThroughputCostModel(LINK).extend_state_batch(
+        (np.array(parents),),
+        option_fps_column([block.implementations[name] for name in names]),
+    )
+    state, keep = pruner.extend_batch(index, pruner.initial_batch(len(parents)), costs)
+    assert state == ()
+    (floor,) = costs
     expected = [
         pruner.extend(index, name, parent) for parent in parents for name in names
     ]
@@ -212,7 +221,7 @@ def test_energy_pruner_step_equals_the_scalar_extend(
     # step reads only the depths it has not passed.
     flags = st.lists(st.booleans(), min_size=len(parents), max_size=len(parents))
     viols = [np.array(data.draw(flags)) for _ in range(n_depths)]
-    state, keep = pruner.extend_batch(index, (rate, np.array(parents), *viols))
+    state, keep = pruner.extend_batch(index, (rate, np.array(parents), *viols), ())
     depths = range(index + 1, n_depths + 1)
     assert len(state) == 2 + len(depths)
     expected_viols = {d: [] for d in depths}

@@ -616,8 +616,8 @@ def test_auto_pruning_rejects_custom_models():
     class BatchOnly(ThroughputCostModel):
         # Only a batch kernel overridden: still off the stock semantics
         # the bounds assume.
-        def extend_state_batch(self, state, block, impls, choices):
-            return super().extend_state_batch(state, block, impls, choices)
+        def extend_state_batch(self, state, option_fps):
+            return super().extend_state_batch(state, option_fps)
 
     base = fig10_scenario()
     for model in (Doubler(base.link), Pipelined(base.link), BatchOnly(base.link)):

@@ -36,6 +36,7 @@ from repro.explore import (
 )
 from repro.explore.engine import iter_evaluation_chunks
 from repro.explore.incremental import (
+    _COST_STEPS,
     PrefixEvaluator,
     evaluate_chunk,
     supports_prefix_evaluation,
@@ -102,16 +103,16 @@ class _MatchedOverride(ThroughputCostModel):
     def extend_state(self, state, block, impl):
         return super().extend_state(state, block, impl)
 
-    def extend_state_batch(self, state, block, impls, choices):
-        return super().extend_state_batch(state, block, impls, choices)
+    def extend_state_batch(self, state, option_fps):
+        return super().extend_state_batch(state, option_fps)
 
 
 class _BatchOnlyOverride(ThroughputCostModel):
     """Customizes only a batch kernel: not stock either, so the kernel
     is never called and the stock scalar steps run."""
 
-    def extend_state_batch(self, state, block, impls, choices):
-        return super().extend_state_batch(state, block, impls, choices)
+    def extend_state_batch(self, state, option_fps):
+        return super().extend_state_batch(state, option_fps)
 
 
 class _CustomEvaluate(ThroughputCostModel):
@@ -137,6 +138,29 @@ def test_probes_on_override_matrix():
         assert not uses_stock_cost_semantics(cls(LINK))
     assert not supports_prefix_evaluation(object())
     assert not uses_stock_cost_semantics(object())
+
+
+@pytest.mark.parametrize("domain", ("throughput", "energy"))
+@pytest.mark.parametrize("step", _COST_STEPS)
+def test_overriding_any_cost_step_leaves_the_stock_gate(step, domain):
+    """A subclass overriding only ``step`` (delegating to the stock
+    one) fails the stock-cost gate, takes a scalar path, and still
+    explores to the brute-force oracle's rows."""
+    base = ThroughputCostModel if domain == "throughput" else EnergyCostModel
+
+    def delegate(self, *args, **kwargs):
+        return getattr(base, step)(self, *args, **kwargs)
+
+    model = type(f"Override_{step}", (base,), {step: delegate})(LINK)
+    assert not uses_stock_cost_semantics(model)
+    kwargs = {"model": model, "link": None, "domain": domain}
+    if domain == "energy":
+        kwargs.update(target_fps=None, energy_budget_j=1e-5)
+    scenario = build_scenario(**kwargs)
+    assert evaluation_path(scenario) in ("scalar-memoized", "scalar-scratch")
+    assert json.dumps(explore(scenario).rows) == json.dumps(
+        explore_brute_force(scenario).rows
+    )
 
 
 def test_batch_prefix_evaluator_dispatch():
