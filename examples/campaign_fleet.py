@@ -6,7 +6,7 @@ face-authentication camera in both cost domains, harvested-budget
 variants at two reader distances, the in-camera codec chain over
 WiFi-class and battery radios, and the SNNAP accelerator studies (PE
 geometry and per-block DVFS assignment) — and runs every design space
-as a single campaign: the stock models fold in
+as a single campaign: every scenario folds in
 process slice by slice under one scheduling policy, per-scenario results
 are byte-identical to solo runs, and the summary report answers the
 fleet question (which products are feasible, with which design, at what
@@ -14,7 +14,7 @@ cost) in one table.
 
 Also demonstrates the streaming consumption path: ``iter_runs()`` under
 the ``weighted_completion`` policy (shortest scenario first at equal
-weights) prints each scenario's verdict *the moment its last chunk
+weights) prints each scenario's verdict *the moment its last slice
 lands* — a dashboard needs no drained fleet — and the export-only
 re-run (CSV sinks, ``collect=False``) streams every row to disk while
 the online Pareto frontier keeps ``pareto_size`` exact with no result
@@ -45,7 +45,6 @@ from repro.explore import (
     Campaign,
     CsvSink,
     FleetSpec,
-    SweepExecutor,
     evaluation_path,
 )
 from repro.explore.catalog import load_builtin
@@ -84,19 +83,15 @@ def main() -> None:
     # first), long before the biggest one drains.
     fleet = catalog.build_all()
     campaign = Campaign(fleet, name="builtin-fleet")
-    executor = SweepExecutor(workers=4, backend="thread")
     # Self-describing perf repro: say which evaluation path each
     # scenario rides (batch-cohort, or batch-cohort-pruned once
-    # lower-bound pruning fuses in — on any executor). A campaign member
-    # runs its solo path: these stock models all fold in the calling
-    # process, so no pool is ever started; only members with custom
-    # cost models would send chunks to the executor, each starting its
-    # own pool as its solo explore() would.
-    paths = sorted({evaluation_path(s, executor) for s in fleet})
+    # lower-bound pruning fuses in). A campaign member runs its solo
+    # path, folded in the calling process: a campaign needs no executor.
+    paths = sorted({evaluation_path(s) for s in fleet})
     print(f"\nSolo evaluation path(s) of the fleet: {', '.join(paths)}")
     print("Streaming fleet (shortest scenario first):")
     runs = []
-    for run in campaign.iter_runs(executor, policy="weighted_completion"):
+    for run in campaign.iter_runs(policy="weighted_completion"):
         runs.append(run)
         metric = "total_fps" if run.scenario.domain == "throughput" else "total_energy_j"
         unit = "FPS" if metric == "total_fps" else "J/frame"
@@ -108,7 +103,7 @@ def main() -> None:
         )
 
     # The drained fleet summary (run() is exactly a drain of the above).
-    result = campaign.run(executor)
+    result = campaign.run()
     table = result.to_table()
     table.print()
     SUMMARY_PATH.parent.mkdir(exist_ok=True)
@@ -122,7 +117,7 @@ def main() -> None:
             scenario.name: CsvSink(str(Path(tmp) / f"{scenario.name}.csv"))
             for scenario in fleet
         }
-        export = campaign.run(executor, sinks=sinks, collect=False)
+        export = campaign.run(sinks=sinks, collect=False)
         assert all(
             lean.pareto_size == full.pareto_size
             for lean, full in zip(export, result)
@@ -151,11 +146,9 @@ def main() -> None:
     sweep = catalog.build_fleet(spec)
     print(f"\nGenerated link-sweep fleet ({len(sweep)} scenarios):")
     for scenario in sweep:
-        path = evaluation_path(scenario, executor, dedup=True)
+        path = evaluation_path(scenario, dedup=True)
         print(f"  {scenario.name}: {path}")
-    result = Campaign(sweep, name="link-sweep").run(
-        executor, policy="round_robin", dedup=True
-    )
+    result = Campaign(sweep, name="link-sweep").run(policy="round_robin", dedup=True)
     stats = result.cache_stats
     total = stats["evaluations_computed"] + stats["evaluations_skipped"]
     print(

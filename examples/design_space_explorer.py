@@ -12,8 +12,8 @@ throughput — the designs that are actually worth building.
 Then switches altitude: the accelerator is one block inside whole-camera
 design spaces, so the finale pulls two workloads from the shared
 scenario catalog — the face-auth camera's energy study and the VR rig's
-throughput study — and runs them as one mini-campaign through the same
-executor, streaming the energy rows to CSV on the way.
+throughput study — and runs them as one mini-campaign, streaming the
+energy rows to CSV on the way.
 
 Run:
     PYTHONPATH=src python examples/design_space_explorer.py
@@ -98,19 +98,16 @@ def main() -> None:
     print("\nPer-inference energy breakdown:")
     print(report.pretty("nJ"))
 
-    # From one accelerator to whole cameras: the same executor drives a
-    # two-scenario campaign straight from the workload catalog, with
-    # the energy scenario's rows streamed to a CSV sink as they land.
+    # From one accelerator to whole cameras: a two-scenario campaign
+    # straight from the workload catalog, with the energy scenario's
+    # rows streamed to a CSV sink as they land.
     catalog = load_builtin()
     fleet = [catalog.build("faceauth-energy"), catalog.build("vr-fig10")]
     # Self-describing perf repro: name the evaluation path each
-    # scenario's solo explore() rides (batch-cohort on the stock models,
-    # on any executor; batch-cohort-pruned when lower-bound pruning
-    # fuses into the columnar walk; scalar-* when a custom model forces
-    # the fallback). The campaign below runs the same paths: its stock
-    # members fold in process, and only scalar-* members would send
-    # config chunks to the executor's pool.
-    pool = SweepExecutor(workers=4, backend="thread")
+    # scenario's solo explore() rides (batch-cohort, or
+    # batch-cohort-pruned when lower-bound pruning fuses into the
+    # columnar walk). The campaign below runs the same paths, folded in
+    # the calling process, so it takes no executor.
     pruned = replace(
         fleet[1], name="vr-fig10-pruned", auto_prune=True, auto_prune_configs=True
     )
@@ -118,7 +115,6 @@ def main() -> None:
         print(f"Evaluation path for {scenario.name}: {evaluation_path(scenario)}")
     csv_stream = io.StringIO()
     campaign = Campaign(fleet, name="explorer-finale").run(
-        pool,
         sinks={"faceauth-energy": CsvSink(csv_stream)},
     )
     campaign.to_table().print()

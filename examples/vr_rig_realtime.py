@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core import TextTable
 from repro.datasets.rig import CameraRig, PanoramicScene
-from repro.explore import Scenario, SweepExecutor, explore
+from repro.explore import Scenario, explore
 from repro.hw.network import ETHERNET_25G
 from repro.vr.blocks import RigDataModel
 from repro.vr.pipeline import VrPipeline
@@ -72,14 +72,14 @@ def main() -> None:
     )
 
     # Full-scale Figure 10 check through the exploration engine: one
-    # declarative scenario, evaluated in parallel.
+    # declarative scenario, folded by the columnar cohort walk.
     scenario = Scenario(
         name="vr-16cam at 25 GbE (target 30 FPS)",
         pipeline=build_vr_pipeline(model=RigDataModel()),
         link=ETHERNET_25G,
         target_fps=30.0,
     )
-    result = explore(scenario, executor=SweepExecutor(workers=4))
+    result = explore(scenario)
     table = TextTable(
         ["config", "compute_fps", "communication_fps", "total_fps",
          "bottleneck", "feasible"],

@@ -24,6 +24,7 @@ from repro.errors import PipelineError
 from repro.explore.engine import explore, iter_evaluation_chunks
 from repro.explore.enumerate import iter_configs
 from repro.explore.executor import SweepExecutor, resolve_executor
+from repro.explore.incremental import _check_stock_model
 from repro.explore.result import cost_row
 from repro.explore.scenario import Scenario
 from repro.explore.sink import resolve_sink, sink_stream
@@ -79,7 +80,8 @@ class OffloadAnalyzer:
     Parameters
     ----------
     model:
-        The throughput cost model (carries the uplink).
+        The stock throughput cost model (carries the uplink); a
+        subclass raises :class:`~repro.errors.ConfigurationError`.
     target_fps:
         Feasibility bar on both axes.
     executor:
@@ -93,6 +95,7 @@ class OffloadAnalyzer:
         target_fps: float = 30.0,
         executor: SweepExecutor | None = None,
     ):
+        _check_stock_model(model, (ThroughputCostModel,))
         if target_fps <= 0:
             raise PipelineError(f"target_fps must be positive, got {target_fps}")
         self.model = model
@@ -118,17 +121,15 @@ class OffloadAnalyzer:
             link=self.model.link,
             domain="throughput",
             target_fps=self.target_fps,
-            model=self.model,  # keep any customized model, not a rebuild
         )
         if configs is None:
             return explore(
                 scenario, executor=self.executor, sink=sink
             ).as_offload_report()
         # Explicit config sequences (lists or generators, as before)
-        # stream through the same prefix-memoized chunk evaluation as
-        # the scenario path (models that override evaluate() fall back
-        # to per-config calls automatically); sink rows are written
-        # chunk by chunk as evaluation completes, exactly like explore().
+        # stream through the scalar prefix-memoized chunk evaluation;
+        # sink rows are written chunk by chunk as evaluation completes,
+        # exactly like explore().
         sink = resolve_sink(sink)
         configs = list(configs)
         chunks = iter_evaluation_chunks(

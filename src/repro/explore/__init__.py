@@ -4,7 +4,11 @@ The paper's central exercise — enumerate every (cut point, platform)
 configuration of a pipeline and find the ones that clear the target on
 both the computation and the communication axis — appears twice, once
 per case study, with a different cost model each time. This package
-turns that exercise into one reusable engine:
+turns that exercise into one reusable engine over exactly those two
+models: a :class:`Scenario` always evaluates under the stock
+``ThroughputCostModel`` or ``EnergyCostModel`` built from its link, and
+the engine refuses subclassed models rather than bypass their
+overrides:
 
 * :mod:`.enumerate` — lazy configuration enumeration with pluggable
   pruning hooks (the design space is exponential in pipeline depth);
@@ -18,7 +22,8 @@ turns that exercise into one reusable engine:
   ``SweepResult`` / ``OffloadReport`` types;
 * :mod:`.incremental` — :class:`~.incremental.PrefixEvaluator`, prefix-memoized
   evaluation turning per-config cost from O(depth) into amortized O(1)
-  block extensions (bit-identical to from-scratch evaluation);
+  block extensions (bit-identical to from-scratch evaluation): the
+  scalar reference fold, ``explore(..., evaluation="scalar")``;
 * :mod:`.vectorized` — :class:`BatchPrefixEvaluator`, the columnar
   batch core: depth cohorts fold as numpy struct-of-arrays states with
   lazily materialized rows (bit-identical to the scalar fold);
@@ -27,19 +32,21 @@ turns that exercise into one reusable engine:
   per-config subtrees within surviving depths
   (``auto_prune_configs=True``);
 * :mod:`.engine` — :func:`explore`, the streaming entry point tying
-  them together, and :func:`explore_brute_force`, the pre-streaming
-  oracle it is tested byte-identical against;
+  them together (:func:`evaluation_path` names which of its four paths
+  a call takes), and :func:`explore_brute_force`, the pre-streaming
+  oracle every path is tested byte-identical against;
 * :mod:`.sink` — :class:`ResultSink` streaming outputs (CSV / JSONL /
   callback / in-memory): ``explore(..., sink=..., collect=False)``
   exports a design space in memory bounded by the chunk window;
 * :mod:`.catalog` — the named, parameterized scenario library the case
   studies register into (``load_builtin()``);
 * :mod:`.campaign` — :class:`Campaign`, many scenarios through one
-  run, each member on its solo path with results byte-identical to
+  run, each member on its solo columnar path, folded in the calling
+  process, with results byte-identical to
   solo :func:`explore` runs, cross-scenario evaluation dedup
   (``dedup=True`` shares link-independent compute states across a
   fleet), ``iter_runs`` streaming, plus the fleet summary report;
-* :mod:`.scheduling` — the campaign chunk-scheduling policies: the
+* :mod:`.scheduling` — the campaign slice-scheduling policies: the
   default :class:`RoundRobin` and the WSPT
   :class:`WeightedCompletionTime`;
 * :mod:`.joint` — :func:`explore_joint`, the joint-fleet domain: N

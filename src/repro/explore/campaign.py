@@ -15,18 +15,13 @@ decides it, :func:`~repro.explore.engine.evaluation_path` reports it)
 through the same stream (:func:`~repro.explore.engine._scenario_stream`)
 into the same consumer (:class:`~repro.explore.engine._RunConsumer`).
 The campaign builds one stream per unit: a dedup group (below) or any
-other member, which streams alone as its solo ``explore()`` does. A
-stock member (see
-:func:`~repro.explore.incremental.uses_stock_cost_semantics`) folds the
-cohort walk in the calling process on every executor, sliced at the
-campaign's chunk size: shipping stock work to a pool measured slower on
-every fleet tried (see ARCHITECTURE.md, "Parallelism: the campaign
-decision"). A member whose model fails that gate runs
-:func:`~repro.explore.engine.iter_evaluation_chunks` exactly as its solo
-``explore()`` would, so on a parallel executor it starts its own pool
-lazily, on its first step. The campaign has one lane: the policy picks
-a live walk, the walk takes one step, and a member's run is handed out
-when its walk ends.
+other member, which streams alone as its solo ``explore()`` does. Every
+member folds the columnar cohort walk in the calling process on every
+executor, sliced at the campaign's chunk size: shipping that work to a
+pool measured slower on every fleet tried (see ARCHITECTURE.md,
+"Parallelism: the campaign decision"), so a campaign never starts one.
+The campaign has one lane: the policy picks a live walk, the walk takes
+one step, and a member's run is handed out when its walk ends.
 
 Dedup contract: with ``dedup=True``, scenarios whose
 :func:`scenario_compute_key`s match (the same pipeline and platform
@@ -45,20 +40,18 @@ results stay byte-identical to ``dedup=False`` and to solo
 fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
 
 Correctness contract: each member's stream is produced in its own
-enumeration order — cohort slices in walk order, scalar chunks in
-submission order through solo ``explore()``'s scalar pipe, each
-evaluator private to its member (memoization never crosses scenarios)
-— so every scenario's rows are byte-identical to a solo ``explore()``
-of the same scenario, regardless of executor, worker count or how the
+enumeration order — cohort slices in walk order, each walk private to
+its unit — so every scenario's rows are byte-identical to a solo
+``explore()`` of the same scenario, regardless of executor or how the
 fleet was interleaved. Scheduling policies only reorder *which scenario's*
-slice or chunk comes next, never those within one scenario.
+slice comes next, never those within one scenario.
 
 Streaming contract: :meth:`Campaign.iter_runs` yields each
 :class:`ScenarioRun` the moment its last rows land — a dashboard
 renders the first finished scenario while the rest of the fleet is
 still evaluating — and :meth:`Campaign.run` is a drain over it.
 Per-scenario :class:`~repro.explore.sink.ResultSink` outputs receive
-rows as that scenario's slices and chunks complete (and are
+rows as that scenario's slices complete (and are
 closed/flushed the moment their scenario finishes), and
 ``collect=False`` keeps only running statistics (evaluated count,
 feasible count, best row, and an online
@@ -70,8 +63,7 @@ aborts the campaign with a clear :class:`~repro.errors.SinkError`
 naming the scenario; every other scenario's sink is still closed
 (flushed), so one bad sink never corrupts the rest of the fleet's
 outputs. Abandoning ``iter_runs()`` mid-fleet closes every member's
-stream (shutting down any pool it started) and every open sink the
-same way.
+stream and every open sink the same way.
 """
 
 from __future__ import annotations
@@ -150,12 +142,10 @@ def scenario_compute_key(scenario: Scenario) -> tuple | None:
     prices must never share entries (the cache-poisoning guard tests
     pin this).
 
-    Ineligible (returns None): scenarios with a pre-built ``model``
-    (its cost semantics — and its link — are the subclass's business),
-    and scenarios with any pruning (``prune`` / ``prune_depth`` hooks,
-    ``auto_prune``, ``auto_prune_configs``): pruned streams depend on
-    the constraint *and the link*, so two members of a would-be group
-    can enumerate different subsequences.
+    Ineligible (returns None): scenarios with any pruning (``prune`` /
+    ``prune_depth`` hooks, ``auto_prune``, ``auto_prune_configs``):
+    pruned streams depend on the constraint *and the link*, so two
+    members of a would-be group can enumerate different subsequences.
     """
     return _compute_key(scenario, {})
 
@@ -233,16 +223,14 @@ class ScenarioRun:
     states this run was finalized from (None when it evaluated its own
     configurations — always, unless the campaign ran with
     ``dedup=True`` and the fleet shared a compute key).
-    ``n_materialized`` counts the rows lazy dedup finalization actually
-    turned into Python objects for this scenario by the time the run
-    was handed out: the best row and whatever rows a row-only sink
-    built. The online folds build none while they fold — the frontier
-    and columnar sinks' top-k rows are built when :meth:`pareto` or
-    the sink's ``top_k()`` reads them, and a collected result builds
-    any other row only when a query returns it — None when the rows
-    never rode the lazy group walk (no dedup, or a dedup-ineligible
-    scenario; an eligible scenario without a sibling walks as a group
-    of one).
+    ``n_materialized`` counts the rows the cohort walk's lazy views
+    actually turned into Python objects for this scenario by the time
+    the run was handed out: the best row and whatever rows a row-only
+    sink built. Every member rides the walk, so every run reports it.
+    The online folds build none while they fold — the frontier and
+    columnar sinks' top-k rows are built when :meth:`pareto` or the
+    sink's ``top_k()`` reads them, and a collected result builds any
+    other row only when a query returns it.
     """
 
     scenario: Scenario
@@ -254,7 +242,7 @@ class ScenarioRun:
     wall_seconds: float
     frontier: ParetoFrontier | None = field(default=None, repr=False)
     dedup_source: str | None = None
-    n_materialized: int | None = None
+    n_materialized: int = 0
 
     @property
     def name(self) -> str:
@@ -317,9 +305,7 @@ class ScenarioRun:
             "pareto": self.pareto_size if tracked else "-",
             "seconds": self.wall_seconds,
             "dedup": self.dedup_source or "-",
-            "materialized": (
-                "-" if self.n_materialized is None else self.n_materialized
-            ),
+            "materialized": self.n_materialized,
         }
 
 
@@ -514,46 +500,21 @@ class _StreamingStats:
         self._best = batch.row(index)
         return 1
 
-    def update(self, rows: Sequence[dict[str, Any]]) -> None:
-        metric, maximize = self._metric, self._maximize
-        best, current = None, self._best_value
-        seen = self._best is not None
-        feasible = 0
-        for row in rows:
-            if row["feasible"]:
-                feasible += 1
-            value = row[metric]
-            # Strict comparison: ties keep the earliest-enumerated row,
-            # matching ExplorationResult.best.
-            if not seen or (value > current if maximize else value < current):
-                best, current, seen = row, value, True
-        if best is not None:
-            self._best, self._best_value = best, current
-        self.n_evaluated += len(rows)
-        self.n_feasible += feasible
-        if self.frontier is not None:
-            self.frontier.add(rows)
-
     def update_batch(self, batch: BatchRows) -> None:
-        """:meth:`update` over a lazy columnar batch, materializing no
-        row: the best row is built once it is read, the frontier's rows
-        when the frontier is read.
+        """Fold one lazy columnar batch, materializing no row: the best
+        row is built once it is read, the frontier's rows when the
+        frontier is read.
 
-        Exactly equivalent to ``update(batch.rows())``: the sequential
-        strict-comparison scan keeps the first row attaining the extreme
-        metric value among strict improvements — which is precisely the
-        first argmax/argmin of the column restricted to rows beating the
-        running best — and NaN metric values never improve on a non-NaN
-        best (every comparison against NaN is False), matching the
-        scalar scan branch for branch. Falls back to the row path when
-        the metric is not columnar.
+        The best row is the one a sequential strict-comparison scan over
+        the rows would keep (ties keep the earliest-enumerated row, as
+        :attr:`ExplorationResult.best` does): the first row attaining
+        the extreme metric value among strict improvements — precisely
+        the first argmax/argmin of the column restricted to rows beating
+        the running best — and NaN metric values never improve on a
+        non-NaN best (every comparison against NaN is False).
         """
-        try:
-            values = batch.metric_column(self._metric)
-            feasible = batch.metric_column("feasible")
-        except KeyError:
-            self.update(batch.rows())
-            return
+        values = batch.metric_column(self._metric)
+        feasible = batch.metric_column("feasible")
         n = len(batch)
         if n == 0:
             return
@@ -563,7 +524,7 @@ class _StreamingStats:
             first = float(values[0])
             if first != first:
                 # A NaN first row becomes best and no comparison against
-                # NaN ever replaces it — the scalar scan keeps row 0.
+                # NaN ever replaces it — a sequential scan keeps row 0.
                 winner = 0
             else:
                 winner = _first_extreme(values, maximize)
@@ -649,7 +610,7 @@ class Campaign:
         frontier: bool = True,
     ) -> Iterator[ScenarioRun]:
         """Stream the fleet: yield each :class:`ScenarioRun` the moment
-        its scenario's last slice or chunk lands.
+        its scenario's last slice lands.
 
         The streaming counterpart of :meth:`run` (which is a drain over
         this iterator): scenarios complete at different times — under
@@ -660,11 +621,8 @@ class Campaign:
         drain. Yield order is completion order, not fleet order.
 
         Abandoning the iterator mid-fleet is safe: every member's stream
-        is closed (a scalar member's pool shuts down after its in-flight
-        chunks finish) and every open sink is closed (flushed), exactly
-        as on an error. On a parallel executor each scalar member keeps
-        at most ``2 * workers`` chunks in flight ahead of the consumer.
-        Parameters are those of :meth:`run`.
+        is closed and every open sink is closed (flushed), exactly as on
+        an error. Parameters are those of :meth:`run`.
         """
         executor = resolve_executor(executor)
         _check_dedup_mode(dedup)
@@ -716,18 +674,10 @@ class Campaign:
         leader_of = {
             member: leader for leader, indices in groups.items() for member in indices
         }
-        # Rows per cohort slice and sink write (scalar members' streams
-        # size their chunks as solo explore() does).
+        # Rows per cohort slice and sink write.
         size = chunk_size or executor.chunk_size or DEFAULT_CHUNK_SIZE
         members = [
-            self._member(
-                index,
-                sink,
-                collect,
-                None if plans[index].scalar else size,
-                track_frontier,
-                index in leader_of,
-            )
+            self._member(index, sink, collect, size, track_frontier)
             for index, sink in enumerate(sink_list)
         ]
         # One stream per unit: a dedup group (keyed by its leader) or
@@ -773,10 +723,9 @@ class Campaign:
             error = exc
             raise
         finally:
-            # Close the walks first (a scalar member's pool shuts down
-            # after its in-flight chunks finish; a drained stream is
-            # already shut), then flush every sink not already closed
-            # at scenario completion.
+            # Close the walks first (a drained stream is already shut),
+            # then flush every sink not already closed at scenario
+            # completion.
             for walk in walks.values():
                 walk.close()
             close_error: BaseException | None = None
@@ -798,20 +747,18 @@ class Campaign:
         index: int,
         sink: Any,
         collect: bool,
-        chunk_size: int | None,
+        chunk_size: int,
         track_frontier: bool,
-        grouped: bool,
     ) -> "_Member":
         """One member's run state: the consumer solo ``explore()`` uses,
         plus running statistics on export-only runs (collected runs
-        summarize from the result). ``grouped`` members ride a dedup
-        group's walk and report the rows they materialize."""
+        summarize from the result)."""
         scenario = self.scenarios[index]
         stats = None if collect else _StreamingStats(scenario.domain, track_frontier)
         consumer = _RunConsumer(
             scenario, sink, self._label(index), collect, chunk_size, stats=stats
         )
-        return _Member(consumer, grouped)
+        return _Member(consumer)
 
     def _finish(
         self,
@@ -856,19 +803,14 @@ class Campaign:
         Parameters
         ----------
         executor:
-            Runs the scalar-model scenarios' chunks, exactly as their
-            solo ``explore()`` would: on a parallel executor each starts
-            its own pool lazily; defaults to serial. Stock-model
-            scenarios fold in the calling process whatever the executor,
-            and a fleet without scalar members never starts a pool. Row
-            order per scenario is its enumeration order for any worker
-            count.
+            Validated and accepted for symmetry with ``explore()``;
+            defaults to serial. Every scenario folds in the calling
+            process whatever the executor, so a campaign never starts a
+            pool; its ``chunk_size`` is the default slice size.
         chunk_size:
-            Rows per cohort slice (stock models) or configurations per
-            chunk (scalar models) for every scenario (default: the
-            executor's ``chunk_size``, else :data:`~repro.explore.engine.
-            DEFAULT_CHUNK_SIZE` rows per slice, and scalar chunks sized
-            the way solo ``explore()`` sizes them).
+            Rows per cohort slice and sink write for every scenario
+            (default: the executor's ``chunk_size``, else
+            :data:`~repro.explore.engine.DEFAULT_CHUNK_SIZE`).
         sinks:
             Per-scenario streaming outputs: a mapping from scenario
             name to sink (scenarios without an entry get none) or a
@@ -884,7 +826,7 @@ class Campaign:
             would silently discard rows and is rejected.
         policy:
             The :class:`SchedulingPolicy` interleaving the fleet's
-            chunks — an instance or a builtin name
+            slices — an instance or a builtin name
             (:data:`SCHEDULING_POLICIES`); default round-robin. Policies
             reorder scenario completion, never per-scenario results.
         dedup:
@@ -979,18 +921,16 @@ class Campaign:
             wall_seconds=round(member.completed_at, 6),
             frontier=frontier,
             dedup_source=dedup_source,
-            n_materialized=n_materialized if member.grouped else None,
+            n_materialized=n_materialized,
         )
 
 
 class _Member:
     """One campaign member's run state: the run consumer solo
-    ``explore()`` uses, whether it rides a dedup group's walk (only
-    those report ``n_materialized``) and when its last rows landed."""
+    ``explore()`` uses and when its last rows landed."""
 
-    __slots__ = ("consumer", "grouped", "completed_at")
+    __slots__ = ("consumer", "completed_at")
 
-    def __init__(self, consumer: _RunConsumer, grouped: bool):
+    def __init__(self, consumer: _RunConsumer):
         self.consumer = consumer
-        self.grouped = grouped
         self.completed_at = 0.0

@@ -372,12 +372,6 @@ class ScenarioCatalog:
                 continue
             for index, variant in enumerate(spec.pass_rate_variants, start=1):
                 for scenario in self.build_at_links(name, spec.links, **overrides):
-                    if scenario.model is not None:
-                        raise ConfigurationError(
-                            f"catalog entry {name!r} builds a prebuilt-model "
-                            "scenario; pass-rate variants would not reach "
-                            "the model — drop the variants or the entry"
-                        )
                     if isinstance(variant, (int, float)):
                         rates = {
                             block.name: float(variant)

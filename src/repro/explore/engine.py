@@ -9,21 +9,22 @@ and returns an :class:`~repro.explore.result.ExplorationResult`. Row
 order is the enumeration order regardless of worker count, so parallel
 and serial runs are interchangeable.
 
-One plan picks the evaluation path (:func:`_plan`, which
-:func:`evaluation_path` reports). A model whose every cost step is
-stock (:func:`~repro.explore.incremental.uses_stock_cost_semantics`)
-takes the columnar cohort walk (:mod:`repro.explore.vectorized`), folded
-in process on every executor. The walk folds a group of scenarios that
-differ only in their links once and closes it under each member's link:
-solo ``explore()`` walks a group of one, a campaign dedup group its
-members. Every other model — and ``evaluation="scalar"`` — takes the
-scalar pipe, :func:`iter_evaluation_chunks`: the memoized
-:class:`~repro.explore.incremental.PrefixEvaluator` walk if the model's
-``evaluate()`` is stock, per-config ``evaluate()`` calls if not. Only
-those scalar chunks travel through the executor. ``explore()`` and
-every campaign member run one stream (:func:`_scenario_stream`) into
-one consumer each (:class:`_RunConsumer`), so solo runs and campaign
-members cannot drift apart.
+The engine evaluates the paper's two cost models, the stock
+:class:`~repro.core.cost.ThroughputCostModel` and
+:class:`~repro.core.cost.EnergyCostModel` a scenario builds from its
+link. One plan picks the evaluation path (:func:`_plan`, which
+:func:`evaluation_path` reports). Every run takes the columnar cohort
+walk (:mod:`repro.explore.vectorized`), folded in process on every
+executor. The walk folds a group of scenarios that differ only in
+their links once and closes it under each member's link: solo
+``explore()`` walks a group of one, a campaign dedup group its members.
+``evaluation="scalar"`` alone takes the scalar reference fold,
+:func:`iter_evaluation_chunks` (the memoized
+:class:`~repro.explore.incremental.PrefixEvaluator` walk), whose chunks
+travel through the executor. ``explore()`` and every campaign member
+run one stream (:func:`_scenario_stream`) into one consumer each
+(:class:`_RunConsumer`), so solo runs and campaign members cannot
+drift apart.
 
 The path is streaming end-to-end: configurations flow from the
 enumerator into fixed-size chunks (or cohort slices), and scalar chunks
@@ -34,13 +35,13 @@ size. A collected cohort-path run keeps the walk's columnar batches
 as its result and allocates no per-configuration objects at all; the
 result builds row dicts only for the rows a query returns. A collected
 scalar-path run holds one cost object per configuration, so for
-stock-model, unhooked runs (every allocation the engine's own, all
-acyclic) the cyclic GC is paused while results accumulate:
-bulk-appending millions of small cost objects otherwise triggers
-quadratically many full collections over the growing result (this is
-what ``evaluation="scalar"`` still does). Runs involving user code
-(models overriding any cost step, per-config prune hooks, sinks) keep
-the GC live so user cycles stay collectable.
+unhooked runs (every allocation the engine's own, all acyclic) the
+cyclic GC is paused while results accumulate: bulk-appending millions
+of small cost objects otherwise triggers quadratically many full
+collections over the growing result (this is what
+``evaluation="scalar"`` still does). Runs involving user code
+(per-config prune hooks, sinks) keep the GC live so user cycles stay
+collectable.
 
 ``explore_brute_force()`` keeps the pre-streaming semantics — eager
 enumeration, from-scratch per-config evaluation, eager rows — as the
@@ -66,12 +67,7 @@ from repro.explore.executor import (
     auto_chunk_size,
     resolve_executor,
 )
-from repro.explore.incremental import (
-    PrefixEvaluator,
-    evaluate_chunk,
-    supports_prefix_evaluation,
-    uses_stock_cost_semantics,
-)
+from repro.explore.incremental import PrefixEvaluator, evaluate_chunk
 from repro.explore.result import ExplorationResult, cost_row
 from repro.explore.scenario import Scenario
 from repro.explore.sink import (
@@ -84,10 +80,9 @@ from repro.explore.sink import (
 from repro.explore.vectorized import BatchPrefixEvaluator
 
 #: Valid values of the ``evaluation=`` knob on :func:`explore` and
-#: :func:`iter_evaluation_chunks`: ``"auto"`` picks the fastest
-#: applicable path, ``"batch"`` requires the columnar path (raising for
-#: models that cannot take it), ``"scalar"`` forces the scalar fold.
-EVALUATION_MODES = ("auto", "batch", "scalar")
+#: :func:`iter_evaluation_chunks`: ``"auto"`` takes the columnar cohort
+#: walk, ``"scalar"`` the scalar reference fold.
+EVALUATION_MODES = ("auto", "scalar")
 
 #: Configurations per streamed chunk when neither the caller nor the
 #: executor pins one. Large enough to amortize chunk setup (one cold
@@ -133,20 +128,11 @@ def _chunked(iterator: Iterator[Any], size: int) -> Iterator[list[Any]]:
         yield chunk
 
 
-def _check_evaluation_mode(evaluation: str, model: Any) -> None:
+def _check_evaluation_mode(evaluation: str) -> None:
     """Validate the ``evaluation=`` knob (shared by the entry points)."""
     if evaluation not in EVALUATION_MODES:
         raise ConfigurationError(
             f"evaluation must be one of {EVALUATION_MODES}, got {evaluation!r}"
-        )
-    if evaluation == "batch" and not uses_stock_cost_semantics(model):
-        raise ConfigurationError(
-            "evaluation='batch' requires a batch-capable cost model "
-            "(every cost step stock: evaluate(), the scalar steps and "
-            "their batch twins) — neither columnar path "
-            "(batch-cohort, batch-cohort-pruned) can run "
-            "this model; use evaluation='auto' to fall back to the "
-            "scalar paths (scalar-memoized / scalar-scratch)"
         )
 
 
@@ -168,27 +154,20 @@ def iter_evaluation_chunks(
     """Stream cost objects for a configuration iterable, as ordered
     chunk lists (the collection loop extends at C speed).
 
-    The scalar evaluation pipe under :func:`explore`, scalar campaign
-    members and the ``core.offload`` facade: configurations are consumed
-    lazily in chunks, each chunk evaluated by
-    :func:`~repro.explore.incremental.evaluate_chunk`'s scalar walk
-    (memoized, or per-config ``evaluate()`` for models that override
-    it); chunks flow through the executor's bounded-window ``imap``.
-    ``approx_total`` (when known) sizes chunks for parallel executors
-    the way ``map`` would — about four chunks per worker — so small
-    spaces still spread across workers. ``"auto"`` and ``"scalar"``
-    both run the one scalar fold; ``"batch"`` raises
-    :class:`ConfigurationError` — the columnar path is :func:`explore`'s
-    scenario walk, not an arbitrary configuration stream.
+    The scalar reference pipe under ``explore(...,
+    evaluation="scalar")`` and the ``core.offload`` explicit-config
+    facade: configurations are consumed lazily in chunks, each chunk
+    evaluated by :func:`~repro.explore.incremental.evaluate_chunk`'s
+    memoized scalar walk; chunks flow through the executor's
+    bounded-window ``imap``. ``approx_total`` (when known) sizes chunks
+    for parallel executors the way ``map`` would — about four chunks per
+    worker — so small spaces still spread across workers. ``"auto"`` and
+    ``"scalar"`` both run the one scalar fold: the columnar walk is
+    :func:`explore`'s scenario walk, not an arbitrary configuration
+    stream.
     """
     executor = resolve_executor(executor)
-    _check_evaluation_mode(evaluation, model)
-    if evaluation == "batch":
-        raise ConfigurationError(
-            "evaluation='batch' has no explicit-configuration path: the "
-            "columnar fold walks a whole scenario (explore()); use "
-            "evaluation='auto' or 'scalar'"
-        )
+    _check_evaluation_mode(evaluation)
     if chunk_size is not None and chunk_size < 1:
         # islice(iterator, 0) would silently end the stream after zero
         # configurations; mirror SweepExecutor's field validation.
@@ -223,16 +202,15 @@ class _Plan:
     def scalar(self) -> bool:
         """Whether the run takes the scalar pipe
         (:func:`iter_evaluation_chunks`) rather than a columnar walk."""
-        return self.path in ("scalar-memoized", "scalar-scratch")
+        return self.path == "scalar-memoized"
 
 
 def _dedupable(scenario: Scenario) -> bool:
     """Whether the scenario has a campaign
-    :func:`~repro.explore.campaign.scenario_compute_key`: no pre-built
-    ``model`` and no pruning of any kind."""
+    :func:`~repro.explore.campaign.scenario_compute_key`: no pruning of
+    any kind."""
     return not (
-        scenario.model is not None
-        or scenario.prune is not None
+        scenario.prune is not None
         or scenario.prune_depth is not None
         or scenario.auto_prune
         or scenario.auto_prune_configs
@@ -247,21 +225,17 @@ def _plan(
 ) -> _Plan:
     """The one place a scenario's evaluation path is decided, read by
     :func:`explore`, every campaign member and :func:`evaluation_path`,
-    which validate their arguments through it. A stock model (the
-    columnar walks replicate state arrays, so they must know their
-    layout) takes a cohort walk on every executor — shipping cohorts to
-    pool workers measured slower than folding them in process — or,
-    with ``dedup=True``, a campaign-dedupable scenario its group's walk.
-    Every other model, and ``evaluation="scalar"``, takes the scalar
-    pipe."""
-    model = scenario.cost_model()
-    _check_evaluation_mode(evaluation, model)
+    which validate their arguments through it. A run takes a cohort walk
+    on every executor — shipping cohorts to pool workers measured slower
+    than folding them in process — or, with ``dedup=True``, a
+    campaign-dedupable scenario its group's walk. ``evaluation="scalar"``
+    takes the scalar reference pipe."""
+    _check_evaluation_mode(evaluation)
     _check_dedup_mode(dedup)
     resolve_executor(executor)
-    if evaluation == "scalar" or not uses_stock_cost_semantics(model):
-        if supports_prefix_evaluation(model):
-            return _Plan("scalar-memoized", model)
-        return _Plan("scalar-scratch", model)
+    model = scenario.cost_model()
+    if evaluation == "scalar":
+        return _Plan("scalar-memoized", model)
     if dedup and _dedupable(scenario):
         return _Plan("batch-dedup", model)
     # A scenario validates that auto_prune_configs has its domain's
@@ -286,34 +260,31 @@ def evaluation_path(
     - ``"batch-cohort-pruned"`` — the same cohort walk with the
       scenario's pruning fused in (prefix bounds as boolean-mask
       compaction, per-config hooks as an emission-time filter);
-    - ``"scalar-memoized"`` — the generic scalar prefix walk, for
-      ``evaluation="scalar"`` and for models that override any cost
-      step but keep the stock ``evaluate()``;
-    - ``"scalar-scratch"`` — per-config ``evaluate()`` for models that
-      override it.
+    - ``"scalar-memoized"`` — the scalar reference fold
+      (:class:`~repro.explore.incremental.PrefixEvaluator`), for
+      ``evaluation="scalar"`` only.
 
     Pass the campaign's ``dedup`` argument to report the path the
     scenario takes as a ``Campaign.run(dedup=...)`` member instead. A
-    campaign member runs exactly its solo path above, through the same
-    stream solo ``explore()`` runs — stock members fold in the calling
-    process, only scalar members' chunks reach the executor — except:
+    campaign member runs exactly its solo path above (campaigns take no
+    ``evaluation=``, so never the scalar fold), through the same stream
+    solo ``explore()`` runs, in the calling process — except:
 
     - ``"batch-dedup"`` — with ``dedup=True``, a campaign-dedupable
       scenario (it has a
-      :func:`~repro.explore.campaign.scenario_compute_key`, so no
-      pre-built ``model`` and its stock model applies) runs its
-      group's walk: one fold of the shared columnar states, closed
-      under every member's link by its own ``finalize_batch`` into lazy
-      :class:`~repro.explore.vectorized.BatchRows` views. A scenario
-      with no sibling in the fleet is a group of one.
+      :func:`~repro.explore.campaign.scenario_compute_key`: no pruning)
+      runs its group's walk: one fold of the shared columnar states,
+      closed under every member's link by its own ``finalize_batch``
+      into lazy :class:`~repro.explore.vectorized.BatchRows` views. A
+      scenario with no sibling in the fleet is a group of one.
 
-    ``executor`` is validated but changes no path: stock models fold
-    in process on every executor.
+    ``executor`` is validated but changes no path: cohort walks fold in
+    process on every executor.
 
     The same decision the runs read (:func:`_plan`), so it cannot drift
     from them; raises exactly like :func:`explore` for an invalid
-    executor or an invalid or unsatisfiable ``evaluation=``, and like
-    ``Campaign.run`` for an invalid ``dedup=``.
+    executor or ``evaluation=``, and like ``Campaign.run`` for an
+    invalid ``dedup=``.
     """
     return _plan(scenario, executor, evaluation, dedup).path
 
@@ -332,7 +303,8 @@ def _scenario_stream(
     (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
     iter_group_batches`), sliced at the consumers' write size (None:
     the walk's blocks of rows), and hand each member its own view of
-    every slice. A scalar plan has exactly one member and runs
+    every slice. The scalar plan (solo ``explore(...,
+    evaluation="scalar")``, one member) runs
     :func:`iter_evaluation_chunks` on ``executor`` at ``chunk_size``,
     so a parallel executor's pool starts on the first step and shuts
     down when the stream ends or closes."""
@@ -380,17 +352,18 @@ def explore(
     scenario:
         What to explore and under which cost domain.
     executor:
-        How to run the evaluations; defaults to serial. Stock models
-        fold in process whatever the executor (the columnar cohort walk
-        beats shipping cohorts to pool workers); the executor runs the
-        scalar paths, with rows in the same order as serial ones.
+        How to run the evaluations; defaults to serial. The cohort walk
+        folds in process whatever the executor (it beats shipping
+        cohorts to pool workers); the executor runs the scalar
+        reference fold's chunks, with rows in the same order as serial
+        ones.
     chunk_size:
         Configurations per streamed chunk (default: the executor's
         ``chunk_size``; the cohort walk then emits its blocks of rows
         — whole depth cohorts while they fit one — and the scalar
-        paths :data:`DEFAULT_CHUNK_SIZE`, sized down for small spaces
+        fold :data:`DEFAULT_CHUNK_SIZE`, sized down for small spaces
         on parallel executors). Peak intermediate memory is bounded by
-        this on the scalar paths and by a fixed number of row blocks
+        this on the scalar fold and by a fixed number of row blocks
         per pipeline depth on the cohort walk, never by the
         design-space size.
     sink:
@@ -411,16 +384,13 @@ def explore(
         dominance-pruned frontier, identical to the collected
         ``result.pareto()``).
     evaluation:
-        ``"auto"`` (default) rides the columnar batch path whenever the
-        model supports it — stock runs stream the cohort walk's
-        columnar batches with lazily materialized rows (pruning
-        included: prefix bounds fuse in as mask compaction, per-config
-        hooks as emission-time filters) — falling back to the scalar
-        prefix walk for models that override any cost step. ``"batch"`` requires a
-        batch path (raising :class:`ConfigurationError` when the model
-        cannot take one); ``"scalar"`` forces the scalar fold. Every
-        path produces bit-identical results (:func:`evaluation_path`
-        reports which one runs).
+        ``"auto"`` (default) streams the cohort walk's columnar batches
+        with lazily materialized rows (pruning included: prefix bounds
+        fuse in as mask compaction, per-config hooks as emission-time
+        filters). ``"scalar"`` runs the scalar reference fold, the
+        baseline the perf and scaling benchmarks measure against. Both
+        produce bit-identical results (:func:`evaluation_path` reports
+        which one runs).
     """
     sink = resolve_sink(sink)
     if not collect and sink is None:
@@ -431,17 +401,12 @@ def explore(
     plan = _plan(scenario, executor, evaluation)
     resolved = resolve_executor(executor)
     # Pause the cyclic GC only when every allocation in the loop is the
-    # engine's own (every cost step stock, no per-config user hooks, no
-    # sink): those objects are acyclic, so pausing changes wall-time
-    # only. A model overriding any step (extend_state included), prune
-    # hooks and sinks may build cycles, which must stay collectable over
-    # a multi-million-config run (the auto-derived pruners are
+    # engine's own (no per-config user hooks, no sink): those objects
+    # are acyclic, so pausing changes wall-time only. Prune hooks and
+    # sinks may build cycles, which must stay collectable over a
+    # multi-million-config run (the auto-derived pruners are
     # engine-owned and acyclic, so they keep the pause).
-    pause = (
-        uses_stock_cost_semantics(plan.model)
-        and scenario.prune is None
-        and sink is None
-    )
+    pause = scenario.prune is None and sink is None
     label = f"scenario {scenario.name!r}"
     size = None
     if not plan.scalar:
@@ -471,8 +436,9 @@ class _RunConsumer:
     drift apart.
 
     It takes lazy columnar batches (:meth:`add_batch`, one member's
-    views of the cohort walk) and scalar cost chunks
-    (:meth:`add_costs`) and routes them to:
+    views of the cohort walk) and, on solo ``explore(...,
+    evaluation="scalar")``, scalar cost chunks (:meth:`add_costs`) and
+    routes them to:
 
     * the collected result (``collect=True``): batches are kept as they
       are — the result answers its queries on their columns — and cost
@@ -487,7 +453,7 @@ class _RunConsumer:
       None) — the same writes and bounded peak as the scalar chunk
       path;
     * ``stats`` (a campaign's export-only running statistics), fed the
-      lazy batch unless the sink already forced its rows.
+      lazy batch.
 
     :attr:`n_materialized` counts the rows each batch built while it
     was added (a row-only sink's rows; the folds build none). Call
@@ -534,31 +500,23 @@ class _RunConsumer:
             # The result keeps a view of its own, so the metric columns
             # the folds below memoize on ``batch`` die with it.
             self.batches.append(batch.slice(0, len(batch)))
-        sink = self.sink
-        rows = batch.rows() if sink is not None and not self.columnar else None
         if self.stats is not None:
-            if rows is None:
-                self.stats.update_batch(batch)
+            self.stats.update_batch(batch)
+        sink = self.sink
+        if sink is not None:
+            if self.columnar:
+                write_sink_batch(sink, batch, self.label)
             else:
-                self.stats.update(rows)
-        if rows is not None:
-            self._write(rows)
-        elif sink is not None:
-            write_sink_batch(sink, batch, self.label)
+                self._write(batch.rows())
         self.n_materialized += batch.n_materialized
 
     def add_costs(self, costs: list[Any]) -> None:
-        """One chunk of materialized cost objects."""
+        """One chunk of materialized cost objects (the scalar fold)."""
         if self.evaluations is not None:
             self.evaluations.extend(costs)
-        if self.sink is None and self.stats is None:
-            return
-        scenario = self.scenario
-        rows = [cost_row(scenario, cost) for cost in costs]
-        if self.stats is not None:
-            self.stats.update(rows)
         if self.sink is not None:
-            self._write(rows)
+            scenario = self.scenario
+            self._write([cost_row(scenario, cost) for cost in costs])
 
     def _write(self, rows: list[dict[str, Any]]) -> None:
         size = self.chunk_size
@@ -660,16 +618,8 @@ def explore_brute_force(scenario: Scenario) -> ExplorationResult:
         PipelineConfig(pipeline=config.pipeline, platforms=config.platforms)
         for config in scenario.iter_configs()
     ]
-    custom = not supports_prefix_evaluation(model)
     if scenario.domain == "throughput":
-        if custom:
-            evaluations = [model.evaluate(config) for config in configs]
-        else:
-            evaluations = [_brute_force_throughput(model, config) for config in configs]
-    elif custom:
-        evaluations = [
-            model.evaluate(config, scenario.pass_rates) for config in configs
-        ]
+        evaluations = [_brute_force_throughput(model, config) for config in configs]
     else:
         evaluations = [
             _brute_force_energy(model, scenario.pass_rates, config)

@@ -24,6 +24,12 @@ The evaluator is deliberately sequence-agnostic: it never assumes
 enumeration order, it just benefits from it. Out-of-order sequences
 (e.g. a user-sorted config list) stay correct and degrade gracefully
 toward from-scratch cost.
+
+The evaluator runs the paper's two stock cost models and nothing else
+(:func:`_check_stock_model`). It is the scalar reference fold: the
+engine takes it only for ``evaluation="scalar"`` and explicit
+configuration lists; every scenario run otherwise folds the columnar
+cohort walk (:mod:`repro.explore.vectorized`).
 """
 
 from __future__ import annotations
@@ -40,88 +46,50 @@ from repro.core.pipeline import PipelineConfig
 from repro.errors import ConfigurationError
 
 
-def supports_prefix_evaluation(model: Any) -> bool:
-    """Whether a model is safe to evaluate through the prefix walk.
+#: The engine's cost semantics: the paper's two stock models, exactly.
+_STOCK_MODELS = (ThroughputCostModel, EnergyCostModel)
 
-    A subclass that overrides ``evaluate()`` (e.g. to post-process
-    costs) would be silently bypassed by the incremental path, so only
-    models whose ``evaluate`` is the stock prefix fold qualify;
-    everything else falls back to per-config ``evaluate()`` calls.
-    Subclasses that customize ``extend_state``/``finalize`` while
-    keeping the stock ``evaluate`` remain eligible — the walk uses
-    their overridden steps.
+
+def _check_stock_model(model: Any, allowed: tuple[type, ...] = _STOCK_MODELS) -> None:
+    """Raise unless ``model``'s type is exactly one of ``allowed`` (by
+    default the two stock cost models).
+
+    The engine evaluates the paper's two cost domains only, so every
+    path assumes the stock steps and state shapes: the columnar walk
+    replicates and gathers its state arrays, the auto-derived prune
+    bounds read the raw ``Implementation``/link tables. A subclass could
+    change any of that unseen, so it is refused rather than silently
+    run with the stock semantics. The check for every caller that hands
+    the engine a model object: :class:`PrefixEvaluator`,
+    :class:`~repro.explore.vectorized.BatchPrefixEvaluator` and
+    :class:`~repro.core.offload.OffloadAnalyzer`.
     """
-    if isinstance(model, ThroughputCostModel):
-        return type(model).evaluate is ThroughputCostModel.evaluate
-    if isinstance(model, EnergyCostModel):
-        return type(model).evaluate is EnergyCostModel.evaluate
-    return False
+    if type(model) not in allowed:
+        names = " or ".join(cls.__name__ for cls in allowed)
+        raise ConfigurationError(
+            f"model must be a {names} (the engine evaluates the stock "
+            f"cost models only), got {type(model).__name__}"
+        )
 
 
-#: Every cost-defining step of the stock models: ``evaluate``, the
-#: scalar fold steps and their columnar batch twins.
-_COST_STEPS = (
-    "evaluate",
-    "initial_state",
-    "extend_state",
-    "finalize",
-    "initial_state_batch",
-    "extend_state_batch",
-    "finalize_batch",
-)
+def depth_link_cost(link: Any, energy: bool, offload_bytes: float) -> Any:
+    """The link term ``finalize`` takes for a cut whose payload is
+    ``offload_bytes`` (the pipeline's ``output_bytes_after(depth)``):
+    (transmit joules, transmit seconds) in the energy domain, the
+    communication frame rate in the throughput domain.
 
-
-def uses_stock_cost_semantics(model: Any) -> bool:
-    """Whether *every* cost-defining step of the model (see
-    :data:`_COST_STEPS`) is the stock implementation.
-
-    The one gate for everything that assumes the stock cost semantics
-    and state shapes: the columnar cohort walk (solo runs and dedup
-    groups alike replicate and gather struct-of-arrays states, which is
-    also what lets a campaign member fold in process),
-    the bounds ``Scenario.auto_prune`` /
-    ``auto_prune_configs`` derive from the raw ``Implementation``/link
-    tables, and the engine's cyclic-GC pause (stock steps allocate only
-    acyclic engine objects).
-    Stricter than :func:`supports_prefix_evaluation`: a subclass that
-    customizes any step while keeping the stock ``evaluate`` still
-    takes the generic scalar prefix walk through its own steps, but
-    nothing that assumes the stock tables or shapes.
-    """
-    for base in (ThroughputCostModel, EnergyCostModel):
-        if isinstance(model, base):
-            cls = type(model)
-            return all(
-                getattr(cls, name) is getattr(base, name) for name in _COST_STEPS
-            )
-    return False
-
-
-def depth_link_cost(
-    link: Any, energy: bool, cache: dict[int, Any], depth: int, config: PipelineConfig
-) -> Any:
-    """The per-depth link term, computed once per cut depth and cached.
-
-    The payload crossing the uplink depends only on the cut depth, not
-    the platform choices — so the walk caches ``depth -> finalize arg``
-    ((transmit joules, transmit seconds) in the energy domain, the
-    communication frame rate in the throughput domain). Shared by
-    :class:`PrefixEvaluator` and every member of the columnar walk: one
-    definition, so a dedup group member's link term stays
+    The payload depends only on the cut depth, not the platform
+    choices, so callers compute it once per depth and cache it. Shared
+    by :class:`PrefixEvaluator` and every member of the columnar walk:
+    one definition, so a dedup group member's link term stays
     expression-identical to solo evaluation.
     """
-    cached = cache.get(depth)
-    if cached is None:
-        offload_bytes = config.offload_bytes
-        if energy:
-            cached = (
-                link.tx_energy_for_bytes(offload_bytes),
-                link.seconds_for_bytes(offload_bytes),
-            )
-        else:
-            cached = link.fps_for_bytes(offload_bytes)
-        cache[depth] = cached
-    return cached
+    if energy:
+        return (
+            link.tx_energy_for_bytes(offload_bytes),
+            link.seconds_for_bytes(offload_bytes),
+        )
+    return link.fps_for_bytes(offload_bytes)
 
 
 class PrefixEvaluator:
@@ -131,8 +99,8 @@ class PrefixEvaluator:
     ----------
     model:
         A :class:`~repro.core.cost.ThroughputCostModel` or
-        :class:`~repro.core.cost.EnergyCostModel` (or an eligible
-        subclass, see :func:`supports_prefix_evaluation`).
+        :class:`~repro.core.cost.EnergyCostModel` (exactly; see
+        :func:`_check_stock_model`).
     pass_rates:
         Energy domain only: per-block pass-rate overrides, forwarded to
         every ``extend_state`` step.
@@ -147,6 +115,7 @@ class PrefixEvaluator:
         model: ThroughputCostModel | EnergyCostModel,
         pass_rates: dict[str, float] | None = None,
     ):
+        _check_stock_model(model)
         if pass_rates is not None and not isinstance(model, EnergyCostModel):
             raise ConfigurationError(
                 "pass_rates only apply to EnergyCostModel evaluation"
@@ -154,7 +123,6 @@ class PrefixEvaluator:
         self.model = model
         self.pass_rates = pass_rates
         self._energy = isinstance(model, EnergyCostModel)
-        self._memoized = supports_prefix_evaluation(model)
         self._pipeline = None
         self._platforms: tuple[str, ...] = ()
         self._states: list[Any] = []  # state after in-camera block i
@@ -176,18 +144,8 @@ class PrefixEvaluator:
         self._platforms = ()
         del self._states[:]
 
-    def _link_cost(self, depth: int, config: PipelineConfig) -> Any:
-        """Per-depth link term (see :func:`depth_link_cost`)."""
-        return depth_link_cost(
-            self.model.link, self._energy, self._link_costs, depth, config
-        )
-
     def evaluate(self, config: PipelineConfig) -> ConfigCost | EnergyCost:
         """The configuration's cost, reusing the memoized prefix path."""
-        if not self._memoized:
-            if self._energy:
-                return self.model.evaluate(config, self.pass_rates)
-            return self.model.evaluate(config)
         return self.evaluate_many((config,))[0]
 
     def evaluate_many(
@@ -197,12 +155,9 @@ class PrefixEvaluator:
 
         Semantically ``[self.evaluate(c) for c in configs]``: one
         memoized walk through the model's ``extend_state``/``finalize``
-        steps (stock or overridden), pinned by the property tests to
-        from-scratch ``model.evaluate`` results.
+        steps, pinned by the property tests to from-scratch
+        ``model.evaluate`` results.
         """
-        if not self._memoized:
-            evaluate = self.evaluate
-            return [evaluate(config) for config in configs]
         model = self.model
         energy = self._energy
         pass_rates = self.pass_rates
@@ -256,7 +211,9 @@ class PrefixEvaluator:
                 self._platforms = platforms
                 link_cost = self._link_costs.get(n)
                 if link_cost is None:
-                    link_cost = self._link_cost(n, config)
+                    link_cost = self._link_costs[n] = depth_link_cost(
+                        model.link, energy, config.offload_bytes
+                    )
                 append_out(finalize(state, config, link_cost))
         except KeyError:
             # An invalid trusted() platform choice: re-raise as the
@@ -282,10 +239,9 @@ def evaluate_chunk(
     never crosses chunk boundaries and results are independent of how
     the stream was chunked. The one scalar chunk function on a pool:
     :func:`~repro.explore.engine.iter_evaluation_chunks` evaluates
-    through it for ``explore()``, every scalar campaign member and the
-    ``core.offload`` explicit-config facade, which is why interleaving a
-    fleet (under any scheduling policy) cannot change any scenario's
-    values. It runs the :class:`PrefixEvaluator` walk — memoized, or one
-    ``evaluate()`` call per configuration for models that override it.
+    through it for ``explore(..., evaluation="scalar")`` and the
+    ``core.offload`` explicit-config facade, so how the stream was
+    chunked cannot change any value. It runs the memoized
+    :class:`PrefixEvaluator` walk.
     """
     return PrefixEvaluator(model, pass_rates).evaluate_many(configs)

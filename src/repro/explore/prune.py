@@ -216,7 +216,7 @@ def energy_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
     if scenario.domain != "energy" or scenario.energy_budget_j is None:
         return None
     pipeline = scenario.pipeline
-    link = scenario.cost_model().link
+    link = scenario.link
     pass_rates = scenario.pass_rates
     option_lists = enumeration_plan(pipeline, scenario.max_blocks)
     n_depths = len(option_lists)
@@ -425,10 +425,7 @@ def lower_bound_depth_hook(scenario: "Scenario") -> DepthPruneHook | None:
     *provably* unsatisfiable; with no ``target_fps`` / no
     ``energy_budget_j`` there is nothing sound to prune, so None.
     """
-    # Bound against the link evaluation will actually use: a pre-built
-    # model may carry a different uplink than scenario.link, and bounds
-    # derived from the wrong link could prune feasible configurations.
-    link = scenario.cost_model().link
+    link = scenario.link
     if scenario.domain == "throughput":
         target = scenario.target_fps
         if target is None:

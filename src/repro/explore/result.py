@@ -129,12 +129,12 @@ def best_row(
 class ExplorationResult:
     """Every evaluated configuration of one scenario, with verdicts.
 
-    A result of the columnar cohort walk (``explore()`` of a stock
-    model) owns the walk's :class:`~repro.explore.vectorized.BatchRows`
-    segments — choice matrices plus finalized cost columns — and answers
+    A result of the columnar cohort walk (``explore()``) owns the walk's
+    :class:`~repro.explore.vectorized.BatchRows` segments — choice
+    matrices plus finalized cost columns — and answers
     :attr:`best`, :attr:`feasible`, :meth:`pareto`, :meth:`dominated`,
     :meth:`top_k` and ``len()`` on those columns, building row dicts
-    only for the rows it returns. Any other result (the scalar paths,
+    only for the rows it returns. Any other result (the scalar fold,
     ``explore_brute_force``) holds one cost object per configuration and
     answers from its rows. Row code also answers whenever the columns
     cannot: a metric that is not columnar (``config``, ``bottleneck``),

@@ -57,11 +57,6 @@ class Scenario:
         Energy domain only: measured per-block pass rates overriding
         the blocks' static ``pass_rate`` (benchmarks feed trace-derived
         rates here).
-    model:
-        Optional pre-built cost model (e.g. a customized
-        ``ThroughputCostModel`` subclass). When None, a vanilla model
-        for the domain is built from ``link``; when given, it must match
-        the domain and is used as-is.
     max_blocks / include_empty:
         Enumeration bounds, as in :func:`repro.explore.iter_configs`.
     prune / prune_depth:
@@ -97,7 +92,6 @@ class Scenario:
     target_fps: float | None = None
     energy_budget_j: float | None = None
     pass_rates: dict[str, float] | None = None
-    model: ThroughputCostModel | EnergyCostModel | None = None
     max_blocks: int | None = None
     include_empty: bool = True
     prune: PruneHook | Sequence[PruneHook] | None = None
@@ -128,15 +122,6 @@ class Scenario:
                 )
         if self.pass_rates is not None and self.domain != "energy":
             raise ConfigurationError("pass_rates only apply to the energy domain")
-        if self.model is not None:
-            expected = (
-                ThroughputCostModel if self.domain == "throughput" else EnergyCostModel
-            )
-            if not isinstance(self.model, expected):
-                raise ConfigurationError(
-                    f"model must be a {expected.__name__} for the "
-                    f"{self.domain} domain, got {type(self.model).__name__}"
-                )
         if self.auto_prune:
             constrained = (
                 self.target_fps is not None
@@ -167,24 +152,6 @@ class Scenario:
                         if self.domain == "throughput"
                         else "energy_budget_j"
                     )
-                )
-        if (self.auto_prune or self.auto_prune_configs) and self.model is not None:
-            from repro.explore.incremental import uses_stock_cost_semantics
-
-            if not uses_stock_cost_semantics(self.model):
-                # The derived bounds encode the *stock* models' cost
-                # semantics (impl fps / link rates); a model overriding
-                # any cost step — evaluate(), a scalar step or its batch
-                # twin, even with the stock evaluate kept — may rate
-                # configurations differently, and a bound against the
-                # wrong semantics could silently drop feasible designs.
-                # Fail fast instead.
-                raise ConfigurationError(
-                    "auto_prune/auto_prune_configs derive bounds from the "
-                    "stock cost-model semantics; a model overriding "
-                    "evaluate or any scalar/batch cost step cannot "
-                    "be soundly bounded — use explicit prune/prune_depth "
-                    "hooks instead"
                 )
 
     def depth_prune_hook(self) -> DepthPruneHook | None:
@@ -241,9 +208,8 @@ class Scenario:
         )
 
     def cost_model(self) -> ThroughputCostModel | EnergyCostModel:
-        """The cost model evaluating this scenario's domain."""
-        if self.model is not None:
-            return self.model
+        """The stock cost model of this scenario's domain, over
+        ``link``."""
         if self.domain == "throughput":
             return ThroughputCostModel(self.link)
         return EnergyCostModel(self.link)

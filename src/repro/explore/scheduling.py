@@ -1,9 +1,9 @@
 """Chunk scheduling policies for campaign interleaving.
 
 The campaign driver (:mod:`repro.explore.campaign`) has exactly one
-degree of freedom: *which scenario's chunk comes next* — a cohort slice
-for stock members and dedup groups, a scalar chunk through the
-executor for scalar members. This module owns that decision. A
+degree of freedom: *which scenario's chunk comes next* — the next
+cohort slice of a member's or a dedup group's walk. This module owns
+that decision. A
 :class:`SchedulingPolicy` sees every selection through
 :meth:`~SchedulingPolicy.select`, asked once per step over every live
 walk of the campaign's one lane.

@@ -65,10 +65,11 @@ Pruned runs and campaigns ride the same columnar core:
   folding in process measured faster than any pool on every fleet
   tried.
 
-Only models whose every cost step is stock
-(:func:`~repro.explore.incremental.uses_stock_cost_semantics`) take
-these paths; any other model rides the generic scalar
-:class:`~repro.explore.incremental.PrefixEvaluator` walk.
+The walk runs the paper's two stock cost models and nothing else
+(:func:`~repro.explore.incremental._check_stock_model`): its kernels
+assume their state shapes. The scalar
+:class:`~repro.explore.incremental.PrefixEvaluator` walk is the
+reference fold it is checked against (``evaluation="scalar"``).
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ from repro.core.cost import (
 from repro.core.pipeline import InCameraPipeline, PipelineConfig
 from repro.errors import ConfigurationError
 from repro.explore.enumerate import _normalize_hooks, enumeration_plan
-from repro.explore.incremental import depth_link_cost, uses_stock_cost_semantics
+from repro.explore.incremental import _check_stock_model, depth_link_cost
 from repro.explore.result import cost_row
 
 #: Row budget of one cohort-walk block. Whole depth cohorts fold only
@@ -538,11 +539,6 @@ class _PipelinePlan:
             self.pipeline, tuple(map(getitem, self.names, row))
         )
 
-    def representative(self, depth: int) -> PipelineConfig:
-        """One depth-``depth`` configuration: the link terms depend only
-        on the cut depth, so any row of the cohort stands for all."""
-        return self.config([0] * depth)
-
 
 class BatchPrefixEvaluator:
     """Evaluate configurations of stock-semantics models as columnar
@@ -559,9 +555,9 @@ class BatchPrefixEvaluator:
     lists take the scalar
     :class:`~repro.explore.incremental.PrefixEvaluator`.
 
-    Only stock models
-    (:func:`~repro.explore.incremental.uses_stock_cost_semantics`) are
-    accepted: every path here assumes the stock state shapes.
+    ``model`` must be exactly one of the two stock cost models
+    (:func:`~repro.explore.incremental._check_stock_model`): every path
+    here assumes their state shapes.
     """
 
     def __init__(
@@ -569,15 +565,10 @@ class BatchPrefixEvaluator:
         model: ThroughputCostModel | EnergyCostModel,
         pass_rates: dict[str, float] | None = None,
     ):
+        _check_stock_model(model)
         if pass_rates is not None and not isinstance(model, EnergyCostModel):
             raise ConfigurationError(
                 "pass_rates only apply to EnergyCostModel evaluation"
-            )
-        if not uses_stock_cost_semantics(model):
-            raise ConfigurationError(
-                "model is not batch-capable (it overrides a cost step, so "
-                "the stock columnar kernels would bypass it); use the "
-                "scalar PrefixEvaluator"
             )
         self.model = model
         self.pass_rates = pass_rates
@@ -634,17 +625,18 @@ class BatchPrefixEvaluator:
         """
         model = self.model
         energy = self._energy
-        links = [model.link] + [
-            scenario.cost_model().link for scenario in scenarios[1:]
-        ]
+        links = [model.link] + [scenario.link for scenario in scenarios[1:]]
         caches: list[dict[int, Any]] = [{} for _ in scenarios]
         for plan, depth, choices, state in self._iter_cohort_states(
             scenarios[0], chunk_size
         ):
-            representative = plan.representative(depth)
             views = []
             for scenario, link, cache in zip(scenarios, links, caches):
-                link_cost = depth_link_cost(link, energy, cache, depth, representative)
+                link_cost = cache.get(depth)
+                if link_cost is None:
+                    link_cost = cache[depth] = depth_link_cost(
+                        link, energy, plan.pipeline.output_bytes_after(depth)
+                    )
                 columns = model.finalize_batch(state, link_cost)
                 views.append(BatchRows(scenario, plan, depth, choices, columns, energy))
             yield views

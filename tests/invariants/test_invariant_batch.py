@@ -24,13 +24,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.cost import EnergyCostModel, ThroughputCostModel
 from repro.datasets.rng import make_rng
 from repro.explore import (
     BatchPrefixEvaluator,
     Campaign,
     explore,
 )
-from repro.explore.incremental import PrefixEvaluator, uses_stock_cost_semantics
+from repro.explore.incremental import PrefixEvaluator
 from repro.explore.result import cost_row
 
 SEEDS = range(12)
@@ -67,7 +68,7 @@ def test_batch_fold_equals_scalar_fold_on_shuffled_configs(gen, seed):
     rng = make_rng(seed)
     scenario = gen.scenario(rng, name=f"fold-{seed}")
     model = scenario.cost_model()
-    assert uses_stock_cost_semantics(model)
+    assert type(model) in (ThroughputCostModel, EnergyCostModel)
     configs = list(scenario.iter_configs())
     order = [int(i) for i in rng.permutation(len(configs))]
 

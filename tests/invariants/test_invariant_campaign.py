@@ -13,7 +13,7 @@ The load-bearing identities of the campaign driver, as properties:
 * **the path reported is the path taken**: every member runs exactly
   the path :func:`~repro.explore.evaluation_path` reports for it;
 * **campaign == solo, shrinking**: hypothesis fleets of 1-4 members
-  drawn from the compact-rows chain strategy — stock, scalar-model and
+  drawn from the compact-rows chain strategy — plain, hooked and
   same-pipeline link pairs mixed — match solo ``explore()`` under every
   builtin policy and both ``dedup`` values, and a counterexample
   shrinks to a minimal fleet.
@@ -29,7 +29,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_invariant_compact_rows import scenarios
 
-from repro.core.cost import EnergyCostModel, ThroughputCostModel
 from repro.explore import (
     SCHEDULING_POLICIES,
     BatchPrefixEvaluator,
@@ -141,35 +140,6 @@ def test_iter_runs_streamed_equals_drained_run(gen, seed):
         assert other.dedup_source == run.dedup_source
 
 
-class _ThroughputOverride(ThroughputCostModel):
-    def extend_state(self, state, block, impl):
-        return super().extend_state(state, block, impl)
-
-
-class _EnergyEvaluateOverride(EnergyCostModel):
-    def evaluate(self, config, pass_rates=None):
-        return super().evaluate(config, pass_rates)
-
-
-def _with_scalar_member(fleet):
-    """The fleet plus one member whose model overrides a cost step (the
-    generated fleets are all stock), so the scalar lane is covered."""
-    base = fleet[0]
-    model_cls = (
-        _ThroughputOverride if base.domain == "throughput" else _EnergyEvaluateOverride
-    )
-    return [
-        *fleet,
-        replace(
-            base,
-            name="scalar-member",
-            model=model_cls(base.link),
-            auto_prune=False,
-            auto_prune_configs=False,
-        ),
-    ]
-
-
 @pytest.mark.parametrize("seed", SEEDS)
 def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
     """Spy on the one cohort walk, recording each call's member tuple,
@@ -177,9 +147,8 @@ def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
     it is the one ``evaluation_path(member, executor, dedup=...)``
     reports — a ``batch-dedup`` member walks with exactly its dedup
     group, a ``batch-cohort``/``batch-cohort-pruned`` member walks
-    alone, a scalar member enters ``iter_evaluation_chunks``."""
-    fleet = _with_scalar_member(gen.fleet(seed))
-    by_model = {id(s.model): s.name for s in fleet if s.model is not None}
+    alone, and no member enters ``iter_evaluation_chunks``."""
+    fleet = gen.fleet(seed)
     taken: dict[str, list[tuple]] = {}
     real_walk = BatchPrefixEvaluator.iter_group_batches
     real_pipe = engine_module.iter_evaluation_chunks
@@ -191,10 +160,9 @@ def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
         return real_walk(self, scenarios, chunk_size)
 
     def scalar_pipe(model, configs, *args, **kwargs):
-        # Only a pre-built model is identifiable; a stock model reaching
-        # the pipe shows up under a name no member has.
-        name = by_model.get(id(model), "a stock model")
-        taken.setdefault(name, []).append(("scalar",))
+        # A campaign has no scalar member: a call shows up under a name
+        # no member has.
+        taken.setdefault("the scalar pipe", []).append(("scalar",))
         return real_pipe(model, configs, *args, **kwargs)
 
     monkeypatch.setattr(BatchPrefixEvaluator, "iter_group_batches", group_walk)
@@ -216,11 +184,9 @@ def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
             for index, (member, reported) in enumerate(zip(fleet, paths)):
                 if reported == "batch-dedup":
                     expected = ("walk", group_of[index])
-                elif reported in ("batch-cohort", "batch-cohort-pruned"):
-                    expected = ("walk", (member.name,))
                 else:
-                    assert reported in ("scalar-memoized", "scalar-scratch")
-                    expected = ("scalar",)
+                    assert reported in ("batch-cohort", "batch-cohort-pruned")
+                    expected = ("walk", (member.name,))
                 assert taken[member.name] == [expected], (
                     seed,
                     dedup,
@@ -236,24 +202,23 @@ PAIR_LINKS = (
 )
 
 
+def _drop_first_on_cpu(config) -> bool:
+    """Per-config prune hook: drop configurations whose first block runs
+    on the cpu."""
+    return config.platforms[:1] == ("cpu",)
+
+
 @st.composite
 def fleets(draw):
-    """1-4 members: stock chains, chains under a scalar override model,
+    """1-4 members: plain chains, chains under a per-config prune hook,
     and chains paired with a second link on the same pipeline."""
     size = draw(st.integers(1, 4))
     fleet = []
     while len(fleet) < size:
         member = replace(draw(scenarios()), name=f"m{len(fleet)}")
-        kind = draw(st.sampled_from(("stock", "scalar", "pair")))
-        if kind == "scalar":
-            model_cls = (
-                _ThroughputOverride
-                if member.domain == "throughput"
-                else _EnergyEvaluateOverride
-            )
-            member = replace(
-                member, model=model_cls(member.link), auto_prune_configs=False
-            )
+        kind = draw(st.sampled_from(("plain", "hooked", "pair")))
+        if kind == "hooked":
+            member = replace(member, prune=_drop_first_on_cpu)
         fleet.append(member)
         if kind == "pair" and len(fleet) < size:
             link = draw(st.sampled_from(PAIR_LINKS))

@@ -78,9 +78,8 @@ def test_lazy_equals_materialize_equals_off_equals_solo(gen, seed):
     # The sinks built every member row; the lazy run only what the
     # result's queries touched.
     for lean, full in zip(lazy, materialized):
-        if full.n_materialized is not None:
-            assert full.n_materialized >= full.n_evaluated, (seed, full.name)
-            assert lean.n_materialized <= full.n_materialized, (seed, lean.name)
+        assert full.n_materialized >= full.n_evaluated, (seed, full.name)
+        assert lean.n_materialized <= full.n_materialized, (seed, lean.name)
     # Both dedup runs share identical *amounts* of work.
     assert (
         lazy.cache_stats["evaluations_skipped"]
@@ -156,9 +155,7 @@ def test_columnar_sinks_materialize_only_survivors(gen, seed):
         assert stats["rows_materialized"] >= 0
     for run in result:
         row = run.summary_row()
-        assert "materialized" in row
-        if run.n_materialized is not None:
-            assert row["materialized"] == run.n_materialized
+        assert row["materialized"] == run.n_materialized
 
 
 @pytest.mark.parametrize("seed", SEEDS)

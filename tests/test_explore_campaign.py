@@ -19,12 +19,7 @@ import json
 import pytest
 
 from repro.core.block import Block, Implementation
-from repro.core.cost import (
-    ConfigCost,
-    EnergyCost,
-    EnergyCostModel,
-    ThroughputCostModel,
-)
+from repro.core.cost import ConfigCost, EnergyCost
 from repro.core.pipeline import InCameraPipeline
 from repro.core.report import CAMPAIGN_SUMMARY_COLUMNS
 from repro.errors import ConfigurationError, SinkError
@@ -515,22 +510,7 @@ def test_export_only_campaign_memory_bounded_by_chunk_window():
         assert buffers[scenario.name].getvalue() == explore(scenario).to_csv()
 
 
-# -- mixed fleets: stock walks and the scalar pipe in one lane ---------
-
-
-class _EvaluateOverride(ThroughputCostModel):
-    """Overrides evaluate() (same values): per-config scalar chunks.
-    Module-level so a process pool can unpickle it."""
-
-    def evaluate(self, config):
-        return super().evaluate(config)
-
-
-class _ExtendOverride(EnergyCostModel):
-    """Overrides extend_state (same values): memoized scalar chunks."""
-
-    def extend_state(self, state, block, impl, pass_rates=None):
-        return super().extend_state(state, block, impl, pass_rates)
+# -- mixed fleets: every walk kind in one lane -------------------------
 
 
 def _mixed_pipeline(name: str, n_blocks: int) -> InCameraPipeline:
@@ -556,10 +536,17 @@ def _mixed_pipeline(name: str, n_blocks: int) -> InCameraPipeline:
     )
 
 
-def _mixed_fleet() -> tuple[list[Scenario], set[str]]:
-    """One stock member, one pruned stock member, a model overriding
-    evaluate(), one overriding extend_state, and a same-pipeline
-    two-link dedup pair; returns the fleet and its scalar members."""
+def _no_cpu_head(config) -> bool:
+    """Per-config prune hook: drop configurations whose first block runs
+    on the cpu."""
+    return config.platforms[:1] == ("cpu",)
+
+
+def _mixed_fleet() -> list[Scenario]:
+    """A stock member in each domain, an auto-pruned member, a hooked
+    member, a pass-rate member and a same-pipeline two-link dedup pair:
+    every walk kind (``batch-cohort``, ``batch-cohort-pruned``,
+    ``batch-dedup``) in one fleet."""
     pipeline = _mixed_pipeline("m", 4)
     shared = _mixed_pipeline("d", 3)
     slow = LinkModel(name="slow", raw_bps=4e5, tx_energy_per_bit=2e-9)
@@ -568,16 +555,15 @@ def _mixed_fleet() -> tuple[list[Scenario], set[str]]:
                  domain="energy", energy_budget_j=1e-3),
         Scenario(name="pruned", pipeline=pipeline, link=slow, target_fps=20.0,
                  auto_prune=True, auto_prune_configs=True),
-        Scenario(name="evaluate-override", pipeline=pipeline, link=slow,
-                 target_fps=20.0, model=_EvaluateOverride(slow)),
-        Scenario(name="extend-override", pipeline=pipeline, link=RF_BACKSCATTER,
-                 domain="energy", pass_rates={"m0": 0.5},
-                 model=_ExtendOverride(RF_BACKSCATTER)),
+        Scenario(name="hooked", pipeline=pipeline, link=slow,
+                 target_fps=20.0, prune=_no_cpu_head),
+        Scenario(name="rated", pipeline=pipeline, link=RF_BACKSCATTER,
+                 domain="energy", pass_rates={"m0": 0.5}),
         Scenario(name="pair-slow", pipeline=shared, link=slow, target_fps=15.0),
         Scenario(name="pair-fast", pipeline=shared, link=ETHERNET_25G,
                  target_fps=15.0),
     ]
-    return fleet, {"evaluate-override", "extend-override"}
+    return fleet
 
 
 MIXED_EXECUTORS = pytest.mark.parametrize(
@@ -593,27 +579,24 @@ MIXED_EXECUTORS = pytest.mark.parametrize(
 
 @MIXED_EXECUTORS
 def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeypatch):
-    """Stock members (solo, pruned, a dedup pair) fold in process and
-    scalar-model members stream through solo explore()'s scalar pipe:
-    every member's rows stay byte-identical to solo explore() under both
-    policies and every dedup mode, only scalar members' chunks reach
-    the executor's pipe, and on a pool only theirs go through ``imap``."""
-    fleet, scalar = _mixed_fleet()
+    """Every member (solo, pruned, hooked, pass-rated, a dedup pair)
+    folds the cohort walk in process: rows stay byte-identical to solo
+    explore() under both policies and every dedup mode, and no member
+    reaches the scalar pipe or the executor's ``imap``, whatever the
+    executor — campaigns have no scalar members."""
+    fleet = _mixed_fleet()
     solo = {scenario.name: json.dumps(explore(scenario).rows) for scenario in fleet}
-    by_model = {id(s.model): s.name for s in fleet if s.model is not None}
     piped: list[str] = []
     pooled: list[str] = []
     real_chunks = engine_module.iter_evaluation_chunks
     real_imap = SweepExecutor.imap
 
     def spying_chunks(model, configs, executor=None, *args, **kwargs):
-        name = by_model.get(id(model), "a stock member")
-        for costs in real_chunks(model, configs, executor, *args, **kwargs):
-            piped.append(name)
-            yield costs
+        piped.append(type(model).__name__)
+        return real_chunks(model, configs, executor, *args, **kwargs)
 
     def spying_imap(self, fn, items, chunk_size=None):
-        pooled.append(by_model.get(id(fn.args[0]), "a stock member"))
+        pooled.append(fn)
         return real_imap(self, fn, items, chunk_size)
 
     monkeypatch.setattr(engine_module, "iter_evaluation_chunks", spying_chunks)
@@ -631,10 +614,8 @@ def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeyp
                     dedup,
                     run.name,
                 )
-            assert set(piped) == scalar, (policy, dedup)
-            # The serial pipe evaluates in the caller; a pool sees each
-            # scalar member's chunks, one imap stream per member.
-            assert sorted(pooled) == ([] if executor.is_serial else sorted(scalar))
+            assert piped == [], (policy, dedup)
+            assert pooled == [], (policy, dedup)
             shared = 1 if dedup else 0
             assert result.cache_stats["scenarios_shared"] == shared
 
@@ -646,10 +627,10 @@ def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeyp
 )
 @pytest.mark.parametrize("dedup", [False, True])
 def test_mixed_fleet_completes_in_wspt_order(executor, dedup):
-    """One lane for stock and scalar members: ``weighted_completion``
-    hands runs out in WSPT order (ascending ``count_configs()``, ties in
-    fleet order) whatever path each member takes."""
-    fleet, _ = _mixed_fleet()
+    """One lane for every walk kind: ``weighted_completion`` hands runs
+    out in WSPT order (ascending ``count_configs()``, ties in fleet
+    order) whatever path each member takes."""
+    fleet = _mixed_fleet()
     runs = Campaign(fleet).iter_runs(
         executor, chunk_size=5, policy="weighted_completion", dedup=dedup
     )
@@ -658,8 +639,8 @@ def test_mixed_fleet_completes_in_wspt_order(executor, dedup):
         "pair-fast",
         "stock",
         "pruned",
-        "evaluate-override",
-        "extend-override",
+        "hooked",
+        "rated",
     ]
 
 
@@ -699,3 +680,6 @@ def test_campaign_summary_table_shape():
         assert row["scenario"] == run.name
         assert row["configs"] == run.n_evaluated
         assert row["best_config"] == run.best["config"]
+        # Every member rides the cohort walk, so every run (dedup off
+        # here) reports the rows it built: at least its best row.
+        assert row["materialized"] == run.n_materialized >= 1

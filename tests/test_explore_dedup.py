@@ -137,11 +137,6 @@ def test_compute_key_ineligible_scenarios():
     assert scenario_compute_key(replace(base, auto_prune_configs=True)) is None
     assert scenario_compute_key(replace(base, prune=lambda c: False)) is None
     assert scenario_compute_key(replace(base, prune_depth=lambda d: False)) is None
-    # Pre-built models own their semantics (and their link).
-    from repro.core.cost import ThroughputCostModel
-
-    modeled = replace(base, model=ThroughputCostModel(ETHERNET_25G))
-    assert scenario_compute_key(modeled) is None
 
 
 def test_cache_poisoning_guard_same_chain_different_axis():

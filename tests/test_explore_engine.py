@@ -155,38 +155,6 @@ def test_scenario_rejects_mismatched_constraints(pipeline, link):
         Scenario(
             name="s", pipeline=pipeline, link=link, pass_rates={"A": 0.5},
         )
-    with pytest.raises(ConfigurationError):
-        Scenario(
-            name="s", pipeline=pipeline, link=link,
-            model=EnergyCostModel(link),  # wrong domain for throughput
-        )
-
-
-def test_scenario_keeps_customized_cost_model(pipeline, link):
-    """A customized model must drive the default analyze() path, not be
-    silently rebuilt from the link."""
-
-    class HalvedModel(ThroughputCostModel):
-        def evaluate(self, config):
-            cost = super().evaluate(config)
-            return type(cost)(
-                config=cost.config,
-                compute_fps=cost.compute_fps / 2,
-                communication_fps=cost.communication_fps / 2,
-                slowest_block=cost.slowest_block,
-            )
-
-    model = HalvedModel(link)
-    analyzer = OffloadAnalyzer(model, target_fps=30.0)
-    via_scenario = analyzer.analyze(pipeline)
-    via_configs = analyzer.analyze(pipeline, configs=enumerate_configs(pipeline))
-    assert [c.total_fps for c in via_scenario.costs] == [
-        c.total_fps for c in via_configs.costs
-    ]
-    scenario = Scenario(
-        name="s", pipeline=pipeline, link=link, target_fps=30.0, model=model
-    )
-    assert explore(scenario).rows[1]["compute_fps"] == pytest.approx(50.0)
 
 
 # -- throughput domain ---------------------------------------------------

@@ -28,11 +28,7 @@ from repro.explore import (
     explore_brute_force,
     iter_configs,
 )
-from repro.explore.incremental import (
-    PrefixEvaluator,
-    evaluate_chunk,
-    supports_prefix_evaluation,
-)
+from repro.explore.incremental import PrefixEvaluator, evaluate_chunk
 from repro.explore.prune import (
     energy_depth_lower_bounds,
     lower_bound_depth_hook,
@@ -202,30 +198,6 @@ def test_prefix_evaluator_resets_between_pipelines():
         assert got.active_seconds == want.active_seconds
 
 
-def test_prefix_evaluator_falls_back_for_custom_models():
-    class Halved(ThroughputCostModel):
-        def evaluate(self, config):
-            cost = super().evaluate(config)
-            return type(cost)(
-                config=cost.config,
-                compute_fps=cost.compute_fps / 2,
-                communication_fps=cost.communication_fps / 2,
-                slowest_block=cost.slowest_block,
-            )
-
-    link = LinkModel(name="l", raw_bps=1e6)
-    assert supports_prefix_evaluation(ThroughputCostModel(link))
-    assert supports_prefix_evaluation(EnergyCostModel(link))
-    assert not supports_prefix_evaluation(Halved(link))
-    assert not supports_prefix_evaluation(object())
-
-    pipeline = random_pipeline(random.Random(3), 3)
-    model = Halved(link)
-    evaluator = PrefixEvaluator(model)
-    for config in iter_configs(pipeline):
-        assert evaluator.evaluate(config).compute_fps == model.evaluate(config).compute_fps
-
-
 def test_prefix_evaluator_rejects_pass_rates_for_throughput():
     with pytest.raises(ConfigurationError):
         PrefixEvaluator(ThroughputCostModel(LinkModel(name="l", raw_bps=1.0)), {"A": 0.5})
@@ -344,23 +316,6 @@ def test_faceauth_streaming_byte_identical_to_brute_force(executor):
     assert streamed.to_json() == brute.to_json()
 
 
-def test_custom_model_scenarios_still_byte_identical():
-    class Halved(ThroughputCostModel):
-        def evaluate(self, config):
-            cost = super().evaluate(config)
-            return type(cost)(
-                config=cost.config,
-                compute_fps=cost.compute_fps / 2,
-                communication_fps=cost.communication_fps / 2,
-                slowest_block=cost.slowest_block,
-            )
-
-    scenario = fig10_scenario(model=Halved(ETHERNET_25G))
-    assert json.dumps(explore(scenario).rows) == json.dumps(
-        explore_brute_force(scenario).rows
-    )
-
-
 # -- lower-bound depth pruning -------------------------------------------
 
 
@@ -422,22 +377,20 @@ def test_auto_prune_composes_with_user_depth_hook():
 
 
 def test_auto_prune_bounds_against_the_models_link():
-    """A pre-built stock model may carry a different uplink than
-    scenario.link; the bounds must follow the link evaluation actually
-    uses, or feasible configurations get silently pruned."""
+    """The cost model is always built from ``scenario.link``, so the
+    bounds and the evaluation read one uplink: on a link that prunes
+    every depth and on one that prunes none, the auto-pruned feasible
+    set equals the unpruned oracle's."""
     base = fig10_scenario()  # scenario.link = ETHERNET_25G
-    slow_link_scenario = replace(
-        base,
-        link=RF_BACKSCATTER,  # bounds from here would prune everything
-        model=ThroughputCostModel(base.link),  # evaluation uses 25 GbE
-        auto_prune=True,
-    )
-    pruned = explore(slow_link_scenario)
-    full = explore_brute_force(base)
-    assert [r["config"] for r in pruned.feasible] == [
-        r["config"] for r in full.feasible
-    ]
-    assert len(pruned.feasible) > 0
+    for link in (ETHERNET_25G, RF_BACKSCATTER):
+        scenario = replace(base, link=link)
+        assert scenario.cost_model().link is link
+        pruned = explore(replace(scenario, auto_prune=True))
+        full = explore_brute_force(scenario)
+        assert [r["config"] for r in pruned.feasible] == [
+            r["config"] for r in full.feasible
+        ]
+    assert len(explore_brute_force(base).feasible) > 0
 
 
 def test_auto_prune_requires_a_constraint():
@@ -595,10 +548,12 @@ def test_auto_prune_configs_requires_constraint():
 
 
 def test_auto_pruning_rejects_custom_models():
-    """The derived bounds encode the stock models' semantics; a model
-    overriding evaluate() could rate a 'provably infeasible' config
-    feasible, so pruning against it must fail fast, never silently drop
-    feasible designs."""
+    """The derived bounds encode the stock models' semantics, and a
+    scenario always evaluates under its stock model: a custom model has
+    no way into an auto-pruned run. ``Scenario`` takes no ``model=``,
+    and the one facade that takes a model object refuses subclasses
+    before any bound is derived."""
+    from repro.core.offload import OffloadAnalyzer
 
     class Doubler(ThroughputCostModel):
         def evaluate(self, config):
@@ -606,31 +561,17 @@ def test_auto_pruning_rejects_custom_models():
             object.__setattr__(cost, "compute_fps", 2 * cost.compute_fps)
             return cost
 
-    class Pipelined(ThroughputCostModel):
-        # Prefix-eligible (stock evaluate) but non-stock cost semantics:
-        # equally unsafe for table-derived bounds.
-        def extend_state(self, state, block, impl):
-            fps, label = super().extend_state(state, block, impl)
-            return (2.0 * fps, label)
-
-    class BatchOnly(ThroughputCostModel):
-        # Only a batch kernel overridden: still off the stock semantics
-        # the bounds assume.
-        def extend_state_batch(self, state, option_fps):
-            return super().extend_state_batch(state, option_fps)
-
-    base = fig10_scenario()
-    for model in (Doubler(base.link), Pipelined(base.link), BatchOnly(base.link)):
-        for knob in ({"auto_prune": True}, {"auto_prune_configs": True}):
-            with pytest.raises(ConfigurationError, match="soundly bounded"):
-                fig10_scenario(model=model, **knob)
-    # Fully-stock subclasses stay allowed.
     class JustASubclass(ThroughputCostModel):
         pass
 
-    pruned = explore(
-        fig10_scenario(model=JustASubclass(base.link), auto_prune_configs=True)
-    )
+    base = fig10_scenario()
+    for model in (Doubler(base.link), JustASubclass(base.link)):
+        for knob in ({"auto_prune": True}, {"auto_prune_configs": True}):
+            with pytest.raises(TypeError, match="model"):
+                fig10_scenario(model=model, **knob)
+        with pytest.raises(ConfigurationError, match="stock cost models only"):
+            OffloadAnalyzer(model)
+    pruned = explore(fig10_scenario(auto_prune_configs=True))
     assert json.dumps(pruned.feasible) == json.dumps(
         explore_brute_force(base).feasible
     )
@@ -669,7 +610,7 @@ def test_scenario_count_configs_reports_pruning_savings():
 # -- streaming / bounded memory ------------------------------------------
 
 
-def test_explore_streams_chunks_not_the_whole_space():
+def test_explore_streams_chunks_not_the_whole_space(monkeypatch):
     """Acceptance: the engine feeds the executor from the generator —
     the first evaluation happens after at most one chunk of configs has
     been enumerated, never after the whole design space."""
@@ -694,34 +635,22 @@ def test_explore_streams_chunks_not_the_whole_space():
         enumerated += 1
         return False
 
-    class Spy(ThroughputCostModel):
-        def evaluate(self, config):
-            if not seen_at_first_eval:
-                seen_at_first_eval.append(enumerated)
-            return super().evaluate(config)
+    real_finalize = ThroughputCostModel.finalize
 
+    def spy_finalize(self, *args):
+        if not seen_at_first_eval:
+            seen_at_first_eval.append(enumerated)
+        return real_finalize(self, *args)
+
+    monkeypatch.setattr(ThroughputCostModel, "finalize", spy_finalize)
     link = LinkModel(name="l", raw_bps=1e6)
     scenario = Scenario(
         name="wide", pipeline=pipeline, link=link, prune=counting_hook,
-        model=Spy(link),
     )
-    result = explore(scenario, chunk_size=64)
+    result = explore(scenario, chunk_size=64, evaluation="scalar")
     assert len(result.evaluations) == total
     # Strictly streaming: one chunk (+ the config that closed it) at most.
     assert seen_at_first_eval[0] <= 65
-
-
-class _GcProbeModel(ThroughputCostModel):
-    """Overrides only ``extend_state`` (stock ``evaluate``) and records
-    whether the cyclic GC was enabled while this user code ran."""
-
-    def __init__(self, link):
-        super().__init__(link)
-        self.gc_seen = []
-
-    def extend_state(self, state, block, impl):
-        self.gc_seen.append(gc.isenabled())
-        return super().extend_state(state, block, impl)
 
 
 def test_explore_restores_gc_state():
@@ -734,12 +663,17 @@ def test_explore_restores_gc_state():
         assert not gc.isenabled()
     finally:
         gc.enable()
-    # User cost code (any overridden step, not just evaluate()) runs
-    # with the GC live, solo and in a campaign, and the state survives.
-    for run in (explore, lambda scenario: Campaign([scenario]).run()):
-        model = _GcProbeModel(ETHERNET_25G)
-        run(fig10_scenario(model=model))
-        assert model.gc_seen and all(model.gc_seen)
+    # User code in the loop (a per-config prune hook) runs with the GC
+    # live, solo on both paths and in a campaign, and the state survives.
+    runs = (
+        explore,
+        lambda scenario: explore(scenario, evaluation="scalar"),
+        lambda scenario: Campaign([scenario]).run(),
+    )
+    for run in runs:
+        gc_seen = []
+        run(fig10_scenario(prune=lambda config: gc_seen.append(gc.isenabled())))
+        assert gc_seen and all(gc_seen)
         assert gc.isenabled()
 
 

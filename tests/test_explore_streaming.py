@@ -18,7 +18,6 @@ import random
 
 import pytest
 
-from repro.core.cost import ThroughputCostModel
 from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
     SCHEDULING_POLICIES,
@@ -233,23 +232,11 @@ def test_iter_runs_completion_order_shortest_first():
     assert [run.name for run in result] == [scenario.name for scenario in fleet]
 
 
-class _ScalarThroughputModel(ThroughputCostModel):
-    """Overrides a cost step (with identical values), so campaign
-    members using it stream through the scalar pipe on the executor
-    instead of the in-process cohort walk."""
-
-    def extend_state(self, state, block, impl):
-        return super().extend_state(state, block, impl)
-
-
 def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
     """A consumer that walks away mid-fleet must leave no resources
-    behind: every pool the fleet started is shut down and every sink is
-    closed exactly once. Only scalar-model members reach a pool, each
-    starting its own on its first step, so the fleet carries two, and
-    round-robin starts every member's stream before the first run
-    completes."""
-    from dataclasses import replace
+    behind: every sink is closed exactly once, and a parallel executor
+    never started a pool (every member folds in process). Round-robin
+    starts every member's stream before the first run completes."""
     import repro.explore.executor as executor_module
 
     pools = []
@@ -278,15 +265,6 @@ def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
             lifecycle.append(f"close:{self._name}")
 
     fleet = build_fleet()
-    for base in (fleet[0], fleet[-1]):  # vr-fig10, compression-throughput
-        assert base.domain == "throughput"
-        fleet.append(
-            replace(
-                base,
-                name=f"{base.name}-scalar",
-                model=_ScalarThroughputModel(base.link),
-            )
-        )
     sinks = {scenario.name: Tracking(scenario.name) for scenario in fleet}
     iterator = Campaign(fleet).iter_runs(
         SweepExecutor(workers=2, backend="thread"),
@@ -295,10 +273,8 @@ def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
         policy="round_robin",
     )
     first = next(iterator)
-    assert len(pools) == 2  # one per scalar member, both mid-stream
-    assert not any(pool._shutdown for pool in pools)
     iterator.close()  # walk away mid-fleet
-    assert all(pool._shutdown for pool in pools)  # every pool released
+    assert not pools
     opened = [e.split(":", 1)[1] for e in lifecycle if e.startswith("open:")]
     closed = [e.split(":", 1)[1] for e in lifecycle if e.startswith("close:")]
     assert sorted(opened) == sorted(scenario.name for scenario in fleet)

@@ -1,7 +1,7 @@
 """The columnar batch evaluation core (`repro.explore.vectorized`).
 
 Unit coverage for the pieces the invariant suite exercises end-to-end:
-the cost-semantics probes and their subclass-override matrix, the
+the stock-model check and the subclasses it refuses, the
 ``evaluation=`` knob and path report, :class:`BatchRows` laziness and
 columnar metrics, the columnar sink folds (``add_batch`` ==  scalar
 ``add``, including NaN positions and ties), and the error surfaces of
@@ -32,16 +32,10 @@ from repro.explore import (
     TopKSink,
     evaluation_path,
     explore,
-    explore_brute_force,
 )
-from repro.explore.engine import iter_evaluation_chunks
-from repro.explore.incremental import (
-    _COST_STEPS,
-    PrefixEvaluator,
-    evaluate_chunk,
-    supports_prefix_evaluation,
-    uses_stock_cost_semantics,
-)
+from repro.core.offload import OffloadAnalyzer
+from repro.explore.engine import EVALUATION_MODES, iter_evaluation_chunks
+from repro.explore.incremental import PrefixEvaluator, _check_stock_model
 from repro.explore.result import ParetoFrontier, cost_row
 from repro.explore.sink import uses_columnar_writes
 from repro.hw.network import LinkModel
@@ -85,7 +79,7 @@ def build_scenario(**overrides) -> Scenario:
     return Scenario(**kwargs)
 
 
-# -- the cost-semantics probe ---------------------------------------------
+# -- the stock-model check ------------------------------------------------
 
 
 class _ScalarOnlyOverride(ThroughputCostModel):
@@ -97,8 +91,7 @@ class _ScalarOnlyOverride(ThroughputCostModel):
 
 
 class _MatchedOverride(ThroughputCostModel):
-    """Customizes a scalar step and its batch twin: not stock, so it
-    takes the generic scalar walk through its own scalar step."""
+    """Customizes a scalar step and its batch twin."""
 
     def extend_state(self, state, block, impl):
         return super().extend_state(state, block, impl)
@@ -108,8 +101,7 @@ class _MatchedOverride(ThroughputCostModel):
 
 
 class _BatchOnlyOverride(ThroughputCostModel):
-    """Customizes only a batch kernel: not stock either, so the kernel
-    is never called and the stock scalar steps run."""
+    """Customizes only a batch kernel."""
 
     def extend_state_batch(self, state, option_fps):
         return super().extend_state_batch(state, option_fps)
@@ -122,50 +114,67 @@ class _CustomEvaluate(ThroughputCostModel):
 
 _STEP_OVERRIDES = (_ScalarOnlyOverride, _MatchedOverride, _BatchOnlyOverride)
 
+#: Every cost-defining step of the stock models: ``evaluate``, the
+#: scalar fold steps and their columnar batch twins.
+_COST_STEPS = (
+    "evaluate",
+    "initial_state",
+    "extend_state",
+    "finalize",
+    "initial_state_batch",
+    "extend_state_batch",
+    "finalize_batch",
+)
+
 
 def test_probes_on_stock_models():
     for model in (ThroughputCostModel(LINK), EnergyCostModel(LINK)):
-        assert supports_prefix_evaluation(model)
-        assert uses_stock_cost_semantics(model)
+        _check_stock_model(model)
+        PrefixEvaluator(model)
+        BatchPrefixEvaluator(model)
+    OffloadAnalyzer(ThroughputCostModel(LINK))
+    with pytest.raises(ConfigurationError, match="ThroughputCostModel"):
+        OffloadAnalyzer(EnergyCostModel(LINK))
 
 
 def test_probes_on_override_matrix():
-    for cls in _STEP_OVERRIDES:
-        assert supports_prefix_evaluation(cls(LINK))
-    assert not supports_prefix_evaluation(_CustomEvaluate(LINK))
-    # Any override at all leaves the stock cost semantics.
-    for cls in (*_STEP_OVERRIDES, _CustomEvaluate):
-        assert not uses_stock_cost_semantics(cls(LINK))
-    assert not supports_prefix_evaluation(object())
-    assert not uses_stock_cost_semantics(object())
+    """The check is by exact type: any subclass — overriding a scalar
+    step, a batch twin, both, ``evaluate()`` or nothing at all — is
+    refused, as is anything that is not a cost model."""
+
+    class JustASubclass(ThroughputCostModel):
+        pass
+
+    for cls in (*_STEP_OVERRIDES, _CustomEvaluate, JustASubclass):
+        with pytest.raises(ConfigurationError, match=cls.__name__):
+            _check_stock_model(cls(LINK))
+    with pytest.raises(ConfigurationError, match="stock cost models only"):
+        _check_stock_model(object())
 
 
 @pytest.mark.parametrize("domain", ("throughput", "energy"))
 @pytest.mark.parametrize("step", _COST_STEPS)
 def test_overriding_any_cost_step_leaves_the_stock_gate(step, domain):
     """A subclass overriding only ``step`` (delegating to the stock
-    one) fails the stock-cost gate, takes a scalar path, and still
-    explores to the brute-force oracle's rows."""
+    one) is refused by every entry point that takes a model object,
+    before it evaluates anything."""
     base = ThroughputCostModel if domain == "throughput" else EnergyCostModel
 
     def delegate(self, *args, **kwargs):
         return getattr(base, step)(self, *args, **kwargs)
 
     model = type(f"Override_{step}", (base,), {step: delegate})(LINK)
-    assert not uses_stock_cost_semantics(model)
-    kwargs = {"model": model, "link": None, "domain": domain}
-    if domain == "energy":
-        kwargs.update(target_fps=None, energy_budget_j=1e-5)
-    scenario = build_scenario(**kwargs)
-    assert evaluation_path(scenario) in ("scalar-memoized", "scalar-scratch")
-    assert json.dumps(explore(scenario).rows) == json.dumps(
-        explore_brute_force(scenario).rows
-    )
+    entry_points = [PrefixEvaluator, BatchPrefixEvaluator]
+    if domain == "throughput":
+        entry_points.append(OffloadAnalyzer)
+    for entry in entry_points:
+        with pytest.raises(ConfigurationError, match=f"Override_{step}"):
+            entry(model)
 
 
 def test_batch_prefix_evaluator_dispatch():
     for cls in _STEP_OVERRIDES:
-        with pytest.raises(ConfigurationError, match="not batch-capable"):
+        with pytest.raises(ConfigurationError, match="stock cost models only"):
             BatchPrefixEvaluator(cls(LINK))
     with pytest.raises(ConfigurationError, match="pass_rates only apply"):
         BatchPrefixEvaluator(ThroughputCostModel(LINK), pass_rates={"B0": 0.5})
@@ -173,26 +182,12 @@ def test_batch_prefix_evaluator_dispatch():
 
 def test_matched_override_refuses_cohort_enumeration():
     scenario = build_scenario()
-    with pytest.raises(ConfigurationError, match="not batch-capable"):
+    with pytest.raises(ConfigurationError, match="stock cost models only"):
         BatchPrefixEvaluator(_MatchedOverride(LINK))
     # The stock model walks the same scenario's cohorts.
     stock = BatchPrefixEvaluator(ThroughputCostModel(LINK))
     walked = sum(len(batch) for batch in stock.iter_scenario_batches(scenario))
     assert walked == scenario.count_configs()
-
-
-def test_matched_override_still_folds_chunks_bit_identically():
-    scenario = build_scenario()
-    configs = list(scenario.iter_configs())
-    for cls in (_MatchedOverride, _BatchOnlyOverride):
-        model = cls(LINK)
-        scalar = PrefixEvaluator(model)
-        got = [cost_row(scenario, c) for c in evaluate_chunk(model, None, configs)]
-        want = [cost_row(scenario, scalar.evaluate(c)) for c in configs]
-        assert json.dumps(got) == json.dumps(want), cls.__name__
-        custom = build_scenario(model=model, link=None)
-        oracle = explore_brute_force(custom)
-        assert json.dumps(explore(custom).rows) == json.dumps(oracle.rows)
 
 
 # -- the evaluation= knob and path report --------------------------------
@@ -217,12 +212,8 @@ def test_evaluation_path_values():
     pruned = build_scenario(auto_prune=True, auto_prune_configs=True)
     assert evaluation_path(pruned) == "batch-cohort-pruned"
     assert evaluation_path(pruned, SweepExecutor(workers=2)) == "batch-cohort-pruned"
-    # A model overriding any cost step, batch twin included, takes the
-    # generic scalar walk, serially and on a pool.
-    for cls in (_MatchedOverride, _BatchOnlyOverride):
-        custom = build_scenario(model=cls(LINK), link=None)
-        assert evaluation_path(custom) == "scalar-memoized"
-        assert evaluation_path(custom, SweepExecutor(workers=2)) == "scalar-memoized"
+    # Pruned runs take the scalar reference fold only when asked to.
+    assert evaluation_path(pruned, evaluation="scalar") == "scalar-memoized"
 
 
 def test_pruned_explore_builds_its_prefix_pruner_once(monkeypatch):
@@ -249,33 +240,32 @@ def test_pruned_explore_builds_its_prefix_pruner_once(monkeypatch):
 
 def test_evaluation_mode_validation():
     scenario = build_scenario()
-    with pytest.raises(ConfigurationError, match="evaluation must be one of"):
-        explore(scenario, evaluation="bogus")
-    with pytest.raises(ConfigurationError, match="evaluation must be one of"):
-        evaluation_path(scenario, evaluation="bogus")
-    with pytest.raises(ConfigurationError, match="batch-capable cost model"):
-        iter_evaluation_chunks(
-            _ScalarOnlyOverride(LINK), iter(()), evaluation="batch"
-        )
-    # The columnar path walks whole scenarios: an explicit configuration
-    # stream has no batch fold, even for a stock model.
-    with pytest.raises(ConfigurationError, match="no explicit-configuration path"):
-        iter_evaluation_chunks(
-            ThroughputCostModel(LINK), scenario.iter_configs(), evaluation="batch"
-        )
-    for cls in (_MatchedOverride, _BatchOnlyOverride):
-        custom = build_scenario(model=cls(LINK), link=None)
-        with pytest.raises(ConfigurationError, match="batch-capable cost model"):
-            explore(custom, evaluation="batch")
+    assert EVALUATION_MODES == ("auto", "scalar")
+    # "batch" is not a mode: "auto" is the columnar walk.
+    for bad in ("bogus", "batch"):
+        with pytest.raises(ConfigurationError, match="evaluation must be one of"):
+            explore(scenario, evaluation=bad)
+        with pytest.raises(ConfigurationError, match="evaluation must be one of"):
+            evaluation_path(scenario, evaluation=bad)
+        with pytest.raises(ConfigurationError, match="evaluation must be one of"):
+            iter_evaluation_chunks(
+                ThroughputCostModel(LINK), scenario.iter_configs(), evaluation=bad
+            )
 
 
 def test_explore_modes_agree_on_rows():
     scenario = build_scenario()
     auto = explore(scenario)
-    forced = explore(scenario, evaluation="batch")
     scalar = explore(scenario, evaluation="scalar")
     assert json.dumps(auto.rows) == json.dumps(scalar.rows)
-    assert json.dumps(forced.rows) == json.dumps(scalar.rows)
+    streamed = [
+        cost_row(scenario, cost)
+        for chunk in iter_evaluation_chunks(
+            scenario.cost_model(), scenario.iter_configs()
+        )
+        for cost in chunk
+    ]
+    assert json.dumps(streamed) == json.dumps(scalar.rows)
 
 
 # -- BatchRows -----------------------------------------------------------

@@ -76,3 +76,32 @@ def test_explore_public_surface_is_pinned():
     for name in EXPLORE_PUBLIC_NAMES:
         assert getattr(explore, name) is not None, name
 
+
+
+def test_explore_design_counters_are_pinned():
+    """The design numbers tracked across changes to ``repro.explore``:
+    two ``evaluation=`` modes, four evaluation paths (every one reached
+    by the matrix below) and 40 public names. Moving one is a
+    deliberate design decision, made here."""
+    from dataclasses import replace
+
+    from repro.explore import engine, evaluation_path, load_builtin
+
+    assert engine.EVALUATION_MODES == ("auto", "scalar")
+    assert len(EXPLORE_PUBLIC_NAMES) == 40
+    scenario = load_builtin().build("vr-fig10")
+    matrix = [
+        (scenario, {}),
+        (scenario, {"evaluation": "scalar"}),
+        (replace(scenario, auto_prune_configs=True), {}),
+        (replace(scenario, prune=lambda config: False), {}),
+        (scenario, {"dedup": True}),
+        (replace(scenario, auto_prune=True), {"dedup": True}),
+    ]
+    paths = {evaluation_path(member, **knobs) for member, knobs in matrix}
+    assert paths == {
+        "batch-cohort",
+        "batch-cohort-pruned",
+        "batch-dedup",
+        "scalar-memoized",
+    }
