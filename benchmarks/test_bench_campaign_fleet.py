@@ -12,9 +12,9 @@ re-run with streamed Pareto frontiers all execute inside ``main()``).
 The dedup benchmark runs the design-space-sweep fleet shape — the same
 pipeline at four link tiers — with and without the campaign evaluation
 cache, asserts the >= 2x evaluation reduction the cache exists for,
-times the adaptive-latency policy against round-robin on the same
-fleet, and appends a kind-tagged entry to the ``BENCH_explore.json``
-trajectory.
+records the round-robin makespan on the same fleet, and appends a
+kind-tagged entry to the ``BENCH_explore.json`` trajectory. Every
+campaign folds in process, so none is given an executor.
 """
 
 from __future__ import annotations
@@ -60,18 +60,17 @@ def test_dedup_heavy_fleet_benchmark(append_trajectory, publish):
     serves the whole group) with rows byte-identical to dedup=False;
     the round-robin makespan is recorded alongside."""
     from repro.core.report import TextTable
-    from repro.explore import Campaign, SweepExecutor, load_builtin
+    from repro.explore import Campaign, load_builtin
 
     catalog = load_builtin()
     links = ["25g", "400g", "wifi", "low-power"]
     fleet = catalog.build_at_links("compression-throughput", links)
-    executor = SweepExecutor(workers=4, backend="thread")
 
     begin = time.perf_counter()
-    baseline = Campaign(fleet, name="dedup-off").run(executor, dedup=False)
+    baseline = Campaign(fleet, name="dedup-off").run(dedup=False)
     baseline_seconds = time.perf_counter() - begin
     begin = time.perf_counter()
-    deduped = Campaign(fleet, name="dedup-on").run(executor, dedup=True)
+    deduped = Campaign(fleet, name="dedup-on").run(dedup=True)
     dedup_seconds = time.perf_counter() - begin
 
     for lean, full in zip(deduped, baseline):
@@ -85,10 +84,10 @@ def test_dedup_heavy_fleet_benchmark(append_trajectory, publish):
     assert reduction >= 2.0, stats
     assert stats["evaluations_skipped"] == 3 * fleet[0].count_configs()
 
-    # The default round-robin makespan, same fleet, same pool (recorded,
-    # not asserted: shared-runner timing noise dwarfs it at this size).
+    # The default round-robin makespan, same fleet (recorded, not
+    # asserted: shared-runner timing noise dwarfs it at this size).
     begin = time.perf_counter()
-    Campaign(fleet, name="round-robin").run(executor, policy="round_robin")
+    Campaign(fleet, name="round-robin").run(policy="round_robin")
     round_robin_seconds = time.perf_counter() - begin
 
     table = TextTable(

@@ -49,21 +49,15 @@ from repro.explore import (
 )
 from repro.explore.catalog import load_builtin
 
-#: The campaign summary is archived next to the benchmark tables (CI
-#: uploads it alongside BENCH_explore.json). The bench conftest routes
-#: this through ``BENCH_RESULTS_DIR`` so plain test runs write a tmp
-#: twin and only ``BENCH_PUBLISH=1`` runs touch the tracked path.
-def _summary_path() -> Path:
-    results_dir = os.environ.get("BENCH_RESULTS_DIR")
-    if results_dir:
-        return Path(results_dir) / "campaign_summary.txt"
-    return (
-        Path(__file__).resolve().parent.parent
-        / "benchmarks" / "results" / "campaign_summary.txt"
-    )
-
-
-SUMMARY_PATH = _summary_path()
+#: Where the campaign summary is archived: ``campaign_summary.txt`` in
+#: ``BENCH_RESULTS_DIR`` when that is set (the bench conftest sets it to
+#: a tmp twin, or to ``benchmarks/results`` under ``BENCH_PUBLISH=1``),
+#: and nowhere otherwise, so a plain run only prints.
+SUMMARY_PATH = (
+    Path(os.environ["BENCH_RESULTS_DIR"]) / "campaign_summary.txt"
+    if os.environ.get("BENCH_RESULTS_DIR")
+    else None
+)
 
 
 def main() -> None:
@@ -106,9 +100,10 @@ def main() -> None:
     result = campaign.run()
     table = result.to_table()
     table.print()
-    SUMMARY_PATH.parent.mkdir(exist_ok=True)
-    SUMMARY_PATH.write_text(table.render() + "\n")
-    print(f"\nSummary archived to {SUMMARY_PATH}")
+    if SUMMARY_PATH is not None:
+        SUMMARY_PATH.parent.mkdir(exist_ok=True)
+        SUMMARY_PATH.write_text(table.render() + "\n")
+        print(f"\nSummary archived to {SUMMARY_PATH}")
 
     # Streaming export: the same campaign, rows to disk, no caches —
     # the online frontier keeps pareto sizes exact without them.

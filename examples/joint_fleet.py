@@ -17,8 +17,9 @@ Shown here:
   defaulting to the link's goodput);
 * the capacity sweep: the same fleet from uncontended (every member at
   its solo optimum, byte-identical rows) down to starved (no joint
-  assignment fits), with the search counters showing the
-  shared-capacity pruner take over as the uplink tightens;
+  assignment fits), with the search counters showing how many rate
+  thresholds the search probed and how many of them overflowed the
+  uplink as it tightens;
 * the per-member summary table — solo-best vs jointly-assigned rate,
   per-member demand, and each member's share of the capacity;
 * the export-only fast path (``collect=False``): candidates stream
@@ -82,9 +83,8 @@ def main() -> None:
         )
         print(
             f"  {fraction:4.0%} of solo demand: {verdict} "
-            f"(searched {counters['n_searched']}, capacity-pruned "
-            f"{counters['n_capacity_pruned']}, bound-pruned "
-            f"{counters['n_bound_pruned']})"
+            f"({counters['n_searched']} thresholds probed, "
+            f"{counters['n_capacity_pruned']} over capacity)"
         )
 
     # The export-only fast path: candidates build while rows stream

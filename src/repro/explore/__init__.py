@@ -52,9 +52,9 @@ overrides:
 * :mod:`.joint` — :func:`explore_joint`, the joint-fleet domain: N
   member scenarios share one uplink of fixed capacity, feasibility
   couples them through aggregate demand, and the max-min-FPS joint
-  assignment is searched over per-depth candidates under a sound
-  shared-capacity lower-bound pruner (member rows stay byte-identical
-  to solo runs — phase 1 *is* a campaign).
+  assignment is an exact threshold search over per-depth candidates
+  (member rows stay byte-identical to solo runs — phase 1 *is* a
+  campaign).
 
 Quickstart::
 

@@ -45,17 +45,19 @@ Phase 1 evaluates every member's solo design space through one
 any :class:`~repro.explore.scheduling.SchedulingPolicy`, and (with
 ``dedup=True``) the cross-member evaluation dedup: members sharing a
 pipeline ride one lazy columnar group walk and are costed once. Member rows are therefore byte-identical to solo ``explore()``
-runs by the campaign's standing contract. Phase 2 runs the outer DFS
-over per-member candidates with the sound shared-capacity lower-bound
-pruner from :mod:`repro.explore.prune` (level = member index, choice =
-candidate index): a joint prefix is cut exactly when its committed
-demand plus every remaining member's *cheapest* candidate demand
-already overflows the capacity.
+runs by the campaign's standing contract. Phase 2 is an exact
+threshold max-min over the per-member candidates
+(:func:`search_joint_assignment`): a binary search over the candidate
+rates finds the largest rate ``t`` at which every member's cheapest
+candidate with ``fps >= t`` still fits the capacity, and one pass in
+fleet order picks the first assignment in product order attaining it.
+An assignment fits when its demands, added left to right in fleet
+order from ``0.0``, total at most the capacity.
 
 The byte-identity contract extends here: a joint fleet whose capacity
 is at least :meth:`JointFleetScenario.solo_demand_bps` (every member
 free to pick its worst-case payload simultaneously) is *uncontended* —
-the capacity pruner can never fire, member rows reproduce solo
+no threshold probe overflows the capacity, member rows reproduce solo
 ``explore()`` byte-identically, and the fleet optimum equals the
 weakest member's solo-best feasible rate (the invariant suite asserts
 all three).
@@ -72,9 +74,7 @@ import numpy as np
 from repro.core.report import TextTable, joint_fleet_summary_table
 from repro.errors import ConfigurationError
 from repro.explore.campaign import Campaign, CampaignResult
-from repro.explore.enumerate import PRUNED_SUBTREE
 from repro.explore.executor import SweepExecutor
-from repro.explore.prune import shared_capacity_prefix_pruner
 from repro.explore.scenario import Scenario
 from repro.explore.sink import ResultSink
 from repro.units import bytes_to_bits
@@ -221,7 +221,7 @@ def joint_candidates(
     representative preserves every aggregate demand and can only raise
     the member's rate — the compressed search space contains a joint
     optimum of the full space. Candidates keep depth first-appearance
-    (= enumeration) order, so the DFS tie-break is deterministic.
+    (= enumeration) order, so the search's tie-break is deterministic.
 
     One reduction: the rows feed a :class:`JointCandidateSink`, the same
     fold ``explore_joint`` streams every member through.
@@ -310,67 +310,80 @@ def search_joint_assignment(
     candidates: Sequence[Sequence[JointCandidate]],
     capacity_bps: float,
 ) -> tuple[tuple[int, ...] | None, float, float, dict[str, int]]:
-    """Max-min DFS over per-member candidates under the capacity bound.
+    """Exact max-min over per-member candidates under the capacity.
 
-    Walks members in fleet order, each choosing a candidate in depth
-    order, carrying the aggregate demand through the
-    :func:`~repro.explore.prune.shared_capacity_prefix_pruner` (sound:
-    cuts only joint prefixes no completion can make feasible) plus an
-    objective branch-and-bound (a candidate whose running min rate
-    cannot *strictly* improve the incumbent is skipped — every leaf
-    reached therefore improves, and the reported assignment is the
-    first in DFS order attaining the final optimum, a deterministic
-    tie-break).
+    An assignment *fits* when its demands, added left to right in fleet
+    order starting from ``0.0``, total ``<= capacity_bps`` (the same
+    arithmetic as a brute-force :func:`itertools.product` walk). The
+    optimum ``v*`` is one of the candidates' rates, and whether a rate
+    ``t`` is reachable is monotone in ``t``: each member takes its
+    cheapest candidate with ``fps >= t``, and that total must fit. A
+    binary search over the sorted distinct rates finds ``v*``; a pass
+    in fleet order then gives each member its first candidate with
+    ``fps >= v*`` whose cheapest completion at ``v*`` still fits. The
+    assignment is therefore the first in product order attaining the
+    optimum, a deterministic tie-break. Cost: O(n * M) for ``n``
+    members and ``M`` candidates in total.
 
     Returns ``(choice, value, demand, counters)``: per-member candidate
-    indices (None when no feasible joint assignment exists), the fleet
-    min-FPS optimum, its aggregate demand, and the search counters
-    (``n_candidate_space``, ``n_searched`` leaves,
-    ``n_capacity_pruned``, ``n_bound_pruned`` subtrees).
+    indices (None when no joint assignment fits), the fleet min-FPS
+    optimum, its aggregate demand, and the search counters:
+    ``n_candidate_space`` (the size of the candidate product),
+    ``n_searched`` (thresholds probed) and ``n_capacity_pruned``
+    (probes whose cheapest total overflowed the capacity).
     """
-    n = len(candidates)
-    space = 1
-    for member in candidates:
-        space *= len(member)
-    counters = {
-        "n_candidate_space": space,
-        "n_searched": 0,
-        "n_capacity_pruned": 0,
-        "n_bound_pruned": 0,
-    }
+    space = math.prod(len(member) for member in candidates)
+    counters = {"n_candidate_space": space, "n_searched": 0, "n_capacity_pruned": 0}
     if space == 0:
         # A member with no feasible split makes every joint assignment
-        # infeasible; there is nothing sound to search.
+        # infeasible.
         return None, float("-inf"), 0.0, counters
-    demands = [[c.demand_bps for c in member] for member in candidates]
-    pruner = shared_capacity_prefix_pruner(demands, capacity_bps)
-    best_choice: tuple[int, ...] | None = None
-    best_value = float("-inf")
-    best_demand = 0.0
-    choice = [0] * n
 
-    def dfs(member_index: int, state: float, floor: float) -> None:
-        nonlocal best_choice, best_value, best_demand
-        if member_index == n:
-            counters["n_searched"] += 1
-            best_choice = tuple(choice)
-            best_value = floor
-            best_demand = state
-            return
-        for index, candidate in enumerate(candidates[member_index]):
-            extended = floor if floor < candidate.fps else candidate.fps
-            if extended <= best_value:
-                counters["n_bound_pruned"] += 1
-                continue
-            next_state = pruner.extend(member_index, index, state)
-            if next_state is PRUNED_SUBTREE:
-                counters["n_capacity_pruned"] += 1
-                continue
-            choice[member_index] = index
-            dfs(member_index + 1, next_state, extended)
+    def cheapest(threshold: float) -> list[float]:
+        return [
+            min(c.demand_bps for c in member if c.fps >= threshold)
+            for member in candidates
+        ]
 
-    dfs(0, pruner.initial, float("inf"))
-    return best_choice, best_value, best_demand, counters
+    def fits(prefix: float, demands: Sequence[float]) -> bool:
+        # IEEE round-to-nearest addition is monotone (a <= b implies
+        # a + c <= b + c), so the cheapest completion of a prefix has
+        # the smallest fleet-order total of all its completions: if any
+        # completion at a threshold fits, the cheapest one does. A
+        # higher threshold can only raise each member's cheapest
+        # demand, so fitting is monotone in the threshold too.
+        for demand in demands:
+            prefix += demand
+        return prefix <= capacity_bps
+
+    # Every member has a candidate at each rate up to the weakest
+    # member's best.
+    ceiling = min(max(c.fps for c in member) for member in candidates)
+    rates = sorted({c.fps for member in candidates for c in member if c.fps <= ceiling})
+    low, high = -1, len(rates)  # rates[low] fits, rates[high] does not
+    while high - low > 1:
+        middle = (low + high) // 2
+        counters["n_searched"] += 1
+        if fits(0.0, cheapest(rates[middle])):
+            low = middle
+        else:
+            counters["n_capacity_pruned"] += 1
+            high = middle
+    if low < 0:
+        return None, float("-inf"), 0.0, counters
+    value = rates[low]
+    floor = cheapest(value)
+    choice = []
+    total = 0.0
+    for position, member in enumerate(candidates):
+        index = next(
+            index
+            for index, c in enumerate(member)
+            if c.fps >= value and fits(total, [c.demand_bps, *floor[position + 1 :]])
+        )
+        choice.append(index)
+        total += member[index].demand_bps
+    return tuple(choice), value, total, counters
 
 
 class JointFleetResult:
@@ -503,8 +516,10 @@ def explore_joint(
     rows are byte-identical to solo ``explore()`` runs.
 
     Phase 2 finds the max-min-FPS joint assignment fitting
-    ``fleet.capacity_bps`` (:func:`search_joint_assignment`) over each
-    member's per-depth candidates. Phase 1 already reduced them: every
+    ``fleet.capacity_bps`` over each member's per-depth candidates:
+    :func:`search_joint_assignment` binary-searches the candidate rates
+    for the optimum, then takes the first assignment in product order
+    attaining it. Phase 1 already reduced the candidates: every
     member's rows stream through a :class:`JointCandidateSink` as they
     land, so the reduction materializes at most one row per cohort
     batch, never every member row.

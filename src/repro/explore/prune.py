@@ -357,66 +357,6 @@ def energy_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
     )
 
 
-def shared_capacity_suffix_bounds(
-    demands: "list[list[float]] | tuple",
-) -> list[float]:
-    """Suffix sums of per-member best-case link demand.
-
-    ``demands[i]`` lists member ``i``'s possible transmit rates (bps),
-    one per candidate split. Entry ``k`` of the result is the *minimum
-    aggregate demand any completion of a length-k joint prefix can add*:
-    the sum over members ``k..n-1`` of each member's cheapest candidate.
-    This is a true lower bound — every member must pick some candidate,
-    and no candidate demands less than the member's min — so pruning a
-    joint prefix whose committed demand plus this bound exceeds capacity
-    can never drop a feasible joint assignment.
-    """
-    n = len(demands)
-    suffix = [0.0] * (n + 1)
-    for index in range(n - 1, -1, -1):
-        if not len(demands[index]):
-            raise ValueError(
-                f"member {index} has no candidate splits; an empty candidate "
-                "list makes every joint assignment infeasible — handle it "
-                "before building capacity bounds"
-            )
-        suffix[index] = min(demands[index]) + suffix[index + 1]
-    return suffix
-
-
-def shared_capacity_prefix_pruner(
-    demands: "list[list[float]] | tuple",
-    capacity_bps: float,
-) -> PrefixPruner:
-    """Sound lower-bound pruning over *joint* member prefixes.
-
-    The joint-fleet search (:mod:`repro.explore.joint`) walks members in
-    fleet order assigning each a candidate split; this pruner reuses the
-    :class:`~repro.explore.enumerate.PrefixPruner` shape with level =
-    member index and choice = candidate index. The carried state is the
-    aggregate demand committed so far; a subtree is cut exactly when::
-
-        committed + demand[member][candidate] + suffix_min[member + 1]
-            > capacity_bps
-
-    i.e. when even the best-case completion (every remaining member at
-    its cheapest candidate) overflows the shared uplink. Only provably
-    infeasible joint assignments are dropped, so the pruned search finds
-    the same optimum (and the same first-attaining assignment) as the
-    brute-force product walk — the invariant suite checks this against
-    an :func:`itertools.product` oracle.
-    """
-    suffix = shared_capacity_suffix_bounds(demands)
-
-    def extend(member_index: int, candidate_index: int, state: float):
-        total = state + demands[member_index][candidate_index]
-        if total + suffix[member_index + 1] > capacity_bps:
-            return PRUNED_SUBTREE
-        return total
-
-    return PrefixPruner(initial=0.0, extend=extend)
-
-
 def lower_bound_depth_hook(scenario: "Scenario") -> DepthPruneHook | None:
     """The scenario's sound depth pruner, or None when unconstrained.
 

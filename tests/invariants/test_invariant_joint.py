@@ -1,18 +1,20 @@
-"""Joint-fleet invariants: solo degeneration, pruner soundness, and
+"""Joint-fleet invariants: solo degeneration, search exactness, and
 executor/policy independence.
 
-Three properties over seeded random shared-uplink fleets:
+Properties over seeded random shared-uplink fleets:
 
 * **Uncontended == solo, byte-identically.** A fleet whose capacity is
   at least :meth:`JointFleetScenario.solo_demand_bps` admits every
   joint assignment — member rows must reproduce solo ``explore()``
-  byte-for-byte, the capacity pruner must never fire, and the fleet
-  optimum must equal the weakest member's solo-best feasible rate.
-* **The shared-capacity pruner never drops a feasible assignment.**
-  The DFS with capacity + objective bounds must agree with a
-  brute-force :func:`itertools.product` oracle over the members' *full*
-  feasible row sets, on both the feasibility verdict and the max-min
-  optimum.
+  byte-for-byte, no threshold probe may overflow the capacity, and the
+  fleet optimum must equal the weakest member's solo-best feasible rate.
+* **The search never drops a feasible assignment.** The threshold
+  max-min must agree with a brute-force :func:`itertools.product`
+  oracle over the members' *full* feasible row sets, on both the
+  feasibility verdict and the max-min optimum; over drawn candidate
+  lists (fractional demands, tied rates, capacities at an assignment's
+  exact fleet-order sum and one ulp either side) it must return the
+  oracle's choice, optimum and demand exactly.
 * **Joint results are executor- and policy-independent.** The best
   assignment, optimum and member rows are identical across
   serial/thread/process executors and every registered scheduling
@@ -27,15 +29,19 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.rng import make_rng
 from repro.explore import (
     SCHEDULING_POLICIES,
+    JointCandidate,
     JointFleetScenario,
     SweepExecutor,
     explore,
     explore_joint,
     member_demand_bps,
+    search_joint_assignment,
 )
 
 SEEDS = range(10)
@@ -140,6 +146,75 @@ def test_capacity_pruner_agrees_with_brute_force_oracle(gen, seed):
         # so exact equality is the right assertion.
         assert result.best_fleet_fps == oracle_value
         assert result.best_demand_bps <= fleet.capacity_bps
+
+
+#: Few distinct rates, so members tie; decimal-fraction demands, whose
+#: fleet-order sums round differently from any other association.
+RATES = (10.0, 12.5, 20.0, 30.0)
+DEMANDS = (0.1, 0.2, 0.3, 0.7, 1.1, 2.5)
+
+
+def product_oracle(candidates, capacity_bps):
+    """The first assignment in product order attaining the max-min
+    optimum. An assignment fits when its demands, added left to right
+    in fleet order from ``0.0``, total at most the capacity."""
+    best, best_value, best_demand = None, float("-inf"), 0.0
+    for choice in itertools.product(*(range(len(member)) for member in candidates)):
+        demand = 0.0
+        for member, index in zip(candidates, choice):
+            demand += member[index].demand_bps
+        value = min(member[index].fps for member, index in zip(candidates, choice))
+        if demand <= capacity_bps and value > best_value:
+            best, best_value, best_demand = choice, value, demand
+    return best, best_value, best_demand
+
+
+def joint_candidate(fps: float, demand_bps: float, depth: int) -> JointCandidate:
+    return JointCandidate(
+        row={"config": f"d{depth}", "total_fps": fps},
+        depth=depth,
+        fps=fps,
+        demand_bps=demand_bps,
+    )
+
+
+@st.composite
+def candidate_fleets(draw):
+    """(per-member candidate lists, capacity). The capacity is one
+    assignment's exact fleet-order demand sum or one ulp either side;
+    sometimes a member has no candidate at all."""
+    demand = st.one_of(
+        st.sampled_from(DEMANDS),
+        st.floats(0.01, 10.0, allow_nan=False, allow_infinity=False),
+    )
+    candidates = [
+        [
+            joint_candidate(draw(st.sampled_from(RATES)), draw(demand), depth)
+            for depth in range(draw(st.integers(1, 4)))
+        ]
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    if draw(st.integers(0, 9)) == 0:
+        candidates[draw(st.integers(0, len(candidates) - 1))] = []
+        return candidates, draw(st.floats(0.1, 60.0))
+    total = 0.0
+    for member in candidates:
+        total += member[draw(st.integers(0, len(member) - 1))].demand_bps
+    step = draw(st.sampled_from((-math.inf, 0.0, math.inf)))
+    return candidates, total if step == 0.0 else math.nextafter(total, step)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidate_fleets())
+# Fits exactly: 0.3 + 0.2 + 0.1 == 0.6 in fleet order, while the sum
+# reassociated as 0.3 + (0.2 + 0.1) is one ulp above it.
+@example(([[joint_candidate(20.0, d, 0)] for d in (0.3, 0.2, 0.1)], 0.6))
+def test_search_matches_the_product_oracle(fleet):
+    candidates, capacity_bps = fleet
+    choice, value, demand, counters = search_joint_assignment(candidates, capacity_bps)
+    assert (choice, value, demand) == product_oracle(candidates, capacity_bps)
+    assert counters["n_candidate_space"] == math.prod(map(len, candidates))
+    assert counters["n_capacity_pruned"] <= counters["n_searched"]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

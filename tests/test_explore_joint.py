@@ -1,5 +1,5 @@
 """Unit coverage for the joint-fleet layer (``repro.explore.joint``):
-fleet validation, candidate compression, the capacity-bounded search,
+fleet validation, candidate compression, the threshold max-min search,
 the catalog spec expansion, and the per-member report."""
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ from repro.explore import (
     load_builtin,
     member_demand_bps,
     search_joint_assignment,
-)
-from repro.explore.enumerate import PRUNED_SUBTREE
-from repro.explore.prune import (
-    shared_capacity_prefix_pruner,
-    shared_capacity_suffix_bounds,
 )
 from repro.explore.result import best_row
 from repro.hw.network import LinkModel
@@ -159,27 +154,6 @@ def test_joint_candidates_drop_infeasible_rows():
     assert joint_candidates(member, rows) == []
 
 
-# -- shared-capacity bounds and pruner ------------------------------------
-
-
-def test_suffix_bounds_are_suffix_sums_of_minima():
-    demands = [[5.0, 3.0], [10.0], [2.0, 7.0, 1.0]]
-    assert shared_capacity_suffix_bounds(demands) == [14.0, 11.0, 1.0, 0.0]
-    with pytest.raises(ValueError, match="no candidate splits"):
-        shared_capacity_suffix_bounds([[1.0], []])
-
-
-def test_capacity_pruner_cuts_exactly_the_overflowing_prefixes():
-    demands = [[5.0, 3.0], [10.0, 4.0]]
-    pruner = shared_capacity_prefix_pruner(demands, capacity_bps=8.0)
-    # Member 0 at 5.0: even the cheapest completion (4.0) overflows.
-    assert pruner.extend(0, 0, pruner.initial) is PRUNED_SUBTREE
-    state = pruner.extend(0, 1, pruner.initial)
-    assert state == 3.0
-    assert pruner.extend(1, 0, state) is PRUNED_SUBTREE
-    assert pruner.extend(1, 1, state) == 7.0
-
-
 # -- the joint search ------------------------------------------------------
 
 
@@ -211,11 +185,29 @@ def test_search_maximizes_the_minimum_member_fps():
 
 
 def test_search_reports_infeasibility_and_counters():
+    # Only rates up to the weakest member's best (45.0) are thresholds:
+    # one probe, whose cheapest total 6.0 + 5.0 overflows.
     candidates = [[candidate(50.0, 6.0)], [candidate(45.0, 5.0)]]
     choice, value, demand, counters = search_joint_assignment(candidates, 10.0)
     assert choice is None and value == float("-inf") and demand == 0.0
+    assert counters == {
+        "n_candidate_space": 1,
+        "n_searched": 1,
+        "n_capacity_pruned": 1,
+    }
+    # Thresholds 30, 40, 45: the probe at 40 fits (2.0 + 5.0), the
+    # probe at 45 overflows (6.0 + 5.0 > 7.0).
+    candidates = [
+        [candidate(50.0, 6.0), candidate(40.0, 2.0)],
+        [candidate(45.0, 5.0), candidate(30.0, 1.0)],
+    ]
+    _, value, _, counters = search_joint_assignment(candidates, 7.0)
+    assert value == 40.0
+    assert counters["n_searched"] == 2
     assert counters["n_capacity_pruned"] == 1
-    assert counters["n_searched"] == 0
+    _, _, _, counters = search_joint_assignment(candidates, 11.0)
+    assert counters["n_searched"] == 2
+    assert counters["n_capacity_pruned"] == 0
     empty_choice, _, _, empty_counters = search_joint_assignment(
         [[candidate(50.0, 6.0)], []], 100.0
     )
@@ -225,7 +217,7 @@ def test_search_reports_infeasibility_and_counters():
 
 def test_search_ties_break_to_the_first_attaining_assignment():
     # Both of member 0's candidates leave the min at member 1's 20.0;
-    # the first (DFS order) must win.
+    # the first (product order) must win.
     candidates = [
         [candidate(50.0, 1.0, depth=0), candidate(60.0, 1.0, depth=1)],
         [candidate(20.0, 1.0)],
