@@ -23,8 +23,8 @@ configurations before evaluation.
 Earlier entries also carry ``shard_process_x2``/``x4`` modes: solo
 ``explore()`` on 2 and 4 process workers shipping pruned cohorts as
 flat-index descriptors. They measured slower than the serial fused walk
-at every worker count, that path is gone (solo runs fold in process on
-every executor), and the modes are no longer recorded.
+at every worker count, that path is gone (solo runs fold in process;
+``explore()`` takes no executor), and the modes are no longer recorded.
 
 The in-test acceptance bar requires the lazy fused fold to clear 5x
 the scalar pruned throughput. Each run appends one

@@ -9,8 +9,8 @@ placement is optimal.
 This module is the throughput-domain facade over the general engine in
 :mod:`repro.explore`: enumeration is a thin eager wrapper around the
 lazy :func:`repro.explore.iter_configs`, and :class:`OffloadAnalyzer`
-drives :func:`repro.explore.explore` (optionally in parallel) while
-returning the same :class:`OffloadReport` it always has.
+drives :func:`repro.explore.explore` while returning the same
+:class:`OffloadReport` it always has.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.core.pipeline import InCameraPipeline, PipelineConfig
 from repro.errors import PipelineError
 from repro.explore.engine import explore, iter_evaluation_chunks
 from repro.explore.enumerate import iter_configs
-from repro.explore.executor import SweepExecutor, resolve_executor
 from repro.explore.incremental import _check_stock_model
 from repro.explore.result import cost_row
 from repro.explore.scenario import Scenario
@@ -84,23 +83,14 @@ class OffloadAnalyzer:
         subclass raises :class:`~repro.errors.ConfigurationError`.
     target_fps:
         Feasibility bar on both axes.
-    executor:
-        How to run the evaluations (default: serial). Parallel
-        executors produce identical report ordering.
     """
 
-    def __init__(
-        self,
-        model: ThroughputCostModel,
-        target_fps: float = 30.0,
-        executor: SweepExecutor | None = None,
-    ):
+    def __init__(self, model: ThroughputCostModel, target_fps: float = 30.0):
         _check_stock_model(model, (ThroughputCostModel,))
         if target_fps <= 0:
             raise PipelineError(f"target_fps must be positive, got {target_fps}")
         self.model = model
         self.target_fps = target_fps
-        self.executor = resolve_executor(executor)
 
     def analyze(
         self,
@@ -123,21 +113,13 @@ class OffloadAnalyzer:
             target_fps=self.target_fps,
         )
         if configs is None:
-            return explore(
-                scenario, executor=self.executor, sink=sink
-            ).as_offload_report()
+            return explore(scenario, sink=sink).as_offload_report()
         # Explicit config sequences (lists or generators, as before)
-        # stream through the scalar prefix-memoized chunk evaluation;
-        # sink rows are written chunk by chunk as evaluation completes,
-        # exactly like explore().
+        # stream through the scalar prefix-memoized walk; sink rows are
+        # written chunk by chunk (DEFAULT_CHUNK_SIZE configurations) as
+        # evaluation completes, exactly like explore().
         sink = resolve_sink(sink)
-        configs = list(configs)
-        chunks = iter_evaluation_chunks(
-            self.model,
-            iter(configs),
-            executor=self.executor,
-            approx_total=len(configs),
-        )
+        chunks = iter_evaluation_chunks(self.model, iter(configs))
         costs: list[ConfigCost] = []
         with sink_stream(sink, scenario, f"pipeline {pipeline.name!r}") as write:
             for chunk in chunks:

@@ -4,9 +4,11 @@ A sweep runs a callable over the cartesian product of named parameter
 lists and records one row per point. Rows are plain dicts so benchmarks
 can feed them straight into :class:`repro.core.report.TextTable`.
 
-Evaluation runs through a :class:`repro.explore.SweepExecutor`, so any
-sweep can go thread- or process-parallel by passing ``executor=``;
-row order is the grid order regardless of worker count.
+Evaluation streams through a :class:`repro.explore.SweepExecutor`'s
+bounded-window ``imap`` (its one streaming caller; the exploration
+engine runs no pool), so any sweep can go thread- or process-parallel
+by passing ``executor=``; row order is the grid order regardless of
+worker count.
 """
 
 from __future__ import annotations

@@ -13,7 +13,10 @@ overrides:
 * :mod:`.enumerate` — lazy configuration enumeration with pluggable
   pruning hooks (the design space is exponential in pipeline depth);
 * :mod:`.executor` — chunked thread/process-parallel sweep execution
-  with deterministic result ordering and a serial fallback;
+  with deterministic result ordering and a serial fallback, for
+  parameter sweeps; the engine itself runs no pool (``Campaign.run``,
+  :func:`explore_joint` and :func:`evaluation_path` only validate the
+  executor they accept);
 * :mod:`.scenario` — the declarative :class:`Scenario` spec: pipeline +
   link + cost domain + target constraint in one object;
 * :mod:`.result` — :class:`ExplorationResult` with feasibility,
@@ -31,8 +34,8 @@ overrides:
   constraint: whole depths (``Scenario(..., auto_prune=True)``) and
   per-config subtrees within surviving depths
   (``auto_prune_configs=True``);
-* :mod:`.engine` — :func:`explore`, the streaming entry point tying
-  them together (:func:`evaluation_path` names which of its four paths
+* :mod:`.engine` — :func:`explore`, the streaming, in-process entry
+  point tying them together (:func:`evaluation_path` names which of its four paths
   a call takes), and :func:`explore_brute_force`, the pre-streaming
   oracle every path is tested byte-identical against;
 * :mod:`.sink` — :class:`ResultSink` streaming outputs (CSV / JSONL /

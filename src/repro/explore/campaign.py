@@ -16,10 +16,11 @@ through the same stream (:func:`~repro.explore.engine._scenario_stream`)
 into the same consumer (:class:`~repro.explore.engine._RunConsumer`).
 The campaign builds one stream per unit: a dedup group (below) or any
 other member, which streams alone as its solo ``explore()`` does. Every
-member folds the columnar cohort walk in the calling process on every
-executor, sliced at the campaign's chunk size: shipping that work to a
-pool measured slower on every fleet tried (see ARCHITECTURE.md,
-"Parallelism: the campaign decision"), so a campaign never starts one.
+member folds the columnar cohort walk in the calling process, sliced at
+the campaign's chunk size: shipping that work to a pool measured slower
+on every fleet tried (see ARCHITECTURE.md, "Parallelism: the campaign
+decision" and "The engine runs no pool"), so a campaign never starts
+one.
 The campaign has one lane: the policy picks a live walk, the walk takes
 one step, and a member's run is handed out when its walk ends.
 
@@ -42,8 +43,8 @@ fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
 Correctness contract: each member's stream is produced in its own
 enumeration order — cohort slices in walk order, each walk private to
 its unit — so every scenario's rows are byte-identical to a solo
-``explore()`` of the same scenario, regardless of executor or how the
-fleet was interleaved. Scheduling policies only reorder *which scenario's*
+``explore()`` of the same scenario, regardless of how the fleet was
+interleaved. Scheduling policies only reorder *which scenario's*
 slice comes next, never those within one scenario.
 
 Streaming contract: :meth:`Campaign.iter_runs` yields each
@@ -79,6 +80,7 @@ from repro.core.report import TextTable, campaign_summary_table
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore.engine import (
     DEFAULT_CHUNK_SIZE,
+    _check_chunk_size,
     _check_dedup_mode,
     _dedupable,
     _plan,
@@ -600,7 +602,6 @@ class Campaign:
 
     def iter_runs(
         self,
-        executor: SweepExecutor | None = None,
         chunk_size: int | None = None,
         *,
         sinks: Any = None,
@@ -622,12 +623,11 @@ class Campaign:
 
         Abandoning the iterator mid-fleet is safe: every member's stream
         is closed and every open sink is closed (flushed), exactly as on
-        an error. Parameters are those of :meth:`run`.
+        an error. Parameters are those of :meth:`run`, which alone
+        keeps an ``executor`` slot.
         """
-        executor = resolve_executor(executor)
         _check_dedup_mode(dedup)
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+        _check_chunk_size(chunk_size)
         policy = resolve_policy(policy)
         scenarios = self.scenarios
         sink_list = self._resolve_sinks(sinks)
@@ -648,13 +648,17 @@ class Campaign:
                     "or drop sinks entirely for a summary-only campaign"
                 )
         return self._stream_runs(
-            executor, chunk_size, sink_list, collect, policy, dedup, frontier
+            chunk_size or DEFAULT_CHUNK_SIZE,
+            sink_list,
+            collect,
+            policy,
+            dedup,
+            frontier,
         )
 
     def _stream_runs(
         self,
-        executor: SweepExecutor,
-        chunk_size: int | None,
+        chunk_size: int,
         sink_list: list[Any],
         collect: bool,
         policy: SchedulingPolicy,
@@ -664,9 +668,10 @@ class Campaign:
         """The generator behind :meth:`iter_runs` (argument validation
         stays eager in the caller, before the first ``next()``): the
         policy picks a live walk, the walk takes its next step, and a
-        walk's members are handed out when it ends."""
+        walk's members are handed out when it ends. ``chunk_size`` is
+        the rows per cohort slice and sink write."""
         scenarios = self.scenarios
-        plans = [_plan(scenario, executor, dedup=dedup) for scenario in scenarios]
+        plans = [_plan(scenario, dedup=dedup) for scenario in scenarios]
         groups = _dedup_groups(
             scenarios,
             [index for index, plan in enumerate(plans) if plan.path == "batch-dedup"],
@@ -674,10 +679,8 @@ class Campaign:
         leader_of = {
             member: leader for leader, indices in groups.items() for member in indices
         }
-        # Rows per cohort slice and sink write.
-        size = chunk_size or executor.chunk_size or DEFAULT_CHUNK_SIZE
         members = [
-            self._member(index, sink, collect, size, track_frontier)
+            self._member(index, sink, collect, chunk_size, track_frontier)
             for index, sink in enumerate(sink_list)
         ]
         # One stream per unit: a dedup group (keyed by its leader) or
@@ -688,8 +691,6 @@ class Campaign:
             leader: _scenario_stream(
                 tuple(scenarios[index] for index in indices),
                 plans[leader],
-                executor,
-                chunk_size,
                 tuple(members[index].consumer for index in indices),
             )
             for leader, indices in units.items()
@@ -803,14 +804,17 @@ class Campaign:
         Parameters
         ----------
         executor:
-            Validated and accepted for symmetry with ``explore()``;
-            defaults to serial. Every scenario folds in the calling
-            process whatever the executor, so a campaign never starts a
-            pool; its ``chunk_size`` is the default slice size.
+            A positional slot kept only because perfbench passes one:
+            validated (anything but a
+            :class:`~repro.explore.executor.SweepExecutor` or None
+            raises :class:`~repro.errors.ConfigurationError`) and
+            otherwise unused. Every scenario folds in the calling
+            process, so a campaign never starts a pool. Removing the
+            slot is ROADMAP item 2's follow-up, once a benchmark change
+            repoints perfbench.
         chunk_size:
             Rows per cohort slice and sink write for every scenario
-            (default: the executor's ``chunk_size``, else
-            :data:`~repro.explore.engine.DEFAULT_CHUNK_SIZE`).
+            (default: :data:`~repro.explore.engine.DEFAULT_CHUNK_SIZE`).
         sinks:
             Per-scenario streaming outputs: a mapping from scenario
             name to sink (scenarios without an entry get none) or a
@@ -854,11 +858,11 @@ class Campaign:
             instead of answering; collected runs are unaffected (their
             frontier derives lazily from the columns).
         """
+        resolve_executor(executor)
         resolved = resolve_policy(policy)
         start = time.perf_counter()
         runs = list(
             self.iter_runs(
-                executor,
                 chunk_size,
                 sinks=sinks,
                 collect=collect,

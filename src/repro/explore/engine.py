@@ -1,47 +1,44 @@
-"""The exploration engine: enumerate, evaluate (possibly in parallel),
-collect.
+"""The exploration engine: enumerate, evaluate, collect.
 
 ``explore()`` is the one entry point both case studies share: it walks
 a :class:`~repro.explore.scenario.Scenario`'s lazily enumerated design
 space, evaluates every surviving configuration under the scenario's
-cost model through a :class:`~repro.explore.executor.SweepExecutor`,
-and returns an :class:`~repro.explore.result.ExplorationResult`. Row
-order is the enumeration order regardless of worker count, so parallel
-and serial runs are interchangeable.
+cost model in the calling process, and returns an
+:class:`~repro.explore.result.ExplorationResult` whose rows are in
+enumeration order.
 
 The engine evaluates the paper's two cost models, the stock
 :class:`~repro.core.cost.ThroughputCostModel` and
 :class:`~repro.core.cost.EnergyCostModel` a scenario builds from its
 link. One plan picks the evaluation path (:func:`_plan`, which
 :func:`evaluation_path` reports). Every run takes the columnar cohort
-walk (:mod:`repro.explore.vectorized`), folded in process on every
-executor. The walk folds a group of scenarios that differ only in
-their links once and closes it under each member's link: solo
-``explore()`` walks a group of one, a campaign dedup group its members.
-``evaluation="scalar"`` alone takes the scalar reference fold,
-:func:`iter_evaluation_chunks` (the memoized
-:class:`~repro.explore.incremental.PrefixEvaluator` walk), whose chunks
-travel through the executor. ``explore()`` and every campaign member
-run one stream (:func:`_scenario_stream`) into one consumer each
+walk (:mod:`repro.explore.vectorized`). The walk folds a group of
+scenarios that differ only in their links once and closes it under
+each member's link: solo ``explore()`` walks a group of one, a
+campaign dedup group its members. ``evaluation="scalar"`` alone takes
+the scalar reference fold, :func:`iter_evaluation_chunks` (one
+memoized :class:`~repro.explore.incremental.PrefixEvaluator` walk over
+the whole stream). ``explore()`` and every campaign member run one
+stream (:func:`_scenario_stream`) into one consumer each
 (:class:`_RunConsumer`), so solo runs and campaign members cannot
-drift apart.
+drift apart. The engine runs no worker pool: shipping cohorts or
+scalar chunks to pool workers measured slower than folding them in
+process (see ARCHITECTURE.md, "The engine runs no pool").
 
 The path is streaming end-to-end: configurations flow from the
-enumerator into fixed-size chunks (or cohort slices), and scalar chunks
-travel through the executor's ``imap`` with a bounded in-flight window —
-nothing ever materializes the full configuration list, so peak
-intermediate memory is set by the chunk size, not the design-space
-size. A collected cohort-path run keeps the walk's columnar batches
-as its result and allocates no per-configuration objects at all; the
-result builds row dicts only for the rows a query returns. A collected
-scalar-path run holds one cost object per configuration, so for
-unhooked runs (every allocation the engine's own, all acyclic) the
-cyclic GC is paused while results accumulate: bulk-appending millions
-of small cost objects otherwise triggers quadratically many full
-collections over the growing result (this is what
-``evaluation="scalar"`` still does). Runs involving user code
-(per-config prune hooks, sinks) keep the GC live so user cycles stay
-collectable.
+enumerator into fixed-size chunks (or cohort slices) — nothing ever
+materializes the full configuration list, so peak intermediate memory
+is set by the chunk size, not the design-space size. A collected
+cohort-path run keeps the walk's columnar batches as its result and
+allocates no per-configuration objects at all; the result builds row
+dicts only for the rows a query returns. A collected scalar-path run
+holds one cost object per configuration, so for unhooked runs (every
+allocation the engine's own, all acyclic) the cyclic GC is paused
+while results accumulate: bulk-appending millions of small cost
+objects otherwise triggers quadratically many full collections over
+the growing result (this is what ``evaluation="scalar"`` still does).
+Runs involving user code (per-config prune hooks, sinks) keep the GC
+live so user cycles stay collectable.
 
 ``explore_brute_force()`` keeps the pre-streaming semantics — eager
 enumeration, from-scratch per-config evaluation, eager rows — as the
@@ -55,19 +52,14 @@ import gc
 import threading
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from typing import Any, Iterator
 
 from repro.core.cost import EnergyCost
 from repro.core.pipeline import PipelineConfig
 from repro.errors import ConfigurationError
-from repro.explore.executor import (
-    SweepExecutor,
-    auto_chunk_size,
-    resolve_executor,
-)
-from repro.explore.incremental import PrefixEvaluator, evaluate_chunk
+from repro.explore.executor import SweepExecutor, resolve_executor
+from repro.explore.incremental import PrefixEvaluator
 from repro.explore.result import ExplorationResult, cost_row
 from repro.explore.scenario import Scenario
 from repro.explore.sink import (
@@ -84,10 +76,10 @@ from repro.explore.vectorized import BatchPrefixEvaluator
 #: walk, ``"scalar"`` the scalar reference fold.
 EVALUATION_MODES = ("auto", "scalar")
 
-#: Configurations per streamed chunk when neither the caller nor the
-#: executor pins one. Large enough to amortize chunk setup (one cold
-#: prefix walk per chunk) to noise, small enough that the in-flight
-#: window stays a few thousand configurations.
+#: Configurations per scalar chunk (and rows per campaign slice) when
+#: the caller pins no ``chunk_size``. Large enough to amortize the
+#: per-chunk loop to noise, small enough that one chunk stays a few
+#: thousand configurations.
 DEFAULT_CHUNK_SIZE = 1024
 
 _gc_pause_lock = threading.Lock()
@@ -142,52 +134,38 @@ def _check_dedup_mode(dedup: Any) -> None:
         raise ConfigurationError(f"dedup must be True or False, got {dedup!r}")
 
 
+def _check_chunk_size(chunk_size: int | None) -> None:
+    """Validate a ``chunk_size=`` argument: None or a positive count
+    (``islice(iterator, 0)`` would silently end a stream after zero
+    configurations)."""
+    if chunk_size is not None and chunk_size < 1:
+        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
+
+
 def iter_evaluation_chunks(
     model: Any,
     configs: Iterator[PipelineConfig],
-    executor: SweepExecutor | None = None,
     pass_rates: dict[str, float] | None = None,
     chunk_size: int | None = None,
-    approx_total: int | None = None,
     evaluation: str = "auto",
 ) -> Iterator[list[Any]]:
     """Stream cost objects for a configuration iterable, as ordered
-    chunk lists (the collection loop extends at C speed).
+    chunk lists of ``chunk_size`` (default :data:`DEFAULT_CHUNK_SIZE`)
+    configurations (the collection loop extends at C speed).
 
     The scalar reference pipe under ``explore(...,
     evaluation="scalar")`` and the ``core.offload`` explicit-config
-    facade: configurations are consumed lazily in chunks, each chunk
-    evaluated by :func:`~repro.explore.incremental.evaluate_chunk`'s
-    memoized scalar walk; chunks flow through the executor's
-    bounded-window ``imap``. ``approx_total`` (when known) sizes chunks
-    for parallel executors the way ``map`` would — about four chunks per
-    worker — so small spaces still spread across workers. ``"auto"`` and
-    ``"scalar"`` both run the one scalar fold: the columnar walk is
-    :func:`explore`'s scenario walk, not an arbitrary configuration
-    stream.
+    facade: configurations are consumed lazily, chunk by chunk, and one
+    :class:`~repro.explore.incremental.PrefixEvaluator` walks the whole
+    stream in the calling process. ``"auto"`` and ``"scalar"`` both run
+    this one scalar fold: the columnar walk is :func:`explore`'s
+    scenario walk, not an arbitrary configuration stream.
     """
-    executor = resolve_executor(executor)
     _check_evaluation_mode(evaluation)
-    if chunk_size is not None and chunk_size < 1:
-        # islice(iterator, 0) would silently end the stream after zero
-        # configurations; mirror SweepExecutor's field validation.
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    size = chunk_size if chunk_size is not None else executor.chunk_size
-    if size is None:
-        if approx_total is not None and not executor.is_serial:
-            size = auto_chunk_size(approx_total, executor.workers, DEFAULT_CHUNK_SIZE)
-        else:
-            size = DEFAULT_CHUNK_SIZE
-    chunks = _chunked(iter(configs), size)
-    if executor.is_serial:
-        # Serial fast path: one evaluator spans the whole stream (no
-        # per-chunk cold restarts, no pool plumbing). Values are
-        # identical to the chunk-local path — memoization only reuses
-        # states a from-scratch walk would recompute bit-for-bit.
-        evaluator = PrefixEvaluator(model, pass_rates)
-        return (evaluator.evaluate_many(chunk) for chunk in chunks)
-    chunk_fn = partial(evaluate_chunk, model, pass_rates)
-    return executor.imap(chunk_fn, chunks, chunk_size=1)
+    _check_chunk_size(chunk_size)
+    evaluator = PrefixEvaluator(model, pass_rates)
+    chunks = _chunked(iter(configs), chunk_size or DEFAULT_CHUNK_SIZE)
+    return (evaluator.evaluate_many(chunk) for chunk in chunks)
 
 
 @dataclass(frozen=True)
@@ -218,21 +196,16 @@ def _dedupable(scenario: Scenario) -> bool:
 
 
 def _plan(
-    scenario: Scenario,
-    executor: SweepExecutor | None,
-    evaluation: str = "auto",
-    dedup: bool = False,
+    scenario: Scenario, evaluation: str = "auto", dedup: bool = False
 ) -> _Plan:
     """The one place a scenario's evaluation path is decided, read by
     :func:`explore`, every campaign member and :func:`evaluation_path`,
-    which validate their arguments through it. A run takes a cohort walk
-    on every executor — shipping cohorts to pool workers measured slower
-    than folding them in process — or, with ``dedup=True``, a
-    campaign-dedupable scenario its group's walk. ``evaluation="scalar"``
-    takes the scalar reference pipe."""
+    which validate their arguments through it. A run takes a cohort
+    walk or, with ``dedup=True``, a campaign-dedupable scenario its
+    group's walk. ``evaluation="scalar"`` takes the scalar reference
+    pipe."""
     _check_evaluation_mode(evaluation)
     _check_dedup_mode(dedup)
-    resolve_executor(executor)
     model = scenario.cost_model()
     if evaluation == "scalar":
         return _Plan("scalar-memoized", model)
@@ -255,8 +228,7 @@ def evaluation_path(
 
     - ``"batch-cohort"`` — the cohort walk: depth cohorts (split into
       fixed-size blocks of rows once they outgrow one) as columnar
-      arrays with lazily materialized rows, folded in process on every
-      executor;
+      arrays with lazily materialized rows, folded in process;
     - ``"batch-cohort-pruned"`` — the same cohort walk with the
       scenario's pruning fused in (prefix bounds as boolean-mask
       compaction, per-config hooks as an emission-time filter);
@@ -278,51 +250,51 @@ def evaluation_path(
       into lazy :class:`~repro.explore.vectorized.BatchRows` views. A
       scenario with no sibling in the fleet is a group of one.
 
-    ``executor`` is validated but changes no path: cohort walks fold in
-    process on every executor.
+    ``executor`` is a positional slot kept only because perfbench
+    passes one: it is validated (anything but a
+    :class:`~repro.explore.executor.SweepExecutor` or None raises
+    :class:`~repro.errors.ConfigurationError`) and otherwise unused —
+    no path runs a pool. Removing the slot is ROADMAP item 2's
+    follow-up, once a benchmark change repoints perfbench.
 
     The same decision the runs read (:func:`_plan`), so it cannot drift
     from them; raises exactly like :func:`explore` for an invalid
-    executor or ``evaluation=``, and like ``Campaign.run`` for an
-    invalid ``dedup=``.
+    ``evaluation=``, and like ``Campaign.run`` for an invalid
+    ``dedup=``.
     """
-    return _plan(scenario, executor, evaluation, dedup).path
+    resolve_executor(executor)
+    return _plan(scenario, evaluation, dedup).path
 
 
 def _scenario_stream(
     scenarios: tuple[Scenario, ...],
     plan: _Plan,
-    executor: SweepExecutor,
-    chunk_size: int | None,
     consumers: tuple["_RunConsumer", ...],
 ) -> Iterator[None]:
     """Feed one walk's rows into its members' ``consumers``, one cohort
-    slice or cost chunk per step: the stream of solo :func:`explore` (a
-    group of one) and of every campaign unit (a dedup group's members,
-    or one other member). Cohort plans run one walk in process
-    (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
-    iter_group_batches`), sliced at the consumers' write size (None:
-    the walk's blocks of rows), and hand each member its own view of
-    every slice. The scalar plan (solo ``explore(...,
-    evaluation="scalar")``, one member) runs
-    :func:`iter_evaluation_chunks` on ``executor`` at ``chunk_size``,
-    so a parallel executor's pool starts on the first step and shuts
-    down when the stream ends or closes."""
+    slice or cost chunk per step, sliced at the consumers' write size
+    (None: the walk's blocks of rows, or :data:`DEFAULT_CHUNK_SIZE`
+    configurations per scalar chunk): the stream of solo
+    :func:`explore` (a group of one) and of every campaign unit (a
+    dedup group's members, or one other member). Cohort plans run one
+    walk (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
+    iter_group_batches`) and hand each member its own view of every
+    slice. The scalar plan (solo ``explore(..., evaluation="scalar")``,
+    one member) runs :func:`iter_evaluation_chunks`."""
+    size = consumers[0].chunk_size
     if plan.scalar:
         (scenario,) = scenarios
         (consumer,) = consumers
         stream = iter_evaluation_chunks(
             plan.model,
             scenario.iter_configs(),
-            executor=executor,
             pass_rates=scenario.pass_rates,
-            chunk_size=chunk_size,
-            approx_total=scenario.count_configs(),
+            chunk_size=size,
         )
         add = consumer.add_costs
     else:
         evaluator = BatchPrefixEvaluator(plan.model, scenarios[0].pass_rates)
-        stream = evaluator.iter_group_batches(scenarios, consumers[0].chunk_size)
+        stream = evaluator.iter_group_batches(scenarios, size)
 
         def add(batches: list[Any]) -> None:
             for consumer, batch in zip(consumers, batches):
@@ -338,39 +310,32 @@ def _scenario_stream(
 
 def explore(
     scenario: Scenario,
-    executor: SweepExecutor | None = None,
     chunk_size: int | None = None,
     *,
     sink: Any = None,
     collect: bool = True,
     evaluation: str = "auto",
 ) -> ExplorationResult | None:
-    """Evaluate a scenario's whole (pruned) design space.
+    """Evaluate a scenario's whole (pruned) design space, in the calling
+    process.
 
     Parameters
     ----------
     scenario:
         What to explore and under which cost domain.
-    executor:
-        How to run the evaluations; defaults to serial. The cohort walk
-        folds in process whatever the executor (it beats shipping
-        cohorts to pool workers); the executor runs the scalar
-        reference fold's chunks, with rows in the same order as serial
-        ones.
     chunk_size:
-        Configurations per streamed chunk (default: the executor's
-        ``chunk_size``; the cohort walk then emits its blocks of rows
-        — whole depth cohorts while they fit one — and the scalar
-        fold :data:`DEFAULT_CHUNK_SIZE`, sized down for small spaces
-        on parallel executors). Peak intermediate memory is bounded by
-        this on the scalar fold and by a fixed number of row blocks
-        per pipeline depth on the cohort walk, never by the
-        design-space size.
+        Rows per streamed slice and sink write (default: the cohort
+        walk's blocks of rows — whole depth cohorts while they fit one
+        — and :data:`DEFAULT_CHUNK_SIZE` configurations per scalar
+        chunk). Peak intermediate memory is bounded by this on the
+        scalar fold and by a fixed number of row blocks per pipeline
+        depth on the cohort walk, never by the design-space size.
     sink:
         Optional :class:`~repro.explore.sink.ResultSink`: report rows
         are streamed to it chunk by chunk, in enumeration order, as
         evaluations complete. The sink is opened before the first chunk
-        and closed on exit — also on error. Sink failures raise
+        and closed on exit — also on error — and never opened when the
+        arguments are invalid. Sink failures raise
         :class:`~repro.errors.SinkError` with the scenario named.
     collect:
         With ``collect=False`` (requires a sink) the engine never
@@ -398,8 +363,8 @@ def explore(
             "collect=False discards every evaluation; pass sink= to "
             "stream rows somewhere (or drop collect=False)"
         )
-    plan = _plan(scenario, executor, evaluation)
-    resolved = resolve_executor(executor)
+    _check_chunk_size(chunk_size)
+    plan = _plan(scenario, evaluation)
     # Pause the cyclic GC only when every allocation in the loop is the
     # engine's own (no per-config user hooks, no sink): those objects
     # are acyclic, so pausing changes wall-time only. Prune hooks and
@@ -408,23 +373,16 @@ def explore(
     # engine-owned and acyclic, so they keep the pause).
     pause = scenario.prune is None and sink is None
     label = f"scenario {scenario.name!r}"
-    size = None
-    if not plan.scalar:
-        size = chunk_size if chunk_size is not None else resolved.chunk_size
-        if size is not None and size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {size}")
     # Sink rows are built per chunk and dropped after the write — NOT
     # cached on the result. Keeping them would hold a row list next to
     # the result's batches or cost objects for the whole run (the
     # bounded-memory invariant ExplorationResult's lazy rows exist to
     # protect); the price is one lazy re-derivation if .rows is later
     # accessed.
-    consumer = _RunConsumer(scenario, sink, label, collect, size)
+    consumer = _RunConsumer(scenario, sink, label, collect, chunk_size)
     with sink_stream(sink, scenario, label):
         with _gc_paused() if pause else nullcontext():
-            for _ in _scenario_stream(
-                (scenario,), plan, resolved, chunk_size, (consumer,)
-            ):
+            for _ in _scenario_stream((scenario,), plan, (consumer,)):
                 pass
             consumer.flush()
     return consumer.result()

@@ -1,12 +1,16 @@
 """Chunked parallel sweep execution with a deterministic serial fallback.
 
-Design-space evaluation is embarrassingly parallel: every configuration
-or grid point is costed independently. :class:`SweepExecutor` fans work
-out over a thread or process pool in contiguous chunks and reassembles
-results in submission order, so a parallel run returns *exactly* the
-list a serial run would — same rows, same order — which keeps benchmark
-output and regression baselines byte-identical regardless of worker
-count.
+A parameter sweep is embarrassingly parallel: every grid point is
+measured independently. :class:`SweepExecutor` fans work out over a
+thread or process pool in contiguous chunks and reassembles results in
+submission order, so a parallel run returns *exactly* the list a serial
+run would — same rows, same order — which keeps benchmark output and
+regression baselines byte-identical regardless of worker count. Its
+users map real per-item work: :func:`repro.core.sweep.parameter_sweep`
+(``imap``) and :func:`repro.faceauth.evaluate.evaluate_variants`
+(``map``). The exploration engine runs no pool — folding in process
+measured faster — and only validates the executor its three remaining
+slots accept (:func:`resolve_executor`).
 
 Two entry points share that contract: :meth:`SweepExecutor.map`
 materializes the items and returns a list, while
@@ -55,13 +59,14 @@ STREAM_CHUNK_SIZE = 64
 MAX_AUTO_CHUNK_SIZE = 1024
 
 
-def auto_chunk_size(total: int, workers: int, cap: int = MAX_AUTO_CHUNK_SIZE) -> int:
+def auto_chunk_size(total: int, workers: int) -> int:
     """Default chunk sizing for a known item count: about four chunks
     per worker (balances scheduling overhead against stragglers),
-    capped so the bounded in-flight window never scales with the total.
-    Shared by ``map``, ``parameter_sweep`` and the exploration engine —
-    one formula, no drift."""
-    return max(1, min(cap, math.ceil(total / (4 * workers))))
+    capped at :data:`MAX_AUTO_CHUNK_SIZE` so the bounded in-flight
+    window never scales with the total. Shared by ``map`` and
+    ``parameter_sweep`` — one formula, no drift."""
+    return max(1, min(MAX_AUTO_CHUNK_SIZE, math.ceil(total / (4 * workers))))
+
 
 #: Exceptions that mean "the pool could not run this work at all" (as
 #: opposed to the work itself raising); these trigger the serial fallback.

@@ -28,13 +28,14 @@ toward from-scratch cost.
 The evaluator runs the paper's two stock cost models and nothing else
 (:func:`_check_stock_model`). It is the scalar reference fold: the
 engine takes it only for ``evaluation="scalar"`` and explicit
-configuration lists; every scenario run otherwise folds the columnar
-cohort walk (:mod:`repro.explore.vectorized`).
+configuration lists, one evaluator per stream; every scenario run
+otherwise folds the columnar cohort walk
+(:mod:`repro.explore.vectorized`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.core.cost import (
     ConfigCost,
@@ -151,7 +152,7 @@ class PrefixEvaluator:
     def evaluate_many(
         self, configs: Iterable[PipelineConfig]
     ) -> list[ConfigCost | EnergyCost]:
-        """Evaluate a configuration sequence (one executor chunk).
+        """Evaluate a configuration sequence (one scalar chunk).
 
         Semantically ``[self.evaluate(c) for c in configs]``: one
         memoized walk through the model's ``extend_state``/``finalize``
@@ -226,22 +227,3 @@ class PrefixEvaluator:
             raise
         return out
 
-
-def evaluate_chunk(
-    model: ThroughputCostModel | EnergyCostModel,
-    pass_rates: dict[str, float] | None,
-    configs: Sequence[PipelineConfig],
-) -> list[ConfigCost | EnergyCost]:
-    """Evaluate one contiguous chunk of configurations.
-
-    Module-level (picklable) so the process-pool backend can ship
-    chunks to workers; each chunk gets its own evaluator, so memoization
-    never crosses chunk boundaries and results are independent of how
-    the stream was chunked. The one scalar chunk function on a pool:
-    :func:`~repro.explore.engine.iter_evaluation_chunks` evaluates
-    through it for ``explore(..., evaluation="scalar")`` and the
-    ``core.offload`` explicit-config facade, so how the stream was
-    chunked cannot change any value. It runs the memoized
-    :class:`PrefixEvaluator` walk.
-    """
-    return PrefixEvaluator(model, pass_rates).evaluate_many(configs)

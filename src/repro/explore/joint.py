@@ -74,7 +74,7 @@ import numpy as np
 from repro.core.report import TextTable, joint_fleet_summary_table
 from repro.errors import ConfigurationError
 from repro.explore.campaign import Campaign, CampaignResult
-from repro.explore.executor import SweepExecutor
+from repro.explore.executor import SweepExecutor, resolve_executor
 from repro.explore.scenario import Scenario
 from repro.explore.sink import ResultSink
 from repro.units import bytes_to_bits
@@ -508,7 +508,7 @@ def explore_joint(
     """Explore a joint fleet: solo member sweeps, then the joint search.
 
     Phase 1 runs every member through one
-    :class:`~repro.explore.campaign.Campaign` on the shared ``executor``
+    :class:`~repro.explore.campaign.Campaign` in the calling process
     under ``policy`` — ``dedup=True`` (the default here: joint fleets
     are a dedup-heavy shape, N cameras often sharing a pipeline) shares
     compute-side states across members through the campaign's dedup
@@ -529,16 +529,23 @@ def explore_joint(
     (``result.campaign[...].result``); ``collect=False`` keeps memory
     bounded by depths x members. Candidates and the joint optimum are
     the same either way.
+
+    ``executor`` is a positional slot kept only because perfbench
+    passes one: it is validated (anything but a
+    :class:`~repro.explore.executor.SweepExecutor` or None raises
+    :class:`~repro.errors.ConfigurationError`) and otherwise unused.
+    Removing the slot is ROADMAP item 2's follow-up, once a benchmark
+    change repoints perfbench.
     """
     if not isinstance(fleet, JointFleetScenario):
         raise ConfigurationError(
             f"explore_joint needs a JointFleetScenario, got "
             f"{type(fleet).__name__}"
         )
+    resolve_executor(executor)
     sinks = {member.name: JointCandidateSink(member) for member in fleet.members}
     campaign = Campaign(list(fleet.members), name=fleet.name).run(
-        executor,
-        chunk_size,
+        chunk_size=chunk_size,
         policy=policy,
         dedup=dedup,
         sinks=sinks,

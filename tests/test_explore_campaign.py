@@ -31,6 +31,7 @@ from repro.explore import (
     Scenario,
     ScenarioCatalog,
     SweepExecutor,
+    evaluation_path,
     explore,
     load_builtin,
 )
@@ -591,9 +592,9 @@ def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeyp
     real_chunks = engine_module.iter_evaluation_chunks
     real_imap = SweepExecutor.imap
 
-    def spying_chunks(model, configs, executor=None, *args, **kwargs):
+    def spying_chunks(model, configs, *args, **kwargs):
         piped.append(type(model).__name__)
-        return real_chunks(model, configs, executor, *args, **kwargs)
+        return real_chunks(model, configs, *args, **kwargs)
 
     def spying_imap(self, fn, items, chunk_size=None):
         pooled.append(fn)
@@ -629,10 +630,14 @@ def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeyp
 def test_mixed_fleet_completes_in_wspt_order(executor, dedup):
     """One lane for every walk kind: ``weighted_completion`` hands runs
     out in WSPT order (ascending ``count_configs()``, ties in fleet
-    order) whatever path each member takes."""
+    order) whatever path each member takes. The executor reaches only
+    ``evaluation_path``'s slot, which reports the same mixed paths on
+    every executor."""
     fleet = _mixed_fleet()
+    paths = {evaluation_path(member, executor, dedup=dedup) for member in fleet}
+    assert paths == {"batch-dedup" if dedup else "batch-cohort", "batch-cohort-pruned"}
     runs = Campaign(fleet).iter_runs(
-        executor, chunk_size=5, policy="weighted_completion", dedup=dedup
+        chunk_size=5, policy="weighted_completion", dedup=dedup
     )
     assert [run.name for run in runs] == [
         "pair-slow",

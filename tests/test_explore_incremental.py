@@ -28,7 +28,7 @@ from repro.explore import (
     explore_brute_force,
     iter_configs,
 )
-from repro.explore.incremental import PrefixEvaluator, evaluate_chunk
+from repro.explore.incremental import PrefixEvaluator
 from repro.explore.prune import (
     energy_depth_lower_bounds,
     lower_bound_depth_hook,
@@ -170,16 +170,19 @@ def test_prefix_evaluator_matches_from_scratch_energy(seed):
 
 
 def test_prefix_evaluator_chunking_invariance():
-    """Results are independent of how the stream was chunked."""
+    """Results are independent of how the stream was chunked: a fresh
+    evaluator per chunk (memoization never crossing a chunk boundary)
+    reproduces one evaluator over the whole stream."""
     rng = random.Random(7)
     pipeline = random_pipeline(rng, n_blocks=5)
     model = ThroughputCostModel(LinkModel(name="l", raw_bps=1e6))
     configs = list(iter_configs(pipeline))
-    whole = evaluate_chunk(model, None, configs)
+    whole = PrefixEvaluator(model).evaluate_many(configs)
     for size in (1, 3, 7, 1000):
         chunked = []
         for start in range(0, len(configs), size):
-            chunked.extend(evaluate_chunk(model, None, configs[start : start + size]))
+            chunk = configs[start : start + size]
+            chunked.extend(PrefixEvaluator(model).evaluate_many(chunk))
         assert [(c.compute_fps, c.communication_fps, c.slowest_block) for c in chunked] == [
             (c.compute_fps, c.communication_fps, c.slowest_block) for c in whole
         ]
@@ -281,37 +284,21 @@ def test_label_cache_handles_shared_implementation_objects():
 # -- byte-identical engine gate (acceptance) ------------------------------
 
 
-@pytest.mark.parametrize(
-    "executor",
-    [
-        None,
-        SweepExecutor(workers=4, backend="thread", chunk_size=3),
-        SweepExecutor(workers=2, backend="process"),
-    ],
-    ids=["serial", "thread", "process"],
-)
-def test_fig10_streaming_byte_identical_to_brute_force(executor):
+def test_fig10_streaming_byte_identical_to_brute_force():
     scenario = fig10_scenario()
     brute = explore_brute_force(scenario)
-    streamed = explore(scenario, executor=executor, chunk_size=4)
+    streamed = explore(scenario, chunk_size=4)
     assert json.dumps(streamed.rows) == json.dumps(brute.rows)
     assert streamed.to_json() == brute.to_json()
     assert streamed.to_csv() == brute.to_csv()
-    # Stock models fold in process whatever the executor; the scalar
-    # walk is what a pool actually runs.
-    scalar = explore(scenario, executor=executor, chunk_size=4, evaluation="scalar")
+    scalar = explore(scenario, chunk_size=4, evaluation="scalar")
     assert json.dumps(scalar.rows) == json.dumps(brute.rows)
 
 
-@pytest.mark.parametrize(
-    "executor",
-    [None, SweepExecutor(workers=4, backend="thread", chunk_size=2)],
-    ids=["serial", "thread"],
-)
-def test_faceauth_streaming_byte_identical_to_brute_force(executor):
+def test_faceauth_streaming_byte_identical_to_brute_force():
     scenario = faceauth_scenario()
     brute = explore_brute_force(scenario)
-    streamed = explore(scenario, executor=executor, chunk_size=3)
+    streamed = explore(scenario, chunk_size=3)
     assert json.dumps(streamed.rows) == json.dumps(brute.rows)
     assert streamed.to_json() == brute.to_json()
 
@@ -611,7 +598,7 @@ def test_scenario_count_configs_reports_pruning_savings():
 
 
 def test_explore_streams_chunks_not_the_whole_space(monkeypatch):
-    """Acceptance: the engine feeds the executor from the generator —
+    """Acceptance: the engine feeds the fold from the generator —
     the first evaluation happens after at most one chunk of configs has
     been enumerated, never after the whole design space."""
     blocks = tuple(

@@ -24,6 +24,7 @@ from repro.core.sweep import parameter_sweep
 from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
     CallbackSink,
+    Campaign,
     CsvSink,
     JsonlSink,
     MemorySink,
@@ -32,6 +33,7 @@ from repro.explore import (
     SweepExecutor,
     explore,
 )
+from repro.explore.engine import DEFAULT_CHUNK_SIZE
 from repro.explore.sink import csv_text, resolve_sink
 from repro.hw.network import RF_BACKSCATTER, LinkModel
 
@@ -192,16 +194,38 @@ def test_csv_text_helper_round_trip():
 
 
 def test_sink_rows_identical_under_parallel_executor():
+    """A pool in ``Campaign.run``'s executor slot changes no streamed
+    row or write: the member folds in process, like solo explore()."""
     scenario = throughput_scenario()
     serial, parallel = MemorySink(), MemorySink()
     explore(scenario, sink=serial, chunk_size=2)
-    explore(
-        scenario,
-        executor=SweepExecutor(workers=4, backend="thread"),
+    Campaign([scenario]).run(
+        SweepExecutor(workers=4, backend="thread"),
         chunk_size=2,
-        sink=parallel,
+        sinks={scenario.name: parallel},
     )
     assert json.dumps(serial.rows) == json.dumps(parallel.rows)
+    assert serial.chunks == parallel.chunks
+
+
+@pytest.mark.parametrize("evaluation", ["auto", "scalar"])
+def test_invalid_chunk_size_never_opens_the_sink(evaluation):
+    """Arguments are validated before the sink opens, on both paths."""
+    events: list[str] = []
+
+    class Spy(ResultSink):
+        def open(self, scenario):
+            events.append("open")
+
+        def write_rows(self, rows):
+            events.append("write")
+
+        def close(self):
+            events.append("close")
+
+    with pytest.raises(ConfigurationError, match="chunk_size must be >= 1"):
+        explore(throughput_scenario(), chunk_size=0, sink=Spy(), evaluation=evaluation)
+    assert events == []
 
 
 # -- export-only runs ----------------------------------------------------
@@ -369,18 +393,15 @@ def test_offload_analyzer_sink_pass_through():
         cost.config.label for cost in report.costs
     ]
 
-    # Explicit-config path streams the same rows — chunk by chunk as
-    # evaluation completes, not one post-hoc batch.
+    # The explicit-config path streams the same rows — one write per
+    # DEFAULT_CHUNK_SIZE configurations as evaluation completes, not
+    # one post-hoc batch. The space repeats to span several chunks.
     explicit = MemorySink()
-    configs = list(scenario.iter_configs())
-    chunked = OffloadAnalyzer(
-        ThroughputCostModel(scenario.link),
-        target_fps=scenario.target_fps,
-        executor=SweepExecutor(chunk_size=4),
-    )
-    chunked.analyze(scenario.pipeline, configs=configs, sink=explicit)
-    assert json.dumps(explicit.rows) == json.dumps(sink.rows)
-    assert explicit.chunks == -(-len(configs) // 4)
+    space = list(scenario.iter_configs())
+    repeats = DEFAULT_CHUNK_SIZE // len(space) + 1
+    analyzer.analyze(scenario.pipeline, configs=space * repeats, sink=explicit)
+    assert json.dumps(explicit.rows) == json.dumps(sink.rows * repeats)
+    assert explicit.chunks == -(-len(space) * repeats // DEFAULT_CHUNK_SIZE) > 1
 
 
 def test_parameter_sweep_sink_pass_through():

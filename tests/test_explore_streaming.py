@@ -6,8 +6,8 @@ each scenario's run the moment its last chunk lands (observably before
 the fleet drains), ``Campaign.run`` results stay byte-identical to solo
 ``explore()`` under every builtin scheduling policy, the streamed
 Pareto frontier under ``collect=False`` equals the collected-mode
-frontier exactly, an abandoned iterator releases the shared executor
-and closes every sink, and a mid-campaign sink failure never corrupts
+frontier exactly, an abandoned or interrupted iterator closes every
+walk and every sink, and a mid-campaign sink failure never corrupts
 sibling scenarios' streamed frontiers.
 """
 
@@ -36,6 +36,7 @@ from repro.explore import (
     pareto_filter,
 )
 from repro.explore.result import domain_frontier
+from repro.explore.vectorized import BatchPrefixEvaluator
 from repro.explore.scheduling import resolve_policy
 
 #: A mixed-size, mixed-domain fleet (ascending design-space sizes:
@@ -204,9 +205,7 @@ def test_iter_runs_matches_run_byte_for_byte():
     fleet = build_fleet()
     streamed = {
         run.name: run
-        for run in Campaign(fleet).iter_runs(
-            SweepExecutor(workers=3, backend="thread"), chunk_size=3
-        )
+        for run in Campaign(fleet).iter_runs(chunk_size=3)
     }
     drained = Campaign(fleet).run()
     assert set(streamed) == {run.name for run in drained}
@@ -234,9 +233,10 @@ def test_iter_runs_completion_order_shortest_first():
 
 def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
     """A consumer that walks away mid-fleet must leave no resources
-    behind: every sink is closed exactly once, and a parallel executor
-    never started a pool (every member folds in process). Round-robin
-    starts every member's stream before the first run completes."""
+    behind: every sink is closed exactly once, and no pool ever starts
+    (``iter_runs`` takes no executor; every member folds in process).
+    Round-robin starts every member's stream before the first run
+    completes."""
     import repro.explore.executor as executor_module
 
     pools = []
@@ -267,10 +267,7 @@ def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
     fleet = build_fleet()
     sinks = {scenario.name: Tracking(scenario.name) for scenario in fleet}
     iterator = Campaign(fleet).iter_runs(
-        SweepExecutor(workers=2, backend="thread"),
-        chunk_size=1,
-        sinks=sinks,
-        policy="round_robin",
+        chunk_size=1, sinks=sinks, policy="round_robin"
     )
     first = next(iterator)
     iterator.close()  # walk away mid-fleet
@@ -280,6 +277,105 @@ def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
     assert sorted(opened) == sorted(scenario.name for scenario in fleet)
     assert sorted(closed) == sorted(opened)  # every sink closed exactly once
     assert first.n_evaluated > 0
+
+
+class _InterruptingSink(ResultSink):
+    """A columnar sink recording its lifecycle; the victim raises
+    ``KeyboardInterrupt`` from its third ``write_batch``."""
+
+    def __init__(self, name, lifecycle, walks, victim=False):
+        self._name = name
+        self._lifecycle = lifecycle
+        self._walks = walks
+        self._victim = victim
+        self._batches = 0
+
+    def open(self, scenario):
+        self._lifecycle.append(("open", self._name, None))
+
+    def write_batch(self, batch):
+        self._batches += 1
+        if self._victim and self._batches == 3:
+            raise KeyboardInterrupt
+
+    def write_rows(self, rows):
+        raise AssertionError("a columnar sink is written batches")
+
+    def close(self):
+        self._lifecycle.append(("close", self._name, self._walks.open))
+
+
+class _InterruptingPolicy(RoundRobin):
+    """Round-robin that raises ``KeyboardInterrupt`` from its sixth
+    ``select``."""
+
+    def start(self, scenarios):
+        super().start(scenarios)
+        self._calls = 0
+
+    def select(self, live):
+        self._calls += 1
+        if self._calls == 6:
+            raise KeyboardInterrupt
+        return super().select(live)
+
+
+class _WalkTracker:
+    """Counts cohort walks that started and have not finished."""
+
+    def __init__(self, monkeypatch):
+        self.started = 0
+        self.open = 0
+        real = BatchPrefixEvaluator.iter_group_batches
+        tracker = self
+
+        def walk(evaluator, scenarios, chunk_size=None):
+            tracker.started += 1
+            tracker.open += 1
+            try:
+                yield from real(evaluator, scenarios, chunk_size)
+            finally:
+                tracker.open -= 1
+
+        monkeypatch.setattr(BatchPrefixEvaluator, "iter_group_batches", walk)
+
+
+@pytest.mark.parametrize("source", ["write_batch", "select"])
+def test_keyboard_interrupt_mid_iter_runs_closes_walks_and_sinks(source, monkeypatch):
+    """Fault injection: a ``KeyboardInterrupt`` raised mid-fleet — from
+    a sink's ``write_batch`` or from the policy's ``select`` —
+    propagates unwrapped (not as a ``SinkError``). Every opened sink is
+    closed exactly once, and the sinks still open when the interrupt hit
+    close only after every walk has been closed, so none is left
+    open."""
+    catalog = load_builtin()
+    fleet = build_fleet() + catalog.build_at_links("vr-fig10", ("wifi", "low-power"))
+    walks = _WalkTracker(monkeypatch)
+    lifecycle: list[tuple] = []
+    victim = fleet[2].name if source == "write_batch" else None
+    sinks = {
+        member.name: _InterruptingSink(
+            member.name, lifecycle, walks, victim=member.name == victim
+        )
+        for member in fleet
+    }
+    policy = _InterruptingPolicy() if source == "select" else "round_robin"
+    runs = Campaign(fleet).iter_runs(
+        chunk_size=2, sinks=sinks, collect=False, policy=policy, dedup=True
+    )
+    with pytest.raises(KeyboardInterrupt) as caught:
+        for _ in runs:
+            pass
+    assert caught.type is KeyboardInterrupt
+    assert walks.started > 1  # the interrupt hit with walks in flight
+    assert walks.open == 0
+    opened = [name for event, name, _ in lifecycle if event == "open"]
+    closes = [(name, live) for event, name, live in lifecycle if event == "close"]
+    assert sorted(opened) == sorted(member.name for member in fleet)
+    assert sorted(name for name, _ in closes) == sorted(opened)
+    # The sinks still open at the interrupt close last, after every
+    # walk is closed.
+    assert closes[-1][1] == 0
 
 
 def test_sink_error_preserves_sibling_streamed_frontiers():

@@ -105,3 +105,62 @@ def test_explore_design_counters_are_pinned():
         "batch-dedup",
         "scalar-memoized",
     }
+
+
+def test_explore_executor_slots_are_pinned():
+    """Which ``repro.explore`` callables take an ``executor``: exactly
+    the three positional slots perfbench passes one to. Every function,
+    class and class method defined in the package's modules is walked
+    (``__all__``, the ``Campaign`` methods and the private helpers
+    alike), except the pool's own module; the slots only validate the
+    executor, so each raises ``ConfigurationError`` for anything but a
+    ``SweepExecutor`` or None."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import repro.explore as package
+    from repro.errors import ConfigurationError
+    from repro.explore import Campaign, JointFleetScenario, load_builtin
+
+    taking = set()
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name == "executor":
+            continue
+        module = importlib.import_module(f"repro.explore.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            found = [(name, obj)]
+            if inspect.isclass(obj):
+                found += [
+                    (f"{name}.{attr}", member)
+                    for attr, member in vars(obj).items()
+                    if inspect.isfunction(member)
+                ]
+            for label, member in found:
+                if not callable(member):
+                    continue
+                try:
+                    parameters = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "executor" in parameters:
+                    taking.add(f"{info.name}.{label}")
+    assert taking == {
+        "campaign.Campaign.run",
+        "engine.evaluation_path",
+        "joint.explore_joint",
+    }
+
+    scenario = load_builtin().build("vr-fig10")
+    fleet = JointFleetScenario(
+        name="pinned", members=(scenario,), capacity_bps=1e12
+    )
+    for call in (
+        lambda: Campaign([scenario]).run([2]),
+        lambda: package.explore_joint(fleet, [2]),
+        lambda: package.evaluation_path(scenario, [2]),
+    ):
+        with pytest.raises(ConfigurationError, match="executor must be"):
+            call()
