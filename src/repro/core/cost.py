@@ -209,13 +209,19 @@ class ThroughputCostModel:
         ``i * k + j`` of the result is row ``i`` extended by option
         ``j`` (:func:`itertools.product` order): each option's column
         is written into an ``(n, k)`` buffer with one strided pass,
-        returned raveled (a view). The running-min update
-        mirrors the scalar branch ``if impl.fps < state[0]`` exactly.
+        returned raveled (a view). Each option's running min is written
+        straight into its column by ``np.minimum(..., out=...)``, with no
+        temporaries. That equals the scalar branch ``if impl.fps <
+        state[0]`` bit for bit: the two differ only when a rate is NaN
+        (``np.minimum`` propagates it, the branch keeps the state) or on
+        a tie of ``0.0`` with ``-0.0``, and :class:`Implementation`
+        rejects every rate that is not ``> 0``, NaN included, so the
+        running min starts at ``inf`` and only ever takes such rates.
         """
         (fps_cur,) = state
         out = np.empty((len(fps_cur), len(option_fps)))
         for j, fps in enumerate(option_fps.tolist()):
-            out[:, j] = np.where(fps < fps_cur, fps, fps_cur)
+            np.minimum(fps_cur, fps, out=out[:, j])
         return (out.ravel(),)
 
     def finalize_batch(

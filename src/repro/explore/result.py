@@ -823,6 +823,11 @@ class TopK:
     online and batch rankings are interchangeable (asserted row-for-row
     by the invariant suite).
 
+    A columnar stream is rejected early: once the heap is full, a batch
+    whose best value cannot enter is dropped whole, before its metric
+    column is built (see :meth:`add_batch`). On a deep export most
+    batches go this way, so the ranking costs one reduction for them.
+
     Metric values must be real numbers (the heap negates values for
     minimization); a missing or NaN metric raises
     :class:`ConfigurationError` naming the offending row's stream
@@ -881,7 +886,16 @@ class TopK:
 
         Semantically identical to ``add(batch.rows())`` — same surviving
         rows, ties and ``n_seen`` positions — but it reads the metric
-        column only. While the heap fills every row enters; once it is
+        column only, and often not even that. Once the heap is full, a
+        view that has :meth:`~repro.explore.vectorized.BatchRows.
+        metric_best` is tested whole first: when its exact best value
+        cannot beat the root's (a row tying the root never enters, since
+        later positions lose ties), the batch is dropped and only
+        ``n_seen`` advances, with no column, candidate or compact view
+        built. The key is compared with the root as Python scalars, as
+        the row fold does, so an integer root past 2**53 is not
+        rounded. A batch that may enter reads its column. While the
+        heap fills every row enters; once it is
         full, rows that cannot displace the batch-start root are
         rejected by one vectorized comparison (sound: the root value
         only grows, and an exact tie with the root never enters because
@@ -901,6 +915,17 @@ class TopK:
         m = len(batch)
         if m == 0:
             return
+        k, heap, maximize = self.k, self._heap, self.maximize
+        bound = getattr(batch, "metric_best", None)
+        if k > 0 and len(heap) == k and bound is not None:
+            value = bound(self.metric, maximize)
+            # Python scalars, as the fold compares them: an int root
+            # past 2**53 must not round.
+            if value is not None and not (
+                (value if maximize else -value) > heap[0][0][0]
+            ):
+                self.n_seen += m
+                return
         try:
             column = np.asarray(batch.metric_column(self.metric))
         except KeyError:
@@ -914,7 +939,6 @@ class TopK:
         bad = np.isnan(values)
         limit = int(np.argmax(bad)) if bad.any() else m
         base = self.n_seen
-        k, heap, maximize = self.k, self._heap, self.maximize
         if k > 0 and limit:
             # An entering row's reference names the batch itself until
             # the batch's survivors are compacted below.

@@ -30,7 +30,10 @@ configurations as numpy struct-of-arrays operations:
   (:meth:`BatchRows.metric_column`) and only constructs Python objects
   for rows a consumer actually touches. Sinks with columnar support
   (``ParetoSink``/``TopKSink``) keep their survivors as compact views
-  (:meth:`BatchRows.compact`) and build rows only when they are read.
+  (:meth:`BatchRows.compact`) and build rows only when they are read;
+  a full top-k drops a view whose exact best value
+  (:meth:`BatchRows.metric_best`) cannot enter before reading any
+  column.
 
 Bit-identity is the correctness contract: the batch kernels perform the
 same IEEE-754 float operations in the same order as the scalar fold
@@ -38,8 +41,10 @@ same IEEE-754 float operations in the same order as the scalar fold
 shares the operands), so every materialized cost, row and frontier is
 byte-identical to the scalar and brute-force paths — asserted by the
 invariant suite. That constraint shapes the kernels: the running-min
-update is ``np.where(new < cur, new, cur)`` (the scalar branch, not
-``np.minimum``, whose NaN semantics differ), the slowest block decodes
+update is ``np.minimum`` written in place, which equals the scalar
+``<`` branch because no rate is NaN or zero (see
+:meth:`~repro.core.cost.ThroughputCostModel.extend_state_batch`), the
+slowest block decodes
 as the first level whose chosen rate equals the running min (the
 scalar strict ``<`` keeps the first minimum on ties), a level's energy
 table entry is the scalar ``rate * energy_per_frame``, and the
@@ -74,6 +79,7 @@ reference fold it is checked against (``evaluation="scalar"``).
 
 from __future__ import annotations
 
+import math
 from operator import getitem
 from typing import Any, Generator, Iterator, Sequence
 
@@ -440,6 +446,46 @@ class BatchRows:
         if column is None:
             column = self._metrics[name] = self._metric(name)
         return column
+
+    def metric_best(self, name: str, maximize: bool) -> float | None:
+        """The best value of a ranked metric over this view's rows
+        (largest when ``maximize``), without building its column; None
+        when this view cannot bound ``name`` this way.
+
+        Two metrics have a bound, both the exact value of the best row,
+        because each row's value is a monotone function of one per-row
+        column (IEEE addition and the ``min`` branch never reverse an
+        order): throughput ``total_fps`` is the scalar branch ``comm if
+        comm < c else c`` at ``c`` the extreme ``compute_fps``, and
+        energy ``total_energy_j`` is ``(sensor + compute) + transmit``,
+        in :meth:`_metric`'s order, at the extreme ``compute_energy``.
+        :meth:`~repro.explore.result.TopK.add_batch` drops a batch whose
+        best value cannot enter its ranking, so a view is rejected
+        before any column is built.
+
+        Returns None for every other metric; when the value is not
+        finite, which rules out a NaN row (an infinite operand is the
+        only way a row goes NaN while the extreme stays a number); and
+        when :meth:`metric_column` has already built the column, since
+        the ranking then reads it at no extra cost."""
+        if name in self._metrics:
+            return None
+        columns = self.columns
+        extreme = np.max if maximize else np.min
+        if self._energy:
+            if name != "total_energy_j":
+                return None
+            value = (
+                self.pipeline.sensor_energy_per_frame
+                + float(extreme(columns["compute_energy"]))
+            ) + columns["transmit_energy"]
+        else:
+            if name != "total_fps":
+                return None
+            compute = float(extreme(columns["compute_fps"]))
+            communication = columns["communication_fps"]
+            value = communication if communication < compute else compute
+        return value if math.isfinite(value) else None
 
     def _metric(self, name: str) -> Any:
         """:meth:`metric_column` without the per-view memo."""

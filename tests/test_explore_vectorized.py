@@ -653,6 +653,216 @@ def test_topk_add_batch_beats_a_rounded_integer_root(maximize):
     assert online.rows == reference.rows == [rows[1]]
 
 
+class _BoundedFakeBatch(_FakeBatch):
+    """A fake view that also reports its exact best value, counting the
+    columns it builds."""
+
+    def __init__(self, rows, columnar=("m",), owner=None):
+        super().__init__(rows, columnar, owner)
+        self.n_columns = 0
+
+    def metric_column(self, name):
+        self.n_columns += 1
+        return super().metric_column(name)
+
+    def metric_best(self, name, maximize):
+        values = [row[name] for row in self._rows]
+        return max(values) if maximize else min(values)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_topk_batch_rejection_keeps_a_rounded_integer_root_exact(maximize):
+    """The batch rejection compares the batch's best key with an integer
+    root past 2**53 as Python scalars: a value beating it exactly enters
+    although it equals the root once rounded, and one below it is
+    dropped without its column."""
+    big, beats = (2**53 + 3, 2**53 + 4) if maximize else (2**53 + 1, 2**53)
+    worse = 2**53 + 2  # exact in float64, and worse than big either way
+    assert float(big) == beats and float(worse) == worse
+    rows = [{"m": big}, {"m": float(worse)}, {"m": float(beats)}]
+    online = TopK("m", k=1, maximize=maximize)
+    online.add(rows[:1])
+    losing, winning = _BoundedFakeBatch(rows[1:2]), _BoundedFakeBatch(rows[2:])
+    online.add_batch(losing)
+    assert losing.n_columns == 0 and online.n_seen == 2
+    online.add_batch(winning)
+    assert winning.n_columns == 1
+    reference = TopK("m", k=1, maximize=maximize)
+    reference.add(rows)
+    assert online.rows == reference.rows == [rows[2]]
+    assert online.n_seen == reference.n_seen == 3
+
+
+#: Under this link, raw offload (1200 bytes) runs at ~21 fps and every
+#: in-camera cut (100 bytes) at ~250 fps.
+TIED_LINK = LinkModel(name="tied-link", raw_bps=2e5, efficiency=1.0, tx_energy_per_bit=1e-9)
+
+
+def _tied_pipeline() -> InCameraPipeline:
+    """Every in-camera configuration runs at 30 fps and costs the same
+    (transmit-only) energy, both better than raw offload: once a
+    depth-1 row is in the heap, every later batch ties the root."""
+    blocks = tuple(
+        Block(
+            name=f"B{i}",
+            output_bytes=100.0,
+            implementations={
+                platform: Implementation(platform, fps=30.0)
+                for platform in ("asic", "cpu")
+            },
+        )
+        for i in range(4)
+    )
+    return InCameraPipeline(name="tied", sensor_bytes=1200.0, blocks=blocks)
+
+
+@pytest.mark.parametrize("shape", ["distinct", "tied"])
+@pytest.mark.parametrize("domain", ["throughput", "energy"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_topk_rejects_a_batch_before_building_its_column(monkeypatch, shape, domain, k):
+    """A full ranking drops a real batch whose exact best value cannot
+    enter (ties with the root included) without building its metric
+    column or a compact view; the ranking and ``n_seen`` still equal
+    the row fold over every streamed row."""
+    from repro.explore import vectorized
+
+    pipeline, link = (
+        (build_pipeline(4), LINK) if shape == "distinct" else (_tied_pipeline(), TIED_LINK)
+    )
+    scenario = Scenario(name="reject", pipeline=pipeline, link=link, domain=domain)
+    metric, maximize = (
+        ("total_fps", True) if domain == "throughput" else ("total_energy_j", False)
+    )
+    evaluator = BatchPrefixEvaluator(scenario.cost_model())
+    batches = list(evaluator.iter_scenario_batches(scenario, chunk_size=4))
+    expected_rows = [
+        batch.rows()
+        for batch in evaluator.iter_scenario_batches(scenario, chunk_size=4)
+    ]
+    built, compacted = [], []
+    metric_column, compact = vectorized.BatchRows.metric_column, vectorized.BatchRows.compact
+
+    def spy_column(self, name):
+        built.append(id(self))
+        return metric_column(self, name)
+
+    def spy_compact(self, indices):
+        compacted.append(id(self))
+        return compact(self, indices)
+
+    monkeypatch.setattr(vectorized.BatchRows, "metric_column", spy_column)
+    monkeypatch.setattr(vectorized.BatchRows, "compact", spy_compact)
+    online = TopK(metric, k=k, maximize=maximize)
+    rejected = ties = 0
+    for batch, rows in zip(batches, expected_rows):
+        values = [row[metric] for row in rows]
+        best = max(values) if maximize else -min(values)
+        full = len(online) == k
+        drop = full and not best > online._heap[0][0][0]
+        ties += drop and best == online._heap[0][0][0]
+        online.add_batch(batch)
+        touched = id(batch) in built or id(batch) in compacted
+        assert touched == (not drop), (batch.depth, values)
+        rejected += drop
+    assert rejected
+    if shape == "tied":
+        assert ties
+    reference = TopK(metric, k=k, maximize=maximize)
+    reference.add([row for rows in expected_rows for row in rows])
+    assert online.n_seen == reference.n_seen == scenario.count_configs()
+    assert json.dumps(online.rows) == json.dumps(reference.rows)
+
+
+def test_metric_best_is_the_best_row_value_and_defers_to_a_built_column():
+    for domain, metric in (("throughput", "total_fps"), ("energy", "total_energy_j")):
+        scenario = Scenario(
+            name="best", pipeline=build_pipeline(3), link=LINK, domain=domain
+        )
+        evaluator = BatchPrefixEvaluator(scenario.cost_model())
+        for batch in evaluator.iter_scenario_batches(scenario, chunk_size=5):
+            values = [row[metric] for row in batch.rows()]
+            for maximize in (True, False):
+                best = batch.metric_best(metric, maximize)
+                assert best == (max(values) if maximize else min(values))
+            for other in ("compute_fps", "active_seconds", "n_in_camera"):
+                assert batch.metric_best(other, True) is None
+            # Once the column exists, the ranking reads it instead.
+            batch.metric_column(metric)
+            assert batch.metric_best(metric, True) is None
+
+
+def test_throughput_kernel_equals_the_scalar_fold_at_edge_rates():
+    """The in-place running min equals the scalar ``<`` branch bit for
+    bit where the two could part: options equal to the running min, an
+    ``inf`` running state, ``inf`` rates and ``1e-300`` rates."""
+    model = ThroughputCostModel(LINK)
+    block = Block(
+        name="B",
+        output_bytes=1.0,
+        implementations={
+            name: Implementation(name, fps=fps)
+            for name, fps in (("a", 30.0), ("b", float("inf")), ("c", 1e-300))
+        },
+    )
+    impls = [block.implementations[name] for name in sorted(block.implementations)]
+    states = [float("inf"), 30.0, 1e-300, 5e-301, 60.0, 2.0]
+    (fps,) = model.extend_state_batch(
+        (np.array(states),), np.array([impl.fps for impl in impls])
+    )
+    expected = [
+        model.extend_state((state, "none"), block, impl)[0]
+        for state in states
+        for impl in impls
+    ]
+    assert fps.tobytes() == np.array(expected).tobytes()
+
+
+def test_energy_kernel_equals_the_scalar_fold_at_edge_values():
+    """The energy kernel (unchanged, in place already) pinned the same
+    way over a three-level fold with ``1e-300`` and zero costs and pass
+    rates of 0 and 1: the compute column is the scalar fold's
+    ``sum(block_energies.values())`` and the active column its active
+    seconds, bit for bit."""
+    import itertools
+
+    model = EnergyCostModel(LINK)
+    costs = ((0.0, 0.0), (1e-300, 1e-300), (3e-6, 2e-3))
+    blocks = [
+        Block(
+            name=f"B{i}",
+            output_bytes=1.0,
+            pass_rate=rate,
+            implementations={
+                f"p{j}": Implementation(f"p{j}", energy_per_frame=e, active_seconds=a)
+                for j, (e, a) in enumerate(costs)
+            },
+        )
+        for i, rate in enumerate((0.5, 1.0, 0.0))
+    ]
+    state = model.initial_state_batch(1)
+    for block in blocks:
+        impls = [block.implementations[name] for name in sorted(block.implementations)]
+        state = model.extend_state_batch(
+            state,
+            block,
+            (
+                np.array([impl.energy_per_frame for impl in impls]),
+                np.array([impl.active_seconds for impl in impls]),
+            ),
+        )
+    _, _, compute, active = state
+    scalar = []
+    for choice in itertools.product(*(sorted(b.implementations) for b in blocks)):
+        fold = model.initial_state()
+        for block, name in zip(blocks, choice):
+            fold = model.extend_state(fold, block, block.implementations[name])
+        scalar.append(fold)
+    assert compute.tobytes() == np.array(
+        [sum(dict(fold[1]).values()) for fold in scalar]
+    ).tobytes()
+    assert active.tobytes() == np.array([fold[2] for fold in scalar]).tobytes()
+
+
 def test_pareto_add_batch_equals_scalar_add():
     rows = [
         {"a": float(i % 5), "b": float((i * 7) % 4)} for i in range(40)
