@@ -695,7 +695,7 @@ def test_topk_batch_rejection_keeps_a_rounded_integer_root_exact(maximize):
 
 #: Under this link, raw offload (1200 bytes) runs at ~21 fps and every
 #: in-camera cut (100 bytes) at ~250 fps.
-TIED_LINK = LinkModel(name="tied-link", raw_bps=2e5, efficiency=1.0, tx_energy_per_bit=1e-9)
+TIED_LINK = LinkModel(name="tied-link", raw_bps=2e5, tx_energy_per_bit=1e-9)
 
 
 def _tied_pipeline() -> InCameraPipeline:
@@ -726,9 +726,9 @@ def test_topk_rejects_a_batch_before_building_its_column(monkeypatch, shape, dom
     the row fold over every streamed row."""
     from repro.explore import vectorized
 
-    pipeline, link = (
-        (build_pipeline(4), LINK) if shape == "distinct" else (_tied_pipeline(), TIED_LINK)
-    )
+    pipeline, link = (build_pipeline(4), LINK)
+    if shape == "tied":
+        pipeline, link = _tied_pipeline(), TIED_LINK
     scenario = Scenario(name="reject", pipeline=pipeline, link=link, domain=domain)
     metric, maximize = (
         ("total_fps", True) if domain == "throughput" else ("total_energy_j", False)
@@ -740,7 +740,8 @@ def test_topk_rejects_a_batch_before_building_its_column(monkeypatch, shape, dom
         for batch in evaluator.iter_scenario_batches(scenario, chunk_size=4)
     ]
     built, compacted = [], []
-    metric_column, compact = vectorized.BatchRows.metric_column, vectorized.BatchRows.compact
+    metric_column = vectorized.BatchRows.metric_column
+    compact = vectorized.BatchRows.compact
 
     def spy_column(self, name):
         built.append(id(self))
