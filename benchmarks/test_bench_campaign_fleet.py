@@ -12,8 +12,7 @@ re-run with streamed Pareto frontiers all execute inside ``main()``).
 The dedup benchmark runs the design-space-sweep fleet shape — the same
 pipeline at four link tiers — with and without the campaign evaluation
 cache, asserts the >= 2x evaluation reduction the cache exists for,
-records the round-robin makespan on the same fleet, and appends a
-kind-tagged entry to the ``BENCH_explore.json`` trajectory. Every
+and appends a kind-tagged entry to the ``BENCH_explore.json`` trajectory. Every
 campaign folds in process, so none is given an executor.
 """
 
@@ -57,8 +56,7 @@ def test_campaign_fleet_example_runs_whole_catalog(capsys, results_dir):
 def test_dedup_heavy_fleet_benchmark(append_trajectory, publish):
     """Same pipeline at four links: the evaluation cache must cut
     cost-model evaluations by >= 2x (here exactly 4x: one compute pass
-    serves the whole group) with rows byte-identical to dedup=False;
-    the round-robin makespan is recorded alongside."""
+    serves the whole group) with rows byte-identical to dedup=False."""
     from repro.core.report import TextTable
     from repro.explore import Campaign, load_builtin
 
@@ -84,15 +82,9 @@ def test_dedup_heavy_fleet_benchmark(append_trajectory, publish):
     assert reduction >= 2.0, stats
     assert stats["evaluations_skipped"] == 3 * fleet[0].count_configs()
 
-    # The default round-robin makespan, same fleet (recorded, not
-    # asserted: shared-runner timing noise dwarfs it at this size).
-    begin = time.perf_counter()
-    Campaign(fleet, name="round-robin").run(policy="round_robin")
-    round_robin_seconds = time.perf_counter() - begin
-
     table = TextTable(
         ["fleet", "links", "evals_total", "evals_computed", "evals_skipped",
-         "reduction", "rr_seconds"],
+         "reduction"],
         title="dedup-heavy fleet: one pipeline, four link tiers",
     )
     table.add_row(
@@ -103,7 +95,6 @@ def test_dedup_heavy_fleet_benchmark(append_trajectory, publish):
             "evals_computed": stats["evaluations_computed"],
             "evals_skipped": stats["evaluations_skipped"],
             "reduction": reduction,
-            "rr_seconds": round_robin_seconds,
         }
     )
     publish("campaign_dedup", table.render())
@@ -118,6 +109,5 @@ def test_dedup_heavy_fleet_benchmark(append_trajectory, publish):
             "evaluation_reduction": round(reduction, 3),
             "seconds_dedup_off": round(baseline_seconds, 6),
             "seconds_dedup_on": round(dedup_seconds, 6),
-            "seconds_round_robin": round(round_robin_seconds, 6),
         }
     )

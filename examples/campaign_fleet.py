@@ -6,16 +6,16 @@ face-authentication camera in both cost domains, harvested-budget
 variants at two reader distances, the in-camera codec chain over
 WiFi-class and battery radios, and the SNNAP accelerator studies (PE
 geometry and per-block DVFS assignment) — and runs every design space
-as a single campaign: every scenario folds in
-process slice by slice under one scheduling policy, per-scenario results
+as a single campaign: every scenario's walk folds in process and runs
+to completion, shortest design space first, per-scenario results
 are byte-identical to solo runs, and the summary report answers the
 fleet question (which products are feasible, with which design, at what
 cost) in one table.
 
-Also demonstrates the streaming consumption path: ``iter_runs()`` under
-the ``weighted_completion`` policy (shortest scenario first at equal
-weights) prints each scenario's verdict *the moment its last slice
-lands* — a dashboard needs no drained fleet — and the export-only
+Also demonstrates the streaming consumption path: ``iter_runs()``
+(weighted-shortest-processing-time order: shortest scenario first at
+equal weights) prints each scenario's verdict *the moment its walk
+ends* — a dashboard needs no drained fleet — and the export-only
 re-run (CSV sinks, ``collect=False``) streams every row to disk while
 the online Pareto frontier keeps ``pareto_size`` exact with no result
 caches in memory: the memory profile of a million-config fleet is the
@@ -23,9 +23,8 @@ chunk window, not the design-space size.
 
 The final section shows campaign dedup on a generator-built fleet: a
 :class:`~repro.explore.FleetSpec` (two codec entries x four link tiers
-x a pass-rate variant) expands to a dedup-heavy fleet that runs under
-the default round-robin policy with ``dedup=True`` riding the lazy
-columnar group finalize: each dedup cell costs one evaluation
+x a pass-rate variant) expands to a dedup-heavy fleet that runs with
+``dedup=True`` riding the lazy columnar group finalize: each dedup cell costs one evaluation
 pass and one multi-link broadcast close (``cache_stats`` reports the
 skipped evaluations and the per-group materialization accounting; rows
 stay byte-identical to solo runs either way).
@@ -85,7 +84,7 @@ def main() -> None:
     print(f"\nSolo evaluation path(s) of the fleet: {', '.join(paths)}")
     print("Streaming fleet (shortest scenario first):")
     runs = []
-    for run in campaign.iter_runs(policy="weighted_completion"):
+    for run in campaign.iter_runs():
         runs.append(run)
         metric = "total_fps" if run.scenario.domain == "throughput" else "total_energy_j"
         unit = "FPS" if metric == "total_fps" else "J/frame"
@@ -143,11 +142,11 @@ def main() -> None:
     for scenario in sweep:
         path = evaluation_path(scenario, dedup=True)
         print(f"  {scenario.name}: {path}")
-    result = Campaign(sweep, name="link-sweep").run(policy="round_robin", dedup=True)
+    result = Campaign(sweep, name="link-sweep").run(dedup=True)
     stats = result.cache_stats
     total = stats["evaluations_computed"] + stats["evaluations_skipped"]
     print(
-        f"\nLink sweep under round_robin + dedup: {len(sweep)} scenarios, "
+        f"\nLink sweep with dedup: {len(sweep)} scenarios, "
         f"{total} configs costed with {stats['evaluations_computed']} "
         f"evaluations ({stats['evaluations_skipped']} skipped — "
         f"{total / stats['evaluations_computed']:.1f}x fewer)."

@@ -25,8 +25,9 @@ Shown here:
 * the export-only fast path (``collect=False``): candidates stream
   through :class:`~repro.explore.JointCandidateSink` with frontier
   tracking off, byte-identical optimum at a fraction of the cost;
-* the weighted completion-time objective over the member campaign
-  (``weights=`` + the ``weighted_completion`` scheduling policy).
+* the weighted completion-time objective over the member campaign: the
+  fleet's ``weights=`` order its member walks (weighted shortest
+  processing time first) and weigh the reported mean completion time.
 
 Run:
     PYTHONPATH=src python examples/joint_fleet.py
@@ -101,13 +102,14 @@ def main() -> None:
         f"min {streamed.best_fleet_fps:.3g} FPS) with no collected rows."
     )
 
-    # The weighted-completion-time objective: weight the fleet, run the
-    # member campaign under the WSPT policy, and report the weighted
-    # mean completion time alongside the joint assignment.
+    # The weighted-completion-time objective: weight the fleet, and the
+    # member campaign runs its walks in WSPT order under those weights;
+    # report the weighted mean completion time alongside the joint
+    # assignment.
     weighted = replace(
         contended, weights=tuple(range(1, len(contended.members) + 1))
     )
-    result = explore_joint(weighted, policy="weighted_completion")
+    result = explore_joint(weighted)
     print(
         f"Weighted fleet (weights {weighted.weights}): weighted mean "
         f"completion {result.weighted_completion_seconds():.4f}s over "

@@ -120,8 +120,9 @@ def campaign_summary_table(
     table uses, so campaign summaries archive alongside the paper
     tables. Rows are plain dicts (built by
     ``CampaignResult.summary_rows()``); extra keys beyond the canonical
-    columns are appended in first-appearance order, and the default
-    table title names the scheduling policy that drove the fleet.
+    columns are appended in first-appearance order.
+    ``CampaignResult.to_table`` titles it with the campaign's name,
+    member count and wall time.
     """
     columns = list(CAMPAIGN_SUMMARY_COLUMNS)
     known = set(columns)

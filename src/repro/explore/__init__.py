@@ -48,10 +48,9 @@ overrides:
   process, with results byte-identical to
   solo :func:`explore` runs, cross-scenario evaluation dedup
   (``dedup=True`` shares link-independent compute states across a
-  fleet), ``iter_runs`` streaming, plus the fleet summary report;
-* :mod:`.scheduling` — the campaign slice-scheduling policies: the
-  default :class:`RoundRobin` and the WSPT
-  :class:`WeightedCompletionTime`;
+  fleet), ``iter_runs`` streaming (each walk runs to completion in
+  weighted-shortest-processing-time order, ``weights=``), plus the
+  fleet summary report;
 * :mod:`.joint` — :func:`explore_joint`, the joint-fleet domain: N
   member scenarios share one uplink of fixed capacity, feasibility
   couples them through aggregate demand, and the max-min-FPS joint
@@ -74,12 +73,6 @@ Quickstart::
 """
 
 from repro.explore.campaign import Campaign, CampaignResult, ScenarioRun
-from repro.explore.scheduling import (
-    SCHEDULING_POLICIES,
-    RoundRobin,
-    SchedulingPolicy,
-    WeightedCompletionTime,
-)
 from repro.explore.catalog import (
     FleetSpec,
     JointFleetSpec,
@@ -137,16 +130,12 @@ __all__ = [
     "ParetoFrontier",
     "ParetoSink",
     "ResultSink",
-    "RoundRobin",
-    "SCHEDULING_POLICIES",
     "Scenario",
     "ScenarioCatalog",
     "ScenarioRun",
-    "SchedulingPolicy",
     "SweepExecutor",
     "TopK",
     "TopKSink",
-    "WeightedCompletionTime",
     "count_configs",
     "evaluation_path",
     "explore",

@@ -3,26 +3,31 @@
 The paper explores one design space at a time; a production exploration
 service faces *fleets* of them — every camera product, link tier and
 power budget is its own scenario. A :class:`Campaign` runs a whole fleet
-as one run: a pluggable
-:class:`~repro.explore.scheduling.SchedulingPolicy` (round-robin by
-default; policies live in :mod:`repro.explore.scheduling`) interleaves
-the members' streams, and every member's sink and summary fill as its
-rows land.
+as one run, one walk at a time to completion in weighted-shortest-
+processing-time (WSPT) order, and every member's sink and summary fill
+as its rows land.
 
 One pipeline for solo runs and campaigns: every member runs the path
 solo ``explore()`` takes for it (:func:`~repro.explore.engine._plan`
 decides it, :func:`~repro.explore.engine.evaluation_path` reports it)
-through the same stream (:func:`~repro.explore.engine._scenario_stream`)
+through the same walk (:func:`~repro.explore.engine._drain_walk`)
 into the same consumer (:class:`~repro.explore.engine._RunConsumer`).
-The campaign builds one stream per unit: a dedup group (below) or any
-other member, which streams alone as its solo ``explore()`` does. Every
+The campaign drains one walk per unit: a dedup group (below) or any
+other member, which walks alone as its solo ``explore()`` does. Every
 member folds the columnar cohort walk in the calling process, sliced at
 the campaign's chunk size: shipping that work to a pool measured slower
 on every fleet tried (see ARCHITECTURE.md, "Parallelism: the campaign
 decision" and "The engine runs no pool"), so a campaign never starts
 one.
-The campaign has one lane: the policy picks a live walk, the walk takes
-one step, and a member's run is handed out when its walk ends.
+
+Order contract: the campaign has one lane, so interleaving walks would
+overlap nothing. Each unit's walk runs to completion, units in
+ascending ``(leader.count_configs() / leader weight, leader index)``
+— the WSPT rule, which minimizes the weighted mean completion time
+(:meth:`CampaignResult.weighted_completion_seconds`) over
+:meth:`Campaign.iter_runs`. At equal weights (the default) that is
+shortest-unit-first, ties in fleet order. See ARCHITECTURE.md, "A
+campaign runs each walk to completion".
 
 Dedup contract: with ``dedup=True``, scenarios whose
 :func:`scenario_compute_key`s match (the same pipeline and platform
@@ -43,9 +48,8 @@ fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
 Correctness contract: each member's stream is produced in its own
 enumeration order — cohort slices in walk order, each walk private to
 its unit — so every scenario's rows are byte-identical to a solo
-``explore()`` of the same scenario, regardless of how the fleet was
-interleaved. Scheduling policies only reorder *which scenario's*
-slice comes next, never those within one scenario.
+``explore()`` of the same scenario, whatever the weights. Weights only
+reorder the walks, never the slices within one.
 
 Streaming contract: :meth:`Campaign.iter_runs` yields each
 :class:`ScenarioRun` the moment its last rows land — a dashboard
@@ -63,8 +67,8 @@ fleet's combined design-space size. A sink failure
 aborts the campaign with a clear :class:`~repro.errors.SinkError`
 naming the scenario; every other scenario's sink is still closed
 (flushed), so one bad sink never corrupts the rest of the fleet's
-outputs. Abandoning ``iter_runs()`` mid-fleet closes every member's
-stream and every open sink the same way.
+outputs. Abandoning ``iter_runs()`` mid-fleet closes every open sink
+the same way; no walk is open between two yields.
 """
 
 from __future__ import annotations
@@ -83,9 +87,9 @@ from repro.explore.engine import (
     _check_chunk_size,
     _check_dedup_mode,
     _dedupable,
+    _drain_walk,
     _plan,
     _RunConsumer,
-    _scenario_stream,
 )
 from repro.explore.executor import SweepExecutor, resolve_executor
 from repro.explore.result import (
@@ -96,33 +100,29 @@ from repro.explore.result import (
 )
 from repro.explore.scenario import Scenario
 from repro.explore.vectorized import BatchRows
-
-# Scheduling policies live in their own module (repro.explore.
-# scheduling); the re-export keeps `from repro.explore.campaign import
-# SCHEDULING_POLICIES` working.
-from repro.explore.scheduling import (
-    SCHEDULING_POLICIES,  # noqa: F401  (re-exported API)
-    RoundRobin,
-    SchedulingPolicy,
-    resolve_policy,
-)
 from repro.explore.sink import close_sink, open_sink, resolve_sink
 
-# -- the walks ---------------------------------------------------------
 
-#: What an exhausted walk returns from ``next(walk, _DONE)``.
-_DONE = object()
-
-
-def _select(policy: SchedulingPolicy, live: list[int]) -> int:
-    """The policy's pick among ``live``, validated."""
-    index = policy.select(tuple(live))
-    if index not in live:
+def _check_weights(
+    weights: Mapping[str, float] | None, names: Sequence[str]
+) -> dict[str, float]:
+    """Completion-time weights keyed by scenario name, validated:
+    every weight positive, every name one of ``names`` (a weight for an
+    unknown scenario would silently never apply). Scenarios without an
+    entry weigh 1.0."""
+    weights = dict(weights or {})
+    for name, weight in weights.items():
+        if not weight > 0:
+            raise ConfigurationError(
+                f"weight for {name!r} must be positive, got {weight}"
+            )
+    unknown = sorted(set(weights) - set(names))
+    if unknown:
         raise ConfigurationError(
-            f"scheduling policy {getattr(policy, 'name', policy)!r} "
-            f"selected scenario {index}, not in the live set {live}"
+            f"completion-time weights for unknown scenarios {unknown}; "
+            f"campaign has {sorted(names)}"
         )
-    return index
+    return weights
 
 
 # -- cross-scenario evaluation dedup ------------------------------------
@@ -190,8 +190,8 @@ def _dedup_groups(
     design-space sweep shape: one product, every uplink tier); their
     compute-side costs are link-independent, so a group of scenarios
     with equal :func:`scenario_compute_key`s folds its cohort states
-    once for all members (one :func:`~repro.explore.engine.
-    _scenario_stream` per group). Every member belongs to
+    once for all members (one :func:`~repro.explore.engine._drain_walk`
+    per group). Every member belongs to
     exactly one group, a member with no sibling to a group of one. Each
     distinct pipeline object is fingerprinted once per call.
     """
@@ -219,8 +219,8 @@ class ScenarioRun:
     handed out undecoded in :attr:`frontier`: :meth:`pareto` builds
     its rows).
     ``wall_seconds`` is the time from campaign start until this
-    scenario's last rows landed (scenarios share the driver, so
-    exclusive per-scenario time is not a meaningful quantity).
+    scenario's walk ended (a dedup group's members share one walk, so
+    they complete together).
     ``dedup_source`` names the scenario whose shared compute-side
     states this run was finalized from (None when it evaluated its own
     configurations — always, unless the campaign ran with
@@ -319,13 +319,11 @@ class CampaignResult:
         name: str,
         runs: list[ScenarioRun],
         wall_seconds: float,
-        policy: str = RoundRobin.name,
         dedup: bool = False,
     ):
         self.name = name
         self.runs = runs
         self.wall_seconds = wall_seconds
-        self.policy = policy
         self.dedup = dedup
 
     @property
@@ -396,27 +394,14 @@ class CampaignResult:
         """Weighted mean completion time of the fleet's scenarios.
 
         ``sum_i w_i * C_i / sum_i w_i`` where ``C_i`` is scenario *i*'s
-        ``wall_seconds`` — the time from campaign start until its last
-        chunk was collected, i.e. when it streamed out of
-        :meth:`Campaign.iter_runs`. This is the objective the
-        :class:`~repro.explore.scheduling.WeightedCompletionTime`
-        policy (WSPT order) minimizes; weights key on scenario name,
+        ``wall_seconds`` — the time from campaign start until its walk
+        ended, i.e. when it streamed out of :meth:`Campaign.iter_runs`.
+        This is the objective the campaign's WSPT order minimizes for
+        the weights it ran under; weights key on scenario name,
         scenarios without an entry weigh 1.0, and unknown names are
         rejected (they would silently never apply).
         """
-        weights = dict(weights or {})
-        names = {run.name for run in self.runs}
-        unknown = sorted(set(weights) - names)
-        if unknown:
-            raise ConfigurationError(
-                f"completion-time weights for unknown scenarios {unknown}; "
-                f"campaign has {sorted(names)}"
-            )
-        for name, weight in weights.items():
-            if not weight > 0:
-                raise ConfigurationError(
-                    f"weight for {name!r} must be positive, got {weight}"
-                )
+        weights = _check_weights(weights, [run.name for run in self.runs])
         total = sum(weights.get(run.name, 1.0) for run in self.runs)
         if total == 0:
             return 0.0
@@ -433,8 +418,7 @@ class CampaignResult:
         return campaign_summary_table(
             self.summary_rows(),
             title=title or f"campaign {self.name!r} "
-            f"({len(self.runs)} scenarios, {self.policy}, "
-            f"{self.wall_seconds:.3f}s)",
+            f"({len(self.runs)} scenarios, {self.wall_seconds:.3f}s)",
         )
 
 
@@ -606,30 +590,29 @@ class Campaign:
         *,
         sinks: Any = None,
         collect: bool = True,
-        policy: Any = None,
+        weights: Mapping[str, float] | None = None,
         dedup: bool = False,
         frontier: bool = True,
     ) -> Iterator[ScenarioRun]:
         """Stream the fleet: yield each :class:`ScenarioRun` the moment
-        its scenario's last slice lands.
+        its scenario's walk ends.
 
         The streaming counterpart of :meth:`run` (which is a drain over
-        this iterator): scenarios complete at different times — under
-        :class:`~repro.explore.scheduling.WeightedCompletionTime` the
-        smallest one finishes while the largest has barely started — and
-        each is yielded (its sink
-        closed and flushed first) without waiting for the fleet to
-        drain. Yield order is completion order, not fleet order.
+        this iterator): walks run one at a time in WSPT order — the
+        smallest (or most heavily weighted per configuration) unit first
+        — and each finished member is yielded (its sink closed and
+        flushed first) without waiting for the fleet to drain. Yield
+        order is completion order, not fleet order.
 
-        Abandoning the iterator mid-fleet is safe: every member's stream
-        is closed and every open sink is closed (flushed), exactly as on
-        an error. Parameters are those of :meth:`run`, which alone
-        keeps an ``executor`` slot.
+        Abandoning the iterator mid-fleet is safe: every open sink is
+        closed (flushed), exactly as on an error, and no walk is left
+        open. Parameters are those of :meth:`run`, which alone keeps an
+        ``executor`` slot.
         """
         _check_dedup_mode(dedup)
         _check_chunk_size(chunk_size)
-        policy = resolve_policy(policy)
         scenarios = self.scenarios
+        weights = _check_weights(weights, [scenario.name for scenario in scenarios])
         sink_list = self._resolve_sinks(sinks)
         if not collect and sinks is not None:
             # Summary-only campaigns (collect=False, sinks=None) are a
@@ -651,7 +634,7 @@ class Campaign:
             chunk_size or DEFAULT_CHUNK_SIZE,
             sink_list,
             collect,
-            policy,
+            weights,
             dedup,
             frontier,
         )
@@ -661,15 +644,15 @@ class Campaign:
         chunk_size: int,
         sink_list: list[Any],
         collect: bool,
-        policy: SchedulingPolicy,
+        weights: Mapping[str, float],
         dedup: bool,
         track_frontier: bool,
     ) -> Iterator[ScenarioRun]:
         """The generator behind :meth:`iter_runs` (argument validation
-        stays eager in the caller, before the first ``next()``): the
-        policy picks a live walk, the walk takes its next step, and a
-        walk's members are handed out when it ends. ``chunk_size`` is
-        the rows per cohort slice and sink write."""
+        stays eager in the caller, before the first ``next()``): each
+        unit's walk is drained in WSPT order, and its members are handed
+        out when it ends. ``chunk_size`` is the rows per cohort slice
+        and sink write."""
         scenarios = self.scenarios
         plans = [_plan(scenario, dedup=dedup) for scenario in scenarios]
         groups = _dedup_groups(
@@ -683,19 +666,19 @@ class Campaign:
             self._member(index, sink, collect, chunk_size, track_frontier)
             for index, sink in enumerate(sink_list)
         ]
-        # One stream per unit: a dedup group (keyed by its leader) or
-        # one other member, each feeding its members' consumers.
+        # One walk per unit: a dedup group (keyed by its leader) or one
+        # other member, each feeding its members' consumers. A unit
+        # weighs what its leader does.
         units = {i: (i,) for i in range(len(scenarios)) if i not in leader_of}
         units.update(groups)
-        walks = {
-            leader: _scenario_stream(
-                tuple(scenarios[index] for index in indices),
-                plans[leader],
-                tuple(members[index].consumer for index in indices),
-            )
-            for leader, indices in units.items()
-        }
-        live = sorted(walks)
+        order = sorted(
+            units,
+            key=lambda leader: (
+                scenarios[leader].count_configs()
+                / weights.get(scenarios[leader].name, 1.0),
+                leader,
+            ),
+        )
         start = time.perf_counter()
         opened: list[int] = []
         closed: set[int] = set()
@@ -708,27 +691,26 @@ class Campaign:
                 if sink is not None:
                     open_sink(sink, scenarios[index], self._label(index))
                     opened.append(index)
-            policy.start(scenarios)
-            while live:
-                index = _select(policy, live)
-                if next(walks[index], _DONE) is _DONE:
-                    live.remove(index)
-                    yield from self._finish(
-                        units[index], members, sink_list, opened, closed, leader_of
-                    )
-                    continue
+            for leader in order:
+                indices = units[leader]
+                _drain_walk(
+                    tuple(scenarios[index] for index in indices),
+                    plans[leader],
+                    tuple(members[index].consumer for index in indices),
+                )
                 now = time.perf_counter() - start
-                for member in units[index]:
-                    members[member].completed_at = now
+                for index in indices:
+                    members[index].completed_at = now
+                yield from self._finish(
+                    indices, members, sink_list, opened, closed, leader_of
+                )
         except BaseException as exc:
             error = exc
             raise
         finally:
-            # Close the walks first (a drained stream is already shut),
-            # then flush every sink not already closed at scenario
-            # completion.
-            for walk in walks.values():
-                walk.close()
+            # A walk is closed before its error propagates, so only the
+            # sinks not already closed at scenario completion are left
+            # to flush.
             close_error: BaseException | None = None
             for index in opened:
                 if index in closed:
@@ -792,7 +774,7 @@ class Campaign:
         *,
         sinks: Any = None,
         collect: bool = True,
-        policy: Any = None,
+        weights: Mapping[str, float] | None = None,
         dedup: bool = False,
         frontier: bool = True,
     ) -> CampaignResult:
@@ -828,10 +810,14 @@ class Campaign:
             sinks at all (a summary-only campaign) or with a sink for
             *every* scenario (an export-only campaign); partial coverage
             would silently discard rows and is rejected.
-        policy:
-            The :class:`SchedulingPolicy` interleaving the fleet's
-            slices — an instance or a builtin name
-            (:data:`SCHEDULING_POLICIES`); default round-robin. Policies
+        weights:
+            Completion-time weights ``{scenario name: weight}`` (each
+            positive; scenarios without an entry weigh 1.0, unknown
+            names raise :class:`~repro.errors.ConfigurationError`).
+            Walks run to completion in ascending ``count_configs() /
+            weight`` of each unit's leader, ties in fleet order: the
+            WSPT order minimizing
+            :meth:`CampaignResult.weighted_completion_seconds`. Weights
             reorder scenario completion, never per-scenario results.
         dedup:
             Share link-independent compute-side prefix states across
@@ -859,14 +845,13 @@ class Campaign:
             frontier derives lazily from the columns).
         """
         resolve_executor(executor)
-        resolved = resolve_policy(policy)
         start = time.perf_counter()
         runs = list(
             self.iter_runs(
                 chunk_size,
                 sinks=sinks,
                 collect=collect,
-                policy=resolved,
+                weights=weights,
                 dedup=dedup,
                 frontier=frontier,
             )
@@ -878,7 +863,6 @@ class Campaign:
             name=self.name,
             runs=runs,
             wall_seconds=wall,
-            policy=getattr(resolved, "name", type(resolved).__name__),
             dedup=dedup,
         )
 

@@ -18,8 +18,8 @@ each member's link: solo ``explore()`` walks a group of one, a
 campaign dedup group its members. ``evaluation="scalar"`` alone takes
 the scalar reference fold, :func:`iter_evaluation_chunks` (one
 memoized :class:`~repro.explore.incremental.PrefixEvaluator` walk over
-the whole stream). ``explore()`` and every campaign member run one
-stream (:func:`_scenario_stream`) into one consumer each
+the whole stream). ``explore()`` and every campaign member drain one
+walk (:func:`_drain_walk`) into one consumer each
 (:class:`_RunConsumer`), so solo runs and campaign members cannot
 drift apart. The engine runs no worker pool: shipping cohorts or
 scalar chunks to pool workers measured slower than folding them in
@@ -266,21 +266,22 @@ def evaluation_path(
     return _plan(scenario, evaluation, dedup).path
 
 
-def _scenario_stream(
+def _drain_walk(
     scenarios: tuple[Scenario, ...],
     plan: _Plan,
     consumers: tuple["_RunConsumer", ...],
-) -> Iterator[None]:
-    """Feed one walk's rows into its members' ``consumers``, one cohort
-    slice or cost chunk per step, sliced at the consumers' write size
-    (None: the walk's blocks of rows, or :data:`DEFAULT_CHUNK_SIZE`
-    configurations per scalar chunk): the stream of solo
-    :func:`explore` (a group of one) and of every campaign unit (a
-    dedup group's members, or one other member). Cohort plans run one
-    walk (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
+) -> None:
+    """Drain one walk into its members' ``consumers``, one cohort slice
+    or cost chunk at a time, sliced at the consumers' write size (None:
+    the walk's blocks of rows, or :data:`DEFAULT_CHUNK_SIZE`
+    configurations per scalar chunk): the walk of solo :func:`explore`
+    (a group of one) and of every campaign unit (a dedup group's
+    members, or one other member). Cohort plans run one walk
+    (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
     iter_group_batches`) and hand each member its own view of every
     slice. The scalar plan (solo ``explore(..., evaluation="scalar")``,
-    one member) runs :func:`iter_evaluation_chunks`."""
+    one member) runs :func:`iter_evaluation_chunks`. The walk is closed
+    before an error from a consumer propagates."""
     size = consumers[0].chunk_size
     if plan.scalar:
         (scenario,) = scenarios
@@ -303,7 +304,6 @@ def _scenario_stream(
     try:
         for item in stream:
             add(item)
-            yield
     finally:
         stream.close()
 
@@ -382,8 +382,7 @@ def explore(
     consumer = _RunConsumer(scenario, sink, label, collect, chunk_size)
     with sink_stream(sink, scenario, label):
         with _gc_paused() if pause else nullcontext():
-            for _ in _scenario_stream((scenario,), plan, (consumer,)):
-                pass
+            _drain_walk((scenario,), plan, (consumer,))
             consumer.flush()
     return consumer.result()
 

@@ -292,8 +292,7 @@ def count_configs(
     long as no *per-config* ``prune`` hook or *prefix* pruner filters
     further (depth-level pruning is exact here; counting those would
     require enumerating, so with them this is an upper bound).
-    Useful for sizing work (the scheduling policies weigh a scenario by
-    it) and for reporting how much a depth pruner saved: ``count_configs(p) - count_configs(p, prune_depth=h)``.
+    Useful for sizing work (a campaign orders its walks by it) and for reporting how much a depth pruner saved: ``count_configs(p) - count_configs(p, prune_depth=h)``.
     """
     option_lists = enumeration_plan(pipeline, max_blocks)
     total = 0

@@ -34,18 +34,19 @@ The objective is fleet-level: maximize the *minimum member FPS* over
 joint assignments whose aggregate demand fits the capacity (the
 max-min fairness point); the weighted-mean-completion-time objective
 over ``iter_runs`` lands alongside as
-:meth:`~repro.explore.campaign.CampaignResult.weighted_completion_seconds`
-plus the ``weighted_completion`` scheduling policy.
+:meth:`~repro.explore.campaign.CampaignResult.weighted_completion_seconds`,
+and the fleet's weights order the phase-1 campaign's walks.
 
 Machinery reuse, not re-enumeration
 -----------------------------------
 
 Phase 1 evaluates every member's solo design space through one
-:class:`~repro.explore.campaign.Campaign` — its scheduled interleaving,
-any :class:`~repro.explore.scheduling.SchedulingPolicy`, and (with
-``dedup=True``) the cross-member evaluation dedup: members sharing a
-pipeline ride one lazy columnar group walk and are costed once. Member rows are therefore byte-identical to solo ``explore()``
-runs by the campaign's standing contract. Phase 2 is an exact
+:class:`~repro.explore.campaign.Campaign` — each walk run to completion
+in WSPT order under the fleet's weights, and (with ``dedup=True``) the
+cross-member evaluation dedup: members sharing a pipeline ride one lazy
+columnar group walk and are costed once. Member rows are therefore
+byte-identical to solo ``explore()`` runs by the campaign's standing
+contract. Phase 2 is an exact
 threshold max-min over the per-member candidates
 (:func:`search_joint_assignment`): a binary search over the candidate
 rates finds the largest rate ``t`` at which every member's cheapest
@@ -73,7 +74,7 @@ import numpy as np
 
 from repro.core.report import TextTable, joint_fleet_summary_table
 from repro.errors import ConfigurationError
-from repro.explore.campaign import Campaign, CampaignResult
+from repro.explore.campaign import Campaign, CampaignResult, _check_weights
 from repro.explore.executor import SweepExecutor, resolve_executor
 from repro.explore.scenario import Scenario
 from repro.explore.sink import ResultSink
@@ -99,10 +100,11 @@ class JointFleetScenario:
         aggregate demand must fit.
     weights:
         Optional per-member completion-time weights (aligned with
-        ``members``) for the weighted-mean-completion-time objective;
-        forwarded to
-        :meth:`~repro.explore.campaign.CampaignResult.weighted_completion_seconds`
-        and usable as ``policy=WeightedCompletionTime(fleet.weight_map())``.
+        ``members``) for the weighted-mean-completion-time objective:
+        :func:`explore_joint` runs the member campaign under them
+        (``Campaign.run(weights=fleet.weight_map())``) and
+        :meth:`JointFleetResult.weighted_completion_seconds` defaults
+        to them.
     """
 
     name: str
@@ -148,11 +150,7 @@ class JointFleetScenario:
                     f"weights must align with members "
                     f"({len(self.members)}), got {len(self.weights)}"
                 )
-            for name, weight in zip(names, self.weights):
-                if not weight > 0:
-                    raise ConfigurationError(
-                        f"weight for {name!r} must be positive, got {weight}"
-                    )
+            _check_weights(dict(zip(names, self.weights)), names)
 
     def weight_map(self) -> dict[str, float] | None:
         """The weights keyed by member name (None when unweighted)."""
@@ -501,19 +499,19 @@ def explore_joint(
     executor: SweepExecutor | None = None,
     chunk_size: int | None = None,
     *,
-    policy: Any = None,
     dedup: bool = True,
     collect: bool = True,
 ) -> JointFleetResult:
     """Explore a joint fleet: solo member sweeps, then the joint search.
 
     Phase 1 runs every member through one
-    :class:`~repro.explore.campaign.Campaign` in the calling process
-    under ``policy`` — ``dedup=True`` (the default here: joint fleets
-    are a dedup-heavy shape, N cameras often sharing a pipeline) shares
-    compute-side states across members through the campaign's dedup
-    groups. Member
-    rows are byte-identical to solo ``explore()`` runs.
+    :class:`~repro.explore.campaign.Campaign` in the calling process,
+    its walks in WSPT order under the fleet's weights
+    (:meth:`JointFleetScenario.weight_map`). ``dedup=True`` (the
+    default here: joint fleets are a dedup-heavy shape, N cameras often
+    sharing a pipeline) shares compute-side states across members
+    through the campaign's dedup groups. Member rows are byte-identical
+    to solo ``explore()`` runs.
 
     Phase 2 finds the max-min-FPS joint assignment fitting
     ``fleet.capacity_bps`` over each member's per-depth candidates:
@@ -546,7 +544,7 @@ def explore_joint(
     sinks = {member.name: JointCandidateSink(member) for member in fleet.members}
     campaign = Campaign(list(fleet.members), name=fleet.name).run(
         chunk_size=chunk_size,
-        policy=policy,
+        weights=fleet.weight_map(),
         dedup=dedup,
         sinks=sinks,
         collect=collect,

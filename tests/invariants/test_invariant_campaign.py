@@ -2,20 +2,20 @@
 
 The load-bearing identities of the campaign driver, as properties:
 
-* **campaign == solo**: every scenario of a fleet run through one
-  shared executor produces rows byte-identical to a solo ``explore()``
-  of that scenario, under EVERY builtin scheduling policy;
+* **campaign == solo**: every scenario of a fleet run as one campaign
+  produces rows byte-identical to a solo ``explore()`` of that
+  scenario, unweighted and under unequal completion-time weights;
 * **dedup on == dedup off**: enabling cross-scenario evaluation dedup
   changes which code computes each cost, never the bytes of any row;
-* the acceptance pairing: weighted ``weighted_completion`` *and*
-  ``dedup=True`` together, on a parallel executor, still match solo
+* the acceptance pairing: unequal weights *and* ``dedup=True``
+  together, with an executor in the positional slot, still match solo
   byte for byte;
 * **the path reported is the path taken**: every member runs exactly
   the path :func:`~repro.explore.evaluation_path` reports for it;
 * **campaign == solo, shrinking**: hypothesis fleets of 1-4 members
   drawn from the compact-rows chain strategy — plain, hooked and
-  same-pipeline link pairs mixed — match solo ``explore()`` under every
-  builtin policy and both ``dedup`` values, and a counterexample
+  same-pipeline link pairs mixed — match solo ``explore()`` under both
+  ``dedup`` values and unequal weights, and a counterexample
   shrinks to a minimal fleet.
 """
 
@@ -30,11 +30,9 @@ from hypothesis import strategies as st
 from test_invariant_compact_rows import scenarios
 
 from repro.explore import (
-    SCHEDULING_POLICIES,
     BatchPrefixEvaluator,
     Campaign,
     SweepExecutor,
-    WeightedCompletionTime,
     evaluation_path,
     explore,
 )
@@ -49,19 +47,22 @@ def _solo_rows(fleet):
     return {scenario.name: explore(scenario).rows for scenario in fleet}
 
 
+def _unequal_weights(fleet):
+    """Weights 1, 2, 3, 1, ... in fleet order: enough to reorder the
+    walks away from shortest-first."""
+    return {scenario.name: 1.0 + i % 3 for i, scenario in enumerate(fleet)}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_campaign_equals_solo_under_every_policy(gen, seed):
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
-    for policy in sorted(SCHEDULING_POLICIES):
-        result = Campaign(fleet).run(chunk_size=3, policy=policy)
-        assert result.policy == policy
-        for run in result:
-            assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
-                seed,
-                policy,
-                run.name,
-            )
+    result = Campaign(fleet).run(chunk_size=3)
+    for run in result:
+        assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
+            seed,
+            run.name,
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -99,19 +100,17 @@ def test_dedup_on_equals_dedup_off_byte_identical(gen, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_weighted_completion_with_dedup_on_parallel_executor(gen, seed):
-    """The acceptance pairing: unequally weighted run-to-completion
-    scheduling and the evaluation cache enabled together, on a shared
-    thread pool."""
+    """The acceptance pairing: unequal completion-time weights and the
+    evaluation cache enabled together, with a thread pool in the
+    positional executor slot."""
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
-    weights = {scenario.name: 1.0 + i % 3 for i, scenario in enumerate(fleet)}
     result = Campaign(fleet).run(
         SweepExecutor(workers=3, backend="thread"),
         chunk_size=2,
-        policy=WeightedCompletionTime(weights),
+        weights=_unequal_weights(fleet),
         dedup=True,
     )
-    assert result.policy == "weighted_completion"
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
             seed,
@@ -230,14 +229,9 @@ def fleets(draw):
 @given(fleets(), st.sampled_from((None, 7)))
 def test_fleet_members_equal_solo_shrinking(fleet, chunk_size):
     solo = {member.name: json.dumps(explore(member).rows) for member in fleet}
-    for policy in sorted(SCHEDULING_POLICIES):
-        for dedup in (False, True):
-            result = Campaign(fleet).run(
-                chunk_size=chunk_size, policy=policy, dedup=dedup
-            )
-            for run in result:
-                assert json.dumps(run.result.rows) == solo[run.name], (
-                    policy,
-                    dedup,
-                    run.name,
-                )
+    for dedup in (False, True):
+        result = Campaign(fleet).run(
+            chunk_size=chunk_size, weights=_unequal_weights(fleet), dedup=dedup
+        )
+        for run in result:
+            assert json.dumps(run.result.rows) == solo[run.name], (dedup, run.name)

@@ -1,5 +1,5 @@
 """Joint-fleet invariants: solo degeneration, search exactness, and
-executor/policy independence.
+executor/weight independence.
 
 Properties over seeded random shared-uplink fleets:
 
@@ -15,10 +15,10 @@ Properties over seeded random shared-uplink fleets:
   lists (fractional demands, tied rates, capacities at an assignment's
   exact fleet-order sum and one ulp either side) it must return the
   oracle's choice, optimum and demand exactly.
-* **Joint results are executor- and policy-independent.** The best
+* **Joint results are executor- and weight-independent.** The best
   assignment, optimum and member rows are identical across
-  serial/thread/process executors and every registered scheduling
-  policy (selections reorder only *between* members).
+  serial/thread/process executors and under unequal fleet weights
+  (weights reorder only the members' walks, never their rows).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.datasets.rng import make_rng
 from repro.explore import (
-    SCHEDULING_POLICIES,
     JointCandidate,
     JointFleetScenario,
     SweepExecutor,
@@ -231,16 +230,16 @@ def test_joint_identical_across_executors_and_policies(gen, seed):
     executors = [None, SweepExecutor(workers=3, backend="thread")]
     if seed % 5 == 0:  # process pools are expensive; sample them
         executors.append(SweepExecutor(workers=2, backend="process"))
+    weighted = replace(
+        fleet, weights=tuple(1.0 + i % 3 for i in range(len(fleet.members)))
+    )
     for executor in executors:
-        for policy in sorted(SCHEDULING_POLICIES):
-            candidate = explore_joint(
-                fleet, executor, chunk_size=3, policy=policy
-            )
-            assert candidate.best_choice == reference.best_choice, policy
-            assert candidate.best_fleet_fps == reference.best_fleet_fps
-            assert candidate.best_demand_bps == reference.best_demand_bps
-            assert candidate.counters == reference.counters
-            rows = json.dumps(
-                [candidate.campaign[m.name].result.rows for m in fleet.members]
-            )
-            assert rows == reference_rows, (executor, policy)
+        candidate = explore_joint(weighted, executor, chunk_size=3)
+        assert candidate.best_choice == reference.best_choice, executor
+        assert candidate.best_fleet_fps == reference.best_fleet_fps
+        assert candidate.best_demand_bps == reference.best_demand_bps
+        assert candidate.counters == reference.counters
+        rows = json.dumps(
+            [candidate.campaign[m.name].result.rows for m in fleet.members]
+        )
+        assert rows == reference_rows, executor

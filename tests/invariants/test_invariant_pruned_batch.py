@@ -17,9 +17,9 @@ properties:
   process pool matches the solo serial run byte for byte, pruned or
   hooked — its stock members fold in the calling process, exactly as
   solo ``explore()`` on that pool does;
-* **pooled campaigns == solo**: a fleet with pruned members run on a
-  shared parallel executor matches solo runs under EVERY builtin
-  scheduling policy.
+* **pooled campaigns == solo**: a fleet with pruned members, given a
+  parallel executor and unequal completion-time weights, matches solo
+  runs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from dataclasses import replace
 import pytest
 
 from repro.explore import (
-    SCHEDULING_POLICIES,
     Campaign,
     SweepExecutor,
     evaluation_path,
@@ -144,13 +143,12 @@ def test_shard_equals_serial(gen, seed, backend):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_shard_campaign_equals_solo_under_every_policy(gen, seed):
-    """A fleet with pruned members on one shared parallel executor:
-    every scenario's rows match its solo explore() under every builtin
-    scheduling policy."""
+    """A fleet with pruned members, a parallel executor in the slot and
+    unequal weights: every scenario's rows match its solo explore()."""
     fleet = gen.fleet(seed)
     solo = {scenario.name: _rows_json(explore(scenario)) for scenario in fleet}
     executor = SweepExecutor(workers=2, backend="thread")
-    for policy in sorted(SCHEDULING_POLICIES):
-        result = Campaign(fleet).run(executor, chunk_size=3, policy=policy)
-        for run in result:
-            assert _rows_json(run.result) == solo[run.name], (seed, policy, run.name)
+    weights = {scenario.name: 1.0 + i % 3 for i, scenario in enumerate(fleet)}
+    result = Campaign(fleet).run(executor, chunk_size=3, weights=weights)
+    for run in result:
+        assert _rows_json(run.result) == solo[run.name], (seed, run.name)

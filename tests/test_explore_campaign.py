@@ -582,7 +582,7 @@ MIXED_EXECUTORS = pytest.mark.parametrize(
 def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeypatch):
     """Every member (solo, pruned, hooked, pass-rated, a dedup pair)
     folds the cohort walk in process: rows stay byte-identical to solo
-    explore() under both policies and every dedup mode, and no member
+    explore() under every dedup mode, and no member
     reaches the scalar pipe or the executor's ``imap``, whatever the
     executor — campaigns have no scalar members."""
     fleet = _mixed_fleet()
@@ -602,23 +602,16 @@ def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeyp
 
     monkeypatch.setattr(engine_module, "iter_evaluation_chunks", spying_chunks)
     monkeypatch.setattr(SweepExecutor, "imap", spying_imap)
-    for policy in ("round_robin", "weighted_completion"):
-        for dedup in (False, True):
-            piped.clear()
-            pooled.clear()
-            result = Campaign(fleet).run(
-                executor, chunk_size=5, policy=policy, dedup=dedup
-            )
-            for run in result:
-                assert json.dumps(run.result.rows) == solo[run.name], (
-                    policy,
-                    dedup,
-                    run.name,
-                )
-            assert piped == [], (policy, dedup)
-            assert pooled == [], (policy, dedup)
-            shared = 1 if dedup else 0
-            assert result.cache_stats["scenarios_shared"] == shared
+    for dedup in (False, True):
+        piped.clear()
+        pooled.clear()
+        result = Campaign(fleet).run(executor, chunk_size=5, dedup=dedup)
+        for run in result:
+            assert json.dumps(run.result.rows) == solo[run.name], (dedup, run.name)
+        assert piped == [], dedup
+        assert pooled == [], dedup
+        shared = 1 if dedup else 0
+        assert result.cache_stats["scenarios_shared"] == shared
 
 
 @pytest.mark.parametrize(
@@ -628,17 +621,15 @@ def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeyp
 )
 @pytest.mark.parametrize("dedup", [False, True])
 def test_mixed_fleet_completes_in_wspt_order(executor, dedup):
-    """One lane for every walk kind: ``weighted_completion`` hands runs
-    out in WSPT order (ascending ``count_configs()``, ties in fleet
+    """One lane for every walk kind: the campaign hands runs out in
+    WSPT order (ascending ``count_configs()``, ties in fleet
     order) whatever path each member takes. The executor reaches only
     ``evaluation_path``'s slot, which reports the same mixed paths on
     every executor."""
     fleet = _mixed_fleet()
     paths = {evaluation_path(member, executor, dedup=dedup) for member in fleet}
     assert paths == {"batch-dedup" if dedup else "batch-cohort", "batch-cohort-pruned"}
-    runs = Campaign(fleet).iter_runs(
-        chunk_size=5, policy="weighted_completion", dedup=dedup
-    )
+    runs = Campaign(fleet).iter_runs(chunk_size=5, dedup=dedup)
     assert [run.name for run in runs] == [
         "pair-slow",
         "pair-fast",

@@ -109,8 +109,8 @@ def test_failing_member_sink_inside_a_dedup_group(boom_cls, collect):
 
 
 def test_abandoned_iter_runs_keeps_yielded_group_runs_answering():
-    """The dedup group finishes first; the consumer walks away while the
-    larger unit is still walking. Runs already yielded keep their
+    """The dedup group finishes first; the consumer walks away before
+    the larger unit's walk starts. Runs already yielded keep their
     frontiers as compact views that pin nothing of the closed walk."""
     catalog = load_builtin()
     fleet = _group() + catalog.build_at_links("snnap-dvfs", ("25g",))
@@ -122,8 +122,10 @@ def test_abandoned_iter_runs_keeps_yielded_group_runs_answering():
     yielded = [next(runs) for _ in LINKS]
     runs.close()
     assert [run.name for run in yielded] == [member.name for member in fleet[:3]]
-    # The other unit was mid-walk when the consumer left.
-    assert 0 < len(sinks[straggler.name].rows) < straggler.count_configs()
+    # Walks run to completion in WSPT order: the larger unit had not
+    # started when the consumer left.
+    assert straggler.count_configs() > fleet[0].count_configs()
+    assert sinks[straggler.name].rows == []
     for run in yielded:
         assert run.result is None and run.frontier is not None
         assert run.dedup_source in (None, fleet[0].name)

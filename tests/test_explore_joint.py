@@ -20,7 +20,6 @@ from repro.explore import (
     JointFleetScenario,
     JointFleetSpec,
     Scenario,
-    WeightedCompletionTime,
     explore,
     explore_joint,
     joint_candidates,
@@ -401,54 +400,84 @@ def test_weighted_completion_seconds_validates_and_averages():
     assert weighted >= 0.0
 
 
-# -- WeightedCompletionTime policy ----------------------------------------
+# -- the WSPT walk order ---------------------------------------------------
 
 
-def test_weighted_completion_policy_orders_by_weight_per_config():
+def _walk_order(monkeypatch) -> list[tuple[str, ...]]:
+    """Record the member names of every cohort walk, in start order."""
+    order: list[tuple[str, ...]] = []
+    real = BatchPrefixEvaluator.iter_group_batches
+
+    def spy(self, scenarios, chunk_size=None):
+        order.append(tuple(scenario.name for scenario in scenarios))
+        return real(self, scenarios, chunk_size)
+
+    monkeypatch.setattr(BatchPrefixEvaluator, "iter_group_batches", spy)
+    return order
+
+
+def test_weighted_completion_policy_orders_by_weight_per_config(monkeypatch):
     small = build_member("small", pipeline=build_pipeline(2))
     large = build_member("large", pipeline=build_pipeline(4))
     one = build_member("one", max_blocks=0)  # only the all-offload config
     empty = build_member("empty", max_blocks=0, include_empty=False)
     assert (one.count_configs(), empty.count_configs()) == (1, 0)
-    policy = WeightedCompletionTime()
-    policy.start([large, small, one, empty])
+    walks = _walk_order(monkeypatch)
     # Equal weights: shortest-first order, the zero-config scenario
     # ahead of the one-config one placed before it in the fleet.
-    order = []
-    live = [0, 1, 2, 3]
-    while live:
-        order.append(policy.select(live))
-        live.remove(order[-1])
-    assert order == [3, 2, 1, 0]
-    policy.start([large, small])
-    live = [0, 1]
-    assert policy.select(live) == 1
+    runs = Campaign([large, small, one, empty]).iter_runs()
+    assert [run.name for run in runs] == ["empty", "one", "small", "large"]
+    assert walks == [("empty",), ("one",), ("small",), ("large",)]
     # A heavy-enough weight pulls the large scenario ahead.
-    heavy = WeightedCompletionTime({"large": 1e6})
-    heavy.start([large, small])
-    assert heavy.select(live) == 0
-    # Run-to-completion: the selection repeats while the pick is live.
-    assert heavy.select(live) == 0
-    assert heavy.select([1]) == 1
+    walks.clear()
+    runs = Campaign([large, small]).iter_runs(weights={"large": 1e6})
+    assert [run.name for run in runs] == ["large", "small"]
+    assert walks == [("large",), ("small",)]
 
 
 def test_weighted_completion_policy_validates_weights():
+    members = [build_member("cam0")]
     with pytest.raises(ConfigurationError, match="positive"):
-        WeightedCompletionTime({"x": 0.0})
-    with pytest.raises(ConfigurationError, match="default_weight"):
-        WeightedCompletionTime(default_weight=-1.0)
-    policy = WeightedCompletionTime({"ghost": 2.0})
+        Campaign(members).run(weights={"cam0": 0.0})
+    with pytest.raises(ConfigurationError, match="positive"):
+        Campaign(members).run(weights={"cam0": float("nan")})
     with pytest.raises(ConfigurationError, match="unknown scenarios"):
-        policy.start([build_member("cam0")])
+        Campaign(members).run(weights={"ghost": 2.0})
 
 
 def test_weighted_completion_policy_runs_a_campaign():
     members = [build_member("cam0"), build_member("cam1")]
     solo = [explore(member) for member in members]
-    campaign = Campaign(members).run(chunk_size=3, policy="weighted_completion")
+    campaign = Campaign(members).run(chunk_size=3, weights={"cam1": 4.0})
     for member, result in zip(members, solo):
         assert json.dumps(campaign[member.name].result.rows) == json.dumps(
             result.rows
+        )
+
+
+def test_explore_joint_completes_members_in_fleet_weighted_wspt_order(monkeypatch):
+    """The fleet's weights order the member campaign: ascending
+    ``count_configs() / weight``, which here is neither fleet order nor
+    shortest-first."""
+    members = (
+        build_member("small", pipeline=build_pipeline(2)),
+        build_member("mid", pipeline=build_pipeline(3, fps_offset=1.0)),
+        build_member("large", pipeline=build_pipeline(4, fps_offset=2.0)),
+    )
+    sizes = [member.count_configs() for member in members]
+    assert sizes[0] < sizes[1] < sizes[2]
+    weights = (1.0, 1e-3, 1e6)
+    fleet = JointFleetScenario(
+        name="weighted", members=members, capacity_bps=1e12, weights=weights
+    )
+    walks = _walk_order(monkeypatch)
+    result = explore_joint(fleet)
+    assert walks == [("large",), ("small",), ("mid",)]
+    done = {run.name: run.wall_seconds for run in result.campaign}
+    assert done["large"] <= done["small"] <= done["mid"]
+    for member in members:
+        assert json.dumps(result.campaign[member.name].result.rows) == json.dumps(
+            explore(member).rows
         )
 
 

@@ -1,10 +1,10 @@
-"""Streaming campaign consumption: ``iter_runs``, scheduling policies,
+"""Streaming campaign consumption: ``iter_runs``, the WSPT walk order,
 and the online Pareto frontier.
 
 The acceptance gates of the streaming driver: ``iter_runs()`` yields
-each scenario's run the moment its last chunk lands (observably before
-the fleet drains), ``Campaign.run`` results stay byte-identical to solo
-``explore()`` under every builtin scheduling policy, the streamed
+each scenario's run the moment its walk ends (observably before the
+fleet drains), ``Campaign.run`` results stay byte-identical to solo
+``explore()`` whatever the completion-time weights, the streamed
 Pareto frontier under ``collect=False`` equals the collected-mode
 frontier exactly, an abandoned or interrupted iterator closes every
 walk and every sink, and a mid-campaign sink failure never corrupts
@@ -20,24 +20,19 @@ import pytest
 
 from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
-    SCHEDULING_POLICIES,
     Campaign,
     MemorySink,
     ParetoFrontier,
     ParetoSink,
     ResultSink,
-    RoundRobin,
     Scenario,
-    SchedulingPolicy,
     SweepExecutor,
-    WeightedCompletionTime,
     explore,
     load_builtin,
     pareto_filter,
 )
 from repro.explore.result import domain_frontier
 from repro.explore.vectorized import BatchPrefixEvaluator
-from repro.explore.scheduling import resolve_policy
 
 #: A mixed-size, mixed-domain fleet (ascending design-space sizes:
 #: faceauth 11, vr 15, snnap-dvfs 40, codec 81).
@@ -185,9 +180,7 @@ def test_iter_runs_yields_before_fleet_drains():
     fleet = build_fleet()
     total = sum(scenario.count_configs() for scenario in fleet)
     sinks = {scenario.name: MemorySink() for scenario in fleet}
-    iterator = Campaign(fleet).iter_runs(
-        chunk_size=4, sinks=sinks, policy="weighted_completion"
-    )
+    iterator = Campaign(fleet).iter_runs(chunk_size=4, sinks=sinks)
     first = next(iterator)
     streamed_so_far = sum(len(sink.rows) for sink in sinks.values())
     assert streamed_so_far < total  # the fleet has NOT drained
@@ -221,34 +214,20 @@ def test_iter_runs_completion_order_shortest_first():
 
     fleet = build_fleet()
     fleet.append(replace(fleet[0], name="empty", max_blocks=0, include_empty=False))
-    # Equal weights: weighted-completion order is shortest-first.
-    runs = list(Campaign(fleet).iter_runs(policy=WeightedCompletionTime()))
+    # Equal weights: WSPT order is shortest-first.
+    runs = list(Campaign(fleet).iter_runs())
     sizes = [run.scenario.count_configs() for run in runs]
     assert sizes == sorted(sizes)
     assert runs[0].name == "empty" and runs[0].n_evaluated == 0
     # run() reassembles fleet order regardless of completion order.
-    result = Campaign(fleet).run(policy="weighted_completion")
+    result = Campaign(fleet).run()
     assert [run.name for run in result] == [scenario.name for scenario in fleet]
 
 
-def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
-    """A consumer that walks away mid-fleet must leave no resources
-    behind: every sink is closed exactly once, and no pool ever starts
-    (``iter_runs`` takes no executor; every member folds in process).
-    Round-robin starts every member's stream before the first run
-    completes."""
-    import repro.explore.executor as executor_module
-
-    pools = []
-    real_pool = executor_module.ThreadPoolExecutor
-
-    class TrackingPool(real_pool):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            pools.append(self)
-
-    monkeypatch.setattr(executor_module, "ThreadPoolExecutor", TrackingPool)
-
+def test_abandoned_iter_runs_closes_every_sink_once():
+    """A consumer that walks away mid-fleet must leave no sink open:
+    every sink, of finished and of never-started members alike, is
+    closed exactly once."""
     lifecycle: list[str] = []
 
     class Tracking(ResultSink):
@@ -266,12 +245,9 @@ def test_abandoned_iter_runs_releases_executor_and_sinks(monkeypatch):
 
     fleet = build_fleet()
     sinks = {scenario.name: Tracking(scenario.name) for scenario in fleet}
-    iterator = Campaign(fleet).iter_runs(
-        chunk_size=1, sinks=sinks, policy="round_robin"
-    )
+    iterator = Campaign(fleet).iter_runs(chunk_size=1, sinks=sinks)
     first = next(iterator)
     iterator.close()  # walk away mid-fleet
-    assert not pools
     opened = [e.split(":", 1)[1] for e in lifecycle if e.startswith("open:")]
     closed = [e.split(":", 1)[1] for e in lifecycle if e.startswith("close:")]
     assert sorted(opened) == sorted(scenario.name for scenario in fleet)
@@ -305,21 +281,6 @@ class _InterruptingSink(ResultSink):
         self._lifecycle.append(("close", self._name, self._walks.open))
 
 
-class _InterruptingPolicy(RoundRobin):
-    """Round-robin that raises ``KeyboardInterrupt`` from its sixth
-    ``select``."""
-
-    def start(self, scenarios):
-        super().start(scenarios)
-        self._calls = 0
-
-    def select(self, live):
-        self._calls += 1
-        if self._calls == 6:
-            raise KeyboardInterrupt
-        return super().select(live)
-
-
 class _WalkTracker:
     """Counts cohort walks that started and have not finished."""
 
@@ -340,11 +301,12 @@ class _WalkTracker:
         monkeypatch.setattr(BatchPrefixEvaluator, "iter_group_batches", walk)
 
 
-@pytest.mark.parametrize("source", ["write_batch", "select"])
+@pytest.mark.parametrize("source", ["write_batch"])
 def test_keyboard_interrupt_mid_iter_runs_closes_walks_and_sinks(source, monkeypatch):
-    """Fault injection: a ``KeyboardInterrupt`` raised mid-fleet — from
-    a sink's ``write_batch`` or from the policy's ``select`` —
-    propagates unwrapped (not as a ``SinkError``). Every opened sink is
+    """Fault injection: a ``KeyboardInterrupt`` raised mid-fleet from a
+    sink's ``write_batch`` propagates unwrapped (not as a
+    ``SinkError``). The victim is not first in WSPT order, so a walk
+    has already finished when the interrupt hits. Every opened sink is
     closed exactly once, and the sinks still open when the interrupt hit
     close only after every walk has been closed, so none is left
     open."""
@@ -352,22 +314,25 @@ def test_keyboard_interrupt_mid_iter_runs_closes_walks_and_sinks(source, monkeyp
     fleet = build_fleet() + catalog.build_at_links("vr-fig10", ("wifi", "low-power"))
     walks = _WalkTracker(monkeypatch)
     lifecycle: list[tuple] = []
-    victim = fleet[2].name if source == "write_batch" else None
+    # snnap-dvfs (40 configs) walks last, after faceauth (11), the vr
+    # dedup group and compression (15 each).
+    victim = fleet[2].name
     sinks = {
         member.name: _InterruptingSink(
             member.name, lifecycle, walks, victim=member.name == victim
         )
         for member in fleet
     }
-    policy = _InterruptingPolicy() if source == "select" else "round_robin"
     runs = Campaign(fleet).iter_runs(
-        chunk_size=2, sinks=sinks, collect=False, policy=policy, dedup=True
+        chunk_size=2, sinks=sinks, collect=False, dedup=True
     )
+    finished = []
     with pytest.raises(KeyboardInterrupt) as caught:
-        for _ in runs:
-            pass
+        for run in runs:
+            finished.append(run.name)
     assert caught.type is KeyboardInterrupt
-    assert walks.started > 1  # the interrupt hit with walks in flight
+    assert finished and victim not in finished  # walks ended before it
+    assert walks.started > 1
     assert walks.open == 0
     opened = [name for event, name, _ in lifecycle if event == "open"]
     closes = [(name, live) for event, name, live in lifecycle if event == "close"]
@@ -384,7 +349,9 @@ def test_sink_error_preserves_sibling_streamed_frontiers():
     frontier of exactly the rows it was shown (a clean enumeration
     prefix), never a mixture with another scenario's rows."""
     fleet = build_fleet()
-    victim = fleet[-1].name  # the largest scenario: fails mid-fleet
+    # The largest scenario walks last in WSPT order: it fails after
+    # every sibling has streamed.
+    victim = max(fleet, key=lambda scenario: scenario.count_configs()).name
 
     class Boom(ResultSink):
         def __init__(self):
@@ -457,76 +424,36 @@ def test_campaign_streamed_frontier_equals_collected_on_catalog():
         assert lean.summary_row()["pareto"] == full.summary_row()["pareto"]
 
 
-# -- scheduling policies -------------------------------------------------
+# -- completion order and weights ----------------------------------------
 
 
 def test_run_byte_identical_under_every_builtin_policy():
     """Acceptance: Campaign.run results stay byte-identical to solo
-    explore() — i.e. to the pre-policy behavior — under every builtin
-    scheduling policy, serial and parallel."""
+    explore(), unweighted and under unequal weights, with or without an
+    executor in the positional slot."""
     fleet = build_fleet()
     solo = {scenario.name: explore(scenario).rows for scenario in fleet}
-    for policy in sorted(SCHEDULING_POLICIES):
+    heavy = {fleet[-1].name: 1e6, fleet[0].name: 0.5}
+    for weights in (None, heavy):
         for executor in (None, SweepExecutor(workers=3, backend="thread")):
-            result = Campaign(fleet).run(executor, chunk_size=2, policy=policy)
-            assert result.policy == policy
+            result = Campaign(fleet).run(executor, chunk_size=2, weights=weights)
             for run in result:
                 assert json.dumps(run.result.rows) == json.dumps(
                     solo[run.name]
-                ), (policy, run.name)
-
-
-def test_round_robin_cycles_live_indices():
-    policy = RoundRobin()
-    policy.start([])
-    picks = [policy.select([0, 1, 2]) for _ in range(5)]
-    assert picks == [0, 1, 2, 0, 1]
-    assert policy.select([0, 2]) == 2  # 1 exhausted: cycle skips it
-    assert policy.select([0, 2]) == 0
-
-
-def test_resolve_policy_accepts_names_instances_and_ducks():
-    assert isinstance(resolve_policy(None), RoundRobin)
-    assert isinstance(resolve_policy("weighted_completion"), WeightedCompletionTime)
-    instance = WeightedCompletionTime()
-    assert resolve_policy(instance) is instance
-    with pytest.raises(ConfigurationError, match="unknown scheduling policy"):
-        resolve_policy("fifo")
-    with pytest.raises(ConfigurationError, match="policy must be"):
-        resolve_policy(42)
-
-
-def test_custom_policy_selecting_dead_scenario_fails_fast():
-    class Broken(SchedulingPolicy):
-        name = "broken"
-
-        def select(self, live):
-            return -1
-
-    fleet = build_fleet(("vr-fig10",))
-    with pytest.raises(ConfigurationError, match="live set"):
-        Campaign(fleet).run(policy=Broken())
-
-
-def test_campaign_result_reports_policy():
-    fleet = build_fleet(("vr-fig10",))
-    result = Campaign(fleet).run(policy="weighted_completion")
-    assert result.policy == "weighted_completion"
-    assert "weighted_completion" in result.to_table().render()
+                ), (weights, run.name)
 
 
 def test_single_scenario_fleet_works_under_every_policy():
     scenario = load_builtin().build("faceauth-energy")
     solo = explore(scenario).rows
-    for policy in sorted(SCHEDULING_POLICIES):
-        result = Campaign([scenario]).run(policy=policy)
-        assert json.dumps(result.runs[0].result.rows) == json.dumps(solo)
+    result = Campaign([scenario]).run(weights={scenario.name: 2.0})
+    assert json.dumps(result.runs[0].result.rows) == json.dumps(solo)
 
 
 def test_policies_compose_with_pruned_scenarios():
-    """Policy interleaving over auto-pruned scenarios: per-scenario
-    results still match solo explore() (pruning changes each scenario's
-    chunk stream, not the routing)."""
+    """WSPT order over auto-pruned scenarios: per-scenario results
+    still match solo explore() (pruning changes each scenario's chunk
+    stream, not the routing)."""
     from dataclasses import replace
 
     catalog = load_builtin()
@@ -539,6 +466,6 @@ def test_policies_compose_with_pruned_scenarios():
         ),
     ]
     solo = {scenario.name: explore(scenario).rows for scenario in fleet}
-    result = Campaign(fleet).run(chunk_size=2, policy="weighted_completion")
+    result = Campaign(fleet).run(chunk_size=2)
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name])

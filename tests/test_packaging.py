@@ -44,16 +44,12 @@ EXPLORE_PUBLIC_NAMES = [
     "ParetoFrontier",
     "ParetoSink",
     "ResultSink",
-    "RoundRobin",
-    "SCHEDULING_POLICIES",
     "Scenario",
     "ScenarioCatalog",
     "ScenarioRun",
-    "SchedulingPolicy",
     "SweepExecutor",
     "TopK",
     "TopKSink",
-    "WeightedCompletionTime",
     "count_configs",
     "evaluation_path",
     "explore",
@@ -81,14 +77,14 @@ def test_explore_public_surface_is_pinned():
 def test_explore_design_counters_are_pinned():
     """The design numbers tracked across changes to ``repro.explore``:
     two ``evaluation=`` modes, four evaluation paths (every one reached
-    by the matrix below) and 40 public names. Moving one is a
+    by the matrix below) and 36 public names. Moving one is a
     deliberate design decision, made here."""
     from dataclasses import replace
 
     from repro.explore import engine, evaluation_path, load_builtin
 
     assert engine.EVALUATION_MODES == ("auto", "scalar")
-    assert len(EXPLORE_PUBLIC_NAMES) == 40
+    assert len(EXPLORE_PUBLIC_NAMES) == 36
     scenario = load_builtin().build("vr-fig10")
     matrix = [
         (scenario, {}),
