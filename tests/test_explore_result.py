@@ -14,6 +14,7 @@ from repro.core.pipeline import InCameraPipeline
 from repro.core.sweep import SweepResult
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore import Scenario, explore, pareto_filter
+from repro.explore.result import _PREFILTER_ROWS
 from repro.hw.network import LinkModel
 
 
@@ -96,6 +97,15 @@ def test_pareto_filter_random_cross_check():
     ]:
         got = pareto_filter(rows, axes, flags)
         expected = brute_force_pareto(rows, axes, flags)
+        assert [id(r) for r in got] == [id(r) for r in expected]
+    # Above the skyline's prefilter cut-off, with ties on both axes.
+    rows = [
+        {"u": float(u), "v": float(v)}
+        for u, v in rng.integers(0, 64, size=(_PREFILTER_ROWS + 1000, 2))
+    ]
+    for flags in [(True, True), (False, True)]:
+        got = pareto_filter(rows, ("u", "v"), flags)
+        expected = brute_force_pareto(rows, ("u", "v"), flags)
         assert [id(r) for r in got] == [id(r) for r in expected]
 
 
