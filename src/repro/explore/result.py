@@ -468,19 +468,14 @@ _PREFILTER_ROWS = 4096
 #: The prefilter's staircase is the frontier of every this-many-th point;
 #: strides of 16, 32 and 64 ran within 10% on those two design spaces.
 _PREFILTER_STRIDE = 32
-#: The prefilter gives up when more than one sample point in this many
-#: is on the staircase: the points are anti-correlated and few would be
-#: dropped. On 16,384 such points the plain sweep took 1.17 ms, the full
-#: prefilter 4.07 ms and giving up 1.43 ms; design spaces put 3-14 of a
-#: 100- to 923-point sample on the staircase.
-_STAIRCASE_SHARE = 8
-#: :func:`_stable_head` sorts up to this many keys whole. A selection
-#: costs about ten numpy calls, 12-29 us for ``k = 5`` at 160-3,072 keys.
-#: A full stable sort of keys in runs of 64 equal values took 7 us at
-#: 1,024 keys, 22 us at 2,048 and 33 us at 3,072 (uniform keys: 22, 158
-#: and 280 us), so below 2,048 keys some columns sort faster than they
-#: select. Export top-k windows hold a median of 18-162 candidates and
-#: at most 1,296 on the perfbench pools.
+#: :func:`_stable_head` sorts up to this many keys whole. On the keys
+#: the perfbench pools pass it (2-core x86, numpy 2.4.6, best of 5x50
+#: calls, ``k = 5``): the 127 export top-k windows per pass hold 6-1,296
+#: keys with at most 68 distinct values, which a stable sort orders in
+#: 2.5-21 us against 8.6-16 us for a selection (the sort wins 125 of
+#: them, 458 vs 1,252 us a pass); the collected columns of 1,093 keys
+#: sort in 10 us (select 14 us), those of 3,280-29,524 keys select in
+#: 20-101 us against 78-2,207 us sorted.
 _SELECT_ROWS = 2048
 
 
@@ -510,9 +505,9 @@ def _skyline(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     survivors still sees. An exact tie never strictly dominates, so ties
     all survive; ``-0.0 == 0.0`` and ±inf are ordinary values.
 
-    The plain sweep answers alone for smaller inputs, for keys that are
-    not float64 (object columns of integers past 2**53), and when the
-    staircase is long (:data:`_STAIRCASE_SHARE`). Keys must be NaN-free.
+    The plain sweep answers alone for smaller inputs and for keys that
+    are not float64 (object columns of integers past 2**53). Keys must
+    be NaN-free.
     """
     n = len(k0)
     if n < _PREFILTER_ROWS or k0.dtype != np.float64 or k1.dtype != np.float64:
@@ -520,8 +515,6 @@ def _skyline(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     s0, s1 = k0[::_PREFILTER_STRIDE], k1[::_PREFILTER_STRIDE]
     pivots = _sweep(s0, s1)
     p0, p1 = s0[pivots], s1[pivots]
-    if len(p0) * _STAIRCASE_SHARE > len(s0):
-        return _sweep(k0, k1)
     order = np.argsort(p0)
     p0, p1 = p0[order], p1[order]
     first = np.searchsorted(p0, k0).clip(max=len(p0) - 1)
@@ -568,23 +561,21 @@ def _stable_head(keys: np.ndarray, k: int) -> np.ndarray:
     order of a stable ascending sort: equal keys keep position order.
 
     Selection before sorting: ``np.partition`` finds the k-th smallest
-    key in linear time; every position with a strictly smaller key is in
-    the head, and the earliest positions equal to the k-th key fill the
-    rest, exactly the ones a stable sort puts first among that tie. Only
-    these ``k`` candidates are then stable-sorted. ``-0.0 == 0.0`` and
-    ±inf compare as the sort compares them. Up to :data:`_SELECT_ROWS`
-    keys, one full stable sort is the cheaper way to the same answer.
+    key in linear time. The positions whose key is at most that one
+    hold the whole head; a stable sort of just them, in position order,
+    is the stable sort of every key cut where the larger keys begin, so
+    its first ``k`` are the answer, ties at the k-th key resolved to the
+    earliest. ``-0.0 == 0.0`` and ±inf compare as the sort compares them.
+    Up to :data:`_SELECT_ROWS` keys one full stable sort is the cheaper
+    way to the same answer.
     """
-    n = len(keys)
     if k <= 0:
         return np.empty(0, dtype=np.intp)
-    if k >= n or n <= _SELECT_ROWS:
+    if k >= len(keys) or len(keys) <= _SELECT_ROWS:
         return np.argsort(keys, kind="stable")[:k]
     kth = np.partition(keys, k - 1)[k - 1]
-    below = np.flatnonzero(keys < kth)
-    ties = np.flatnonzero(keys == kth)[: k - len(below)]
-    head = np.concatenate((below, ties))  # each part in position order
-    return head[np.argsort(keys[head], kind="stable")]
+    head = np.flatnonzero(keys <= kth)  # in position order
+    return head[np.argsort(keys[head], kind="stable")[:k]]
 
 
 def _exact_float(column: np.ndarray) -> bool:

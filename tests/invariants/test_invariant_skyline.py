@@ -3,9 +3,8 @@
 :func:`repro.explore.result._skyline` prefilters float64 inputs of at
 least ``_PREFILTER_ROWS`` points against a staircase of every
 ``_PREFILTER_STRIDE``-th point, then sweeps the survivors. The property
-draws up to about 2,000 points and patches the cut-off, the stride and
-the staircase share at which the prefilter gives up, so that inputs
-fall on both sides of each, in the shapes where a
+draws up to about 2,000 points and patches the cut-off and the stride,
+so that inputs fall on both sides of the cut-off, in the shapes where a
 prefilter could drop a point it must keep: small-integer grids heavy
 with ties, anti-correlated staircases on which every point survives,
 exact duplicates, and pools of ``±inf``, ``-0.0`` / ``0.0`` and
@@ -32,8 +31,6 @@ SHAPES = ("grid", "staircase", "duplicates", "specials", "uniform")
 #: the shipped constants (which the drawn sizes stay below).
 CUTOFFS = (1, 256, result._PREFILTER_ROWS)
 STRIDES = (1, 5, result._PREFILTER_STRIDE)
-#: Staircase shares: 1 never gives up, so staircases are prefiltered too.
-SHARES = (1, result._STAIRCASE_SHARE)
 
 
 def dominance_oracle(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
@@ -71,14 +68,13 @@ def _points(shape: str, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     st.integers(0, 2**32 - 1),
     st.sampled_from(CUTOFFS),
     st.sampled_from(STRIDES),
-    st.sampled_from(SHARES),
     st.booleans(),
 )
-@example("duplicates", 1000, 0, 1, 5, 1, False)
-@example("staircase", 2000, 1, 1, result._PREFILTER_STRIDE, 1, False)
-@example("specials", 1500, 2, 256, 1, result._STAIRCASE_SHARE, True)
+@example("duplicates", 1000, 0, 1, 5, False)
+@example("staircase", 2000, 1, 1, result._PREFILTER_STRIDE, False)
+@example("specials", 1500, 2, 256, 1, True)
 def test_skyline_equals_the_dominance_oracle(
-    shape, n, seed, cutoff, stride, share, one_axis
+    shape, n, seed, cutoff, stride, one_axis
 ):
     k0, k1 = _points(shape, n, seed)
     if one_axis:
@@ -86,7 +82,6 @@ def test_skyline_equals_the_dominance_oracle(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(result, "_PREFILTER_ROWS", cutoff)
         patch.setattr(result, "_PREFILTER_STRIDE", stride)
-        patch.setattr(result, "_STAIRCASE_SHARE", share)
         mask = _skyline(k0, k1)
     assert mask.tolist() == dominance_oracle(k0, k1).tolist()
 
@@ -124,7 +119,6 @@ def test_pareto_filter_keeps_integers_past_float_precision(rows, flags, cutoff):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(result, "_PREFILTER_ROWS", cutoff)
         patch.setattr(result, "_PREFILTER_STRIDE", 3)
-        patch.setattr(result, "_STAIRCASE_SHARE", 1)
         got = pareto_filter(rows, ("u", "v"), flags)
     assert [id(row) for row in got] == [
         id(row) for row in brute_force_pareto(rows, flags)

@@ -1,7 +1,8 @@
 """Shrinking property: every top-k is a stable sort cut at ``k``.
 
 :func:`repro.explore.result._stable_head` selects the ``k`` smallest
-keys with ``np.partition`` and stable-sorts only them;
+keys with ``np.partition`` and stable-sorts only the keys up to the
+k-th;
 :meth:`ExplorationResult.top_k` and the export ranking
 (:meth:`TopK.add_batch`, through a ``TopKSink``) use it. Each must equal
 ``sorted(rows, key=metric, reverse=maximize)[:k]``: ties keep
