@@ -995,7 +995,8 @@ class TopK:
         those candidates only the batch's own ``k`` best (by value,
         earliest first) can still reach the top ``k`` — a row with
         ``k`` better rows in the same batch never does — and
-        :func:`_stable_head` selects them without sorting the rest, so
+        :func:`_stable_head` picks them (selecting before it sorts on
+        windows above :data:`_SELECT_ROWS` candidates), so
         at most ``k`` fold through the heap, in stream order, keyed by
         their column values. The rows the batch leaves in the heap are
         kept as one :meth:`~repro.explore.vectorized.BatchRows.compact`
