@@ -47,6 +47,10 @@ GATED_KINDS: dict[str, tuple[str, ...]] = {
     # built); the metric keeps its name so older entries still compare.
     "campaign_fleet_columnar": ("speedup_lazy_vs_materialize",),
     "joint_fleet": ("speedup_joint_vs_naive",),
+    # ``joint_fleet_16cam`` stays ungated: its entries record absolute
+    # search seconds (0.2 ms-scale), not a higher-is-better ratio, so a
+    # best-prior ratio gate would read timer noise as a regression. Its
+    # benchmark asserts each search under one second itself.
 }
 #: best_prior / latest above this: warn-only comment in the summary.
 WARN_RATIO = 2.0

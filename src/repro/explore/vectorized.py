@@ -25,10 +25,12 @@ configurations as numpy struct-of-arrays operations:
   when a prune mask compacted the level). Slowest-block labels,
   per-block energies (per-option tables, one per level) and full choice
   rows are decoded only for rows that materialize.
-* Cost/row/config *objects* are materialized lazily: a
+* Report rows are built lazily, straight from the columns: a
   :class:`BatchRows` view hands consumers numeric columns
-  (:meth:`BatchRows.metric_column`) and only constructs Python objects
-  for rows a consumer actually touches. Sinks with columnar support
+  (:meth:`BatchRows.metric_column`) and builds row dicts only for the
+  rows a consumer actually touches (:meth:`BatchRows.take`), with no
+  configuration or cost object per row; cost objects are built only on
+  request (:meth:`BatchRows.costs`). Sinks with columnar support
   (``ParetoSink``/``TopKSink``) keep their survivors as compact views
   (:meth:`BatchRows.compact`) and build rows only when they are read;
   a full top-k drops a view whose exact best value
@@ -38,18 +40,19 @@ configurations as numpy struct-of-arrays operations:
 Bit-identity is the correctness contract: the batch kernels perform the
 same IEEE-754 float operations in the same order as the scalar fold
 (elementwise per row, or once per option where every row of a depth
-shares the operands), so every materialized cost, row and frontier is
-byte-identical to the scalar and brute-force paths — asserted by the
-invariant suite. That constraint shapes the kernels: the running-min
-update is ``np.minimum`` written in place, which equals the scalar
-``<`` branch because no rate is NaN or zero (see
+shares the operands), and report rows replay the scalar ``cost_row``
+expressions over those values, so every materialized cost, row and
+frontier is byte-identical to the scalar and brute-force paths —
+asserted by the invariant suite. That constraint shapes the kernels:
+the running-min update is ``np.minimum`` written in place, which
+equals the scalar ``<`` branch because no rate is NaN or zero (see
 :meth:`~repro.core.cost.ThroughputCostModel.extend_state_batch`), the
-slowest block decodes
-as the first level whose chosen rate equals the running min (the
-scalar strict ``<`` keeps the first minimum on ties), a level's energy
-table entry is the scalar ``rate * energy_per_frame``, and the
-compute-energy column adds the chosen entries left to right from zero,
-as the scalar row's ``sum(block_energies.values())`` does.
+slowest block decodes as the first level whose chosen rate equals the
+running min (the scalar strict ``<`` keeps the first minimum on ties),
+a level's energy table entry is the scalar ``rate * energy_per_frame``,
+and the compute-energy column adds the chosen entries left to right
+from zero. A report row's ``compute_energy_j`` is ``sum()`` of its
+chosen entries, as the scalar row's ``sum(block_energies.values())``.
 
 Pruned runs and campaigns ride the same columnar core:
 
@@ -97,7 +100,6 @@ from repro.core.pipeline import InCameraPipeline, PipelineConfig
 from repro.errors import ConfigurationError
 from repro.explore.enumerate import _normalize_hooks, enumeration_plan
 from repro.explore.incremental import _check_stock_model, depth_link_cost
-from repro.explore.result import cost_row
 
 #: Row budget of one cohort-walk block. Whole depth cohorts fold only
 #: while they fit; deeper depths descend in blocks of at most this many
@@ -229,7 +231,10 @@ def _materialize_costs(
     energy: bool,
 ) -> list[ConfigCost | EnergyCost]:
     """Cost objects for the given choice matrix rows of a finalized
-    column mapping (per-row columns already gathered to those rows).
+    column mapping (per-row columns already gathered to those rows):
+    what :meth:`BatchRows.cost` and :meth:`BatchRows.costs` return.
+    Report rows do not go through cost objects
+    (:meth:`BatchRows._report_rows`).
 
     Mirrors the stock ``finalize`` field-for-field, with the same
     ``object.__new__`` construction; array values pass through
@@ -293,18 +298,19 @@ class BatchRows:
     consumers: all rows share one pipeline and cut depth, their platform
     choices form an ``(n, depth)`` integer matrix (resolved from the
     walk's frames only for rows that are read) and
-    their cost fields live in struct-of-arrays columns. Python objects
-    (:class:`PipelineConfig`, cost objects, row dicts) exist only for
-    rows a consumer materializes — frontier/top-k sinks and a collected
-    :class:`~repro.explore.result.ExplorationResult` read
+    their cost fields live in struct-of-arrays columns. Row dicts exist
+    only for rows a consumer materializes — frontier/top-k sinks and a
+    collected :class:`~repro.explore.result.ExplorationResult` read
     :meth:`metric_column` and materialize only the rows they keep or
-    return (:meth:`take`), so live cost objects stay bounded by that
-    count.
+    return (:meth:`take`). A report row is built from the choice matrix
+    and columns directly, replaying the scalar ``cost_row`` expressions
+    (see :meth:`_report_rows`); no :class:`PipelineConfig` or cost
+    object is built for it. :meth:`cost` and :meth:`costs` build cost
+    objects field for field as the stock ``finalize`` does. Either way
+    the result is byte-identical to the scalar path.
 
-    :attr:`n_materialized` counts rows turned into objects (what the
-    benchmark's memory check asserts on). Materialized rows/costs are
-    built through the same ``cost_row``/finalize field definitions as
-    the scalar path, so they are byte-identical to it.
+    :attr:`n_materialized` counts rows turned into row dicts or cost
+    objects (what the benchmark's memory check asserts on).
     """
 
     __slots__ = (
@@ -386,20 +392,103 @@ class BatchRows:
         )
 
     def take(self, indices: Sequence[int]) -> list[dict[str, Any]]:
-        """The report rows at ``indices``, in that order, gathered in one
-        bulk pass (counts one materialization per row) — exactly
-        ``[self.row(i) for i in indices]`` without a one-row view per
-        index."""
+        """The report rows at ``indices``, in that order (repeats
+        allowed), built in one bulk pass from the gathered columns
+        (counts one materialization per row)."""
         self.n_materialized += len(indices)
         index = np.asarray(indices, dtype=np.intp)
-        scenario = self.scenario
-        costs = _materialize_costs(
-            self._plan,
-            self._choices.matrix(index),
-            self._gather(index),
-            self._energy,
-        )
-        return [cost_row(scenario, cost) for cost in costs]
+        return self._report_rows(self._choices.matrix(index), self._gather(index))
+
+    def _report_rows(
+        self, matrix: Any, columns: dict[str, Any]
+    ) -> list[dict[str, Any]]:
+        """Report rows for the given choice matrix rows of a finalized
+        column mapping (per-row columns already gathered to those rows).
+
+        No configuration or cost object is built: each field replays
+        the scalar ``cost_row`` expression over the values the cost
+        object would hold (per-row columns through ``tolist()``, so
+        every value is a plain Python float, int, bool or str), in
+        ``cost_row``'s key order:
+
+        * ``config`` joins the plan's per-level label fragments and
+          ``platforms`` its platform names (``"S~"`` and ``"-"`` at
+          depth 0); ``offload_bytes`` is ``output_bytes_after(depth)``;
+        * ``total_fps`` is ``min``'s branch ``comm if comm < c else c``,
+          ``bottleneck`` is ``"compute"`` only on a strict ``c < comm``
+          and ``feasible`` is ``c >= t and comm >= t``;
+        * ``compute_energy_j`` is ``sum()`` of the chosen table entries
+          in level order (the int ``0`` at depth 0) and
+          ``total_energy_j`` is ``sensor + compute + transmit``;
+        * ``slowest_block`` decodes as in :func:`_materialize_costs`.
+        """
+        plan = self._plan
+        depth = self.depth
+        choice_rows = matrix.tolist()
+        if depth:
+            fragments, names = plan.fragments, plan.names
+            configs = [
+                "S " + " ".join(map(getitem, fragments, row)) + "~"
+                for row in choice_rows
+            ]
+            platforms = ["+".join(map(getitem, names, row)) for row in choice_rows]
+        else:
+            configs = ["S~"] * len(choice_rows)
+            platforms = ["-"] * len(choice_rows)
+        offload = self.pipeline.output_bytes_after(depth)
+        if not self._energy:
+            target = self.scenario.target_fps
+            labels = plan.labels
+            compute_fps = columns["compute_fps"]
+            codes = _slowest_levels(plan, matrix, compute_fps).tolist()
+            comm = columns["communication_fps"]
+            return [
+                {
+                    "config": config,
+                    "n_in_camera": depth,
+                    "platforms": platform,
+                    "offload_bytes": offload,
+                    "compute_fps": c,
+                    "communication_fps": comm,
+                    "total_fps": comm if comm < c else c,
+                    "bottleneck": "compute" if c < comm else "communication",
+                    "slowest_block": labels[code][row[code]] if code >= 0 else "none",
+                    "feasible": (
+                        c >= target and comm >= target if target is not None else True
+                    ),
+                }
+                for config, platform, c, code, row in zip(
+                    configs, platforms, compute_fps.tolist(), codes, choice_rows
+                )
+            ]
+        budget = self.scenario.energy_budget_j
+        sensor = self.pipeline.sensor_energy_per_frame
+        transmit = columns["transmit_energy"]
+        rate = columns["transmit_rate"]
+        tables = [table.tolist() for _, table in columns["block_energies"]]
+        out = []
+        append_out = out.append
+        for config, platform, row, active in zip(
+            configs, platforms, choice_rows, columns["active_seconds"].tolist()
+        ):
+            compute = sum(map(getitem, tables, row))
+            total = sensor + compute + transmit
+            append_out(
+                {
+                    "config": config,
+                    "n_in_camera": depth,
+                    "platforms": platform,
+                    "offload_bytes": offload,
+                    "sensor_energy_j": sensor,
+                    "compute_energy_j": compute,
+                    "transmit_energy_j": transmit,
+                    "total_energy_j": total,
+                    "transmit_rate": rate,
+                    "active_seconds": active,
+                    "feasible": total <= budget if budget is not None else True,
+                }
+            )
+        return out
 
     def config(self, i: int) -> PipelineConfig:
         """Row ``i``'s configuration."""
@@ -423,14 +512,13 @@ class BatchRows:
         )
 
     def row(self, i: int) -> dict[str, Any]:
-        """Row ``i``'s report row — exactly the scalar path's
-        ``cost_row`` over the materialized cost."""
-        return cost_row(self.scenario, self.cost(i))
+        """Row ``i``'s report row: ``take([i])[0]``."""
+        return self.take([i])[0]
 
     def rows(self) -> list[dict[str, Any]]:
         """Every report row, in row order (bulk materialization)."""
-        scenario = self.scenario
-        return [cost_row(scenario, cost) for cost in self.costs()]
+        self.n_materialized += len(self)
+        return self._report_rows(self._choices.matrix(), self.columns)
 
     def metric_column(self, name: str) -> Any:
         """Per-row values of one numeric report-row metric as an array,
@@ -561,7 +649,7 @@ class _PipelinePlan:
     """Cached per-pipeline evaluation tables (levels truncate at the
     first block with no implementations, like the enumeration plan)."""
 
-    __slots__ = ("pipeline", "levels", "names", "labels")
+    __slots__ = ("pipeline", "levels", "names", "labels", "fragments")
 
     def __init__(self, pipeline: InCameraPipeline):
         self.pipeline = pipeline
@@ -576,6 +664,13 @@ class _PipelinePlan:
         self.labels = tuple(
             tuple(f"{level.block.name}({name})" for name in level.names)
             for level in self.levels
+        )
+        #: Per-level ``config`` label fragments, as
+        #: :attr:`PipelineConfig.label` writes them: ``B3(fpga)``, or the
+        #: bare block name for a block with one implementation.
+        self.fragments = tuple(
+            labels if len(labels) > 1 else (level.block.name,)
+            for level, labels in zip(self.levels, self.labels)
         )
 
     def config(self, row: Sequence[int]) -> PipelineConfig:

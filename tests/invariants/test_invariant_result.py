@@ -211,18 +211,24 @@ def test_queries_materialize_only_the_rows_they_return(domain, monkeypatch):
     import repro.explore.vectorized as vectorized_module
 
     built = []
+    original_cost_row = result_module.cost_row
+    original_report_rows = vectorized_module.BatchRows._report_rows
 
-    def spy(module):
-        original = module.cost_row
+    def counting_cost_row(scenario, cost):
+        built.append(cost)
+        return original_cost_row(scenario, cost)
 
-        def counting(scenario, cost):
-            built.append(cost)
-            return original(scenario, cost)
+    def counting_report_rows(view, matrix, columns):
+        rows = original_report_rows(view, matrix, columns)
+        built.extend(rows)
+        return rows
 
-        monkeypatch.setattr(module, "cost_row", counting)
-
-    spy(result_module)
-    spy(vectorized_module)
+    # Rows come from cost objects (cost_row) or straight from batch
+    # columns (BatchRows._report_rows); count both.
+    monkeypatch.setattr(result_module, "cost_row", counting_cost_row)
+    monkeypatch.setattr(
+        vectorized_module.BatchRows, "_report_rows", counting_report_rows
+    )
     scenario = _deep_scenario(domain)
     metric = "total_fps" if domain == "throughput" else "total_energy_j"
     result = explore(scenario)
