@@ -31,6 +31,8 @@ one ``finalize_batch`` call per member.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Any, Sequence
 
 import numpy as np
@@ -255,8 +257,11 @@ class EnergyCost:
 
     @property
     def total_energy(self) -> float:
-        """Expected joules per captured frame."""
-        return self.sensor_energy + sum(self.block_energies.values()) + self.transmit_energy
+        """Expected joules per captured frame. Block energies add left
+        to right, as the batch fold's column does (``sum()`` of floats
+        is compensated from Python 3.12 on)."""
+        blocks = reduce(add, self.block_energies.values(), 0)
+        return self.sensor_energy + blocks + self.transmit_energy
 
     def average_power(self, frames_per_second: float) -> float:
         """Mean power at a steady capture rate."""
@@ -392,7 +397,8 @@ class EnergyCostModel:
         keeps those ``(block name, table)`` pairs in place of per-row
         energy arrays. Per row it carries only the running sum of the
         chosen entries (``compute + rate * energy_per_frame``, added
-        left to right exactly as ``sum(block_energies.values())``) and
+        left to right from zero, exactly as
+        :attr:`EnergyCost.total_energy` adds ``block_energies``) and
         the active seconds (``active + rate * active_seconds``).
         """
         rate, tables, compute, active = state

@@ -8,9 +8,9 @@ placement is optimal.
 
 This module is the throughput-domain facade over the general engine in
 :mod:`repro.explore`: enumeration is a thin eager wrapper around the
-lazy :func:`repro.explore.iter_configs`, and :class:`OffloadAnalyzer`
-drives :func:`repro.explore.explore` while returning the same
-:class:`OffloadReport` it always has.
+lazy :func:`repro.explore.enumerate.iter_configs`, and
+:class:`OffloadAnalyzer` drives :func:`repro.explore.explore` while
+returning the same :class:`OffloadReport` it always has.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ def enumerate_configs(
 ) -> list[PipelineConfig]:
     """All (cut point, platform) configurations of a pipeline.
 
-    Eager wrapper over the lazy :func:`repro.explore.iter_configs`
-    (same order, no pruning); prefer the generator for large spaces.
+    Eager wrapper over the lazy
+    :func:`repro.explore.enumerate.iter_configs` (same order, no
+    pruning); prefer the generator for large spaces.
 
     Parameters
     ----------

@@ -61,7 +61,7 @@ class SweepResult:
         self, axes: Sequence[str], maximize: bool | Sequence[bool] = True
     ) -> "SweepResult":
         """The non-dominated rows under the given axes (see
-        :func:`repro.explore.pareto_filter`)."""
+        :func:`repro.explore.result.pareto_filter`)."""
         return SweepResult(rows=pareto_filter(self.rows, axes, maximize))
 
 

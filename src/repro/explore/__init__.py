@@ -21,8 +21,8 @@ overrides:
   link + cost domain + target constraint in one object;
 * :mod:`.result` — :class:`ExplorationResult` with feasibility,
   Pareto-frontier extraction, dominated-config elimination, top-k
-  ranking, CSV/JSON export, and adapters back to the legacy
-  ``SweepResult`` / ``OffloadReport`` types;
+  ranking, CSV/JSON export, and an adapter back to the legacy
+  ``OffloadReport`` type;
 * :mod:`.incremental` — :class:`~.incremental.PrefixEvaluator`, prefix-memoized
   evaluation turning per-config cost from O(depth) into amortized O(1)
   block extensions (bit-identical to from-scratch evaluation): the
@@ -38,9 +38,10 @@ overrides:
   point tying them together (:func:`evaluation_path` names which of its four paths
   a call takes), and :func:`explore_brute_force`, the pre-streaming
   oracle every path is tested byte-identical against;
-* :mod:`.sink` — :class:`ResultSink` streaming outputs (CSV / JSONL /
-  callback / in-memory): ``explore(..., sink=..., collect=False)``
-  exports a design space in memory bounded by the chunk window;
+* :mod:`.sink` — :class:`ResultSink` streaming outputs (CSV, JSON
+  Lines, a bounded top-k; any object with ``write_rows`` also works):
+  ``explore(..., sink=..., collect=False)`` exports a design space in
+  memory bounded by the chunk window;
 * :mod:`.catalog` — the named, parameterized scenario library the case
   studies register into (``load_builtin()``);
 * :mod:`.campaign` — :class:`Campaign`, many scenarios through one
@@ -57,6 +58,13 @@ overrides:
   assignment is an exact threshold search over per-depth candidates
   (member rows stay byte-identical to solo runs — phase 1 *is* a
   campaign).
+
+The package namespace holds only the names a caller outside it uses
+(ARCHITECTURE.md, "Every public name earns its place"). The engine's
+internals import from their modules: ``TopK``, ``ParetoFrontier`` and
+``pareto_filter`` from :mod:`.result`, ``BatchRows`` from
+:mod:`.vectorized`, ``iter_configs`` and ``count_configs`` from
+:mod:`.enumerate`.
 
 Quickstart::
 
@@ -91,30 +99,14 @@ from repro.explore.joint import (
     search_joint_assignment,
 )
 from repro.explore.engine import evaluation_path, explore, explore_brute_force
-from repro.explore.enumerate import count_configs, iter_configs
 from repro.explore.executor import SweepExecutor
-from repro.explore.vectorized import BatchPrefixEvaluator, BatchRows
-from repro.explore.result import (
-    ExplorationResult,
-    ParetoFrontier,
-    TopK,
-    pareto_filter,
-)
+from repro.explore.vectorized import BatchPrefixEvaluator
+from repro.explore.result import ExplorationResult
 from repro.explore.scenario import Scenario
-from repro.explore.sink import (
-    CallbackSink,
-    CsvSink,
-    JsonlSink,
-    MemorySink,
-    ParetoSink,
-    ResultSink,
-    TopKSink,
-)
+from repro.explore.sink import CsvSink, JsonlSink, ResultSink, TopKSink
 
 __all__ = [
     "BatchPrefixEvaluator",
-    "BatchRows",
-    "CallbackSink",
     "Campaign",
     "CampaignResult",
     "CsvSink",
@@ -126,26 +118,19 @@ __all__ = [
     "JointFleetScenario",
     "JointFleetSpec",
     "JsonlSink",
-    "MemorySink",
-    "ParetoFrontier",
-    "ParetoSink",
     "ResultSink",
     "Scenario",
     "ScenarioCatalog",
     "ScenarioRun",
     "SweepExecutor",
-    "TopK",
     "TopKSink",
-    "count_configs",
     "evaluation_path",
     "explore",
     "explore_brute_force",
     "explore_joint",
-    "iter_configs",
     "joint_candidates",
     "load_builtin",
     "member_demand_bps",
-    "pareto_filter",
     "register_scenario",
     "search_joint_assignment",
 ]

@@ -22,11 +22,13 @@ one.
 
 Order contract: the campaign has one lane, so interleaving walks would
 overlap nothing. Each unit's walk runs to completion, units in
-ascending ``(leader.count_configs() / leader weight, leader index)``
-— the WSPT rule, which minimizes the weighted mean completion time
-(:meth:`CampaignResult.weighted_completion_seconds`) over
-:meth:`Campaign.iter_runs`. At equal weights (the default) that is
-shortest-unit-first, ties in fleet order. See ARCHITECTURE.md, "A
+ascending ``(leader.count_configs() / summed member weight, leader
+index)`` — the WSPT rule, which minimizes the weighted mean completion
+time (:meth:`CampaignResult.weighted_completion_seconds`) over
+:meth:`Campaign.iter_runs`. A dedup group's one walk completes all its
+members, so it weighs their weights together; a solo member weighs its
+own. At equal weights (the default) that is fewest configurations per
+completed member first, ties in fleet order. See ARCHITECTURE.md, "A
 campaign runs each walk to completion".
 
 Dedup contract: with ``dedup=True``, scenarios whose
@@ -599,10 +601,10 @@ class Campaign:
 
         The streaming counterpart of :meth:`run` (which is a drain over
         this iterator): walks run one at a time in WSPT order — the
-        smallest (or most heavily weighted per configuration) unit first
-        — and each finished member is yielded (its sink closed and
-        flushed first) without waiting for the fleet to drain. Yield
-        order is completion order, not fleet order.
+        unit with the fewest configurations per unit of summed member
+        weight first — and each finished member is yielded (its sink
+        closed and flushed first) without waiting for the fleet to
+        drain. Yield order is completion order, not fleet order.
 
         Abandoning the iterator mid-fleet is safe: every open sink is
         closed (flushed), exactly as on an error, and no walk is left
@@ -667,15 +669,16 @@ class Campaign:
             for index, sink in enumerate(sink_list)
         ]
         # One walk per unit: a dedup group (keyed by its leader) or one
-        # other member, each feeding its members' consumers. A unit
-        # weighs what its leader does.
+        # other member, each feeding its members' consumers. A group's
+        # walk completes all its members at once, so a unit weighs what
+        # its members weigh together.
         units = {i: (i,) for i in range(len(scenarios)) if i not in leader_of}
         units.update(groups)
         order = sorted(
             units,
             key=lambda leader: (
                 scenarios[leader].count_configs()
-                / weights.get(scenarios[leader].name, 1.0),
+                / sum(weights.get(scenarios[i].name, 1.0) for i in units[leader]),
                 leader,
             ),
         )
@@ -815,8 +818,10 @@ class Campaign:
             positive; scenarios without an entry weigh 1.0, unknown
             names raise :class:`~repro.errors.ConfigurationError`).
             Walks run to completion in ascending ``count_configs() /
-            weight`` of each unit's leader, ties in fleet order: the
-            WSPT order minimizing
+            weight`` of each unit, where a unit's configurations are its
+            leader's and its weight sums its members' (a dedup group
+            completes all its members with one walk), ties in fleet
+            order: the WSPT order minimizing
             :meth:`CampaignResult.weighted_completion_seconds`. Weights
             reorder scenario completion, never per-scenario results.
         dedup:

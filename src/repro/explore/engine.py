@@ -345,9 +345,10 @@ def explore(
         (on the cohort path, the walk's columnar batches: its queries
         build only the rows they return).
         Frontier questions survive export-only runs through a
-        :class:`~repro.explore.sink.ParetoSink` (an online
+        ``Campaign.run(collect=False)`` member: its
+        :meth:`~repro.explore.campaign.ScenarioRun.pareto` is an online
         dominance-pruned frontier, identical to the collected
-        ``result.pareto()``).
+        ``result.pareto()``.
     evaluation:
         ``"auto"`` (default) streams the cohort walk's columnar batches
         with lazily materialized rows (pruning included: prefix bounds
@@ -400,8 +401,8 @@ class _RunConsumer:
     * the collected result (``collect=True``): batches are kept as they
       are — the result answers its queries on their columns — and cost
       chunks are appended;
-    * the sink: columnar sinks (``ParetoSink``/``TopKSink`` — anything
-      overriding ``write_batch``) receive the lazy batch views directly
+    * the sink: columnar sinks (``TopKSink``, or anything overriding
+      ``write_batch``) receive the lazy batch views directly
       and build rows only when their answers are read, so live cost
       objects stay bounded by what is read. Row-only sinks keep the
       streaming contract exactly: rows are buffered across batch

@@ -162,7 +162,7 @@ def compute_fps_prefix_pruner(scenario: "Scenario") -> PrefixPruner | None:
 
 #: Relative slack on the energy prefix bound: the bound accumulates the
 #: prefix energy in a different float association order than
-#: ``EnergyCost.total_energy`` (incremental fold vs ``sensor + sum(...) +
+#: ``EnergyCost.total_energy`` (incremental fold vs ``sensor + blocks +
 #: transmit``), so an analytically equal bound can round one ulp either
 #: way. Comparing against ``budget * (1 + slack)`` keeps the pruner
 #: sound through reassociation — far below any real feasibility margin.

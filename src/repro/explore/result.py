@@ -22,7 +22,8 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from operator import itemgetter
+from functools import reduce
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from repro.errors import ConfigurationError, PipelineError
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.core.offload import OffloadReport
-    from repro.core.sweep import SweepResult
     from repro.explore.scenario import Scenario
 
 #: Default Pareto axes per domain: (axes, maximize).
@@ -89,7 +89,7 @@ def _energy_row(cost: EnergyCost, budget_j: float | None) -> dict[str, Any]:
     row = _base_row(cost.config)
     row.update(
         sensor_energy_j=cost.sensor_energy,
-        compute_energy_j=sum(cost.block_energies.values()),
+        compute_energy_j=reduce(add, cost.block_energies.values(), 0),
         transmit_energy_j=cost.transmit_energy,
         total_energy_j=cost.total_energy,
         transmit_rate=cost.transmit_rate,
@@ -423,13 +423,7 @@ class ExplorationResult:
                 fh.write(text)
         return text
 
-    # -- backward-compatible adapters -----------------------------------
-
-    def as_sweep_result(self) -> "SweepResult":
-        """The rows as a legacy :class:`~repro.core.sweep.SweepResult`."""
-        from repro.core.sweep import SweepResult
-
-        return SweepResult(rows=list(self.rows))
+    # -- backward-compatible adapter ------------------------------------
 
     def as_offload_report(self) -> "OffloadReport":
         """The evaluations as a legacy

@@ -58,7 +58,7 @@ class Scenario:
         the blocks' static ``pass_rate`` (benchmarks feed trace-derived
         rates here).
     max_blocks / include_empty:
-        Enumeration bounds, as in :func:`repro.explore.iter_configs`.
+        Enumeration bounds, as in :func:`repro.explore.enumerate.iter_configs`.
     prune / prune_depth:
         Pruning hooks forwarded to the lazy enumerator.
     auto_prune:

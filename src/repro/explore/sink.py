@@ -7,6 +7,15 @@ existed — an export-only workload still paid for the full cache. A
 ``explore(..., sink=..., collect=False)`` and export-only campaigns run
 in memory bounded by the chunk window, never by the design-space size.
 
+Three sinks ship: the file sinks :class:`CsvSink` and :class:`JsonlSink`
+(the only streaming CSV and JSON-Lines exports) and the columnar
+:class:`TopKSink`. Any other consumer is an object with a
+``write_rows`` method, or a :class:`ResultSink` subclass:
+:func:`resolve_sink` accepts duck-typed sinks. An export-only run's
+Pareto frontier needs no sink: a ``Campaign.run(collect=False)``
+member's :meth:`~repro.explore.campaign.ScenarioRun.pareto` folds the
+same :meth:`~repro.explore.result.ParetoFrontier.add_batch` online.
+
 The file sinks reproduce the result-object exports exactly:
 :class:`CsvSink` output is byte-identical to
 :meth:`ExplorationResult.to_csv`, and every :class:`JsonlSink` line is
@@ -25,14 +34,13 @@ error. Sinks are single-use: one open/close cycle per exploration.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TextIO
 
 from repro.core.report import TextTable
 from repro.errors import ConfigurationError, SinkError
-from repro.explore.result import DEFAULT_AXES, ParetoFrontier, TopK, json_safe_value
+from repro.explore.result import TopK, json_safe_value
 
 if TYPE_CHECKING:  # imported lazily to avoid an import cycle
     from repro.explore.scenario import Scenario
@@ -63,8 +71,8 @@ class ResultSink:
         The default materializes the batch's rows and delegates to
         :meth:`write_rows`, so every sink works on the batch path
         unchanged; sinks that can consume columns directly
-        (:class:`ParetoSink`, :class:`TopKSink`) override this to build
-        only the rows they are asked for.
+        (:class:`TopKSink`) override this to build only the rows they
+        are asked for.
         """
         self.write_rows(batch.rows())
 
@@ -197,190 +205,33 @@ class JsonlSink(_FileSink):
         handle.write("".join(lines))
 
 
-class CallbackSink(ResultSink):
-    """Hand every chunk's rows to a callable (dashboards, queues, ad-hoc
-    accumulation). The callable receives the row list of one chunk; it
-    must not mutate the rows it is shown."""
-
-    def __init__(self, callback: Callable[[Sequence[dict[str, Any]]], None]):
-        if not callable(callback):
-            raise ConfigurationError(
-                f"callback must be callable, got {type(callback).__name__}"
-            )
-        self._callback = callback
-
-    def write_rows(self, rows: Sequence[dict[str, Any]]) -> None:
-        self._callback(rows)
-
-
-class ParetoSink(ResultSink):
-    """Maintain an online Pareto frontier of the streamed rows.
-
-    The streaming counterpart of :meth:`ExplorationResult.pareto`: rows
-    fold into a :class:`~repro.explore.result.ParetoFrontier` chunk by
-    chunk, so an export-only (``collect=False``) run still answers the
-    frontier question — memory is bounded by the frontier size plus one
-    pending block, never the design-space size. Axes default to the
-    scenario's domain axes at :meth:`open` (like ``pareto()`` with no
-    arguments); pass explicit ``axes``/``maximize`` for custom frontiers
-    or scenario-less streams.
-    As for ``pareto()``, ``maximize=None`` means the domain's direction,
-    also for explicit axes (maximization on scenario-less streams).
-
-    After the run, :attr:`frontier` holds the maintained
-    :class:`ParetoFrontier`; :meth:`pareto` returns its rows — exactly
-    :func:`~repro.explore.result.pareto_filter` over every streamed row
-    (tested identical to the collected-mode frontier).
-    """
-
-    def __init__(
-        self,
-        axes: Sequence[str] | None = None,
-        maximize: bool | Sequence[bool] | None = None,
-    ):
-        self._axes = tuple(axes) if axes is not None else None
-        self._maximize = maximize
-        self.frontier: ParetoFrontier | None = None
-
-    def open(self, scenario: "Scenario | None") -> None:
-        if self.frontier is not None:
-            return  # a reused sink keeps folding into its frontier
-        if scenario is None:
-            if self._axes is None:
-                raise ConfigurationError(
-                    "ParetoSink needs axes= for scenario-less streams (no "
-                    "domain to take the default frontier axes from)"
-                )
-            axes, default_flag = self._axes, True
-        else:
-            axes, default_flag = DEFAULT_AXES[scenario.domain]
-            if self._axes is not None:
-                axes = self._axes
-        # Like ExplorationResult.pareto(): maximize=None means the
-        # domain's direction, also for explicitly passed axes.
-        maximize = default_flag if self._maximize is None else self._maximize
-        self.frontier = ParetoFrontier(axes, maximize)
-
-    def write_rows(self, rows: Sequence[dict[str, Any]]) -> None:
-        if self.frontier is None:
-            raise ConfigurationError(
-                "ParetoSink.write_rows called before open()"
-            )
-        self.frontier.add(rows)
-
-    def write_batch(self, batch: Any) -> None:
-        """Fold a columnar batch through
-        :meth:`ParetoFrontier.add_batch` — no row is built until
-        :meth:`pareto` reads the frontier."""
-        if self.frontier is None:
-            raise ConfigurationError(
-                "ParetoSink.write_batch called before open()"
-            )
-        self.frontier.add_batch(batch)
-
-    def pareto(self) -> list[dict[str, Any]]:
-        """The non-dominated rows streamed so far (first-seen order)."""
-        return [] if self.frontier is None else self.frontier.rows
-
-
 class TopKSink(ResultSink):
-    """Maintain bounded online top-k rankings of the streamed rows.
+    """Maintain a bounded online top-k ranking of the streamed rows.
 
-    The ranking counterpart of :class:`ParetoSink`, with one bounded
-    heap per requested metric: rows fold into
-    :class:`~repro.explore.result.TopK` instances chunk by chunk, so an
-    export-only (``collect=False``) run still answers
-    ``result.top_k(metric, k)``-shaped questions — memory is bounded by
-    ``k`` per metric, never by the design-space size, and the rankings
-    are row-for-row identical to the batch
-    :meth:`ExplorationResult.top_k` over the same rows (the invariant
-    suite asserts it).
-
-    Parameters
-    ----------
-    metric / k / maximize:
-        The single-ranking form, mirroring ``top_k``'s signature:
-        ``TopKSink("total_fps", k=5)``.
-    metrics:
-        The multi-ranking form: ``(metric, k, maximize)`` triples, one
-        bounded heap each — a dashboard tracks several leaderboards
-        through one sink. Exactly one of ``metric``/``metrics`` must be
-        given.
+    Rows fold into one :class:`~repro.explore.result.TopK` chunk by
+    chunk, so an export-only (``collect=False``) run still answers
+    ``result.top_k(metric, k, maximize)``: memory is bounded by ``k``,
+    never by the design-space size, and the ranking is row-for-row
+    identical to the batch :meth:`ExplorationResult.top_k` over the
+    same rows (the invariant suite asserts it). The arguments mirror
+    ``top_k``'s signature: ``TopKSink("total_fps", k=5)``.
     """
 
-    def __init__(
-        self,
-        metric: str | None = None,
-        k: int = 5,
-        maximize: bool = True,
-        *,
-        metrics: Sequence[tuple[str, int, bool]] | None = None,
-    ):
-        if (metric is None) == (metrics is None):
-            raise ConfigurationError(
-                "pass exactly one of metric= (single ranking) or "
-                "metrics= (several (metric, k, maximize) rankings)"
-            )
-        if metric is not None:
-            metrics = ((metric, k, maximize),)
-        rankings: dict[str, TopK] = {}
-        for spec in metrics:
-            if not isinstance(spec, (tuple, list)) or len(spec) != 3:
-                raise ConfigurationError(
-                    "each metrics= entry must be a (metric, k, maximize) "
-                    f"triple, got {spec!r}"
-                )
-            name, bound, flag = spec
-            if name in rankings:
-                raise ConfigurationError(f"duplicate top-k metric {name!r}")
-            rankings[name] = TopK(name, bound, flag)
-        self.rankings = rankings
+    def __init__(self, metric: str, k: int = 5, maximize: bool = True):
+        self._ranking = TopK(metric, k, maximize)
 
     def write_rows(self, rows: Sequence[dict[str, Any]]) -> None:
-        for ranking in self.rankings.values():
-            ranking.add(rows)
+        self._ranking.add(rows)
 
     def write_batch(self, batch: Any) -> None:
-        """Fold a columnar batch through each ranking's
-        :meth:`TopK.add_batch` — no row is built until :meth:`top_k`
-        reads the ranking."""
-        for ranking in self.rankings.values():
-            ranking.add_batch(batch)
+        """Fold a columnar batch through :meth:`TopK.add_batch`: no row
+        is built until :meth:`top_k` reads the ranking."""
+        self._ranking.add_batch(batch)
 
-    def top_k(self, metric: str | None = None) -> list[dict[str, Any]]:
-        """The current best-``k`` rows for ``metric`` (the only tracked
-        metric when omitted), best first — exactly what the batch
-        ``top_k`` would return over the streamed rows."""
-        if metric is None:
-            if len(self.rankings) != 1:
-                raise ConfigurationError(
-                    f"this sink tracks {sorted(self.rankings)}; name the "
-                    "metric to report"
-                )
-            metric = next(iter(self.rankings))
-        if metric not in self.rankings:
-            raise ConfigurationError(
-                f"metric {metric!r} is not tracked; this sink tracks "
-                f"{sorted(self.rankings)}"
-            )
-        return self.rankings[metric].rows
-
-
-class MemorySink(ResultSink):
-    """Accumulate all streamed rows in memory (tests, small spaces).
-
-    The in-memory counterpart of the file sinks: after the run,
-    :attr:`rows` is the full row list in enumeration order — what
-    ``ExplorationResult.rows`` would have held.
-    """
-
-    def __init__(self) -> None:
-        self.rows: list[dict[str, Any]] = []
-        self.chunks = 0
-
-    def write_rows(self, rows: Sequence[dict[str, Any]]) -> None:
-        self.chunks += 1
-        self.rows.extend(rows)
+    def top_k(self) -> list[dict[str, Any]]:
+        """The current best-``k`` rows, best first: exactly what the
+        batch ``top_k`` would return over the streamed rows."""
+        return self._ranking.rows
 
 
 def resolve_sink(sink: Any) -> ResultSink | None:
@@ -430,7 +281,7 @@ def uses_columnar_writes(sink: Any) -> bool:
     engine buffers rows to chunk boundaries for them); columnar sinks
     receive the lazy batch views directly. A subclass that overrides
     ``write_rows`` below the class supplying ``write_batch`` (say, a
-    ``ParetoSink`` that records the rows it is shown) is row-only: the
+    ``TopKSink`` that records the rows it is shown) is row-only: the
     inherited batch fold would bypass its override."""
     if "write_batch" in getattr(sink, "__dict__", {}):
         return True
@@ -506,14 +357,3 @@ def sink_stream(
                 raise
             # The in-flight error is the primary failure; a close error
             # during unwind must not mask it.
-
-
-def csv_text(rows: Iterable[dict[str, Any]]) -> str:
-    """Render rows to CSV text through a :class:`CsvSink` (helper for
-    tests and ad-hoc use; same bytes as streaming to a file)."""
-    buffer = io.StringIO()
-    sink = CsvSink(buffer)
-    sink.open(None)
-    sink.write_rows(list(rows))
-    sink.close()
-    return buffer.getvalue()

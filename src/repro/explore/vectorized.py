@@ -30,8 +30,8 @@ configurations as numpy struct-of-arrays operations:
   (:meth:`BatchRows.metric_column`) and builds row dicts only for the
   rows a consumer actually touches (:meth:`BatchRows.take`), with no
   configuration or cost object per row; cost objects are built only on
-  request (:meth:`BatchRows.costs`). Sinks with columnar support
-  (``ParetoSink``/``TopKSink``) keep their survivors as compact views
+  request (:meth:`BatchRows.costs`). The online folds (the campaign's
+  frontier and ``TopKSink``) keep their survivors as compact views
   (:meth:`BatchRows.compact`) and build rows only when they are read;
   a full top-k drops a view whose exact best value
   (:meth:`BatchRows.metric_best`) cannot enter before reading any
@@ -51,8 +51,10 @@ slowest block decodes as the first level whose chosen rate equals the
 running min (the scalar strict ``<`` keeps the first minimum on ties),
 a level's energy table entry is the scalar ``rate * energy_per_frame``,
 and the compute-energy column adds the chosen entries left to right
-from zero. A report row's ``compute_energy_j`` is ``sum()`` of its
-chosen entries, as the scalar row's ``sum(block_energies.values())``.
+from zero. A report row's ``compute_energy_j`` adds its chosen entries
+the same way (``reduce(add, ..., 0)``, as the scalar row and
+:attr:`~repro.core.cost.EnergyCost.total_energy` do; ``sum()`` of floats
+is compensated from Python 3.12 on and would part from the column).
 
 Pruned runs and campaigns ride the same columnar core:
 
@@ -83,7 +85,8 @@ reference fold it is checked against (``evaluation="scalar"``).
 from __future__ import annotations
 
 import math
-from operator import getitem
+from functools import reduce
+from operator import add, getitem
 from typing import Any, Generator, Iterator, Sequence
 
 import numpy as np
@@ -417,8 +420,9 @@ class BatchRows:
         * ``total_fps`` is ``min``'s branch ``comm if comm < c else c``,
           ``bottleneck`` is ``"compute"`` only on a strict ``c < comm``
           and ``feasible`` is ``c >= t and comm >= t``;
-        * ``compute_energy_j`` is ``sum()`` of the chosen table entries
-          in level order (the int ``0`` at depth 0) and
+        * ``compute_energy_j`` adds the chosen table entries left to
+          right from the int ``0`` (``0`` itself at depth 0), as the
+          energy fold's compute column does, and
           ``total_energy_j`` is ``sensor + compute + transmit``;
         * ``slowest_block`` decodes as in :func:`_materialize_costs`.
         """
@@ -471,7 +475,7 @@ class BatchRows:
         for config, platform, row, active in zip(
             configs, platforms, choice_rows, columns["active_seconds"].tolist()
         ):
-            compute = sum(map(getitem, tables, row))
+            compute = reduce(add, map(getitem, tables, row), 0)
             total = sensor + compute + transmit
             append_out(
                 {

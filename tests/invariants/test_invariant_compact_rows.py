@@ -41,10 +41,9 @@ from repro.explore import (
     evaluation_path,
     explore,
     explore_brute_force,
-    pareto_filter,
     vectorized,
 )
-from repro.explore.result import best_row
+from repro.explore.result import best_row, pareto_filter
 from repro.hw.network import LinkModel
 
 INF = float("inf")

@@ -23,6 +23,7 @@ import io
 import json
 
 import pytest
+from _sinks import MemorySink
 
 from repro.explore import (
     Campaign,
@@ -33,7 +34,7 @@ from repro.explore import (
 )
 from repro.explore.campaign import scenario_compute_key
 from repro.explore.catalog import load_builtin
-from repro.explore.sink import CsvSink, MemorySink, ParetoSink, TopKSink
+from repro.explore.sink import CsvSink, TopKSink
 
 SEEDS = range(10)
 

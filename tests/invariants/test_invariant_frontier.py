@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.explore import pareto_filter, vectorized
-from repro.explore.result import ParetoFrontier, TopK
+from repro.explore import vectorized
+from repro.explore.result import ParetoFrontier, TopK, pareto_filter
 
 AXES = ("a", "b", "c")
 INF = float("inf")

@@ -22,12 +22,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.explore import (
-    Scenario,
-    explore,
-    explore_brute_force,
-    iter_configs,
-)
+from repro.explore import Scenario, explore, explore_brute_force
+from repro.explore.enumerate import iter_configs
 from repro.explore.prune import energy_prefix_pruner
 
 SEEDS = range(14)

@@ -21,8 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.explore import pareto_filter, result
-from repro.explore.result import _skyline
+from repro.explore import result
+from repro.explore.result import _skyline, pareto_filter
 
 INF = float("inf")
 SPECIALS = (-INF, -1.0, -0.0, 0.0, 1e-300, -1e-300, 1.0, INF)

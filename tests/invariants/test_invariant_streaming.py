@@ -1,4 +1,4 @@
-"""Streaming-equals-batch invariants over seeded random inputs.
+"""Streaming-equals-batch invariants.
 
 Every streaming/online structure in the engine must be *exactly* its
 batch counterpart — not approximately, byte for byte:
@@ -6,32 +6,119 @@ batch counterpart — not approximately, byte for byte:
 * **streamed == collected**: rows delivered through a sink on an
   export-only (``collect=False``) run are the rows a collected run
   holds, for solo ``explore()`` and for campaigns;
-* **online frontier == batch frontier**: the dominance-pruned
-  ``ParetoFrontier`` folded chunk-by-chunk equals ``pareto_filter``
-  over all rows;
-* **online top-k == batch top-k**: the bounded heap equals the sorted
-  ranking, including stable ties in both directions, for any chunking.
+* **online frontier == batch frontier**: the frontier an export-only
+  campaign member folds online (``ScenarioRun.pareto()``) equals
+  ``pareto_filter`` over every row of the brute-force oracle;
+* **online top-k == batch top-k**: each metric's ``TopKSink`` equals
+  ``ExplorationResult.top_k``, including stable ties in both
+  directions, for any chunking.
+
+The two headline properties are hypothesis properties over the
+edge-value chains of ``export_scenarios`` (``inf`` and ``1e-300`` fps,
+zero and ``inf`` payloads, pass rates 0 and 1, single-block chains),
+with a shrunken ``vectorized._BLOCK_ROWS`` so deep depths descend in
+blocks. The seeded cases below them draw from the ``gen`` generators,
+which add what that strategy leaves out: targets and budgets (so
+``feasible`` varies), truncated chains, pass-rate overrides and mixed
+fleets.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
+from _sinks import MemorySink
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_invariant_topk_export import METRICS, export_scenarios
 
 from repro.datasets.rng import make_rng
+from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
     Campaign,
     ExplorationResult,
-    MemorySink,
-    ParetoSink,
-    TopK,
     TopKSink,
     explore,
-    pareto_filter,
+    explore_brute_force,
+    vectorized,
 )
-from repro.explore.result import DEFAULT_AXES, ParetoFrontier
+from repro.explore.result import DEFAULT_AXES, ParetoFrontier, TopK, pareto_filter
+
+
+def _export_only_run(scenario, block_rows, chunk_size):
+    """One export-only campaign member: its rows go to a sink and its
+    frontier is folded online."""
+    sink = MemorySink()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "_BLOCK_ROWS", block_rows)
+        result = Campaign([scenario]).run(
+            chunk_size=chunk_size, sinks={scenario.name: sink}, collect=False
+        )
+    return result[scenario.name], sink
+
+
+def _export_top_k(scenario, metric, k, maximize, block_rows, chunk_size):
+    sink = TopKSink(metric, k, maximize)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "_BLOCK_ROWS", block_rows)
+        explore(scenario, sink=sink, collect=False, chunk_size=chunk_size)
+    return sink.top_k()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    export_scenarios(),
+    st.sampled_from((4, 1 << 14)),
+    st.sampled_from((None, 1, 3)),
+)
+def test_export_only_frontier_equals_the_oracle(scenario, block_rows, chunk_size):
+    oracle = explore_brute_force(scenario)
+    axes, maximize = DEFAULT_AXES[scenario.domain]
+    try:
+        expected = pareto_filter(oracle.rows, axes, maximize)
+    except ConfigurationError as error:
+        # A NaN axis value: the online fold must refuse it too.
+        assert "NaN" in str(error)
+        with pytest.raises(ConfigurationError, match="NaN"):
+            _export_only_run(scenario, block_rows, chunk_size)
+        return
+    run, sink = _export_only_run(scenario, block_rows, chunk_size)
+    assert run.result is None
+    assert json.dumps(sink.rows) == json.dumps(oracle.rows)
+    assert json.dumps(run.pareto()) == json.dumps(expected)
+    assert run.pareto_size == len(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    export_scenarios(),
+    st.sampled_from((0, 1, 5, None)),
+    st.booleans(),
+    st.sampled_from((4, 1 << 14)),
+    st.sampled_from((None, 1, 3)),
+)
+def test_export_top_k_equals_collected_top_k(
+    scenario, k, maximize, block_rows, chunk_size
+):
+    """Each of the domain's metrics, bounded and unbounded, through its
+    own single-ranking ``TopKSink``."""
+    collected = explore(scenario)
+    bound = len(collected) + 3 if k is None else k
+    for metric in METRICS[scenario.domain]:
+        export = (scenario, metric, bound, maximize, block_rows, chunk_size)
+        if any(math.isnan(row[metric]) for row in collected.rows):
+            with pytest.raises(SinkError):
+                _export_top_k(*export)
+            continue
+        assert json.dumps(_export_top_k(*export)) == json.dumps(
+            collected.top_k(metric, bound, maximize)
+        ), metric
+
+
+# -- seeded cases over the ``gen`` generators -----------------------------
 
 SEEDS = range(12)
 
@@ -65,30 +152,25 @@ def test_streamed_campaign_stats_equal_collected(gen, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_online_frontier_equals_batch_on_scenarios(gen, seed):
     scenario = gen.scenario(seed, name=f"front-{seed}")
-    sink = ParetoSink()
-    explore(scenario, sink=sink, collect=False, chunk_size=4)
-    collected = explore(scenario)
-    assert json.dumps(sink.pareto()) == json.dumps(collected.pareto()), seed
+    run = Campaign([scenario]).run(chunk_size=4, collect=False)[scenario.name]
+    axes, maximize = DEFAULT_AXES[scenario.domain]
+    expected = pareto_filter(explore_brute_force(scenario).rows, axes, maximize)
+    assert json.dumps(run.pareto()) == json.dumps(expected), seed
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_online_topk_equals_batch_on_scenarios(gen, seed):
-    """The headline streamed-top-k property: TopKSink under
-    collect=False reproduces ExplorationResult.top_k row for row."""
+    """A TopKSink per metric under collect=False reproduces
+    ExplorationResult.top_k row for row."""
     rng = make_rng(seed)
     scenario = gen.scenario(rng, name=f"topk-{seed}")
     axes, maximize = DEFAULT_AXES[scenario.domain]
     k = int(rng.integers(0, 8))
-    sink = TopKSink(
-        metrics=[
-            (axes[0], k, maximize),
-            (axes[1], k, not maximize),
-        ]
-    )
-    explore(scenario, sink=sink, collect=False, chunk_size=3)
     collected = explore(scenario)
     for metric, flag in ((axes[0], maximize), (axes[1], not maximize)):
-        assert json.dumps(sink.top_k(metric)) == json.dumps(
+        sink = TopKSink(metric, k, flag)
+        explore(scenario, sink=sink, collect=False, chunk_size=3)
+        assert json.dumps(sink.top_k()) == json.dumps(
             collected.top_k(metric, k=k, maximize=flag)
         ), (seed, metric)
 

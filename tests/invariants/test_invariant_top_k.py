@@ -86,8 +86,7 @@ def test_top_k_equals_a_stable_sort(
             if any(math.isnan(row[metric]) for row in rows):
                 exported = None  # the export ranking raises on NaN
             else:
-                specs = ((metric, k, maximize),)
-                sink = _export(scenario, specs, block_rows, chunk_size)
-                exported = json.dumps(sink.top_k(metric))
+                sink = _export(scenario, (metric, k, maximize), block_rows, chunk_size)
+                exported = json.dumps(sink.top_k())
         assert got == expected, metric
         assert exported in (None, expected), metric

@@ -1,10 +1,10 @@
 """Differential property: an export-only top-k equals the oracle's.
 
 ``explore(s, sink=TopKSink(...), collect=False)`` streams lazy batches
-into each ranking, and a full ranking drops a whole batch once its
-exact best value cannot enter
+into the sink's ranking, and a full ranking drops a whole batch once
+its exact best value cannot enter
 (:meth:`~repro.explore.vectorized.BatchRows.metric_best`). Whatever it
-drops, every ranking must equal
+drops, the ranking must equal
 ``explore_brute_force(s).top_k(metric, k, maximize)`` byte for byte
 (through JSON), in both cost domains and both directions, for ``k`` of
 0, 1, 5 and larger than the space.
@@ -15,9 +15,10 @@ strategy), payloads of zero (an ``inf`` uplink rate) and ``inf`` (a
 zero rate, or infinite transmit energy), pass rates 0 and 1, and
 single-block chains. A space whose ranked metric has a NaN row must
 make the export raise, as the row fold does (a
-:class:`SinkError` caused by the ranking's NaN error). Multi-ranking sinks mix a
-bounded metric (``total_fps`` / ``total_energy_j``) with unbounded ones
-(``compute_fps`` / ``active_seconds``), which always read their column.
+:class:`SinkError` caused by the ranking's NaN error). Each draw ranks
+a bounded metric (``total_fps`` / ``total_energy_j``) and an unbounded
+one (``compute_fps`` / ``active_seconds``, which always reads its
+column), one sink each.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ def _single_block(domain: str) -> Scenario:
     return Scenario(name="single", pipeline=pipeline, link=link, domain=domain)
 
 
-def _export(scenario, specs, block_rows, chunk_size):
-    sink = TopKSink(metrics=specs)
+def _export(scenario, spec, block_rows, chunk_size):
+    sink = TopKSink(*spec)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vectorized, "_BLOCK_ROWS", block_rows)
         explore(scenario, sink=sink, collect=False, chunk_size=chunk_size)
@@ -116,16 +117,15 @@ def test_export_top_k_equals_the_oracle(
         (unbounded, n + 3 if k_other is None else k_other, maximize_other),
     )
     oracle = explore_brute_force(scenario)
-    if any(
-        math.isnan(row[metric]) for row in oracle.rows for metric, _, _ in specs
-    ):
-        with pytest.raises(SinkError) as failure:
-            _export(scenario, specs, block_rows, chunk_size)
-        assert isinstance(failure.value.__cause__, ConfigurationError)
-        assert "NaN" in str(failure.value.__cause__)
-        return
-    sink = _export(scenario, specs, block_rows, chunk_size)
-    for metric, k_metric, flag in specs:
-        assert json.dumps(sink.top_k(metric)) == json.dumps(
+    for spec in specs:
+        metric, k_metric, flag = spec
+        if any(math.isnan(row[metric]) for row in oracle.rows):
+            with pytest.raises(SinkError) as failure:
+                _export(scenario, spec, block_rows, chunk_size)
+            assert isinstance(failure.value.__cause__, ConfigurationError)
+            assert "NaN" in str(failure.value.__cause__)
+            continue
+        sink = _export(scenario, spec, block_rows, chunk_size)
+        assert json.dumps(sink.top_k()) == json.dumps(
             oracle.top_k(metric, k_metric, flag)
-        ), (metric, k_metric, flag)
+        ), spec

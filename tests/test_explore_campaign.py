@@ -17,6 +17,7 @@ import io
 import json
 
 import pytest
+from _sinks import MemorySink
 
 from repro.core.block import Block, Implementation
 from repro.core.cost import ConfigCost, EnergyCost
@@ -26,7 +27,6 @@ from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
     Campaign,
     CsvSink,
-    MemorySink,
     ResultSink,
     Scenario,
     ScenarioCatalog,

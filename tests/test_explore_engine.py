@@ -9,7 +9,8 @@ from repro.core.cost import EnergyCostModel, ThroughputCostModel
 from repro.core.offload import OffloadAnalyzer, enumerate_configs
 from repro.core.pipeline import InCameraPipeline
 from repro.errors import ConfigurationError, PipelineError
-from repro.explore import Scenario, count_configs, explore, iter_configs
+from repro.explore import Scenario, explore
+from repro.explore.enumerate import count_configs, iter_configs
 from repro.hw.network import ETHERNET_25G, LinkModel
 from repro.vr.scenarios import build_vr_pipeline
 

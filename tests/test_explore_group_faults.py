@@ -20,12 +20,12 @@ import io
 import json
 
 import pytest
+from _sinks import MemorySink
 
 from repro.errors import SinkError
 from repro.explore import (
     Campaign,
     CsvSink,
-    MemorySink,
     ResultSink,
     TopKSink,
     evaluation_path,

@@ -23,11 +23,10 @@ from repro.explore import (
     Campaign,
     Scenario,
     SweepExecutor,
-    count_configs,
     explore,
     explore_brute_force,
-    iter_configs,
 )
+from repro.explore.enumerate import count_configs, iter_configs
 from repro.explore.incremental import PrefixEvaluator
 from repro.explore.prune import (
     energy_depth_lower_bounds,

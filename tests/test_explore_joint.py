@@ -347,7 +347,7 @@ def test_joint_candidate_sink_matches_batch_compression():
 
 
 def test_campaign_frontier_opt_out_skips_pareto():
-    from repro.explore import MemorySink
+    from _sinks import MemorySink
 
     members = [build_member("cam0"), build_member("cam1")]
     sinks = {m.name: MemorySink() for m in members}
@@ -433,6 +433,48 @@ def test_weighted_completion_policy_orders_by_weight_per_config(monkeypatch):
     runs = Campaign([large, small]).iter_runs(weights={"large": 1e6})
     assert [run.name for run in runs] == ["large", "small"]
     assert walks == [("large",), ("small",)]
+
+
+def _chain(n_blocks: int) -> InCameraPipeline:
+    """``n_blocks`` levels of three platforms: ``(3**(n + 1) - 1) / 2``
+    configurations."""
+    blocks = tuple(
+        Block(
+            name=f"b{i}",
+            output_bytes=1000.0 / (i + 2),
+            implementations={
+                platform: Implementation(platform, fps=50.0 + j - i)
+                for j, platform in enumerate(("asic", "cpu", "fpga"))
+            },
+        )
+        for i in range(n_blocks)
+    )
+    return InCameraPipeline(name=f"chain{n_blocks}", sensor_bytes=1200.0, blocks=blocks)
+
+
+def test_dedup_group_weighs_its_members_together(monkeypatch):
+    """A dedup group's one walk completes all its members, so WSPT
+    divides its configurations by the members' summed weight: four
+    29,524-config members (7,381 a member) run before one 9,841-config
+    solo member at equal weights."""
+    group_pipeline = _chain(9)
+    links = [LinkModel(name=f"l{i}", raw_bps=1e5 * (i + 1)) for i in range(4)]
+    group = [
+        build_member(f"g{i}", pipeline=group_pipeline, link=link)
+        for i, link in enumerate(links)
+    ]
+    solo = build_member("solo", pipeline=_chain(8))
+    assert [member.count_configs() for member in (group[0], solo)] == [29_524, 9_841]
+    walks = _walk_order(monkeypatch)
+    runs = Campaign([solo] + group).iter_runs(collect=False, dedup=True)
+    assert [run.name for run in runs] == ["g0", "g1", "g2", "g3", "solo"]
+    assert walks == [("g0", "g1", "g2", "g3"), ("solo",)]
+    # A weight on the solo member above the group's sum puts it first.
+    walks.clear()
+    runs = Campaign([solo] + group).iter_runs(
+        collect=False, dedup=True, weights={"solo": 1.5}
+    )
+    assert [run.name for run in runs][0] == "solo"
 
 
 def test_weighted_completion_policy_validates_weights():

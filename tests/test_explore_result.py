@@ -13,8 +13,8 @@ from repro.core.offload import OffloadAnalyzer, OffloadReport
 from repro.core.pipeline import InCameraPipeline
 from repro.core.sweep import SweepResult
 from repro.errors import ConfigurationError, PipelineError
-from repro.explore import Scenario, explore, pareto_filter
-from repro.explore.result import _PREFILTER_ROWS
+from repro.explore import Scenario, explore
+from repro.explore.result import _PREFILTER_ROWS, pareto_filter
 from repro.hw.network import LinkModel
 
 
@@ -259,14 +259,7 @@ def test_to_table_renders_all_rows(throughput_result):
     assert "demo" in table.render()
 
 
-# -- adapters ------------------------------------------------------------
-
-
-def test_as_sweep_result_supports_queries(throughput_result):
-    sweep = throughput_result.as_sweep_result()
-    assert isinstance(sweep, SweepResult)
-    assert sweep.column("config") == [r["config"] for r in throughput_result.rows]
-    assert sweep.best("total_fps", minimize=False) == throughput_result.best
+# -- adapter -------------------------------------------------------------
 
 
 def test_as_offload_report_matches_analyzer(pipeline, link, throughput_result):

@@ -13,8 +13,10 @@ from __future__ import annotations
 import gc
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
+from _sinks import MemorySink, csv_text
 
 from repro.core.block import Block, Implementation
 from repro.core.cost import ConfigCost, EnergyCost, ThroughputCostModel
@@ -23,18 +25,16 @@ from repro.core.pipeline import InCameraPipeline
 from repro.core.sweep import parameter_sweep
 from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
-    CallbackSink,
     Campaign,
     CsvSink,
     JsonlSink,
-    MemorySink,
     ResultSink,
     Scenario,
     SweepExecutor,
     explore,
 )
 from repro.explore.engine import DEFAULT_CHUNK_SIZE
-from repro.explore.sink import csv_text, resolve_sink
+from repro.explore.sink import resolve_sink
 from repro.hw.network import RF_BACKSCATTER, LinkModel
 
 
@@ -127,12 +127,12 @@ def test_memory_sink_collects_all_rows_in_order():
 
 
 def test_callback_sink_sees_chunk_batches_in_order():
+    """A callable is a sink once it sits behind ``write_rows``: any
+    object with that method streams like a ``ResultSink``."""
     scenario = energy_scenario()
     batches: list[list[dict]] = []
-    result = explore(
-        scenario, sink=CallbackSink(lambda rows: batches.append(list(rows))),
-        chunk_size=4,
-    )
+    sink = SimpleNamespace(write_rows=lambda rows: batches.append(list(rows)))
+    result = explore(scenario, sink=sink, chunk_size=4)
     flat = [row for batch in batches for row in batch]
     assert flat == result.rows
     assert all(len(batch) <= 4 for batch in batches)
@@ -266,7 +266,10 @@ def test_export_only_never_materializes_the_cache():
         peaks.append(_live_instances(ConfigCost, EnergyCost))
 
     outcome = explore(
-        scenario, chunk_size=chunk, sink=CallbackSink(observe), collect=False
+        scenario,
+        chunk_size=chunk,
+        sink=SimpleNamespace(write_rows=observe),
+        collect=False,
     )
     assert outcome is None
     assert len(peaks) == -(-n_configs // chunk)  # one write per chunk

@@ -17,21 +17,18 @@ import json
 import random
 
 import pytest
+from _sinks import FrontierSink, MemorySink
 
 from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
     Campaign,
-    MemorySink,
-    ParetoFrontier,
-    ParetoSink,
     ResultSink,
     Scenario,
     SweepExecutor,
     explore,
     load_builtin,
-    pareto_filter,
 )
-from repro.explore.result import domain_frontier
+from repro.explore.result import ParetoFrontier, domain_frontier, pareto_filter
 from repro.explore.vectorized import BatchPrefixEvaluator
 
 #: A mixed-size, mixed-domain fleet (ascending design-space sizes:
@@ -120,55 +117,26 @@ def test_domain_frontier_uses_canonical_axes():
     assert [row["total_energy_j"] for row in energy.rows] == [0.5]
 
 
-# -- ParetoSink ----------------------------------------------------------
+# -- the export-only frontier -------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["vr-fig10", "faceauth-energy"])
 def test_pareto_sink_equals_collected_frontier(name):
-    """Acceptance: the streamed frontier under collect=False equals the
-    collected-mode frontier exactly on the catalog scenarios."""
+    """Acceptance: the frontier an export-only run keeps next to its
+    sink (a ``Campaign.run(collect=False)`` member's ``pareto()``)
+    equals the collected-mode frontier exactly on the catalog
+    scenarios."""
     scenario = load_builtin().build(name)
-    sink = ParetoSink()
-    assert explore(scenario, sink=sink, collect=False, chunk_size=3) is None
-    collected = explore(scenario)
-    assert json.dumps(sink.pareto()) == json.dumps(collected.pareto())
-    assert len(sink.frontier) == len(collected.pareto())
-
-
-def test_pareto_sink_explicit_axes():
-    scenario = load_builtin().build("vr-fig10")
-    sink = ParetoSink(axes=["total_fps"], maximize=True)
-    explore(scenario, sink=sink, collect=False)
-    collected = explore(scenario)
-    assert json.dumps(sink.pareto()) == json.dumps(
-        collected.pareto(["total_fps"], True)
+    sink = MemorySink()
+    result = Campaign([scenario]).run(
+        chunk_size=3, sinks={scenario.name: sink}, collect=False
     )
-
-
-def test_pareto_sink_explicit_axes_keep_domain_direction():
-    """maximize=None means the domain's direction also for explicit
-    axes, as for ExplorationResult.pareto(): an energy frontier must not
-    silently flip to maximization."""
-    scenario = load_builtin().build("faceauth-energy")
-    axes = ("total_energy_j", "active_seconds")
-    sink = ParetoSink(axes=axes)
-    explore(scenario, sink=sink, collect=False)
-    expected = explore(scenario).pareto(axes=axes)
-    assert json.dumps(sink.pareto()) == json.dumps(expected)
-    # Scenario-less streams have no domain and maximize.
-    sink = ParetoSink(axes=["x"])
-    sink.open(None)
-    sink.write_rows([{"x": 2.0}, {"x": 1.0}])
-    assert sink.pareto() == [{"x": 2.0}]
-
-
-def test_pareto_sink_needs_axes_for_scenarioless_streams():
-    sink = ParetoSink()
-    with pytest.raises(ConfigurationError, match="axes"):
-        sink.open(None)
-    with pytest.raises(ConfigurationError, match="before open"):
-        ParetoSink().write_rows([{"x": 1.0}])
-    assert ParetoSink().pareto() == []
+    run = result[scenario.name]
+    assert run.result is None
+    collected = explore(scenario)
+    assert json.dumps(sink.rows) == json.dumps(collected.rows)
+    assert json.dumps(run.pareto()) == json.dumps(collected.pareto())
+    assert len(run.frontier) == run.pareto_size == len(collected.pareto())
 
 
 # -- iter_runs: streaming consumption ------------------------------------
@@ -362,9 +330,9 @@ def test_sink_error_preserves_sibling_streamed_frontiers():
             if self.writes >= 3:
                 raise OSError("quota exceeded")
 
-    class RecordingPareto(ParetoSink):
-        def __init__(self):
-            super().__init__()
+    class RecordingPareto(FrontierSink):
+        def __init__(self, domain):
+            super().__init__(domain_frontier(domain))
             self.seen: list[dict] = []
 
         def write_rows(self, rows):
@@ -372,7 +340,7 @@ def test_sink_error_preserves_sibling_streamed_frontiers():
             super().write_rows(rows)
 
     sinks: dict[str, ResultSink] = {
-        scenario.name: RecordingPareto() for scenario in fleet
+        scenario.name: RecordingPareto(scenario.domain) for scenario in fleet
     }
     sinks[victim] = Boom()
     with pytest.raises(SinkError, match=victim):

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from _sinks import FrontierSink, MemorySink
 
 from repro.core.block import Block, Implementation
 from repro.core.cost import EnergyCostModel, ThroughputCostModel
@@ -22,21 +24,19 @@ from repro.core.pipeline import InCameraPipeline
 from repro.errors import ConfigurationError
 from repro.explore import (
     BatchPrefixEvaluator,
-    CallbackSink,
-    MemorySink,
-    ParetoSink,
+    Campaign,
     ResultSink,
     Scenario,
     SweepExecutor,
-    TopK,
     TopKSink,
     evaluation_path,
     explore,
+    explore_brute_force,
 )
 from repro.core.offload import OffloadAnalyzer
 from repro.explore.engine import EVALUATION_MODES, iter_evaluation_chunks
 from repro.explore.incremental import PrefixEvaluator, _check_stock_model
-from repro.explore.result import ParetoFrontier, cost_row
+from repro.explore.result import ParetoFrontier, TopK, best_row, cost_row
 from repro.explore.sink import uses_columnar_writes
 from repro.hw.network import LinkModel
 
@@ -329,6 +329,46 @@ def test_energy_batch_columns_match_scalar_rows():
             got = batch.metric_column(metric).tolist()
             assert got == [row[metric] for row in span], metric
         position += len(batch)
+
+
+def test_energy_rows_add_block_energies_as_the_fold_does():
+    """Ten blocks of 0.1 J do not add exactly: left to right they make
+    0.9999999999999999, the compensated ``sum()`` of Python 3.12 and
+    later 1.0. The fold's compute column adds left to right, so every
+    row (columnar, scalar or oracle) must too, or ``best`` would rank
+    on values its rows do not show."""
+    blocks = tuple(
+        Block(
+            name=f"B{i}",
+            output_bytes=1000.0 / (i + 2),
+            implementations={
+                "asic": Implementation("asic", fps=60.0, energy_per_frame=0.1)
+            },
+        )
+        for i in range(10)
+    )
+    pipeline = InCameraPipeline(name="tenths", sensor_bytes=1000.0, blocks=blocks)
+    scenario = Scenario(name="tenths", pipeline=pipeline, link=LINK, domain="energy")
+    batches = scenario_batches(scenario)
+    rows = [row for batch in batches for row in batch.rows()]
+    assert rows[-1]["compute_energy_j"] == 0.9999999999999999
+    position = 0
+    for batch in batches:
+        span = rows[position : position + len(batch)]
+        for metric in ("compute_energy_j", "total_energy_j"):
+            got = batch.metric_column(metric).tolist()
+            assert got == [row[metric] for row in span], metric
+        position += len(batch)
+    result = explore(scenario)
+    assert json.dumps(result.rows) == json.dumps(rows)
+    assert result.best == best_row(result.rows, "total_energy_j", maximize=False)
+    scalar = explore(scenario, evaluation="scalar")
+    for reference in (scalar, explore_brute_force(scenario)):
+        assert json.dumps(reference.rows) == json.dumps(rows)
+        assert reference.best == result.best
+    assert [cost.total_energy for cost in result.evaluations] == [
+        row["total_energy_j"] for row in rows
+    ]
 
 
 def test_batch_rows_slice_is_a_view_of_the_same_rows():
@@ -896,10 +936,9 @@ def test_add_batch_falls_back_on_non_columnar_metrics():
 
 
 def test_uses_columnar_writes_probe():
-    assert uses_columnar_writes(ParetoSink())
     assert uses_columnar_writes(TopKSink("total_fps", k=3))
     assert not uses_columnar_writes(MemorySink())
-    assert not uses_columnar_writes(CallbackSink(lambda rows: None))
+    assert not uses_columnar_writes(SimpleNamespace(write_rows=lambda rows: None))
 
     class _Columnar(ResultSink):
         def write_batch(self, batch):
@@ -907,13 +946,13 @@ def test_uses_columnar_writes_probe():
 
     assert uses_columnar_writes(_Columnar())
 
-    class _Recording(ParetoSink):
+    class _Recording(TopKSink):
         def write_rows(self, rows):
             super().write_rows(rows)
 
     # Overriding write_rows below the batch fold makes a sink row-only:
     # the inherited write_batch would bypass the override.
-    assert not uses_columnar_writes(_Recording())
+    assert not uses_columnar_writes(_Recording("total_fps", k=3))
 
 
 def test_columnar_sinks_match_collected_results_end_to_end():
@@ -922,12 +961,11 @@ def test_columnar_sinks_match_collected_results_end_to_end():
     sink = TopKSink("total_fps", k=4)
     explore(scenario, sink=sink, collect=False)
     assert json.dumps(sink.top_k()) == json.dumps(collected.top_k("total_fps", k=4))
-    frontier = ParetoSink()
-    explore(scenario, sink=frontier, collect=False)
-    assert json.dumps(frontier.pareto()) == json.dumps(collected.pareto())
+    (run,) = Campaign([scenario]).run(collect=False)
+    assert json.dumps(run.pareto()) == json.dumps(collected.pareto())
     # A bool axis, minimized, folds through the columns as well.
     axes, flags = ("feasible", "compute_fps"), (False, True)
-    frontier = ParetoSink(axes, flags)
+    frontier = FrontierSink(ParetoFrontier(axes, flags))
     explore(scenario, sink=frontier, collect=False)
     assert json.dumps(frontier.pareto()) == json.dumps(collected.pareto(axes, flags))
 
