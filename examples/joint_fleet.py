@@ -23,7 +23,7 @@ Shown here:
 * the per-member summary table — solo-best vs jointly-assigned rate,
   per-member demand, and each member's share of the capacity;
 * the export-only fast path (``collect=False``): candidates stream
-  through :class:`~repro.explore.JointCandidateSink` with frontier
+  through :class:`~repro.explore.joint.JointCandidateSink` with frontier
   tracking off, byte-identical optimum at a fraction of the cost;
 * the weighted completion-time objective over the member campaign: the
   fleet's ``weights=`` order its member walks (weighted shortest

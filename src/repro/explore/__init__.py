@@ -64,7 +64,7 @@ The package namespace holds only the names a caller outside it uses
 internals import from their modules: ``TopK``, ``ParetoFrontier`` and
 ``pareto_filter`` from :mod:`.result`, ``BatchRows`` from
 :mod:`.vectorized`, ``iter_configs`` and ``count_configs`` from
-:mod:`.enumerate`.
+:mod:`.enumerate`, ``JointCandidateSink`` from :mod:`.joint`.
 
 Quickstart::
 
@@ -90,7 +90,6 @@ from repro.explore.catalog import (
 )
 from repro.explore.joint import (
     JointCandidate,
-    JointCandidateSink,
     JointFleetResult,
     JointFleetScenario,
     explore_joint,
@@ -113,7 +112,6 @@ __all__ = [
     "ExplorationResult",
     "FleetSpec",
     "JointCandidate",
-    "JointCandidateSink",
     "JointFleetResult",
     "JointFleetScenario",
     "JointFleetSpec",

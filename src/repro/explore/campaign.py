@@ -85,7 +85,6 @@ from repro.core.cost import platform_axis_fingerprint
 from repro.core.report import TextTable, campaign_summary_table
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore.engine import (
-    DEFAULT_CHUNK_SIZE,
     _check_chunk_size,
     _check_dedup_mode,
     _dedupable,
@@ -633,7 +632,7 @@ class Campaign:
                     "or drop sinks entirely for a summary-only campaign"
                 )
         return self._stream_runs(
-            chunk_size or DEFAULT_CHUNK_SIZE,
+            chunk_size,
             sink_list,
             collect,
             weights,
@@ -643,7 +642,7 @@ class Campaign:
 
     def _stream_runs(
         self,
-        chunk_size: int,
+        chunk_size: int | None,
         sink_list: list[Any],
         collect: bool,
         weights: Mapping[str, float],
@@ -654,7 +653,7 @@ class Campaign:
         stays eager in the caller, before the first ``next()``): each
         unit's walk is drained in WSPT order, and its members are handed
         out when it ends. ``chunk_size`` is the rows per cohort slice
-        and sink write."""
+        and sink write (None: the walk's batches)."""
         scenarios = self.scenarios
         plans = [_plan(scenario, dedup=dedup) for scenario in scenarios]
         groups = _dedup_groups(
@@ -733,7 +732,7 @@ class Campaign:
         index: int,
         sink: Any,
         collect: bool,
-        chunk_size: int,
+        chunk_size: int | None,
         track_frontier: bool,
     ) -> "_Member":
         """One member's run state: the consumer solo ``explore()`` uses,
@@ -799,7 +798,9 @@ class Campaign:
             repoints perfbench.
         chunk_size:
             Rows per cohort slice and sink write for every scenario
-            (default: :data:`~repro.explore.engine.DEFAULT_CHUNK_SIZE`).
+            (default: the cohort walk's batches, as in :func:`explore`:
+            one batch per run of whole depth cohorts that fits one
+            block of rows, then one batch per block).
         sinks:
             Per-scenario streaming outputs: a mapping from scenario
             name to sink (scenarios without an entry get none) or a

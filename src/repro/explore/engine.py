@@ -76,8 +76,8 @@ from repro.explore.vectorized import BatchPrefixEvaluator
 #: walk, ``"scalar"`` the scalar reference fold.
 EVALUATION_MODES = ("auto", "scalar")
 
-#: Configurations per scalar chunk (and rows per campaign slice) when
-#: the caller pins no ``chunk_size``. Large enough to amortize the
+#: Configurations per scalar chunk when the caller pins no
+#: ``chunk_size``. Large enough to amortize the
 #: per-chunk loop to noise, small enough that one chunk stays a few
 #: thousand configurations.
 DEFAULT_CHUNK_SIZE = 1024
@@ -325,9 +325,10 @@ def explore(
         What to explore and under which cost domain.
     chunk_size:
         Rows per streamed slice and sink write (default: the cohort
-        walk's blocks of rows — whole depth cohorts while they fit one
-        — and :data:`DEFAULT_CHUNK_SIZE` configurations per scalar
-        chunk). Peak intermediate memory is bounded by this on the
+        walk's blocks of rows — one batch spanning consecutive whole
+        depth cohorts while their rows fit one block, then one block
+        per batch — and :data:`DEFAULT_CHUNK_SIZE` configurations per
+        scalar chunk). Peak intermediate memory is bounded by this on the
         scalar fold and by a fixed number of row blocks per pipeline
         depth on the cohort walk, never by the design-space size.
     sink:

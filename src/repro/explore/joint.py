@@ -236,11 +236,11 @@ class JointCandidateSink(ResultSink):
     a row list; ``explore_joint`` streams every member through it):
     instead of collecting the member's full row list and compressing it
     afterwards, the sink folds each chunk into a running (depth -> best
-    feasible row) map. On the columnar
-    batch path a whole single-depth cohort batch reduces to at most one
-    materialized row (the first feasible row attaining the batch's
-    maximum ``total_fps``), so memory stays bounded by the number of
-    depths, never the design-space size.
+    feasible row) map. On the columnar batch path each depth segment of
+    a batch (a run of rows of one depth; a batch may span several)
+    reduces to at most one materialized row (the first feasible row
+    attaining the segment's maximum ``total_fps``), so memory stays
+    bounded by the number of depths, never the design-space size.
 
     Exactness: the running entry for a depth is replaced only on a
     *strictly* greater rate, so the surviving row is the first in
@@ -266,12 +266,14 @@ class JointCandidateSink(ResultSink):
                 by_depth[depth] = (row["total_fps"], row)
 
     def write_batch(self, batch: Any) -> None:
-        """One cohort batch -> at most one materialized winner row."""
+        """One cohort batch -> at most one materialized winner row per
+        depth segment."""
         if len(batch) == 0:
             return
         try:
             fps = batch.metric_column("total_fps")
             feasible = batch.metric_column("feasible")
+            depths = batch.metric_column("n_in_camera")
         except KeyError:  # pragma: no cover - stock throughput columns
             self.write_rows(batch.rows())
             return
@@ -279,16 +281,23 @@ class JointCandidateSink(ResultSink):
         if not bool(mask.any()):
             return
         masked = np.where(mask, fps, -np.inf)
-        best = masked.max()
-        # argmax of the masked column returns the FIRST index attaining
-        # the maximum — exactly the stream-order tie rule.
-        depth = batch.depth
-        held = self._by_depth.get(depth)
-        if held is None or best > held[0]:
-            winner = batch.row(int(masked.argmax()))
-            # Keep the row's own float, not the column's, so candidate
-            # rates compare byte-identically to the collected path.
-            self._by_depth[depth] = (winner["total_fps"], winner)
+        # Rows come in stream order, so each depth is one run of rows.
+        starts = np.flatnonzero(np.diff(depths, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [len(batch)]):
+            if not bool(mask[lo:hi].any()):
+                continue
+            segment = masked[lo:hi]
+            best = segment.max()
+            depth = int(depths[lo])
+            held = self._by_depth.get(depth)
+            if held is None or best > held[0]:
+                # argmax returns the FIRST index attaining the maximum —
+                # exactly the stream-order tie rule.
+                winner = batch.row(lo + int(segment.argmax()))
+                # Keep the row's own float, not the column's, so
+                # candidate rates compare byte-identically to the
+                # collected path.
+                self._by_depth[depth] = (winner["total_fps"], winner)
 
     def candidates(self) -> list[JointCandidate]:
         """The per-depth candidates streamed so far, in depth

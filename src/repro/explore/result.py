@@ -234,7 +234,10 @@ class ExplorationResult:
             except KeyError:
                 parts = []
             if parts and all(_exact_float(part) for part in parts):
-                column = np.concatenate(parts).astype(float, copy=False)
+                # One segment (a small walk is one batch) is its own
+                # column: nothing here writes to it.
+                column = parts[0] if len(parts) == 1 else np.concatenate(parts)
+                column = column.astype(float, copy=False)
                 if np.isnan(column).any():
                     column = None
             self._column_cache[name] = column

@@ -18,6 +18,12 @@ configurations as numpy struct-of-arrays operations:
   they fit one fixed-size block of rows (:data:`_BLOCK_ROWS`); deeper
   cohorts are walked depth-first in blocks, so the walk's memory stays
   bounded whatever the design-space size.
+* One emitted batch spans consecutive whole cohorts while their rows
+  fit one block, so a small design space reaches its consumers as one
+  batch and their fixed per-batch work is paid once, not once per
+  depth. A batch holds its rows' depths as run-length segments (rows
+  come in depth order), a choice matrix padded past each row's depth,
+  and the per-depth link terms once per segment.
 * A row carries only what its platform choices cannot recover — the
   running fps, or the running compute energy and active seconds. Below
   the resident cohorts, a row's choices are implied by its position in
@@ -85,6 +91,7 @@ reference fold it is checked against (``evaluation="scalar"``).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import add, getitem
 from typing import Any, Generator, Iterator, Sequence
@@ -153,7 +160,12 @@ class _Frame:
 def _resolve_choices(frame: _Frame, depth: int, dtype: Any, rows: Any) -> Any:
     """The ``(len(rows), depth)`` choice matrix of ``frame``'s rows at
     ``rows`` (a range or index array): one ``divmod`` pass per level up
-    to the nearest frame holding a matrix."""
+    to the nearest frame holding a matrix. A frame holding one answers
+    a range with a view of it (callers must not write to it)."""
+    if frame.matrix is not None:
+        if isinstance(rows, range):
+            return frame.matrix[rows.start : rows.stop : rows.step]
+        return frame.matrix[rows]
     if isinstance(rows, range):
         rows = np.arange(rows.start, rows.stop, rows.step, dtype=np.intp)
     out = np.empty((len(rows), depth), dtype=dtype)
@@ -170,20 +182,22 @@ def _resolve_choices(frame: _Frame, depth: int, dtype: Any, rows: Any) -> Any:
 
 
 class _Choices:
-    """An emitted batch's ``(n, depth)`` choice matrix, resolved from
+    """An emitted batch's ``(n, width)`` choice matrix, resolved from
     the walk's frames only for the rows something reads.
 
-    ``rows`` selects the batch's rows among the frame's: a ``range``
-    while they are contiguous, an index array after a mask or hook
-    filter. Views (chunks, emission masks, takes) compose selections
-    without resolving anything; the member views of one dedup group
-    slice share one selection."""
+    ``width`` is the deepest row's depth; a shallower row's choices are
+    padded past its own depth (see :func:`_joined_choices`). ``rows``
+    selects the batch's rows among the frame's: a ``range`` while they
+    are contiguous, an index array after a mask or hook filter. Views
+    (chunks, emission masks, takes) compose selections without
+    resolving anything; the member views of one dedup group slice
+    share one selection."""
 
-    __slots__ = ("frame", "depth", "rows", "dtype")
+    __slots__ = ("frame", "width", "rows", "dtype")
 
-    def __init__(self, frame: _Frame, depth: int, rows: Any, dtype: Any):
+    def __init__(self, frame: _Frame, width: int, rows: Any, dtype: Any):
         self.frame = frame
-        self.depth = depth
+        self.width = width
         self.rows = rows
         self.dtype = dtype
 
@@ -203,14 +217,33 @@ class _Choices:
 
     def select(self, index: Any) -> "_Choices":
         """The rows at a slice or index array of this selection."""
-        return _Choices(self.frame, self.depth, self._positions(index), self.dtype)
+        return _Choices(self.frame, self.width, self._positions(index), self.dtype)
 
     def matrix(self, index: Any = None) -> Any:
-        """The ``(n, depth)`` choice matrix of the rows at ``index``
+        """The ``(n, width)`` choice matrix of the rows at ``index``
         (None: every row)."""
         return _resolve_choices(
-            self.frame, self.depth, self.dtype, self._positions(index)
+            self.frame, self.width, self.dtype, self._positions(index)
         )
+
+
+def _joined_choices(pieces: Sequence[_Choices]) -> _Choices:
+    """One selection over the rows of consecutive resident-depth
+    pieces, in order: their choice rows resolved into one matrix, zero
+    past each row's depth. Resident frames hold their matrices, so this
+    copies each piece's rows once, into a matrix no larger than one
+    block."""
+    dtype = pieces[0].dtype
+    width = max(piece.width for piece in pieces)
+    n = sum(map(len, pieces))
+    frame = _Frame(None, 0, 1, None, n)
+    frame.matrix = np.zeros((n, width), dtype=dtype)
+    lo = 0
+    for piece in pieces:
+        hi = lo + len(piece)
+        frame.matrix[lo:hi, : piece.width] = piece.matrix()
+        lo = hi
+    return _Choices(frame, width, range(n), dtype)
 
 
 def _slowest_levels(plan: "_PipelinePlan", matrix: Any, compute_fps: Any) -> Any:
@@ -233,9 +266,11 @@ def _materialize_costs(
     columns: dict[str, Any],
     energy: bool,
 ) -> list[ConfigCost | EnergyCost]:
-    """Cost objects for the given choice matrix rows of a finalized
-    column mapping (per-row columns already gathered to those rows):
-    what :meth:`BatchRows.cost` and :meth:`BatchRows.costs` return.
+    """Cost objects for the given choice matrix rows of one depth
+    segment (the matrix cut to that depth) and a finalized column
+    mapping (:meth:`BatchRows._gather`: per-row columns gathered to
+    those rows, the segment's link terms as scalars): what
+    :meth:`BatchRows.cost` and :meth:`BatchRows.costs` return.
     Report rows do not go through cost objects
     (:meth:`BatchRows._report_rows`).
 
@@ -294,16 +329,48 @@ def _materialize_costs(
     return out
 
 
+#: The link terms a view holds once per depth segment: every row of a
+#: segment shares its cut depth, hence its payload.
+_LINK_TERMS = ("communication_fps", "transmit_rate", "transmit_energy")
+
+
+def _joined_columns(parts: Sequence[dict[str, Any]]) -> dict[str, Any]:
+    """One view's columns from the finalized columns of its depth
+    pieces, in stream order, written into the last (deepest) piece's
+    mapping, which ``finalize_batch`` built for this view alone: per-row
+    arrays concatenated (the piece's own array when there is one), each
+    link term a tuple of one value per piece, and the deepest piece's
+    option tables (a shallower piece's tables are a prefix of them)."""
+    joined = parts[-1]
+    if len(parts) > 1:
+        for key, value in joined.items():
+            if isinstance(value, np.ndarray):
+                joined[key] = np.concatenate([part[key] for part in parts])
+    for key in _LINK_TERMS:
+        if key in joined:
+            joined[key] = tuple([part[key] for part in parts])
+    return joined
+
+
 class BatchRows:
     """A columnar view over one evaluated span of configurations.
 
     The lazy-materialization seam between the batch evaluator and its
-    consumers: all rows share one pipeline and cut depth, their platform
-    choices form an ``(n, depth)`` integer matrix (resolved from the
-    walk's frames only for rows that are read) and
-    their cost fields live in struct-of-arrays columns. Row dicts exist
-    only for rows a consumer materializes — frontier/top-k sinks and a
-    collected :class:`~repro.explore.result.ExplorationResult` read
+    consumers: all rows share one pipeline, their platform choices form
+    an ``(n, width)`` integer matrix (resolved from the walk's frames
+    only for rows that are read) and their cost fields live in
+    struct-of-arrays columns. Rows come in stream order, so their cut
+    depths come in runs: a view holds *segments*, each a run of rows
+    of one depth, as start offsets plus one depth per segment. A row's
+    choices are the first ``depth`` entries of its matrix row (the
+    matrix is padded past it), and the per-depth link terms
+    (``communication_fps``, ``transmit_rate``, ``transmit_energy``) are
+    one value per segment, spread over the rows only when a metric
+    column is built. A single-depth batch is the one-segment case.
+
+    Row dicts exist only for rows a consumer materializes —
+    frontier/top-k sinks and a collected
+    :class:`~repro.explore.result.ExplorationResult` read
     :meth:`metric_column` and materialize only the rows they keep or
     return (:meth:`take`). A report row is built from the choice matrix
     and columns directly, replaying the scalar ``cost_row`` expressions
@@ -319,13 +386,14 @@ class BatchRows:
     __slots__ = (
         "scenario",
         "pipeline",
-        "depth",
         "columns",
         "n_materialized",
         "_plan",
         "_choices",
         "_energy",
         "_metrics",
+        "_starts",
+        "_depths",
         "__weakref__",
     )
 
@@ -333,80 +401,147 @@ class BatchRows:
         self,
         scenario: Any,
         plan: "_PipelinePlan",
-        depth: int,
+        starts: tuple[int, ...],
+        depths: tuple[int, ...],
         choices: _Choices,
         columns: dict[str, Any],
         energy: bool,
     ):
         self.scenario = scenario
         self.pipeline = plan.pipeline
-        self.depth = depth
         self.columns = columns
         self.n_materialized = 0
         self._plan = plan
         self._choices = choices
         self._energy = energy
         self._metrics: dict[str, Any] = {}  # see metric_column
+        #: Each segment's first row (ascending from 0) and its depth.
+        self._starts = starts
+        self._depths = depths
 
     def __len__(self) -> int:
         return len(self._choices)
 
-    def _gather(self, index: Any) -> dict[str, Any]:
-        """The per-row columns at a slice or index array (slices share
-        memory, index arrays gather bit-exact copies); per-depth scalars
-        and option tables pass through."""
+    # -- segments ---------------------------------------------------------
+
+    def _counts(self) -> list[int]:
+        """Rows per segment."""
+        starts = self._starts
+        return [hi - lo for lo, hi in zip(starts, starts[1:] + (len(self),))]
+
+    def _expand(self, values: tuple) -> Any:
+        """Per-segment values as a per-row operand: the one segment's
+        value itself (it broadcasts), else each value repeated over its
+        segment's rows."""
+        if len(values) == 1:
+            return values[0]
+        return np.repeat(values, self._counts())
+
+    def _runs(self, index: Any) -> list[tuple[int, int, int]]:
+        """The rows at ``index`` (an index array) as runs of rows of one
+        segment, in order: ``(lo, hi, segment)``, positions in
+        ``index``."""
+        if len(self._depths) == 1:
+            return [(0, len(index), 0)]
+        segments = np.searchsorted(self._starts, index, side="right") - 1
+        cuts = (np.flatnonzero(segments[1:] != segments[:-1]) + 1).tolist()
+        firsts = [0, *cuts] if len(index) else []
+        return list(zip(firsts, [*cuts, len(index)], segments[firsts].tolist()))
+
+    def _select(self, index: Any, choices: _Choices) -> "BatchRows":
+        """The rows at ``index`` (a slice or index array) over
+        ``choices`` as a new view: per-row columns gathered (slices
+        share memory, index arrays gather bit-exact copies), each row
+        kept in its segment, option tables passed through."""
+        starts, depths = self._starts, self._depths
+        picks = None
+        if len(depths) > 1:
+            if isinstance(index, slice):
+                lo, hi, _ = index.indices(len(self))
+                first = bisect_right(starts, lo) - 1
+                last = bisect_left(starts, hi)
+                picks = range(first, last)
+                starts = tuple(max(start - lo, 0) for start in starts[first:last])
+            else:
+                runs = self._runs(index)
+                starts = tuple(lo for lo, _, _ in runs)
+                picks = [segment for _, _, segment in runs]
+            depths = tuple(depths[i] for i in picks)
+        columns = {}
+        for key, value in self.columns.items():
+            if isinstance(value, np.ndarray):
+                value = value[index]
+            elif picks is not None and key in _LINK_TERMS:
+                value = tuple(value[i] for i in picks)
+            columns[key] = value
+        return BatchRows(
+            self.scenario, self._plan, starts, depths, choices, columns, self._energy
+        )
+
+    def _matrix(self, index: Any, segment: int) -> Any:
+        """The choice matrix of rows at ``index`` of one segment, cut to
+        its depth."""
+        return self._choices.matrix(index)[:, : self._depths[segment]]
+
+    def _gather(self, index: Any, segment: int) -> dict[str, Any]:
+        """The columns of rows at ``index`` (an index array) of one
+        segment, as rows and cost objects are built from them: per-row
+        columns gathered (bit-exact copies), the segment's link terms as
+        scalars, option tables passed through."""
         return {
-            key: value[index] if isinstance(value, np.ndarray) else value
+            key: (
+                value[index]
+                if isinstance(value, np.ndarray)
+                else value[segment] if key in _LINK_TERMS else value
+            )
             for key, value in self.columns.items()
         }
+
+    # -- views --------------------------------------------------------------
 
     def slice(self, lo: int, hi: int) -> "BatchRows":
         """Rows ``[lo, hi)`` as a new view (array slices share memory)."""
         part = slice(lo, hi)
-        return BatchRows(
-            self.scenario,
-            self._plan,
-            self.depth,
-            self._choices.select(part),
-            self._gather(part),
-            self._energy,
-        )
+        return self._select(part, self._choices.select(part))
 
     def compact(self, indices: Sequence[int]) -> "BatchRows":
         """The rows at ``indices`` as a self-contained view: their choice
         rows resolved into a matrix of its own and their per-row columns
-        gathered, so it holds nothing of the walk's frames or of this
-        view's columns. The online folds keep their survivors this way
-        and build rows only when they are read; nothing materializes
+        gathered, each row keeping its segment's depth and link terms,
+        so it holds nothing of the walk's frames or of this view's
+        columns. The online folds keep their survivors this way and
+        build rows only when they are read; nothing materializes
         here."""
         index = np.asarray(indices, dtype=np.intp)
         choices = self._choices
         frame = _Frame(None, 0, 1, None, len(index))
-        frame.matrix = _resolve_choices(
-            choices.frame, choices.depth, choices.dtype, choices._positions(index)
+        frame.matrix = choices.matrix(index)
+        return self._select(
+            index, _Choices(frame, choices.width, range(len(index)), choices.dtype)
         )
-        return BatchRows(
-            self.scenario,
-            self._plan,
-            self.depth,
-            _Choices(frame, choices.depth, range(len(index)), choices.dtype),
-            self._gather(index),
-            self._energy,
-        )
+
+    # -- rows and cost objects ----------------------------------------------
 
     def take(self, indices: Sequence[int]) -> list[dict[str, Any]]:
         """The report rows at ``indices``, in that order (repeats
-        allowed), built in one bulk pass from the gathered columns
-        (counts one materialization per row)."""
+        allowed), built in one bulk pass per run of one segment from the
+        gathered columns (counts one materialization per row)."""
         self.n_materialized += len(indices)
         index = np.asarray(indices, dtype=np.intp)
-        return self._report_rows(self._choices.matrix(index), self._gather(index))
+        rows: list[dict[str, Any]] = []
+        for lo, hi, segment in self._runs(index):
+            part = index[lo:hi]
+            rows += self._report_rows(
+                self._matrix(part, segment), self._gather(part, segment)
+            )
+        return rows
 
     def _report_rows(
         self, matrix: Any, columns: dict[str, Any]
     ) -> list[dict[str, Any]]:
-        """Report rows for the given choice matrix rows of a finalized
-        column mapping (per-row columns already gathered to those rows).
+        """Report rows for the given choice matrix rows of one depth
+        segment (the matrix cut to that depth) and a finalized column
+        mapping (:meth:`_gather`).
 
         No configuration or cost object is built: each field replays
         the scalar ``cost_row`` expression over the values the cost
@@ -427,7 +562,7 @@ class BatchRows:
         * ``slowest_block`` decodes as in :func:`_materialize_costs`.
         """
         plan = self._plan
-        depth = self.depth
+        depth = matrix.shape[1]
         choice_rows = matrix.tolist()
         if depth:
             fragments, names = plan.fragments, plan.names
@@ -496,24 +631,32 @@ class BatchRows:
 
     def config(self, i: int) -> PipelineConfig:
         """Row ``i``'s configuration."""
-        return self._plan.config(self._choices.matrix([i])[0].tolist())
+        index = np.array([i], dtype=np.intp)
+        ((_, _, segment),) = self._runs(index)
+        return self._plan.config(self._matrix(index, segment)[0].tolist())
 
     def cost(self, i: int) -> ConfigCost | EnergyCost:
         """Row ``i``'s cost object (counts as one materialization)."""
-        self.n_materialized += 1
-        return _materialize_costs(
-            self._plan,
-            self._choices.matrix([i]),
-            self._gather(slice(i, i + 1)),
-            self._energy,
-        )[0]
+        return self._costs(np.array([i], dtype=np.intp))[0]
 
     def costs(self) -> list[ConfigCost | EnergyCost]:
         """Every row's cost object, in row order (bulk materialization)."""
-        self.n_materialized += len(self)
-        return _materialize_costs(
-            self._plan, self._choices.matrix(), self.columns, self._energy
-        )
+        return self._costs(np.arange(len(self)))
+
+    def _costs(self, index: Any) -> list[ConfigCost | EnergyCost]:
+        """The cost objects of the rows at ``index``, in that order, one
+        run of one segment at a time."""
+        self.n_materialized += len(index)
+        costs: list[ConfigCost | EnergyCost] = []
+        for lo, hi, segment in self._runs(index):
+            part = index[lo:hi]
+            costs += _materialize_costs(
+                self._plan,
+                self._matrix(part, segment),
+                self._gather(part, segment),
+                self._energy,
+            )
+        return costs
 
     def row(self, i: int) -> dict[str, Any]:
         """Row ``i``'s report row: ``take([i])[0]``."""
@@ -521,8 +664,9 @@ class BatchRows:
 
     def rows(self) -> list[dict[str, Any]]:
         """Every report row, in row order (bulk materialization)."""
-        self.n_materialized += len(self)
-        return self._report_rows(self._choices.matrix(), self.columns)
+        return self.take(np.arange(len(self)))
+
+    # -- columns --------------------------------------------------------------
 
     def metric_column(self, name: str) -> Any:
         """Per-row values of one numeric report-row metric as an array,
@@ -545,39 +689,48 @@ class BatchRows:
         when this view cannot bound ``name`` this way.
 
         Two metrics have a bound, both the exact value of the best row,
-        because each row's value is a monotone function of one per-row
-        column (IEEE addition and the ``min`` branch never reverse an
-        order): throughput ``total_fps`` is the scalar branch ``comm if
-        comm < c else c`` at ``c`` the extreme ``compute_fps``, and
+        because within a segment each row's value is a monotone
+        function of one per-row column (IEEE addition and the ``min``
+        branch never reverse an order) and the segment's link terms:
+        throughput ``total_fps`` is the scalar branch ``comm if comm <
+        c else c`` at ``c`` the segment's extreme ``compute_fps``, and
         energy ``total_energy_j`` is ``(sensor + compute) + transmit``,
-        in :meth:`_metric`'s order, at the extreme ``compute_energy``.
+        in :meth:`_metric`'s order, at the segment's extreme
+        ``compute_energy``. The per-segment extremes come from one
+        ``reduceat``; the view's best is the best segment's value.
         :meth:`~repro.explore.result.TopK.add_batch` drops a batch whose
         best value cannot enter its ranking, so a view is rejected
         before any column is built.
 
-        Returns None for every other metric; when the value is not
-        finite, which rules out a NaN row (an infinite operand is the
-        only way a row goes NaN while the extreme stays a number); and
-        when :meth:`metric_column` has already built the column, since
-        the ranking then reads it at no extra cost."""
+        Returns None for every other metric; when some segment's value
+        is not finite, which rules out a NaN row (an infinite operand is
+        the only way a row goes NaN while its segment's extreme stays a
+        number); and when :meth:`metric_column` has already built the
+        column, since the ranking then reads it at no extra cost."""
         if name in self._metrics:
             return None
         columns = self.columns
-        extreme = np.max if maximize else np.min
+        extreme = np.maximum.reduceat if maximize else np.minimum.reduceat
         if self._energy:
             if name != "total_energy_j":
                 return None
-            value = (
-                self.pipeline.sensor_energy_per_frame
-                + float(extreme(columns["compute_energy"]))
-            ) + columns["transmit_energy"]
+            sensor = self.pipeline.sensor_energy_per_frame
+            extremes = extreme(columns["compute_energy"], self._starts).tolist()
+            values = [
+                (sensor + compute) + transmit
+                for compute, transmit in zip(extremes, columns["transmit_energy"])
+            ]
         else:
             if name != "total_fps":
                 return None
-            compute = float(extreme(columns["compute_fps"]))
-            communication = columns["communication_fps"]
-            value = communication if communication < compute else compute
-        return value if math.isfinite(value) else None
+            extremes = extreme(columns["compute_fps"], self._starts).tolist()
+            values = [
+                comm if comm < compute else compute
+                for compute, comm in zip(extremes, columns["communication_fps"])
+            ]
+        if not all(map(math.isfinite, values)):
+            return None
+        return max(values) if maximize else min(values)
 
     def _metric(self, name: str) -> Any:
         """:meth:`metric_column` without the per-view memo."""
@@ -585,16 +738,17 @@ class BatchRows:
         columns = self.columns
         scenario = self.scenario
         if name == "n_in_camera":
-            return np.full(n, self.depth)
+            return np.repeat(self._depths, self._counts())
         if name == "offload_bytes":
-            return np.full(n, self.pipeline.output_bytes_after(self.depth))
+            payload = [self.pipeline.output_bytes_after(d) for d in self._depths]
+            return np.repeat(payload, self._counts())
         if self._energy:
             if name == "active_seconds":
                 return columns[name]
             if name == "transmit_rate":
-                return np.full(n, columns["transmit_rate"])
+                return np.repeat(columns["transmit_rate"], self._counts())
             if name == "transmit_energy_j":
-                return np.full(n, columns["transmit_energy"])
+                return np.repeat(columns["transmit_energy"], self._counts())
             if name == "sensor_energy_j":
                 return np.full(n, self.pipeline.sensor_energy_per_frame)
             if name in ("compute_energy_j", "total_energy_j", "feasible"):
@@ -604,7 +758,7 @@ class BatchRows:
                 total = (
                     self.pipeline.sensor_energy_per_frame
                     + compute
-                    + columns["transmit_energy"]
+                    + self._expand(columns["transmit_energy"])
                 )
                 if name == "total_energy_j":
                     return total
@@ -616,10 +770,10 @@ class BatchRows:
             if name == "compute_fps":
                 return columns["compute_fps"]
             if name == "communication_fps":
-                return np.full(n, columns["communication_fps"])
+                return np.repeat(columns["communication_fps"], self._counts())
             if name == "total_fps":
                 compute = columns["compute_fps"]
-                communication = columns["communication_fps"]
+                communication = self._expand(columns["communication_fps"])
                 # min(a, b) returns b only when b < a — np.where keeps
                 # that exact branch (NaN included), unlike np.minimum.
                 return np.where(communication < compute, communication, compute)
@@ -629,7 +783,7 @@ class BatchRows:
                     return np.ones(n, dtype=bool)
                 return np.logical_and(
                     columns["compute_fps"] >= target,
-                    columns["communication_fps"] >= target,
+                    self._expand(columns["communication_fps"]) >= target,
                 )
         raise KeyError(name)
 
@@ -742,9 +896,11 @@ class BatchPrefixEvaluator:
         self, scenario: Any, chunk_size: int | None = None
     ) -> Iterator[BatchRows]:
         """Stream a scenario's whole design space as lazy
-        :class:`BatchRows`, one depth cohort at a time (sliced to
-        ``chunk_size`` rows when given), in exact enumeration order:
-        :meth:`iter_group_batches` over a group of one."""
+        :class:`BatchRows` in exact enumeration order: one batch for
+        every run of whole depth cohorts that fits one block, then the
+        deeper depths block by block (each batch at most ``chunk_size``
+        rows when given). :meth:`iter_group_batches` over a group of
+        one."""
         for (batch,) in self.iter_group_batches((scenario,), chunk_size):
             yield batch
 
@@ -753,8 +909,10 @@ class BatchPrefixEvaluator:
     ) -> Iterator[list[BatchRows]]:
         """Stream a walk's members: one cohort walk of the first
         scenario's compute-side states (see :meth:`_iter_cohort_states`
-        for the walk and how pruning fuses into it), each slice closed
-        under every member's own link by ``finalize_batch``.
+        for the walk, how pruning fuses into it and which depths one
+        batch joins), each depth piece closed under every member's own
+        link by ``finalize_batch``, then the pieces of a batch joined
+        into one view per member.
 
         A solo run is a group of one. A campaign dedup group's
         ``scenarios`` share one
@@ -764,50 +922,71 @@ class BatchPrefixEvaluator:
         the first one's model: the first member closes under
         ``model.link``, every other member under its own scenario's
         link. Each yielded list holds one lazy :class:`BatchRows` view
-        per member, in ``scenarios`` order, all sharing the slice's lazy
-        choices and compute-side columns by reference, so member rows
-        are bit-identical to that member's solo walk.
+        per member, in ``scenarios`` order, all sharing the batch's lazy
+        choices and segments by reference, so member rows are
+        bit-identical to that member's solo walk.
         """
         model = self.model
         energy = self._energy
+        plan = self._plan_for(scenarios[0].pipeline)
         links = [model.link] + [scenario.link for scenario in scenarios[1:]]
         caches: list[dict[int, Any]] = [{} for _ in scenarios]
-        for plan, depth, choices, state in self._iter_cohort_states(
+        for starts, depths, selections, states in self._iter_cohort_states(
             scenarios[0], chunk_size
         ):
+            choices = (
+                selections[0] if len(selections) == 1 else _joined_choices(selections)
+            )
             views = []
             for scenario, link, cache in zip(scenarios, links, caches):
-                link_cost = cache.get(depth)
-                if link_cost is None:
-                    link_cost = cache[depth] = depth_link_cost(
-                        link, energy, plan.pipeline.output_bytes_after(depth)
+                parts = []
+                for depth, state in zip(depths, states):
+                    link_cost = cache.get(depth)
+                    if link_cost is None:
+                        link_cost = cache[depth] = depth_link_cost(
+                            link, energy, plan.pipeline.output_bytes_after(depth)
+                        )
+                    parts.append(model.finalize_batch(state, link_cost))
+                views.append(
+                    BatchRows(
+                        scenario,
+                        plan,
+                        starts,
+                        depths,
+                        choices,
+                        _joined_columns(parts),
+                        energy,
                     )
-                columns = model.finalize_batch(state, link_cost)
-                views.append(BatchRows(scenario, plan, depth, choices, columns, energy))
+                )
             yield views
 
     def _iter_cohort_states(
         self, scenario: Any, chunk_size: int | None
-    ) -> Iterator[tuple[_PipelinePlan, int, _Choices, tuple]]:
-        """The cohort walk: ``(plan, depth, choices, state)`` slices of
-        the scenario's pre-finalize states, at most ``chunk_size`` rows
-        each, in exact enumeration order.
+    ) -> Iterator[tuple[tuple, tuple, tuple, tuple]]:
+        """The cohort walk: batches of the scenario's pre-finalize
+        states in exact enumeration order, at most one block (and at
+        most ``chunk_size`` rows) each. A batch holds one piece per
+        depth it spans, as ``(starts, depths, choices, states)``: each
+        piece's first row in the batch, depth, :class:`_Choices` and
+        state.
 
         Rows grow one pipeline block at a time: one batch call extends
         every parent row by every option of the next block, in
         :func:`itertools.product` order. Full depth cohorts fold this
-        way while the next one fits :data:`_BLOCK_ROWS`; the deepest
-        such depth is *resident*.
+        way while the next one fits :data:`_BLOCK_ROWS`; these depths
+        are *resident*. One batch gathers consecutive resident depths
+        while their rows fit the block, so a small walk is one batch.
         Each deeper depth is emitted by a depth-first descent from the
-        resident cohort over contiguous row ranges. The target level
-        grows ``_BLOCK_ROWS // k`` parents at a time (``k`` options),
-        so an emitted batch holds at most one block; an intermediate
-        level grows ``_BLOCK_ROWS // (k * k_next)`` parents, so it holds
-        one grow's worth of parents for the level below, not a whole
-        block. The walk thus holds one block plus about
-        ``_BLOCK_ROWS / k_next`` rows per intermediate level, whatever
-        the space size. Depth-``d`` rows come out ordered by their
-        resident prefix, then their suffix — enumeration order.
+        deepest resident cohort over contiguous row ranges, one piece a
+        batch. The target level grows ``_BLOCK_ROWS // k`` parents at a
+        time (``k`` options), so an emitted batch holds at most one
+        block; an intermediate level grows ``_BLOCK_ROWS // (k *
+        k_next)`` parents, so it holds one grow's worth of parents for
+        the level below, not a whole block. The walk thus holds one
+        block plus about ``_BLOCK_ROWS / k_next`` rows per intermediate
+        level, whatever the space size. Depth-``d`` rows come out
+        ordered by their resident prefix, then their suffix —
+        enumeration order.
 
         A row carries only what its platform choices cannot recover:
         the model's compact state columns. Its choices follow from its
@@ -890,9 +1069,10 @@ class BatchPrefixEvaluator:
             idx = np.array(kept, dtype=np.intp)
             return choices.select(idx), _take_state(state, idx)
 
-        def emit(
-            depth: int, rows: tuple
-        ) -> Iterator[tuple[_PipelinePlan, int, _Choices, tuple]]:
+        def emit(depth: int, rows: tuple) -> Iterator[tuple[_Choices, tuple]]:
+            """The ``(choices, state)`` pieces of the depth-``depth``
+            rows that the emission mask and the hooks keep, sliced at
+            ``chunk_size``."""
             frame, state, pstate = rows
             choices = _Choices(frame, depth, range(frame.n), dtype)
             if depth and pruner is not None and pruner.emit_mask is not None:
@@ -907,18 +1087,19 @@ class BatchPrefixEvaluator:
             n = len(choices)
             if chunk_size is None or n <= chunk_size:
                 if n:
-                    yield plan, depth, choices, state
+                    yield choices, state
                 return
             for lo in range(0, n, chunk_size):
                 part = slice(lo, min(lo + chunk_size, n))
-                yield plan, depth, choices.select(part), _take_state(state, part)
+                yield choices.select(part), _take_state(state, part)
 
         def descend(
             depth: int, rows: tuple, target: int
-        ) -> Generator[tuple[_PipelinePlan, int, _Choices, tuple], None, int]:
+        ) -> Generator[tuple[tuple, tuple, tuple, tuple], None, int]:
             """Emit the depth-``target`` descendants of depth-``depth``
-            rows, one contiguous range of parents at a time; returns how
-            many target rows survived the prefix bound."""
+            rows, one contiguous range of parents at a time, one piece a
+            batch; returns how many target rows survived the prefix
+            bound."""
             n = rows[0].n
             width = len(levels[depth].names)
             if depth + 1 < target:
@@ -930,7 +1111,8 @@ class BatchPrefixEvaluator:
                 m = children[0].n
                 if depth + 1 == target:
                     survivors += m
-                    yield from emit(target, children)
+                    for choices, state in emit(target, children):
+                        yield (0,), (target,), (choices,), (state,)
                 elif m:
                     survivors += yield from descend(depth + 1, children, target)
             return survivors
@@ -942,6 +1124,11 @@ class BatchPrefixEvaluator:
             self.model.initial_state_batch(1),
             pruner.initial_batch(1) if pruner is not None else None,
         )
+        # The next batch: the first row, depth, choices and state of each
+        # resident piece gathered so far, and their rows in all.
+        batch: tuple[list, list, list, list] = ([], [], [], [])
+        gathered = 0
+        limit = block if chunk_size is None else min(chunk_size, block)
         depth = 0
         while True:
             if (depth or scenario.include_empty) and not (
@@ -950,23 +1137,31 @@ class BatchPrefixEvaluator:
                 # Depth 0 is the raw-offload row: it has no platform
                 # choices, so the prefix bound never applies to it; the
                 # per-config hooks still do.
-                yield from emit(depth, rows)
-            if depth == len(levels):
-                return
-            n = rows[0].n
-            if n * len(levels[depth].names) > block:
+                for choices, state in emit(depth, rows):
+                    if gathered and gathered + len(choices) > limit:
+                        yield tuple(map(tuple, batch))
+                        batch, gathered = ([], [], [], []), 0
+                    for part, value in zip(batch, (gathered, depth, choices, state)):
+                        part.append(value)
+                    gathered += len(choices)
+            if depth == len(levels) or rows[0].n * len(levels[depth].names) > block:
                 break
             depth += 1
-            rows = grow(depth, rows, 0, n)
+            rows = grow(depth, rows, 0, rows[0].n)
             frame = rows[0]
             if not frame.n:
                 # Every prefix is provably infeasible at every remaining
                 # depth; deeper cohorts are empty too.
-                return
+                break
             # A resident cohort fits one block: keep its choice matrix,
             # so its rows and every descent below resolve up to here.
             frame.matrix = _resolve_choices(frame, depth, dtype, range(frame.n))
-        # ``rows`` is the resident cohort; deeper depths descend from it.
+        if gathered:
+            yield tuple(map(tuple, batch))
+        if depth == len(levels) or not rows[0].n:
+            return
+        # ``rows`` is the deepest resident cohort; deeper depths descend
+        # from it.
         for target in range(depth + 1, len(levels) + 1):
             if prune_depth is not None and prune_depth(target):
                 continue

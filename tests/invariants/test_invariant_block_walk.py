@@ -82,7 +82,10 @@ def test_walk_batches_stay_within_one_block(gen, block, seed):
     widest = max((len(b.implementations) for b in scenario.pipeline.blocks), default=1)
     batches = _batches(scenario)
     assert all(len(batch) <= max(block, widest) for batch in batches)
-    depths = [batch.depth for batch in batches]
+    # A batch may span several depths; each row carries its own.
+    depths = [
+        d for batch in batches for d in batch.metric_column("n_in_camera").tolist()
+    ]
     assert depths == sorted(depths)
     assert sum(len(batch) for batch in batches) == scenario.count_configs()
 

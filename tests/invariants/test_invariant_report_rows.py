@@ -82,10 +82,7 @@ def _text_and_types(rows):
 
 def _reference(view):
     """``cost_row`` over the view's materialized cost objects."""
-    costs = vectorized._materialize_costs(
-        view._plan, view._choices.matrix(), view.columns, view._energy
-    )
-    return [cost_row(view.scenario, cost) for cost in costs]
+    return [cost_row(view.scenario, cost) for cost in view.costs()]
 
 
 def _assert_view_rows(view, indices):

@@ -16,7 +16,6 @@ from repro.explore import (
     BatchPrefixEvaluator,
     Campaign,
     JointCandidate,
-    JointCandidateSink,
     JointFleetScenario,
     JointFleetSpec,
     Scenario,
@@ -27,6 +26,7 @@ from repro.explore import (
     member_demand_bps,
     search_joint_assignment,
 )
+from repro.explore.joint import JointCandidateSink
 from repro.explore.result import best_row
 from repro.hw.network import LinkModel
 from repro.units import bytes_to_bits

@@ -502,7 +502,12 @@ def test_cohorts_honor_depth_pruning_and_include_empty():
     rows = [row for batch in scenario_batches(pruned) for row in batch.rows()]
     assert json.dumps(rows) == json.dumps(explore(pruned, evaluation="scalar").rows)
     no_empty = build_scenario(include_empty=False)
-    depths = [batch.depth for batch in scenario_batches(no_empty)]
+    # A batch may span several depths; each row carries its own.
+    depths = [
+        d
+        for batch in scenario_batches(no_empty)
+        for d in batch.metric_column("n_in_camera").tolist()
+    ]
     assert 0 not in depths
     assert sum(len(b) for b in scenario_batches(no_empty)) == no_empty.count_configs()
 
@@ -542,6 +547,47 @@ def test_group_batches_equal_each_members_solo_walk():
                 for row in batch.rows()
             ]
             assert json.dumps(rows) == json.dumps(expected), (domain, slot)
+
+
+@pytest.mark.parametrize("domain", ["throughput", "energy"])
+def test_a_member_that_fits_one_block_arrives_as_one_batch(domain):
+    """Every depth of a small walk is resident, so a campaign member
+    whose whole space fits one block gets exactly one batch, spanning
+    all its depths, and each member of a dedup group gets its own view
+    of that one batch."""
+    from repro.explore import vectorized
+
+    pipeline = build_pipeline(4)
+    links = [LINK, LinkModel(name="vec-fast", raw_bps=9e7, tx_energy_per_bit=3e-10)]
+    extra = {"target_fps": None} if domain == "energy" else {}
+    fleet = [
+        build_scenario(
+            name=f"m{index}", pipeline=pipeline, link=link, domain=domain, **extra
+        )
+        for index, link in enumerate(links)
+    ]
+    seen: dict[str, list] = {member.name: [] for member in fleet}
+
+    class _Recording(ResultSink):
+        def __init__(self, name):
+            self.name = name
+
+        def write_batch(self, batch):
+            seen[self.name].append(batch)
+
+    Campaign(fleet).run(
+        dedup=True,
+        collect=False,
+        sinks={member.name: _Recording(member.name) for member in fleet},
+    )
+    n = fleet[0].count_configs()
+    assert 1 < n <= vectorized._BLOCK_ROWS
+    (first,), (second,) = seen.values()
+    assert len(first) == len(second) == n
+    assert first is not second and first._choices is second._choices
+    assert first.metric_column("n_in_camera").tolist() == [
+        row["n_in_camera"] for row in explore(fleet[0]).rows
+    ]
 
 
 # -- columnar sink folds -------------------------------------------------

@@ -35,7 +35,6 @@ EXPLORE_PUBLIC_NAMES = [
     "ExplorationResult",
     "FleetSpec",
     "JointCandidate",
-    "JointCandidateSink",
     "JointFleetResult",
     "JointFleetScenario",
     "JointFleetSpec",
@@ -74,11 +73,13 @@ def test_explore_public_surface_is_pinned():
 
 
 def test_explore_public_names_have_users():
-    """Every public name but the exempt ones is mentioned by a file
-    outside the package: the library's other modules, an example, a
-    benchmark or perfbench. A name that loses its last user leaves
-    ``__all__``."""
-    import re
+    """Every public name but the exempt ones is used by code outside
+    the package: the library's other modules, an example, a benchmark
+    or perfbench. Only identifiers count (NAME tokens: imports,
+    attributes, calls), never a mention in a docstring, string or
+    comment. A name that loses its last user leaves ``__all__``."""
+    import io
+    import tokenize
 
     root = PYPROJECT.parent
     package = root / "src" / "repro" / "explore"
@@ -89,13 +90,19 @@ def test_explore_public_names_have_users():
     ]
     for folder in ("examples", "benchmarks", "perfbench"):
         files += (root / folder).rglob("*.py")
-    text = "\n".join(path.read_text(encoding="utf-8") for path in files)
+    used = {
+        token.string
+        for path in files
+        for token in tokenize.generate_tokens(
+            io.StringIO(path.read_text(encoding="utf-8")).readline
+        )
+        if token.type == tokenize.NAME
+    }
     assert set(EXPLORE_NAMES_WITHOUT_USERS) <= set(EXPLORE_PUBLIC_NAMES)
     unused = [
         name
         for name in EXPLORE_PUBLIC_NAMES
-        if name not in EXPLORE_NAMES_WITHOUT_USERS
-        and not re.search(rf"\b{name}\b", text)
+        if name not in EXPLORE_NAMES_WITHOUT_USERS and name not in used
     ]
     assert unused == []
 
@@ -103,14 +110,14 @@ def test_explore_public_names_have_users():
 def test_explore_design_counters_are_pinned():
     """The design numbers tracked across changes to ``repro.explore``:
     two ``evaluation=`` modes, four evaluation paths (every one reached
-    by the matrix below) and 27 public names. Moving one is a
+    by the matrix below) and 26 public names. Moving one is a
     deliberate design decision, made here."""
     from dataclasses import replace
 
     from repro.explore import engine, evaluation_path, load_builtin
 
     assert engine.EVALUATION_MODES == ("auto", "scalar")
-    assert len(EXPLORE_PUBLIC_NAMES) == 27
+    assert len(EXPLORE_PUBLIC_NAMES) == 26
     scenario = load_builtin().build("vr-fig10")
     matrix = [
         (scenario, {}),
