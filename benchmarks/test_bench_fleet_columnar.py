@@ -4,7 +4,7 @@ The paper's fleet shape taken to benchmark scale: ONE pipeline evaluated
 at eight link tiers, export-only (``collect=False``) with bounded top-k
 sinks. Both campaigns run ``dedup=True``, so they share the columnar
 compute fold (the dedup group evaluates prefix states once) and each
-member's ``finalize_batch`` of every shared slice; the contrast is
+member's ``finalize_batch`` of every shared batch; the contrast is
 purely what the consumers materialize —
 
 * the baseline wraps each ``TopKSink`` in a row-only sink (it overrides
@@ -37,10 +37,6 @@ N_BLOCKS = 9
 PLATFORMS = ("asic", "dsp", "gpu")
 N_LINKS = 8
 TOP_K = 5
-#: Fixed chunk size for both campaigns. The lazy path materializes only
-#: rows that join the streamed frontier or the top-k heaps, which is
-#: where its materialization bound comes from.
-CHUNK_SIZE = 256
 
 
 def _bench_pipeline() -> InCameraPipeline:
@@ -134,15 +130,12 @@ def test_fleet_columnar_lazy_vs_materialized(append_trajectory, publish):
 
     lazy_sinks = _fresh_sinks(fleet)
     begin = time.perf_counter()
-    lazy = Campaign(fleet, name="lazy").run(
-        chunk_size=CHUNK_SIZE, sinks=lazy_sinks, collect=False, dedup=True
-    )
+    lazy = Campaign(fleet, name="lazy").run(sinks=lazy_sinks, collect=False, dedup=True)
     lazy_seconds = time.perf_counter() - begin
 
     materialized_sinks = _fresh_sinks(fleet)
     begin = time.perf_counter()
     materialized = Campaign(fleet, name="materialized").run(
-        chunk_size=CHUNK_SIZE,
         sinks={name: _RowOnlySink(sink) for name, sink in materialized_sinks.items()},
         collect=False,
         dedup=True,
@@ -166,7 +159,7 @@ def test_fleet_columnar_lazy_vs_materialized(append_trajectory, publish):
         assert lean.pareto() == full.pareto(), lean.name
 
     # The lazy accounting: the group closed rows x members but consumers
-    # materialized only a small fraction (survivors + per-chunk winners).
+    # materialized only a small fraction (survivors + per-batch winners).
     groups = lazy.cache_stats["dedup_groups"]
     assert len(groups) == 1
     (group_stats,) = groups.values()

@@ -19,7 +19,7 @@ ends* — a dashboard needs no drained fleet — and the export-only
 re-run (CSV sinks, ``collect=False``) streams every row to disk while
 the online Pareto frontier keeps ``pareto_size`` exact with no result
 caches in memory: the memory profile of a million-config fleet is the
-chunk window, not the design-space size.
+walk's batch size, not the design-space size.
 
 The final section shows campaign dedup on a generator-built fleet: a
 :class:`~repro.explore.FleetSpec` (two codec entries x four link tiers

@@ -41,7 +41,7 @@ overrides:
 * :mod:`.sink` — :class:`ResultSink` streaming outputs (CSV, JSON
   Lines, a bounded top-k; any object with ``write_rows`` also works):
   ``explore(..., sink=..., collect=False)`` exports a design space in
-  memory bounded by the chunk window;
+  memory bounded by the walk's batch size;
 * :mod:`.catalog` — the named, parameterized scenario library the case
   studies register into (``load_builtin()``);
 * :mod:`.campaign` — :class:`Campaign`, many scenarios through one

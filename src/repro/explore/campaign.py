@@ -14,8 +14,8 @@ through the same walk (:func:`~repro.explore.engine._drain_walk`)
 into the same consumer (:class:`~repro.explore.engine._RunConsumer`).
 The campaign drains one walk per unit: a dedup group (below) or any
 other member, which walks alone as its solo ``explore()`` does. Every
-member folds the columnar cohort walk in the calling process, sliced at
-the campaign's chunk size: shipping that work to a pool measured slower
+member folds the columnar cohort walk in the calling process, in the
+walk's own batches: shipping that work to a pool measured slower
 on every fleet tried (see ARCHITECTURE.md, "Parallelism: the campaign
 decision" and "The engine runs no pool"), so a campaign never starts
 one.
@@ -37,7 +37,7 @@ axis at different links — the design-space-sweep fleet shape) form a
 group whose stream walks the shared compute-side cohort states once
 (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
 iter_group_batches`, the walk a solo run takes as a group of one):
-each slice closes for every member with its own ``finalize_batch``,
+each batch closes for every member with its own ``finalize_batch``,
 and members hand their consumers lazy member-tagged
 :class:`~repro.explore.vectorized.BatchRows` views — under
 ``collect=False`` with columnar sinks a fleet of N links materializes
@@ -48,22 +48,22 @@ results stay byte-identical to ``dedup=False`` and to solo
 fleets. :attr:`CampaignResult.cache_stats` reports evaluations skipped.
 
 Correctness contract: each member's stream is produced in its own
-enumeration order — cohort slices in walk order, each walk private to
+enumeration order — cohort batches in walk order, each walk private to
 its unit — so every scenario's rows are byte-identical to a solo
 ``explore()`` of the same scenario, whatever the weights. Weights only
-reorder the walks, never the slices within one.
+reorder the walks, never the batches within one.
 
 Streaming contract: :meth:`Campaign.iter_runs` yields each
 :class:`ScenarioRun` the moment its last rows land — a dashboard
 renders the first finished scenario while the rest of the fleet is
 still evaluating — and :meth:`Campaign.run` is a drain over it.
 Per-scenario :class:`~repro.explore.sink.ResultSink` outputs receive
-rows as that scenario's slices complete (and are
+rows as that scenario's batches complete (and are
 closed/flushed the moment their scenario finishes), and
 ``collect=False`` keeps only running statistics (evaluated count,
 feasible count, best row, and an online
 :class:`~repro.explore.result.ParetoFrontier`) — an export-only
-campaign's peak memory is set by the chunk window plus the frontier
+campaign's peak memory is set by the batch size plus the frontier
 and at most one pending block of batches per member, never by the
 fleet's combined design-space size. A sink failure
 aborts the campaign with a clear :class:`~repro.errors.SinkError`
@@ -85,7 +85,6 @@ from repro.core.cost import platform_axis_fingerprint
 from repro.core.report import TextTable, campaign_summary_table
 from repro.errors import ConfigurationError, PipelineError
 from repro.explore.engine import (
-    _check_chunk_size,
     _check_dedup_mode,
     _dedupable,
     _drain_walk,
@@ -587,7 +586,6 @@ class Campaign:
 
     def iter_runs(
         self,
-        chunk_size: int | None = None,
         *,
         sinks: Any = None,
         collect: bool = True,
@@ -611,7 +609,6 @@ class Campaign:
         ``executor`` slot.
         """
         _check_dedup_mode(dedup)
-        _check_chunk_size(chunk_size)
         scenarios = self.scenarios
         weights = _check_weights(weights, [scenario.name for scenario in scenarios])
         sink_list = self._resolve_sinks(sinks)
@@ -631,18 +628,10 @@ class Campaign:
                     f"without one ({uncovered}); give every scenario a sink "
                     "or drop sinks entirely for a summary-only campaign"
                 )
-        return self._stream_runs(
-            chunk_size,
-            sink_list,
-            collect,
-            weights,
-            dedup,
-            frontier,
-        )
+        return self._stream_runs(sink_list, collect, weights, dedup, frontier)
 
     def _stream_runs(
         self,
-        chunk_size: int | None,
         sink_list: list[Any],
         collect: bool,
         weights: Mapping[str, float],
@@ -652,8 +641,7 @@ class Campaign:
         """The generator behind :meth:`iter_runs` (argument validation
         stays eager in the caller, before the first ``next()``): each
         unit's walk is drained in WSPT order, and its members are handed
-        out when it ends. ``chunk_size`` is the rows per cohort slice
-        and sink write (None: the walk's batches)."""
+        out when it ends."""
         scenarios = self.scenarios
         plans = [_plan(scenario, dedup=dedup) for scenario in scenarios]
         groups = _dedup_groups(
@@ -664,7 +652,7 @@ class Campaign:
             member: leader for leader, indices in groups.items() for member in indices
         }
         members = [
-            self._member(index, sink, collect, chunk_size, track_frontier)
+            self._member(index, sink, collect, track_frontier)
             for index, sink in enumerate(sink_list)
         ]
         # One walk per unit: a dedup group (keyed by its leader) or one
@@ -732,7 +720,6 @@ class Campaign:
         index: int,
         sink: Any,
         collect: bool,
-        chunk_size: int | None,
         track_frontier: bool,
     ) -> "_Member":
         """One member's run state: the consumer solo ``explore()`` uses,
@@ -741,7 +728,7 @@ class Campaign:
         scenario = self.scenarios[index]
         stats = None if collect else _StreamingStats(scenario.domain, track_frontier)
         consumer = _RunConsumer(
-            scenario, sink, self._label(index), collect, chunk_size, stats=stats
+            scenario, sink, self._label(index), collect, stats=stats
         )
         return _Member(consumer)
 
@@ -755,13 +742,12 @@ class Campaign:
         leader_of: Mapping[int, int],
     ) -> list[ScenarioRun]:
         """Runs for the members of a walk that just ended, in fleet
-        order, their sinks flushed and closed first so a handed-out
-        run's exports are complete."""
+        order, their sinks closed (flushed) first so a handed-out run's
+        exports are complete."""
         runs: list[ScenarioRun] = []
         for index in indices:
             member = members[index]
             if index in opened and index not in closed:
-                member.consumer.flush()
                 closed.add(index)
                 close_sink(sink_list[index], self._label(index))
             leader = leader_of.get(index, index)
@@ -772,7 +758,6 @@ class Campaign:
     def run(
         self,
         executor: SweepExecutor | None = None,
-        chunk_size: int | None = None,
         *,
         sinks: Any = None,
         collect: bool = True,
@@ -796,20 +781,18 @@ class Campaign:
             process, so a campaign never starts a pool. Removing the
             slot is ROADMAP item 2's follow-up, once a benchmark change
             repoints perfbench.
-        chunk_size:
-            Rows per cohort slice and sink write for every scenario
-            (default: the cohort walk's batches, as in :func:`explore`:
-            one batch per run of whole depth cohorts that fits one
-            block of rows, then one batch per block).
         sinks:
             Per-scenario streaming outputs: a mapping from scenario
             name to sink (scenarios without an entry get none) or a
-            factory ``scenario -> sink | None``.
+            factory ``scenario -> sink | None``. Each sink receives its
+            scenario's rows batch by batch, as in :func:`explore`: one
+            batch per run of whole depth cohorts that fits one block of
+            rows, then one batch per block.
         collect:
             With ``collect=False`` no :class:`ExplorationResult` caches
             are built — each :class:`ScenarioRun` carries streaming
             statistics only (the Pareto frontier maintained online) and
-            peak memory is bounded by the chunk window plus at most one
+            peak memory is bounded by the batch size plus at most one
             pending frontier block per scenario. Legal with no
             sinks at all (a summary-only campaign) or with a sink for
             *every* scenario (an export-only campaign); partial coverage
@@ -835,7 +818,7 @@ class Campaign:
             by the invariant suite. :attr:`CampaignResult.cache_stats`
             reports the evaluations skipped. Each group's columnar
             leader states close under every member's link once per
-            slice, and members receive lazy
+            batch, and members receive lazy
             :class:`~repro.explore.vectorized.BatchRows` views — under
             ``collect=False`` with columnar sinks only survivors
             materialize. A plain bool; anything else raises
@@ -854,7 +837,6 @@ class Campaign:
         start = time.perf_counter()
         runs = list(
             self.iter_runs(
-                chunk_size,
                 sinks=sinks,
                 collect=collect,
                 weights=weights,

@@ -26,14 +26,15 @@ scalar chunks to pool workers measured slower than folding them in
 process (see ARCHITECTURE.md, "The engine runs no pool").
 
 The path is streaming end-to-end: configurations flow from the
-enumerator into fixed-size chunks (or cohort slices) — nothing ever
-materializes the full configuration list, so peak intermediate memory
-is set by the chunk size, not the design-space size. A collected
-cohort-path run keeps the walk's columnar batches as its result and
-allocates no per-configuration objects at all; the result builds row
-dicts only for the rows a query returns. A collected scalar-path run
-holds one cost object per configuration, so for unhooked runs (every
-allocation the engine's own, all acyclic) the cyclic GC is paused
+enumerator into the cohort walk's batches (or fixed-size scalar
+chunks) — nothing ever materializes the full configuration list, so
+peak intermediate memory is set by the batch size, not the design-space
+size. A collected cohort-path run keeps the walk's columnar batches as
+its result and allocates no per-configuration objects at all; the
+result builds row dicts only for the rows a query returns. A collected
+scalar-path run holds one cost object per configuration, so for
+unhooked runs (every allocation the engine's own, all acyclic) the
+cyclic GC is paused
 while results accumulate: bulk-appending millions of small cost
 objects otherwise triggers quadratically many full collections over
 the growing result (this is what ``evaluation="scalar"`` still does).
@@ -76,8 +77,7 @@ from repro.explore.vectorized import BatchPrefixEvaluator
 #: walk, ``"scalar"`` the scalar reference fold.
 EVALUATION_MODES = ("auto", "scalar")
 
-#: Configurations per scalar chunk when the caller pins no
-#: ``chunk_size``. Large enough to amortize the
+#: Configurations per scalar chunk. Large enough to amortize the
 #: per-chunk loop to noise, small enough that one chunk stays a few
 #: thousand configurations.
 DEFAULT_CHUNK_SIZE = 1024
@@ -134,24 +134,15 @@ def _check_dedup_mode(dedup: Any) -> None:
         raise ConfigurationError(f"dedup must be True or False, got {dedup!r}")
 
 
-def _check_chunk_size(chunk_size: int | None) -> None:
-    """Validate a ``chunk_size=`` argument: None or a positive count
-    (``islice(iterator, 0)`` would silently end a stream after zero
-    configurations)."""
-    if chunk_size is not None and chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-
-
 def iter_evaluation_chunks(
     model: Any,
     configs: Iterator[PipelineConfig],
     pass_rates: dict[str, float] | None = None,
-    chunk_size: int | None = None,
     evaluation: str = "auto",
 ) -> Iterator[list[Any]]:
     """Stream cost objects for a configuration iterable, as ordered
-    chunk lists of ``chunk_size`` (default :data:`DEFAULT_CHUNK_SIZE`)
-    configurations (the collection loop extends at C speed).
+    chunk lists of :data:`DEFAULT_CHUNK_SIZE` configurations (the
+    collection loop extends at C speed).
 
     The scalar reference pipe under ``explore(...,
     evaluation="scalar")`` and the ``core.offload`` explicit-config
@@ -162,9 +153,8 @@ def iter_evaluation_chunks(
     scenario walk, not an arbitrary configuration stream.
     """
     _check_evaluation_mode(evaluation)
-    _check_chunk_size(chunk_size)
     evaluator = PrefixEvaluator(model, pass_rates)
-    chunks = _chunked(iter(configs), chunk_size or DEFAULT_CHUNK_SIZE)
+    chunks = _chunked(iter(configs), DEFAULT_CHUNK_SIZE)
     return (evaluator.evaluate_many(chunk) for chunk in chunks)
 
 
@@ -271,18 +261,15 @@ def _drain_walk(
     plan: _Plan,
     consumers: tuple["_RunConsumer", ...],
 ) -> None:
-    """Drain one walk into its members' ``consumers``, one cohort slice
-    or cost chunk at a time, sliced at the consumers' write size (None:
-    the walk's blocks of rows, or :data:`DEFAULT_CHUNK_SIZE`
-    configurations per scalar chunk): the walk of solo :func:`explore`
-    (a group of one) and of every campaign unit (a dedup group's
-    members, or one other member). Cohort plans run one walk
+    """Drain one walk into its members' ``consumers``, one batch of the
+    walk or one scalar cost chunk at a time: the walk of solo
+    :func:`explore` (a group of one) and of every campaign unit (a dedup
+    group's members, or one other member). Cohort plans run one walk
     (:meth:`~repro.explore.vectorized.BatchPrefixEvaluator.
     iter_group_batches`) and hand each member its own view of every
-    slice. The scalar plan (solo ``explore(..., evaluation="scalar")``,
+    batch. The scalar plan (solo ``explore(..., evaluation="scalar")``,
     one member) runs :func:`iter_evaluation_chunks`. The walk is closed
     before an error from a consumer propagates."""
-    size = consumers[0].chunk_size
     if plan.scalar:
         (scenario,) = scenarios
         (consumer,) = consumers
@@ -290,12 +277,11 @@ def _drain_walk(
             plan.model,
             scenario.iter_configs(),
             pass_rates=scenario.pass_rates,
-            chunk_size=size,
         )
         add = consumer.add_costs
     else:
         evaluator = BatchPrefixEvaluator(plan.model, scenarios[0].pass_rates)
-        stream = evaluator.iter_group_batches(scenarios, size)
+        stream = evaluator.iter_group_batches(scenarios)
 
         def add(batches: list[Any]) -> None:
             for consumer, batch in zip(consumers, batches):
@@ -310,7 +296,6 @@ def _drain_walk(
 
 def explore(
     scenario: Scenario,
-    chunk_size: int | None = None,
     *,
     sink: Any = None,
     collect: bool = True,
@@ -323,25 +308,23 @@ def explore(
     ----------
     scenario:
         What to explore and under which cost domain.
-    chunk_size:
-        Rows per streamed slice and sink write (default: the cohort
-        walk's blocks of rows — one batch spanning consecutive whole
-        depth cohorts while their rows fit one block, then one block
-        per batch — and :data:`DEFAULT_CHUNK_SIZE` configurations per
-        scalar chunk). Peak intermediate memory is bounded by this on the
-        scalar fold and by a fixed number of row blocks per pipeline
-        depth on the cohort walk, never by the design-space size.
     sink:
         Optional :class:`~repro.explore.sink.ResultSink`: report rows
-        are streamed to it chunk by chunk, in enumeration order, as
-        evaluations complete. The sink is opened before the first chunk
-        and closed on exit — also on error — and never opened when the
-        arguments are invalid. Sink failures raise
-        :class:`~repro.errors.SinkError` with the scenario named.
+        are streamed to it batch by batch, in enumeration order, as
+        evaluations complete: one write per batch of the cohort walk
+        (one batch spanning consecutive whole depth cohorts while their
+        rows fit one block, then one block per batch), or per
+        :data:`DEFAULT_CHUNK_SIZE` configurations of the scalar fold.
+        Peak intermediate memory is bounded by a fixed number of row
+        blocks per pipeline depth, never by the design-space size. The
+        sink is opened before the first batch and closed on exit — also
+        on error — and never opened when the arguments are invalid.
+        Sink failures raise :class:`~repro.errors.SinkError` with the
+        scenario named.
     collect:
         With ``collect=False`` (requires a sink) the engine never
         accumulates evaluations and returns None: an export-only run's
-        peak memory is set by the chunk window, not the design-space
+        peak memory is set by the batch size, not the design-space
         size. The default keeps the full :class:`ExplorationResult`
         (on the cohort path, the walk's columnar batches: its queries
         build only the rows they return).
@@ -365,7 +348,6 @@ def explore(
             "collect=False discards every evaluation; pass sink= to "
             "stream rows somewhere (or drop collect=False)"
         )
-    _check_chunk_size(chunk_size)
     plan = _plan(scenario, evaluation)
     # Pause the cyclic GC only when every allocation in the loop is the
     # engine's own (no per-config user hooks, no sink): those objects
@@ -375,17 +357,16 @@ def explore(
     # engine-owned and acyclic, so they keep the pause).
     pause = scenario.prune is None and sink is None
     label = f"scenario {scenario.name!r}"
-    # Sink rows are built per chunk and dropped after the write — NOT
+    # Sink rows are built per batch and dropped after the write — NOT
     # cached on the result. Keeping them would hold a row list next to
     # the result's batches or cost objects for the whole run (the
     # bounded-memory invariant ExplorationResult's lazy rows exist to
     # protect); the price is one lazy re-derivation if .rows is later
     # accessed.
-    consumer = _RunConsumer(scenario, sink, label, collect, chunk_size)
+    consumer = _RunConsumer(scenario, sink, label, collect)
     with sink_stream(sink, scenario, label):
         with _gc_paused() if pause else nullcontext():
             _drain_walk((scenario,), plan, (consumer,))
-            consumer.flush()
     return consumer.result()
 
 
@@ -405,31 +386,24 @@ class _RunConsumer:
     * the sink: columnar sinks (``TopKSink``, or anything overriding
       ``write_batch``) receive the lazy batch views directly
       and build rows only when their answers are read, so live cost
-      objects stay bounded by what is read. Row-only sinks keep the
-      streaming contract exactly: rows are buffered across batch
-      boundaries and written once per ``chunk_size`` rows in
-      enumeration order (once per batch or chunk when ``chunk_size`` is
-      None) — the same writes and bounded peak as the scalar chunk
-      path;
+      objects stay bounded by what is read. A row-only sink gets one
+      ``write_rows`` per batch or scalar chunk, in enumeration order;
     * ``stats`` (a campaign's export-only running statistics), fed the
       lazy batch.
 
     :attr:`n_materialized` counts the rows each batch built while it
-    was added (a row-only sink's rows; the folds build none). Call
-    :meth:`flush` once the stream ends to write the last partial chunk.
+    was added (a row-only sink's rows; the folds build none).
     """
 
     __slots__ = (
         "scenario",
         "sink",
         "label",
-        "chunk_size",
         "columnar",
         "batches",
         "evaluations",
         "stats",
         "n_materialized",
-        "_pending",
     )
 
     def __init__(
@@ -438,27 +412,24 @@ class _RunConsumer:
         sink: Any,
         label: str,
         collect: bool,
-        chunk_size: int | None = None,
         *,
         stats: Any = None,
     ):
         self.scenario = scenario
         self.sink = sink
         self.label = label
-        self.chunk_size = chunk_size
         self.columnar = sink is not None and uses_columnar_writes(sink)
         self.batches: list[Any] | None = [] if collect else None
         self.evaluations: list[Any] | None = [] if collect else None
         self.stats = stats
         self.n_materialized = 0
-        self._pending: list[dict[str, Any]] = []
 
     def add_batch(self, batch: Any) -> None:
         """One lazy :class:`~repro.explore.vectorized.BatchRows` batch."""
         if self.batches is not None:
             # The result keeps a view of its own, so the metric columns
             # the folds below memoize on ``batch`` die with it.
-            self.batches.append(batch.slice(0, len(batch)))
+            self.batches.append(batch.view())
         if self.stats is not None:
             self.stats.update_batch(batch)
         sink = self.sink
@@ -466,7 +437,7 @@ class _RunConsumer:
             if self.columnar:
                 write_sink_batch(sink, batch, self.label)
             else:
-                self._write(batch.rows())
+                write_sink(sink, batch.rows(), self.label)
         self.n_materialized += batch.n_materialized
 
     def add_costs(self, costs: list[Any]) -> None:
@@ -475,27 +446,8 @@ class _RunConsumer:
             self.evaluations.extend(costs)
         if self.sink is not None:
             scenario = self.scenario
-            self._write([cost_row(scenario, cost) for cost in costs])
-
-    def _write(self, rows: list[dict[str, Any]]) -> None:
-        size = self.chunk_size
-        if size is None:
+            rows = [cost_row(scenario, cost) for cost in costs]
             write_sink(self.sink, rows, self.label)
-            return
-        pending = self._pending
-        pending.extend(rows)
-        if len(pending) < size:
-            return
-        cut = len(pending) - len(pending) % size
-        self._pending = pending[cut:]
-        for lo in range(0, cut, size):
-            write_sink(self.sink, pending[lo : lo + size], self.label)
-
-    def flush(self) -> None:
-        """Write the buffered partial chunk, if any."""
-        if self._pending:
-            pending, self._pending = self._pending, []
-            write_sink(self.sink, pending, self.label)
 
     def result(self) -> ExplorationResult | None:
         if self.batches is None:

@@ -235,7 +235,7 @@ class JointCandidateSink(ResultSink):
     The one joint-candidate reduction (:func:`joint_candidates` feeds it
     a row list; ``explore_joint`` streams every member through it):
     instead of collecting the member's full row list and compressing it
-    afterwards, the sink folds each chunk into a running (depth -> best
+    afterwards, the sink folds each batch into a running (depth -> best
     feasible row) map. On the columnar batch path each depth segment of
     a batch (a run of rows of one depth; a batch may span several)
     reduces to at most one materialized row (the first feasible row
@@ -506,7 +506,6 @@ class JointFleetResult:
 def explore_joint(
     fleet: JointFleetScenario,
     executor: SweepExecutor | None = None,
-    chunk_size: int | None = None,
     *,
     dedup: bool = True,
     collect: bool = True,
@@ -552,7 +551,6 @@ def explore_joint(
     resolve_executor(executor)
     sinks = {member.name: JointCandidateSink(member) for member in fleet.members}
     campaign = Campaign(list(fleet.members), name=fleet.name).run(
-        chunk_size=chunk_size,
         weights=fleet.weight_map(),
         dedup=dedup,
         sinks=sinks,

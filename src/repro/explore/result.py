@@ -138,15 +138,13 @@ class ExplorationResult:
     ``explore_brute_force``) holds one cost object per configuration and
     answers from its rows. Row code also answers whenever the columns
     cannot: a metric that is not columnar (``config``, ``bottleneck``),
-    not a number or NaN somewhere, three or more Pareto axes, an empty
-    result, or assigned ``rows``. Both ways give the same rows, byte
-    for byte.
+    not a number or NaN somewhere, three or more Pareto axes, or an
+    empty result. Both ways give the same rows, byte for byte.
 
     ``rows`` and ``evaluations`` are index-aligned compatibility views:
     ``evaluations[i]`` is the :class:`~repro.core.cost.ConfigCost` or
     :class:`~repro.core.cost.EnergyCost` behind ``rows[i]``. Each is
-    built on first access and cached (assigning ``rows`` replaces the
-    derived view, which keeps ad-hoc post-processing working).
+    built on first access and cached (or given to the constructor).
     """
 
     def __init__(
@@ -160,7 +158,6 @@ class ExplorationResult:
         self._rows = rows
         #: The cohort segments, or None for a result built from costs.
         self._batches: list[Any] | None = None
-        self._rows_assigned = False
         #: Concatenated metric columns by name (None: not columnar).
         self._column_cache: dict[str, np.ndarray | None] = {}
 
@@ -188,14 +185,9 @@ class ExplorationResult:
             self._rows = list(self.iter_rows())
         return self._rows
 
-    @rows.setter
-    def rows(self, value: list[dict[str, Any]]) -> None:
-        self._rows = value
-        self._rows_assigned = True
-
     def iter_rows(self) -> Iterator[dict[str, Any]]:
         """Stream rows without materializing the cache (export path):
-        the cached/assigned rows when they exist, else one segment (or
+        the cached or given rows when they exist, else one segment (or
         cost object) at a time."""
         if self._rows is not None:
             yield from self._rows
@@ -217,10 +209,10 @@ class ExplorationResult:
 
     def _column(self, name: str) -> np.ndarray | None:
         """One metric over every segment as an exact float64 column, or
-        None when row code must answer: no segments (or assigned rows),
-        a metric that is not columnar, not a number, an integer beyond
-        float precision, or NaN anywhere."""
-        if self._rows_assigned or not self._batches:
+        None when row code must answer: no segments, a metric that is
+        not columnar, not a number, an integer beyond float precision,
+        or NaN anywhere."""
+        if not self._batches:
             return None
         if name not in self._column_cache:
             column = None
@@ -228,8 +220,7 @@ class ExplorationResult:
                 # Throwaway views: a kept segment memoizes no column this
                 # cache already holds concatenated.
                 parts = [
-                    np.asarray(b.slice(0, len(b)).metric_column(name))
-                    for b in self._batches
+                    np.asarray(b.view().metric_column(name)) for b in self._batches
                 ]
             except KeyError:
                 parts = []

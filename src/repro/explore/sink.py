@@ -1,11 +1,12 @@
-"""Streaming result sinks: write exploration rows as chunks complete.
+"""Streaming result sinks: write exploration rows as batches complete.
 
 :class:`~repro.explore.result.ExplorationResult` already exports lazily,
 but the engine used to collect every evaluation before the result
 existed — an export-only workload still paid for the full cache. A
 :class:`ResultSink` receives report rows *while the engine streams*, so
 ``explore(..., sink=..., collect=False)`` and export-only campaigns run
-in memory bounded by the chunk window, never by the design-space size.
+in memory bounded by the walk's batch size, never by the design-space
+size.
 
 Three sinks ship: the file sinks :class:`CsvSink` and :class:`JsonlSink`
 (the only streaming CSV and JSON-Lines exports) and the columnar
@@ -26,9 +27,12 @@ one row per line instead of one indented document, so a million-row
 export can be consumed incrementally by downstream tooling.
 
 Lifecycle: the engine calls :meth:`ResultSink.open` once before the
-first chunk, :meth:`ResultSink.write_rows` once per completed chunk (in
-enumeration order), and :meth:`ResultSink.close` exactly once, also on
-error. Sinks are single-use: one open/close cycle per exploration.
+first batch, :meth:`ResultSink.write_rows` once per emitted batch of
+the cohort walk or scalar chunk of ``DEFAULT_CHUNK_SIZE``
+configurations (in enumeration order; a columnar sink gets
+:meth:`ResultSink.write_batch` instead), and :meth:`ResultSink.close`
+exactly once, also on error. Sinks are single-use: one open/close
+cycle per exploration.
 """
 
 from __future__ import annotations
@@ -56,12 +60,12 @@ class ResultSink:
     """
 
     def open(self, scenario: "Scenario | None") -> None:
-        """Called once before the first chunk. ``scenario`` is None for
+        """Called once before the first batch. ``scenario`` is None for
         scenario-less streams (e.g. ``parameter_sweep`` pass-through)."""
 
     def write_rows(self, rows: Sequence[dict[str, Any]]) -> None:
-        """Called once per completed chunk with its report rows, in
-        enumeration order."""
+        """Called once per emitted batch (or scalar chunk) with its
+        report rows, in enumeration order."""
         raise NotImplementedError
 
     def write_batch(self, batch: Any) -> None:
@@ -208,8 +212,8 @@ class JsonlSink(_FileSink):
 class TopKSink(ResultSink):
     """Maintain a bounded online top-k ranking of the streamed rows.
 
-    Rows fold into one :class:`~repro.explore.result.TopK` chunk by
-    chunk, so an export-only (``collect=False``) run still answers
+    Rows fold into one :class:`~repro.explore.result.TopK` batch by
+    batch, so an export-only (``collect=False``) run still answers
     ``result.top_k(metric, k, maximize)``: memory is bounded by ``k``,
     never by the design-space size, and the ranking is row-for-row
     identical to the batch :meth:`ExplorationResult.top_k` over the
@@ -262,7 +266,7 @@ def open_sink(sink: Any, scenario: "Scenario | None", label: str) -> None:
 
 
 def write_sink(sink: Any, rows: Sequence[dict[str, Any]], label: str) -> None:
-    """Write one chunk's rows; failures surface as :class:`SinkError`."""
+    """Write one batch's rows; failures surface as :class:`SinkError`."""
     try:
         sink.write_rows(rows)
     except SinkError:
@@ -276,10 +280,10 @@ def write_sink(sink: Any, rows: Sequence[dict[str, Any]], label: str) -> None:
 def uses_columnar_writes(sink: Any) -> bool:
     """Whether the sink consumes columnar batches natively — i.e. it
     overrides :meth:`ResultSink.write_batch` rather than inheriting the
-    materialize-and-delegate default. Row-only sinks keep the exact
-    write-per-chunk granularity the streaming contract promises (the
-    engine buffers rows to chunk boundaries for them); columnar sinks
-    receive the lazy batch views directly. A subclass that overrides
+    materialize-and-delegate default. A row-only sink gets one
+    ``write_rows`` per emitted batch or scalar chunk, its rows built
+    from the batch; columnar sinks receive the lazy batch views
+    directly. A subclass that overrides
     ``write_rows`` below the class supplying ``write_batch`` (say, a
     ``TopKSink`` that records the rows it is shown) is row-only: the
     inherited batch fold would bypass its override."""

@@ -74,7 +74,7 @@ Pruned runs and campaigns ride the same columnar core:
   ``scenario.prune`` hooks run as a scalar filter over the already
   compacted (small) cohort.
 * There is one walk, :meth:`BatchPrefixEvaluator.iter_group_batches`:
-  it folds the compute-side states once and closes each slice under
+  it folds the compute-side states once and closes each batch under
   every member's link with one ``finalize_batch`` per member. A solo
   run is a group of one; a campaign dedup group shares the fold among
   its members. Nothing columnar is ever shipped to pool workers:
@@ -91,7 +91,6 @@ reference fold it is checked against (``evaluation="scalar"``).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import add, getitem
 from typing import Any, Generator, Iterator, Sequence
@@ -187,11 +186,11 @@ class _Choices:
 
     ``width`` is the deepest row's depth; a shallower row's choices are
     padded past its own depth (see :func:`_joined_choices`). ``rows``
-    selects the batch's rows among the frame's: a ``range`` while they
-    are contiguous, an index array after a mask or hook filter. Views
-    (chunks, emission masks, takes) compose selections without
-    resolving anything; the member views of one dedup group slice
-    share one selection."""
+    selects the batch's rows among the frame's: ``range(n)`` while they
+    are all of them, an index array after a mask or hook filter. Views
+    (emission masks, takes) compose selections without resolving
+    anything; the member views of one dedup group batch share one
+    selection."""
 
     __slots__ = ("frame", "width", "rows", "dtype")
 
@@ -205,18 +204,16 @@ class _Choices:
         return len(self.rows)
 
     def _positions(self, index: Any) -> Any:
-        """Frame rows of this selection's rows at ``index`` (a slice or
-        index array; None: every row), as an index array or a range."""
+        """Frame rows of this selection's rows at ``index`` (an index
+        array; None: every row), as an index array or a range."""
         rows = self.rows
         if index is None:
             return rows
-        if isinstance(rows, range) and not isinstance(index, slice):
-            index = np.asarray(index, dtype=np.intp)
-            return rows.start + rows.step * index if rows.start else index
-        return rows[index]
+        # ``range(n)`` maps every position to itself.
+        return index if isinstance(rows, range) else rows[index]
 
     def select(self, index: Any) -> "_Choices":
-        """The rows at a slice or index array of this selection."""
+        """The rows at an index array of this selection."""
         return _Choices(self.frame, self.width, self._positions(index), self.dtype)
 
     def matrix(self, index: Any = None) -> Any:
@@ -449,23 +446,15 @@ class BatchRows:
         return list(zip(firsts, [*cuts, len(index)], segments[firsts].tolist()))
 
     def _select(self, index: Any, choices: _Choices) -> "BatchRows":
-        """The rows at ``index`` (a slice or index array) over
-        ``choices`` as a new view: per-row columns gathered (slices
-        share memory, index arrays gather bit-exact copies), each row
+        """The rows at ``index`` (an index array) over ``choices`` as a
+        new view: per-row columns gathered (bit-exact copies), each row
         kept in its segment, option tables passed through."""
         starts, depths = self._starts, self._depths
         picks = None
         if len(depths) > 1:
-            if isinstance(index, slice):
-                lo, hi, _ = index.indices(len(self))
-                first = bisect_right(starts, lo) - 1
-                last = bisect_left(starts, hi)
-                picks = range(first, last)
-                starts = tuple(max(start - lo, 0) for start in starts[first:last])
-            else:
-                runs = self._runs(index)
-                starts = tuple(lo for lo, _, _ in runs)
-                picks = [segment for _, _, segment in runs]
+            runs = self._runs(index)
+            starts = tuple(lo for lo, _, _ in runs)
+            picks = [segment for _, _, segment in runs]
             depths = tuple(depths[i] for i in picks)
         columns = {}
         for key, value in self.columns.items():
@@ -499,10 +488,20 @@ class BatchRows:
 
     # -- views --------------------------------------------------------------
 
-    def slice(self, lo: int, hi: int) -> "BatchRows":
-        """Rows ``[lo, hi)`` as a new view (array slices share memory)."""
-        part = slice(lo, hi)
-        return self._select(part, self._choices.select(part))
+    def view(self) -> "BatchRows":
+        """Every row as a new view sharing this one's choices, segments
+        and columns but none of its memoized metric columns: a holder
+        that outlives the folds reading this view keeps none of what
+        they built."""
+        return BatchRows(
+            self.scenario,
+            self._plan,
+            self._starts,
+            self._depths,
+            self._choices,
+            self.columns,
+            self._energy,
+        )
 
     def compact(self, indices: Sequence[int]) -> "BatchRows":
         """The rows at ``indices`` as a self-contained view: their choice
@@ -892,21 +891,16 @@ class BatchPrefixEvaluator:
 
     # -- whole-space cohort enumeration ----------------------------------
 
-    def iter_scenario_batches(
-        self, scenario: Any, chunk_size: int | None = None
-    ) -> Iterator[BatchRows]:
+    def iter_scenario_batches(self, scenario: Any) -> Iterator[BatchRows]:
         """Stream a scenario's whole design space as lazy
         :class:`BatchRows` in exact enumeration order: one batch for
         every run of whole depth cohorts that fits one block, then the
-        deeper depths block by block (each batch at most ``chunk_size``
-        rows when given). :meth:`iter_group_batches` over a group of
-        one."""
-        for (batch,) in self.iter_group_batches((scenario,), chunk_size):
+        deeper depths block by block. :meth:`iter_group_batches` over a
+        group of one."""
+        for (batch,) in self.iter_group_batches((scenario,)):
             yield batch
 
-    def iter_group_batches(
-        self, scenarios: Sequence[Any], chunk_size: int | None = None
-    ) -> Iterator[list[BatchRows]]:
+    def iter_group_batches(self, scenarios: Sequence[Any]) -> Iterator[list[BatchRows]]:
         """Stream a walk's members: one cohort walk of the first
         scenario's compute-side states (see :meth:`_iter_cohort_states`
         for the walk, how pruning fuses into it and which depths one
@@ -932,7 +926,7 @@ class BatchPrefixEvaluator:
         links = [model.link] + [scenario.link for scenario in scenarios[1:]]
         caches: list[dict[int, Any]] = [{} for _ in scenarios]
         for starts, depths, selections, states in self._iter_cohort_states(
-            scenarios[0], chunk_size
+            scenarios[0]
         ):
             choices = (
                 selections[0] if len(selections) == 1 else _joined_choices(selections)
@@ -961,14 +955,13 @@ class BatchPrefixEvaluator:
             yield views
 
     def _iter_cohort_states(
-        self, scenario: Any, chunk_size: int | None
+        self, scenario: Any
     ) -> Iterator[tuple[tuple, tuple, tuple, tuple]]:
         """The cohort walk: batches of the scenario's pre-finalize
-        states in exact enumeration order, at most one block (and at
-        most ``chunk_size`` rows) each. A batch holds one piece per
-        depth it spans, as ``(starts, depths, choices, states)``: each
-        piece's first row in the batch, depth, :class:`_Choices` and
-        state.
+        states in exact enumeration order, at most one block each. A
+        batch holds one piece per depth it spans, as ``(starts, depths,
+        choices, states)``: each piece's first row in the batch, depth,
+        :class:`_Choices` and state.
 
         Rows grow one pipeline block at a time: one batch call extends
         every parent row by every option of the next block, in
@@ -1069,10 +1062,9 @@ class BatchPrefixEvaluator:
             idx = np.array(kept, dtype=np.intp)
             return choices.select(idx), _take_state(state, idx)
 
-        def emit(depth: int, rows: tuple) -> Iterator[tuple[_Choices, tuple]]:
-            """The ``(choices, state)`` pieces of the depth-``depth``
-            rows that the emission mask and the hooks keep, sliced at
-            ``chunk_size``."""
+        def emit(depth: int, rows: tuple) -> tuple[_Choices, tuple]:
+            """The ``(choices, state)`` piece of the depth-``depth`` rows
+            that the emission mask and the hooks keep."""
             frame, state, pstate = rows
             choices = _Choices(frame, depth, range(frame.n), dtype)
             if depth and pruner is not None and pruner.emit_mask is not None:
@@ -1084,14 +1076,7 @@ class BatchPrefixEvaluator:
                     choices, state = choices.select(idx), _take_state(state, idx)
             if hooks:
                 choices, state = hook_filter(choices, state)
-            n = len(choices)
-            if chunk_size is None or n <= chunk_size:
-                if n:
-                    yield choices, state
-                return
-            for lo in range(0, n, chunk_size):
-                part = slice(lo, min(lo + chunk_size, n))
-                yield choices.select(part), _take_state(state, part)
+            return choices, state
 
         def descend(
             depth: int, rows: tuple, target: int
@@ -1111,7 +1096,8 @@ class BatchPrefixEvaluator:
                 m = children[0].n
                 if depth + 1 == target:
                     survivors += m
-                    for choices, state in emit(target, children):
+                    choices, state = emit(target, children)
+                    if len(choices):
                         yield (0,), (target,), (choices,), (state,)
                 elif m:
                     survivors += yield from descend(depth + 1, children, target)
@@ -1128,7 +1114,6 @@ class BatchPrefixEvaluator:
         # resident piece gathered so far, and their rows in all.
         batch: tuple[list, list, list, list] = ([], [], [], [])
         gathered = 0
-        limit = block if chunk_size is None else min(chunk_size, block)
         depth = 0
         while True:
             if (depth or scenario.include_empty) and not (
@@ -1137,8 +1122,9 @@ class BatchPrefixEvaluator:
                 # Depth 0 is the raw-offload row: it has no platform
                 # choices, so the prefix bound never applies to it; the
                 # per-config hooks still do.
-                for choices, state in emit(depth, rows):
-                    if gathered and gathered + len(choices) > limit:
+                choices, state = emit(depth, rows)
+                if len(choices):
+                    if gathered and gathered + len(choices) > block:
                         yield tuple(map(tuple, batch))
                         batch, gathered = ([], [], [], []), 0
                     for part, value in zip(batch, (gathered, depth, choices, state)):

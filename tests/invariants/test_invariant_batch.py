@@ -30,6 +30,7 @@ from repro.explore import (
     BatchPrefixEvaluator,
     Campaign,
     explore,
+    vectorized,
 )
 from repro.explore.incremental import PrefixEvaluator
 from repro.explore.result import cost_row
@@ -107,10 +108,11 @@ def test_energy_pass_rate_overrides_survive_batching(gen, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_campaign_dedup_on_equals_off_under_batching(gen, seed):
+def test_campaign_dedup_on_equals_off_under_batching(gen, seed, monkeypatch):
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many batches a walk
     fleet = gen.fleet(seed)
-    plain = Campaign(fleet).run(chunk_size=3)
-    dedup = Campaign(fleet).run(chunk_size=3, dedup=True)
+    plain = Campaign(fleet).run()
+    dedup = Campaign(fleet).run(dedup=True)
     for a, b in zip(plain, dedup):
         assert a.name == b.name
         assert json.dumps(a.result.rows) == json.dumps(b.result.rows), (

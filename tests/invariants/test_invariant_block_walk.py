@@ -13,7 +13,8 @@ cohort invariants are re-checked under it, byte for byte against the
   ``emit_mask`` on late-collapsing chains;
 * per-config ``prune`` hooks, depth pruning (``auto_prune``) and
   ``include_empty=False``;
-* ``chunk_size`` slicing;
+* row-only sink writes: one per emitted batch, and one per scalar
+  chunk with ``engine.DEFAULT_CHUNK_SIZE`` shrunk too;
 * the campaign dedup group walk, which shares the generator.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.datasets.rng import make_rng
 from repro.explore import (
     BatchPrefixEvaluator,
     Campaign,
+    engine,
     evaluation_path,
     explore,
     explore_brute_force,
@@ -59,11 +62,11 @@ def _rows(result):
     return json.dumps(result.rows)
 
 
-def _batches(scenario, chunk_size=None):
+def _batches(scenario):
     evaluator = BatchPrefixEvaluator(
         scenario.cost_model(), pass_rates=scenario.pass_rates
     )
-    return list(evaluator.iter_scenario_batches(scenario, chunk_size))
+    return list(evaluator.iter_scenario_batches(scenario))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -139,13 +142,24 @@ def test_hooks_depth_pruning_and_include_empty(gen, block, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("chunk_size", [1, 3, 10])
-def test_chunk_size_slicing_under_descent(gen, block, seed, chunk_size):
+def test_chunk_size_slicing_under_descent(gen, block, seed, chunk_size, monkeypatch):
+    """A row-only sink gets one write per emitted batch of the walk and
+    one per ``DEFAULT_CHUNK_SIZE`` configurations of the scalar fold
+    (shrunk here to ``chunk_size``); both streams equal the oracle."""
+    monkeypatch.setattr(engine, "DEFAULT_CHUNK_SIZE", chunk_size)
     scenario = _deep_scenario(gen, seed)
-    batches = _batches(scenario, chunk_size)
-    assert all(len(batch) <= chunk_size for batch in batches)
-    rows = json.dumps([row for batch in batches for row in batch.rows()])
-    assert rows == _rows(explore_brute_force(scenario)), seed
-    assert _rows(explore(scenario, chunk_size=chunk_size)) == rows
+    oracle = _rows(explore_brute_force(scenario))
+    full, rest = divmod(scenario.count_configs(), chunk_size)
+    chunks = [chunk_size] * full + ([rest] if rest else [])
+    for evaluation, sizes in (
+        ("auto", [len(batch) for batch in _batches(scenario)]),
+        ("scalar", chunks),
+    ):
+        writes: list[list[dict]] = []
+        sink = SimpleNamespace(write_rows=lambda rows: writes.append(list(rows)))
+        explore(scenario, sink=sink, collect=False, evaluation=evaluation)
+        assert [len(rows) for rows in writes] == sizes, (seed, evaluation)
+        assert json.dumps([row for rows in writes for row in rows]) == oracle
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -157,7 +171,7 @@ def test_dedup_group_walk_equals_brute_force(gen, block, seed):
     fleet = [leader] + [
         replace(leader, name=f"m{i}", link=gen.link(rng)) for i in (1, 2)
     ]
-    result = Campaign(fleet).run(chunk_size=4, dedup=True)
+    result = Campaign(fleet).run(dedup=True)
     assert result.cache_stats["evaluations_skipped"] > 0
     for run, scenario in zip(result, fleet):
         expected = _rows(explore_brute_force(scenario))

@@ -17,6 +17,10 @@ The load-bearing identities of the campaign driver, as properties:
   same-pipeline link pairs mixed — match solo ``explore()`` under both
   ``dedup`` values and unequal weights, and a counterexample
   shrinks to a minimal fleet.
+
+The seeded tests shrink ``vectorized._BLOCK_ROWS`` to a few rows (the
+``small_blocks`` fixture), so every walk, dedup groups' included,
+streams many batches.
 """
 
 from __future__ import annotations
@@ -35,12 +39,19 @@ from repro.explore import (
     SweepExecutor,
     evaluation_path,
     explore,
+    vectorized,
 )
 from repro.explore.campaign import _dedup_groups, scenario_compute_key
 from repro.explore import engine as engine_module
 from repro.hw.network import LinkModel
 
 SEEDS = range(10)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """A 3-row walk block: many batches per walk."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)
 
 
 def _solo_rows(fleet):
@@ -54,10 +65,10 @@ def _unequal_weights(fleet):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_campaign_equals_solo_under_every_policy(gen, seed):
+def test_campaign_equals_solo_under_every_policy(gen, seed, small_blocks):
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
-    result = Campaign(fleet).run(chunk_size=3)
+    result = Campaign(fleet).run()
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
             seed,
@@ -66,13 +77,13 @@ def test_campaign_equals_solo_under_every_policy(gen, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_dedup_on_equals_dedup_off_byte_identical(gen, seed):
+def test_dedup_on_equals_dedup_off_byte_identical(gen, seed, small_blocks):
     """Rows, summary statistics and frontiers are unchanged by dedup;
     the accounting proves work was actually shared whenever the fleet
     contains a shareable group."""
     fleet = gen.fleet(seed)
-    with_dedup = Campaign(fleet).run(chunk_size=4, dedup=True)
-    without = Campaign(fleet).run(chunk_size=4, dedup=False)
+    with_dedup = Campaign(fleet).run(dedup=True)
+    without = Campaign(fleet).run(dedup=False)
     for lean, full in zip(with_dedup, without):
         assert json.dumps(lean.result.rows) == json.dumps(full.result.rows), (
             seed,
@@ -99,7 +110,7 @@ def test_dedup_on_equals_dedup_off_byte_identical(gen, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_weighted_completion_with_dedup_on_parallel_executor(gen, seed):
+def test_weighted_completion_with_dedup_on_parallel_executor(gen, seed, small_blocks):
     """The acceptance pairing: unequal completion-time weights and the
     evaluation cache enabled together, with a thread pool in the
     positional executor slot."""
@@ -107,7 +118,6 @@ def test_weighted_completion_with_dedup_on_parallel_executor(gen, seed):
     solo = _solo_rows(fleet)
     result = Campaign(fleet).run(
         SweepExecutor(workers=3, backend="thread"),
-        chunk_size=2,
         weights=_unequal_weights(fleet),
         dedup=True,
     )
@@ -119,14 +129,12 @@ def test_weighted_completion_with_dedup_on_parallel_executor(gen, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_iter_runs_streamed_equals_drained_run(gen, seed):
+def test_iter_runs_streamed_equals_drained_run(gen, seed, small_blocks):
     """Streaming consumption hands out exactly the runs a drained
     ``run()`` reassembles, byte for byte."""
     fleet = gen.fleet(seed)
-    streamed = {
-        run.name: run for run in Campaign(fleet).iter_runs(chunk_size=3, dedup=True)
-    }
-    drained = Campaign(fleet).run(chunk_size=3, dedup=True)
+    streamed = {run.name: run for run in Campaign(fleet).iter_runs(dedup=True)}
+    drained = Campaign(fleet).run(dedup=True)
     assert set(streamed) == {run.name for run in drained}
     for run in drained:
         other = streamed[run.name]
@@ -152,11 +160,11 @@ def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
     real_walk = BatchPrefixEvaluator.iter_group_batches
     real_pipe = engine_module.iter_evaluation_chunks
 
-    def group_walk(self, scenarios, chunk_size=None):
+    def group_walk(self, scenarios):
         members = tuple(scenario.name for scenario in scenarios)
         for name in members:
             taken.setdefault(name, []).append(("walk", members))
-        return real_walk(self, scenarios, chunk_size)
+        return real_walk(self, scenarios)
 
     def scalar_pipe(model, configs, *args, **kwargs):
         # A campaign has no scalar member: a call shows up under a name
@@ -169,7 +177,7 @@ def test_members_take_the_reported_evaluation_path(gen, seed, monkeypatch):
     for executor in (SweepExecutor(), SweepExecutor(workers=2, backend="thread")):
         for dedup in (False, True):
             taken.clear()
-            Campaign(fleet).run(executor, chunk_size=4, dedup=dedup)
+            Campaign(fleet).run(executor, dedup=dedup)
             assert set(taken) == {member.name for member in fleet}, (seed, dedup)
             paths = [evaluation_path(m, executor, dedup=dedup) for m in fleet]
             groups = _dedup_groups(
@@ -227,11 +235,12 @@ def fleets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(fleets(), st.sampled_from((None, 7)))
-def test_fleet_members_equal_solo_shrinking(fleet, chunk_size):
+def test_fleet_members_equal_solo_shrinking(fleet, block_rows):
     solo = {member.name: json.dumps(explore(member).rows) for member in fleet}
     for dedup in (False, True):
-        result = Campaign(fleet).run(
-            chunk_size=chunk_size, weights=_unequal_weights(fleet), dedup=dedup
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            if block_rows is not None:
+                patch.setattr(vectorized, "_BLOCK_ROWS", block_rows)
+            result = Campaign(fleet).run(weights=_unequal_weights(fleet), dedup=dedup)
         for run in result:
             assert json.dumps(run.result.rows) == solo[run.name], (dedup, run.name)

@@ -15,7 +15,7 @@ Hypothesis draws chains that stress that decoding:
   late-collapsing payloads, so the energy bound's ``emit_mask`` drops
   rows from emitted batches only;
 * a shrunken ``vectorized._BLOCK_ROWS``, so deep depths descend in
-  blocks, and ``chunk_size`` slices.
+  blocks and shallow ones share spanning batches.
 
 Unpruned runs must match :func:`explore_brute_force` byte for byte:
 rows, ``best``, ``pareto()`` and a streamed ``TopKSink``. Pruned runs
@@ -131,16 +131,10 @@ def _ranking(scenario):
     return "total_energy_j", False
 
 
-def _streamed_top(scenario, evaluation="auto", chunk_size=None):
+def _streamed_top(scenario, evaluation="auto"):
     metric, maximize = _ranking(scenario)
     sink = TopKSink(metric, k=3, maximize=maximize)
-    explore(
-        scenario,
-        sink=sink,
-        collect=False,
-        evaluation=evaluation,
-        chunk_size=chunk_size,
-    )
+    explore(scenario, sink=sink, collect=False, evaluation=evaluation)
     return sink.top_k()
 
 
@@ -174,11 +168,11 @@ def _dump(value):
     return json.dumps(value)
 
 
-def _assert_equals_oracle(scenario, block, chunk_size):
+def _assert_equals_oracle(scenario, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vectorized, "_BLOCK_ROWS", block)
-        batch = explore(scenario, chunk_size=chunk_size)
-        top = _streamed_top(scenario, chunk_size=chunk_size)
+        batch = explore(scenario)
+        top = _streamed_top(scenario)
     pruned = scenario.auto_prune_configs
     assert evaluation_path(scenario) == (
         "batch-cohort-pruned" if pruned else "batch-cohort"
@@ -200,14 +194,13 @@ def _assert_equals_oracle(scenario, block, chunk_size):
     )
 
 
-BLOCKS = st.sampled_from((1, 2, 4, 16, 1 << 14))
-CHUNKS = st.sampled_from((None, 1, 3))
+BLOCKS = st.sampled_from((1, 2, 3, 4, 16, 1 << 14))
 
 
 @settings(max_examples=150, deadline=None)
-@given(scenarios(), BLOCKS, CHUNKS)
-def test_compact_rows_equal_the_oracle(scenario, block, chunk_size):
-    _assert_equals_oracle(scenario, block, chunk_size)
+@given(scenarios(), BLOCKS)
+def test_compact_rows_equal_the_oracle(scenario, block):
+    _assert_equals_oracle(scenario, block)
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,9 +212,8 @@ def test_compact_rows_equal_the_oracle(scenario, block, chunk_size):
         prune=st.just(True),
     ),
     BLOCKS,
-    CHUNKS,
 )
-def test_emit_mask_views_equal_the_oracle(scenario, block, chunk_size):
+def test_emit_mask_views_equal_the_oracle(scenario, block):
     """Energy-pruned late-collapsing chains: emitted batches are
     ``emit_mask`` selections of rows the running cohort keeps."""
-    _assert_equals_oracle(scenario, block, chunk_size)
+    _assert_equals_oracle(scenario, block)

@@ -2,13 +2,14 @@
 
 PR 8's load-bearing identity: the *lazy columnar* dedup finalize
 (``dedup=True``, each member's ``finalize_batch`` of every shared
-slice, members handing consumers lazy ``BatchRows`` views) produces
+batch, members handing consumers lazy ``BatchRows`` views) produces
 exactly the bytes of the same views fully *materialized* (row-only
 sinks build every member row), of a dedup-off campaign,
 and of a solo ``explore()`` — for both domains, with pass-rate
 variants, collected and export-only, on serial, thread and process
 executors. Each member's finalize is the one its solo walk runs, so
-equality is byte equality, never tolerance.
+equality is byte equality, never tolerance. Every walk here runs a
+3-row block (``vectorized._BLOCK_ROWS``), so it streams many batches.
 
 The fleet-generator round trip is also a property: every
 :class:`~repro.explore.FleetSpec` cell (entry x pass-rate variant)
@@ -31,6 +32,7 @@ from repro.explore import (
     SweepExecutor,
     evaluation_path,
     explore,
+    vectorized,
 )
 from repro.explore.campaign import scenario_compute_key
 from repro.explore.catalog import load_builtin
@@ -41,6 +43,12 @@ SEEDS = range(10)
 #: Process pools pay a per-campaign fork tax; a subset of seeds keeps
 #: the cross-backend property honest without dominating suite time.
 PROCESS_SEEDS = range(3)
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    """A 3-row walk block: many batches per walk."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)
 
 
 def _solo_rows(fleet):
@@ -64,10 +72,10 @@ def test_lazy_equals_materialize_equals_off_equals_solo(gen, seed):
     rows, stats and frontiers, matching solo explore."""
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
-    lazy = Campaign(fleet).run(chunk_size=4, dedup=True)
+    lazy = Campaign(fleet).run(dedup=True)
     row_sinks = {scenario.name: MemorySink() for scenario in fleet}
-    materialized = Campaign(fleet).run(chunk_size=4, dedup=True, sinks=row_sinks)
-    off = Campaign(fleet).run(chunk_size=4, dedup=False)
+    materialized = Campaign(fleet).run(dedup=True, sinks=row_sinks)
+    off = Campaign(fleet).run(dedup=False)
     for runs in zip(lazy, materialized, off):
         reference = json.dumps(solo[runs[0].name])
         for run in runs:
@@ -98,12 +106,11 @@ def test_export_only_csv_bytes_match_solo(gen, seed):
     fleet = gen.fleet(seed)
     buffers = {scenario.name: io.StringIO() for scenario in fleet}
     lean = Campaign(fleet).run(
-        chunk_size=3,
         sinks={name: CsvSink(buffer) for name, buffer in buffers.items()},
         collect=False,
         dedup=True,
     )
-    collected = Campaign(fleet).run(chunk_size=3, dedup=False)
+    collected = Campaign(fleet).run(dedup=False)
     for scenario in fleet:
         solo = explore(scenario)
         expected = solo.to_csv() if solo.rows else ""
@@ -132,9 +139,7 @@ def test_columnar_sinks_materialize_only_survivors(gen, seed):
         sinks[scenario.name] = TopKSink(
             metric, k=3, maximize=scenario.domain == "throughput"
         )
-    result = Campaign(fleet).run(
-        chunk_size=4, sinks=sinks, collect=False, dedup=True
-    )
+    result = Campaign(fleet).run(sinks=sinks, collect=False, dedup=True)
     for scenario in fleet:
         metric = (
             "total_fps" if scenario.domain == "throughput" else "total_energy_j"
@@ -163,9 +168,7 @@ def test_columnar_sinks_materialize_only_survivors(gen, seed):
 def test_thread_executor_matches_solo(gen, seed):
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
-    result = Campaign(fleet).run(
-        SweepExecutor(workers=3, backend="thread"), chunk_size=2, dedup=True
-    )
+    result = Campaign(fleet).run(SweepExecutor(workers=3, backend="thread"), dedup=True)
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
             seed,
@@ -181,7 +184,7 @@ def test_process_executor_matches_solo(gen, seed):
     fleet = gen.fleet(seed)
     solo = _solo_rows(fleet)
     result = Campaign(fleet).run(
-        SweepExecutor(workers=2, backend="process"), chunk_size=4, dedup=True
+        SweepExecutor(workers=2, backend="process"), dedup=True
     )
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
@@ -213,7 +216,7 @@ def test_generator_fleet_round_trips_compute_key_grouping(gen, seed):
         suffixes = {name.split("@")[-1].split("#")[0] for name in members}
         assert len(suffixes) == len(rng_links)
     solo = _solo_rows(fleet)
-    result = Campaign(fleet).run(chunk_size=5, dedup=True)
+    result = Campaign(fleet).run(dedup=True)
     assert result.cache_stats["scenarios_shared"] == len(fleet) - len(groups)
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (
@@ -252,7 +255,7 @@ def test_pass_rate_sibling_fleets_group_and_match(gen, seed):
     groups = _grouped(fleet)
     assert sorted(len(members) for members in groups.values()) == [1, 2]
     solo = _solo_rows(fleet)
-    result = Campaign(fleet).run(chunk_size=3, dedup=True)
+    result = Campaign(fleet).run(dedup=True)
     assert result.cache_stats["scenarios_shared"] == 1
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name]), (

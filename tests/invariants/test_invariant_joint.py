@@ -41,6 +41,7 @@ from repro.explore import (
     explore_joint,
     member_demand_bps,
     search_joint_assignment,
+    vectorized,
 )
 
 SEEDS = range(10)
@@ -217,7 +218,7 @@ def test_search_matches_the_product_oracle(fleet):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_joint_identical_across_executors_and_policies(gen, seed):
+def test_joint_identical_across_executors_and_policies(gen, seed, monkeypatch):
     rng = make_rng(seed)
     base = random_joint_fleet(gen, rng)
     fleet = at_capacity(
@@ -233,8 +234,9 @@ def test_joint_identical_across_executors_and_policies(gen, seed):
     weighted = replace(
         fleet, weights=tuple(1.0 + i % 3 for i in range(len(fleet.members)))
     )
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many batches a walk
     for executor in executors:
-        candidate = explore_joint(weighted, executor, chunk_size=3)
+        candidate = explore_joint(weighted, executor)
         assert candidate.best_choice == reference.best_choice, executor
         assert candidate.best_fleet_fps == reference.best_fleet_fps
         assert candidate.best_demand_bps == reference.best_demand_bps

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_invariant_compact_rows import scenarios
@@ -33,6 +34,7 @@ from repro.explore import (
     evaluation_path,
     explore,
     explore_brute_force,
+    vectorized,
 )
 from repro.hw.network import LinkModel
 
@@ -111,7 +113,9 @@ def test_every_path_equals_brute_force(scenario, partner_link):
     fleet = [plain, replace(plain, name="partner", link=partner_link)]
     for member in fleet:
         assert evaluation_path(member, dedup=True) == "batch-dedup"
-    result = Campaign(fleet).run(chunk_size=3, dedup=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many batches a walk
+        result = Campaign(fleet).run(dedup=True)
     assert result.cache_stats["scenarios_shared"] == 1
     for run in result:
         assert _rows(run.result) == _oracle(run.scenario), run.name

@@ -300,8 +300,8 @@ def _resident_depth(scenario: Scenario, block: int) -> int:
 
 
 @settings(max_examples=40, deadline=None)
-@given(deep_scenarios(), st.sampled_from((4, 8)), st.sampled_from((None, 5)))
-def test_multi_level_descent_equals_the_oracle(scenario, block, chunk_size):
+@given(deep_scenarios(), st.sampled_from((4, 5, 8)))
+def test_multi_level_descent_equals_the_oracle(scenario, block):
     assert len(scenario.pipeline.blocks) >= _resident_depth(scenario, block) + 3
-    _assert_equals_oracle(scenario, block, chunk_size)
+    _assert_equals_oracle(scenario, block)
 

@@ -35,6 +35,7 @@ from repro.explore import (
     evaluation_path,
     explore,
     explore_brute_force,
+    vectorized,
 )
 
 SEEDS = range(10)
@@ -110,7 +111,7 @@ def test_per_config_hooks_ride_the_batch_path(gen, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("backend", ["thread", "process"])
-def test_shard_equals_serial(gen, seed, backend):
+def test_shard_equals_serial(gen, seed, backend, monkeypatch):
     """A campaign on a thread or process pool reproduces the solo serial
     rows byte for byte — unpruned, prefix-pruned and hooked. Its stock
     members fold in the calling process, so even unpicklable hook
@@ -133,7 +134,8 @@ def test_shard_equals_serial(gen, seed, backend):
         ),
     ]
     serial = {variant.name: _rows_json(explore(variant)) for variant in variants}
-    result = Campaign(variants).run(executor, chunk_size=3)
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many batches a walk
+    result = Campaign(variants).run(executor)
     for run in result:
         assert _rows_json(run.result) == serial[run.name], (seed, backend, run.name)
     for variant in variants:
@@ -142,13 +144,14 @@ def test_shard_equals_serial(gen, seed, backend):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_shard_campaign_equals_solo_under_every_policy(gen, seed):
+def test_shard_campaign_equals_solo_under_every_policy(gen, seed, monkeypatch):
     """A fleet with pruned members, a parallel executor in the slot and
     unequal weights: every scenario's rows match its solo explore()."""
     fleet = gen.fleet(seed)
     solo = {scenario.name: _rows_json(explore(scenario)) for scenario in fleet}
     executor = SweepExecutor(workers=2, backend="thread")
     weights = {scenario.name: 1.0 + i % 3 for i, scenario in enumerate(fleet)}
-    result = Campaign(fleet).run(executor, chunk_size=3, weights=weights)
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many batches a walk
+    result = Campaign(fleet).run(executor, weights=weights)
     for run in result:
         assert _rows_json(run.result) == solo[run.name], (seed, run.name)

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.explore import Scenario, explore, explore_brute_force
+from repro.explore import Scenario, explore, explore_brute_force, vectorized
 from repro.explore.enumerate import iter_configs
 from repro.explore.prune import energy_prefix_pruner
 
@@ -149,7 +149,7 @@ def test_dual_bound_strictly_tightens_a_crafted_late_collapse(gen):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_depth_and_prefix_pruning_compose_with_campaigns(gen, seed):
+def test_depth_and_prefix_pruning_compose_with_campaigns(gen, seed, monkeypatch):
     """Pruned scenarios riding a campaign (they are dedup-ineligible)
     still match their solo pruned runs byte for byte."""
     from repro.explore import Campaign
@@ -159,7 +159,8 @@ def test_depth_and_prefix_pruning_compose_with_campaigns(gen, seed):
     )
     pruned = replace(scenario, auto_prune=True, auto_prune_configs=True)
     plain = replace(scenario, name=f"plain-{seed}")
-    result = Campaign([pruned, plain]).run(chunk_size=3, dedup=True)
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many batches a walk
+    result = Campaign([pruned, plain]).run(dedup=True)
     assert json.dumps(result[pruned.name].result.rows) == json.dumps(
         explore(pruned).rows
     ), seed

@@ -5,8 +5,9 @@ A collected cohort-path :class:`ExplorationResult` answers ``best``,
 its batches' columns and builds row dicts only for the rows it returns.
 Hypothesis draws small stock pipelines in both domains — infinite
 rates, zero payloads, pass rates 0 and 1, single-block chains, and few
-distinct rates so metric ties are common — plus a chunk size that
-splits the result into many segments. Every answer must
+distinct rates so metric ties are common — plus a walk block size
+(``vectorized._BLOCK_ROWS``) that splits the result into many
+segments. Every answer must
 ``json.dumps``-equal the same question asked of
 ``explore_brute_force`` and of ``evaluation="scalar"``, and a second
 asking on the same result (its row cache now built) must agree too.
@@ -24,7 +25,13 @@ from hypothesis import strategies as st
 from repro.core.block import Block, Implementation
 from repro.core.pipeline import InCameraPipeline
 from repro.errors import ConfigurationError
-from repro.explore import Scenario, explore, explore_brute_force
+from repro.explore import (
+    ExplorationResult,
+    Scenario,
+    explore,
+    explore_brute_force,
+    vectorized,
+)
 from repro.hw.network import LinkModel
 
 INF = float("inf")
@@ -118,10 +125,13 @@ def answers(result) -> str:
 
 @settings(max_examples=60, deadline=None)
 @given(scenarios(), st.sampled_from((None, 1, 3, 7)))
-def test_columnar_answers_equal_brute_force(scenario, chunk_size):
+def test_columnar_answers_equal_brute_force(scenario, block_rows):
     expected = answers(explore_brute_force(scenario))
     assert answers(explore(scenario, evaluation="scalar")) == expected
-    result = explore(scenario, chunk_size=chunk_size)
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(vectorized, "_BLOCK_ROWS", block_rows)
+        result = explore(scenario)
     assert answers(result) == expected
     # Asked again: the row cache the fallbacks built serves the gathers.
     assert result._rows is not None
@@ -193,8 +203,9 @@ def test_pareto_and_dominated_partition_rows_in_order(domain, kind):
     scenario = _deep_scenario(domain)
     result = explore(scenario, evaluation="scalar" if kind == "scalar" else "auto")
     if kind == "assigned":
-        # Every other row, so the columns no longer describe the rows.
-        result.rows = [dict(row) for row in result.rows[::2]]
+        # Every other row, held by a result with no columns.
+        rows = [dict(row) for row in result.rows[::2]]
+        result = ExplorationResult(scenario, rows=rows)
     frontier, dominated = result.pareto(), result.dominated()
     if kind == "columnar":
         assert result._rows is None  # answered without the row cache

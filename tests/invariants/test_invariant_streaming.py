@@ -11,7 +11,7 @@ batch counterpart — not approximately, byte for byte:
   ``pareto_filter`` over every row of the brute-force oracle;
 * **online top-k == batch top-k**: each metric's ``TopKSink`` equals
   ``ExplorationResult.top_k``, including stable ties in both
-  directions, for any chunking.
+  directions, however the walk batches the rows.
 
 The two headline properties are hypothesis properties over the
 edge-value chains of ``export_scenarios`` (``inf`` and ``1e-300`` fps,
@@ -20,7 +20,7 @@ with a shrunken ``vectorized._BLOCK_ROWS`` so deep depths descend in
 blocks. The seeded cases below them draw from the ``gen`` generators,
 which add what that strategy leaves out: targets and budgets (so
 ``feasible`` varies), truncated chains, pass-rate overrides and mixed
-fleets.
+fleets; they stream under a 3-row block (``small_blocks``).
 """
 
 from __future__ import annotations
@@ -48,33 +48,36 @@ from repro.explore import (
 from repro.explore.result import DEFAULT_AXES, ParetoFrontier, TopK, pareto_filter
 
 
-def _export_only_run(scenario, block_rows, chunk_size):
+def _export_only_run(scenario, block_rows):
     """One export-only campaign member: its rows go to a sink and its
     frontier is folded online."""
     sink = MemorySink()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vectorized, "_BLOCK_ROWS", block_rows)
-        result = Campaign([scenario]).run(
-            chunk_size=chunk_size, sinks={scenario.name: sink}, collect=False
-        )
+        result = Campaign([scenario]).run(sinks={scenario.name: sink}, collect=False)
     return result[scenario.name], sink
 
 
-def _export_top_k(scenario, metric, k, maximize, block_rows, chunk_size):
+def _export_top_k(scenario, metric, k, maximize, block_rows):
     sink = TopKSink(metric, k, maximize)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(vectorized, "_BLOCK_ROWS", block_rows)
-        explore(scenario, sink=sink, collect=False, chunk_size=chunk_size)
+        explore(scenario, sink=sink, collect=False)
     return sink.top_k()
 
 
+BLOCKS = st.sampled_from((1, 3, 4, 1 << 14))
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """A 3-row walk block: many batches per walk."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    export_scenarios(),
-    st.sampled_from((4, 1 << 14)),
-    st.sampled_from((None, 1, 3)),
-)
-def test_export_only_frontier_equals_the_oracle(scenario, block_rows, chunk_size):
+@given(export_scenarios(), BLOCKS)
+def test_export_only_frontier_equals_the_oracle(scenario, block_rows):
     oracle = explore_brute_force(scenario)
     axes, maximize = DEFAULT_AXES[scenario.domain]
     try:
@@ -83,9 +86,9 @@ def test_export_only_frontier_equals_the_oracle(scenario, block_rows, chunk_size
         # A NaN axis value: the online fold must refuse it too.
         assert "NaN" in str(error)
         with pytest.raises(ConfigurationError, match="NaN"):
-            _export_only_run(scenario, block_rows, chunk_size)
+            _export_only_run(scenario, block_rows)
         return
-    run, sink = _export_only_run(scenario, block_rows, chunk_size)
+    run, sink = _export_only_run(scenario, block_rows)
     assert run.result is None
     assert json.dumps(sink.rows) == json.dumps(oracle.rows)
     assert json.dumps(run.pareto()) == json.dumps(expected)
@@ -97,18 +100,15 @@ def test_export_only_frontier_equals_the_oracle(scenario, block_rows, chunk_size
     export_scenarios(),
     st.sampled_from((0, 1, 5, None)),
     st.booleans(),
-    st.sampled_from((4, 1 << 14)),
-    st.sampled_from((None, 1, 3)),
+    BLOCKS,
 )
-def test_export_top_k_equals_collected_top_k(
-    scenario, k, maximize, block_rows, chunk_size
-):
+def test_export_top_k_equals_collected_top_k(scenario, k, maximize, block_rows):
     """Each of the domain's metrics, bounded and unbounded, through its
     own single-ranking ``TopKSink``."""
     collected = explore(scenario)
     bound = len(collected) + 3 if k is None else k
     for metric in METRICS[scenario.domain]:
-        export = (scenario, metric, bound, maximize, block_rows, chunk_size)
+        export = (scenario, metric, bound, maximize, block_rows)
         if any(math.isnan(row[metric]) for row in collected.rows):
             with pytest.raises(SinkError):
                 _export_top_k(*export)
@@ -124,19 +124,19 @@ SEEDS = range(12)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_streamed_rows_equal_collected_rows_solo(gen, seed):
+def test_streamed_rows_equal_collected_rows_solo(gen, seed, small_blocks):
     scenario = gen.scenario(seed, name=f"solo-{seed}")
     sink = MemorySink()
-    assert explore(scenario, sink=sink, collect=False, chunk_size=3) is None
+    assert explore(scenario, sink=sink, collect=False) is None
     collected = explore(scenario)
     assert json.dumps(sink.rows) == json.dumps(collected.rows), seed
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_streamed_campaign_stats_equal_collected(gen, seed):
+def test_streamed_campaign_stats_equal_collected(gen, seed, small_blocks):
     fleet = gen.fleet(seed)
-    collected = Campaign(fleet).run(chunk_size=3)
-    streamed = Campaign(fleet).run(chunk_size=3, collect=False)
+    collected = Campaign(fleet).run()
+    streamed = Campaign(fleet).run(collect=False)
     for full, lean in zip(collected, streamed):
         assert lean.result is None
         assert lean.n_evaluated == full.n_evaluated
@@ -150,16 +150,16 @@ def test_streamed_campaign_stats_equal_collected(gen, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_online_frontier_equals_batch_on_scenarios(gen, seed):
+def test_online_frontier_equals_batch_on_scenarios(gen, seed, small_blocks):
     scenario = gen.scenario(seed, name=f"front-{seed}")
-    run = Campaign([scenario]).run(chunk_size=4, collect=False)[scenario.name]
+    run = Campaign([scenario]).run(collect=False)[scenario.name]
     axes, maximize = DEFAULT_AXES[scenario.domain]
     expected = pareto_filter(explore_brute_force(scenario).rows, axes, maximize)
     assert json.dumps(run.pareto()) == json.dumps(expected), seed
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_online_topk_equals_batch_on_scenarios(gen, seed):
+def test_online_topk_equals_batch_on_scenarios(gen, seed, small_blocks):
     """A TopKSink per metric under collect=False reproduces
     ExplorationResult.top_k row for row."""
     rng = make_rng(seed)
@@ -169,7 +169,7 @@ def test_online_topk_equals_batch_on_scenarios(gen, seed):
     collected = explore(scenario)
     for metric, flag in ((axes[0], maximize), (axes[1], not maximize)):
         sink = TopKSink(metric, k, flag)
-        explore(scenario, sink=sink, collect=False, chunk_size=3)
+        explore(scenario, sink=sink, collect=False)
         assert json.dumps(sink.top_k()) == json.dumps(
             collected.top_k(metric, k=k, maximize=flag)
         ), (seed, metric)

@@ -34,6 +34,7 @@ from repro.explore import (
     evaluation_path,
     explore,
     load_builtin,
+    vectorized,
 )
 import repro.explore.engine as engine_module
 import repro.explore.executor as executor_module
@@ -194,9 +195,7 @@ def test_collected_pareto_size_builds_no_row():
 def test_campaign_interleaving_is_deterministic_across_executors():
     fleet = build_fleet()
     serial = Campaign(fleet).run()
-    threaded = Campaign(build_fleet()).run(
-        SweepExecutor(workers=3, backend="thread"), chunk_size=2
-    )
+    threaded = Campaign(build_fleet()).run(SweepExecutor(workers=3, backend="thread"))
     for left, right in zip(serial, threaded):
         assert left.name == right.name
         assert json.dumps(left.result.rows) == json.dumps(right.result.rows)
@@ -228,8 +227,6 @@ def test_campaign_rejects_bad_fleets():
         Campaign([scenario, load_builtin().build("vr-fig10")])
     with pytest.raises(ConfigurationError, match="Scenario instances"):
         Campaign([scenario, "vr-fig10"])
-    with pytest.raises(ConfigurationError, match="chunk_size"):
-        Campaign([scenario]).run(chunk_size=0)
 
 
 def test_campaign_rejects_unknown_sink_keys_and_shapes():
@@ -292,9 +289,7 @@ def test_campaign_sinks_match_solo_exports_byte_for_byte():
     fleet = build_fleet()
     buffers = {scenario.name: io.StringIO() for scenario in fleet}
     sinks = {name: CsvSink(buffer) for name, buffer in buffers.items()}
-    Campaign(fleet).run(
-        SweepExecutor(workers=4, backend="thread"), chunk_size=2, sinks=sinks
-    )
+    Campaign(fleet).run(SweepExecutor(workers=4, backend="thread"), sinks=sinks)
     for scenario in fleet:
         assert (
             buffers[scenario.name].getvalue() == explore(scenario).to_csv()
@@ -318,7 +313,10 @@ def test_campaign_sink_factory_and_partial_mapping():
         assert per_scenario[scenario.name].rows == result[scenario.name].result.rows
 
 
-def test_mid_campaign_sink_failure_names_scenario_and_flushes_others(tmp_path):
+def test_mid_campaign_sink_failure_names_scenario_and_flushes_others(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 4)  # many batches a walk
     fleet = build_fleet()
     victim = fleet[2].name  # faceauth-energy
 
@@ -336,7 +334,7 @@ def test_mid_campaign_sink_failure_names_scenario_and_flushes_others(tmp_path):
     }
     sinks[victim] = Boom()
     with pytest.raises(SinkError, match=victim) as info:
-        Campaign(fleet).run(chunk_size=4, sinks=sinks)
+        Campaign(fleet).run(sinks=sinks)
     assert isinstance(info.value.__cause__, OSError)
     # Every other scenario's file was closed (flushed) and holds only
     # complete, correct rows: a strict prefix of (or the full) solo
@@ -462,9 +460,10 @@ def _live_costs() -> int:
     return sum(1 for obj in gc.get_objects() if isinstance(obj, (ConfigCost, EnergyCost)))
 
 
-def test_export_only_campaign_memory_bounded_by_chunk_window():
+def test_export_only_campaign_memory_bounded_by_chunk_window(monkeypatch):
     """Acceptance: an export-only campaign through a CSV sink never
-    materializes the full row cache."""
+    materializes the full row cache: live cost objects stay a few
+    batches' worth of a (shrunk) block."""
     blocks = tuple(
         Block(
             name=f"B{i}",
@@ -489,8 +488,9 @@ def test_export_only_campaign_memory_bounded_by_chunk_window():
                  domain="energy", energy_budget_j=1e-3),
     ]
     total = sum(scenario.count_configs() for scenario in fleet)
-    chunk = 32
-    assert total > 20 * chunk
+    block = 32
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", block)
+    assert total > 20 * block
     peaks = []
 
     class Observing(CsvSink):
@@ -500,11 +500,10 @@ def test_export_only_campaign_memory_bounded_by_chunk_window():
 
     buffers = {scenario.name: io.StringIO() for scenario in fleet}
     result = Campaign(fleet).run(
-        chunk_size=chunk,
         sinks={name: Observing(buffer) for name, buffer in buffers.items()},
         collect=False,
     )
-    assert peaks and max(peaks) <= 6 * chunk  # a few in-flight chunks, not `total`
+    assert peaks and max(peaks) <= 6 * block  # a few in-flight batches, not `total`
     for run, scenario in zip(result, fleet):
         assert run.result is None
         assert run.n_evaluated == scenario.count_configs()
@@ -605,7 +604,7 @@ def test_mixed_fleet_matches_solo_and_pools_only_scalar_chunks(executor, monkeyp
     for dedup in (False, True):
         piped.clear()
         pooled.clear()
-        result = Campaign(fleet).run(executor, chunk_size=5, dedup=dedup)
+        result = Campaign(fleet).run(executor, dedup=dedup)
         for run in result:
             assert json.dumps(run.result.rows) == solo[run.name], (dedup, run.name)
         assert piped == [], dedup
@@ -629,7 +628,7 @@ def test_mixed_fleet_completes_in_wspt_order(executor, dedup):
     fleet = _mixed_fleet()
     paths = {evaluation_path(member, executor, dedup=dedup) for member in fleet}
     assert paths == {"batch-dedup" if dedup else "batch-cohort", "batch-cohort-pruned"}
-    runs = Campaign(fleet).iter_runs(chunk_size=5, dedup=dedup)
+    runs = Campaign(fleet).iter_runs(dedup=dedup)
     assert [run.name for run in runs] == [
         "pair-slow",
         "pair-fast",
@@ -654,9 +653,7 @@ def test_stock_only_campaign_constructs_no_pool(backend, dedup, monkeypatch):
     monkeypatch.setattr(executor_module, "ThreadPoolExecutor", forbid)
     monkeypatch.setattr(executor_module, "ProcessPoolExecutor", forbid)
     fleet = build_fleet()
-    result = Campaign(fleet).run(
-        SweepExecutor(workers=2, backend=backend), chunk_size=4, dedup=dedup
-    )
+    result = Campaign(fleet).run(SweepExecutor(workers=2, backend=backend), dedup=dedup)
     assert not started
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)

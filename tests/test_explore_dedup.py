@@ -32,6 +32,7 @@ from repro.explore import (
     Scenario,
     SweepExecutor,
     explore,
+    vectorized,
 )
 from repro.explore.campaign import scenario_compute_key
 from repro.hw.network import ETHERNET_25G, RF_BACKSCATTER, WIFI_CLASS, LinkModel
@@ -224,13 +225,14 @@ def _link_fleet(domain: str = "throughput") -> list[Scenario]:
 
 
 @pytest.mark.parametrize("domain", ["throughput", "energy"])
-def test_dedup_campaign_byte_identical_and_skips_evaluations(domain):
+def test_dedup_campaign_byte_identical_and_skips_evaluations(domain, monkeypatch):
     """Acceptance: the same pipeline at 4 links evaluates once — 3/4 of
     the cost-model evaluations are skipped — with per-scenario rows
     byte-identical to dedup=False and to solo explore()."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many batches a walk
     fleet = _link_fleet(domain)
     with_dedup = Campaign(fleet).run(
-        SweepExecutor(workers=3, backend="thread"), chunk_size=3, dedup=True
+        SweepExecutor(workers=3, backend="thread"), dedup=True
     )
     without = Campaign(fleet).run(dedup=False)
     for lean, full in zip(with_dedup, without):
@@ -265,19 +267,19 @@ def test_dedup_campaign_process_backend_round_trips():
         assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
 
 
-def test_dedup_campaign_streams_sinks_and_export_only():
+def test_dedup_campaign_streams_sinks_and_export_only(monkeypatch):
     """Followers' sinks receive exactly the solo CSV bytes, also under
     collect=False (export-only dedup), and the streamed frontier/stats
     match the collected run."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many batches a walk
     fleet = _link_fleet("throughput")
     buffers = {scenario.name: io.StringIO() for scenario in fleet}
     lean = Campaign(fleet).run(
-        chunk_size=3,
         sinks={name: CsvSink(buffer) for name, buffer in buffers.items()},
         collect=False,
         dedup=True,
     )
-    collected = Campaign(fleet).run(chunk_size=3)
+    collected = Campaign(fleet).run()
     for scenario in fleet:
         assert buffers[scenario.name].getvalue() == explore(scenario).to_csv(), (
             scenario.name
@@ -293,7 +295,7 @@ def test_dedup_with_iter_runs_streams_followers_with_leader():
     """Followers complete the moment their leader does: iter_runs hands
     out the whole group together, results identical to solo."""
     fleet = _link_fleet("throughput")
-    runs = list(Campaign(fleet).iter_runs(chunk_size=4, dedup=True))
+    runs = list(Campaign(fleet).iter_runs(dedup=True))
     assert {run.name for run in runs} == {scenario.name for scenario in fleet}
     for run in runs:
         assert json.dumps(run.result.rows) == json.dumps(explore(run.scenario).rows)
@@ -311,7 +313,7 @@ def test_zero_config_scenario_inside_dedup_fleet():
     )
     fleet = [empty, *_link_fleet("throughput")[:2]]
     for dedup in (False, True):
-        result = Campaign(fleet).run(chunk_size=2, dedup=dedup)
+        result = Campaign(fleet).run(dedup=dedup)
         assert result["empty"].n_evaluated == 0
         assert result["empty"].best is None
         assert result["empty"].pareto_size == 0

@@ -1,7 +1,7 @@
 """Fault injection at the dedup-group seam.
 
 A dedup group folds one walk and hands every member its own view of
-each slice, so one member's failure happens *inside* a step its
+each batch, so one member's failure happens *inside* a step its
 siblings share. These tests break a group mid-run and check what the
 campaign promises:
 
@@ -31,6 +31,7 @@ from repro.explore import (
     evaluation_path,
     explore,
     load_builtin,
+    vectorized,
 )
 
 #: Three uplinks: one dedup group of three members per catalog entry.
@@ -86,7 +87,10 @@ class _ColumnarBoom(TopKSink):
 
 @pytest.mark.parametrize("collect", [True, False])
 @pytest.mark.parametrize("boom_cls", [_RowOnlyBoom, _ColumnarBoom])
-def test_failing_member_sink_inside_a_dedup_group(boom_cls, collect):
+def test_failing_member_sink_inside_a_dedup_group(boom_cls, collect, monkeypatch):
+    # A 2-row block: the walk emits many batches, so the failure is
+    # mid-run.
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 2)
     fleet = _group()
     victim = fleet[1].name  # the middle member: one sibling each side
     boom = boom_cls()
@@ -95,7 +99,7 @@ def test_failing_member_sink_inside_a_dedup_group(boom_cls, collect):
         for member in fleet
     }
     with pytest.raises(SinkError, match=victim.replace("+", r"\+")):
-        Campaign(fleet).run(chunk_size=2, sinks=sinks, collect=collect, dedup=True)
+        Campaign(fleet).run(sinks=sinks, collect=collect, dedup=True)
     for member in fleet:
         if member.name == victim:
             continue
@@ -116,9 +120,7 @@ def test_abandoned_iter_runs_keeps_yielded_group_runs_answering():
     fleet = _group() + catalog.build_at_links("snnap-dvfs", ("25g",))
     straggler = fleet[-1]
     sinks = {member.name: MemorySink() for member in fleet}
-    runs = Campaign(fleet).iter_runs(
-        chunk_size=2, sinks=sinks, collect=False, dedup=True
-    )
+    runs = Campaign(fleet).iter_runs(sinks=sinks, collect=False, dedup=True)
     yielded = [next(runs) for _ in LINKS]
     runs.close()
     assert [run.name for run in yielded] == [member.name for member in fleet[:3]]

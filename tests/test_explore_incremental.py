@@ -23,8 +23,10 @@ from repro.explore import (
     Campaign,
     Scenario,
     SweepExecutor,
+    engine,
     explore,
     explore_brute_force,
+    vectorized,
 )
 from repro.explore.enumerate import count_configs, iter_configs
 from repro.explore.incremental import PrefixEvaluator
@@ -283,21 +285,25 @@ def test_label_cache_handles_shared_implementation_objects():
 # -- byte-identical engine gate (acceptance) ------------------------------
 
 
-def test_fig10_streaming_byte_identical_to_brute_force():
+def test_fig10_streaming_byte_identical_to_brute_force(monkeypatch):
+    # Many walk batches and scalar chunks.
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(engine, "DEFAULT_CHUNK_SIZE", 4)
     scenario = fig10_scenario()
     brute = explore_brute_force(scenario)
-    streamed = explore(scenario, chunk_size=4)
+    streamed = explore(scenario)
     assert json.dumps(streamed.rows) == json.dumps(brute.rows)
     assert streamed.to_json() == brute.to_json()
     assert streamed.to_csv() == brute.to_csv()
-    scalar = explore(scenario, chunk_size=4, evaluation="scalar")
+    scalar = explore(scenario, evaluation="scalar")
     assert json.dumps(scalar.rows) == json.dumps(brute.rows)
 
 
-def test_faceauth_streaming_byte_identical_to_brute_force():
+def test_faceauth_streaming_byte_identical_to_brute_force(monkeypatch):
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many walk batches
     scenario = faceauth_scenario()
     brute = explore_brute_force(scenario)
-    streamed = explore(scenario, chunk_size=3)
+    streamed = explore(scenario)
     assert json.dumps(streamed.rows) == json.dumps(brute.rows)
     assert streamed.to_json() == brute.to_json()
 
@@ -633,7 +639,8 @@ def test_explore_streams_chunks_not_the_whole_space(monkeypatch):
     scenario = Scenario(
         name="wide", pipeline=pipeline, link=link, prune=counting_hook,
     )
-    result = explore(scenario, chunk_size=64, evaluation="scalar")
+    monkeypatch.setattr(engine, "DEFAULT_CHUNK_SIZE", 64)
+    result = explore(scenario, evaluation="scalar")
     assert len(result.evaluations) == total
     # Strictly streaming: one chunk (+ the config that closed it) at most.
     assert seen_at_first_eval[0] <= 65
@@ -730,9 +737,6 @@ def test_per_call_chunk_size_is_validated():
     """chunk_size=0 must raise, never silently drop the workload."""
     with pytest.raises(ConfigurationError):
         SweepExecutor(workers=2).imap(_double, [1, 2], chunk_size=0)
-    for bad in (0, -1):
-        with pytest.raises(ConfigurationError):
-            explore(fig10_scenario(), chunk_size=bad)
 
 
 # -- lazy rows on ExplorationResult --------------------------------------
@@ -772,11 +776,3 @@ def test_offload_analyzer_accepts_config_generators():
     assert [c.config.label for c in via_generator.costs] == [
         c.config.label for c in via_default.costs
     ]
-
-
-def test_rows_setter_still_supported():
-    result = explore(fig10_scenario())
-    result.rows = [{"config": "a", "feasible": True}]
-    assert result.rows == [{"config": "a", "feasible": True}]
-    assert len(result) == 1
-    assert [r for r in result.iter_rows()] == result.rows

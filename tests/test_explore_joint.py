@@ -25,6 +25,7 @@ from repro.explore import (
     load_builtin,
     member_demand_bps,
     search_joint_assignment,
+    vectorized,
 )
 from repro.explore.joint import JointCandidateSink
 from repro.explore.result import best_row
@@ -310,7 +311,7 @@ def test_explore_joint_collect_false_is_byte_identical():
         assert collected.campaign[members[0].name].result is not None
 
 
-def test_joint_candidate_sink_matches_batch_compression():
+def test_joint_candidate_sink_matches_batch_compression(monkeypatch):
     """The sink's reduction against an independent reference: per
     depth, ``best_row`` over the feasible rows, depths in
     first-appearance order. Checked over row chunks, over the cohort
@@ -334,10 +335,12 @@ def test_joint_candidate_sink_matches_batch_compression():
     for start in range(0, len(rows), 7):
         chunked.write_rows(rows[start : start + 7])
     assert candidate_rows(chunked) == reference
-    # Lazy batches, several per depth cohort.
+    # Lazy batches of a 5-row block: spanning ones, then several per
+    # descended depth.
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 5)
     batched = JointCandidateSink(member)
     evaluator = BatchPrefixEvaluator(member.cost_model())
-    for batch in evaluator.iter_scenario_batches(member, chunk_size=5):
+    for batch in evaluator.iter_scenario_batches(member):
         batched.write_batch(batch)
     assert candidate_rows(batched) == reference
     assert (
@@ -408,9 +411,9 @@ def _walk_order(monkeypatch) -> list[tuple[str, ...]]:
     order: list[tuple[str, ...]] = []
     real = BatchPrefixEvaluator.iter_group_batches
 
-    def spy(self, scenarios, chunk_size=None):
+    def spy(self, scenarios):
         order.append(tuple(scenario.name for scenario in scenarios))
-        return real(self, scenarios, chunk_size)
+        return real(self, scenarios)
 
     monkeypatch.setattr(BatchPrefixEvaluator, "iter_group_batches", spy)
     return order
@@ -490,7 +493,7 @@ def test_weighted_completion_policy_validates_weights():
 def test_weighted_completion_policy_runs_a_campaign():
     members = [build_member("cam0"), build_member("cam1")]
     solo = [explore(member) for member in members]
-    campaign = Campaign(members).run(chunk_size=3, weights={"cam1": 4.0})
+    campaign = Campaign(members).run(weights={"cam1": 4.0})
     for member, result in zip(members, solo):
         assert json.dumps(campaign[member.name].result.rows) == json.dumps(
             result.rows

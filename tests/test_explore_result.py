@@ -13,7 +13,7 @@ from repro.core.offload import OffloadAnalyzer, OffloadReport
 from repro.core.pipeline import InCameraPipeline
 from repro.core.sweep import SweepResult
 from repro.errors import ConfigurationError, PipelineError
-from repro.explore import Scenario, explore
+from repro.explore import ExplorationResult, Scenario, explore
 from repro.explore.result import _PREFILTER_ROWS, pareto_filter
 from repro.hw.network import LinkModel
 
@@ -197,16 +197,16 @@ def test_top_k_stable_and_validated(throughput_result):
 
 
 def test_top_k_ties_keep_enumeration_order(throughput_result):
-    throughput_result.rows = [
-        {"config": "a", "m": 1.0},
-        {"config": "b", "m": 2.0},
-        {"config": "c", "m": 2.0},
-    ]
-    assert [r["config"] for r in throughput_result.top_k("m", k=2)] == ["b", "c"]
-    assert [r["config"] for r in throughput_result.top_k("m", k=2, maximize=False)] == [
-        "a",
-        "b",
-    ]
+    result = ExplorationResult(
+        throughput_result.scenario,
+        rows=[
+            {"config": "a", "m": 1.0},
+            {"config": "b", "m": 2.0},
+            {"config": "c", "m": 2.0},
+        ],
+    )
+    assert [r["config"] for r in result.top_k("m", k=2)] == ["b", "c"]
+    assert [r["config"] for r in result.top_k("m", k=2, maximize=False)] == ["a", "b"]
 
 
 def test_top_k_handles_non_numeric_metrics(throughput_result):
@@ -217,9 +217,9 @@ def test_top_k_handles_non_numeric_metrics(throughput_result):
 
 
 def test_best_empty_raises(throughput_result):
-    throughput_result.rows = []
+    result = ExplorationResult(throughput_result.scenario, rows=[])
     with pytest.raises(PipelineError):
-        _ = throughput_result.best
+        _ = result.best
 
 
 # -- export --------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Streaming result sinks and export-only (bounded-memory) exploration.
 
 The contracts under test: file sinks reproduce the eager exports byte
-for byte, rows stream in enumeration order chunk by chunk, sinks are
+for byte, rows stream in enumeration order batch by batch, sinks are
 closed exactly once (also on error, wrapped in SinkError), and an
 export-only run (``collect=False``) never materializes the row cache —
-peak live cost objects stay proportional to the chunk size, not the
-design-space size.
+peak live cost objects stay proportional to the walk's block of rows,
+not the design-space size.
 """
 
 from __future__ import annotations
@@ -25,13 +25,17 @@ from repro.core.pipeline import InCameraPipeline
 from repro.core.sweep import parameter_sweep
 from repro.errors import ConfigurationError, SinkError
 from repro.explore import (
+    BatchPrefixEvaluator,
     Campaign,
     CsvSink,
     JsonlSink,
     ResultSink,
     Scenario,
     SweepExecutor,
+    engine,
     explore,
+    explore_brute_force,
+    vectorized,
 )
 from repro.explore.engine import DEFAULT_CHUNK_SIZE
 from repro.explore.sink import resolve_sink
@@ -118,24 +122,59 @@ def test_jsonl_sink_handles_non_finite_floats():
     assert first["compute_fps"] == "inf"
 
 
-def test_memory_sink_collects_all_rows_in_order():
+def test_memory_sink_collects_all_rows_in_order(monkeypatch):
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)
     scenario = throughput_scenario()
     sink = MemorySink()
-    result = explore(scenario, sink=sink, chunk_size=3)
+    result = explore(scenario, sink=sink)
     assert sink.rows == result.rows
-    assert sink.chunks >= 2  # multiple chunks actually streamed
+    assert sink.chunks >= 2  # multiple batches actually streamed
 
 
-def test_callback_sink_sees_chunk_batches_in_order():
+def test_callback_sink_sees_chunk_batches_in_order(monkeypatch):
     """A callable is a sink once it sits behind ``write_rows``: any
-    object with that method streams like a ``ResultSink``."""
+    object with that method streams like a ``ResultSink``. Such a
+    row-only sink gets one write per emitted batch of the walk (solo or
+    as a dedup campaign member) and one per ``DEFAULT_CHUNK_SIZE``
+    configurations of the scalar fold, and the writes concatenate to
+    the oracle's rows. A 4-row block makes the walk emit a batch
+    spanning depths 0-1, one of depth 2 and two descended ones of
+    depth 3."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 4)
+    monkeypatch.setattr(engine, "DEFAULT_CHUNK_SIZE", 4)
     scenario = energy_scenario()
-    batches: list[list[dict]] = []
-    sink = SimpleNamespace(write_rows=lambda rows: batches.append(list(rows)))
-    result = explore(scenario, sink=sink, chunk_size=4)
-    flat = [row for batch in batches for row in batch]
-    assert flat == result.rows
-    assert all(len(batch) <= 4 for batch in batches)
+    sibling = energy_scenario(
+        name="sink-energy-fast",
+        link=LinkModel(name="fast", raw_bps=1e6, tx_energy_per_bit=1e-9),
+    )
+    evaluator = BatchPrefixEvaluator(scenario.cost_model())
+    depths = [
+        batch.metric_column("n_in_camera").tolist()
+        for batch in evaluator.iter_scenario_batches(scenario)
+    ]
+    assert depths == [[0, 1, 1], [2] * 4, [3] * 4, [3] * 4]
+    oracle = json.dumps(explore_brute_force(scenario).rows)
+    writes: list[list[dict]] = []
+    sink = SimpleNamespace(write_rows=lambda rows: writes.append(list(rows)))
+
+    def member():
+        result = Campaign([sibling, scenario]).run(
+            sinks={scenario.name: sink}, dedup=True
+        )
+        assert result[scenario.name].dedup_source == sibling.name
+
+    for run, sizes in (
+        (lambda: explore(scenario, sink=sink, collect=False), [3, 4, 4, 4]),
+        (member, [3, 4, 4, 4]),
+        (
+            lambda: explore(scenario, sink=sink, collect=False, evaluation="scalar"),
+            [4, 4, 4, 3],
+        ),
+    ):
+        writes.clear()
+        run()
+        assert [len(rows) for rows in writes] == sizes
+        assert json.dumps([row for rows in writes for row in rows]) == oracle
 
 
 def test_csv_sink_rejects_keys_outside_locked_columns():
@@ -198,34 +237,13 @@ def test_sink_rows_identical_under_parallel_executor():
     row or write: the member folds in process, like solo explore()."""
     scenario = throughput_scenario()
     serial, parallel = MemorySink(), MemorySink()
-    explore(scenario, sink=serial, chunk_size=2)
+    explore(scenario, sink=serial)
     Campaign([scenario]).run(
         SweepExecutor(workers=4, backend="thread"),
-        chunk_size=2,
         sinks={scenario.name: parallel},
     )
     assert json.dumps(serial.rows) == json.dumps(parallel.rows)
     assert serial.chunks == parallel.chunks
-
-
-@pytest.mark.parametrize("evaluation", ["auto", "scalar"])
-def test_invalid_chunk_size_never_opens_the_sink(evaluation):
-    """Arguments are validated before the sink opens, on both paths."""
-    events: list[str] = []
-
-    class Spy(ResultSink):
-        def open(self, scenario):
-            events.append("open")
-
-        def write_rows(self, rows):
-            events.append("write")
-
-        def close(self):
-            events.append("close")
-
-    with pytest.raises(ConfigurationError, match="chunk_size must be >= 1"):
-        explore(throughput_scenario(), chunk_size=0, sink=Spy(), evaluation=evaluation)
-    assert events == []
 
 
 # -- export-only runs ----------------------------------------------------
@@ -248,36 +266,35 @@ def _live_instances(*types) -> int:
     return sum(1 for obj in gc.get_objects() if isinstance(obj, types))
 
 
-def test_export_only_never_materializes_the_cache():
-    """Acceptance: peak intermediate memory is bounded by the chunk
-    size — live cost objects observed at every sink write stay a small
-    multiple of the chunk size even though the space is much larger."""
+def test_export_only_never_materializes_the_cache(monkeypatch):
+    """Acceptance: peak intermediate memory is bounded by the walk's
+    block — live cost objects observed at every sink write stay a small
+    multiple of a (shrunk) block even though the space is much
+    larger."""
     pipeline = small_pipeline(n_blocks=7, platforms=("asic", "cpu", "fpga"))
     scenario = Scenario(
         name="bounded", pipeline=pipeline,
         link=LinkModel(name="l", raw_bps=1e6), target_fps=1.0,
     )
     n_configs = scenario.count_configs()
-    chunk = 64
-    assert n_configs > 20 * chunk  # the space dwarfs the chunk window
+    block = 64
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", block)
+    assert n_configs > 20 * block  # the space dwarfs the block
     peaks: list[int] = []
 
     def observe(rows):
         peaks.append(_live_instances(ConfigCost, EnergyCost))
 
-    outcome = explore(
-        scenario,
-        chunk_size=chunk,
-        sink=SimpleNamespace(write_rows=observe),
-        collect=False,
-    )
+    outcome = explore(scenario, sink=SimpleNamespace(write_rows=observe), collect=False)
     assert outcome is None
-    assert len(peaks) == -(-n_configs // chunk)  # one write per chunk
-    # Live cost objects never exceed a few chunks' worth; a collected
+    evaluator = BatchPrefixEvaluator(scenario.cost_model())
+    # One write per emitted batch.
+    assert len(peaks) == sum(1 for _ in evaluator.iter_scenario_batches(scenario))
+    # Live cost objects never exceed a few blocks' worth; a collected
     # run ends holding all n_configs of them once its evaluations are
     # read.
-    assert max(peaks) <= 4 * chunk
-    collected = explore(scenario, chunk_size=chunk)
+    assert max(peaks) <= 4 * block
+    collected = explore(scenario)
     assert len(collected.evaluations) == n_configs
     assert _live_instances(ConfigCost, EnergyCost) >= n_configs
 

@@ -27,6 +27,7 @@ from repro.explore import (
     SweepExecutor,
     explore,
     load_builtin,
+    vectorized,
 )
 from repro.explore.result import ParetoFrontier, domain_frontier, pareto_filter
 from repro.explore.vectorized import BatchPrefixEvaluator
@@ -121,16 +122,15 @@ def test_domain_frontier_uses_canonical_axes():
 
 
 @pytest.mark.parametrize("name", ["vr-fig10", "faceauth-energy"])
-def test_pareto_sink_equals_collected_frontier(name):
+def test_pareto_sink_equals_collected_frontier(name, monkeypatch):
     """Acceptance: the frontier an export-only run keeps next to its
     sink (a ``Campaign.run(collect=False)`` member's ``pareto()``)
     equals the collected-mode frontier exactly on the catalog
     scenarios."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)  # many batches
     scenario = load_builtin().build(name)
     sink = MemorySink()
-    result = Campaign([scenario]).run(
-        chunk_size=3, sinks={scenario.name: sink}, collect=False
-    )
+    result = Campaign([scenario]).run(sinks={scenario.name: sink}, collect=False)
     run = result[scenario.name]
     assert run.result is None
     collected = explore(scenario)
@@ -148,7 +148,7 @@ def test_iter_runs_yields_before_fleet_drains():
     fleet = build_fleet()
     total = sum(scenario.count_configs() for scenario in fleet)
     sinks = {scenario.name: MemorySink() for scenario in fleet}
-    iterator = Campaign(fleet).iter_runs(chunk_size=4, sinks=sinks)
+    iterator = Campaign(fleet).iter_runs(sinks=sinks)
     first = next(iterator)
     streamed_so_far = sum(len(sink.rows) for sink in sinks.values())
     assert streamed_so_far < total  # the fleet has NOT drained
@@ -164,10 +164,7 @@ def test_iter_runs_yields_before_fleet_drains():
 
 def test_iter_runs_matches_run_byte_for_byte():
     fleet = build_fleet()
-    streamed = {
-        run.name: run
-        for run in Campaign(fleet).iter_runs(chunk_size=3)
-    }
+    streamed = {run.name: run for run in Campaign(fleet).iter_runs()}
     drained = Campaign(fleet).run()
     assert set(streamed) == {run.name for run in drained}
     for run in drained:
@@ -213,7 +210,7 @@ def test_abandoned_iter_runs_closes_every_sink_once():
 
     fleet = build_fleet()
     sinks = {scenario.name: Tracking(scenario.name) for scenario in fleet}
-    iterator = Campaign(fleet).iter_runs(chunk_size=1, sinks=sinks)
+    iterator = Campaign(fleet).iter_runs(sinks=sinks)
     first = next(iterator)
     iterator.close()  # walk away mid-fleet
     opened = [e.split(":", 1)[1] for e in lifecycle if e.startswith("open:")]
@@ -258,11 +255,11 @@ class _WalkTracker:
         real = BatchPrefixEvaluator.iter_group_batches
         tracker = self
 
-        def walk(evaluator, scenarios, chunk_size=None):
+        def walk(evaluator, scenarios):
             tracker.started += 1
             tracker.open += 1
             try:
-                yield from real(evaluator, scenarios, chunk_size)
+                yield from real(evaluator, scenarios)
             finally:
                 tracker.open -= 1
 
@@ -278,6 +275,7 @@ def test_keyboard_interrupt_mid_iter_runs_closes_walks_and_sinks(source, monkeyp
     closed exactly once, and the sinks still open when the interrupt hit
     close only after every walk has been closed, so none is left
     open."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 2)  # many batches a walk
     catalog = load_builtin()
     fleet = build_fleet() + catalog.build_at_links("vr-fig10", ("wifi", "low-power"))
     walks = _WalkTracker(monkeypatch)
@@ -291,9 +289,7 @@ def test_keyboard_interrupt_mid_iter_runs_closes_walks_and_sinks(source, monkeyp
         )
         for member in fleet
     }
-    runs = Campaign(fleet).iter_runs(
-        chunk_size=2, sinks=sinks, collect=False, dedup=True
-    )
+    runs = Campaign(fleet).iter_runs(sinks=sinks, collect=False, dedup=True)
     finished = []
     with pytest.raises(KeyboardInterrupt) as caught:
         for run in runs:
@@ -311,11 +307,12 @@ def test_keyboard_interrupt_mid_iter_runs_closes_walks_and_sinks(source, monkeyp
     assert closes[-1][1] == 0
 
 
-def test_sink_error_preserves_sibling_streamed_frontiers():
+def test_sink_error_preserves_sibling_streamed_frontiers(monkeypatch):
     """A SinkError mid-campaign must not corrupt sibling scenarios'
     streamed frontiers: each sibling's frontier equals the batch
     frontier of exactly the rows it was shown (a clean enumeration
     prefix), never a mixture with another scenario's rows."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 2)  # many batches a walk
     fleet = build_fleet()
     # The largest scenario walks last in WSPT order: it fails after
     # every sibling has streamed.
@@ -344,7 +341,7 @@ def test_sink_error_preserves_sibling_streamed_frontiers():
     }
     sinks[victim] = Boom()
     with pytest.raises(SinkError, match=victim):
-        Campaign(fleet).run(chunk_size=2, sinks=sinks, collect=False)
+        Campaign(fleet).run(sinks=sinks, collect=False)
     for scenario in fleet:
         if scenario.name == victim:
             continue
@@ -370,7 +367,7 @@ def test_iter_runs_consumer_code_sees_live_gc():
     assert gc.isenabled()
     fleet = build_fleet(("vr-fig10", "faceauth-energy"))
     states = []
-    for run in Campaign(fleet).iter_runs(chunk_size=2):
+    for run in Campaign(fleet).iter_runs():
         states.append(gc.isenabled())  # consumer-side code
     assert states and all(states)
     assert gc.isenabled()
@@ -379,12 +376,14 @@ def test_iter_runs_consumer_code_sees_live_gc():
 # -- streamed vs collected frontier through campaigns --------------------
 
 
-def test_campaign_streamed_frontier_equals_collected_on_catalog():
+def test_campaign_streamed_frontier_equals_collected_on_catalog(monkeypatch):
     """Acceptance: collect=False pareto equals collected pareto exactly
-    on the fig10 and faceauth catalog scenarios."""
+    on the fig10 and faceauth catalog scenarios, folded over many
+    batches of a 3-row block."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 3)
     fleet = build_fleet(("vr-fig10", "faceauth-energy", "faceauth-throughput"))
-    collected = Campaign(fleet).run(chunk_size=3)
-    streamed = Campaign(fleet).run(chunk_size=3, collect=False)
+    collected = Campaign(fleet).run()
+    streamed = Campaign(fleet).run(collect=False)
     for full, lean in zip(collected, streamed):
         assert lean.result is None and full.result is not None
         assert json.dumps(lean.pareto()) == json.dumps(full.pareto())
@@ -404,7 +403,7 @@ def test_run_byte_identical_under_every_builtin_policy():
     heavy = {fleet[-1].name: 1e6, fleet[0].name: 0.5}
     for weights in (None, heavy):
         for executor in (None, SweepExecutor(workers=3, backend="thread")):
-            result = Campaign(fleet).run(executor, chunk_size=2, weights=weights)
+            result = Campaign(fleet).run(executor, weights=weights)
             for run in result:
                 assert json.dumps(run.result.rows) == json.dumps(
                     solo[run.name]
@@ -420,7 +419,7 @@ def test_single_scenario_fleet_works_under_every_policy():
 
 def test_policies_compose_with_pruned_scenarios():
     """WSPT order over auto-pruned scenarios: per-scenario results
-    still match solo explore() (pruning changes each scenario's chunk
+    still match solo explore() (pruning changes each scenario's batch
     stream, not the routing)."""
     from dataclasses import replace
 
@@ -434,6 +433,6 @@ def test_policies_compose_with_pruned_scenarios():
         ),
     ]
     solo = {scenario.name: explore(scenario).rows for scenario in fleet}
-    result = Campaign(fleet).run(chunk_size=2)
+    result = Campaign(fleet).run()
     for run in result:
         assert json.dumps(run.result.rows) == json.dumps(solo[run.name])

@@ -32,6 +32,7 @@ from repro.explore import (
     evaluation_path,
     explore,
     explore_brute_force,
+    vectorized,
 )
 from repro.core.offload import OffloadAnalyzer
 from repro.explore.engine import EVALUATION_MODES, iter_evaluation_chunks
@@ -271,9 +272,9 @@ def test_explore_modes_agree_on_rows():
 # -- BatchRows -----------------------------------------------------------
 
 
-def scenario_batches(scenario, chunk_size=None):
+def scenario_batches(scenario):
     evaluator = BatchPrefixEvaluator(scenario.cost_model())
-    return list(evaluator.iter_scenario_batches(scenario, chunk_size=chunk_size))
+    return list(evaluator.iter_scenario_batches(scenario))
 
 
 def test_batch_rows_materialize_lazily():
@@ -371,21 +372,16 @@ def test_energy_rows_add_block_energies_as_the_fold_does():
     ]
 
 
-def test_batch_rows_slice_is_a_view_of_the_same_rows():
+def test_batch_rows_view_is_the_same_rows_without_the_memo():
     scenario = build_scenario()
-    deepest = scenario_batches(scenario)[-1]
-    lo, hi = 3, 11
-    window = deepest.slice(lo, hi)
-    assert len(window) == hi - lo
-    assert json.dumps(window.rows()) == json.dumps(deepest.rows()[lo:hi])
-
-
-def test_chunked_cohorts_respect_chunk_size():
-    scenario = build_scenario()
-    batches = scenario_batches(scenario, chunk_size=5)
-    assert all(len(batch) <= 5 for batch in batches)
-    rows = [row for batch in batches for row in batch.rows()]
-    assert json.dumps(rows) == json.dumps(explore(scenario, evaluation="scalar").rows)
+    batch = scenario_batches(scenario)[-1]
+    column = batch.metric_column("total_fps")
+    view = batch.view()
+    assert len(view) == len(batch)
+    assert not view._metrics  # the memo stays with the batch
+    assert view.metric_column("total_fps") is not column
+    assert view.metric_column("total_fps").tolist() == column.tolist()
+    assert json.dumps(view.rows()) == json.dumps(batch.rows())
 
 
 #: Ceiling on the traced peak of a 12-block export (0.74 MB throughput
@@ -426,9 +422,7 @@ def _deep_chain(n_blocks: int, domain: str = "throughput") -> Scenario:
     )
 
 
-def _export_peak_bytes(
-    n_blocks: int, chunk_size: int | None, domain: str = "throughput"
-) -> int:
+def _export_peak_bytes(n_blocks: int, domain: str = "throughput") -> int:
     """Peak traced bytes of a ``collect=False`` top-k export."""
     scenario = _deep_chain(n_blocks, domain)
     if domain == "throughput":
@@ -437,32 +431,38 @@ def _export_peak_bytes(
         sink = TopKSink("total_energy_j", k=5, maximize=False)
     tracemalloc.start()
     try:
-        explore(scenario, sink=sink, collect=False, chunk_size=chunk_size)
+        explore(scenario, sink=sink, collect=False)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("chunk_size", [None, 4096])
-def test_export_peak_memory_does_not_grow_with_the_space(chunk_size):
+@pytest.mark.parametrize("block_rows", [None, 4096])
+def test_export_peak_memory_does_not_grow_with_the_space(block_rows, monkeypatch):
     """The cohort walk's working set is a fixed number of row blocks:
     nine times the configurations (12 vs 10 blocks) leave the export's
-    peak nearly flat, with and without chunking."""
-    _export_peak_bytes(3, chunk_size)  # first-call allocations, untimed
-    shallow = _export_peak_bytes(10, chunk_size)
-    deep = _export_peak_bytes(12, chunk_size)
+    peak nearly flat, at the default block and at a smaller one."""
+    if block_rows is not None:
+        monkeypatch.setattr(vectorized, "_BLOCK_ROWS", block_rows)
+    _export_peak_bytes(3)  # first-call allocations, untimed
+    shallow = _export_peak_bytes(10)
+    deep = _export_peak_bytes(12)
     assert deep <= 1.5 * shallow, (shallow, deep)
     assert deep < EXPORT_PEAK_CAP, deep
 
 
-@pytest.mark.parametrize("chunk_size", [None, 4096])
-def test_energy_export_peak_memory_does_not_grow_with_the_space(chunk_size):
+@pytest.mark.parametrize("block_rows", [None, 4096])
+def test_energy_export_peak_memory_does_not_grow_with_the_space(
+    block_rows, monkeypatch
+):
     """The energy twin: per-level block energies live in per-option
     tables, not per-row arrays, so a deeper chain does not widen the
     rows the walk holds."""
-    _export_peak_bytes(3, chunk_size, "energy")  # first-call allocations
-    shallow = _export_peak_bytes(10, chunk_size, "energy")
-    deep = _export_peak_bytes(12, chunk_size, "energy")
+    if block_rows is not None:
+        monkeypatch.setattr(vectorized, "_BLOCK_ROWS", block_rows)
+    _export_peak_bytes(3, "energy")  # first-call allocations
+    shallow = _export_peak_bytes(10, "energy")
+    deep = _export_peak_bytes(12, "energy")
     assert deep <= 1.5 * shallow, (shallow, deep)
     assert deep < EXPORT_PEAK_CAP, deep
 
@@ -512,10 +512,12 @@ def test_cohorts_honor_depth_pruning_and_include_empty():
     assert sum(len(b) for b in scenario_batches(no_empty)) == no_empty.count_configs()
 
 
-def test_group_batches_equal_each_members_solo_walk():
+def test_group_batches_equal_each_members_solo_walk(monkeypatch):
     """The dedup group walk: one fold of the leader's states closed
-    under every member's link equals each member's own cohort walk, and
-    members share the slice's choice selection by reference."""
+    under every member's link equals each member's own cohort walk
+    (several batches of a 7-row block), and members share the batch's
+    choice selection by reference."""
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 7)
     for domain, extra in (
         ("throughput", {}),
         ("energy", {"target_fps": None, "pass_rates": {"B0": 0.4}}),
@@ -533,7 +535,8 @@ def test_group_batches_equal_each_members_solo_walk():
         ]
         lead = group[0]
         evaluator = BatchPrefixEvaluator(lead.cost_model(), lead.pass_rates)
-        slices = list(evaluator.iter_group_batches(group, chunk_size=7))
+        slices = list(evaluator.iter_group_batches(group))
+        assert len(slices) > 1
         assert all(len(views) == len(group) for views in slices)
         for views in slices:
             assert all(view._choices is views[0]._choices for view in views)
@@ -543,7 +546,7 @@ def test_group_batches_equal_each_members_solo_walk():
             solo = BatchPrefixEvaluator(member.cost_model(), member.pass_rates)
             expected = [
                 row
-                for batch in solo.iter_scenario_batches(member, chunk_size=7)
+                for batch in solo.iter_scenario_batches(member)
                 for row in batch.rows()
             ]
             assert json.dumps(rows) == json.dumps(expected), (domain, slot)
@@ -555,8 +558,6 @@ def test_a_member_that_fits_one_block_arrives_as_one_batch(domain):
     whose whole space fits one block gets exactly one batch, spanning
     all its depths, and each member of a dedup group gets its own view
     of that one batch."""
-    from repro.explore import vectorized
-
     pipeline = build_pipeline(4)
     links = [LINK, LinkModel(name="vec-fast", raw_bps=9e7, tx_energy_per_bit=3e-10)]
     extra = {"target_fps": None} if domain == "energy" else {}
@@ -810,8 +811,6 @@ def test_topk_rejects_a_batch_before_building_its_column(monkeypatch, shape, dom
     enter (ties with the root included) without building its metric
     column or a compact view; the ranking and ``n_seen`` still equal
     the row fold over every streamed row."""
-    from repro.explore import vectorized
-
     pipeline, link = (build_pipeline(4), LINK)
     if shape == "tied":
         pipeline, link = _tied_pipeline(), TIED_LINK
@@ -819,11 +818,11 @@ def test_topk_rejects_a_batch_before_building_its_column(monkeypatch, shape, dom
     metric, maximize = (
         ("total_fps", True) if domain == "throughput" else ("total_energy_j", False)
     )
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 4)
     evaluator = BatchPrefixEvaluator(scenario.cost_model())
-    batches = list(evaluator.iter_scenario_batches(scenario, chunk_size=4))
+    batches = list(evaluator.iter_scenario_batches(scenario))
     expected_rows = [
-        batch.rows()
-        for batch in evaluator.iter_scenario_batches(scenario, chunk_size=4)
+        batch.rows() for batch in evaluator.iter_scenario_batches(scenario)
     ]
     built, compacted = [], []
     metric_column = vectorized.BatchRows.metric_column
@@ -849,7 +848,7 @@ def test_topk_rejects_a_batch_before_building_its_column(monkeypatch, shape, dom
         ties += drop and best == online._heap[0][0][0]
         online.add_batch(batch)
         touched = id(batch) in built or id(batch) in compacted
-        assert touched == (not drop), (batch.depth, values)
+        assert touched == (not drop), (len(batch), values)
         rejected += drop
     assert rejected
     if shape == "tied":
@@ -860,13 +859,15 @@ def test_topk_rejects_a_batch_before_building_its_column(monkeypatch, shape, dom
     assert json.dumps(online.rows) == json.dumps(reference.rows)
 
 
-def test_metric_best_is_the_best_row_value_and_defers_to_a_built_column():
+def test_metric_best_is_the_best_row_value_and_defers_to_a_built_column(monkeypatch):
+    # A 5-row block: spanning batches of several depths and descended ones.
+    monkeypatch.setattr(vectorized, "_BLOCK_ROWS", 5)
     for domain, metric in (("throughput", "total_fps"), ("energy", "total_energy_j")):
         scenario = Scenario(
             name="best", pipeline=build_pipeline(3), link=LINK, domain=domain
         )
         evaluator = BatchPrefixEvaluator(scenario.cost_model())
-        for batch in evaluator.iter_scenario_batches(scenario, chunk_size=5):
+        for batch in evaluator.iter_scenario_batches(scenario):
             values = [row[metric] for row in batch.rows()]
             for maximize in (True, False):
                 best = batch.metric_best(metric, maximize)
@@ -1040,7 +1041,6 @@ def test_online_folds_pin_no_batch_once_swept(monkeypatch):
     import gc
     import weakref
 
-    from repro.explore import vectorized
     from repro.explore.campaign import _StreamingStats
 
     budget = 16
@@ -1055,7 +1055,7 @@ def test_online_folds_pin_no_batch_once_swept(monkeypatch):
     rows = []
     gc.disable()  # liveness must come from references, not collection
     try:
-        for batch in evaluator.iter_scenario_batches(scenario, chunk_size=5):
+        for batch in evaluator.iter_scenario_batches(scenario):
             seen.append((weakref.ref(batch), weakref.ref(batch._choices.frame)))
             rows.extend(batch.rows())
             stats.update_batch(batch)
@@ -1089,9 +1089,7 @@ def test_export_only_campaign_pins_at_most_a_pending_block(monkeypatch):
     frontiers still answer exactly as solo explore()."""
     import weakref
 
-    from repro.explore import Campaign, vectorized
-
-    budget, chunk = 16, 5
+    budget = 16
     monkeypatch.setattr(vectorized, "_BLOCK_ROWS", budget)
     fleet = [
         build_scenario(name=f"m{i}", pipeline=build_pipeline(4), link=link)
@@ -1106,13 +1104,11 @@ def test_export_only_campaign_pins_at_most_a_pending_block(monkeypatch):
             seen.append(weakref.ref(batch))
             super().write_batch(batch)
             live = [ref() for ref in seen if ref() is not None]
-            assert sum(len(view) for view in live) <= len(fleet) * budget + chunk
+            assert sum(len(view) for view in live) <= (len(fleet) + 1) * budget
 
     sinks = {member.name: _Recording("total_fps", k=3) for member in fleet}
-    result = Campaign(fleet).run(
-        chunk_size=chunk, dedup=True, collect=False, sinks=sinks
-    )
-    assert len(seen) >= 4 * len(fleet) * budget // chunk
+    result = Campaign(fleet).run(dedup=True, collect=False, sinks=sinks)
+    assert len(seen) >= len(fleet) * fleet[0].count_configs() // budget
     assert all(ref() is None for ref in seen)
     for run in result:
         solo = explore(run.scenario)

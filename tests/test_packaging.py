@@ -136,21 +136,17 @@ def test_explore_design_counters_are_pinned():
     }
 
 
-def test_explore_executor_slots_are_pinned():
-    """Which ``repro.explore`` callables take an ``executor``: exactly
-    the three positional slots perfbench passes one to. Every function,
-    class and class method defined in the package's modules is walked
-    (``__all__``, the ``Campaign`` methods and the private helpers
-    alike), except the pool's own module; the slots only validate the
-    executor, so each raises ``ConfigurationError`` for anything but a
-    ``SweepExecutor`` or None."""
+def _explore_callables_taking(parameter: str) -> set[str]:
+    """``module.name`` of every ``repro.explore`` callable with a
+    ``parameter`` parameter. Every function, class and class method
+    defined in the package's modules is walked (``__all__``, the
+    ``Campaign`` methods and the private helpers alike), except the
+    pool's own module."""
     import importlib
     import inspect
     import pkgutil
 
     import repro.explore as package
-    from repro.errors import ConfigurationError
-    from repro.explore import Campaign, JointFleetScenario, load_builtin
 
     taking = set()
     for info in pkgutil.iter_modules(package.__path__):
@@ -174,9 +170,21 @@ def test_explore_executor_slots_are_pinned():
                     parameters = inspect.signature(member).parameters
                 except (TypeError, ValueError):
                     continue
-                if "executor" in parameters:
+                if parameter in parameters:
                     taking.add(f"{info.name}.{label}")
-    assert taking == {
+    return taking
+
+
+def test_explore_executor_slots_are_pinned():
+    """Which ``repro.explore`` callables take an ``executor``: exactly
+    the three positional slots perfbench passes one to. The slots only
+    validate the executor, so each raises ``ConfigurationError`` for
+    anything but a ``SweepExecutor`` or None."""
+    import repro.explore as package
+    from repro.errors import ConfigurationError
+    from repro.explore import Campaign, JointFleetScenario, load_builtin
+
+    assert _explore_callables_taking("executor") == {
         "campaign.Campaign.run",
         "engine.evaluation_path",
         "joint.explore_joint",
@@ -193,3 +201,10 @@ def test_explore_executor_slots_are_pinned():
     ):
         with pytest.raises(ConfigurationError, match="executor must be"):
             call()
+
+
+def test_explore_batch_size_is_the_walks_alone():
+    """No ``repro.explore`` callable outside the pool's module takes a
+    ``chunk_size``: the cohort walk's batches and the scalar fold's
+    ``DEFAULT_CHUNK_SIZE`` chunks are the only batch sizes."""
+    assert _explore_callables_taking("chunk_size") == set()
